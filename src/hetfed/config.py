@@ -1,6 +1,7 @@
 """Experiment configuration: a strict dotted-key text format.
 
-One `key = value` pair per line, `#` comments, values parsed as JSON with
+One `key = value` pair per line, `#` comments (a `#` inside a
+double-quoted string is part of the string), values parsed as JSON with
 a bare-word fallback for strings. Unknown keys are hard errors so a typo
 can never silently skew a benchmark comparison.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 
 from .datasets import PARTITION_MODES, SYNTHETIC_KINDS
@@ -104,11 +106,23 @@ SCHEMA: dict[str, tuple[str, object]] = {
 }
 
 
+# A double-quoted string (escapes included), or a `#` outside every string.
+_STRING_OR_COMMENT = re.compile(r'"(?:[^"\\]|\\.)*"|#')
+
+
+def _strip_comment(line: str) -> str:
+    """The line up to its first `#` outside a double-quoted string."""
+    for match in _STRING_OR_COMMENT.finditer(line):
+        if match.group() == "#":
+            return line[: match.start()]
+    return line
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
     """Raw key -> value mapping from the dotted-key text format."""
     values: dict[str, object] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = _strip_comment(raw_line).strip()
         if not line:
             continue
         if "=" not in line:

@@ -233,42 +233,41 @@ def label_divergence(client_labels: np.ndarray, global_hist: np.ndarray) -> floa
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange: header f0,...,f{d-1},label
-
-
-def save_csv(dataset: Dataset, path: str) -> None:
-    lines = [",".join([f"f{i}" for i in range(dataset.input_dim)] + ["label"])]
-    for row, label in zip(dataset.features, dataset.labels):
-        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+# CSV datasets: header f0,...,f{d-1},label
 
 
 def load_csv(path: str) -> Dataset:
-    """Parse the CSV dataset format, naming the offending line on errors."""
+    """Parse the CSV dataset format, naming the offending line on errors.
+
+    Blank lines are skipped but still counted, so a reported line number
+    is the line's number in the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        lines = [(i, line.rstrip("\n")) for i, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[-1] != "label" or len(header) < 2:
         raise ValueError(f"{path}: header must be f0,...,f{{d-1}},label")
     d = len(header) - 1
     features = np.zeros((len(lines) - 1, d))
     labels = np.zeros(len(lines) - 1, dtype=np.int64)
-    for i, line in enumerate(lines[1:], start=2):
+    for row, (i, line) in enumerate(lines[1:]):
         cols = line.split(",")
         if len(cols) != d + 1:
             raise ValueError(f"{path}: line {i}: expected {d + 1} columns, got {len(cols)}")
         try:
-            features[i - 2] = [float(c) for c in cols[:-1]]
+            values = [float(c) for c in cols[:-1]]
         except ValueError as exc:
             raise ValueError(f"{path}: line {i}: bad feature value ({exc})") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}: line {i}: non-finite feature")
+        features[row] = values
         try:
-            labels[i - 2] = int(cols[-1])
+            labels[row] = int(cols[-1])
         except ValueError as exc:
             raise ValueError(f"{path}: line {i}: label must be an integer") from exc
-        if labels[i - 2] < 0:
+        if labels[row] < 0:
             raise ValueError(f"{path}: line {i}: label must be >= 0")
     if features.shape[0] < 1:
         raise ValueError(f"{path}: no data rows")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn import BlockNetModel, block_keys, head_keys, param_shapes
+from .nn import BlockNetModel, block_keys, head_keys
 
 # One axis entry per array dimension; None means the full axis is kept.
 AxisIndices = tuple[np.ndarray | None, ...]
@@ -228,18 +228,3 @@ def normalize(acc: Accumulator, previous: BlockNetModel) -> BlockNetModel:
         params[key] = np.where(touched, total / np.where(touched, w, 1.0), previous.params[key])
     return BlockNetModel(previous.spec, previous.head_blocks, params)
 
-
-def check_roundtrip(model: BlockNetModel, sub: BlockNetModel, smap: SubModelMap) -> bool:
-    """True when scattering the untouched sub-model reproduces the source values."""
-    acc = new_accumulator(model)
-    scatter_update(acc, sub.params, smap, 1.0)
-    merged = normalize(acc, model)
-    return all(np.array_equal(merged.params[k], model.params[k]) for k in model.params)
-
-
-def assert_valid_submodel(sub: BlockNetModel) -> None:
-    """Structural sanity: the sub-model's arrays match its own spec."""
-    expected = param_shapes(sub.spec, sub.head_blocks)
-    for key, shape in expected.items():
-        if sub.params[key].shape != shape:
-            raise ValueError(f"{key}: expected {shape}, got {sub.params[key].shape}")

@@ -13,6 +13,9 @@ Parameter keys:
 where ``j`` is the 1-based block index the head hangs off. Each head owns
 its own neck copy so every head sees a proto_dim-wide input regardless of
 where it attaches.
+
+Training is minibatch momentum-SGD; `sgd_update` is the only place the
+update is written.
 """
 
 from __future__ import annotations
@@ -398,16 +401,6 @@ def _loss_terms(
     return total, dlogits, demb
 
 
-def loss_value(
-    model: BlockNetModel,
-    batch: np.ndarray,
-    labels: np.ndarray | None,
-    loss: LossSpec,
-) -> float:
-    cache = _run_forward(model, batch)
-    return _loss_terms(model, cache, labels, loss)[0]
-
-
 def backward(
     model: BlockNetModel,
     batch: np.ndarray,
@@ -468,36 +461,29 @@ def backward(
 # optimization
 
 
-def _check_structure(params: dict[str, np.ndarray], other: dict[str, np.ndarray], what: str) -> None:
-    if params.keys() != other.keys():
-        raise ShapeError(f"{what} keys do not match model parameters")
-    for k in params:
-        if params[k].shape != other[k].shape:
-            raise ShapeError(f"{what}[{k}] has shape {other[k].shape}, expected {params[k].shape}")
-
-
-def sgd_step(
-    model: BlockNetModel,
+def sgd_update(
+    params: dict[str, np.ndarray],
+    momentum: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     config: SGDConfig,
-    momentum: dict[str, np.ndarray] | None = None,
-) -> tuple[BlockNetModel, dict[str, np.ndarray]]:
-    """One momentum-SGD step: buf <- m*buf + g, p <- p - lr*buf.
+    regions: dict[str, tuple] | None = None,
+) -> None:
+    """One momentum-SGD step in place: buf <- m*buf + g, p <- p - lr*buf.
 
-    Functional: returns a new model and the new momentum buffers.
+    Moves exactly the keys present in `grads`. `regions`, when given, maps
+    each key to the index region of `params[key]` that its gradient covers;
+    otherwise a gradient covers the whole array.
     """
-    _check_structure(model.params, grads, "gradient")
-    if momentum is None:
-        momentum = zeros_like_params(model.params)
-    else:
-        _check_structure(model.params, momentum, "momentum")
-    new_params: dict[str, np.ndarray] = {}
-    new_momentum: dict[str, np.ndarray] = {}
-    for k, v in model.params.items():
-        buf = config.momentum * momentum[k] + grads[k]
-        new_momentum[k] = buf
-        new_params[k] = v - config.learning_rate * buf
-    return BlockNetModel(model.spec, model.head_blocks, new_params), new_momentum
+    for key, g in grads.items():
+        if regions is None:
+            buf = config.momentum * momentum[key] + g
+            momentum[key] = buf
+            params[key] = params[key] - config.learning_rate * buf
+        else:
+            region = regions[key]
+            buf = config.momentum * momentum[key][region] + g
+            momentum[key][region] = buf
+            params[key][region] = params[key][region] - config.learning_rate * buf
 
 
 def batch_windows(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -522,10 +508,7 @@ def train_local(
         for idx in batch_windows(n, config.batch_size, rng):
             y = None if labels is None else labels[idx]
             _, grads = backward(current, features[idx], y, loss.slice_batch(idx))
-            for k, v in current.params.items():
-                buf = config.momentum * momentum[k] + grads[k]
-                momentum[k] = buf
-                current.params[k] = v - config.learning_rate * buf
+            sgd_update(current.params, momentum, grads, config)
     return current
 
 

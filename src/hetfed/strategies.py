@@ -2,11 +2,18 @@
 topology-level algorithms plus the homogeneous FedAvg baselines.
 
 Each strategy implements one server round over the sampled clients and is
-deterministic given (repeat seed, round, sample set). Where the published
-descriptions of the cited methods include extras that do not change the
-resource trade-off being measured (InclusiveFL's momentum distillation,
-Fed-ET's diversity regularizer), those extras are omitted; the omissions
-are noted on the strategy docstrings.
+deterministic given (repeat seed, round, sample set).
+
+The width and depth strategies share one round: each client trains the
+sub-model that the strategy's `_extract` hook cuts from the global model,
+under the loss its `_client_loss` hook names, and the server scatters the
+results back. FjORD and FeDepth move only part of their model per step and
+call `nn.sgd_update` on that part themselves.
+
+Where the published descriptions of the cited methods include extras that
+do not change the resource trade-off being measured (InclusiveFL's momentum
+distillation, Fed-ET's diversity regularizer), those extras are omitted;
+the omissions are noted on the strategy docstrings.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .nn import (
     batch_windows,
     forward,
     init_model,
+    sgd_update,
     softmax,
     train_local,
     zeros_like_params,
@@ -243,10 +251,23 @@ class _PartialAveragingStrategy(Strategy):
     def _global_heads(self) -> tuple[int, ...]:
         return self.ctx.pool.largest.head_blocks
 
+    def _extract(
+        self, model: BlockNetModel, client: ClientState, round_index: int
+    ) -> tuple[BlockNetModel, SubModelMap]:
+        """The sub-model a client trains and is evaluated on, and its map."""
+        raise NotImplementedError
+
+    def _client_loss(self, sub: BlockNetModel) -> LossSpec:
+        return LossSpec(ce_heads=(sub.final_head,))
+
     def _train_client(
         self, global_model: BlockNetModel, client_id: int, round_index: int
-    ) -> tuple[dict[str, np.ndarray], SubModelMap, int]:
-        raise NotImplementedError
+    ) -> tuple[dict[str, np.ndarray], SubModelMap]:
+        sub, smap = self._extract(global_model, self.ctx.clients[client_id], round_index)
+        features, labels = self.ctx.client_data(client_id)
+        rng = self.ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
+        trained = train_local(sub, features, labels, self.ctx.sgd, self._client_loss(sub), rng)
+        return trained.params, smap
 
     def run_round(self, state: BlockNetModel, sampled: list[int], round_index: int):
         if not sampled:
@@ -257,7 +278,7 @@ class _PartialAveragingStrategy(Strategy):
         )
         acc = new_accumulator(state)
         uploaded: dict[int, int] = {}
-        for cid, (params, smap, _) in zip(ordered, results):
+        for cid, (params, smap) in zip(ordered, results):
             scatter_update(acc, params, smap, self.ctx.client_weight(cid))
             uploaded[cid] = int(sum(v.size for v in params.values()))
         new_global = normalize(acc, state)
@@ -266,36 +287,18 @@ class _PartialAveragingStrategy(Strategy):
     def global_eval_model(self, state) -> BlockNetModel:
         return state
 
+    def client_eval_model(self, state, client_id, round_index):
+        return self._extract(state, self.ctx.clients[client_id], round_index)[0]
+
 
 class SHeteroFL(_PartialAveragingStrategy):
     """Static width sub-models: client k always trains the nested prefix at
     its assigned rate; the server overlap-averages into global coordinates."""
 
     id = "sheterofl"
-    selector_mode = "static_prefix"
 
-    def _client_loss(self, sub: BlockNetModel) -> LossSpec:
-        return LossSpec(ce_heads=(sub.final_head,))
-
-    def _selector_round(self, round_index: int) -> int:
-        return 0
-
-    def _train_client(self, global_model, client_id, round_index):
-        client = self.ctx.clients[client_id]
-        sub, smap = extract_width(
-            global_model, client.variant.rate, self.selector_mode, self._selector_round(round_index)
-        )
-        features, labels = self.ctx.client_data(client_id)
-        rng = self.ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-        trained = train_local(sub, features, labels, self.ctx.sgd, self._client_loss(sub), rng)
-        return trained.params, smap, client.num_samples
-
-    def client_eval_model(self, state, client_id, round_index):
-        client = self.ctx.clients[client_id]
-        sub, _ = extract_width(
-            state, client.variant.rate, self.selector_mode, self._selector_round(round_index)
-        )
-        return sub
+    def _extract(self, model, client, round_index):
+        return extract_width(model, client.variant.rate, "static_prefix", 0)
 
 
 class FedRolex(SHeteroFL):
@@ -303,10 +306,9 @@ class FedRolex(SHeteroFL):
     round, so every global channel is trained equally often."""
 
     id = "fedrolex"
-    selector_mode = "rolling"
 
-    def _selector_round(self, round_index: int) -> int:
-        return round_index
+    def _extract(self, model, client, round_index):
+        return extract_width(model, client.variant.rate, "rolling", round_index)
 
 
 class Fjord(SHeteroFL):
@@ -324,7 +326,7 @@ class Fjord(SHeteroFL):
 
     def _train_client(self, global_model, client_id, round_index):
         client = self.ctx.clients[client_id]
-        sub, smap = extract_width(global_model, client.variant.rate, "static_prefix", 0)
+        sub, smap = self._extract(global_model, client, round_index)
         features, labels = self.ctx.client_data(client_id)
         cfg = self.ctx.sgd
         batch_rng = self.ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
@@ -344,13 +346,10 @@ class Fjord(SHeteroFL):
                 else:
                     k = int(rate_rng.choice(ks))
                 nested, nmap = extract_channels(working, np.arange(k))
-                _, grads = backward(nested, features[idx], labels[idx], LossSpec(ce_heads=(nested.final_head,)))
-                for key, g in grads.items():
-                    region = region_for(params[key].shape, nmap.entries[key])
-                    buf = cfg.momentum * momentum[key][region] + g
-                    momentum[key][region] = buf
-                    params[key][region] = params[key][region] - cfg.learning_rate * buf
-        return params, smap, client.num_samples
+                _, grads = backward(nested, features[idx], labels[idx], self._client_loss(nested))
+                regions = {key: region_for(params[key].shape, axes) for key, axes in nmap.entries.items()}
+                sgd_update(params, momentum, grads, cfg, regions)
+        return params, smap
 
 
 class DepthFL(_PartialAveragingStrategy):
@@ -363,19 +362,11 @@ class DepthFL(_PartialAveragingStrategy):
     def _global_heads(self) -> tuple[int, ...]:
         return tuple(range(1, self.ctx.pool.largest.spec.num_blocks + 1))
 
-    def _train_client(self, global_model, client_id, round_index):
-        client = self.ctx.clients[client_id]
-        sub, smap = extract_depth(global_model, client.variant.depth, with_aux_heads=True)
-        features, labels = self.ctx.client_data(client_id)
-        rng = self.ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-        loss = LossSpec(ce_heads=sub.head_blocks, distill_weight=self.ctx.fed.lambda_kd)
-        trained = train_local(sub, features, labels, self.ctx.sgd, loss, rng)
-        return trained.params, smap, client.num_samples
+    def _extract(self, model, client, round_index):
+        return extract_depth(model, client.variant.depth, with_aux_heads=True)
 
-    def client_eval_model(self, state, client_id, round_index):
-        client = self.ctx.clients[client_id]
-        sub, _ = extract_depth(state, client.variant.depth, with_aux_heads=True)
-        return sub
+    def _client_loss(self, sub: BlockNetModel) -> LossSpec:
+        return LossSpec(ce_heads=sub.head_blocks, distill_weight=self.ctx.fed.lambda_kd)
 
 
 class InclusiveFL(_PartialAveragingStrategy):
@@ -389,20 +380,8 @@ class InclusiveFL(_PartialAveragingStrategy):
         depths = sorted({v.depth for v in self.ctx.pool.variants if v.depth is not None})
         return tuple(depths)
 
-    def _train_client(self, global_model, client_id, round_index):
-        client = self.ctx.clients[client_id]
-        sub, smap = extract_depth(global_model, client.variant.depth, with_aux_heads=False)
-        features, labels = self.ctx.client_data(client_id)
-        rng = self.ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-        trained = train_local(
-            sub, features, labels, self.ctx.sgd, LossSpec(ce_heads=(sub.final_head,)), rng
-        )
-        return trained.params, smap, client.num_samples
-
-    def client_eval_model(self, state, client_id, round_index):
-        client = self.ctx.clients[client_id]
-        sub, _ = extract_depth(state, client.variant.depth, with_aux_heads=False)
-        return sub
+    def _extract(self, model, client, round_index):
+        return extract_depth(model, client.variant.depth, with_aux_heads=False)
 
 
 class FeDepth(_PartialAveragingStrategy):
@@ -425,18 +404,15 @@ class FeDepth(_PartialAveragingStrategy):
         params = {k: v.copy() for k, v in global_model.params.items()}
         momentum = zeros_like_params(params)
         working = BlockNetModel(spec, global_model.head_blocks, params)
-        loss = LossSpec(ce_heads=(working.final_head,))
+        loss = self._client_loss(working)
         n = features.shape[0]
         for seg in segments:
             keys = self._segment_keys(working, seg)
             for _ in range(cfg.local_epochs):
                 for idx in batch_windows(n, cfg.batch_size, rng):
                     _, grads = backward(working, features[idx], labels[idx], loss)
-                    for key in keys:  # frozen-rest update: only segment keys move
-                        buf = cfg.momentum * momentum[key] + grads[key]
-                        momentum[key] = buf
-                        params[key] = params[key] - cfg.learning_rate * buf
-        return params, full_map(global_model), client.num_samples
+                    sgd_update(params, momentum, {key: grads[key] for key in keys}, cfg)  # frozen rest
+        return params, full_map(global_model)
 
     @staticmethod
     def _segment_keys(model: BlockNetModel, segment_blocks: list[int]) -> list[str]:
@@ -461,15 +437,8 @@ class FedAvg(_PartialAveragingStrategy):
 
     id = "fedavg_full"
 
-    def _train_client(self, global_model, client_id, round_index):
-        client = self.ctx.clients[client_id]
-        features, labels = self.ctx.client_data(client_id)
-        rng = self.ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-        trained = train_local(
-            global_model, features, labels, self.ctx.sgd,
-            LossSpec(ce_heads=(global_model.final_head,)), rng,
-        )
-        return trained.params, full_map(global_model), client.num_samples
+    def _extract(self, model, client, round_index):
+        return model, full_map(model)
 
     def client_eval_model(self, state, client_id, round_index):
         return state

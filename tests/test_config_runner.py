@@ -48,6 +48,10 @@ class TestConfigParsing:
         raw = parse_config_text('a = [1, 2]\nb = plain  # comment\nc = 1.5\nd = true\n')
         assert raw == {"a": [1, 2], "b": "plain", "c": 1.5, "d": True}
 
+    def test_hash_inside_quoted_string_is_not_a_comment(self):
+        raw = parse_config_text('data.path = "a#b.csv"  # note\n')
+        assert raw == {"data.path": "a#b.csv"}
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("a = 1\na = 2")

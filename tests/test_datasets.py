@@ -8,9 +8,10 @@ from hetfed.datasets import (
     label_divergence,
     load_csv,
     partition,
-    save_csv,
     split_global,
 )
+
+from oracles import save_csv
 
 # Frozen output of partition(blobs(30, 3, 3, noise .5, seed 11),
 # dirichlet alpha=0.5, 3 clients, seed 77); guards determinism.
@@ -179,6 +180,19 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n0.5,0\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_csv(str(path))
+
+    def test_error_names_physical_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n\n0.5,0.5,0\n\n0.5,0\n")
+        with pytest.raises(ValueError, match="line 5:"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n0.5,0.5,0\n0.5,{value},1\n")
+        with pytest.raises(ValueError, match="line 3: non-finite feature"):
             load_csv(str(path))
 
     def test_non_integer_label_error(self, tmp_path):

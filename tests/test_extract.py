@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hetfed import extract, nn
+from hetfed import nn
 from hetfed.extract import (
     extract_depth,
     extract_width,
@@ -14,7 +14,7 @@ from hetfed.extract import (
 )
 from hetfed.nn import BlockNetSpec
 
-from oracles import brute_force_aggregate
+from oracles import assert_valid_submodel, brute_force_aggregate, check_roundtrip
 
 
 def make_model(input_dim=4, hidden=4, blocks=2, kind="plain", classes=3, proto=4,
@@ -87,7 +87,7 @@ class TestWidthExtraction:
         sub, _ = extract_width(model, 0.5)
         reduced = BlockNetSpec(8, 8, 2, "plain", 4, 16)
         assert nn.parameter_count(reduced) == sum(v.size for v in sub.params.values())
-        extract.assert_valid_submodel(sub)
+        assert_valid_submodel(sub)
 
     def test_neck_rows_restricted_proto_kept(self):
         model = make_model(hidden=4, proto=6)
@@ -217,7 +217,7 @@ class TestScatterNormalize:
             rate = float(rng.uniform(0.15, 1.0))
             mode = "rolling" if trial % 2 else "static_prefix"
             sub, smap = extract_width(model, rate, mode, int(rng.integers(0, 10)))
-            assert extract.check_roundtrip(model, sub, smap)
+            assert check_roundtrip(model, sub, smap)
 
     def test_homogeneous_case_equals_fedavg_mean(self):
         global_model = make_model(seed=1)

@@ -8,6 +8,7 @@ from hetfed.nn import BlockNetModel, BlockNetSpec, LossSpec, SGDConfig
 
 from oracles import (
     finite_difference_grads,
+    loss_value,
     max_relative_error,
     perturb_params,
     scalar_forward_logits,
@@ -103,7 +104,7 @@ class TestLosses:
             model = BlockNetModel(spec, (1,), {key: np.zeros(s) for key, s in shapes.items()})
             x = np.random.default_rng(0).normal(size=(8, 4))
             y = np.random.default_rng(1).integers(0, k, size=8)
-            assert nn.loss_value(model, x, y, LossSpec()) == pytest.approx(math.log(k), abs=1e-15)
+            assert loss_value(model, x, y, LossSpec()) == pytest.approx(math.log(k), abs=1e-15)
 
     def test_gradient_exactly_zero_at_stationary_point(self):
         # Zero weights with a label-balanced batch sit at a stationary point.
@@ -227,39 +228,50 @@ class TestGradientsAgainstFiniteDifferences:
 class TestSGD:
     def test_lr_zero_leaves_model_bitwise_unchanged(self):
         model = nn.init_model(small_spec(), np.random.default_rng(0))
-        grads = {k: np.ones_like(v) for k, v in model.params.items()}
-        updated, _ = nn.sgd_step(model, grads, SGDConfig(learning_rate=0.0))
+        params = {k: v.copy() for k, v in model.params.items()}
+        grads = {k: np.ones_like(v) for k, v in params.items()}
+        nn.sgd_update(params, nn.zeros_like_params(params), grads, SGDConfig(learning_rate=0.0))
         for k in model.params:
-            assert np.array_equal(updated.params[k], model.params[k])
+            assert np.array_equal(params[k], model.params[k])
 
     def test_plain_step_definition(self):
         # momentum 0, lr 0.1, p 1.0, g 2.0 -> 0.8
-        spec = small_spec()
-        shapes = nn.param_shapes(spec, (1,))
-        model = BlockNetModel(spec, (1,), {k: np.full(s, 1.0) for k, s in shapes.items()})
-        grads = {k: np.full_like(v, 2.0) for k, v in model.params.items()}
-        updated, _ = nn.sgd_step(model, grads, SGDConfig(learning_rate=0.1))
-        for v in updated.params.values():
+        shapes = nn.param_shapes(small_spec(), (1,))
+        params = {k: np.full(s, 1.0) for k, s in shapes.items()}
+        grads = {k: np.full_like(v, 2.0) for k, v in params.items()}
+        nn.sgd_update(params, nn.zeros_like_params(params), grads, SGDConfig(learning_rate=0.1))
+        for v in params.values():
             assert np.allclose(v, 0.8, atol=1e-15)
 
     def test_momentum_recurrence_two_steps(self):
         # m=0.9, lr=0.1, g=1 twice from p=0: p2 = -0.1 - 0.1*1.9 = -0.29
-        spec = small_spec()
-        shapes = nn.param_shapes(spec, (1,))
-        model = BlockNetModel(spec, (1,), {k: np.zeros(s) for k, s in shapes.items()})
+        shapes = nn.param_shapes(small_spec(), (1,))
+        params = {k: np.zeros(s) for k, s in shapes.items()}
+        momentum = nn.zeros_like_params(params)
         cfg = SGDConfig(learning_rate=0.1, momentum=0.9)
-        grads = {k: np.ones_like(v) for k, v in model.params.items()}
-        model, buf = nn.sgd_step(model, grads, cfg)
-        model, buf = nn.sgd_step(model, grads, cfg, buf)
-        for v in model.params.values():
+        grads = {k: np.ones_like(v) for k, v in params.items()}
+        nn.sgd_update(params, momentum, grads, cfg)
+        nn.sgd_update(params, momentum, grads, cfg)
+        for v in params.values():
             assert np.allclose(v, -0.29, atol=1e-15)
+        for v in momentum.values():
+            assert np.allclose(v, 1.9, atol=1e-15)
 
-    def test_structure_mismatch_rejected(self):
-        model = nn.init_model(small_spec(), np.random.default_rng(0))
-        grads = {k: np.ones_like(v) for k, v in model.params.items()}
-        grads.pop("stem.b")
-        with pytest.raises(nn.ShapeError):
-            nn.sgd_step(model, grads, SGDConfig(learning_rate=0.1))
+    def test_moves_only_given_keys_and_regions(self):
+        # lr 0.5, g 1: the region of "w" and all of "b" step to -0.5; the
+        # rest of "w" and every buffer outside the step stay zero.
+        params = {"w": np.zeros((3, 3)), "b": np.zeros(3), "frozen": np.zeros(2)}
+        momentum = nn.zeros_like_params(params)
+        grads = {"w": np.ones((2, 2)), "b": np.ones(3)}
+        regions = {"w": np.ix_([0, 2], [1, 2]), "b": np.ix_(np.arange(3))}
+        nn.sgd_update(params, momentum, grads, SGDConfig(learning_rate=0.5), regions)
+        expected_w = np.zeros((3, 3))
+        expected_w[np.ix_([0, 2], [1, 2])] = -0.5
+        assert np.array_equal(params["w"], expected_w)
+        assert np.array_equal(momentum["w"], -2.0 * expected_w)
+        assert np.array_equal(params["b"], np.full(3, -0.5))
+        assert np.array_equal(params["frozen"], np.zeros(2))
+        assert np.array_equal(momentum["frozen"], np.zeros(2))
 
 
 class TestParameterCount:
@@ -312,10 +324,10 @@ class TestTraining:
         y = (np.arange(n) % 2).astype(np.int64)
         x = rng.normal(size=(n, 4)) + np.where(y[:, None] == 0, 2.0, -2.0)
         model = nn.init_model(small_spec(), rng)
-        before = nn.loss_value(model, x, y, LossSpec())
+        before = loss_value(model, x, y, LossSpec())
         cfg = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=10)  # 50 steps
         trained = nn.train_local(model, x, y, cfg, LossSpec(), np.random.default_rng(1))
-        after = nn.loss_value(trained, x, y, LossSpec())
+        after = loss_value(trained, x, y, LossSpec())
         assert after < before
 
     def test_train_local_does_not_mutate_input_model(self):

@@ -4,7 +4,7 @@ import pytest
 from hetfed import nn, seeding
 from hetfed.datasets import gen_synthetic
 from hetfed.nn import BlockNetSpec, SGDConfig
-from hetfed.resources import DeviceProfile, PoolConfig, build_pool
+from hetfed.resources import DeviceProfile, PoolConfig, build_pool, fedepth_segments, segment_memory
 from hetfed.strategies import (
     ClientState,
     FederationConfig,
@@ -15,6 +15,8 @@ from hetfed.strategies import (
     make_strategy,
     sample_clients,
 )
+
+from oracles import fedepth_reference_client, fjord_reference_client, reference_round
 
 SPEC = BlockNetSpec(input_dim=6, hidden_dim=8, num_blocks=3, block_kind="plain",
                     num_classes=3, proto_dim=8)
@@ -306,6 +308,42 @@ class TestDepthFamily:
         capacity = 0.8 * segment_memory(spec, 8, nn.parameter_count(spec))
         segs = fedepth_segments(spec, (3,), 8, capacity)
         assert len(segs) >= 2
+
+
+class TestReferenceLoops:
+    """FeDepth and FjORD move part of the model per step through
+    `nn.sgd_update`; they must match the update written out inline, bit for
+    bit, with momentum on and more than one local epoch."""
+
+    SGD = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=2, momentum=0.5)
+
+    def assert_rounds_match(self, strategy, reference_client, samples):
+        state = reference = strategy.initial_state()
+        for t, sampled in enumerate(samples, start=1):
+            state, _ = strategy.run_round(state, sampled, t)
+            reference = reference_round(strategy, reference, sampled, t, reference_client)
+            for k in reference.params:
+                assert np.array_equal(state.params[k], reference.params[k]), (t, k)
+
+    def test_fedepth_matches_frozen_rest_loop(self):
+        ctx = make_ctx("fedepth", "depth", largest)
+        ctx.sgd = self.SGD
+        full = segment_memory(SPEC, self.SGD.batch_size, nn.parameter_count(SPEC), (SPEC.num_blocks,))
+        segment_counts = []
+        for client, fraction in zip(ctx.clients, (0.75, 0.8, 1.0, 0.75)):
+            client.profile = DeviceProfile(client.client_id, 1e9, 1e6, fraction * full)
+            segment_counts.append(len(fedepth_segments(SPEC, (SPEC.num_blocks,), self.SGD.batch_size, fraction * full)))
+        assert segment_counts == [3, 2, 1, 3]
+        strategy = make_strategy("fedepth", ctx)
+        self.assert_rounds_match(strategy, fedepth_reference_client, ([0, 1, 2, 3], [0, 1, 3]))
+
+    @pytest.mark.parametrize("fixed_p", [None, 0.5])
+    def test_fjord_matches_per_step_region_loop(self, fixed_p):
+        ctx = make_ctx("fjord", "width", alternating, fed=FederationConfig(fjord_fixed_p=fixed_p))
+        ctx.sgd = self.SGD
+        strategy = make_strategy("fjord", ctx)
+        assert strategy._allowed_channels(1.0) == [4, 8]  # per-step draws differ
+        self.assert_rounds_match(strategy, fjord_reference_client, ([0, 1, 2, 3], [0, 1, 3]))
 
 
 class TestTopologyFamily:
