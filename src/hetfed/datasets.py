@@ -220,18 +220,6 @@ def split_global(
     return dataset.subset(train_idx), dataset.subset(test_idx), dataset.features[public_idx].copy()
 
 
-def class_histogram(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    counts = np.bincount(labels, minlength=num_classes).astype(float)
-    return counts / max(1.0, counts.sum())
-
-
-def label_divergence(client_labels: np.ndarray, global_hist: np.ndarray) -> float:
-    """KL(client || global) over label histograms, with empty-class guard."""
-    hist = class_histogram(client_labels, global_hist.size)
-    mask = hist > 0
-    return float(np.sum(hist[mask] * np.log(hist[mask] / np.maximum(global_hist[mask], 1e-12))))
-
-
 # ---------------------------------------------------------------------------
 # CSV datasets: header f0,...,f{d-1},label
 

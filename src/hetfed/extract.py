@@ -2,42 +2,80 @@
 
 Width extraction slices selected channels out of every hidden dimension;
 depth extraction keeps a block prefix plus the heads that survive. Every
-extraction returns a `SubModelMap` recording, per parameter, which global
-indices each sub-model axis maps to, so scattering client updates back
-into global coordinates is exact bookkeeping rather than heuristics.
+extraction returns a `SubModelMap`: per parameter, the source indices each
+sub-model axis keeps, compiled once into one flat index vector that lists
+the source coordinate of every sub-model coordinate. Extraction is a `take`
+of the source vector, and scattering client updates back into global
+coordinates is exact bookkeeping rather than heuristics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .nn import BlockNetModel, block_keys, head_keys
+from .nn import BlockNetModel, BlockNetSpec, ParamLayout, ParamViews, param_layout
 
 # One axis entry per array dimension; None means the full axis is kept.
 AxisIndices = tuple[np.ndarray | None, ...]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SubModelMap:
     """Global coordinates of every sub-model parameter.
 
-    entries: param key -> per-axis kept index arrays (None = whole axis).
+    spec, head_set: the sub-model's architecture and retained heads.
     depth_prefix: number of retained blocks.
-    head_set: attach indices of retained heads.
+    entries: param key -> per-axis kept source indices (None = whole axis).
+    source: layout of the model the map was compiled against.
+    index: read-only flat source coordinate of each sub-model coordinate,
+        in the sub-model's own layout order; no coordinate repeats.
     """
 
-    entries: dict[str, AxisIndices]
-    depth_prefix: int
+    spec: BlockNetSpec
     head_set: tuple[int, ...]
+    entries: Mapping[str, AxisIndices] = field(repr=False)
+    source: ParamLayout = field(repr=False)
+    index: np.ndarray = field(repr=False)
+
+    @property
+    def depth_prefix(self) -> int:
+        return self.spec.num_blocks
+
+    @property
+    def layout(self) -> ParamLayout:
+        return param_layout(self.spec, self.head_set)
 
 
-def region_for(shape: tuple[int, ...], axes: AxisIndices):
-    """Fancy indexer selecting the mapped region of a global-shaped array."""
-    arrays = [np.arange(size) if idx is None else idx for size, idx in zip(shape, axes)]
-    return np.ix_(*arrays)
+def _compile(
+    spec: BlockNetSpec,
+    head_blocks: tuple[int, ...],
+    sub_spec: BlockNetSpec,
+    sub_heads: tuple[int, ...],
+    entries: dict[str, AxisIndices],
+) -> SubModelMap:
+    """Flatten per-axis entries into one source index vector."""
+    source = param_layout(spec, head_blocks)
+    parts = []
+    for key in param_layout(sub_spec, sub_heads).slots:
+        start, stop, shape = source.slots[key]
+        coords = np.arange(start, stop).reshape(shape)
+        for axis, idx in enumerate(entries[key]):
+            if idx is not None:
+                coords = coords.take(idx, axis=axis)
+        parts.append(coords.ravel())
+    index = np.concatenate(parts)
+    index.setflags(write=False)
+    return SubModelMap(sub_spec, sub_heads, MappingProxyType(entries), source, index)
+
+
+def _take(model: BlockNetModel, smap: SubModelMap) -> BlockNetModel:
+    return BlockNetModel.from_vector(smap.spec, smap.head_set, model.vector.take(smap.index))
 
 
 def width_channels(d: int, rate: float) -> int:
@@ -71,46 +109,40 @@ def select_channels(
     raise ValueError(f"unknown channel selection mode {mode!r}")
 
 
-def _width_entries(model: BlockNetModel, channels: np.ndarray) -> dict[str, AxisIndices]:
-    entries: dict[str, AxisIndices] = {
-        "stem.w": (None, channels),
-        "stem.b": (channels,),
-    }
-    for i in range(1, model.spec.num_blocks + 1):
-        entries[f"block{i}.w"] = (channels, channels)
-        entries[f"block{i}.b"] = (channels,)
-    for j in model.head_blocks:
+@lru_cache(maxsize=1024)
+def _width_map(spec: BlockNetSpec, head_blocks: tuple[int, ...], channels: tuple[int, ...]) -> SubModelMap:
+    if spec.block_kind == "bottleneck":
+        raise ValueError("width extraction is defined for plain/skip blocks only")
+    kept = np.asarray(channels, dtype=int)
+    d = spec.hidden_dim
+    if kept.size < 1 or kept.size > d:
+        raise ValueError("channel set must be non-empty and within the hidden width")
+    if not (np.all(np.diff(kept) > 0) and kept[0] >= 0 and kept[-1] < d):
+        raise ValueError("channels must be strictly increasing, unique and < hidden_dim")
+    kept.setflags(write=False)
+    entries: dict[str, AxisIndices] = {"stem.w": (None, kept), "stem.b": (kept,)}
+    for i in range(1, spec.num_blocks + 1):
+        entries[f"block{i}.w"] = (kept, kept)
+        entries[f"block{i}.b"] = (kept,)
+    for j in head_blocks:
         # proto_dim is never width-scaled, so only the neck's input shrinks.
-        entries[f"head{j}.neck.w"] = (channels, None)
+        entries[f"head{j}.neck.w"] = (kept, None)
         entries[f"head{j}.neck.b"] = (None,)
         entries[f"head{j}.fc.w"] = (None, None)
         entries[f"head{j}.fc.b"] = (None,)
-    return entries
+    return _compile(spec, head_blocks, replace(spec, hidden_dim=int(kept.size)), head_blocks, entries)
 
 
 def extract_channels(model: BlockNetModel, channels: np.ndarray) -> tuple[BlockNetModel, SubModelMap]:
     """Slice the given hidden channels out of every layer.
 
     Defined for plain/skip blocks only; bottleneck factorizations have no
-    layer-wise channel slicing.
+    layer-wise channel slicing. The map is compiled (and the channels
+    checked) once per (spec, heads, channel set).
     """
-    if model.spec.block_kind == "bottleneck":
-        raise ValueError("width extraction is defined for plain/skip blocks only")
-    channels = np.asarray(channels, dtype=int)
-    d = model.spec.hidden_dim
-    if channels.size < 1 or channels.size > d:
-        raise ValueError("channel set must be non-empty and within the hidden width")
-    if not (np.all(np.diff(channels) > 0) and channels[0] >= 0 and channels[-1] < d):
-        raise ValueError("channels must be strictly increasing, unique and < hidden_dim")
-    sub_spec = replace(model.spec, hidden_dim=int(channels.size))
-    entries = _width_entries(model, channels)
-    sub_params = {
-        key: model.params[key][region_for(model.params[key].shape, axes)]
-        for key, axes in entries.items()
-    }
-    sub = BlockNetModel(sub_spec, model.head_blocks, sub_params)
-    smap = SubModelMap(entries, depth_prefix=model.spec.num_blocks, head_set=model.head_blocks)
-    return sub, smap
+    channels = tuple(np.asarray(channels, dtype=int).tolist())
+    smap = _width_map(model.spec, model.head_blocks, channels)
+    return _take(model, smap), smap
 
 
 def extract_width(
@@ -124,6 +156,26 @@ def extract_width(
     return extract_channels(model, channels)
 
 
+@lru_cache(maxsize=1024)
+def _depth_map(
+    spec: BlockNetSpec, head_blocks: tuple[int, ...], depth_prefix: int, with_aux_heads: bool
+) -> SubModelMap:
+    if not 1 <= depth_prefix <= spec.num_blocks:
+        raise ValueError(f"depth_prefix must lie in 1..{spec.num_blocks}, got {depth_prefix}")
+    if with_aux_heads:
+        kept_heads = tuple(j for j in head_blocks if j <= depth_prefix)
+        if not kept_heads:
+            raise ValueError(f"no head attached within the first {depth_prefix} blocks")
+    else:
+        if depth_prefix not in head_blocks:
+            raise ValueError(f"model has no head attached at block {depth_prefix}")
+        kept_heads = (depth_prefix,)
+    sub_spec = replace(spec, num_blocks=depth_prefix)
+    shapes = param_layout(sub_spec, kept_heads).slots
+    entries = {key: (None,) * len(shape) for key, (_, _, shape) in shapes.items()}
+    return _compile(spec, head_blocks, sub_spec, kept_heads, entries)
+
+
 def extract_depth(
     model: BlockNetModel,
     depth_prefix: int,
@@ -135,37 +187,13 @@ def extract_depth(
     the model must carry a head attached exactly at depth_prefix and only
     that head is kept.
     """
-    spec = model.spec
-    if not 1 <= depth_prefix <= spec.num_blocks:
-        raise ValueError(f"depth_prefix must lie in 1..{spec.num_blocks}, got {depth_prefix}")
-    if with_aux_heads:
-        kept_heads = tuple(j for j in model.head_blocks if j <= depth_prefix)
-        if not kept_heads:
-            raise ValueError(f"no head attached within the first {depth_prefix} blocks")
-    else:
-        if depth_prefix not in model.head_blocks:
-            raise ValueError(f"model has no head attached at block {depth_prefix}")
-        kept_heads = (depth_prefix,)
-
-    keys: list[str] = ["stem.w", "stem.b"]
-    for i in range(1, depth_prefix + 1):
-        keys.extend(block_keys(spec, i))
-    for j in kept_heads:
-        keys.extend(head_keys(j))
-
-    sub_spec = replace(spec, num_blocks=depth_prefix)
-    entries: dict[str, AxisIndices] = {
-        key: tuple(None for _ in model.params[key].shape) for key in keys
-    }
-    sub_params = {key: model.params[key].copy() for key in keys}
-    sub = BlockNetModel(sub_spec, kept_heads, sub_params)
-    return sub, SubModelMap(entries, depth_prefix=depth_prefix, head_set=kept_heads)
+    smap = _depth_map(model.spec, model.head_blocks, int(depth_prefix), bool(with_aux_heads))
+    return _take(model, smap), smap
 
 
 def full_map(model: BlockNetModel) -> SubModelMap:
     """Identity map covering every parameter of the model."""
-    entries = {key: tuple(None for _ in arr.shape) for key, arr in model.params.items()}
-    return SubModelMap(entries, depth_prefix=model.spec.num_blocks, head_set=model.head_blocks)
+    return _depth_map(model.spec, model.head_blocks, model.spec.num_blocks, True)
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +202,40 @@ def full_map(model: BlockNetModel) -> SubModelMap:
 
 @dataclass
 class Accumulator:
-    """Per-coordinate weighted sums and weights for one aggregation round."""
+    """Per-coordinate weighted sums and weights for one aggregation round,
+    flat in the layout of the model being aggregated."""
 
-    sums: dict[str, np.ndarray]
-    weights: dict[str, np.ndarray]
+    layout: ParamLayout
+    sums: np.ndarray
+    weights: np.ndarray
 
 
 def new_accumulator(reference: BlockNetModel) -> Accumulator:
     return Accumulator(
-        sums={k: np.zeros_like(v) for k, v in reference.params.items()},
-        weights={k: np.zeros_like(v) for k, v in reference.params.items()},
+        reference.params.layout,
+        np.zeros_like(reference.vector),
+        np.zeros_like(reference.vector),
     )
+
+
+def _flat_values(sub_params: Mapping[str, np.ndarray], layout: ParamLayout) -> np.ndarray:
+    """The sub-model's parameters as one vector in `layout` order."""
+    if isinstance(sub_params, ParamViews) and sub_params.layout is layout:
+        return sub_params.vector
+    if set(layout.slots) != set(sub_params):
+        raise ValueError("sub-model parameters do not match the map")
+    parts = []
+    for key, (_, _, shape) in layout.slots.items():
+        value = np.asarray(sub_params[key])
+        if value.shape != shape:
+            raise ValueError(f"{key}: sub shape {value.shape} does not match map region {shape}")
+        parts.append(value.ravel())
+    return np.concatenate(parts)
 
 
 def scatter_update(
     acc: Accumulator,
-    sub_params: dict[str, np.ndarray],
+    sub_params: Mapping[str, np.ndarray],
     smap: SubModelMap,
     weight: float = 1.0,
 ) -> None:
@@ -198,33 +244,25 @@ def scatter_update(
     Each touched coordinate receives weight * value and its weight counter
     grows by weight (weight is the client's sample count under
     sample-weighted averaging, 1.0 under uniform averaging).
+
+    `sums[index] += x` is buffered: it gathers `sums[index]`, adds `x`,
+    and writes the result back, so a coordinate listed twice would keep
+    only its last addition. No coordinate repeats within one map, so here
+    it equals the unbuffered `np.add.at(sums, index, x)`. Clients add in
+    call order, as the per-parameter loop did, so every coordinate's sum
+    is formed in the same order.
     """
     if weight <= 0:
         raise ValueError("scatter weight must be positive")
-    if set(smap.entries) != set(sub_params):
-        raise ValueError("sub-model parameters do not match the map")
-    for key, axes in smap.entries.items():
-        if key not in acc.sums:
-            raise ValueError(f"map key {key!r} not present in the accumulator")
-        target_shape = tuple(
-            size if idx is None else idx.size
-            for size, idx in zip(acc.sums[key].shape, axes)
-        )
-        if sub_params[key].shape != target_shape:
-            raise ValueError(
-                f"{key}: sub shape {sub_params[key].shape} does not match map region {target_shape}"
-            )
-        region = region_for(acc.sums[key].shape, axes)
-        acc.sums[key][region] += weight * sub_params[key]
-        acc.weights[key][region] += weight
+    if smap.source is not acc.layout and smap.source.slots != acc.layout.slots:
+        raise ValueError("the map was compiled for a different model than the accumulator")
+    values = _flat_values(sub_params, smap.layout)
+    acc.sums[smap.index] += weight * values
+    acc.weights[smap.index] += weight
 
 
 def normalize(acc: Accumulator, previous: BlockNetModel) -> BlockNetModel:
     """Weighted mean per coordinate; untouched coordinates keep the previous value."""
-    params: dict[str, np.ndarray] = {}
-    for key, total in acc.sums.items():
-        w = acc.weights[key]
-        touched = w > 0
-        params[key] = np.where(touched, total / np.where(touched, w, 1.0), previous.params[key])
-    return BlockNetModel(previous.spec, previous.head_blocks, params)
-
+    touched = acc.weights > 0
+    vector = np.where(touched, acc.sums / np.where(touched, acc.weights, 1.0), previous.vector)
+    return BlockNetModel.from_vector(previous.spec, previous.head_blocks, vector)

@@ -1,8 +1,11 @@
 """Block-structured dense networks with exact analytic gradients.
 
 Everything is float64 numpy so analytic gradients can be checked against
-finite differences to tight tolerances. A model is a spec plus a flat
-``dict[str, ndarray]`` of parameters; weight matrices use the ``x @ w + b``
+finite differences to tight tolerances. A model is a spec, its heads and one
+contiguous float64 ``vector`` holding every parameter. ``model.params`` is a
+read-only mapping of named views into that vector, laid out in
+`param_shapes` order (`param_layout`): writing into a view writes the
+vector, and rebinding a name raises. Weight matrices use the ``x @ w + b``
 layout (rows = inputs, columns = outputs).
 
 Parameter keys:
@@ -14,14 +17,18 @@ where ``j`` is the 1-based block index the head hangs off. Each head owns
 its own neck copy so every head sees a proto_dim-wide input regardless of
 where it attaches.
 
-Training is minibatch momentum-SGD; `sgd_update` is the only place the
-update is written.
+Training is minibatch momentum-SGD on the flat vector; `sgd_update` is the
+only place the update is written. `backward` writes each step's gradient
+into one flat vector with the model's layout.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -110,32 +117,112 @@ def param_shapes(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None)
     return shapes
 
 
-@dataclass
-class BlockNetModel:
-    """A spec, the heads attached to it, and the flat parameter dict.
+@dataclass(frozen=True, eq=False)
+class ParamLayout:
+    """Where each named parameter lives in a model's flat vector.
 
-    Treated as immutable once returned by an engine operation; training
-    code works on private copies.
+    slots: key -> (start, stop, shape), in `param_shapes` order.
     """
 
-    spec: BlockNetSpec
-    head_blocks: tuple[int, ...]
-    params: dict[str, np.ndarray]
+    slots: Mapping[str, tuple[int, int, tuple[int, ...]]]
+    size: int
 
-    def __post_init__(self) -> None:
-        if not self.head_blocks:
-            raise ValueError("a model needs at least one head")
-        if tuple(sorted(set(self.head_blocks))) != tuple(self.head_blocks):
-            raise ValueError("head_blocks must be strictly increasing and unique")
-        if self.head_blocks[-1] > self.spec.num_blocks or self.head_blocks[0] < 1:
-            raise ValueError("head attach points must lie in 1..num_blocks")
+
+@lru_cache(maxsize=1024)
+def param_layout(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> ParamLayout:
+    """The flat layout of a model with these heads; checks the heads."""
+    if not head_blocks:
+        raise ValueError("a model needs at least one head")
+    if tuple(sorted(set(head_blocks))) != tuple(head_blocks):
+        raise ValueError("head_blocks must be strictly increasing and unique")
+    if head_blocks[-1] > spec.num_blocks or head_blocks[0] < 1:
+        raise ValueError("head attach points must lie in 1..num_blocks")
+    slots = {}
+    start = 0
+    for key, shape in param_shapes(spec, head_blocks).items():
+        stop = start + math.prod(shape)
+        slots[key] = (start, stop, shape)
+        start = stop
+    return ParamLayout(MappingProxyType(slots), start)
+
+
+class ParamViews(dict):
+    """Read-only mapping of named views over one flat vector.
+
+    Write into a view (``views[key][...] = value``) to change the vector;
+    rebinding or removing a name raises, since it would leave the vector
+    stale.
+    """
+
+    __slots__ = ("vector", "layout")
+
+    def __init__(self, vector: np.ndarray, layout: ParamLayout):
+        # 1-D parameters are plain slices; only matrices need a reshape.
+        super().__init__({
+            key: vector[start:stop] if len(shape) == 1 else vector[start:stop].reshape(shape)
+            for key, (start, stop, shape) in layout.slots.items()
+        })
+        self.vector = vector
+        self.layout = layout
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("parameters are views of one vector; write into them in place")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+class BlockNetModel:
+    """A spec, the heads attached to it, and the flat parameter vector.
+
+    The constructor copies a mapping of named arrays into a new vector;
+    `from_vector` wraps an existing one. Treated as immutable once returned
+    by an engine operation; training code works on private copies.
+    """
+
+    __slots__ = ("spec", "head_blocks", "vector", "_params")
+
+    def __init__(self, spec: BlockNetSpec, head_blocks: tuple[int, ...], params: Mapping[str, np.ndarray]):
+        head_blocks = tuple(head_blocks)
+        layout = param_layout(spec, head_blocks)
+        if set(params) != set(layout.slots):
+            raise ValueError("parameter names do not match the spec and heads")
+        vector = np.empty(layout.size)
+        for key, (start, stop, shape) in layout.slots.items():
+            value = np.asarray(params[key], dtype=float)
+            if value.shape != shape:
+                raise ShapeError(f"{key}: expected {shape}, got {value.shape}")
+            vector[start:stop] = value.ravel()
+        self._bind(spec, head_blocks, vector)
+
+    @classmethod
+    def from_vector(cls, spec: BlockNetSpec, head_blocks: tuple[int, ...], vector: np.ndarray) -> "BlockNetModel":
+        """A model over `vector` itself (no copy)."""
+        if vector.shape != (param_layout(spec, head_blocks).size,):
+            raise ShapeError(f"vector of shape {vector.shape} does not fit the spec and heads")
+        model = cls.__new__(cls)
+        model._bind(spec, head_blocks, vector)
+        return model
+
+    def _bind(self, spec: BlockNetSpec, head_blocks: tuple[int, ...], vector: np.ndarray) -> None:
+        self.spec = spec
+        self.head_blocks = head_blocks
+        self.vector = vector
+        self._params = None
+
+    @property
+    def params(self) -> ParamViews:
+        views = self._params
+        if views is None:
+            views = self._params = ParamViews(self.vector, param_layout(self.spec, self.head_blocks))
+        return views
 
     @property
     def final_head(self) -> int:
         return self.head_blocks[-1]
 
     def copy(self) -> "BlockNetModel":
-        return BlockNetModel(self.spec, self.head_blocks, {k: v.copy() for k, v in self.params.items()})
+        return BlockNetModel.from_vector(self.spec, self.head_blocks, self.vector.copy())
 
 
 @dataclass(frozen=True)
@@ -167,18 +254,13 @@ def init_model(
     always yields bit-identical parameters.
     """
     heads = default_heads(spec) if head_blocks is None else tuple(head_blocks)
-    params: dict[str, np.ndarray] = {}
-    for key, shape in param_shapes(spec, heads).items():
+    layout = param_layout(spec, heads)
+    vector = np.zeros(layout.size)
+    for start, stop, shape in layout.slots.values():
         if len(shape) == 2:
             bound = math.sqrt(6.0 / shape[0])
-            params[key] = rng.uniform(-bound, bound, size=shape)
-        else:
-            params[key] = np.zeros(shape)
-    return BlockNetModel(spec, heads, params)
-
-
-def zeros_like_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
+            vector[start:stop] = rng.uniform(-bound, bound, size=stop - start)
+    return BlockNetModel.from_vector(spec, heads, vector)
 
 
 def parameter_count(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> int:
@@ -239,8 +321,11 @@ class ForwardResult:
     embedding: np.ndarray          # neck output of the deepest head, [n, proto_dim]
 
 
-def _run_forward(model: BlockNetModel, batch: np.ndarray) -> dict:
-    """Forward pass keeping every intermediate needed for backprop."""
+def _run_forward(model: BlockNetModel, batch: np.ndarray, heads: tuple[int, ...] | None = None) -> dict:
+    """Forward pass keeping every intermediate needed for backprop.
+
+    Computes the logits of `heads` (default: every attached head).
+    """
     if batch.ndim != 2 or batch.shape[1] != model.spec.input_dim:
         raise ShapeError(
             f"batch must be [n, {model.spec.input_dim}], got {batch.shape}"
@@ -267,7 +352,7 @@ def _run_forward(model: BlockNetModel, batch: np.ndarray) -> dict:
         cache["h"][i] = h
     cache["neck"] = {}
     cache["logits"] = {}
-    for j in model.head_blocks:
+    for j in model.head_blocks if heads is None else heads:
         neck_out = cache["h"][j] @ p[f"head{j}.neck.w"] + p[f"head{j}.neck.b"]
         cache["neck"][j] = neck_out
         cache["logits"][j] = neck_out @ p[f"head{j}.fc.w"] + p[f"head{j}.fc.b"]
@@ -401,34 +486,42 @@ def _loss_terms(
     return total, dlogits, demb
 
 
+def gradient_buffer(model: BlockNetModel) -> ParamViews:
+    """Uninitialised named views over one flat vector laid out like `model`."""
+    return ParamViews(np.empty_like(model.vector), model.params.layout)
+
+
 def backward(
     model: BlockNetModel,
     batch: np.ndarray,
     labels: np.ndarray | None,
     loss: LossSpec,
-) -> tuple[float, dict[str, np.ndarray]]:
+    out: ParamViews | None = None,
+) -> tuple[float, ParamViews]:
     """Exact gradient of the loss w.r.t. every parameter.
 
-    Returns (loss value, gradient dict structured like model.params).
+    Returns (loss value, gradient views laid out like model.params). Every
+    gradient entry is written, into `out` when given (a `gradient_buffer`
+    of the model, reused across steps) or into a new buffer.
     """
     spec = model.spec
     p = model.params
     cache = _run_forward(model, batch)
     total, dlogits, demb = _loss_terms(model, cache, labels, loss)
 
-    grads = zeros_like_params(p)
+    grads = gradient_buffer(model) if out is None else out
     # Gradient w.r.t. the trunk activation after each block, fed by heads.
     dh_at: dict[int, np.ndarray] = {}
     for j in model.head_blocks:
         dz = dlogits[j]
         neck_out = cache["neck"][j]
-        grads[f"head{j}.fc.w"] = neck_out.T @ dz
-        grads[f"head{j}.fc.b"] = dz.sum(axis=0)
+        np.matmul(neck_out.T, dz, out=grads[f"head{j}.fc.w"])
+        dz.sum(axis=0, out=grads[f"head{j}.fc.b"])
         dneck = dz @ p[f"head{j}.fc.w"].T
         if demb is not None and j == model.final_head:
             dneck = dneck + demb
-        grads[f"head{j}.neck.w"] = cache["h"][j].T @ dneck
-        grads[f"head{j}.neck.b"] = dneck.sum(axis=0)
+        np.matmul(cache["h"][j].T, dneck, out=grads[f"head{j}.neck.w"])
+        dneck.sum(axis=0, out=grads[f"head{j}.neck.b"])
         contrib = dneck @ p[f"head{j}.neck.w"].T
         dh_at[j] = dh_at[j] + contrib if j in dh_at else contrib
 
@@ -439,21 +532,21 @@ def backward(
         h_in = cache["h"][i - 1]
         if spec.block_kind == "bottleneck":
             dv = dh * (cache["pre"][i] > 0)
-            grads[f"block{i}.w2"] = cache["mid"][i].T @ dv
-            grads[f"block{i}.b2"] = dv.sum(axis=0)
+            np.matmul(cache["mid"][i].T, dv, out=grads[f"block{i}.w2"])
+            dv.sum(axis=0, out=grads[f"block{i}.b2"])
             da = dv @ p[f"block{i}.w2"].T
             du = da * (cache["midpre"][i] > 0)
-            grads[f"block{i}.w1"] = h_in.T @ du
-            grads[f"block{i}.b1"] = du.sum(axis=0)
+            np.matmul(h_in.T, du, out=grads[f"block{i}.w1"])
+            du.sum(axis=0, out=grads[f"block{i}.b1"])
             dh = du @ p[f"block{i}.w1"].T
         else:
             dz = dh * (cache["pre"][i] > 0)
-            grads[f"block{i}.w"] = h_in.T @ dz
-            grads[f"block{i}.b"] = dz.sum(axis=0)
+            np.matmul(h_in.T, dz, out=grads[f"block{i}.w"])
+            dz.sum(axis=0, out=grads[f"block{i}.b"])
             dprev = dz @ p[f"block{i}.w"].T
             dh = dprev + dh if spec.block_kind == "skip" else dprev
-    grads["stem.w"] = cache["x"].T @ dh
-    grads["stem.b"] = dh.sum(axis=0)
+    np.matmul(cache["x"].T, dh, out=grads["stem.w"])
+    dh.sum(axis=0, out=grads["stem.b"])
     return total, grads
 
 
@@ -462,28 +555,23 @@ def backward(
 
 
 def sgd_update(
-    params: dict[str, np.ndarray],
-    momentum: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    vector: np.ndarray,
+    momentum: np.ndarray,
+    grad: np.ndarray,
     config: SGDConfig,
-    regions: dict[str, tuple] | None = None,
+    index: slice | np.ndarray | None = None,
 ) -> None:
     """One momentum-SGD step in place: buf <- m*buf + g, p <- p - lr*buf.
 
-    Moves exactly the keys present in `grads`. `regions`, when given, maps
-    each key to the index region of `params[key]` that its gradient covers;
-    otherwise a gradient covers the whole array.
+    `vector` and `momentum` are flat. `grad` covers the coordinates
+    `vector[index]`: the whole vector when `index` is None, otherwise a
+    slice (a FeDepth segment) or a flat index vector (a sub-model map).
+    Coordinates outside `index` do not move.
     """
-    for key, g in grads.items():
-        if regions is None:
-            buf = config.momentum * momentum[key] + g
-            momentum[key] = buf
-            params[key] = params[key] - config.learning_rate * buf
-        else:
-            region = regions[key]
-            buf = config.momentum * momentum[key][region] + g
-            momentum[key][region] = buf
-            params[key][region] = params[key][region] - config.learning_rate * buf
+    where = slice(None) if index is None else index
+    buf = config.momentum * momentum[where] + grad
+    momentum[where] = buf
+    vector[where] -= config.learning_rate * buf
 
 
 def batch_windows(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -502,17 +590,21 @@ def train_local(
 ) -> BlockNetModel:
     """Run `local_epochs` of minibatch momentum-SGD; returns the trained copy."""
     current = model.copy()
-    momentum = zeros_like_params(current.params)
+    momentum = np.zeros_like(current.vector)
+    grads = gradient_buffer(current)
     n = features.shape[0]
     for _ in range(config.local_epochs):
         for idx in batch_windows(n, config.batch_size, rng):
             y = None if labels is None else labels[idx]
-            _, grads = backward(current, features[idx], y, loss.slice_batch(idx))
-            sgd_update(current.params, momentum, grads, config)
+            backward(current, features[idx], y, loss.slice_batch(idx), grads)
+            sgd_update(current.vector, momentum, grads.vector, config)
     return current
 
 
 def predict(model: BlockNetModel, features: np.ndarray) -> np.ndarray:
-    """Argmax class of the deepest head; ties break toward the lower index."""
-    out = forward(model, features)
-    return np.argmax(out.logits[model.final_head], axis=1)
+    """Argmax class of the deepest head; ties break toward the lower index.
+
+    Only the trunk and the deepest head are computed.
+    """
+    logits = _run_forward(model, features, (model.final_head,))["logits"][model.final_head]
+    return np.argmax(logits, axis=1)

@@ -152,11 +152,6 @@ def estimate_flops(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = Non
     return 2.0 * nn.mac_count(spec, head_blocks)
 
 
-def training_flops(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> float:
-    """One training step costs forward + backward ~= 3x the forward pass."""
-    return 3.0 * estimate_flops(spec, head_blocks)
-
-
 def estimate_memory(
     spec: BlockNetSpec,
     batch_size: int,

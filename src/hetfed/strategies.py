@@ -18,6 +18,7 @@ the omissions are noted on the strategy docstrings.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -32,7 +33,6 @@ from .extract import (
     full_map,
     new_accumulator,
     normalize,
-    region_for,
     scatter_update,
     width_channels,
 )
@@ -42,12 +42,15 @@ from .nn import (
     SGDConfig,
     backward,
     batch_windows,
+    block_keys,
     forward,
+    gradient_buffer,
+    head_keys,
     init_model,
+    param_layout,
     sgd_update,
     softmax,
     train_local,
-    zeros_like_params,
 )
 from .resources import DeviceProfile, ModelPool, Variant, fedepth_segments
 
@@ -262,7 +265,7 @@ class _PartialAveragingStrategy(Strategy):
 
     def _train_client(
         self, global_model: BlockNetModel, client_id: int, round_index: int
-    ) -> tuple[dict[str, np.ndarray], SubModelMap]:
+    ) -> tuple[Mapping[str, np.ndarray], SubModelMap]:
         sub, smap = self._extract(global_model, self.ctx.clients[client_id], round_index)
         features, labels = self.ctx.client_data(client_id)
         rng = self.ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
@@ -280,7 +283,7 @@ class _PartialAveragingStrategy(Strategy):
         uploaded: dict[int, int] = {}
         for cid, (params, smap) in zip(ordered, results):
             scatter_update(acc, params, smap, self.ctx.client_weight(cid))
-            uploaded[cid] = int(sum(v.size for v in params.values()))
+            uploaded[cid] = int(smap.index.size)
         new_global = normalize(acc, state)
         return new_global, self._artifacts(ordered, uploaded)
 
@@ -335,9 +338,11 @@ class Fjord(SHeteroFL):
         fixed = self.ctx.fed.fjord_fixed_p
         d_global = self.ctx.pool.largest.spec.hidden_dim
 
-        params = {k: v.copy() for k, v in sub.params.items()}
-        momentum = zeros_like_params(params)
-        working = BlockNetModel(sub.spec, sub.head_blocks, params)
+        working = sub.copy()
+        momentum = np.zeros_like(working.vector)
+        # Per nested width: the nested model, its map into `working` and a
+        # gradient buffer, extracted once and refreshed through the map.
+        nested_by_width = {}
         n = features.shape[0]
         for _ in range(cfg.local_epochs):
             for idx in batch_windows(n, cfg.batch_size, batch_rng):
@@ -345,11 +350,14 @@ class Fjord(SHeteroFL):
                     k = min(width_channels(d_global, fixed), sub.spec.hidden_dim)
                 else:
                     k = int(rate_rng.choice(ks))
-                nested, nmap = extract_channels(working, np.arange(k))
-                _, grads = backward(nested, features[idx], labels[idx], self._client_loss(nested))
-                regions = {key: region_for(params[key].shape, axes) for key, axes in nmap.entries.items()}
-                sgd_update(params, momentum, grads, cfg, regions)
-        return params, smap
+                if k not in nested_by_width:
+                    nested, nmap = extract_channels(working, np.arange(k))
+                    nested_by_width[k] = nested, nmap, gradient_buffer(nested)
+                nested, nmap, grads = nested_by_width[k]
+                working.vector.take(nmap.index, out=nested.vector)
+                backward(nested, features[idx], labels[idx], self._client_loss(nested), grads)
+                sgd_update(working.vector, momentum, grads.vector, cfg, nmap.index)
+        return working.params, smap
 
 
 class DepthFL(_PartialAveragingStrategy):
@@ -384,6 +392,23 @@ class InclusiveFL(_PartialAveragingStrategy):
         return extract_depth(model, client.variant.depth, with_aux_heads=False)
 
 
+def segment_slice(model: BlockNetModel, segment_blocks: list[int]) -> slice:
+    """The contiguous run of the flat vector that one FeDepth segment trains.
+
+    The stem trains with the first segment and every head with the last;
+    in `param_shapes` order (stem, blocks, heads) that run is contiguous.
+    """
+    spec = model.spec
+    first, last = segment_blocks[0], segment_blocks[-1]
+    start_key = "stem.w" if first == 1 else block_keys(spec, first)[0]
+    if last == spec.num_blocks:
+        stop_key = head_keys(model.head_blocks[-1])[-1]
+    else:
+        stop_key = block_keys(spec, last)[-1]
+    slots = param_layout(spec, model.head_blocks).slots
+    return slice(slots[start_key][0], slots[stop_key][1])
+
+
 class FeDepth(_PartialAveragingStrategy):
     """Full-model training in memory-sized block segments: blocks are
     partitioned so each segment's footprint fits the client's memory, the
@@ -401,32 +426,18 @@ class FeDepth(_PartialAveragingStrategy):
         )
         features, labels = self.ctx.client_data(client_id)
         rng = self.ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-        params = {k: v.copy() for k, v in global_model.params.items()}
-        momentum = zeros_like_params(params)
-        working = BlockNetModel(spec, global_model.head_blocks, params)
+        working = global_model.copy()
+        momentum = np.zeros_like(working.vector)
+        grads = gradient_buffer(working)
         loss = self._client_loss(working)
         n = features.shape[0]
         for seg in segments:
-            keys = self._segment_keys(working, seg)
+            part = segment_slice(working, seg)
             for _ in range(cfg.local_epochs):
                 for idx in batch_windows(n, cfg.batch_size, rng):
-                    _, grads = backward(working, features[idx], labels[idx], loss)
-                    sgd_update(params, momentum, {key: grads[key] for key in keys}, cfg)  # frozen rest
-        return params, full_map(global_model)
-
-    @staticmethod
-    def _segment_keys(model: BlockNetModel, segment_blocks: list[int]) -> list[str]:
-        from .nn import block_keys, head_keys
-
-        keys: list[str] = []
-        if segment_blocks[0] == 1:
-            keys.extend(["stem.w", "stem.b"])
-        for b in segment_blocks:
-            keys.extend(block_keys(model.spec, b))
-        if segment_blocks[-1] == model.spec.num_blocks:
-            for j in model.head_blocks:
-                keys.extend(head_keys(j))
-        return keys
+                    backward(working, features[idx], labels[idx], loss, grads)
+                    sgd_update(working.vector, momentum, grads.vector[part], cfg, part)  # frozen rest
+        return working.params, full_map(global_model)
 
     def client_eval_model(self, state, client_id, round_index):
         return state
@@ -592,9 +603,7 @@ class FedET(Strategy):
                 LossSpec(ce_heads=(), soft_targets=teacher), rng,
             )
 
-        uploaded = {
-            cid: int(sum(v.size for v in models[cid].params.values())) for cid in ordered
-        }
+        uploaded = {cid: int(models[cid].vector.size) for cid in ordered}
         return FedETState(server, models), self._artifacts(ordered, uploaded)
 
     def global_eval_model(self, state) -> BlockNetModel:

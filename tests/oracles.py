@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the library's vectorized code paths:
 scalar loops for the forward pass, central finite differences for
-gradients, per-coordinate contributor collection for aggregation, and the
-momentum-SGD update written out inline for the strategies that train part
-of a model per step. The helpers at the end exist only for the tests.
+gradients, per-coordinate contributor collection for aggregation, the
+momentum-SGD update written out inline per parameter for the strategies
+that train part of a model per step, and per-parameter `np.ix_` regions for
+extraction, scatter and normalize (the engine's flat index maps must match
+them bit for bit). The helpers at the end exist only for the tests.
 """
 
 from __future__ import annotations
@@ -20,20 +22,23 @@ from hetfed.extract import (
     full_map,
     new_accumulator,
     normalize,
-    region_for,
     scatter_update,
     width_channels,
 )
 from hetfed.nn import (
     BlockNetModel,
+    BlockNetSpec,
     LossSpec,
+    SGDConfig,
     _loss_terms,
     _run_forward,
     backward,
     batch_windows,
+    block_keys,
+    head_keys,
     param_shapes,
 )
-from hetfed.resources import fedepth_segments
+from hetfed.resources import estimate_flops, fedepth_segments
 
 
 def scalar_forward_logits(model: BlockNetModel, batch: np.ndarray) -> np.ndarray:
@@ -114,9 +119,9 @@ def max_relative_error(
 
 def perturb_params(model: BlockNetModel, rng: np.random.Generator, scale: float = 0.1) -> BlockNetModel:
     """Shift every parameter (biases included) off exact zeros so ReLU kinks
-    never sit on a finite-difference sampling point."""
-    for key, value in model.params.items():
-        model.params[key] = value + scale * rng.normal(size=value.shape)
+    never sit on a finite-difference sampling point (in place)."""
+    for value in model.params.values():
+        value[...] = value + scale * rng.normal(size=value.shape)
     return model
 
 
@@ -156,7 +161,107 @@ def brute_force_aggregate(
 
 
 # ---------------------------------------------------------------------------
+# per-parameter engine: one array per name, `np.ix_` regions
+
+
+def zeros_like_params(params) -> dict[str, np.ndarray]:
+    return {k: np.zeros_like(v) for k, v in params.items()}
+
+
+def region_for(shape: tuple[int, ...], axes):
+    """Fancy indexer selecting the mapped region of a global-shaped array."""
+    arrays = [np.arange(size) if idx is None else idx for size, idx in zip(shape, axes)]
+    return np.ix_(*arrays)
+
+
+def width_entries(spec: BlockNetSpec, head_blocks: tuple[int, ...], channels: np.ndarray) -> dict:
+    """Per-axis kept indices of a width sub-model, per parameter."""
+    entries = {"stem.w": (None, channels), "stem.b": (channels,)}
+    for i in range(1, spec.num_blocks + 1):
+        entries[f"block{i}.w"] = (channels, channels)
+        entries[f"block{i}.b"] = (channels,)
+    for j in head_blocks:
+        entries[f"head{j}.neck.w"] = (channels, None)
+        entries[f"head{j}.neck.b"] = (None,)
+        entries[f"head{j}.fc.w"] = (None, None)
+        entries[f"head{j}.fc.b"] = (None,)
+    return entries
+
+
+def depth_entries(model: BlockNetModel, depth_prefix: int, with_aux_heads: bool) -> dict:
+    """Whole-array entries for the stem, the block prefix and the kept heads."""
+    if with_aux_heads:
+        kept_heads = [j for j in model.head_blocks if j <= depth_prefix]
+    else:
+        kept_heads = [depth_prefix]
+    keys = ["stem.w", "stem.b"]
+    for i in range(1, depth_prefix + 1):
+        keys.extend(block_keys(model.spec, i))
+    for j in kept_heads:
+        keys.extend(head_keys(j))
+    return {key: (None,) * model.params[key].ndim for key in keys}
+
+
+def reference_extract(model: BlockNetModel, entries: dict) -> dict[str, np.ndarray]:
+    return {key: model.params[key][region_for(model.params[key].shape, axes)] for key, axes in entries.items()}
+
+
+def reference_scatter(sums: dict, weights: dict, sub_params, entries: dict, weight: float) -> None:
+    for key, axes in entries.items():
+        region = region_for(sums[key].shape, axes)
+        sums[key][region] += weight * sub_params[key]
+        weights[key][region] += weight
+
+
+def reference_normalize(sums: dict, weights: dict, previous: BlockNetModel) -> dict[str, np.ndarray]:
+    params = {}
+    for key, total in sums.items():
+        w = weights[key]
+        touched = w > 0
+        params[key] = np.where(touched, total / np.where(touched, w, 1.0), previous.params[key])
+    return params
+
+
+def reference_train_local(
+    model: BlockNetModel,
+    features: np.ndarray,
+    labels: np.ndarray | None,
+    config: SGDConfig,
+    loss: LossSpec,
+    rng: np.random.Generator,
+) -> BlockNetModel:
+    """`train_local` with one momentum buffer and one update per parameter."""
+    current = model.copy()
+    params = current.params
+    momentum = zeros_like_params(params)
+    n = features.shape[0]
+    for _ in range(config.local_epochs):
+        for idx in batch_windows(n, config.batch_size, rng):
+            y = None if labels is None else labels[idx]
+            _, grads = backward(current, features[idx], y, loss.slice_batch(idx))
+            for key, g in grads.items():
+                buf = config.momentum * momentum[key] + g
+                momentum[key] = buf
+                params[key][...] = params[key] - config.learning_rate * buf
+    return current
+
+
+# ---------------------------------------------------------------------------
 # reference client loops: the momentum-SGD update written out inline
+
+
+def fedepth_segment_keys(model: BlockNetModel, segment_blocks: list[int]) -> list[str]:
+    """Parameter names one FeDepth segment trains: its blocks, plus the stem
+    with the first segment and every head with the last."""
+    keys: list[str] = []
+    if segment_blocks[0] == 1:
+        keys.extend(["stem.w", "stem.b"])
+    for b in segment_blocks:
+        keys.extend(block_keys(model.spec, b))
+    if segment_blocks[-1] == model.spec.num_blocks:
+        for j in model.head_blocks:
+            keys.extend(head_keys(j))
+    return keys
 
 
 def fedepth_reference_client(strategy, global_model: BlockNetModel, client_id: int, round_index: int):
@@ -170,20 +275,20 @@ def fedepth_reference_client(strategy, global_model: BlockNetModel, client_id: i
     )
     features, labels = ctx.client_data(client_id)
     rng = ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-    params = {k: v.copy() for k, v in global_model.params.items()}
-    momentum = {k: np.zeros_like(v) for k, v in params.items()}
-    working = BlockNetModel(global_model.spec, global_model.head_blocks, params)
+    working = global_model.copy()
+    params = working.params
+    momentum = zeros_like_params(params)
     loss = LossSpec(ce_heads=(working.final_head,))
     n = features.shape[0]
     for seg in segments:
-        keys = strategy._segment_keys(working, seg)
+        keys = fedepth_segment_keys(working, seg)
         for _ in range(cfg.local_epochs):
             for idx in batch_windows(n, cfg.batch_size, rng):
                 _, grads = backward(working, features[idx], labels[idx], loss)
                 for key in keys:
                     buf = cfg.momentum * momentum[key] + grads[key]
                     momentum[key] = buf
-                    params[key] = params[key] - cfg.learning_rate * buf
+                    params[key][...] = params[key] - cfg.learning_rate * buf
     return params, full_map(global_model)
 
 
@@ -201,9 +306,9 @@ def fjord_reference_client(strategy, global_model: BlockNetModel, client_id: int
     ks = strategy._allowed_channels(client.variant.rate)
     fixed = ctx.fed.fjord_fixed_p
     d_global = ctx.pool.largest.spec.hidden_dim
-    params = {k: v.copy() for k, v in sub.params.items()}
-    momentum = {k: np.zeros_like(v) for k, v in params.items()}
-    working = BlockNetModel(sub.spec, sub.head_blocks, params)
+    working = sub.copy()
+    params = working.params
+    momentum = zeros_like_params(params)
     n = features.shape[0]
     for _ in range(cfg.local_epochs):
         for idx in batch_windows(n, cfg.batch_size, batch_rng):
@@ -211,10 +316,11 @@ def fjord_reference_client(strategy, global_model: BlockNetModel, client_id: int
                 k = min(width_channels(d_global, fixed), sub.spec.hidden_dim)
             else:
                 k = int(rate_rng.choice(ks))
-            nested, nmap = extract_channels(working, np.arange(k))
+            nested, _ = extract_channels(working, np.arange(k))
             _, grads = backward(nested, features[idx], labels[idx], LossSpec(ce_heads=(nested.final_head,)))
+            entries = width_entries(working.spec, working.head_blocks, np.arange(k))
             for key, g in grads.items():
-                region = region_for(params[key].shape, nmap.entries[key])
+                region = region_for(params[key].shape, entries[key])
                 buf = cfg.momentum * momentum[key][region] + g
                 momentum[key][region] = buf
                 params[key][region] = params[key][region] - cfg.learning_rate * buf
@@ -268,3 +374,20 @@ def save_csv(dataset: Dataset, path: str) -> None:
         lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def training_flops(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> float:
+    """One training step costs forward + backward ~= 3x the forward pass."""
+    return 3.0 * estimate_flops(spec, head_blocks)
+
+
+def class_histogram(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    counts = np.bincount(labels, minlength=num_classes).astype(float)
+    return counts / max(1.0, counts.sum())
+
+
+def label_divergence(client_labels: np.ndarray, global_hist: np.ndarray) -> float:
+    """KL(client || global) over label histograms, with empty-class guard."""
+    hist = class_histogram(client_labels, global_hist.size)
+    mask = hist > 0
+    return float(np.sum(hist[mask] * np.log(hist[mask] / np.maximum(global_hist[mask], 1e-12))))

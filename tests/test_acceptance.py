@@ -14,9 +14,7 @@ from hetfed import nn, seeding
 from hetfed.config import parse_config_text, resolve_config
 from hetfed.datasets import (
     PartitionConfig,
-    class_histogram,
     gen_synthetic,
-    label_divergence,
     partition,
 )
 from hetfed.extract import (
@@ -44,7 +42,14 @@ from hetfed.resources import (
 from hetfed.runner import run_experiment
 from hetfed.strategies import FederationConfig, make_strategy, sample_clients
 
-from oracles import brute_force_aggregate, finite_difference_grads, max_relative_error, perturb_params
+from oracles import (
+    brute_force_aggregate,
+    class_histogram,
+    finite_difference_grads,
+    label_divergence,
+    max_relative_error,
+    perturb_params,
+)
 from test_strategies import make_ctx, largest
 
 

@@ -64,7 +64,8 @@ class TestRunCommand:
         monkeypatch.setenv("HETFED_OUT", out)
         monkeypatch.setenv("HETFED_SEED", "123")
         assert main(["run", config_path]) == EXIT_OK
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)
         assert manifest["master_seed"] == 123
 
     def test_bad_env_seed_is_config_error(self, config_path, monkeypatch):

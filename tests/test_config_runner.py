@@ -17,6 +17,11 @@ from hetfed.runner import (
     sweep_experiment,
 )
 
+def read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 SMALL = """
 strategies = ["sheterofl"]
 level = width
@@ -127,8 +132,8 @@ class TestRunner:
             if name.endswith(".csv"):
                 with open(os.path.join(dir_a, name), "rb") as fa, open(os.path.join(dir_b, name), "rb") as fb:
                     assert fa.read() == fb.read(), name
-        sa = json.load(open(os.path.join(dir_a, "summary.json")))
-        sb = json.load(open(os.path.join(dir_b, "summary.json")))
+        sa = read_json(os.path.join(dir_a, "summary.json"))
+        sb = read_json(os.path.join(dir_b, "summary.json"))
         sa.pop("config_hash"), sb.pop("config_hash")
         assert sa == sb
 
@@ -181,7 +186,7 @@ class TestSweep:
         assert lines[0].startswith("axis,value,strategy")
         assert len(lines) == 1 + 2  # sheterofl + baseline
         direct = run_experiment(cfg, str(tmp_path / "direct"))
-        swept = json.load(open(os.path.join(tmp_path, "sweep", "num_clients_4", "summary.json")))
+        swept = read_json(os.path.join(tmp_path, "sweep", "num_clients_4", "summary.json"))
         assert swept["strategies"]["sheterofl"]["final_global_accuracy"] == pytest.approx(
             direct["strategies"]["sheterofl"]["final_global_accuracy"]
         )
@@ -196,7 +201,7 @@ class TestSweep:
         cfg = small_config()
         text = sweep_experiment(cfg, "alpha", ["0.5", "5"], str(tmp_path / "s"))
         assert len([l for l in text.strip().splitlines()[1:]]) == 4
-        sub = json.load(open(os.path.join(tmp_path, "s", "alpha_0.5", "manifest.json")))
+        sub = read_json(os.path.join(tmp_path, "s", "alpha_0.5", "manifest.json"))
         assert sub["config"]["partition.mode"] == "dirichlet"
         assert sub["config"]["partition.alpha"] == 0.5
 

@@ -3,15 +3,13 @@ import pytest
 
 from hetfed.datasets import (
     PartitionConfig,
-    class_histogram,
     gen_synthetic,
-    label_divergence,
     load_csv,
     partition,
     split_global,
 )
 
-from oracles import save_csv
+from oracles import class_histogram, label_divergence, save_csv
 
 # Frozen output of partition(blobs(30, 3, 3, noise .5, seed 11),
 # dirichlet alpha=0.5, 3 clients, seed 77); guards determinism.

@@ -3,6 +3,7 @@ import pytest
 
 from hetfed import nn
 from hetfed.extract import (
+    extract_channels,
     extract_depth,
     extract_width,
     full_map,
@@ -14,7 +15,17 @@ from hetfed.extract import (
 )
 from hetfed.nn import BlockNetSpec
 
-from oracles import assert_valid_submodel, brute_force_aggregate, check_roundtrip
+from oracles import (
+    assert_valid_submodel,
+    brute_force_aggregate,
+    check_roundtrip,
+    depth_entries,
+    reference_extract,
+    reference_normalize,
+    reference_scatter,
+    width_entries,
+    zeros_like_params,
+)
 
 
 def make_model(input_dim=4, hidden=4, blocks=2, kind="plain", classes=3, proto=4,
@@ -77,7 +88,7 @@ class TestWidthExtraction:
     def test_hand_sliced_block_matrix(self):
         model = make_model(hidden=4)
         labeled = np.arange(16.0).reshape(4, 4)
-        model.params["block1.w"] = labeled
+        model.params["block1.w"][...] = labeled
         sub, _ = extract_width(model, 0.5)
         assert np.array_equal(sub.params["block1.w"], labeled[np.ix_([0, 1], [0, 1])])
 
@@ -258,3 +269,78 @@ class TestAgainstBruteForceOracle:
             expected = brute_force_aggregate(global_model, contributions)
             for k in merged.params:
                 assert np.max(np.abs(merged.params[k] - expected[k])) < 1e-12
+
+
+class TestFlatMapsMatchPerKeyOracle:
+    """Extraction is a `take` through a compiled flat index map, scatter a
+    fancy `+=` and normalize one `np.where`; each must equal the
+    per-parameter `np.ix_` regions bit for bit."""
+
+    @staticmethod
+    def assert_matches(model, sub, smap, entries, rng):
+        expected = reference_extract(model, entries)
+        assert list(sub.params) == list(expected)
+        for key, value in expected.items():
+            assert np.array_equal(sub.params[key], value), key
+        # Three clients on the same map: overlapping coordinates sum in call order.
+        acc = new_accumulator(model)
+        sums, weights = zeros_like_params(model.params), zeros_like_params(model.params)
+        for _ in range(3):
+            weight = float(rng.integers(1, 30))
+            client = {k: rng.normal(size=v.shape) for k, v in sub.params.items()}
+            scatter_update(acc, client, smap, weight)
+            reference_scatter(sums, weights, client, entries, weight)
+        merged = normalize(acc, model)
+        for key, value in reference_normalize(sums, weights, model).items():
+            assert np.array_equal(merged.params[key], value), key
+
+    def test_random_channel_sets(self):
+        rng = np.random.default_rng(7)
+        for case in range(40):
+            hidden = int(rng.integers(2, 10))
+            blocks = int(rng.integers(1, 4))
+            heads = tuple(range(1, blocks + 1)) if case % 2 else None
+            model = make_model(hidden=hidden, blocks=blocks, kind=("plain", "skip")[case % 2],
+                               heads=heads, seed=case)
+            k = int(rng.integers(1, hidden + 1))
+            channels = np.sort(rng.choice(hidden, size=k, replace=False))
+            sub, smap = extract_channels(model, channels)
+            self.assert_matches(model, sub, smap, width_entries(model.spec, model.head_blocks, channels), rng)
+
+    def test_rolling_windows_with_wrap_around(self):
+        rng = np.random.default_rng(8)
+        for hidden in (5, 8):
+            model = make_model(hidden=hidden, blocks=2, kind="skip", heads=(1, 2), seed=hidden)
+            for rate in (0.25, 0.5, 0.75):
+                for t in range(hidden):
+                    channels = select_channels(hidden, rate, "rolling", t)
+                    sub, smap = extract_channels(model, channels)
+                    self.assert_matches(model, sub, smap, width_entries(model.spec, model.head_blocks, channels), rng)
+            wrapped = select_channels(hidden, 0.5, "rolling", hidden - 1)
+            assert wrapped[0] == 0 and wrapped[-1] == hidden - 1
+
+    @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
+    def test_depth_prefixes(self, kind):
+        rng = np.random.default_rng(9)
+        for heads in ((1, 2, 3, 4), (2, 4), (4,)):
+            model = make_model(hidden=8, blocks=4, kind=kind, heads=heads, seed=len(heads))
+            for depth in range(1, 5):
+                for aux in (True, False):
+                    if (aux and depth < heads[0]) or (not aux and depth not in heads):
+                        continue
+                    sub, smap = extract_depth(model, depth, with_aux_heads=aux)
+                    self.assert_matches(model, sub, smap, depth_entries(model, depth, aux), rng)
+
+    def test_maps_are_cached_and_read_only(self):
+        model = make_model(hidden=6, blocks=2)
+        _, first = extract_width(model, 0.5, "rolling", 5)
+        _, again = extract_channels(make_model(hidden=6, blocks=2, seed=1), [0, 1, 5])
+        assert first is again
+        with pytest.raises(ValueError):
+            first.index[0] = 0
+
+    def test_bad_channel_sets_rejected(self):
+        model = make_model(hidden=4)
+        for bad in ([], [1, 0], [0, 0], [0, 4], list(range(5))):
+            with pytest.raises(ValueError):
+                extract_channels(model, bad)

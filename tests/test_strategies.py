@@ -1,7 +1,10 @@
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
-from hetfed import nn, seeding
+from hetfed import extract, nn, seeding
 from hetfed.datasets import gen_synthetic
 from hetfed.nn import BlockNetSpec, SGDConfig
 from hetfed.resources import DeviceProfile, PoolConfig, build_pool, fedepth_segments, segment_memory
@@ -14,9 +17,10 @@ from hetfed.strategies import (
     compute_prototypes,
     make_strategy,
     sample_clients,
+    segment_slice,
 )
 
-from oracles import fedepth_reference_client, fjord_reference_client, reference_round
+from oracles import fedepth_reference_client, fedepth_segment_keys, fjord_reference_client, reference_round
 
 SPEC = BlockNetSpec(input_dim=6, hidden_dim=8, num_blocks=3, block_kind="plain",
                     num_classes=3, proto_dim=8)
@@ -181,17 +185,27 @@ class TestCommonRoundBehaviour:
             make_strategy("fedmagic", ctx)
 
     def test_parallel_equals_serial(self):
-        results = []
-        for workers in (1, 3):
-            ctx = make_ctx("sheterofl", "width", alternating)
-            ctx.workers = workers
-            strategy = make_strategy("sheterofl", ctx)
-            state = strategy.initial_state()
-            for t in (1, 2, 3):
-                state, _ = strategy.run_round(state, [0, 1, 3], t)
-            results.append(state)
-        for k in results[0].params:
-            assert np.array_equal(results[0].params[k], results[1].params[k])
+        # Four threads on two cores, switching often, share the compiled
+        # sub-model map caches; rounds 5-7 put fedrolex's windows across the
+        # wrap-around.
+        pool_cfg = PoolConfig(rates=(1.0, 0.5, 0.25), depths=(3, 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for strategy_id in ("sheterofl", "fedrolex", "fjord"):
+                results = []
+                for workers in (1, 4):
+                    extract._width_map.cache_clear()  # the threads compile the maps
+                    ctx = make_ctx(strategy_id, "width", alternating, pool_cfg=pool_cfg)
+                    ctx.workers = workers
+                    strategy = make_strategy(strategy_id, ctx)
+                    state = strategy.initial_state()
+                    for t in (5, 6, 7):
+                        state, _ = strategy.run_round(state, [0, 1, 2, 3], t)
+                    results.append(state)
+                assert np.array_equal(results[0].vector, results[1].vector), strategy_id
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestWidthFamily:
@@ -308,6 +322,35 @@ class TestDepthFamily:
         capacity = 0.8 * segment_memory(spec, 8, nn.parameter_count(spec))
         segs = fedepth_segments(spec, (3,), 8, capacity)
         assert len(segs) >= 2
+
+
+def compositions(n: int):
+    """Every split of blocks 1..n into consecutive segments."""
+    if n == 0:
+        yield []
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield [list(range(1, first + 1))] + [[b + first for b in seg] for seg in rest]
+
+
+class TestFedepthSegments:
+    @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
+    def test_every_segmentation_is_one_contiguous_slice(self, kind):
+        for blocks in range(1, 6):
+            spec = BlockNetSpec(6, 8, blocks, kind, 3, 8)
+            for heads in ((blocks,), tuple(range(1, blocks + 1))):
+                model = nn.init_model(spec, np.random.default_rng(0), heads)
+                slots = nn.param_layout(spec, heads).slots
+                for segments in compositions(blocks):
+                    covered = []
+                    for seg in segments:
+                        part = segment_slice(model, seg)
+                        coords = [c for key in fedepth_segment_keys(model, seg)
+                                  for c in range(slots[key][0], slots[key][1])]
+                        assert coords == list(range(part.start, part.stop)), (kind, heads, seg)
+                        covered.extend(coords)
+                    assert covered == list(range(nn.param_layout(spec, heads).size))
 
 
 class TestReferenceLoops:
@@ -435,3 +478,112 @@ class TestDeterminism:
         else:
             for k in a.params:
                 assert np.array_equal(a.params[k], b.params[k])
+
+
+class TestPinnedTrajectories:
+    """Every strategy's per-round parameter bytes, pinned by sha256.
+
+    Binding variants (three-rate, three-depth and two-architecture ladders,
+    assigned round-robin), momentum 0.5, two local epochs, and FeDepth
+    clients of 3, 2, 1 and 3 segments. The constants were taken from the
+    per-key engine (one array per parameter, `np.ix_` regions), so they pin
+    the flat engine to it bit for bit.
+    """
+
+    SGD = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=2, momentum=0.5)
+    POOL = PoolConfig(rates=(1.0, 0.5, 0.25), depths=(3, 2, 1),
+                      family=((8, 3, "plain"), (4, 2, "plain")))
+    SAMPLES = ([0, 1, 2, 3], [0, 1, 3], [1, 2, 3])  # rounds 5-7: rolling windows wrap
+    EXPECTED = {
+        'sheterofl': [
+            '688ca9343268828f15136438487edff1130455634cded630ef6a466bbec755c7',
+            'c0434ed7f5f7b5930869149555871ebe996593583dab54ca6e270298c3886ae4',
+            '6003084dd5981ce1a6654eed5344c8aae421fe19711d3ed333dcc074ac4acf9e',
+        ],
+        'fedrolex': [
+            '0d79ba8d6320332778b7cb22a7a0f08c3d107d6d5d75dd0656bd107c55d0540e',
+            '85077ee0c6d72562e1d4d08e0cbd3d7a5d0a762bad6b74990402cf3a82fd6ba2',
+            '154221953fedb30c4872c8272d2d595af24c9a94427f043479674c6f9393f8f8',
+        ],
+        'fjord': [
+            '63d7d0b4943b8ce9e8ac707d0f146820acd72e40b2b3be80c1f29ed6c3be0288',
+            '83107d764171a189af7ae6390e088f966a2f882f5badd846fdf50eddd5fdb0a8',
+            '8ad0d7ee3d5d72ecae5d6189fb084daacb82c14c2ffb65b2a08ee51fea3b99d9',
+        ],
+        'depthfl': [
+            'c6b1e0546177c5257016157a17663fe85eda548298dc1b197e2a7dd398c62a6a',
+            '824ddeaa86917243c43425227bbfc8ee5e0776c40d6d0aae702cfaf9a8466a0a',
+            'ddeb938c6df861af69332a6ba17b744d1758577a447a5e5b5cba0cd1bf9dde53',
+        ],
+        'inclusivefl': [
+            '0998050596d60d1de72f61f15a18a98fb26109aef473aea93dce623c554cd4d7',
+            'ccb62c1969e5e05b58af6e277bc6a6aac93bc38fdb7e1233dc1d3a5380f72875',
+            '81f619c3cd6d84196dd022afc5fc1e7895747c7b2588d64c3343db75185de36f',
+        ],
+        'fedepth': [
+            'a42a75dba50e36779de13c9911a08c5dc0d9a2c88b153ed8c7df6598a85c02f8',
+            '9ff7fbd88b8d4afb2651750d320eca8a7d76dd8177fd8484549b2e69b04003c9',
+            '5ff0606adf1b2479543c94aaf74cb04c85945b5268987182957acd329ec58fa2',
+        ],
+        'fedproto': [
+            '55f2dcc8e214241da3086c3f67353214b2d4d57b77fe00f4909b8f69741f77f1',
+            'e53207524b870d599d72110e69a9bb41afc4fba901dd0464b24efbf7cc527810',
+            '5157628ad0ad98dfcd713fe60407c51c29221ff886cb6b80f29ff9cca3b76f1c',
+        ],
+        'fedet': [
+            '0deb5178c25da21fa2e02d8907fdc16a29a334937cf60b3adbef98a8d93fc11f',
+            '0f6f733c408dbb34fec79e1bc12ac09349327e188e4c7c1c1a3479d1bec7d51f',
+            'bbb30a16270d8387e4a265908c71911a1c93702a65cc924b15073e12efb92a9b',
+        ],
+        'fedavg_full': [
+            '485aae817e252ba943884602b6d8ed1193db007c2608bc1853333e601dd430b5',
+            '20cbf27b68012efdb7546e96e49685bcce8a38c1adce1d99d2146ada2c231e47',
+            'fe6bc65961692ae2ec0280f5e70575e0e1ad31ebbc31003dc780fadf33370df7',
+        ],
+        'fedavg_smallest': [
+            '3315c9a5c15a494444df74a5481a914d082582a2f60248061c93dae736282b06',
+            'd021a3df11c70be55c38ae1107841c06579481694823f258f9f7a892b129cdea',
+            '15b86b8072967e2a233047771bcb77fc47a39bbe57f0844a55a2b54a3c5c49f9',
+        ],
+    }
+
+    @staticmethod
+    def state_digest(state) -> str:
+        digest = hashlib.sha256()
+        models = [state] if isinstance(state, nn.BlockNetModel) else []
+        if hasattr(state, "server_model"):
+            models.append(state.server_model)
+        if hasattr(state, "models"):
+            models.extend(m for _, m in sorted(state.models.items()))
+        if hasattr(state, "proto_vectors"):
+            digest.update(state.proto_vectors.tobytes())
+            digest.update(state.proto_mask.tobytes())
+        for model in models:
+            for value in model.params.values():
+                digest.update(value.tobytes())
+        return digest.hexdigest()
+
+    @classmethod
+    def trajectory(cls, strategy_id: str, level: str) -> list[str]:
+        ctx = make_ctx(strategy_id, level, alternating, pool_cfg=cls.POOL)
+        ctx.sgd = cls.SGD
+        if strategy_id == "fedepth":
+            full = segment_memory(SPEC, cls.SGD.batch_size, nn.parameter_count(SPEC), (SPEC.num_blocks,))
+            for client, fraction in zip(ctx.clients, (0.75, 0.8, 1.0, 0.75)):
+                client.profile = DeviceProfile(client.client_id, 1e9, 1e6, fraction * full)
+        strategy = make_strategy(strategy_id, ctx)
+        state = strategy.initial_state()
+        digests = []
+        for t, sampled in enumerate(cls.SAMPLES, start=5):
+            state, _ = strategy.run_round(state, sampled, t)
+            digests.append(cls.state_digest(state))
+        return digests
+
+    @pytest.mark.parametrize("strategy_id,level", [
+        ("sheterofl", "width"), ("fedrolex", "width"), ("fjord", "width"),
+        ("depthfl", "depth"), ("inclusivefl", "depth"), ("fedepth", "depth"),
+        ("fedproto", "topology"), ("fedet", "topology"),
+        ("fedavg_full", "width"), ("fedavg_smallest", "width"),
+    ])
+    def test_round_bytes_are_pinned(self, strategy_id, level):
+        assert self.trajectory(strategy_id, level) == self.EXPECTED[strategy_id]
