@@ -75,7 +75,7 @@ def _compile(
 
 
 def _take(model: BlockNetModel, smap: SubModelMap) -> BlockNetModel:
-    return BlockNetModel.from_vector(smap.spec, smap.head_set, model.vector.take(smap.index))
+    return BlockNetModel(smap.spec, smap.head_set, model.vector.take(smap.index))
 
 
 def width_channels(d: int, rate: float) -> int:
@@ -120,16 +120,17 @@ def _width_map(spec: BlockNetSpec, head_blocks: tuple[int, ...], channels: tuple
     if not (np.all(np.diff(kept) > 0) and kept[0] >= 0 and kept[-1] < d):
         raise ValueError("channels must be strictly increasing, unique and < hidden_dim")
     kept.setflags(write=False)
+    layout = param_layout(spec, head_blocks)
     entries: dict[str, AxisIndices] = {"stem.w": (None, kept), "stem.b": (kept,)}
-    for i in range(1, spec.num_blocks + 1):
-        entries[f"block{i}.w"] = (kept, kept)
-        entries[f"block{i}.b"] = (kept,)
-    for j in head_blocks:
+    for ((w, b),) in layout.blocks:  # one linear per plain/skip block
+        entries[w] = (kept, kept)
+        entries[b] = (kept,)
+    for neck_w, neck_b, fc_w, fc_b in layout.heads.values():
         # proto_dim is never width-scaled, so only the neck's input shrinks.
-        entries[f"head{j}.neck.w"] = (kept, None)
-        entries[f"head{j}.neck.b"] = (None,)
-        entries[f"head{j}.fc.w"] = (None, None)
-        entries[f"head{j}.fc.b"] = (None,)
+        entries[neck_w] = (kept, None)
+        entries[neck_b] = (None,)
+        entries[fc_w] = (None, None)
+        entries[fc_b] = (None,)
     return _compile(spec, head_blocks, replace(spec, hidden_dim=int(kept.size)), head_blocks, entries)
 
 
@@ -265,4 +266,4 @@ def normalize(acc: Accumulator, previous: BlockNetModel) -> BlockNetModel:
     """Weighted mean per coordinate; untouched coordinates keep the previous value."""
     touched = acc.weights > 0
     vector = np.where(touched, acc.sums / np.where(touched, acc.weights, 1.0), previous.vector)
-    return BlockNetModel.from_vector(previous.spec, previous.head_blocks, vector)
+    return BlockNetModel(previous.spec, previous.head_blocks, vector)

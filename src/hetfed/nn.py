@@ -1,14 +1,24 @@
 """Block-structured dense networks with exact analytic gradients.
 
 Everything is float64 numpy so analytic gradients can be checked against
-finite differences to tight tolerances. A model is a spec, its heads and one
-contiguous float64 ``vector`` holding every parameter. ``model.params`` is a
-read-only mapping of named views into that vector, laid out in
-`param_shapes` order (`param_layout`): writing into a view writes the
-vector, and rebinding a name raises. Weight matrices use the ``x @ w + b``
-layout (rows = inputs, columns = outputs).
+finite differences to tight tolerances.
 
-Parameter keys:
+The cached `param_layout` of a (spec, heads) is the one description of the
+network. A stem linear feeds ``num_blocks`` blocks; a block is a chain of
+linear+ReLU steps (one for plain and skip, two for bottleneck), and a skip
+block adds its input to its output. Each head is a neck linear and a
+classifier linear on the trunk output after the block it hangs off. The
+forward and backward passes walk the layout, and the cost-model counts
+(`parameter_count`, `mac_count`, `activation_count`) and FeDepth's
+`segment_slice` read it.
+
+A model is a spec, its heads and one contiguous float64 ``vector`` holding
+every parameter. ``model.params`` is a read-only mapping of named views into
+that vector in layout order: writing into a view writes the vector, and
+rebinding a name raises. Weight matrices use the ``x @ w + b`` layout
+(rows = inputs, columns = outputs).
+
+Parameter keys, in layout order:
     stem.w, stem.b
     block{i}.w, block{i}.b                      (plain / skip, i = 1..num_blocks)
     block{i}.w1, block{i}.b1, block{i}.w2, block{i}.b2   (bottleneck)
@@ -74,57 +84,23 @@ def default_heads(spec: BlockNetSpec) -> tuple[int, ...]:
     return (spec.num_blocks,)
 
 
-def block_keys(spec: BlockNetSpec, index: int) -> tuple[str, ...]:
-    if spec.block_kind == "bottleneck":
-        return (
-            f"block{index}.w1",
-            f"block{index}.b1",
-            f"block{index}.w2",
-            f"block{index}.b2",
-        )
-    return (f"block{index}.w", f"block{index}.b")
-
-
-def head_keys(attach: int) -> tuple[str, ...]:
-    return (
-        f"head{attach}.neck.w",
-        f"head{attach}.neck.b",
-        f"head{attach}.fc.w",
-        f"head{attach}.fc.b",
-    )
-
-
-def param_shapes(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> dict[str, tuple[int, ...]]:
-    """Shapes of every parameter array, in a fixed deterministic order."""
-    heads = default_heads(spec) if head_blocks is None else head_blocks
-    d, h, p, c = spec.input_dim, spec.hidden_dim, spec.proto_dim, spec.num_classes
-    shapes: dict[str, tuple[int, ...]] = {"stem.w": (d, h), "stem.b": (h,)}
-    for i in range(1, spec.num_blocks + 1):
-        if spec.block_kind == "bottleneck":
-            mid = h // 4
-            shapes[f"block{i}.w1"] = (h, mid)
-            shapes[f"block{i}.b1"] = (mid,)
-            shapes[f"block{i}.w2"] = (mid, h)
-            shapes[f"block{i}.b2"] = (h,)
-        else:
-            shapes[f"block{i}.w"] = (h, h)
-            shapes[f"block{i}.b"] = (h,)
-    for j in heads:
-        shapes[f"head{j}.neck.w"] = (h, p)
-        shapes[f"head{j}.neck.b"] = (p,)
-        shapes[f"head{j}.fc.w"] = (p, c)
-        shapes[f"head{j}.fc.b"] = (c,)
-    return shapes
-
-
 @dataclass(frozen=True, eq=False)
 class ParamLayout:
-    """Where each named parameter lives in a model's flat vector.
+    """The network of one (spec, heads): what the engine runs, the flat
+    vector stores and the cost model counts.
 
-    slots: key -> (start, stop, shape), in `param_shapes` order.
+    slots: key -> (start, stop, shape) in the flat vector, in order stem,
+        blocks, heads.
+    blocks: per block (1..num_blocks), its ordered (weight, bias) linears,
+        each followed by a ReLU.
+    residual: whether each block adds its input to its output.
+    heads: attach block -> (neck.w, neck.b, fc.w, fc.b) keys.
     """
 
     slots: Mapping[str, tuple[int, int, tuple[int, ...]]]
+    blocks: tuple[tuple[tuple[str, str], ...], ...]
+    residual: bool
+    heads: Mapping[int, tuple[str, str, str, str]]
     size: int
 
 
@@ -137,13 +113,45 @@ def param_layout(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> ParamLayou
         raise ValueError("head_blocks must be strictly increasing and unique")
     if head_blocks[-1] > spec.num_blocks or head_blocks[0] < 1:
         raise ValueError("head attach points must lie in 1..num_blocks")
+    d, h, p, c = spec.input_dim, spec.hidden_dim, spec.proto_dim, spec.num_classes
+    shapes: dict[str, tuple[int, ...]] = {}
+
+    def linear(name: str, n_in: int, n_out: int, suffix: str = "") -> tuple[str, str]:
+        w, b = f"{name}.w{suffix}", f"{name}.b{suffix}"
+        shapes[w], shapes[b] = (n_in, n_out), (n_out,)
+        return w, b
+
+    linear("stem", d, h)
+    chain = [("1", h, h // 4), ("2", h // 4, h)] if spec.block_kind == "bottleneck" else [("", h, h)]
+    blocks = tuple(
+        tuple(linear(f"block{i}", n_in, n_out, suffix) for suffix, n_in, n_out in chain)
+        for i in range(1, spec.num_blocks + 1)
+    )
+    heads = {j: linear(f"head{j}.neck", h, p) + linear(f"head{j}.fc", p, c) for j in head_blocks}
     slots = {}
     start = 0
-    for key, shape in param_shapes(spec, head_blocks).items():
+    for key, shape in shapes.items():
         stop = start + math.prod(shape)
         slots[key] = (start, stop, shape)
         start = stop
-    return ParamLayout(MappingProxyType(slots), start)
+    return ParamLayout(
+        MappingProxyType(slots), blocks, spec.block_kind == "skip", MappingProxyType(heads), start
+    )
+
+
+def _layout(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None) -> ParamLayout:
+    return param_layout(spec, default_heads(spec) if head_blocks is None else tuple(head_blocks))
+
+
+def segment_slice(spec: BlockNetSpec, head_blocks: tuple[int, ...], blocks: list[int]) -> slice:
+    """The contiguous run of the flat vector that trains with a run of
+    blocks (one FeDepth segment): the stem joins the segment holding block 1
+    and every head the segment holding the last block."""
+    layout = param_layout(spec, head_blocks)
+    first, last = blocks[0], blocks[-1]
+    start = 0 if first == 1 else layout.slots[layout.blocks[first - 1][0][0]][0]
+    stop = layout.size if last == spec.num_blocks else layout.slots[layout.blocks[last - 1][-1][1]][1]
+    return slice(start, stop)
 
 
 class ParamViews(dict):
@@ -173,38 +181,16 @@ class ParamViews(dict):
 
 
 class BlockNetModel:
-    """A spec, the heads attached to it, and the flat parameter vector.
-
-    The constructor copies a mapping of named arrays into a new vector;
-    `from_vector` wraps an existing one. Treated as immutable once returned
-    by an engine operation; training code works on private copies.
+    """A spec, the heads attached to it, and the flat parameter vector
+    (wrapped, not copied). Treated as immutable once returned by an engine
+    operation; training code works on private copies.
     """
 
     __slots__ = ("spec", "head_blocks", "vector", "_params")
 
-    def __init__(self, spec: BlockNetSpec, head_blocks: tuple[int, ...], params: Mapping[str, np.ndarray]):
-        head_blocks = tuple(head_blocks)
-        layout = param_layout(spec, head_blocks)
-        if set(params) != set(layout.slots):
-            raise ValueError("parameter names do not match the spec and heads")
-        vector = np.empty(layout.size)
-        for key, (start, stop, shape) in layout.slots.items():
-            value = np.asarray(params[key], dtype=float)
-            if value.shape != shape:
-                raise ShapeError(f"{key}: expected {shape}, got {value.shape}")
-            vector[start:stop] = value.ravel()
-        self._bind(spec, head_blocks, vector)
-
-    @classmethod
-    def from_vector(cls, spec: BlockNetSpec, head_blocks: tuple[int, ...], vector: np.ndarray) -> "BlockNetModel":
-        """A model over `vector` itself (no copy)."""
+    def __init__(self, spec: BlockNetSpec, head_blocks: tuple[int, ...], vector: np.ndarray):
         if vector.shape != (param_layout(spec, head_blocks).size,):
             raise ShapeError(f"vector of shape {vector.shape} does not fit the spec and heads")
-        model = cls.__new__(cls)
-        model._bind(spec, head_blocks, vector)
-        return model
-
-    def _bind(self, spec: BlockNetSpec, head_blocks: tuple[int, ...], vector: np.ndarray) -> None:
         self.spec = spec
         self.head_blocks = head_blocks
         self.vector = vector
@@ -222,7 +208,7 @@ class BlockNetModel:
         return self.head_blocks[-1]
 
     def copy(self) -> "BlockNetModel":
-        return BlockNetModel.from_vector(self.spec, self.head_blocks, self.vector.copy())
+        return BlockNetModel(self.spec, self.head_blocks, self.vector.copy())
 
 
 @dataclass(frozen=True)
@@ -250,7 +236,7 @@ def init_model(
 ) -> BlockNetModel:
     """He-uniform weights (bound sqrt(6/fan_in)), zero biases.
 
-    Draws happen in the fixed key order of `param_shapes`, so one seed
+    Draws happen in layout order, so one seed
     always yields bit-identical parameters.
     """
     heads = default_heads(spec) if head_blocks is None else tuple(head_blocks)
@@ -260,44 +246,26 @@ def init_model(
         if len(shape) == 2:
             bound = math.sqrt(6.0 / shape[0])
             vector[start:stop] = rng.uniform(-bound, bound, size=stop - start)
-    return BlockNetModel.from_vector(spec, heads, vector)
+    return BlockNetModel(spec, heads, vector)
 
 
 def parameter_count(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> int:
-    """Closed-form parameter count, biases included."""
-    heads = default_heads(spec) if head_blocks is None else head_blocks
-    d, h, p, c = spec.input_dim, spec.hidden_dim, spec.proto_dim, spec.num_classes
-    if spec.block_kind == "bottleneck":
-        mid = h // 4
-        per_block = h * mid + mid + mid * h + h
-    else:
-        per_block = h * h + h
-    per_head = (h * p + p) + (p * c + c)
-    return (d * h + h) + spec.num_blocks * per_block + len(heads) * per_head
+    """Parameter count, biases included."""
+    return _layout(spec, head_blocks).size
 
 
 def mac_count(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> int:
-    """Multiply-accumulate count of one forward pass (no bias adds)."""
-    heads = default_heads(spec) if head_blocks is None else head_blocks
-    d, h, p, c = spec.input_dim, spec.hidden_dim, spec.proto_dim, spec.num_classes
-    if spec.block_kind == "bottleneck":
-        per_block = 2 * h * (h // 4)
-    else:
-        per_block = h * h
-    return d * h + spec.num_blocks * per_block + len(heads) * (h * p + p * c)
+    """Multiply-accumulate count of one forward pass: one per weight-matrix
+    entry (no bias adds)."""
+    slots = _layout(spec, head_blocks).slots.values()
+    return sum(stop - start for start, stop, shape in slots if len(shape) == 2)
 
 
 def activation_count(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> int:
-    """Scalars of activation state held per sample during a training step."""
-    heads = default_heads(spec) if head_blocks is None else head_blocks
-    h = spec.hidden_dim
-    per_block = h + h // 4 if spec.block_kind == "bottleneck" else h
-    return (
-        spec.input_dim
-        + h
-        + spec.num_blocks * per_block
-        + len(heads) * (spec.proto_dim + spec.num_classes)
-    )
+    """Scalars of activation state held per sample during a training step:
+    the input plus one per bias entry (every linear's output)."""
+    slots = _layout(spec, head_blocks).slots.values()
+    return spec.input_dim + sum(stop - start for start, stop, shape in slots if len(shape) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +278,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(z: np.ndarray) -> np.ndarray:
+def _log_softmax_and_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log_softmax(z) and softmax(z) from one shift, exp and sum."""
     shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    e = np.exp(shifted)
+    s = e.sum(axis=-1, keepdims=True)
+    return shifted - np.log(s), e / s
 
 
 @dataclass
@@ -324,39 +295,36 @@ class ForwardResult:
 def _run_forward(model: BlockNetModel, batch: np.ndarray, heads: tuple[int, ...] | None = None) -> dict:
     """Forward pass keeping every intermediate needed for backprop.
 
-    Computes the logits of `heads` (default: every attached head).
+    Computes the logits of `heads` (default: every attached head). The
+    cache holds the trunk activation after the stem and after each block
+    ("h"), each block's (input, pre-activation) per linear ("steps"), and
+    per computed head its neck output and logits.
     """
     if batch.ndim != 2 or batch.shape[1] != model.spec.input_dim:
         raise ShapeError(
             f"batch must be [n, {model.spec.input_dim}], got {batch.shape}"
         )
     p = model.params
-    spec = model.spec
-    cache: dict = {"x": batch, "pre": {}, "mid": {}, "midpre": {}, "h": {}}
+    layout = p.layout
     h = batch @ p["stem.w"] + p["stem.b"]
-    cache["h"][0] = h
-    for i in range(1, spec.num_blocks + 1):
-        if spec.block_kind == "bottleneck":
-            u = h @ p[f"block{i}.w1"] + p[f"block{i}.b1"]
-            a = np.maximum(u, 0.0)
-            v = a @ p[f"block{i}.w2"] + p[f"block{i}.b2"]
-            h = np.maximum(v, 0.0)
-            cache["midpre"][i] = u
-            cache["mid"][i] = a
-            cache["pre"][i] = v
-        else:
-            z = h @ p[f"block{i}.w"] + p[f"block{i}.b"]
-            r = np.maximum(z, 0.0)
-            cache["pre"][i] = z
-            h = r + cache["h"][i - 1] if spec.block_kind == "skip" else r
-        cache["h"][i] = h
-    cache["neck"] = {}
-    cache["logits"] = {}
+    trunk = [h]
+    steps = []
+    for linears in layout.blocks:
+        a = h
+        block_steps = []
+        for w, b in linears:
+            z = a @ p[w] + p[b]
+            block_steps.append((a, z))
+            a = np.maximum(z, 0.0)
+        h = a + h if layout.residual else a
+        trunk.append(h)
+        steps.append(block_steps)
+    necks, logits = {}, {}
     for j in model.head_blocks if heads is None else heads:
-        neck_out = cache["h"][j] @ p[f"head{j}.neck.w"] + p[f"head{j}.neck.b"]
-        cache["neck"][j] = neck_out
-        cache["logits"][j] = neck_out @ p[f"head{j}.fc.w"] + p[f"head{j}.fc.b"]
-    return cache
+        neck_w, neck_b, fc_w, fc_b = layout.heads[j]
+        necks[j] = trunk[j] @ p[neck_w] + p[neck_b]
+        logits[j] = necks[j] @ p[fc_w] + p[fc_b]
+    return {"x": batch, "h": trunk, "steps": steps, "neck": necks, "logits": logits}
 
 
 def forward(model: BlockNetModel, batch: np.ndarray) -> ForwardResult:
@@ -436,16 +404,16 @@ def _loss_terms(
     total = 0.0
     dlogits: dict[int, np.ndarray] = {j: np.zeros_like(cache["logits"][j]) for j in model.head_blocks}
 
+    logps: dict[int, np.ndarray] = {}
     for j in ce_heads:
-        logp = log_softmax(cache["logits"][j])
+        logp, grad = _log_softmax_and_softmax(cache["logits"][j])
+        logps[j] = logp
         total += float(-logp[np.arange(n), labels].mean())
-        grad = softmax(cache["logits"][j])
         grad[np.arange(n), labels] -= 1.0
         dlogits[j] += grad / n
 
     if loss.distill_weight != 0.0 and len(ce_heads) > 1:
         lam = loss.distill_weight
-        logps = {j: log_softmax(cache["logits"][j]) for j in ce_heads}
         ps = {j: np.exp(logps[j]) for j in ce_heads}
         for i in ce_heads:
             for j in ce_heads:
@@ -479,9 +447,9 @@ def _loss_terms(
         t = loss.soft_targets
         if t.shape != cache["logits"][j].shape:
             raise ShapeError(f"soft_targets must be {cache['logits'][j].shape}, got {t.shape}")
-        logp = log_softmax(cache["logits"][j])
+        logp, probs = _log_softmax_and_softmax(cache["logits"][j])
         total += float(-(t * logp).sum(axis=1).mean())
-        dlogits[j] += (softmax(cache["logits"][j]) - t) / n
+        dlogits[j] += (probs - t) / n
 
     return total, dlogits, demb
 
@@ -504,47 +472,35 @@ def backward(
     gradient entry is written, into `out` when given (a `gradient_buffer`
     of the model, reused across steps) or into a new buffer.
     """
-    spec = model.spec
     p = model.params
+    layout = p.layout
     cache = _run_forward(model, batch)
     total, dlogits, demb = _loss_terms(model, cache, labels, loss)
 
     grads = gradient_buffer(model) if out is None else out
-    # Gradient w.r.t. the trunk activation after each block, fed by heads.
-    dh_at: dict[int, np.ndarray] = {}
-    for j in model.head_blocks:
-        dz = dlogits[j]
-        neck_out = cache["neck"][j]
-        np.matmul(neck_out.T, dz, out=grads[f"head{j}.fc.w"])
-        dz.sum(axis=0, out=grads[f"head{j}.fc.b"])
-        dneck = dz @ p[f"head{j}.fc.w"].T
-        if demb is not None and j == model.final_head:
-            dneck = dneck + demb
-        np.matmul(cache["h"][j].T, dneck, out=grads[f"head{j}.neck.w"])
-        dneck.sum(axis=0, out=grads[f"head{j}.neck.b"])
-        contrib = dneck @ p[f"head{j}.neck.w"].T
-        dh_at[j] = dh_at[j] + contrib if j in dh_at else contrib
-
-    dh = np.zeros_like(cache["h"][spec.num_blocks])
-    for i in range(spec.num_blocks, 0, -1):
-        if i in dh_at:
-            dh = dh + dh_at[i]
-        h_in = cache["h"][i - 1]
-        if spec.block_kind == "bottleneck":
-            dv = dh * (cache["pre"][i] > 0)
-            np.matmul(cache["mid"][i].T, dv, out=grads[f"block{i}.w2"])
-            dv.sum(axis=0, out=grads[f"block{i}.b2"])
-            da = dv @ p[f"block{i}.w2"].T
-            du = da * (cache["midpre"][i] > 0)
-            np.matmul(h_in.T, du, out=grads[f"block{i}.w1"])
-            du.sum(axis=0, out=grads[f"block{i}.b1"])
-            dh = du @ p[f"block{i}.w1"].T
-        else:
-            dz = dh * (cache["pre"][i] > 0)
-            np.matmul(h_in.T, dz, out=grads[f"block{i}.w"])
-            dz.sum(axis=0, out=grads[f"block{i}.b"])
-            dprev = dz @ p[f"block{i}.w"].T
-            dh = dprev + dh if spec.block_kind == "skip" else dprev
+    trunk = cache["h"]
+    # Gradient w.r.t. the trunk activation after block i; heads join it
+    # where they attach.
+    dh = np.zeros_like(trunk[-1])
+    for i in range(len(layout.blocks), 0, -1):
+        if i in layout.heads:
+            neck_w, neck_b, fc_w, fc_b = layout.heads[i]
+            dz = dlogits[i]
+            np.matmul(cache["neck"][i].T, dz, out=grads[fc_w])
+            dz.sum(axis=0, out=grads[fc_b])
+            dneck = dz @ p[fc_w].T
+            if demb is not None and i == model.final_head:
+                dneck = dneck + demb
+            np.matmul(trunk[i].T, dneck, out=grads[neck_w])
+            dneck.sum(axis=0, out=grads[neck_b])
+            dh = dh + dneck @ p[neck_w].T
+        d = dh
+        for (w, b), (a, z) in zip(reversed(layout.blocks[i - 1]), reversed(cache["steps"][i - 1])):
+            dz = d * (z > 0)
+            np.matmul(a.T, dz, out=grads[w])
+            dz.sum(axis=0, out=grads[b])
+            d = dz @ p[w].T
+        dh = d + dh if layout.residual else d
     np.matmul(cache["x"].T, dh, out=grads["stem.w"])
     dh.sum(axis=0, out=grads["stem.b"])
     return total, grads

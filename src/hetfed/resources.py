@@ -198,26 +198,15 @@ def fedepth_segments(
 ) -> list[list[int]]:
     """Greedy block segmentation whose every segment footprint fits memory.
 
-    The stem trains with the first segment and all heads with the last, so
-    those parameter counts are charged there. Raises when even single-block
-    segments do not fit.
+    A segment is priced at the parameters it trains, the length of its
+    `nn.segment_slice`: its blocks, plus the stem with the first segment
+    and every head with the last. Raises when even single-block segments
+    do not fit.
     """
-    d, h, p, c = spec.input_dim, spec.hidden_dim, spec.proto_dim, spec.num_classes
-    stem_params = d * h + h
-    if spec.block_kind == "bottleneck":
-        mid = h // 4
-        block_params = h * mid + mid + mid * h + h
-    else:
-        block_params = h * h + h
-    heads_params = len(head_blocks) * ((h * p + p) + (p * c + c))
 
     def seg_params(blocks: list[int]) -> int:
-        total = len(blocks) * block_params
-        if blocks[0] == 1:
-            total += stem_params
-        if blocks[-1] == spec.num_blocks:
-            total += heads_params
-        return total
+        part = nn.segment_slice(spec, head_blocks, blocks)
+        return part.stop - part.start
 
     segments: list[list[int]] = []
     current: list[int] = []

@@ -42,12 +42,10 @@ from .nn import (
     SGDConfig,
     backward,
     batch_windows,
-    block_keys,
     forward,
     gradient_buffer,
-    head_keys,
     init_model,
-    param_layout,
+    segment_slice,
     sgd_update,
     softmax,
     train_local,
@@ -392,23 +390,6 @@ class InclusiveFL(_PartialAveragingStrategy):
         return extract_depth(model, client.variant.depth, with_aux_heads=False)
 
 
-def segment_slice(model: BlockNetModel, segment_blocks: list[int]) -> slice:
-    """The contiguous run of the flat vector that one FeDepth segment trains.
-
-    The stem trains with the first segment and every head with the last;
-    in `param_shapes` order (stem, blocks, heads) that run is contiguous.
-    """
-    spec = model.spec
-    first, last = segment_blocks[0], segment_blocks[-1]
-    start_key = "stem.w" if first == 1 else block_keys(spec, first)[0]
-    if last == spec.num_blocks:
-        stop_key = head_keys(model.head_blocks[-1])[-1]
-    else:
-        stop_key = block_keys(spec, last)[-1]
-    slots = param_layout(spec, model.head_blocks).slots
-    return slice(slots[start_key][0], slots[stop_key][1])
-
-
 class FeDepth(_PartialAveragingStrategy):
     """Full-model training in memory-sized block segments: blocks are
     partitioned so each segment's footprint fits the client's memory, the
@@ -432,7 +413,7 @@ class FeDepth(_PartialAveragingStrategy):
         loss = self._client_loss(working)
         n = features.shape[0]
         for seg in segments:
-            part = segment_slice(working, seg)
+            part = segment_slice(spec, working.head_blocks, seg)
             for _ in range(cfg.local_epochs):
                 for idx in batch_windows(n, cfg.batch_size, rng):
                     backward(working, features[idx], labels[idx], loss, grads)

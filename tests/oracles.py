@@ -6,7 +6,9 @@ gradients, per-coordinate contributor collection for aggregation, the
 momentum-SGD update written out inline per parameter for the strategies
 that train part of a model per step, and per-parameter `np.ix_` regions for
 extraction, scatter and normalize (the engine's flat index maps must match
-them bit for bit). The helpers at the end exist only for the tests.
+them bit for bit). The parameter names and shapes are written out here once
+more, independently of `nn.param_layout`. The helpers at the end exist only
+for the tests.
 """
 
 from __future__ import annotations
@@ -34,11 +36,72 @@ from hetfed.nn import (
     _run_forward,
     backward,
     batch_windows,
-    block_keys,
-    head_keys,
-    param_shapes,
+    param_layout,
 )
 from hetfed.resources import estimate_flops, fedepth_segments
+
+
+# ---------------------------------------------------------------------------
+# the network's parameters, spelled out independently of `nn.param_layout`
+
+
+def block_keys(spec: BlockNetSpec, index: int) -> tuple[str, ...]:
+    if spec.block_kind == "bottleneck":
+        return (
+            f"block{index}.w1",
+            f"block{index}.b1",
+            f"block{index}.w2",
+            f"block{index}.b2",
+        )
+    return (f"block{index}.w", f"block{index}.b")
+
+
+def head_keys(attach: int) -> tuple[str, ...]:
+    return (
+        f"head{attach}.neck.w",
+        f"head{attach}.neck.b",
+        f"head{attach}.fc.w",
+        f"head{attach}.fc.b",
+    )
+
+
+def param_shapes(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> dict[str, tuple[int, ...]]:
+    """Shapes of every parameter array, in layout order."""
+    heads = (spec.num_blocks,) if head_blocks is None else head_blocks
+    d, h, p, c = spec.input_dim, spec.hidden_dim, spec.proto_dim, spec.num_classes
+    shapes: dict[str, tuple[int, ...]] = {"stem.w": (d, h), "stem.b": (h,)}
+    for i in range(1, spec.num_blocks + 1):
+        if spec.block_kind == "bottleneck":
+            mid = h // 4
+            shapes[f"block{i}.w1"] = (h, mid)
+            shapes[f"block{i}.b1"] = (mid,)
+            shapes[f"block{i}.w2"] = (mid, h)
+            shapes[f"block{i}.b2"] = (h,)
+        else:
+            shapes[f"block{i}.w"] = (h, h)
+            shapes[f"block{i}.b"] = (h,)
+    for j in heads:
+        shapes[f"head{j}.neck.w"] = (h, p)
+        shapes[f"head{j}.neck.b"] = (p,)
+        shapes[f"head{j}.fc.w"] = (p, c)
+        shapes[f"head{j}.fc.b"] = (c,)
+    return shapes
+
+
+def model_from_params(spec: BlockNetSpec, head_blocks: tuple[int, ...], params) -> BlockNetModel:
+    """A model holding a copy of named arrays, packed in layout order."""
+    keys = param_layout(spec, tuple(head_blocks)).slots
+    vector = np.concatenate([np.asarray(params[key], dtype=float).ravel() for key in keys])
+    return BlockNetModel(spec, head_blocks, vector)
+
+
+def zero_model(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> BlockNetModel:
+    return BlockNetModel(spec, head_blocks, np.zeros(param_layout(spec, head_blocks).size))
+
+
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def scalar_forward_logits(model: BlockNetModel, batch: np.ndarray) -> np.ndarray:

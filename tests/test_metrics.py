@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hetfed import nn
 from hetfed.metrics import (
     RoundRecord,
     advance_clock,
@@ -12,7 +11,9 @@ from hetfed.metrics import (
     stability,
     time_to_accuracy,
 )
-from hetfed.nn import BlockNetModel, BlockNetSpec
+from hetfed.nn import BlockNetSpec
+
+from oracles import model_from_params, param_shapes, zero_model
 
 
 def record(round_index, time_s, acc, client_accs=(0.5, 0.5)):
@@ -47,14 +48,14 @@ class TestClock:
 class TestAccuracy:
     def test_all_correct_and_fraction(self):
         spec = BlockNetSpec(2, 4, 1, "plain", 2, 4)
-        shapes = nn.param_shapes(spec, (1,))
+        shapes = param_shapes(spec, (1,))
         params = {k: np.zeros(s) for k, s in shapes.items()}
         # route feature 0 straight to the logits so sign(x0) decides
         params["stem.w"][0, 0] = 1.0
         params["block1.w"][0, 0] = 1.0
         params["head1.neck.w"][0, 0] = 1.0
         params["head1.fc.w"][0, 1] = 1.0
-        model = BlockNetModel(spec, (1,), params)
+        model = model_from_params(spec, (1,), params)
         x = np.array([[2.0, 0.0], [3.0, 0.0], [-1.0, 0.0], [4.0, 0.0]])
         y = np.array([1, 1, 0, 1])
         assert model_accuracy(model, x, y) == 1.0
@@ -63,8 +64,7 @@ class TestAccuracy:
 
     def test_zero_model_ties_break_to_class_zero(self):
         spec = BlockNetSpec(2, 4, 1, "plain", 4, 4)
-        shapes = nn.param_shapes(spec, (1,))
-        model = BlockNetModel(spec, (1,), {k: np.zeros(s) for k, s in shapes.items()})
+        model = zero_model(spec, (1,))
         x = np.random.default_rng(0).normal(size=(8, 2))
         y = np.array([0, 1, 2, 3] * 2)  # balanced 4-class labels
         assert model_accuracy(model, x, y) == 0.25  # 1/k via lowest-index ties

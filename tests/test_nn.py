@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from hetfed import nn
-from hetfed.nn import BlockNetModel, BlockNetSpec, LossSpec, SGDConfig
+from hetfed.nn import BlockNetSpec, LossSpec, SGDConfig
 
 from oracles import (
     finite_difference_grads,
+    log_softmax,
     loss_value,
     max_relative_error,
+    model_from_params,
+    param_shapes,
     perturb_params,
     reference_train_local,
     scalar_forward_logits,
+    zero_model,
 )
 
 
@@ -48,8 +52,7 @@ class TestSpecValidation:
 class TestForward:
     def test_zero_model_all_logits_zero(self):
         spec = small_spec(num_blocks=2)
-        shapes = nn.param_shapes(spec, (1, 2))
-        model = BlockNetModel(spec, (1, 2), {k: np.zeros(s) for k, s in shapes.items()})
+        model = zero_model(spec, (1, 2))
         out = nn.forward(model, np.random.default_rng(0).normal(size=(5, 4)))
         for logits in out.logits.values():
             assert np.array_equal(logits, np.zeros((5, 2)))
@@ -58,11 +61,11 @@ class TestForward:
         # stem = block = neck = head = identity, all biases zero.
         d = 4
         spec = BlockNetSpec(d, d, 1, "plain", d, d)
-        shapes = nn.param_shapes(spec, (1,))
+        shapes = param_shapes(spec, (1,))
         params = {k: np.zeros(s) for k, s in shapes.items()}
         for k in ("stem.w", "block1.w", "head1.neck.w", "head1.fc.w"):
             params[k] = np.eye(d)
-        model = BlockNetModel(spec, (1,), params)
+        model = model_from_params(spec, (1,), params)
         x = np.abs(np.random.default_rng(1).normal(size=(6, d)))
         out = nn.forward(model, x)
         assert np.allclose(out.logits[1], x, atol=0)
@@ -101,8 +104,7 @@ class TestLosses:
     def test_uniform_logits_cross_entropy_is_ln_k(self):
         for k in (2, 3, 7):
             spec = small_spec(num_classes=k)
-            shapes = nn.param_shapes(spec, (1,))
-            model = BlockNetModel(spec, (1,), {key: np.zeros(s) for key, s in shapes.items()})
+            model = zero_model(spec, (1,))
             x = np.random.default_rng(0).normal(size=(8, 4))
             y = np.random.default_rng(1).integers(0, k, size=8)
             assert loss_value(model, x, y, LossSpec()) == pytest.approx(math.log(k), abs=1e-15)
@@ -110,8 +112,7 @@ class TestLosses:
     def test_gradient_exactly_zero_at_stationary_point(self):
         # Zero weights with a label-balanced batch sit at a stationary point.
         spec = small_spec(num_classes=2)
-        shapes = nn.param_shapes(spec, (1,))
-        model = BlockNetModel(spec, (1,), {k: np.zeros(s) for k, s in shapes.items()})
+        model = zero_model(spec, (1,))
         x = np.random.default_rng(0).normal(size=(2, 4))
         y = np.array([0, 1])
         _, grads = nn.backward(model, x, y, LossSpec())
@@ -193,14 +194,14 @@ class TestGradientsAgainstFiniteDifferences:
         lam = 0.3
         _, analytic = nn.backward(model, x, y, LossSpec(distill_weight=lam))
 
-        frozen = {j: nn.log_softmax(l) for j, l in nn.forward(model, x).logits.items()}
+        frozen = {j: log_softmax(l) for j, l in nn.forward(model, x).logits.items()}
 
         def surrogate(m):
             logits = nn.forward(m, x).logits
             total = 0.0
             n = x.shape[0]
             for j in (1, 2):
-                logp = nn.log_softmax(logits[j])
+                logp = log_softmax(logits[j])
                 total += float(-logp[np.arange(n), y].mean())
                 for other in (1, 2):
                     if other == j:
@@ -280,12 +281,31 @@ class TestParameterCount:
             model = nn.init_model(spec, np.random.default_rng(0), heads)
             total = sum(v.size for v in model.params.values())
             assert total == nn.parameter_count(spec, model.head_blocks)
+            shapes = [(key, value.shape) for key, value in model.params.items()]
+            assert shapes == list(param_shapes(spec, model.head_blocks).items())
 
     def test_linear_in_blocks(self):
         spec1 = BlockNetSpec(8, 16, 2, "plain", 4, 16)
         spec2 = BlockNetSpec(8, 16, 4, "plain", 4, 16)
         per_block = 16 * 16 + 16
         assert nn.parameter_count(spec2) - nn.parameter_count(spec1) == 2 * per_block
+
+    @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
+    @pytest.mark.parametrize("all_heads", [False, True])
+    def test_counts_match_closed_forms(self, kind, all_heads):
+        d, h, blocks, c, p = 5, 8, 3, 3, 6
+        spec = BlockNetSpec(d, h, blocks, kind, c, p)
+        heads = (1, 2, 3) if all_heads else None
+        n_heads = 3 if all_heads else 1
+        if kind == "bottleneck":
+            mid = h // 4
+            block_params, block_macs, block_acts = h * mid + mid + mid * h + h, 2 * h * mid, mid + h
+        else:
+            block_params, block_macs, block_acts = h * h + h, h * h, h
+        assert nn.parameter_count(spec, heads) == (
+            d * h + h + blocks * block_params + n_heads * (h * p + p + p * c + c))
+        assert nn.mac_count(spec, heads) == d * h + blocks * block_macs + n_heads * (h * p + p * c)
+        assert nn.activation_count(spec, heads) == d + h + blocks * block_acts + n_heads * (p + c)
 
     def test_minimal_hidden_boundary(self):
         nn.parameter_count(small_spec(hidden_dim=4))

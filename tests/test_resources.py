@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,19 @@ def layer_loop_mac_oracle(spec: BlockNetSpec, head_blocks=None) -> int:
     for _ in heads:
         total += spec.hidden_dim * spec.proto_dim + spec.proto_dim * spec.num_classes
     return total
+
+
+def hand_counted_segment_params(spec: BlockNetSpec, head_blocks, blocks: list[int]) -> int:
+    """Parameters one FeDepth segment trains: its blocks, plus the stem with
+    block 1 and every head with the last block."""
+    d, h, p, c = spec.input_dim, spec.hidden_dim, spec.proto_dim, spec.num_classes
+    block = 2 * h * (h // 4) + h // 4 + h if spec.block_kind == "bottleneck" else h * h + h
+    params = len(blocks) * block
+    if blocks[0] == 1:
+        params += d * h + h
+    if blocks[-1] == spec.num_blocks:
+        params += len(head_blocks) * (h * p + p + p * c + c)
+    return params
 
 
 def make_variant(params: int, flops: float, memory: float, payload: float, vid="v") -> Variant:
@@ -118,16 +133,41 @@ class TestSegments:
         spec = BlockNetSpec(8, 16, 4, "plain", 4, 16)
         cap = 0.7 * segment_memory(spec, 8, nn.parameter_count(spec))
         segs = fedepth_segments(spec, (4,), 8, cap)
-        d, h, p, c = spec.input_dim, spec.hidden_dim, spec.proto_dim, spec.num_classes
-        stem, block = d * h + h, h * h + h
-        heads = (h * p + p) + (p * c + c)
         for seg in segs:
-            params = len(seg) * block
-            if seg[0] == 1:
-                params += stem
-            if seg[-1] == spec.num_blocks:
-                params += heads
-            assert segment_memory(spec, 8, params) <= cap
+            assert segment_memory(spec, 8, hand_counted_segment_params(spec, (4,), seg)) <= cap
+
+    @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
+    def test_segments_priced_at_the_slice_fedepth_trains(self, kind, monkeypatch):
+        # A stand-in footprint answers "fits" for a run of blocks that
+        # crosses no cut, so each cut set yields its own segments and every
+        # segment of 1..5 blocks gets priced.
+        answers, priced_params = [], []
+
+        def footprint(spec, batch_size, segment_params, head_blocks=None):
+            priced_params.append(segment_params)
+            return 0.0 if answers[len(priced_params) - 1] else 2.0
+
+        monkeypatch.setattr(resources, "segment_memory", footprint)
+        for num_blocks in range(1, 6):
+            spec = BlockNetSpec(6, 8, num_blocks, kind, 3, 8)
+            for heads in ((num_blocks,), tuple(range(1, num_blocks + 1))):
+                for cuts in itertools.product((False, True), repeat=num_blocks - 1):
+                    segments, priced, answers[:] = [[1]], [], []
+                    for b, cut in zip(range(2, num_blocks + 1), cuts):
+                        priced.append(segments[-1] + [b])
+                        answers.append(not cut)
+                        if cut:
+                            segments.append([b])
+                        else:
+                            segments[-1] = segments[-1] + [b]
+                    priced += segments
+                    answers += [True] * len(segments)
+                    priced_params.clear()
+                    assert fedepth_segments(spec, heads, 8, 1.0) == segments
+                    assert priced_params == [hand_counted_segment_params(spec, heads, seg) for seg in priced]
+                    for seg in segments:
+                        part = nn.segment_slice(spec, heads, seg)
+                        assert part.stop - part.start == hand_counted_segment_params(spec, heads, seg)
 
 
 class TestTimes:

@@ -17,7 +17,6 @@ from hetfed.strategies import (
     compute_prototypes,
     make_strategy,
     sample_clients,
-    segment_slice,
 )
 
 from oracles import fedepth_reference_client, fedepth_segment_keys, fjord_reference_client, reference_round
@@ -345,7 +344,7 @@ class TestFedepthSegments:
                 for segments in compositions(blocks):
                     covered = []
                     for seg in segments:
-                        part = segment_slice(model, seg)
+                        part = nn.segment_slice(spec, heads, seg)
                         coords = [c for key in fedepth_segment_keys(model, seg)
                                   for c in range(slots[key][0], slots[key][1])]
                         assert coords == list(range(part.start, part.stop)), (kind, heads, seg)
