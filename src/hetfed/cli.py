@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Subcommands: run, sweep, pool, partition, report. Exit codes: 0 success,
-2 config error, 3 infeasible scenario, 4 I/O error. HETFED_SEED and
-HETFED_OUT override the config's master_seed and output_dir.
+2 config error, 3 infeasible scenario, 4 I/O error, 5 diverged training.
+HETFED_SEED and HETFED_OUT override the config's master_seed and
+output_dir.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from .runner import (
     run_experiment,
     sweep_experiment,
 )
+from .strategies import DivergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
+EXIT_DIVERGED = 5
 
 
 def _load_with_env(path: str, workers: int | None = None) -> ExperimentConfig:
@@ -60,7 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="Run the configured experiment.")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="Output directory (overrides config/output_dir).")
-    p_run.add_argument("--workers", type=int, default=None, help="Parallel client workers per round.")
+    p_run.add_argument(
+        "--workers", type=int, default=None,
+        help="Validated like the config key but has no effect yet: rounds run serially "
+             "(reserved for job-level processes).",
+    )
 
     p_sweep = sub.add_parser("sweep", help="Run the experiment across one axis of values.")
     p_sweep.add_argument("config")
@@ -112,6 +119,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, FileNotFoundError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except DivergenceError as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     return EXIT_OK
 
 

@@ -42,7 +42,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "num_rounds": ("int", 200),
     "repeats": ("int", 3),
     "master_seed": ("int", 0),
-    "workers": ("int", 1),
+    "workers": ("int", 1),  # validated, no effect yet: reserved for job-level processes
     "output_dir": ("str", "results"),
     "include_baseline": ("bool", True),
 

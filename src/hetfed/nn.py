@@ -27,18 +27,30 @@ where ``j`` is the 1-based block index the head hangs off. Each head owns
 its own neck copy so every head sees a proto_dim-wide input regardless of
 where it attaches.
 
-Training is minibatch momentum-SGD on the flat vector; `sgd_update` is the
-only place the update is written. `backward` writes each step's gradient
-into one flat vector with the model's layout.
+The forward, loss and backward walk runs on a `ModelStack`: K models of
+one (spec, heads) as the rows of one (K, size) array, with a leading client
+axis on every operand (stacked `np.matmul`, `transpose(0, 2, 1)`,
+`sum(axis=1, out=...)` into views cached once per stack). A stacked batch is
+the K clients' rows concatenated, [K*n, d], with labels [K*n]; the walk
+views it as [K, n, d] and takes every loss mean over each client's own n
+rows. A single model is the stack of one (`BlockNetModel.stack`). Stacked
+matmul and axis sums give the same bits as the 2-D calls on each client,
+so a client's result does not depend on what it is stacked with.
+
+Training is minibatch momentum-SGD on the flat vectors; `sgd_update` is the
+only place the update is written. `train_local` trains K clients in
+lockstep: each keeps its own rows, batch shuffles and rng, and a per-step
+hook (`Move`) can restrict a step to part of each vector.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,7 +198,7 @@ class BlockNetModel:
     operation; training code works on private copies.
     """
 
-    __slots__ = ("spec", "head_blocks", "vector", "_params")
+    __slots__ = ("spec", "head_blocks", "vector", "_params", "_stack")
 
     def __init__(self, spec: BlockNetSpec, head_blocks: tuple[int, ...], vector: np.ndarray):
         if vector.shape != (param_layout(spec, head_blocks).size,):
@@ -195,6 +207,7 @@ class BlockNetModel:
         self.head_blocks = head_blocks
         self.vector = vector
         self._params = None
+        self._stack = None
 
     @property
     def params(self) -> ParamViews:
@@ -204,11 +217,75 @@ class BlockNetModel:
         return views
 
     @property
+    def stack(self) -> "ModelStack":
+        """This model as a stack of one, the operand of the walk."""
+        stack = self._stack
+        if stack is None:
+            stack = self._stack = ModelStack(self.spec, self.head_blocks, self.vector[None])
+        return stack
+
+    @property
     def final_head(self) -> int:
         return self.head_blocks[-1]
 
     def copy(self) -> "BlockNetModel":
         return BlockNetModel(self.spec, self.head_blocks, self.vector.copy())
+
+
+def _stack_views(array: np.ndarray, layout: ParamLayout, bias_rows: bool) -> dict[str, np.ndarray]:
+    """Per-key views over the K rows of a (K, size) array: weights
+    (K, in, out); biases (K, 1, out) with `bias_rows`, else (K, out)."""
+    k = array.shape[0]
+    views = {}
+    for key, (start, stop, shape) in layout.slots.items():
+        if len(shape) == 2:
+            # Splits the unit-stride last axis, so always a view.
+            views[key] = array[:, start:stop].reshape(k, *shape)
+        elif bias_rows:
+            views[key] = array[:, None, start:stop]
+        else:
+            views[key] = array[:, start:stop]
+    return views
+
+
+class ModelStack:
+    """K models of one (spec, heads) as the rows of one (K, size) array, so
+    that K clients take each training step as one walk.
+
+    ``params`` maps each key to its view over all K rows, shaped for the
+    walk: weights (K, in, out) and biases (K, 1, out), which broadcast over a
+    client's batch rows. With a (K, size) ``grad`` buffer, ``grads`` maps
+    each key to its view of it: weights (K, in, out), biases (K, out). The
+    views are built once per stack.
+    """
+
+    __slots__ = ("spec", "head_blocks", "layout", "vector", "params", "grad", "grads")
+
+    def __init__(
+        self,
+        spec: BlockNetSpec,
+        head_blocks: tuple[int, ...],
+        vector: np.ndarray,
+        grad: np.ndarray | None = None,
+    ):
+        layout = param_layout(spec, head_blocks)
+        if vector.ndim != 2 or vector.shape[1] != layout.size:
+            raise ShapeError(f"stacked vectors of shape {vector.shape} do not fit the spec and heads")
+        self.spec = spec
+        self.head_blocks = head_blocks
+        self.layout = layout
+        self.vector = vector
+        self.params = _stack_views(vector, layout, bias_rows=True)
+        self.grad = grad
+        self.grads = None if grad is None else _stack_views(grad, layout, bias_rows=False)
+
+    @property
+    def final_head(self) -> int:
+        return self.head_blocks[-1]
+
+    def models(self) -> list[BlockNetModel]:
+        """One model per row, each wrapping its row of the stacked vectors."""
+        return [BlockNetModel(self.spec, self.head_blocks, row) for row in self.vector]
 
 
 @dataclass(frozen=True)
@@ -292,21 +369,25 @@ class ForwardResult:
     embedding: np.ndarray          # neck output of the deepest head, [n, proto_dim]
 
 
-def _run_forward(model: BlockNetModel, batch: np.ndarray, heads: tuple[int, ...] | None = None) -> dict:
-    """Forward pass keeping every intermediate needed for backprop.
+def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...] | None = None) -> dict:
+    """Forward pass of K stacked models, keeping every intermediate needed
+    for backprop.
 
-    Computes the logits of `heads` (default: every attached head). The
-    cache holds the trunk activation after the stem and after each block
-    ("h"), each block's (input, pre-activation) per linear ("steps"), and
-    per computed head its neck output and logits.
+    `batch` is [K*n, d]: the K clients' n rows each, concatenated; it is
+    viewed as [K, n, d]. Computes the logits of `heads` (default: every
+    attached head). The cache holds the trunk activation after the stem and
+    after each block ("h"), each block's (input, pre-activation) per linear
+    ("steps"), and per computed head its neck output and logits, all with
+    the leading client axis.
     """
-    if batch.ndim != 2 or batch.shape[1] != model.spec.input_dim:
-        raise ShapeError(
-            f"batch must be [n, {model.spec.input_dim}], got {batch.shape}"
-        )
-    p = model.params
-    layout = p.layout
-    h = batch @ p["stem.w"] + p["stem.b"]
+    k = stack.vector.shape[0]
+    d = stack.spec.input_dim
+    if batch.ndim != 2 or batch.shape[1] != d or batch.shape[0] % k:
+        raise ShapeError(f"batch must be [K*n, {d}] for K = {k} stacked models, got {batch.shape}")
+    x = batch.reshape(k, -1, d)
+    p = stack.params
+    layout = stack.layout
+    h = x @ p["stem.w"] + p["stem.b"]
     trunk = [h]
     steps = []
     for linears in layout.blocks:
@@ -320,19 +401,19 @@ def _run_forward(model: BlockNetModel, batch: np.ndarray, heads: tuple[int, ...]
         trunk.append(h)
         steps.append(block_steps)
     necks, logits = {}, {}
-    for j in model.head_blocks if heads is None else heads:
+    for j in stack.head_blocks if heads is None else heads:
         neck_w, neck_b, fc_w, fc_b = layout.heads[j]
         necks[j] = trunk[j] @ p[neck_w] + p[neck_b]
         logits[j] = necks[j] @ p[fc_w] + p[fc_b]
-    return {"x": batch, "h": trunk, "steps": steps, "neck": necks, "logits": logits}
+    return {"x": x, "h": trunk, "steps": steps, "neck": necks, "logits": logits}
 
 
 def forward(model: BlockNetModel, batch: np.ndarray) -> ForwardResult:
     """Per-head logits plus the deepest head's neck output (the embedding)."""
-    cache = _run_forward(model, batch)
+    cache = _run_forward(model.stack, batch)
     return ForwardResult(
-        logits=dict(cache["logits"]),
-        embedding=cache["neck"][model.final_head],
+        logits={j: z[0] for j, z in cache["logits"].items()},
+        embedding=cache["neck"][model.final_head][0],
     )
 
 
@@ -350,7 +431,7 @@ class LossSpec:
         a False mask entry are skipped.
     soft_targets / soft_target_head: cross-entropy against fixed target
         distributions on one head (distillation to a teacher); the head
-        defaults to the deepest one.
+        defaults to the deepest one. One row per batch row.
     """
 
     ce_heads: tuple[int, ...] | None = None
@@ -368,48 +449,50 @@ class LossSpec:
         return replace(self, soft_targets=self.soft_targets[idx])
 
 
-def _resolve_heads(model: BlockNetModel, loss: LossSpec) -> tuple[int, ...]:
+def _resolve_heads(stack: ModelStack, loss: LossSpec) -> tuple[int, ...]:
     if loss.ce_heads is None:
-        return model.head_blocks
+        return stack.head_blocks
     for j in loss.ce_heads:
-        if j not in model.head_blocks:
-            raise ValueError(f"loss references head {j}, model has {model.head_blocks}")
+        if j not in stack.head_blocks:
+            raise ValueError(f"loss references head {j}, model has {stack.head_blocks}")
     return loss.ce_heads
 
 
 def _loss_terms(
-    model: BlockNetModel,
+    stack: ModelStack,
     cache: dict,
     labels: np.ndarray | None,
     loss: LossSpec,
-) -> tuple[float, dict[int, np.ndarray], np.ndarray | None]:
-    """Total loss, d(loss)/d(logits) per head, d(loss)/d(embedding).
+) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray | None]:
+    """Per-client loss [K], d(loss)/d(logits) per head, d(loss)/d(embedding).
 
-    All terms use batch-mean semantics so the learning rate does not
-    depend on the batch size.
+    Every term is a mean over each client's own n batch rows, so the
+    learning rate does not depend on the batch size and the K clients'
+    gradients do not mix.
     """
-    n = cache["x"].shape[0]
-    c = model.spec.num_classes
-    ce_heads = _resolve_heads(model, loss)
+    k, n = cache["x"].shape[:2]
+    c = stack.spec.num_classes
+    ce_heads = _resolve_heads(stack, loss)
     needs_labels = bool(ce_heads) or loss.proto_weight != 0.0
     if needs_labels:
         if labels is None:
             raise ValueError("this loss requires labels")
         labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise ShapeError(f"labels must be [{n}], got {labels.shape}")
+        if labels.shape != (k * n,):
+            raise ShapeError(f"labels must be [{k * n}], got {labels.shape}")
         if labels.min() < 0 or labels.max() >= c:
             raise ValueError(f"labels must lie in [0, {c})")
+        rows = np.arange(k * n)
 
-    total = 0.0
-    dlogits: dict[int, np.ndarray] = {j: np.zeros_like(cache["logits"][j]) for j in model.head_blocks}
+    total = np.zeros(k)
+    dlogits: dict[int, np.ndarray] = {j: np.zeros_like(cache["logits"][j]) for j in stack.head_blocks}
 
     logps: dict[int, np.ndarray] = {}
     for j in ce_heads:
         logp, grad = _log_softmax_and_softmax(cache["logits"][j])
         logps[j] = logp
-        total += float(-logp[np.arange(n), labels].mean())
-        grad[np.arange(n), labels] -= 1.0
+        total -= logp.reshape(-1, c)[rows, labels].reshape(k, n).mean(axis=1)
+        grad.reshape(-1, c)[rows, labels] -= 1.0
         dlogits[j] += grad / n
 
     if loss.distill_weight != 0.0 and len(ce_heads) > 1:
@@ -421,63 +504,50 @@ def _loss_terms(
                     continue
                 # KL(p_i || stopgrad(p_j)); gradient flows into head i only.
                 diff = logps[i] - logps[j]
-                kl = (ps[i] * diff).sum(axis=1)
-                total += lam * float(kl.mean())
-                dlogits[i] += lam / n * ps[i] * (diff - kl[:, None])
+                kl = (ps[i] * diff).sum(axis=2)
+                total += lam * kl.mean(axis=1)
+                dlogits[i] += lam / n * ps[i] * (diff - kl[..., None])
 
     demb: np.ndarray | None = None
     if loss.proto_weight != 0.0:
         if loss.proto_targets is None:
             raise ValueError("proto_weight set without proto_targets")
+        labels = labels.reshape(k, n)
         targets = loss.proto_targets[labels]
         mask = (
-            np.ones(n)
+            np.ones((k, n))
             if loss.proto_mask is None
             else loss.proto_mask[labels].astype(float)
         )
-        emb = cache["neck"][model.final_head]
+        emb = cache["neck"][stack.final_head]
         diff = emb - targets
-        total += loss.proto_weight * float((mask * (diff * diff).sum(axis=1)).mean())
-        demb = loss.proto_weight * 2.0 / n * mask[:, None] * diff
+        total += loss.proto_weight * (mask * (diff * diff).sum(axis=2)).mean(axis=1)
+        demb = loss.proto_weight * 2.0 / n * mask[..., None] * diff
 
     if loss.soft_targets is not None:
-        j = model.final_head if loss.soft_target_head is None else loss.soft_target_head
-        if j not in model.head_blocks:
-            raise ValueError(f"soft_target_head {j} not attached (heads {model.head_blocks})")
+        j = stack.final_head if loss.soft_target_head is None else loss.soft_target_head
+        if j not in stack.head_blocks:
+            raise ValueError(f"soft_target_head {j} not attached (heads {stack.head_blocks})")
         t = loss.soft_targets
-        if t.shape != cache["logits"][j].shape:
-            raise ShapeError(f"soft_targets must be {cache['logits'][j].shape}, got {t.shape}")
+        if t.shape != (k * n, c):
+            raise ShapeError(f"soft_targets must be {(k * n, c)}, got {t.shape}")
+        t = t.reshape(k, n, c)
         logp, probs = _log_softmax_and_softmax(cache["logits"][j])
-        total += float(-(t * logp).sum(axis=1).mean())
+        total -= (t * logp).sum(axis=2).mean(axis=1)
         dlogits[j] += (probs - t) / n
 
     return total, dlogits, demb
 
 
-def gradient_buffer(model: BlockNetModel) -> ParamViews:
-    """Uninitialised named views over one flat vector laid out like `model`."""
-    return ParamViews(np.empty_like(model.vector), model.params.layout)
+def _backward_walk(stack: ModelStack, batch: np.ndarray, labels: np.ndarray | None, loss: LossSpec) -> np.ndarray:
+    """Every gradient entry of the K stacked models into `stack.grads`;
+    returns the per-client losses [K]."""
+    p = stack.params
+    g = stack.grads
+    layout = stack.layout
+    cache = _run_forward(stack, batch)
+    total, dlogits, demb = _loss_terms(stack, cache, labels, loss)
 
-
-def backward(
-    model: BlockNetModel,
-    batch: np.ndarray,
-    labels: np.ndarray | None,
-    loss: LossSpec,
-    out: ParamViews | None = None,
-) -> tuple[float, ParamViews]:
-    """Exact gradient of the loss w.r.t. every parameter.
-
-    Returns (loss value, gradient views laid out like model.params). Every
-    gradient entry is written, into `out` when given (a `gradient_buffer`
-    of the model, reused across steps) or into a new buffer.
-    """
-    p = model.params
-    layout = p.layout
-    cache = _run_forward(model, batch)
-    total, dlogits, demb = _loss_terms(model, cache, labels, loss)
-
-    grads = gradient_buffer(model) if out is None else out
     trunk = cache["h"]
     # Gradient w.r.t. the trunk activation after block i; heads join it
     # where they attach.
@@ -486,24 +556,55 @@ def backward(
         if i in layout.heads:
             neck_w, neck_b, fc_w, fc_b = layout.heads[i]
             dz = dlogits[i]
-            np.matmul(cache["neck"][i].T, dz, out=grads[fc_w])
-            dz.sum(axis=0, out=grads[fc_b])
-            dneck = dz @ p[fc_w].T
-            if demb is not None and i == model.final_head:
+            np.matmul(cache["neck"][i].transpose(0, 2, 1), dz, out=g[fc_w])
+            dz.sum(axis=1, out=g[fc_b])
+            dneck = dz @ p[fc_w].transpose(0, 2, 1)
+            if demb is not None and i == stack.final_head:
                 dneck = dneck + demb
-            np.matmul(trunk[i].T, dneck, out=grads[neck_w])
-            dneck.sum(axis=0, out=grads[neck_b])
-            dh = dh + dneck @ p[neck_w].T
+            np.matmul(trunk[i].transpose(0, 2, 1), dneck, out=g[neck_w])
+            dneck.sum(axis=1, out=g[neck_b])
+            dh = dh + dneck @ p[neck_w].transpose(0, 2, 1)
         d = dh
         for (w, b), (a, z) in zip(reversed(layout.blocks[i - 1]), reversed(cache["steps"][i - 1])):
             dz = d * (z > 0)
-            np.matmul(a.T, dz, out=grads[w])
-            dz.sum(axis=0, out=grads[b])
-            d = dz @ p[w].T
+            np.matmul(a.transpose(0, 2, 1), dz, out=g[w])
+            dz.sum(axis=1, out=g[b])
+            d = dz @ p[w].transpose(0, 2, 1)
         dh = d + dh if layout.residual else d
-    np.matmul(cache["x"].T, dh, out=grads["stem.w"])
-    dh.sum(axis=0, out=grads["stem.b"])
-    return total, grads
+    np.matmul(cache["x"].transpose(0, 2, 1), dh, out=g["stem.w"])
+    dh.sum(axis=1, out=g["stem.b"])
+    return total
+
+
+def backward(
+    model: BlockNetModel | ModelStack,
+    batch: np.ndarray,
+    labels: np.ndarray | None,
+    loss: LossSpec,
+    out: ParamViews | None = None,
+) -> tuple[float, ParamViews] | tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Exact gradient of the loss w.r.t. every parameter.
+
+    For one model: `batch` is [n, d] and the result is (loss value,
+    gradient views laid out like model.params), written into `out` when
+    given (a `gradient_buffer` of the model) or into a new buffer.
+
+    For a `ModelStack` of K: `batch` is [K*n, d], the K clients' rows
+    concatenated, with labels [K*n] and soft targets [K*n, c]. The result is
+    (per-client losses [K], the stack's `grads`), written into its `grad`
+    buffer. Each client's loss and gradient are those of a call on that
+    client alone.
+    """
+    if isinstance(model, ModelStack):
+        return _backward_walk(model, batch, labels, loss), model.grads
+    grads = gradient_buffer(model) if out is None else out
+    stack = ModelStack(model.spec, model.head_blocks, model.vector[None], grads.vector[None])
+    return float(_backward_walk(stack, batch, labels, loss)[0]), grads
+
+
+def gradient_buffer(model: BlockNetModel) -> ParamViews:
+    """Uninitialised named views over one flat vector laid out like `model`."""
+    return ParamViews(np.empty_like(model.vector), model.params.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +616,15 @@ def sgd_update(
     momentum: np.ndarray,
     grad: np.ndarray,
     config: SGDConfig,
-    index: slice | np.ndarray | None = None,
+    index=None,
 ) -> None:
     """One momentum-SGD step in place: buf <- m*buf + g, p <- p - lr*buf.
 
-    `vector` and `momentum` are flat. `grad` covers the coordinates
-    `vector[index]`: the whole vector when `index` is None, otherwise a
-    slice (a FeDepth segment) or a flat index vector (a sub-model map).
-    Coordinates outside `index` do not move.
+    `grad` covers the coordinates `vector[index]`: the whole vector when
+    `index` is None, otherwise any numpy index of `vector` (a slice for a
+    FeDepth segment, a flat index vector for a sub-model map, or their
+    row-wise forms on stacked vectors). Coordinates outside `index` do not
+    move.
     """
     where = slice(None) if index is None else index
     buf = config.momentum * momentum[where] + grad
@@ -530,31 +632,84 @@ def sgd_update(
     vector[where] -= config.learning_rate * buf
 
 
-def batch_windows(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Shuffled minibatch index slices covering all n samples (last may be short)."""
-    order = rng.permutation(n)
-    return [order[s : s + batch_size] for s in range(0, n, batch_size)]
+class Move(NamedTuple):
+    """What one lockstep training step moves for some rows of the stack.
+
+    index: the coordinates of each row that move: all of them, a slice
+        (a FeDepth segment; the step runs the whole model, the rest stays
+        frozen), or a flat index vector (a FjORD nested width).
+    nested: with an index vector, the (spec, heads) of the model those
+        coordinates form; the step runs that model.
+    members: the rows that take the step; a subset only with `nested`.
+    """
+
+    index: slice | np.ndarray = slice(None)
+    nested: tuple[BlockNetSpec, tuple[int, ...]] | None = None
+    members: slice | np.ndarray = slice(None)
+
+
+_EVERY = (Move(),)
 
 
 def train_local(
-    model: BlockNetModel,
+    models: BlockNetModel | Sequence[BlockNetModel],
     features: np.ndarray,
     labels: np.ndarray | None,
     config: SGDConfig,
     loss: LossSpec,
-    rng: np.random.Generator,
-) -> BlockNetModel:
-    """Run `local_epochs` of minibatch momentum-SGD; returns the trained copy."""
-    current = model.copy()
-    momentum = np.zeros_like(current.vector)
-    grads = gradient_buffer(current)
-    n = features.shape[0]
-    for _ in range(config.local_epochs):
-        for idx in batch_windows(n, config.batch_size, rng):
-            y = None if labels is None else labels[idx]
-            backward(current, features[idx], y, loss.slice_batch(idx), grads)
-            sgd_update(current.vector, momentum, grads.vector, config)
-    return current
+    rngs: np.random.Generator | Sequence[np.random.Generator],
+    rows: Sequence[np.ndarray] | None = None,
+    moves: Callable[[int], Sequence[Move]] | None = None,
+) -> BlockNetModel | ModelStack:
+    """Run `local_epochs` passes of minibatch momentum-SGD on K models of
+    one (spec, heads) in lockstep; returns the trained copies.
+
+    One model with one rng trains alone and comes back as a model; a
+    sequence of K comes back as a `ModelStack`. Client k trains on rows
+    `rows[k]` of `features` and `labels` (every row when `rows` is None);
+    all K have the same row count, so at every step each client has a
+    batch of the same length. Each client shuffles its rows once per pass
+    with its own rng, exactly as it would alone; all shuffles are drawn up
+    front. Soft targets in `loss` are indexed by row of `features`.
+    `moves(pass_index)` names what each step moves (see `Move`); by default
+    every coordinate of every client.
+    """
+    single = isinstance(models, BlockNetModel)
+    if single:
+        models, rngs = [models], [rngs]
+    first = models[0]
+    vectors = np.stack([m.vector for m in models])
+    stack = ModelStack(first.spec, first.head_blocks, vectors, np.empty_like(vectors))
+    momentum = np.zeros_like(vectors)
+    n = features.shape[0] if rows is None else rows[0].size
+    passes = config.local_epochs
+    # order[k, pass] is client k's shuffled rows of `features` for that pass.
+    order = np.array([[rng.permutation(n) for _ in range(passes)] for rng in rngs], dtype=np.intp)
+    if rows is not None:
+        order = np.stack(rows)[np.arange(len(rows))[:, None, None], order]
+    nested_stacks: dict = {}
+    for pass_index in range(passes):
+        for start in range(0, n, config.batch_size):
+            window = order[:, pass_index, start:start + config.batch_size]
+            for move in _EVERY if moves is None else moves(pass_index):
+                idx = window[move.members].ravel()
+                batch = features.take(idx, axis=0)
+                y = None if labels is None else labels.take(idx)
+                step_loss = loss.slice_batch(idx)
+                if move.nested is None:
+                    backward(stack, batch, y, step_loss)
+                    where = (slice(None), move.index)
+                    sgd_update(stack.vector, momentum, stack.grad[where], config, where)
+                    continue
+                key = (move.nested, len(move.members))
+                sub = nested_stacks.get(key)
+                if sub is None:
+                    shape = (len(move.members), move.index.size)
+                    sub = nested_stacks[key] = ModelStack(*move.nested, np.empty(shape), np.empty(shape))
+                np.take(stack.vector[move.members], move.index, axis=1, out=sub.vector)
+                backward(sub, batch, y, step_loss)
+                sgd_update(stack.vector, momentum, sub.grad, config, np.ix_(move.members, move.index))
+    return stack.models()[0] if single else stack
 
 
 def predict(model: BlockNetModel, features: np.ndarray) -> np.ndarray:
@@ -562,5 +717,5 @@ def predict(model: BlockNetModel, features: np.ndarray) -> np.ndarray:
 
     Only the trunk and the deepest head are computed.
     """
-    logits = _run_forward(model, features, (model.final_head,))["logits"][model.final_head]
-    return np.argmax(logits, axis=1)
+    logits = _run_forward(model.stack, features, (model.final_head,))["logits"][model.final_head]
+    return np.argmax(logits[0], axis=1)

@@ -312,16 +312,13 @@ def build_pool(
         rates = tuple(sorted(set(pool_cfg.rates), reverse=True))
         if not rates or rates[0] != 1.0:
             raise ValueError("the width rate ladder must include 1.0")
-        for r in rates:
-            k = max(1, math.ceil(r * base_spec.hidden_dim))
-            spec = replace(base_spec, hidden_dim=k)
+        for r, spec in zip(rates, _ladder(base_spec, level, pool_cfg)):
             variants.append(make(spec, nn.default_heads(spec), f"w{int(round(100 * r))}", "width", rate=r))
     elif strategy in ("depthfl", "inclusivefl"):
         depths = tuple(sorted(set(pool_cfg.depths), reverse=True))
         if not depths or depths[0] != base_spec.num_blocks or depths[-1] < 1:
             raise ValueError("the depth ladder must span down from num_blocks and stay >= 1")
-        for depth in depths:
-            spec = replace(base_spec, num_blocks=depth)
+        for depth, spec in zip(depths, _ladder(base_spec, level, pool_cfg)):
             heads = tuple(range(1, depth + 1)) if strategy == "depthfl" else (depth,)
             variants.append(make(spec, heads, f"d{depth}", "depth", depth=depth))
     elif strategy == "fedepth":
@@ -329,45 +326,39 @@ def build_pool(
         variants.append(make(base_spec, nn.default_heads(base_spec), "full", "full",
                              depth=base_spec.num_blocks))
     elif strategy in TOPOLOGY_STRATEGIES:
-        if not pool_cfg.family:
-            raise ValueError("topology strategies need a pool.family of (hidden, blocks, kind) triples")
-        specs = []
-        for hidden, blocks, kind in pool_cfg.family:
-            spec = replace(base_spec, hidden_dim=int(hidden), num_blocks=int(blocks), block_kind=str(kind))
+        for q, spec in enumerate(_ladder(base_spec, level, pool_cfg)):
             nn.validate_base_spec(spec)
-            specs.append(spec)
-        specs.sort(key=lambda s: nn.parameter_count(s), reverse=True)
-        for q, spec in enumerate(specs):
             variants.append(make(spec, nn.default_heads(spec), f"arch{q}", "topology"))
     else:  # fedavg baselines: a single homogeneous variant from the level's ladder
+        ladder = _ladder(base_spec, level, pool_cfg)
         if strategy == "fedavg_full":
-            spec = base_spec if level != "topology" else _family_extreme(base_spec, pool_cfg, largest=True)
+            spec = base_spec if level != "topology" else ladder[0]
             vid = "full"
         else:
-            spec = _smallest_level_spec(base_spec, level, pool_cfg)
+            # The first of the smallest in ladder order, which for tied
+            # family members is their config order.
+            spec = min(ladder, key=nn.parameter_count)
             vid = "smallest"
         variants.append(make(spec, nn.default_heads(spec), vid, "full"))
     return ModelPool(strategy, level, variants)
 
 
-def _family_extreme(base_spec: BlockNetSpec, pool_cfg: PoolConfig, largest: bool) -> BlockNetSpec:
+def _ladder(base_spec: BlockNetSpec, level: str, pool_cfg: PoolConfig) -> list[BlockNetSpec]:
+    """The level's specs, largest first: one per width rate, one per depth,
+    or the topology family by parameter count (ties keep config order)."""
+    if level == "width":
+        rates = sorted(set(pool_cfg.rates), reverse=True)
+        return [replace(base_spec, hidden_dim=max(1, math.ceil(r * base_spec.hidden_dim))) for r in rates]
+    if level == "depth":
+        return [replace(base_spec, num_blocks=depth) for depth in sorted(set(pool_cfg.depths), reverse=True)]
     if not pool_cfg.family:
-        raise ValueError("topology level needs pool.family")
+        raise ValueError("the topology level needs a pool.family of (hidden, blocks, kind) triples")
     specs = [
         replace(base_spec, hidden_dim=int(h), num_blocks=int(b), block_kind=str(k))
         for h, b, k in pool_cfg.family
     ]
-    specs.sort(key=lambda s: nn.parameter_count(s), reverse=largest)
-    return specs[0]
-
-
-def _smallest_level_spec(base_spec: BlockNetSpec, level: str, pool_cfg: PoolConfig) -> BlockNetSpec:
-    if level == "width":
-        r = min(pool_cfg.rates)
-        return replace(base_spec, hidden_dim=max(1, math.ceil(r * base_spec.hidden_dim)))
-    if level == "depth":
-        return replace(base_spec, num_blocks=min(pool_cfg.depths))
-    return _family_extreme(base_spec, pool_cfg, largest=False)
+    specs.sort(key=nn.parameter_count, reverse=True)
+    return specs
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,6 @@ def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) ->
         sgd=cfg.sgd,
         fed=cfg.fed,
         repeat_seed=seed_r,
-        workers=cfg.workers,
     )
     strategy = make_strategy(strategy_id, ctx)
     state = strategy.initial_state()

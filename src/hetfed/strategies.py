@@ -4,11 +4,22 @@ topology-level algorithms plus the homogeneous FedAvg baselines.
 Each strategy implements one server round over the sampled clients and is
 deterministic given (repeat seed, round, sample set).
 
-The width and depth strategies share one round: each client trains the
-sub-model that the strategy's `_extract` hook cuts from the global model,
-under the loss its `_client_loss` hook names, and the server scatters the
-results back. FjORD and FeDepth move only part of their model per step and
-call `nn.sgd_update` on that part themselves.
+The sampled clients of a round train in lockstep groups (`nn.train_local`
+on a stack): clients with the same architecture and the same sample count
+take every step as one stacked walk. Each client keeps its own data, batch
+shuffles and rng draws, so a client's result does not depend on its group;
+scatter and every other cross-client sum run in client-id order.
+
+The width and depth strategies share one round: each group trains the
+sub-model that the strategy's `_extract` hook cuts from the global model
+(once per group; `_extract` reads a client only through its variant), under
+the loss its `_client_loss` hook names, and the server scatters the results
+back. FjORD and FeDepth move only part of their model per step; they hand
+`train_local` a per-step hook that names the coordinates a step moves: a
+FjORD nested-width index vector with its nested model, drawn per client
+(the group re-splits by width each step), or a FeDepth segment slice (one
+group per segmentation). FedProto and Fed-ET train and distill one group
+per architecture.
 
 Where the published descriptions of the cited methods include extras that
 do not change the resource trade-off being measured (InclusiveFL's momentum
@@ -18,8 +29,7 @@ the omissions are noted on the strategy docstrings.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,14 +49,12 @@ from .extract import (
 from .nn import (
     BlockNetModel,
     LossSpec,
+    ModelStack,
+    Move,
     SGDConfig,
-    backward,
-    batch_windows,
     forward,
-    gradient_buffer,
     init_model,
     segment_slice,
-    sgd_update,
     softmax,
     train_local,
 )
@@ -95,7 +103,6 @@ class FederationContext:
     sgd: SGDConfig
     fed: FederationConfig
     repeat_seed: int
-    workers: int = 1
 
     def client_rng(self, client_id: int, round_index: int, lane: int = 0) -> np.random.Generator:
         return seeding.rng_from(self.repeat_seed, seeding.TAG_CLIENT, client_id, round_index, lane)
@@ -115,19 +122,25 @@ class FederationContext:
             return float(self.clients[client_id].num_samples)
         return 1.0
 
-    def map_clients(self, fn, client_ids: list[int]) -> list:
-        """Apply fn to each client id, preserving order; results must not
-        depend on scheduling, so parallel and serial execution agree."""
-        if self.workers > 1 and len(client_ids) > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                return list(pool.map(fn, client_ids))
-        return [fn(cid) for cid in client_ids]
+
+class DivergenceError(ArithmeticError):
+    """Local training produced a non-finite parameter."""
 
 
 @dataclass
 class RoundArtifacts:
     sample_counts: dict[int, int]
     payload_bytes: dict[int, float]
+
+
+def lockstep_groups(ordered: list[int], key: Callable[[int], Hashable]) -> list[tuple[Hashable, list[int]]]:
+    """The clients (in id order) split into the groups that train in
+    lockstep: one (key, ids) group per distinct `key(client_id)`, in order of
+    first appearance, each in id order."""
+    groups: dict[Hashable, list[int]] = {}
+    for cid in ordered:
+        groups.setdefault(key(cid), []).append(cid)
+    return list(groups.items())
 
 
 def sample_clients(num_clients: int, fraction: float, rng: np.random.Generator) -> list[int]:
@@ -231,6 +244,43 @@ class Strategy:
             raise ValueError(f"{self.id} has no single global model to evaluate")
         return model_accuracy(model, features, labels)
 
+    def _same_shape(self, client_id: int) -> tuple[str, int]:
+        """Lockstep key of local training on own data: the variant (one
+        architecture) and the sample count (one batch-length sequence)."""
+        client = self.ctx.clients[client_id]
+        return client.variant.variant_id, client.num_samples
+
+    def _train_clients(
+        self,
+        models: list[BlockNetModel],
+        client_ids: list[int],
+        round_index: int,
+        loss: LossSpec,
+        config: SGDConfig | None = None,
+        moves: Callable[[int], list[Move]] | None = None,
+    ) -> ModelStack:
+        """Train one lockstep group of clients on their own data."""
+        ctx = self.ctx
+        stack = train_local(
+            models, ctx.train_features, ctx.train_labels, config or ctx.sgd, loss,
+            [ctx.client_rng(cid, round_index, seeding.LANE_BATCH) for cid in client_ids],
+            [ctx.clients[cid].data_indices for cid in client_ids],
+            moves,
+        )
+        self._check_finite(stack, [f"client {cid}" for cid in client_ids], round_index)
+        return stack
+
+    def _check_finite(self, stack: ModelStack, owners: list[str], round_index: int) -> None:
+        """Raise DivergenceError naming the first stacked model with a
+        non-finite parameter."""
+        if np.isfinite(stack.vector).all():
+            return
+        row, coord = np.argwhere(~np.isfinite(stack.vector))[0]
+        key = next(key for key, (start, stop, _) in stack.layout.slots.items() if start <= coord < stop)
+        raise DivergenceError(
+            f"{self.id}: round {round_index}: {owners[row]} diverged; parameter {key} is not finite"
+        )
+
     def _artifacts(self, sampled: list[int], uploaded_numbers: dict[int, int]) -> RoundArtifacts:
         counts = {cid: self.ctx.clients[cid].num_samples for cid in sampled}
         payloads = {}
@@ -261,25 +311,32 @@ class _PartialAveragingStrategy(Strategy):
     def _client_loss(self, sub: BlockNetModel) -> LossSpec:
         return LossSpec(ce_heads=(sub.final_head,))
 
-    def _train_client(
-        self, global_model: BlockNetModel, client_id: int, round_index: int
-    ) -> tuple[Mapping[str, np.ndarray], SubModelMap]:
-        sub, smap = self._extract(global_model, self.ctx.clients[client_id], round_index)
-        features, labels = self.ctx.client_data(client_id)
-        rng = self.ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-        trained = train_local(sub, features, labels, self.ctx.sgd, self._client_loss(sub), rng)
-        return trained.params, smap
+    def _group_key(self, client_id: int) -> Hashable:
+        # `_extract` reads a client only through its variant, so one key
+        # means one sub-model map.
+        return self._same_shape(client_id)
+
+    def _train_group(
+        self, global_model: BlockNetModel, key: Hashable, client_ids: list[int], round_index: int
+    ) -> tuple[ModelStack, SubModelMap]:
+        """Extract the group's sub-model once and train every client of the
+        group from it in lockstep."""
+        sub, smap = self._extract(global_model, self.ctx.clients[client_ids[0]], round_index)
+        return self._train_clients([sub] * len(client_ids), client_ids, round_index, self._client_loss(sub)), smap
 
     def run_round(self, state: BlockNetModel, sampled: list[int], round_index: int):
         if not sampled:
             raise ValueError("cannot run a round with an empty sample set")
         ordered = sorted(sampled)
-        results = self.ctx.map_clients(
-            lambda cid: self._train_client(state, cid, round_index), ordered
-        )
+        results = {}
+        for key, cids in lockstep_groups(ordered, self._group_key):
+            stack, smap = self._train_group(state, key, cids, round_index)
+            for cid, trained in zip(cids, stack.models()):
+                results[cid] = trained.params, smap
         acc = new_accumulator(state)
         uploaded: dict[int, int] = {}
-        for cid, (params, smap) in zip(ordered, results):
+        for cid in ordered:
+            params, smap = results[cid]
             scatter_update(acc, params, smap, self.ctx.client_weight(cid))
             uploaded[cid] = int(smap.index.size)
         new_global = normalize(acc, state)
@@ -325,37 +382,30 @@ class Fjord(SHeteroFL):
         ks = sorted({width_channels(d, r) for r in rates if r <= client_rate + 1e-12})
         return ks or [width_channels(d, client_rate)]
 
-    def _train_client(self, global_model, client_id, round_index):
-        client = self.ctx.clients[client_id]
+    def _train_group(self, global_model, key, client_ids, round_index):
+        client = self.ctx.clients[client_ids[0]]
         sub, smap = self._extract(global_model, client, round_index)
-        features, labels = self.ctx.client_data(client_id)
-        cfg = self.ctx.sgd
-        batch_rng = self.ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-        rate_rng = self.ctx.client_rng(client_id, round_index, seeding.LANE_RATE)
-        ks = self._allowed_channels(client.variant.rate)
+        widths = self._allowed_channels(client.variant.rate)
         fixed = self.ctx.fed.fjord_fixed_p
-        d_global = self.ctx.pool.largest.spec.hidden_dim
+        if fixed is not None:
+            widths = [min(width_channels(self.ctx.pool.largest.spec.hidden_dim, fixed), sub.spec.hidden_dim)]
+        rate_rngs = [self.ctx.client_rng(cid, round_index, seeding.LANE_RATE) for cid in client_ids]
+        nested_maps = {}  # width -> map of that nested prefix into `sub`, extracted once
 
-        working = sub.copy()
-        momentum = np.zeros_like(working.vector)
-        # Per nested width: the nested model, its map into `working` and a
-        # gradient buffer, extracted once and refreshed through the map.
-        nested_by_width = {}
-        n = features.shape[0]
-        for _ in range(cfg.local_epochs):
-            for idx in batch_windows(n, cfg.batch_size, batch_rng):
-                if fixed is not None:
-                    k = min(width_channels(d_global, fixed), sub.spec.hidden_dim)
-                else:
-                    k = int(rate_rng.choice(ks))
-                if k not in nested_by_width:
-                    nested, nmap = extract_channels(working, np.arange(k))
-                    nested_by_width[k] = nested, nmap, gradient_buffer(nested)
-                nested, nmap, grads = nested_by_width[k]
-                working.vector.take(nmap.index, out=nested.vector)
-                backward(nested, features[idx], labels[idx], self._client_loss(nested), grads)
-                sgd_update(working.vector, momentum, grads.vector, cfg, nmap.index)
-        return working.params, smap
+        def moves(pass_index: int) -> list[Move]:
+            # Each client draws its own width (a fixed rate draws nothing);
+            # the clients that drew the same width take this step as one stack.
+            drawn = np.array([widths[0] if fixed is not None else int(rng.choice(widths)) for rng in rate_rngs])
+            step = []
+            for k in np.unique(drawn).tolist():
+                if k not in nested_maps:
+                    nested_maps[k] = extract_channels(sub, np.arange(k))[1]
+                nmap = nested_maps[k]
+                step.append(Move(nmap.index, (nmap.spec, nmap.head_set), np.flatnonzero(drawn == k)))
+            return step
+
+        loss = self._client_loss(sub)
+        return self._train_clients([sub] * len(client_ids), client_ids, round_index, loss, moves=moves), smap
 
 
 class DepthFL(_PartialAveragingStrategy):
@@ -398,27 +448,26 @@ class FeDepth(_PartialAveragingStrategy):
 
     id = "fedepth"
 
-    def _train_client(self, global_model, client_id, round_index):
-        client = self.ctx.clients[client_id]
-        spec = global_model.spec
-        cfg = self.ctx.sgd
+    def _group_key(self, client_id):
+        largest = self.ctx.pool.largest
         segments = fedepth_segments(
-            spec, global_model.head_blocks, cfg.batch_size, client.profile.memory_capacity
+            largest.spec, largest.head_blocks, self.ctx.sgd.batch_size,
+            self.ctx.clients[client_id].profile.memory_capacity,
         )
-        features, labels = self.ctx.client_data(client_id)
-        rng = self.ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-        working = global_model.copy()
-        momentum = np.zeros_like(working.vector)
-        grads = gradient_buffer(working)
-        loss = self._client_loss(working)
-        n = features.shape[0]
-        for seg in segments:
-            part = segment_slice(spec, working.head_blocks, seg)
-            for _ in range(cfg.local_epochs):
-                for idx in batch_windows(n, cfg.batch_size, rng):
-                    backward(working, features[idx], labels[idx], loss, grads)
-                    sgd_update(working.vector, momentum, grads.vector[part], cfg, part)  # frozen rest
-        return working.params, full_map(global_model)
+        return tuple(tuple(seg) for seg in segments), self.ctx.clients[client_id].num_samples
+
+    def _train_group(self, global_model, key, client_ids, round_index):
+        segments, _ = key
+        epochs = self.ctx.sgd.local_epochs
+        # The segments train one after another, `local_epochs` passes each;
+        # a step moves its segment's slice and the rest stays frozen.
+        steps = [[Move(segment_slice(global_model.spec, global_model.head_blocks, seg))] for seg in segments]
+        config = replace(self.ctx.sgd, local_epochs=len(segments) * epochs)
+        stack = self._train_clients(
+            [global_model] * len(client_ids), client_ids, round_index, self._client_loss(global_model),
+            config, lambda pass_index: steps[pass_index // epochs],
+        )
+        return stack, full_map(global_model)
 
     def client_eval_model(self, state, client_id, round_index):
         return state
@@ -475,25 +524,19 @@ class FedProto(Strategy):
             raise ValueError("cannot run a round with an empty sample set")
         ordered = sorted(sampled)
         num_classes = self.ctx.base_spec.num_classes
-
-        def train_one(cid: int):
-            features, labels = self.ctx.client_data(cid)
+        models = dict(state.models)
+        for _, cids in lockstep_groups(ordered, self._same_shape):
             loss = LossSpec(
-                ce_heads=(state.models[cid].final_head,),
+                ce_heads=(models[cids[0]].final_head,),
                 proto_weight=self.ctx.fed.lambda_proto,
                 proto_targets=state.proto_vectors,
                 proto_mask=state.proto_mask,
             )
-            rng = self.ctx.client_rng(cid, round_index, seeding.LANE_BATCH)
-            trained = train_local(state.models[cid], features, labels, self.ctx.sgd, loss, rng)
-            return trained, compute_prototypes(trained, features, labels, num_classes)
-
-        results = self.ctx.map_clients(train_one, ordered)
-        models = dict(state.models)
-        uploads = []
-        for cid, (trained, protos) in zip(ordered, results):
-            models[cid] = trained
-            uploads.append(protos)
+            stack = self._train_clients([models[cid] for cid in cids], cids, round_index, loss)
+            models.update(zip(cids, stack.models()))
+        uploads = [
+            compute_prototypes(models[cid], *self.ctx.client_data(cid), num_classes) for cid in ordered
+        ]
         agg_vec, agg_support = aggregate_prototypes(uploads)
         fresh = agg_support > 0
         vectors = np.where(fresh[:, None], agg_vec, state.proto_vectors)
@@ -552,37 +595,35 @@ class FedET(Strategy):
             raise ValueError("cannot run a round with an empty sample set")
         ordered = sorted(sampled)
         public = self.ctx.public_features
-
-        def train_one(cid: int) -> BlockNetModel:
-            features, labels = self.ctx.client_data(cid)
-            rng = self.ctx.client_rng(cid, round_index, seeding.LANE_BATCH)
-            return train_local(
-                state.models[cid], features, labels, self.ctx.sgd,
-                LossSpec(ce_heads=(state.models[cid].final_head,)), rng,
-            )
-
-        trained = self.ctx.map_clients(train_one, ordered)
         models = dict(state.models)
-        for cid, model in zip(ordered, trained):
-            models[cid] = model
+        for _, cids in lockstep_groups(ordered, self._same_shape):
+            loss = LossSpec(ce_heads=(models[cids[0]].final_head,))
+            stack = self._train_clients([models[cid] for cid in cids], cids, round_index, loss)
+            models.update(zip(cids, stack.models()))
 
         logit_sets = [forward(models[cid], public).logits[models[cid].final_head] for cid in ordered]
         consensus = consensus_logits(logit_sets)
         server_cfg = replace(self.ctx.sgd, local_epochs=self.ctx.fed.fedet_server_epochs)
-        server = train_local(
-            state.server_model, public, None, server_cfg,
+        stack = train_local(
+            [state.server_model], public, None, server_cfg,
             LossSpec(ce_heads=(), soft_targets=softmax(consensus)),
-            self.ctx.server_rng(round_index),
+            [self.ctx.server_rng(round_index)],
         )
+        self._check_finite(stack, ["the server model"], round_index)
+        server = stack.models()[0]
 
+        # Every client distills from the same public rows, so one
+        # architecture is one lockstep group.
         teacher = softmax(forward(server, public).logits[server.final_head])
         client_cfg = replace(self.ctx.sgd, local_epochs=self.ctx.fed.fedet_client_epochs)
-        for cid in ordered:
-            rng = self.ctx.client_rng(cid, round_index, seeding.LANE_DISTILL)
-            models[cid] = train_local(
-                models[cid], public, None, client_cfg,
-                LossSpec(ce_heads=(), soft_targets=teacher), rng,
+        for _, cids in lockstep_groups(ordered, lambda cid: self.ctx.clients[cid].variant.variant_id):
+            stack = train_local(
+                [models[cid] for cid in cids], public, None, client_cfg,
+                LossSpec(ce_heads=(), soft_targets=teacher),
+                [self.ctx.client_rng(cid, round_index, seeding.LANE_DISTILL) for cid in cids],
             )
+            self._check_finite(stack, [f"client {cid}" for cid in cids], round_index)
+            models.update(zip(cids, stack.models()))
 
         uploaded = {cid: int(models[cid].vector.size) for cid in ordered}
         return FedETState(server, models), self._artifacts(ordered, uploaded)

@@ -35,7 +35,6 @@ from hetfed.nn import (
     _loss_terms,
     _run_forward,
     backward,
-    batch_windows,
     param_layout,
 )
 from hetfed.resources import estimate_flops, fedepth_segments
@@ -285,6 +284,12 @@ def reference_normalize(sums: dict, weights: dict, previous: BlockNetModel) -> d
     return params
 
 
+def batch_windows(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Shuffled minibatch index slices covering all n samples (last may be short)."""
+    order = rng.permutation(n)
+    return [order[s : s + batch_size] for s in range(0, n, batch_size)]
+
+
 def reference_train_local(
     model: BlockNetModel,
     features: np.ndarray,
@@ -410,8 +415,8 @@ def loss_value(
     loss: LossSpec,
 ) -> float:
     """The scalar loss `backward` differentiates, without the gradients."""
-    cache = _run_forward(model, batch)
-    return _loss_terms(model, cache, labels, loss)[0]
+    cache = _run_forward(model.stack, batch)
+    return float(_loss_terms(model.stack, cache, labels, loss)[0][0])
 
 
 def check_roundtrip(model: BlockNetModel, sub: BlockNetModel, smap: SubModelMap) -> bool:

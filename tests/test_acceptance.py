@@ -332,7 +332,7 @@ def test_criterion_8_metric_oracles():
 
 
 def test_criterion_9_determinism(tmp_path):
-    # The same config (including parallel client execution) produces
+    # The same config (with the accepted `workers` key set) produces
     # byte-identical CSV/JSON outputs on every run.
     text = """
 strategies = ["sheterofl", "fedrolex"]

@@ -1,9 +1,10 @@
 import json
 import os
+import re
 
 import pytest
 
-from hetfed.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
+from hetfed.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
 
 CONFIG = """
 strategies = ["sheterofl"]
@@ -58,6 +59,17 @@ class TestRunCommand:
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == EXIT_IO
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_diverged_training_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "huge_lr.cfg"
+        bad.write_text(CONFIG + "sgd.learning_rate = 1e30\n")
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"diverged: sheterofl: round \d+: client \d+ diverged; parameter \S+ is not finite\n", err)
+
+    def test_workers_flag_is_accepted(self, config_path, tmp_path):
+        assert main(["run", config_path, "--out", str(tmp_path / "o"), "--workers", "3"]) == EXIT_OK
 
     def test_env_overrides(self, config_path, tmp_path, monkeypatch):
         out = str(tmp_path / "env_out")

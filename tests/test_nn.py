@@ -377,3 +377,101 @@ class TestTraining:
                        np.random.default_rng(3))
         for k in snapshot:
             assert np.array_equal(model.params[k], snapshot[k])
+
+
+class TestLockstep:
+    """K clients stacked into one walk must each get the bits they get alone."""
+
+    def test_numpy_stacked_calls_match_2d_bit_for_bit(self):
+        # The lockstep engine relies on the installed numpy giving each
+        # client of a stacked `matmul`, a transposed stacked `matmul` and an
+        # axis-1 sum the same bits as the 2-D call on that client alone, on
+        # the engine's operand layouts: weights and gradients as strided
+        # views of one (K, size) buffer. A numpy whose batched kernels sum
+        # in another order fails here first.
+        rng = np.random.default_rng(2025)
+        for b in range(1, 40):
+            for i in range(1, 20):
+                o = (7 * i + b) % 19 + 1
+                k = (b + i) % 10 + 1
+                a = rng.normal(size=(k, b, i))
+                dz = rng.normal(size=(k, b, o))
+                params = rng.normal(size=(k, i * o + 5))
+                w = params[:, 3:3 + i * o].reshape((k, i, o), copy=False)
+                grad = np.empty((k, i * o + o + 2))
+                gw = grad[:, 1:1 + i * o].reshape((k, i, o), copy=False)
+                gb = grad[:, 1 + i * o:1 + i * o + o]
+                out = np.matmul(a, w)
+                back = np.matmul(dz, w.transpose(0, 2, 1))
+                np.matmul(a.transpose(0, 2, 1), dz, out=gw)
+                dz.sum(axis=1, out=gb)
+                for c in range(k):
+                    w2 = w[c].copy()
+                    assert np.array_equal(out[c], a[c] @ w2), (b, i, o, k)
+                    assert np.array_equal(back[c], dz[c] @ w2.T), (b, i, o, k)
+                    assert np.array_equal(gw[c], a[c].T @ dz[c]), (b, i, o, k)
+                    assert np.array_equal(gb[c], dz[c].sum(axis=0)), (b, i, o, k)
+
+    @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
+    def test_stacked_backward_matches_each_client_alone(self, kind):
+        spec = BlockNetSpec(5, 8, 3, kind, 3, 6)
+        heads = (1, 2, 3)
+        rng = np.random.default_rng(8)
+        k, n = 4, 7
+        models = [nn.init_model(spec, np.random.default_rng(s), heads) for s in range(k)]
+        x = rng.normal(size=(k * n, 5))
+        y = rng.integers(0, 3, size=k * n)
+        targets = rng.normal(size=(3, 6))
+        soft = nn.softmax(rng.normal(size=(k * n, 3)))
+        vectors = np.stack([m.vector for m in models])
+        stack = nn.ModelStack(spec, heads, vectors, np.empty_like(vectors))
+        for labels, loss in (
+            (y, LossSpec(distill_weight=0.3)),
+            (y, LossSpec(ce_heads=(3,), proto_weight=0.2, proto_targets=targets,
+                         proto_mask=np.array([True, False, True]))),
+            (None, LossSpec(ce_heads=(), soft_targets=soft, soft_target_head=2)),
+        ):
+            totals, grads = nn.backward(stack, x, labels, loss)
+            assert grads is stack.grads
+            for c, model in enumerate(models):
+                rows = slice(c * n, (c + 1) * n)
+                alone_loss, alone = nn.backward(
+                    model, x[rows], None if labels is None else labels[rows], loss.slice_batch(rows)
+                )
+                assert totals[c] == alone_loss
+                assert np.array_equal(stack.grad[c], alone.vector)
+
+    def test_train_local_stack_matches_each_client_alone(self):
+        spec = BlockNetSpec(5, 8, 2, "skip", 3, 6)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(60, 5))
+        y = rng.integers(0, 3, size=60)
+        soft = nn.softmax(rng.normal(size=(60, 3)))
+        rows = [np.arange(0, 60, 3), np.arange(1, 60, 3), np.arange(2, 60, 3)]
+        models = [nn.init_model(spec, np.random.default_rng(s)) for s in range(3)]
+        cfg = SGDConfig(learning_rate=0.05, batch_size=6, local_epochs=2, momentum=0.5)
+        loss = LossSpec(soft_targets=soft)  # cross-entropy plus soft targets by row of x
+        stack = nn.train_local(models, x, y, cfg, loss, [np.random.default_rng(s) for s in (4, 5, 6)], rows)
+        for c, model in enumerate(models):
+            alone = nn.train_local(model, x[rows[c]], y[rows[c]], cfg, LossSpec(soft_targets=soft[rows[c]]),
+                                   np.random.default_rng(4 + c))
+            assert np.array_equal(stack.vector[c], alone.vector)
+            assert np.array_equal(stack.models()[c].vector, alone.vector)
+
+    @pytest.mark.parametrize("kind", ["plain", "bottleneck"])
+    def test_stack_views_write_into_the_stacked_arrays(self, kind):
+        spec = BlockNetSpec(5, 8, 2, kind, 3, 6)
+        size = nn.param_layout(spec, (1, 2)).size
+        vectors, grad = np.zeros((3, size)), np.zeros((3, size))
+        stack = nn.ModelStack(spec, (1, 2), vectors, grad)
+        for views, target in ((stack.params, vectors), (stack.grads, grad)):
+            for view in views.values():
+                view[...] = 1.0
+            assert np.all(target == 1.0)
+
+    def test_batch_rows_must_split_into_the_stack(self):
+        spec = small_spec()
+        vectors = np.stack([nn.init_model(spec, np.random.default_rng(s)).vector for s in range(3)])
+        stack = nn.ModelStack(spec, (1,), vectors, np.empty_like(vectors))
+        with pytest.raises(nn.ShapeError):
+            nn.backward(stack, np.zeros((4, 4)), np.zeros(4, dtype=int), LossSpec())

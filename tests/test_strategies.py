@@ -1,15 +1,15 @@
 import hashlib
-import sys
 
 import numpy as np
 import pytest
 
-from hetfed import extract, nn, seeding
+from hetfed import nn, seeding, strategies
 from hetfed.datasets import gen_synthetic
 from hetfed.nn import BlockNetSpec, SGDConfig
 from hetfed.resources import DeviceProfile, PoolConfig, build_pool, fedepth_segments, segment_memory
 from hetfed.strategies import (
     ClientState,
+    DivergenceError,
     FederationConfig,
     FederationContext,
     aggregate_prototypes,
@@ -183,28 +183,94 @@ class TestCommonRoundBehaviour:
         with pytest.raises(ValueError):
             make_strategy("fedmagic", ctx)
 
-    def test_parallel_equals_serial(self):
-        # Four threads on two cores, switching often, share the compiled
-        # sub-model map caches; rounds 5-7 put fedrolex's windows across the
-        # wrap-around.
-        pool_cfg = PoolConfig(rates=(1.0, 0.5, 0.25), depths=(3, 1))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+class TestLockstepGroups:
+    """A round trained in lockstep groups equals the same round with every
+    client trained alone (a group of one), bit for bit on every vector."""
+
+    SGD = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=2, momentum=0.5)
+    POOL = PoolConfig(rates=(1.0, 0.5), depths=(3, 1), family=((8, 3, "plain"), (4, 2, "plain")))
+    SAMPLES = ([0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 4, 5, 7], [1, 2, 3, 6, 7])  # rounds 5-7
+    # Uneven client sizes, as a Dirichlet partition gives: groups split by
+    # sample count and some clients train alone.
+    UNEVEN = (12, 12, 9, 15, 12, 9, 15, 12)
+    CASES = [
+        ("sheterofl", "width", None), ("fedrolex", "width", None),
+        ("fjord", "width", None), ("fjord", "width", 0.5),
+        ("depthfl", "depth", None), ("inclusivefl", "depth", None), ("fedepth", "depth", None),
+        ("fedproto", "topology", None), ("fedet", "topology", None),
+        ("fedavg_full", "width", None), ("fedavg_smallest", "width", None),
+    ]
+
+    @staticmethod
+    def vectors(state) -> list[np.ndarray]:
+        if isinstance(state, nn.BlockNetModel):
+            return [state.vector]
+        found = [m.vector for _, m in sorted(state.models.items())]
+        if hasattr(state, "server_model"):
+            found.append(state.server_model.vector)
+        if hasattr(state, "proto_vectors"):
+            found += [state.proto_vectors, state.proto_mask]
+        return found
+
+    def run(self, strategy_id, level, fixed_p, sizes, group_sizes, alone):
+        ctx = make_ctx(strategy_id, level, alternating, num_clients=8, pool_cfg=self.POOL,
+                       fed=FederationConfig(fjord_fixed_p=fixed_p))
+        ctx.sgd = self.SGD
+        if sizes is not None:
+            starts = np.cumsum((0,) + sizes)
+            for client, start, size in zip(ctx.clients, starts, sizes):
+                client.data_indices = np.arange(start, start + size)
+        if strategy_id == "fedepth":
+            full = segment_memory(SPEC, self.SGD.batch_size, nn.parameter_count(SPEC), (SPEC.num_blocks,))
+            for client, fraction in zip(ctx.clients, (0.75, 0.8, 1.0, 0.75) * 2):  # 3, 2, 1, 3 segments
+                client.profile = DeviceProfile(client.client_id, 1e9, 1e6, fraction * full)
+        grouping = strategies.lockstep_groups
+
+        def groups(ordered, key):
+            found = [(key(cid), [cid]) for cid in ordered] if alone else grouping(ordered, key)
+            group_sizes.extend(len(cids) for _, cids in found)
+            return found
+
+        strategies.lockstep_groups = groups
         try:
-            for strategy_id in ("sheterofl", "fedrolex", "fjord"):
-                results = []
-                for workers in (1, 4):
-                    extract._width_map.cache_clear()  # the threads compile the maps
-                    ctx = make_ctx(strategy_id, "width", alternating, pool_cfg=pool_cfg)
-                    ctx.workers = workers
-                    strategy = make_strategy(strategy_id, ctx)
-                    state = strategy.initial_state()
-                    for t in (5, 6, 7):
-                        state, _ = strategy.run_round(state, [0, 1, 2, 3], t)
-                    results.append(state)
-                assert np.array_equal(results[0].vector, results[1].vector), strategy_id
+            strategy = make_strategy(strategy_id, ctx)
+            state = strategy.initial_state()
+            for t, sampled in enumerate(self.SAMPLES, start=5):
+                state, _ = strategy.run_round(state, sampled, t)
         finally:
-            sys.setswitchinterval(interval)
+            strategies.lockstep_groups = grouping
+        return self.vectors(state)
+
+    @pytest.mark.parametrize("sizes", [None, UNEVEN], ids=["equal", "uneven"])
+    @pytest.mark.parametrize("strategy_id,level,fixed_p", CASES)
+    def test_grouped_equals_alone(self, strategy_id, level, fixed_p, sizes):
+        grouped_sizes, alone_sizes = [], []
+        grouped = self.run(strategy_id, level, fixed_p, sizes, grouped_sizes, alone=False)
+        alone = self.run(strategy_id, level, fixed_p, sizes, alone_sizes, alone=True)
+        assert max(grouped_sizes) >= 2 and max(alone_sizes) == 1
+        assert len(grouped) == len(alone)
+        for a, b in zip(grouped, alone):
+            assert np.array_equal(a, b)
+
+    def test_clients_split_by_key_in_id_order(self):
+        keys = {0: "a", 1: "b", 2: "a", 3: "c", 4: "b"}
+        assert strategies.lockstep_groups([0, 1, 2, 3, 4], keys.get) == [
+            ("a", [0, 2]), ("b", [1, 4]), ("c", [3]),
+        ]
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("strategy_id,level", [
+        ("sheterofl", "width"), ("fjord", "width"), ("fedepth", "depth"),
+        ("fedproto", "topology"), ("fedet", "topology"),
+    ])
+    def test_huge_learning_rate_raises(self, strategy_id, level):
+        ctx = make_ctx(strategy_id, level, alternating, lr=1e30)
+        strategy = make_strategy(strategy_id, ctx)
+        pattern = rf"^{strategy_id}: round 3: client [0-3] diverged; parameter \S+ is not finite$"
+        with pytest.raises(DivergenceError, match=pattern):
+            strategy.run_round(strategy.initial_state(), [0, 1, 2, 3], 3)
 
 
 class TestWidthFamily:
