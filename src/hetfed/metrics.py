@@ -67,7 +67,8 @@ def advance_clock(client_times: dict[int, tuple[float, float]]) -> tuple[float, 
 
 def model_accuracy(model: BlockNetModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of correct argmax predictions (ties to the lowest class)."""
-    return float(np.mean(predict(model, features) == labels))
+    correct = predict(model, features) == labels
+    return np.count_nonzero(correct) / correct.size
 
 
 def time_to_accuracy(records: list[RoundRecord], threshold: float) -> float | None:

@@ -28,19 +28,27 @@ its own neck copy so every head sees a proto_dim-wide input regardless of
 where it attaches.
 
 The forward, loss and backward walk runs on a `ModelStack`: K models of
-one (spec, heads) as the rows of one (K, size) array, with a leading client
-axis on every operand (stacked `np.matmul`, `transpose(0, 2, 1)`,
-`sum(axis=1, out=...)` into views cached once per stack). A stacked batch is
-the K clients' rows concatenated, [K*n, d], with labels [K*n]; the walk
-views it as [K, n, d] and takes every loss mean over each client's own n
-rows. A single model is the stack of one (`BlockNetModel.stack`). Stacked
-matmul and axis sums give the same bits as the 2-D calls on each client,
-so a client's result does not depend on what it is stacked with.
+one (spec, heads) as the rows of one (K, size) array. At K >= 2 every
+operand has a leading client axis (stacked `np.matmul`); a stack of one
+runs on plain 2-D operands, which costs less per numpy call. The walk is
+written once for both ranks (`swapaxes(-1, -2)`, `sum(axis=-2, out=...)`
+into views cached once per stack, per-client means over `reshape(k, n)`).
+A stacked batch is the K clients' rows concatenated, [K*n, d], with labels
+[K*n]; at K >= 2 the walk views it as [K, n, d], and it takes every loss
+mean over each client's own n rows. A single model is the stack of one
+(`BlockNetModel.stack`), so `forward`, `predict` and lone training run 2-D.
+Stacked matmul and axis sums give the same bits as the 2-D calls on each
+client, so a client's result does not depend on what it is stacked with.
+The forward adds biases and applies each ReLU in place and caches one
+activation per linear, its output after the ReLU; the backward mask
+``a > 0`` equals ``z > 0`` on the pre-activation, NaN included.
 
 Training is minibatch momentum-SGD on the flat vectors; `sgd_update` is the
 only place the update is written. `train_local` trains K clients in
 lockstep: each keeps its own rows, batch shuffles and rng, and a per-step
-hook (`Move`) can restrict a step to part of each vector.
+hook (`Move`) can restrict a step to part of each vector. A step on a
+stack computes the gradients only; the loss value is computed for a single
+model's `backward`, which is what reads it.
 """
 
 from __future__ import annotations
@@ -114,6 +122,10 @@ class ParamLayout:
     residual: bool
     heads: Mapping[int, tuple[str, str, str, str]]
     size: int
+
+    def key_at(self, coord: int) -> str:
+        """The parameter key whose slot holds flat coordinate `coord`."""
+        return next(key for key, (start, stop, _) in self.slots.items() if start <= coord < stop)
 
 
 @lru_cache(maxsize=1024)
@@ -234,8 +246,11 @@ class BlockNetModel:
 
 def _stack_views(array: np.ndarray, layout: ParamLayout, bias_rows: bool) -> dict[str, np.ndarray]:
     """Per-key views over the K rows of a (K, size) array: weights
-    (K, in, out); biases (K, 1, out) with `bias_rows`, else (K, out)."""
+    (K, in, out); biases (K, 1, out) with `bias_rows`, else (K, out). One
+    row gives the 2-D views of that row: weights (in, out), biases (out,)."""
     k = array.shape[0]
+    if k == 1:
+        return ParamViews(array[0], layout)
     views = {}
     for key, (start, stop, shape) in layout.slots.items():
         if len(shape) == 2:
@@ -255,8 +270,9 @@ class ModelStack:
     ``params`` maps each key to its view over all K rows, shaped for the
     walk: weights (K, in, out) and biases (K, 1, out), which broadcast over a
     client's batch rows. With a (K, size) ``grad`` buffer, ``grads`` maps
-    each key to its view of it: weights (K, in, out), biases (K, out). The
-    views are built once per stack.
+    each key to its view of it: weights (K, in, out), biases (K, out). A
+    stack of one holds the 2-D views of its row instead: weights (in, out),
+    biases (out,). The views are built once per stack.
     """
 
     __slots__ = ("spec", "head_blocks", "layout", "vector", "params", "grad", "grads")
@@ -373,48 +389,49 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...] | 
     """Forward pass of K stacked models, keeping every intermediate needed
     for backprop.
 
-    `batch` is [K*n, d]: the K clients' n rows each, concatenated; it is
-    viewed as [K, n, d]. Computes the logits of `heads` (default: every
-    attached head). The cache holds the trunk activation after the stem and
-    after each block ("h"), each block's (input, pre-activation) per linear
-    ("steps"), and per computed head its neck output and logits, all with
-    the leading client axis.
+    `batch` is [K*n, d]: the K clients' n rows each, concatenated; at
+    K >= 2 it is viewed as [K, n, d]. Computes the logits of `heads`
+    (default: every attached head). The cache holds the input ("x"), the
+    trunk activation after the stem and after each block ("h"), each
+    block's post-ReLU output per linear ("acts"), and per computed head its
+    neck output and logits; at K >= 2 all with the leading client axis.
     """
     k = stack.vector.shape[0]
     d = stack.spec.input_dim
     if batch.ndim != 2 or batch.shape[1] != d or batch.shape[0] % k:
         raise ShapeError(f"batch must be [K*n, {d}] for K = {k} stacked models, got {batch.shape}")
-    x = batch.reshape(k, -1, d)
+    x = batch if k == 1 else batch.reshape(k, -1, d)
     p = stack.params
     layout = stack.layout
-    h = x @ p["stem.w"] + p["stem.b"]
+    h = x @ p["stem.w"]
+    h += p["stem.b"]
     trunk = [h]
-    steps = []
+    acts = []
     for linears in layout.blocks:
         a = h
-        block_steps = []
+        block_acts = []
         for w, b in linears:
-            z = a @ p[w] + p[b]
-            block_steps.append((a, z))
-            a = np.maximum(z, 0.0)
+            a = a @ p[w]
+            a += p[b]
+            np.maximum(a, 0.0, out=a)
+            block_acts.append(a)
         h = a + h if layout.residual else a
         trunk.append(h)
-        steps.append(block_steps)
+        acts.append(block_acts)
     necks, logits = {}, {}
     for j in stack.head_blocks if heads is None else heads:
         neck_w, neck_b, fc_w, fc_b = layout.heads[j]
-        necks[j] = trunk[j] @ p[neck_w] + p[neck_b]
-        logits[j] = necks[j] @ p[fc_w] + p[fc_b]
-    return {"x": x, "h": trunk, "steps": steps, "neck": necks, "logits": logits}
+        neck = necks[j] = trunk[j] @ p[neck_w]
+        neck += p[neck_b]
+        z = logits[j] = neck @ p[fc_w]
+        z += p[fc_b]
+    return {"x": x, "h": trunk, "acts": acts, "neck": necks, "logits": logits}
 
 
 def forward(model: BlockNetModel, batch: np.ndarray) -> ForwardResult:
     """Per-head logits plus the deepest head's neck output (the embedding)."""
     cache = _run_forward(model.stack, batch)
-    return ForwardResult(
-        logits={j: z[0] for j, z in cache["logits"].items()},
-        embedding=cache["neck"][model.final_head][0],
-    )
+    return ForwardResult(logits=cache["logits"], embedding=cache["neck"][model.final_head])
 
 
 @dataclass(frozen=True)
@@ -458,19 +475,28 @@ def _resolve_heads(stack: ModelStack, loss: LossSpec) -> tuple[int, ...]:
     return loss.ce_heads
 
 
-def _loss_terms(
+def _soft_target_head(stack: ModelStack, loss: LossSpec) -> int:
+    j = stack.final_head if loss.soft_target_head is None else loss.soft_target_head
+    if j not in stack.head_blocks:
+        raise ValueError(f"soft_target_head {j} not attached (heads {stack.head_blocks})")
+    return j
+
+
+def _loss_grads(
     stack: ModelStack,
     cache: dict,
     labels: np.ndarray | None,
     loss: LossSpec,
-) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray | None]:
-    """Per-client loss [K], d(loss)/d(logits) per head, d(loss)/d(embedding).
+) -> tuple[dict[int, np.ndarray], np.ndarray | None]:
+    """d(loss)/d(logits) per head and d(loss)/d(embedding); checks the
+    labels and soft targets.
 
     Every term is a mean over each client's own n batch rows, so the
     learning rate does not depend on the batch size and the K clients'
     gradients do not mix.
     """
-    k, n = cache["x"].shape[:2]
+    k = stack.vector.shape[0]
+    n = cache["x"].shape[-2]
     c = stack.spec.num_classes
     ce_heads = _resolve_heads(stack, loss)
     needs_labels = bool(ce_heads) or loss.proto_weight != 0.0
@@ -480,18 +506,16 @@ def _loss_terms(
         labels = np.asarray(labels)
         if labels.shape != (k * n,):
             raise ShapeError(f"labels must be [{k * n}], got {labels.shape}")
-        if labels.min() < 0 or labels.max() >= c:
+        if labels.size and (labels.min() < 0 or labels.max() >= c):
             raise ValueError(f"labels must lie in [0, {c})")
         rows = np.arange(k * n)
 
-    total = np.zeros(k)
     dlogits: dict[int, np.ndarray] = {j: np.zeros_like(cache["logits"][j]) for j in stack.head_blocks}
 
     logps: dict[int, np.ndarray] = {}
     for j in ce_heads:
         logp, grad = _log_softmax_and_softmax(cache["logits"][j])
         logps[j] = logp
-        total -= logp.reshape(-1, c)[rows, labels].reshape(k, n).mean(axis=1)
         grad.reshape(-1, c)[rows, labels] -= 1.0
         dlogits[j] += grad / n
 
@@ -504,49 +528,70 @@ def _loss_terms(
                     continue
                 # KL(p_i || stopgrad(p_j)); gradient flows into head i only.
                 diff = logps[i] - logps[j]
-                kl = (ps[i] * diff).sum(axis=2)
-                total += lam * kl.mean(axis=1)
+                kl = (ps[i] * diff).sum(axis=-1)
                 dlogits[i] += lam / n * ps[i] * (diff - kl[..., None])
 
     demb: np.ndarray | None = None
     if loss.proto_weight != 0.0:
         if loss.proto_targets is None:
             raise ValueError("proto_weight set without proto_targets")
-        labels = labels.reshape(k, n)
+        emb = cache["neck"][stack.final_head]
+        labels = labels.reshape(emb.shape[:-1])
         targets = loss.proto_targets[labels]
         mask = (
-            np.ones((k, n))
+            np.ones(labels.shape)
             if loss.proto_mask is None
             else loss.proto_mask[labels].astype(float)
         )
-        emb = cache["neck"][stack.final_head]
         diff = emb - targets
-        total += loss.proto_weight * (mask * (diff * diff).sum(axis=2)).mean(axis=1)
         demb = loss.proto_weight * 2.0 / n * mask[..., None] * diff
 
     if loss.soft_targets is not None:
-        j = stack.final_head if loss.soft_target_head is None else loss.soft_target_head
-        if j not in stack.head_blocks:
-            raise ValueError(f"soft_target_head {j} not attached (heads {stack.head_blocks})")
+        j = _soft_target_head(stack, loss)
         t = loss.soft_targets
         if t.shape != (k * n, c):
             raise ShapeError(f"soft_targets must be {(k * n, c)}, got {t.shape}")
-        t = t.reshape(k, n, c)
-        logp, probs = _log_softmax_and_softmax(cache["logits"][j])
-        total -= (t * logp).sum(axis=2).mean(axis=1)
-        dlogits[j] += (probs - t) / n
+        z = cache["logits"][j]
+        dlogits[j] += (softmax(z) - t.reshape(z.shape)) / n
 
-    return total, dlogits, demb
+    return dlogits, demb
 
 
-def _backward_walk(stack: ModelStack, batch: np.ndarray, labels: np.ndarray | None, loss: LossSpec) -> np.ndarray:
+def _loss_value(stack: ModelStack, cache: dict, labels: np.ndarray | None, loss: LossSpec) -> float:
+    """The loss `_loss_grads` differentiates, for a stack of one: every
+    term a mean over the batch rows. Expects inputs `_loss_grads` accepts."""
+    ce_heads = _resolve_heads(stack, loss)
+    labels = None if labels is None else np.asarray(labels)
+    logps = {j: _log_softmax_and_softmax(cache["logits"][j])[0] for j in ce_heads}
+    value = 0.0
+    for j in ce_heads:
+        value -= logps[j][np.arange(labels.size), labels].mean()
+    if loss.distill_weight != 0.0 and len(ce_heads) > 1:
+        ps = {j: np.exp(logps[j]) for j in ce_heads}
+        for i in ce_heads:
+            for j in ce_heads:
+                if i != j:
+                    value += loss.distill_weight * (ps[i] * (logps[i] - logps[j])).sum(axis=-1).mean()
+    if loss.proto_weight != 0.0:
+        diff = cache["neck"][stack.final_head] - loss.proto_targets[labels]
+        sq = (diff * diff).sum(axis=-1)
+        if loss.proto_mask is not None:
+            sq = loss.proto_mask[labels] * sq
+        value += loss.proto_weight * sq.mean()
+    if loss.soft_targets is not None:
+        logp = _log_softmax_and_softmax(cache["logits"][_soft_target_head(stack, loss)])[0]
+        value -= (loss.soft_targets * logp).sum(axis=-1).mean()
+    return float(value)
+
+
+def _backward_walk(stack: ModelStack, batch: np.ndarray, labels: np.ndarray | None, loss: LossSpec) -> dict:
     """Every gradient entry of the K stacked models into `stack.grads`;
-    returns the per-client losses [K]."""
+    returns the forward cache."""
     p = stack.params
     g = stack.grads
     layout = stack.layout
     cache = _run_forward(stack, batch)
-    total, dlogits, demb = _loss_terms(stack, cache, labels, loss)
+    dlogits, demb = _loss_grads(stack, cache, labels, loss)
 
     trunk = cache["h"]
     # Gradient w.r.t. the trunk activation after block i; heads join it
@@ -556,24 +601,26 @@ def _backward_walk(stack: ModelStack, batch: np.ndarray, labels: np.ndarray | No
         if i in layout.heads:
             neck_w, neck_b, fc_w, fc_b = layout.heads[i]
             dz = dlogits[i]
-            np.matmul(cache["neck"][i].transpose(0, 2, 1), dz, out=g[fc_w])
-            dz.sum(axis=1, out=g[fc_b])
-            dneck = dz @ p[fc_w].transpose(0, 2, 1)
+            np.matmul(cache["neck"][i].swapaxes(-1, -2), dz, out=g[fc_w])
+            dz.sum(axis=-2, out=g[fc_b])
+            dneck = dz @ p[fc_w].swapaxes(-1, -2)
             if demb is not None and i == stack.final_head:
                 dneck = dneck + demb
-            np.matmul(trunk[i].transpose(0, 2, 1), dneck, out=g[neck_w])
-            dneck.sum(axis=1, out=g[neck_b])
-            dh = dh + dneck @ p[neck_w].transpose(0, 2, 1)
+            np.matmul(trunk[i].swapaxes(-1, -2), dneck, out=g[neck_w])
+            dneck.sum(axis=-2, out=g[neck_b])
+            dh = dh + dneck @ p[neck_w].swapaxes(-1, -2)
         d = dh
-        for (w, b), (a, z) in zip(reversed(layout.blocks[i - 1]), reversed(cache["steps"][i - 1])):
-            dz = d * (z > 0)
-            np.matmul(a.transpose(0, 2, 1), dz, out=g[w])
-            dz.sum(axis=1, out=g[b])
-            d = dz @ p[w].transpose(0, 2, 1)
+        acts = cache["acts"][i - 1]
+        inputs = [trunk[i - 1], *acts[:-1]]
+        for (w, b), x, a in zip(reversed(layout.blocks[i - 1]), reversed(inputs), reversed(acts)):
+            dz = d * (a > 0)
+            np.matmul(x.swapaxes(-1, -2), dz, out=g[w])
+            dz.sum(axis=-2, out=g[b])
+            d = dz @ p[w].swapaxes(-1, -2)
         dh = d + dh if layout.residual else d
-    np.matmul(cache["x"].transpose(0, 2, 1), dh, out=g["stem.w"])
-    dh.sum(axis=1, out=g["stem.b"])
-    return total
+    np.matmul(cache["x"].swapaxes(-1, -2), dh, out=g["stem.w"])
+    dh.sum(axis=-2, out=g["stem.b"])
+    return cache
 
 
 def backward(
@@ -582,7 +629,7 @@ def backward(
     labels: np.ndarray | None,
     loss: LossSpec,
     out: ParamViews | None = None,
-) -> tuple[float, ParamViews] | tuple[np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[float, ParamViews] | tuple[None, dict[str, np.ndarray]]:
     """Exact gradient of the loss w.r.t. every parameter.
 
     For one model: `batch` is [n, d] and the result is (loss value,
@@ -591,15 +638,18 @@ def backward(
 
     For a `ModelStack` of K: `batch` is [K*n, d], the K clients' rows
     concatenated, with labels [K*n] and soft targets [K*n, c]. The result is
-    (per-client losses [K], the stack's `grads`), written into its `grad`
-    buffer. Each client's loss and gradient are those of a call on that
-    client alone.
+    (None, the stack's `grads`), written into its `grad` buffer: a stack is
+    `train_local`'s step, which reads only the gradients, so no loss value
+    is computed. Each client's gradient is that of a call on that client
+    alone.
     """
     if isinstance(model, ModelStack):
-        return _backward_walk(model, batch, labels, loss), model.grads
+        _backward_walk(model, batch, labels, loss)
+        return None, model.grads
     grads = gradient_buffer(model) if out is None else out
     stack = ModelStack(model.spec, model.head_blocks, model.vector[None], grads.vector[None])
-    return float(_backward_walk(stack, batch, labels, loss)[0]), grads
+    cache = _backward_walk(stack, batch, labels, loss)
+    return _loss_value(stack, cache, labels, loss), grads
 
 
 def gradient_buffer(model: BlockNetModel) -> ParamViews:
@@ -718,4 +768,4 @@ def predict(model: BlockNetModel, features: np.ndarray) -> np.ndarray:
     Only the trunk and the deepest head are computed.
     """
     logits = _run_forward(model.stack, features, (model.final_head,))["logits"][model.final_head]
-    return np.argmax(logits[0], axis=1)
+    return logits.argmax(axis=1)

@@ -21,6 +21,16 @@ FjORD nested-width index vector with its nested model, drawn per client
 group per segmentation). FedProto and Fed-ET train and distill one group
 per architecture.
 
+Evaluation follows the same rule: a width or depth strategy extracts each
+variant's evaluation sub-model once per (state, eval round) and hands that
+one object to every client of the variant; FedRolex's window moves with
+the round, so its sub-models are extracted afresh each eval round.
+
+Every trained group and every aggregate (the normalized global model,
+FedProto's prototypes) is checked finite; a non-finite value raises
+`DivergenceError` naming the strategy, the round, the owner and the
+parameter.
+
 Where the published descriptions of the cited methods include extras that
 do not change the resource trade-off being measured (InclusiveFL's momentum
 distillation, Fed-ET's diversity regularizer), those extras are omitted;
@@ -234,6 +244,8 @@ class Strategy:
         raise NotImplementedError
 
     def client_eval_model(self, state, client_id: int, round_index: int) -> BlockNetModel:
+        """The model a client is scored on. It may be shared with other
+        clients, so callers only read it."""
         raise NotImplementedError
 
     def evaluate_global(self, state, features: np.ndarray, labels: np.ndarray) -> float:
@@ -267,18 +279,21 @@ class Strategy:
             [ctx.clients[cid].data_indices for cid in client_ids],
             moves,
         )
-        self._check_finite(stack, [f"client {cid}" for cid in client_ids], round_index)
+        owners = [f"client {cid}" for cid in client_ids]
+        self._check_finite(stack.vector, owners, round_index, stack.layout.key_at)
         return stack
 
-    def _check_finite(self, stack: ModelStack, owners: list[str], round_index: int) -> None:
-        """Raise DivergenceError naming the first stacked model with a
-        non-finite parameter."""
-        if np.isfinite(stack.vector).all():
+    def _check_finite(
+        self, values: np.ndarray, owners: list[str], round_index: int, name: Callable[[int], str]
+    ) -> None:
+        """Raise DivergenceError naming the owner of the first row of the
+        2-D `values` with a non-finite entry, and `name(column)` of that
+        entry."""
+        if np.isfinite(values).all():
             return
-        row, coord = np.argwhere(~np.isfinite(stack.vector))[0]
-        key = next(key for key, (start, stop, _) in stack.layout.slots.items() if start <= coord < stop)
+        row, col = np.argwhere(~np.isfinite(values))[0]
         raise DivergenceError(
-            f"{self.id}: round {round_index}: {owners[row]} diverged; parameter {key} is not finite"
+            f"{self.id}: round {round_index}: {owners[row]} diverged; parameter {name(col)} is not finite"
         )
 
     def _artifacts(self, sampled: list[int], uploaded_numbers: dict[int, int]) -> RoundArtifacts:
@@ -305,7 +320,12 @@ class _PartialAveragingStrategy(Strategy):
     def _extract(
         self, model: BlockNetModel, client: ClientState, round_index: int
     ) -> tuple[BlockNetModel, SubModelMap]:
-        """The sub-model a client trains and is evaluated on, and its map."""
+        """The sub-model a client trains and is evaluated on, and its map.
+
+        Reads `client` only through `client.variant`, and the round only
+        where the sub-model moves with it (FedRolex's window):
+        `client_eval_model` shares one result among a variant's clients.
+        """
         raise NotImplementedError
 
     def _client_loss(self, sub: BlockNetModel) -> LossSpec:
@@ -340,13 +360,30 @@ class _PartialAveragingStrategy(Strategy):
             scatter_update(acc, params, smap, self.ctx.client_weight(cid))
             uploaded[cid] = int(smap.index.size)
         new_global = normalize(acc, state)
+        # A weighted mean of finite uploads can still overflow.
+        self._check_finite(new_global.vector[None], ["the aggregate"], round_index, acc.layout.key_at)
         return new_global, self._artifacts(ordered, uploaded)
 
     def global_eval_model(self, state) -> BlockNetModel:
         return state
 
+    # (state, round, variant id -> eval sub-model) of the last eval round.
+    _eval_models: tuple[object, int, dict[str, BlockNetModel]] | None = None
+
     def client_eval_model(self, state, client_id, round_index):
-        return self._extract(state, self.ctx.clients[client_id], round_index)[0]
+        """The client's evaluation sub-model. `_extract` reads a client only
+        through its variant, so every client of a variant gets the same
+        object, extracted once per (state, eval round); it is shared and
+        read-only."""
+        memo = self._eval_models
+        if memo is None or memo[0] is not state or memo[1] != round_index:
+            memo = self._eval_models = (state, round_index, {})
+        client = self.ctx.clients[client_id]
+        models = memo[2]
+        model = models.get(client.variant.variant_id)
+        if model is None:
+            model = models[client.variant.variant_id] = self._extract(state, client, round_index)[0]
+        return model
 
 
 class SHeteroFL(_PartialAveragingStrategy):
@@ -538,6 +575,9 @@ class FedProto(Strategy):
             compute_prototypes(models[cid], *self.ctx.client_data(cid), num_classes) for cid in ordered
         ]
         agg_vec, agg_support = aggregate_prototypes(uploads)
+        dim = agg_vec.shape[1]
+        self._check_finite(agg_vec.reshape(1, -1), ["the aggregate"], round_index,
+                           lambda col: f"prototype[{col // dim}]")
         fresh = agg_support > 0
         vectors = np.where(fresh[:, None], agg_vec, state.proto_vectors)
         mask = state.proto_mask | fresh
@@ -609,7 +649,7 @@ class FedET(Strategy):
             LossSpec(ce_heads=(), soft_targets=softmax(consensus)),
             [self.ctx.server_rng(round_index)],
         )
-        self._check_finite(stack, ["the server model"], round_index)
+        self._check_finite(stack.vector, ["the server model"], round_index, stack.layout.key_at)
         server = stack.models()[0]
 
         # Every client distills from the same public rows, so one
@@ -622,7 +662,8 @@ class FedET(Strategy):
                 LossSpec(ce_heads=(), soft_targets=teacher),
                 [self.ctx.client_rng(cid, round_index, seeding.LANE_DISTILL) for cid in cids],
             )
-            self._check_finite(stack, [f"client {cid}" for cid in cids], round_index)
+            owners = [f"client {cid}" for cid in cids]
+            self._check_finite(stack.vector, owners, round_index, stack.layout.key_at)
             models.update(zip(cids, stack.models()))
 
         uploaded = {cid: int(models[cid].vector.size) for cid in ordered}

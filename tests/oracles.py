@@ -32,7 +32,7 @@ from hetfed.nn import (
     BlockNetSpec,
     LossSpec,
     SGDConfig,
-    _loss_terms,
+    _loss_value,
     _run_forward,
     backward,
     param_layout,
@@ -416,7 +416,7 @@ def loss_value(
 ) -> float:
     """The scalar loss `backward` differentiates, without the gradients."""
     cache = _run_forward(model.stack, batch)
-    return float(_loss_terms(model.stack, cache, labels, loss)[0][0])
+    return _loss_value(model.stack, cache, labels, loss)
 
 
 def check_roundtrip(model: BlockNetModel, sub: BlockNetModel, smap: SubModelMap) -> bool:

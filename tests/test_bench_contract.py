@@ -143,6 +143,17 @@ class TestBenchContract:
         assert all(coords > 0 for coords in stats["extract.scatter_update"].extras)
         assert [job[1] for job in tracer.jobs] == ["sheterofl", "depthfl", "fedepth", "fedet"]
 
+    def test_eval_calls_once_per_client_per_eval_round(self, traced_runs):
+        # The bench's coverage check: every job scores every client once
+        # per eval round (rounds 1 and 2 at cadence 1), plus one global
+        # evaluation per eval round (none of these runs is fedproto).
+        _, _, tracer, _, _ = traced_runs
+        clients, eval_rounds = 4, 2
+        for job in range(len(tracer.jobs)):
+            names = [span[0] for span in tracer.spans if span[4] == job]
+            assert names.count("strategies.client_eval_model") == clients * eval_rounds
+            assert names.count("metrics.model_accuracy") == clients * eval_rounds + eval_rounds
+
     def test_job_clock_sees_every_job(self, traced_runs):
         _, clock, _, _, _ = traced_runs
         assert [job.strategy for job in clock.jobs] == ["sheterofl", "depthfl", "fedepth", "fedet"]

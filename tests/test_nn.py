@@ -382,15 +382,20 @@ class TestTraining:
 class TestLockstep:
     """K clients stacked into one walk must each get the bits they get alone."""
 
+    # Training batch lengths, then evaluation and public-split row counts.
+    ROWS = (*range(1, 40), 64, 100, 255, 400, 512)
+
     def test_numpy_stacked_calls_match_2d_bit_for_bit(self):
-        # The lockstep engine relies on the installed numpy giving each
-        # client of a stacked `matmul`, a transposed stacked `matmul` and an
-        # axis-1 sum the same bits as the 2-D call on that client alone, on
-        # the engine's operand layouts: weights and gradients as strided
-        # views of one (K, size) buffer. A numpy whose batched kernels sum
-        # in another order fails here first.
+        # The walk relies on the installed numpy giving each client of a
+        # stacked `matmul`, a transposed stacked `matmul` and an axis sum the
+        # same bits as the 2-D call a stack of one makes on that client
+        # alone, on the engine's operand layouts: weights and gradients as
+        # views of one (K, size) buffer, strided at K >= 2 and contiguous
+        # rows at K = 1, transposed with `swapaxes(-1, -2)` and summed with
+        # `sum(axis=-2)` at both ranks. A numpy whose batched kernels sum in
+        # another order fails here first.
         rng = np.random.default_rng(2025)
-        for b in range(1, 40):
+        for b in self.ROWS:
             for i in range(1, 20):
                 o = (7 * i + b) % 19 + 1
                 k = (b + i) % 10 + 1
@@ -402,14 +407,25 @@ class TestLockstep:
                 gw = grad[:, 1:1 + i * o].reshape((k, i, o), copy=False)
                 gb = grad[:, 1 + i * o:1 + i * o + o]
                 out = np.matmul(a, w)
-                back = np.matmul(dz, w.transpose(0, 2, 1))
-                np.matmul(a.transpose(0, 2, 1), dz, out=gw)
-                dz.sum(axis=1, out=gb)
+                back = np.matmul(dz, w.swapaxes(-1, -2))
+                np.matmul(a.swapaxes(-1, -2), dz, out=gw)
+                dz.sum(axis=-2, out=gb)
+                assert np.array_equal(back, np.matmul(dz, w.transpose(0, 2, 1)))
+                assert np.array_equal(gb, dz.sum(axis=1))
                 for c in range(k):
-                    w2 = w[c].copy()
+                    # The views of a one-row stack over client c's row.
+                    w2 = params[c, 3:3 + i * o].reshape((i, o), copy=False)
+                    grad2 = np.empty(i * o + o + 2)
+                    gw2 = grad2[1:1 + i * o].reshape((i, o), copy=False)
+                    gb2 = grad2[1 + i * o:1 + i * o + o]
+                    np.matmul(a[c].swapaxes(-1, -2), dz[c], out=gw2)
+                    dz[c].sum(axis=-2, out=gb2)
                     assert np.array_equal(out[c], a[c] @ w2), (b, i, o, k)
-                    assert np.array_equal(back[c], dz[c] @ w2.T), (b, i, o, k)
+                    assert np.array_equal(back[c], dz[c] @ w2.swapaxes(-1, -2)), (b, i, o, k)
+                    assert np.array_equal(back[c], dz[c] @ w2.copy().T), (b, i, o, k)
+                    assert np.array_equal(gw[c], gw2), (b, i, o, k)
                     assert np.array_equal(gw[c], a[c].T @ dz[c]), (b, i, o, k)
+                    assert np.array_equal(gb[c], gb2), (b, i, o, k)
                     assert np.array_equal(gb[c], dz[c].sum(axis=0)), (b, i, o, k)
 
     @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
@@ -431,14 +447,13 @@ class TestLockstep:
                          proto_mask=np.array([True, False, True]))),
             (None, LossSpec(ce_heads=(), soft_targets=soft, soft_target_head=2)),
         ):
-            totals, grads = nn.backward(stack, x, labels, loss)
-            assert grads is stack.grads
+            none, grads = nn.backward(stack, x, labels, loss)
+            assert none is None and grads is stack.grads
             for c, model in enumerate(models):
                 rows = slice(c * n, (c + 1) * n)
-                alone_loss, alone = nn.backward(
-                    model, x[rows], None if labels is None else labels[rows], loss.slice_batch(rows)
-                )
-                assert totals[c] == alone_loss
+                client_labels = None if labels is None else labels[rows]
+                alone_loss, alone = nn.backward(model, x[rows], client_labels, loss.slice_batch(rows))
+                assert alone_loss == loss_value(model, x[rows], client_labels, loss.slice_batch(rows))
                 assert np.array_equal(stack.grad[c], alone.vector)
 
     def test_train_local_stack_matches_each_client_alone(self):
@@ -461,13 +476,42 @@ class TestLockstep:
     @pytest.mark.parametrize("kind", ["plain", "bottleneck"])
     def test_stack_views_write_into_the_stacked_arrays(self, kind):
         spec = BlockNetSpec(5, 8, 2, kind, 3, 6)
-        size = nn.param_layout(spec, (1, 2)).size
-        vectors, grad = np.zeros((3, size)), np.zeros((3, size))
-        stack = nn.ModelStack(spec, (1, 2), vectors, grad)
-        for views, target in ((stack.params, vectors), (stack.grads, grad)):
-            for view in views.values():
-                view[...] = 1.0
-            assert np.all(target == 1.0)
+        layout = nn.param_layout(spec, (1, 2))
+        for k in (1, 3):
+            vectors, grad = np.zeros((k, layout.size)), np.zeros((k, layout.size))
+            stack = nn.ModelStack(spec, (1, 2), vectors, grad)
+            for views, target in ((stack.params, vectors), (stack.grads, grad)):
+                for key, view in views.items():
+                    # A stack of one runs on 2-D operands.
+                    shape = layout.slots[key][2]
+                    if k > 1:
+                        shape = (k, *shape) if len(shape) == 2 or views is stack.grads else (k, 1, *shape)
+                    assert view.shape == shape, (k, key)
+                    view[...] = 1.0
+                assert np.all(target == 1.0)
+
+    def test_train_local_and_backward_reject_out_of_range_labels(self):
+        spec = small_spec(num_classes=3)
+        model = nn.init_model(spec, np.random.default_rng(0))
+        x = np.zeros((6, 4))
+        cfg = SGDConfig(learning_rate=0.1, batch_size=2)
+        rows = [np.arange(0, 3), np.arange(3, 6)]
+        vectors = np.stack([model.vector, model.vector])
+        pair = nn.ModelStack(spec, model.head_blocks, vectors, np.empty_like(vectors))
+        for bad in (3, -1):
+            y = np.array([0, 1, 2, 0, 1, bad])
+            with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
+                nn.backward(model, x, y, LossSpec())
+            with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
+                nn.backward(pair, x, y, LossSpec())
+            with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
+                nn.train_local(model, x, y, cfg, LossSpec(), np.random.default_rng(1))
+            with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
+                nn.train_local([model, model], x, y, cfg, LossSpec(),
+                               [np.random.default_rng(s) for s in (1, 2)], rows)
+            # Rows no client trains on are not read.
+            nn.train_local(model, x[:5], y[:5], cfg, LossSpec(), np.random.default_rng(1))
+            nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)], rows[:1])
 
     def test_batch_rows_must_split_into_the_stack(self):
         spec = small_spec()

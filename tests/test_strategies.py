@@ -1,10 +1,13 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hetfed import nn, seeding, strategies
 from hetfed.datasets import gen_synthetic
+from hetfed.extract import select_channels
+from hetfed.metrics import model_accuracy
 from hetfed.nn import BlockNetSpec, SGDConfig
 from hetfed.resources import DeviceProfile, PoolConfig, build_pool, fedepth_segments, segment_memory
 from hetfed.strategies import (
@@ -19,7 +22,16 @@ from hetfed.strategies import (
     sample_clients,
 )
 
-from oracles import fedepth_reference_client, fedepth_segment_keys, fjord_reference_client, reference_round
+from oracles import (
+    depth_entries,
+    fedepth_reference_client,
+    fedepth_segment_keys,
+    fjord_reference_client,
+    model_from_params,
+    reference_extract,
+    reference_round,
+    width_entries,
+)
 
 SPEC = BlockNetSpec(input_dim=6, hidden_dim=8, num_blocks=3, block_kind="plain",
                     num_classes=3, proto_dim=8)
@@ -271,6 +283,95 @@ class TestDivergence:
         pattern = rf"^{strategy_id}: round 3: client [0-3] diverged; parameter \S+ is not finite$"
         with pytest.raises(DivergenceError, match=pattern):
             strategy.run_round(strategy.initial_state(), [0, 1, 2, 3], 3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("strategy_id,level", [
+        ("sheterofl", "width"), ("depthfl", "depth"), ("fedepth", "depth"),
+    ])
+    def test_overflowing_aggregate_raises(self, strategy_id, level):
+        # Head biases near the float64 maximum train and upload finite, but
+        # the sample-count weighted sum of the uploads overflows.
+        ctx = make_ctx(strategy_id, level, alternating)
+        strategy = make_strategy(strategy_id, ctx)
+        state = strategy.initial_state()
+        for j in state.head_blocks:
+            state.params[f"head{j}.fc.b"][:] = 1e308
+        pattern = rf"^{strategy_id}: round 3: the aggregate diverged; parameter head\d\.fc\.b is not finite$"
+        with pytest.raises(DivergenceError, match=pattern):
+            strategy.run_round(state, [0, 1, 2, 3], 3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_overflowing_prototype_aggregate_raises(self, monkeypatch):
+        ctx = make_ctx("fedproto", "topology", alternating)
+        strategy = make_strategy("fedproto", ctx)
+        dim = ctx.base_spec.proto_dim
+
+        def huge_prototypes(model, features, labels, num_classes):
+            return np.full((num_classes, dim), 1e308), np.full(num_classes, 2.0)
+
+        monkeypatch.setattr(strategies, "compute_prototypes", huge_prototypes)
+        pattern = r"^fedproto: round 3: the aggregate diverged; parameter prototype\[0\] is not finite$"
+        with pytest.raises(DivergenceError, match=pattern):
+            strategy.run_round(strategy.initial_state(), [0, 1], 3)
+
+
+class TestEvalModels:
+    """Every client of a variant is scored on one sub-model per (state, eval
+    round): the one a fresh per-parameter extraction gives."""
+
+    CASES = [
+        ("sheterofl", "width"), ("fedrolex", "width"), ("fjord", "width"),
+        ("depthfl", "depth"), ("inclusivefl", "depth"),
+    ]
+
+    @staticmethod
+    def reference(strategy_id, level, state, variant, round_index):
+        spec = state.spec
+        if level == "width":
+            mode = "rolling" if strategy_id == "fedrolex" else "static_prefix"
+            channels = select_channels(spec.hidden_dim, variant.rate, mode, round_index)
+            entries = width_entries(spec, state.head_blocks, channels)
+            sub_spec, heads = replace(spec, hidden_dim=channels.size), state.head_blocks
+        else:
+            aux = strategy_id == "depthfl"
+            entries = depth_entries(state, variant.depth, aux)
+            sub_spec = replace(spec, num_blocks=variant.depth)
+            heads = tuple(j for j in state.head_blocks if j <= variant.depth) if aux else (variant.depth,)
+        return model_from_params(sub_spec, heads, reference_extract(state, entries))
+
+    @pytest.mark.parametrize("strategy_id,level", CASES)
+    def test_clients_of_a_variant_share_one_model(self, strategy_id, level):
+        ctx = make_ctx(strategy_id, level, alternating, num_clients=6)
+        strategy = make_strategy(strategy_id, ctx)
+        state, _ = strategy.run_round(strategy.initial_state(), [0, 1, 2], 1)
+        models = {cid: strategy.client_eval_model(state, cid, 2) for cid in range(6)}
+        ids = {}
+        for cid, model in models.items():
+            ids.setdefault(ctx.clients[cid].variant.variant_id, set()).add(id(model))
+        assert len(ids) == 2 and all(len(found) == 1 for found in ids.values())
+        assert len({id(model) for model in models.values()}) == 2
+        x, y = ctx.train_features, ctx.train_labels
+        for cid, model in models.items():
+            reference = self.reference(strategy_id, level, state, ctx.clients[cid].variant, 2)
+            assert np.array_equal(model.vector, reference.vector)
+            assert model_accuracy(model, x, y) == model_accuracy(reference, x, y)
+
+    @pytest.mark.parametrize("strategy_id,level", CASES)
+    def test_new_state_or_round_gives_fresh_models(self, strategy_id, level):
+        ctx = make_ctx(strategy_id, level, alternating)
+        strategy = make_strategy(strategy_id, ctx)
+        state = strategy.initial_state()
+        first = strategy.client_eval_model(state, 1, 2)
+        assert strategy.client_eval_model(state, 3, 2) is first
+        copy = state.copy()
+        fresh = strategy.client_eval_model(copy, 3, 2)
+        assert fresh is not first and np.array_equal(fresh.vector, first.vector)
+        later = strategy.client_eval_model(copy, 3, 3)
+        assert later is not fresh
+        # Only FedRolex's window moves with the round.
+        assert np.array_equal(later.vector, fresh.vector) == (strategy_id != "fedrolex")
+        reference = self.reference(strategy_id, level, copy, ctx.clients[3].variant, 3)
+        assert np.array_equal(later.vector, reference.vector)
 
 
 class TestWidthFamily:
