@@ -1,9 +1,9 @@
 """Command line entry point.
 
 Subcommands: run, sweep, pool, partition, report. Exit codes: 0 success,
-2 config error, 3 infeasible scenario, 4 I/O error, 5 diverged training.
-HETFED_SEED and HETFED_OUT override the config's master_seed and
-output_dir.
+2 config error, 3 infeasible scenario, 4 I/O error or a report input that
+is not a hetfed summary, 5 diverged training. HETFED_SEED and HETFED_OUT
+override the config's master_seed and output_dir.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .config import ConfigError, ExperimentConfig, load_config, resolve_config
 from .resources import InfeasibleScenarioError
 from .runner import (
     SWEEP_AXES,
+    SummaryError,
     format_report,
     load_summaries,
     partition_csv,
@@ -116,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleScenarioError as exc:
         print(f"infeasible scenario: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (OSError, FileNotFoundError) as exc:
+    except (OSError, SummaryError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DivergenceError as exc:

@@ -5,8 +5,9 @@ depth extraction keeps a block prefix plus the heads that survive. Every
 extraction returns a `SubModelMap`: per parameter, the source indices each
 sub-model axis keeps, compiled once into one flat index vector that lists
 the source coordinate of every sub-model coordinate. Extraction is a `take`
-of the source vector, and scattering client updates back into global
-coordinates is exact bookkeeping rather than heuristics.
+of the source vector, and scattering client updates (each its trained
+model's views) back into global coordinates is exact bookkeeping rather
+than heuristics.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class SubModelMap:
     """Global coordinates of every sub-model parameter.
 
     spec, head_set: the sub-model's architecture and retained heads.
-    depth_prefix: number of retained blocks.
     entries: param key -> per-axis kept source indices (None = whole axis).
     source: layout of the model the map was compiled against.
     index: read-only flat source coordinate of each sub-model coordinate,
@@ -42,10 +42,6 @@ class SubModelMap:
     entries: Mapping[str, AxisIndices] = field(repr=False)
     source: ParamLayout = field(repr=False)
     index: np.ndarray = field(repr=False)
-
-    @property
-    def depth_prefix(self) -> int:
-        return self.spec.num_blocks
 
     @property
     def layout(self) -> ParamLayout:
@@ -212,35 +208,19 @@ class Accumulator:
 
 
 def new_accumulator(reference: BlockNetModel) -> Accumulator:
-    return Accumulator(
-        reference.params.layout,
-        np.zeros_like(reference.vector),
-        np.zeros_like(reference.vector),
-    )
-
-
-def _flat_values(sub_params: Mapping[str, np.ndarray], layout: ParamLayout) -> np.ndarray:
-    """The sub-model's parameters as one vector in `layout` order."""
-    if isinstance(sub_params, ParamViews) and sub_params.layout is layout:
-        return sub_params.vector
-    if set(layout.slots) != set(sub_params):
-        raise ValueError("sub-model parameters do not match the map")
-    parts = []
-    for key, (_, _, shape) in layout.slots.items():
-        value = np.asarray(sub_params[key])
-        if value.shape != shape:
-            raise ValueError(f"{key}: sub shape {value.shape} does not match map region {shape}")
-        parts.append(value.ravel())
-    return np.concatenate(parts)
+    layout = param_layout(reference.spec, reference.head_blocks)
+    return Accumulator(layout, np.zeros(layout.size), np.zeros(layout.size))
 
 
 def scatter_update(
     acc: Accumulator,
-    sub_params: Mapping[str, np.ndarray],
+    sub_params: ParamViews,
     smap: SubModelMap,
     weight: float = 1.0,
 ) -> None:
-    """Add one client's parameters into the mapped global coordinates.
+    """Add one client's trained sub-model, given as its views
+    (`model.params`, laid out like the map's sub-model), into the mapped
+    global coordinates.
 
     Each touched coordinate receives weight * value and its weight counter
     grows by weight (weight is the client's sample count under
@@ -257,8 +237,9 @@ def scatter_update(
         raise ValueError("scatter weight must be positive")
     if smap.source is not acc.layout and smap.source.slots != acc.layout.slots:
         raise ValueError("the map was compiled for a different model than the accumulator")
-    values = _flat_values(sub_params, smap.layout)
-    acc.sums[smap.index] += weight * values
+    if sub_params.layout is not smap.layout and sub_params.layout.slots != smap.layout.slots:
+        raise ValueError("the sub-model parameters are not laid out like the map's sub-model")
+    acc.sums[smap.index] += weight * sub_params.vector
     acc.weights[smap.index] += weight
 
 

@@ -36,7 +36,7 @@ into views cached once per stack, per-client means over `reshape(k, n)`).
 A stacked batch is the K clients' rows concatenated, [K*n, d], with labels
 [K*n]; at K >= 2 the walk views it as [K, n, d], and it takes every loss
 mean over each client's own n rows. A single model is the stack of one
-(`BlockNetModel.stack`), so `forward`, `predict` and lone training run 2-D.
+(`BlockNetModel.stack`), so `forward` and `predict` run 2-D.
 Stacked matmul and axis sums give the same bits as the 2-D calls on each
 client, so a client's result does not depend on what it is stacked with.
 The forward adds biases and applies each ReLU in place and caches one
@@ -44,11 +44,12 @@ activation per linear, its output after the ReLU; the backward mask
 ``a > 0`` equals ``z > 0`` on the pre-activation, NaN included.
 
 Training is minibatch momentum-SGD on the flat vectors; `sgd_update` is the
-only place the update is written. `train_local` trains K clients in
-lockstep: each keeps its own rows, batch shuffles and rng, and a per-step
-hook (`Move`) can restrict a step to part of each vector. A step on a
-stack computes the gradients only; the loss value is computed for a single
-model's `backward`, which is what reads it.
+only place the update is written. A stack is the one operand of `backward`
+and `train_local`: `train_local` trains K clients (one alone is a stack of
+one) in lockstep, each with its own rows, batch shuffles and rng, and a
+per-step hook (`Move`) can restrict a step to part of each vector.
+`backward` computes the gradients only; nothing in the engine reads a loss
+value. One model's gradient and loss value live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -446,9 +447,8 @@ class LossSpec:
     proto_weight / proto_targets / proto_mask: weight on the squared L2
         pull of the embedding toward per-class target vectors; classes with
         a False mask entry are skipped.
-    soft_targets / soft_target_head: cross-entropy against fixed target
-        distributions on one head (distillation to a teacher); the head
-        defaults to the deepest one. One row per batch row.
+    soft_targets: cross-entropy against fixed target distributions on the
+        deepest head (distillation to a teacher). One row per batch row.
     """
 
     ce_heads: tuple[int, ...] | None = None
@@ -457,29 +457,12 @@ class LossSpec:
     proto_targets: np.ndarray | None = None
     proto_mask: np.ndarray | None = None
     soft_targets: np.ndarray | None = None
-    soft_target_head: int | None = None
 
     def slice_batch(self, idx: np.ndarray) -> "LossSpec":
         """Restrict per-sample tensors (soft targets) to a batch."""
         if self.soft_targets is None:
             return self
         return replace(self, soft_targets=self.soft_targets[idx])
-
-
-def _resolve_heads(stack: ModelStack, loss: LossSpec) -> tuple[int, ...]:
-    if loss.ce_heads is None:
-        return stack.head_blocks
-    for j in loss.ce_heads:
-        if j not in stack.head_blocks:
-            raise ValueError(f"loss references head {j}, model has {stack.head_blocks}")
-    return loss.ce_heads
-
-
-def _soft_target_head(stack: ModelStack, loss: LossSpec) -> int:
-    j = stack.final_head if loss.soft_target_head is None else loss.soft_target_head
-    if j not in stack.head_blocks:
-        raise ValueError(f"soft_target_head {j} not attached (heads {stack.head_blocks})")
-    return j
 
 
 def _loss_grads(
@@ -498,7 +481,9 @@ def _loss_grads(
     k = stack.vector.shape[0]
     n = cache["x"].shape[-2]
     c = stack.spec.num_classes
-    ce_heads = _resolve_heads(stack, loss)
+    ce_heads = stack.head_blocks if loss.ce_heads is None else loss.ce_heads
+    if not set(ce_heads) <= set(stack.head_blocks):
+        raise ValueError(f"loss references heads {ce_heads}, model has {stack.head_blocks}")
     needs_labels = bool(ce_heads) or loss.proto_weight != 0.0
     if needs_labels:
         if labels is None:
@@ -547,46 +532,29 @@ def _loss_grads(
         demb = loss.proto_weight * 2.0 / n * mask[..., None] * diff
 
     if loss.soft_targets is not None:
-        j = _soft_target_head(stack, loss)
         t = loss.soft_targets
         if t.shape != (k * n, c):
             raise ShapeError(f"soft_targets must be {(k * n, c)}, got {t.shape}")
+        j = stack.final_head
         z = cache["logits"][j]
         dlogits[j] += (softmax(z) - t.reshape(z.shape)) / n
 
     return dlogits, demb
 
 
-def _loss_value(stack: ModelStack, cache: dict, labels: np.ndarray | None, loss: LossSpec) -> float:
-    """The loss `_loss_grads` differentiates, for a stack of one: every
-    term a mean over the batch rows. Expects inputs `_loss_grads` accepts."""
-    ce_heads = _resolve_heads(stack, loss)
-    labels = None if labels is None else np.asarray(labels)
-    logps = {j: _log_softmax_and_softmax(cache["logits"][j])[0] for j in ce_heads}
-    value = 0.0
-    for j in ce_heads:
-        value -= logps[j][np.arange(labels.size), labels].mean()
-    if loss.distill_weight != 0.0 and len(ce_heads) > 1:
-        ps = {j: np.exp(logps[j]) for j in ce_heads}
-        for i in ce_heads:
-            for j in ce_heads:
-                if i != j:
-                    value += loss.distill_weight * (ps[i] * (logps[i] - logps[j])).sum(axis=-1).mean()
-    if loss.proto_weight != 0.0:
-        diff = cache["neck"][stack.final_head] - loss.proto_targets[labels]
-        sq = (diff * diff).sum(axis=-1)
-        if loss.proto_mask is not None:
-            sq = loss.proto_mask[labels] * sq
-        value += loss.proto_weight * sq.mean()
-    if loss.soft_targets is not None:
-        logp = _log_softmax_and_softmax(cache["logits"][_soft_target_head(stack, loss)])[0]
-        value -= (loss.soft_targets * logp).sum(axis=-1).mean()
-    return float(value)
+def backward(
+    stack: ModelStack,
+    batch: np.ndarray,
+    labels: np.ndarray | None,
+    loss: LossSpec,
+) -> dict[str, np.ndarray]:
+    """Exact gradient of the loss w.r.t. every parameter of K stacked
+    models, written into the stack's `grad` buffer; returns `stack.grads`.
 
-
-def _backward_walk(stack: ModelStack, batch: np.ndarray, labels: np.ndarray | None, loss: LossSpec) -> dict:
-    """Every gradient entry of the K stacked models into `stack.grads`;
-    returns the forward cache."""
+    `batch` is [K*n, d], the K clients' rows concatenated, with labels [K*n]
+    and soft targets [K*n, c]. Each client's gradient is that of a stack of
+    that client alone. No loss value is computed.
+    """
     p = stack.params
     g = stack.grads
     layout = stack.layout
@@ -620,41 +588,7 @@ def _backward_walk(stack: ModelStack, batch: np.ndarray, labels: np.ndarray | No
         dh = d + dh if layout.residual else d
     np.matmul(cache["x"].swapaxes(-1, -2), dh, out=g["stem.w"])
     dh.sum(axis=-2, out=g["stem.b"])
-    return cache
-
-
-def backward(
-    model: BlockNetModel | ModelStack,
-    batch: np.ndarray,
-    labels: np.ndarray | None,
-    loss: LossSpec,
-    out: ParamViews | None = None,
-) -> tuple[float, ParamViews] | tuple[None, dict[str, np.ndarray]]:
-    """Exact gradient of the loss w.r.t. every parameter.
-
-    For one model: `batch` is [n, d] and the result is (loss value,
-    gradient views laid out like model.params), written into `out` when
-    given (a `gradient_buffer` of the model) or into a new buffer.
-
-    For a `ModelStack` of K: `batch` is [K*n, d], the K clients' rows
-    concatenated, with labels [K*n] and soft targets [K*n, c]. The result is
-    (None, the stack's `grads`), written into its `grad` buffer: a stack is
-    `train_local`'s step, which reads only the gradients, so no loss value
-    is computed. Each client's gradient is that of a call on that client
-    alone.
-    """
-    if isinstance(model, ModelStack):
-        _backward_walk(model, batch, labels, loss)
-        return None, model.grads
-    grads = gradient_buffer(model) if out is None else out
-    stack = ModelStack(model.spec, model.head_blocks, model.vector[None], grads.vector[None])
-    cache = _backward_walk(stack, batch, labels, loss)
-    return _loss_value(stack, cache, labels, loss), grads
-
-
-def gradient_buffer(model: BlockNetModel) -> ParamViews:
-    """Uninitialised named views over one flat vector laid out like `model`."""
-    return ParamViews(np.empty_like(model.vector), model.params.layout)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -666,20 +600,18 @@ def sgd_update(
     momentum: np.ndarray,
     grad: np.ndarray,
     config: SGDConfig,
-    index=None,
+    index,
 ) -> None:
     """One momentum-SGD step in place: buf <- m*buf + g, p <- p - lr*buf.
 
-    `grad` covers the coordinates `vector[index]`: the whole vector when
-    `index` is None, otherwise any numpy index of `vector` (a slice for a
-    FeDepth segment, a flat index vector for a sub-model map, or their
-    row-wise forms on stacked vectors). Coordinates outside `index` do not
-    move.
+    `grad` covers the coordinates `vector[index]`, for any numpy index of
+    `vector`: `slice(None)` for all of it, a slice for a FeDepth segment, a
+    flat index vector for a sub-model map, or their row-wise forms on
+    stacked vectors. Coordinates outside `index` do not move.
     """
-    where = slice(None) if index is None else index
-    buf = config.momentum * momentum[where] + grad
-    momentum[where] = buf
-    vector[where] -= config.learning_rate * buf
+    buf = config.momentum * momentum[index] + grad
+    momentum[index] = buf
+    vector[index] -= config.learning_rate * buf
 
 
 class Move(NamedTuple):
@@ -702,31 +634,27 @@ _EVERY = (Move(),)
 
 
 def train_local(
-    models: BlockNetModel | Sequence[BlockNetModel],
+    models: Sequence[BlockNetModel],
     features: np.ndarray,
     labels: np.ndarray | None,
     config: SGDConfig,
     loss: LossSpec,
-    rngs: np.random.Generator | Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
     rows: Sequence[np.ndarray] | None = None,
     moves: Callable[[int], Sequence[Move]] | None = None,
-) -> BlockNetModel | ModelStack:
+) -> ModelStack:
     """Run `local_epochs` passes of minibatch momentum-SGD on K models of
-    one (spec, heads) in lockstep; returns the trained copies.
+    one (spec, heads) in lockstep, one rng each; returns the trained copies
+    as a `ModelStack`.
 
-    One model with one rng trains alone and comes back as a model; a
-    sequence of K comes back as a `ModelStack`. Client k trains on rows
-    `rows[k]` of `features` and `labels` (every row when `rows` is None);
-    all K have the same row count, so at every step each client has a
-    batch of the same length. Each client shuffles its rows once per pass
-    with its own rng, exactly as it would alone; all shuffles are drawn up
-    front. Soft targets in `loss` are indexed by row of `features`.
-    `moves(pass_index)` names what each step moves (see `Move`); by default
-    every coordinate of every client.
+    Client k trains on rows `rows[k]` of `features` and `labels` (every row
+    when `rows` is None); all K have the same row count, so at every step
+    each client has a batch of the same length. Each client shuffles its
+    rows once per pass with its own rng, exactly as it would alone; all
+    shuffles are drawn up front. Soft targets in `loss` are indexed by row
+    of `features`. `moves(pass_index)` names what each step moves (see
+    `Move`); by default every coordinate of every client.
     """
-    single = isinstance(models, BlockNetModel)
-    if single:
-        models, rngs = [models], [rngs]
     first = models[0]
     vectors = np.stack([m.vector for m in models])
     stack = ModelStack(first.spec, first.head_blocks, vectors, np.empty_like(vectors))
@@ -759,7 +687,7 @@ def train_local(
                 np.take(stack.vector[move.members], move.index, axis=1, out=sub.vector)
                 backward(sub, batch, y, step_loss)
                 sgd_update(stack.vector, momentum, sub.grad, config, np.ix_(move.members, move.index))
-    return stack.models()[0] if single else stack
+    return stack
 
 
 def predict(model: BlockNetModel, features: np.ndarray) -> np.ndarray:

@@ -302,15 +302,29 @@ METRIC_COLUMNS = (
 )
 
 
+class SummaryError(ValueError):
+    """A report input is not a hetfed summary.json."""
+
+
 def load_summaries(paths: list[str]) -> list[dict]:
+    """Each run's summary.json (the file or its run directory). One that is
+    not JSON (the message gives the line and column) or has no per-strategy
+    report metrics raises SummaryError naming the file."""
     summaries = []
     for path in paths:
         if os.path.isdir(path):
             path = os.path.join(path, "summary.json")
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing report input: {path}")
         with open(path, "r", encoding="utf-8") as fh:
-            summaries.append(json.load(fh))
+            try:
+                summary = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise SummaryError(f"{path}: not valid JSON: {exc}") from None
+        strategies = summary.get("strategies") if isinstance(summary, dict) else None
+        if not isinstance(strategies, dict) or not all(
+            isinstance(m, dict) and all(name in m for name, _ in METRIC_COLUMNS) for m in strategies.values()
+        ):
+            raise SummaryError(f"{path}: not a hetfed summary: no per-strategy metrics under 'strategies'")
+        summaries.append(summary)
     return summaries
 
 

@@ -373,8 +373,8 @@ class _PartialAveragingStrategy(Strategy):
     def client_eval_model(self, state, client_id, round_index):
         """The client's evaluation sub-model. `_extract` reads a client only
         through its variant, so every client of a variant gets the same
-        object, extracted once per (state, eval round); it is shared and
-        read-only."""
+        object, extracted once per (state, eval round); it is shared, and
+        its vector is read-only."""
         memo = self._eval_models
         if memo is None or memo[0] is not state or memo[1] != round_index:
             memo = self._eval_models = (state, round_index, {})
@@ -383,6 +383,7 @@ class _PartialAveragingStrategy(Strategy):
         model = models.get(client.variant.variant_id)
         if model is None:
             model = models[client.variant.variant_id] = self._extract(state, client, round_index)[0]
+            model.vector.setflags(write=False)
         return model
 
 
@@ -477,11 +478,27 @@ class InclusiveFL(_PartialAveragingStrategy):
         return extract_depth(model, client.variant.depth, with_aux_heads=False)
 
 
-class FeDepth(_PartialAveragingStrategy):
-    """Full-model training in memory-sized block segments: blocks are
-    partitioned so each segment's footprint fits the client's memory, the
-    segments train one after another with everything else frozen, and the
-    full model is uploaded for plain FedAvg."""
+class FedAvg(_PartialAveragingStrategy):
+    """Plain FedAvg over a single homogeneous variant (full or smallest)."""
+
+    id = "fedavg_full"
+
+    def _extract(self, model, client, round_index):
+        return model, full_map(model)
+
+    def client_eval_model(self, state, client_id, round_index):
+        return state
+
+
+class FedAvgSmallest(FedAvg):
+    id = "fedavg_smallest"
+
+
+class FeDepth(FedAvg):
+    """FedAvg with full-model training in memory-sized block segments:
+    blocks are partitioned so each segment's footprint fits the client's
+    memory, the segments train one after another with everything else
+    frozen, and the full model is uploaded for plain FedAvg."""
 
     id = "fedepth"
 
@@ -505,25 +522,6 @@ class FeDepth(_PartialAveragingStrategy):
             config, lambda pass_index: steps[pass_index // epochs],
         )
         return stack, full_map(global_model)
-
-    def client_eval_model(self, state, client_id, round_index):
-        return state
-
-
-class FedAvg(_PartialAveragingStrategy):
-    """Plain FedAvg over a single homogeneous variant (full or smallest)."""
-
-    id = "fedavg_full"
-
-    def _extract(self, model, client, round_index):
-        return model, full_map(model)
-
-    def client_eval_model(self, state, client_id, round_index):
-        return state
-
-
-class FedAvgSmallest(FedAvg):
-    id = "fedavg_smallest"
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Independent reference implementations the tests check the engine against.
 
 Everything here deliberately avoids the library's vectorized code paths:
-scalar loops for the forward pass, central finite differences for
-gradients, per-coordinate contributor collection for aggregation, the
-momentum-SGD update written out inline per parameter for the strategies
-that train part of a model per step, and per-parameter `np.ix_` regions for
-extraction, scatter and normalize (the engine's flat index maps must match
-them bit for bit). The parameter names and shapes are written out here once
-more, independently of `nn.param_layout`. The helpers at the end exist only
-for the tests.
+scalar loops for the forward pass, central finite differences of a loss
+value written only here (`loss_value`) for gradients, per-coordinate
+contributor collection for aggregation, the momentum-SGD update written
+out inline per parameter for the strategies that train part of a model per
+step, and per-parameter `np.ix_` regions for extraction, scatter and
+normalize (the engine's flat index maps must match them bit for bit). The
+parameter names and shapes are written out here once more, independently
+of `nn.param_layout`. The helpers at the end exist only for the tests.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from hetfed.nn import (
     BlockNetModel,
     BlockNetSpec,
     LossSpec,
+    ModelStack,
+    ParamViews,
     SGDConfig,
-    _loss_value,
     _run_forward,
     backward,
     param_layout,
@@ -92,6 +93,12 @@ def model_from_params(spec: BlockNetSpec, head_blocks: tuple[int, ...], params) 
     keys = param_layout(spec, tuple(head_blocks)).slots
     vector = np.concatenate([np.asarray(params[key], dtype=float).ravel() for key in keys])
     return BlockNetModel(spec, head_blocks, vector)
+
+
+def upload(sub: BlockNetModel, arrays) -> ParamViews:
+    """A client upload for `scatter_update`: views over a copy of the named
+    arrays, laid out like the sub-model `sub`."""
+    return model_from_params(sub.spec, sub.head_blocks, arrays).params
 
 
 def zero_model(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> BlockNetModel:
@@ -306,7 +313,7 @@ def reference_train_local(
     for _ in range(config.local_epochs):
         for idx in batch_windows(n, config.batch_size, rng):
             y = None if labels is None else labels[idx]
-            _, grads = backward(current, features[idx], y, loss.slice_batch(idx))
+            grads = gradient(current, features[idx], y, loss.slice_batch(idx))
             for key, g in grads.items():
                 buf = config.momentum * momentum[key] + g
                 momentum[key] = buf
@@ -352,7 +359,7 @@ def fedepth_reference_client(strategy, global_model: BlockNetModel, client_id: i
         keys = fedepth_segment_keys(working, seg)
         for _ in range(cfg.local_epochs):
             for idx in batch_windows(n, cfg.batch_size, rng):
-                _, grads = backward(working, features[idx], labels[idx], loss)
+                grads = gradient(working, features[idx], labels[idx], loss)
                 for key in keys:
                     buf = cfg.momentum * momentum[key] + grads[key]
                     momentum[key] = buf
@@ -385,7 +392,7 @@ def fjord_reference_client(strategy, global_model: BlockNetModel, client_id: int
             else:
                 k = int(rate_rng.choice(ks))
             nested, _ = extract_channels(working, np.arange(k))
-            _, grads = backward(nested, features[idx], labels[idx], LossSpec(ce_heads=(nested.final_head,)))
+            grads = gradient(nested, features[idx], labels[idx], LossSpec(ce_heads=(nested.final_head,)))
             entries = width_entries(working.spec, working.head_blocks, np.arange(k))
             for key, g in grads.items():
                 region = region_for(params[key].shape, entries[key])
@@ -408,15 +415,50 @@ def reference_round(strategy, state: BlockNetModel, sampled: list[int], round_in
 # helpers only the tests use
 
 
+def gradient(
+    model: BlockNetModel,
+    batch: np.ndarray,
+    labels: np.ndarray | None,
+    loss: LossSpec,
+) -> ParamViews:
+    """One model's exact gradient, laid out like `model.params`: `backward`
+    on a stack of that model alone."""
+    stack = ModelStack(model.spec, model.head_blocks, model.vector[None], np.empty((1, model.vector.size)))
+    return backward(stack, batch, labels, loss)
+
+
 def loss_value(
     model: BlockNetModel,
     batch: np.ndarray,
     labels: np.ndarray | None,
     loss: LossSpec,
 ) -> float:
-    """The scalar loss `backward` differentiates, without the gradients."""
+    """The scalar loss `backward` differentiates, every term a mean over the
+    batch rows: cross-entropy on each `ce_heads` head, pairwise KL between
+    those heads, the masked prototype pull on the deepest neck and
+    cross-entropy against soft targets on the deepest head."""
     cache = _run_forward(model.stack, batch)
-    return _loss_value(model.stack, cache, labels, loss)
+    ce_heads = model.head_blocks if loss.ce_heads is None else loss.ce_heads
+    logps = {j: log_softmax(cache["logits"][j]) for j in ce_heads}
+    value = 0.0
+    for j in ce_heads:
+        value -= logps[j][np.arange(labels.size), labels].mean()
+    if loss.distill_weight != 0.0 and len(ce_heads) > 1:
+        ps = {j: np.exp(logps[j]) for j in ce_heads}
+        for i in ce_heads:
+            for j in ce_heads:
+                if i != j:
+                    value += loss.distill_weight * (ps[i] * (logps[i] - logps[j])).sum(axis=-1).mean()
+    if loss.proto_weight != 0.0:
+        diff = cache["neck"][model.final_head] - loss.proto_targets[labels]
+        sq = (diff * diff).sum(axis=-1)
+        if loss.proto_mask is not None:
+            sq = loss.proto_mask[labels] * sq
+        value += loss.proto_weight * sq.mean()
+    if loss.soft_targets is not None:
+        logp = log_softmax(cache["logits"][model.final_head])
+        value -= (loss.soft_targets * logp).sum(axis=-1).mean()
+    return float(value)
 
 
 def check_roundtrip(model: BlockNetModel, sub: BlockNetModel, smap: SubModelMap) -> bool:

@@ -46,9 +46,11 @@ from oracles import (
     brute_force_aggregate,
     class_histogram,
     finite_difference_grads,
+    gradient,
     label_divergence,
     max_relative_error,
     perturb_params,
+    upload,
 )
 from test_strategies import make_ctx, largest
 
@@ -93,7 +95,7 @@ def test_criterion_1_gradient_correctness():
             labels = None
         else:
             loss = LossSpec()
-        _, analytic = nn.backward(model, batch, labels, loss)
+        analytic = gradient(model, batch, labels, loss)
         numeric = finite_difference_grads(model, batch, labels, loss)
         worst = max(worst, max_relative_error(analytic, numeric))
     elapsed = time.time() - start
@@ -131,7 +133,7 @@ def test_criterion_2_aggregation_oracle():
                 )
             else:
                 sub, smap = extract_depth(global_model, int(rng.integers(1, blocks + 1)), True)
-            params = {k: rng.normal(size=v.shape) for k, v in sub.params.items()}
+            params = upload(sub, {k: rng.normal(size=v.shape) for k, v in sub.params.items()})
             scatter_update(acc, params, smap, weight)
             contributions.append((params, smap, weight))
         merged = normalize(acc, global_model)

@@ -117,3 +117,18 @@ class TestOtherCommands:
 
     def test_report_missing_file_is_io_error(self, tmp_path):
         assert main(["report", str(tmp_path / "absent.json")]) == EXIT_IO
+
+    def test_report_truncated_summary_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        path.write_text('{"strategies": {"sheterofl": {"final_global_accuracy": 0.5,\n  "time_to')
+        assert main(["report", str(path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"i/o error: {path}: not valid JSON: Unterminated string starting at: line 2 column 3 ")
+
+    def test_report_foreign_json_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        path.write_text('{"x": 1}')
+        assert main(["report", str(tmp_path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"i/o error: {path}: not a hetfed summary: no per-strategy metrics under 'strategies'\n"

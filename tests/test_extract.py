@@ -23,6 +23,7 @@ from oracles import (
     reference_extract,
     reference_normalize,
     reference_scatter,
+    upload,
     width_entries,
     zeros_like_params,
 )
@@ -127,14 +128,14 @@ class TestDepthExtraction:
         sub, smap = extract_depth(model, 3, with_aux_heads=False)
         for k in model.params:
             assert np.array_equal(sub.params[k], model.params[k])
-        assert smap.depth_prefix == 3
+        assert smap.spec.num_blocks == 3
 
     def test_prefix_retention(self):
         model = make_model(blocks=4, heads=(1, 2, 3, 4))
         sub, smap = extract_depth(model, 2, with_aux_heads=True)
         assert sub.spec.num_blocks == 2
         assert sub.head_blocks == (1, 2)
-        assert smap.depth_prefix == 2
+        assert smap.spec.num_blocks == 2
         assert "block3.w" not in sub.params
         assert "head3.neck.w" not in sub.params
 
@@ -163,9 +164,9 @@ class TestScatterNormalize:
         # A full at 1.0, B half-prefix at 3.0, equal weights:
         # overlap -> 2.0, A-only -> 1.0.
         global_model = make_model(hidden=4)
-        a = {k: np.full_like(v, 1.0) for k, v in global_model.params.items()}
+        a = upload(global_model, {k: np.full_like(v, 1.0) for k, v in global_model.params.items()})
         sub, smap_b = extract_width(global_model, 0.5)
-        b = {k: np.full_like(v, 3.0) for k, v in sub.params.items()}
+        b = upload(sub, {k: np.full_like(v, 3.0) for k, v in sub.params.items()})
         acc = new_accumulator(global_model)
         scatter_update(acc, a, full_map(global_model), 10.0)
         scatter_update(acc, b, smap_b, 10.0)
@@ -178,9 +179,9 @@ class TestScatterNormalize:
     def test_sample_weighted_overlap(self):
         # n_A=30 at 1.0, n_B=10 at 3.0 -> overlap (30*1 + 10*3)/40 = 1.5
         global_model = make_model(hidden=4)
-        a = {k: np.full_like(v, 1.0) for k, v in global_model.params.items()}
+        a = upload(global_model, {k: np.full_like(v, 1.0) for k, v in global_model.params.items()})
         sub, smap_b = extract_width(global_model, 0.5)
-        b = {k: np.full_like(v, 3.0) for k, v in sub.params.items()}
+        b = upload(sub, {k: np.full_like(v, 3.0) for k, v in sub.params.items()})
         acc = new_accumulator(global_model)
         scatter_update(acc, a, full_map(global_model), 30.0)
         scatter_update(acc, b, smap_b, 10.0)
@@ -191,8 +192,8 @@ class TestScatterNormalize:
         global_model = make_model(blocks=4, heads=(1, 2, 3, 4), seed=2)
         shallow_sub, shallow_map = extract_depth(global_model, 2, with_aux_heads=True)
         deep_sub, deep_map = extract_depth(global_model, 4, with_aux_heads=True)
-        shallow = {k: np.full_like(v, 5.0) for k, v in shallow_sub.params.items()}
-        deep = {k: np.full_like(v, 9.0) for k, v in deep_sub.params.items()}
+        shallow = upload(shallow_sub, {k: np.full_like(v, 5.0) for k, v in shallow_sub.params.items()})
+        deep = upload(deep_sub, {k: np.full_like(v, 9.0) for k, v in deep_sub.params.items()})
         acc = new_accumulator(global_model)
         scatter_update(acc, shallow, shallow_map, 1.0)
         scatter_update(acc, deep, deep_map, 1.0)
@@ -213,12 +214,16 @@ class TestScatterNormalize:
         assert np.array_equal(w[2:, 2:], global_model.params["block2.w"][2:, 2:])
 
     def test_scatter_shape_mismatch_rejected(self):
+        # Views laid out for another sub-model (a wider one, or the full
+        # model) do not fit the map, and the accumulator stays untouched.
         global_model = make_model(hidden=4)
         sub, smap = extract_width(global_model, 0.5)
-        bad = {k: np.zeros((v.shape[0] + 1,) + v.shape[1:]) for k, v in sub.params.items()}
+        wider, _ = extract_width(global_model, 0.75)
         acc = new_accumulator(global_model)
-        with pytest.raises(ValueError):
-            scatter_update(acc, bad, smap, 1.0)
+        for foreign in (wider, global_model):
+            with pytest.raises(ValueError, match="not laid out like the map's sub-model"):
+                scatter_update(acc, foreign.params, smap, 1.0)
+        assert not acc.sums.any() and not acc.weights.any()
 
     def test_roundtrip_extract_scatter_normalize(self):
         rng = np.random.default_rng(0)
@@ -262,7 +267,7 @@ class TestAgainstBruteForceOracle:
                 else:
                     depth = int(rng.integers(1, blocks + 1))
                     sub, smap = extract_depth(global_model, depth, with_aux_heads=True)
-                params = {k: rng.normal(size=v.shape) for k, v in sub.params.items()}
+                params = upload(sub, {k: rng.normal(size=v.shape) for k, v in sub.params.items()})
                 scatter_update(acc, params, smap, weight)
                 contributions.append((params, smap, weight))
             merged = normalize(acc, global_model)
@@ -287,7 +292,7 @@ class TestFlatMapsMatchPerKeyOracle:
         sums, weights = zeros_like_params(model.params), zeros_like_params(model.params)
         for _ in range(3):
             weight = float(rng.integers(1, 30))
-            client = {k: rng.normal(size=v.shape) for k, v in sub.params.items()}
+            client = upload(sub, {k: rng.normal(size=v.shape) for k, v in sub.params.items()})
             scatter_update(acc, client, smap, weight)
             reference_scatter(sums, weights, client, entries, weight)
         merged = normalize(acc, model)

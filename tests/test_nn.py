@@ -8,6 +8,7 @@ from hetfed.nn import BlockNetSpec, LossSpec, SGDConfig
 
 from oracles import (
     finite_difference_grads,
+    gradient,
     log_softmax,
     loss_value,
     max_relative_error,
@@ -115,7 +116,7 @@ class TestLosses:
         model = zero_model(spec, (1,))
         x = np.random.default_rng(0).normal(size=(2, 4))
         y = np.array([0, 1])
-        _, grads = nn.backward(model, x, y, LossSpec())
+        grads = gradient(model, x, y, LossSpec())
         assert max(np.abs(g).max() for g in grads.values()) < 1e-12
 
     def test_batch_mean_semantics_duplicate_sample(self):
@@ -126,8 +127,8 @@ class TestLosses:
         model = nn.init_model(small_spec(), np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(1, 4))
         y = np.array([1])
-        _, g1 = nn.backward(model, x, y, LossSpec())
-        _, g2 = nn.backward(model, np.vstack([x, x]), np.array([1, 1]), LossSpec())
+        g1 = gradient(model, x, y, LossSpec())
+        g2 = gradient(model, np.vstack([x, x]), np.array([1, 1]), LossSpec())
         for k in g1:
             assert np.allclose(g1[k], g2[k], atol=1e-14, rtol=0)
 
@@ -135,14 +136,14 @@ class TestLosses:
         model = nn.init_model(small_spec(num_classes=2), np.random.default_rng(0))
         x = np.zeros((1, 4))
         with pytest.raises(ValueError):
-            nn.backward(model, x, np.array([2]), LossSpec())
+            gradient(model, x, np.array([2]), LossSpec())
         with pytest.raises(ValueError):
-            nn.backward(model, x, np.array([-1]), LossSpec())
+            gradient(model, x, np.array([-1]), LossSpec())
 
     def test_unknown_head_rejected(self):
         model = nn.init_model(small_spec(), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            nn.backward(model, np.zeros((1, 4)), np.array([0]), LossSpec(ce_heads=(9,)))
+            gradient(model, np.zeros((1, 4)), np.array([0]), LossSpec(ce_heads=(9,)))
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -151,7 +152,7 @@ class TestGradientsAgainstFiniteDifferences:
         model = perturb_params(nn.init_model(spec, rng, heads), rng)
         x = rng.normal(size=(4, spec.input_dim))
         y = rng.integers(0, spec.num_classes, size=4) if labels else None
-        _, analytic = nn.backward(model, x, y, loss)
+        analytic = gradient(model, x, y, loss)
         numeric = finite_difference_grads(model, x, y, loss)
         assert max_relative_error(analytic, numeric) < tol
 
@@ -192,7 +193,7 @@ class TestGradientsAgainstFiniteDifferences:
         x = rng.normal(size=(4, 4))
         y = rng.integers(0, 2, size=4)
         lam = 0.3
-        _, analytic = nn.backward(model, x, y, LossSpec(distill_weight=lam))
+        analytic = gradient(model, x, y, LossSpec(distill_weight=lam))
 
         frozen = {j: log_softmax(l) for j, l in nn.forward(model, x).logits.items()}
 
@@ -231,14 +232,15 @@ class TestSGD:
     def test_lr_zero_leaves_model_bitwise_unchanged(self):
         model = nn.init_model(small_spec(), np.random.default_rng(0))
         vector = model.vector.copy()
-        nn.sgd_update(vector, np.zeros_like(vector), np.ones_like(vector), SGDConfig(learning_rate=0.0))
+        grad = np.ones_like(vector)
+        nn.sgd_update(vector, np.zeros_like(vector), grad, SGDConfig(learning_rate=0.0), slice(None))
         assert np.array_equal(vector, model.vector)
 
     def test_plain_step_definition(self):
         # momentum 0, lr 0.1, p 1.0, g 2.0 -> 0.8
         size = nn.param_layout(small_spec(), (1,)).size
         vector = np.full(size, 1.0)
-        nn.sgd_update(vector, np.zeros(size), np.full(size, 2.0), SGDConfig(learning_rate=0.1))
+        nn.sgd_update(vector, np.zeros(size), np.full(size, 2.0), SGDConfig(learning_rate=0.1), slice(None))
         assert np.allclose(vector, 0.8, atol=1e-15)
 
     def test_momentum_recurrence_two_steps(self):
@@ -248,8 +250,8 @@ class TestSGD:
         momentum = np.zeros(size)
         cfg = SGDConfig(learning_rate=0.1, momentum=0.9)
         grad = np.ones(size)
-        nn.sgd_update(vector, momentum, grad, cfg)
-        nn.sgd_update(vector, momentum, grad, cfg)
+        nn.sgd_update(vector, momentum, grad, cfg, slice(None))
+        nn.sgd_update(vector, momentum, grad, cfg, slice(None))
         assert np.allclose(vector, -0.29, atol=1e-15)
         assert np.allclose(momentum, 1.9, atol=1e-15)
 
@@ -323,7 +325,7 @@ class TestTraining:
 
         def run():
             model = nn.init_model(spec, np.random.default_rng(123))
-            return nn.train_local(model, x, y, cfg, LossSpec(), np.random.default_rng(7))
+            return nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(7)]).models()[0]
 
         a, b = run(), run()
         for k in a.params:
@@ -337,7 +339,7 @@ class TestTraining:
         model = nn.init_model(small_spec(), rng)
         before = loss_value(model, x, y, LossSpec())
         cfg = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=10)  # 50 steps
-        trained = nn.train_local(model, x, y, cfg, LossSpec(), np.random.default_rng(1))
+        trained = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)]).models()[0]
         after = loss_value(trained, x, y, LossSpec())
         assert after < before
 
@@ -356,9 +358,9 @@ class TestTraining:
             (y, LossSpec(distill_weight=0.3)),
             (None, LossSpec(ce_heads=(), soft_targets=soft)),
         ):
-            flat = nn.train_local(model, x, labels, cfg, loss, np.random.default_rng(4))
+            flat = nn.train_local([model], x, labels, cfg, loss, [np.random.default_rng(4)])
             per_key = reference_train_local(model, x, labels, cfg, loss, np.random.default_rng(4))
-            assert np.array_equal(flat.vector, per_key.vector)
+            assert np.array_equal(flat.vector[0], per_key.vector)
 
     def test_params_are_read_only_views_of_the_vector(self):
         model = nn.init_model(small_spec(), np.random.default_rng(0))
@@ -373,8 +375,8 @@ class TestTraining:
         snapshot = {k: v.copy() for k, v in model.params.items()}
         x = np.random.default_rng(1).normal(size=(8, 4))
         y = np.random.default_rng(2).integers(0, 2, size=8)
-        nn.train_local(model, x, y, SGDConfig(learning_rate=0.1, batch_size=4), LossSpec(),
-                       np.random.default_rng(3))
+        nn.train_local([model], x, y, SGDConfig(learning_rate=0.1, batch_size=4), LossSpec(),
+                       [np.random.default_rng(3)])
         for k in snapshot:
             assert np.array_equal(model.params[k], snapshot[k])
 
@@ -445,15 +447,13 @@ class TestLockstep:
             (y, LossSpec(distill_weight=0.3)),
             (y, LossSpec(ce_heads=(3,), proto_weight=0.2, proto_targets=targets,
                          proto_mask=np.array([True, False, True]))),
-            (None, LossSpec(ce_heads=(), soft_targets=soft, soft_target_head=2)),
+            (None, LossSpec(ce_heads=(), soft_targets=soft)),
         ):
-            none, grads = nn.backward(stack, x, labels, loss)
-            assert none is None and grads is stack.grads
+            assert nn.backward(stack, x, labels, loss) is stack.grads
             for c, model in enumerate(models):
                 rows = slice(c * n, (c + 1) * n)
                 client_labels = None if labels is None else labels[rows]
-                alone_loss, alone = nn.backward(model, x[rows], client_labels, loss.slice_batch(rows))
-                assert alone_loss == loss_value(model, x[rows], client_labels, loss.slice_batch(rows))
+                alone = gradient(model, x[rows], client_labels, loss.slice_batch(rows))
                 assert np.array_equal(stack.grad[c], alone.vector)
 
     def test_train_local_stack_matches_each_client_alone(self):
@@ -468,10 +468,10 @@ class TestLockstep:
         loss = LossSpec(soft_targets=soft)  # cross-entropy plus soft targets by row of x
         stack = nn.train_local(models, x, y, cfg, loss, [np.random.default_rng(s) for s in (4, 5, 6)], rows)
         for c, model in enumerate(models):
-            alone = nn.train_local(model, x[rows[c]], y[rows[c]], cfg, LossSpec(soft_targets=soft[rows[c]]),
-                                   np.random.default_rng(4 + c))
-            assert np.array_equal(stack.vector[c], alone.vector)
-            assert np.array_equal(stack.models()[c].vector, alone.vector)
+            alone = nn.train_local([model], x[rows[c]], y[rows[c]], cfg, LossSpec(soft_targets=soft[rows[c]]),
+                                   [np.random.default_rng(4 + c)])
+            assert np.array_equal(stack.vector[c], alone.vector[0])
+            assert np.array_equal(stack.models()[c].vector, alone.vector[0])
 
     @pytest.mark.parametrize("kind", ["plain", "bottleneck"])
     def test_stack_views_write_into_the_stacked_arrays(self, kind):
@@ -498,19 +498,20 @@ class TestLockstep:
         rows = [np.arange(0, 3), np.arange(3, 6)]
         vectors = np.stack([model.vector, model.vector])
         pair = nn.ModelStack(spec, model.head_blocks, vectors, np.empty_like(vectors))
+        alone = nn.ModelStack(spec, model.head_blocks, vectors[:1], np.empty_like(vectors[:1]))
         for bad in (3, -1):
             y = np.array([0, 1, 2, 0, 1, bad])
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
-                nn.backward(model, x, y, LossSpec())
+                nn.backward(alone, x, y, LossSpec())
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
                 nn.backward(pair, x, y, LossSpec())
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
-                nn.train_local(model, x, y, cfg, LossSpec(), np.random.default_rng(1))
+                nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)])
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
                 nn.train_local([model, model], x, y, cfg, LossSpec(),
                                [np.random.default_rng(s) for s in (1, 2)], rows)
             # Rows no client trains on are not read.
-            nn.train_local(model, x[:5], y[:5], cfg, LossSpec(), np.random.default_rng(1))
+            nn.train_local([model], x[:5], y[:5], cfg, LossSpec(), [np.random.default_rng(1)])
             nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)], rows[:1])
 
     def test_batch_rows_must_split_into_the_stack(self):

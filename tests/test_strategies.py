@@ -373,6 +373,31 @@ class TestEvalModels:
         reference = self.reference(strategy_id, level, copy, ctx.clients[3].variant, 3)
         assert np.array_equal(later.vector, reference.vector)
 
+    @pytest.mark.parametrize("strategy_id,level", CASES)
+    def test_shared_models_are_read_only(self, strategy_id, level):
+        ctx = make_ctx(strategy_id, level, alternating)
+        strategy = make_strategy(strategy_id, ctx)
+        state = strategy.initial_state()
+        model = strategy.client_eval_model(state, 0, 2)
+        x = ctx.train_features
+        before = nn.predict(model, x)
+        with pytest.raises(ValueError, match="read-only"):
+            model.vector[0] = 1e3
+        with pytest.raises(ValueError, match="read-only"):
+            model.params["stem.w"][...] = 0.0
+        assert strategy.client_eval_model(state, 0, 2) is model
+        assert np.array_equal(nn.predict(model, x), before)
+        assert state.vector.flags.writeable
+
+    @pytest.mark.parametrize("strategy_id,level", [
+        ("fedavg_full", "width"), ("fedavg_smallest", "width"), ("fedepth", "depth"),
+    ])
+    def test_full_model_strategies_score_every_client_on_the_state(self, strategy_id, level):
+        ctx = make_ctx(strategy_id, level, alternating)
+        strategy = make_strategy(strategy_id, ctx)
+        state, _ = strategy.run_round(strategy.initial_state(), [0, 1, 2], 1)
+        assert all(strategy.client_eval_model(state, cid, 2) is state for cid in range(len(ctx.clients)))
+
 
 class TestWidthFamily:
     def test_rolling_window_union_covers_all_equally(self):
