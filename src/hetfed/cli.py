@@ -35,7 +35,7 @@ EXIT_IO = 4
 EXIT_DIVERGED = 5
 
 
-def _load_with_env(path: str, workers: int | None = None) -> ExperimentConfig:
+def _load_with_env(path: str) -> ExperimentConfig:
     cfg = load_config(path)
     raw = dict(cfg.raw)
     changed = False
@@ -47,9 +47,6 @@ def _load_with_env(path: str, workers: int | None = None) -> ExperimentConfig:
         changed = True
     if "HETFED_OUT" in os.environ:
         raw["output_dir"] = os.environ["HETFED_OUT"]
-        changed = True
-    if workers is not None:
-        raw["workers"] = workers
         changed = True
     return resolve_config(raw, source=path) if changed else cfg
 
@@ -64,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="Run the configured experiment.")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="Output directory (overrides config/output_dir).")
-    p_run.add_argument(
-        "--workers", type=int, default=None,
-        help="Validated like the config key but has no effect yet: rounds run serially "
-             "(reserved for job-level processes).",
-    )
 
     p_sweep = sub.add_parser("sweep", help="Run the experiment across one axis of values.")
     p_sweep.add_argument("config")
@@ -92,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            cfg = _load_with_env(args.config, workers=args.workers)
+            cfg = _load_with_env(args.config)
             summary = run_experiment(cfg, args.out)
             rows = report_rows([summary])
             sys.stdout.write(format_report(rows))

@@ -13,10 +13,8 @@ than heuristics.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -31,7 +29,6 @@ class SubModelMap:
     """Global coordinates of every sub-model parameter.
 
     spec, head_set: the sub-model's architecture and retained heads.
-    entries: param key -> per-axis kept source indices (None = whole axis).
     source: layout of the model the map was compiled against.
     index: read-only flat source coordinate of each sub-model coordinate,
         in the sub-model's own layout order; no coordinate repeats.
@@ -39,7 +36,6 @@ class SubModelMap:
 
     spec: BlockNetSpec
     head_set: tuple[int, ...]
-    entries: Mapping[str, AxisIndices] = field(repr=False)
     source: ParamLayout = field(repr=False)
     index: np.ndarray = field(repr=False)
 
@@ -55,7 +51,8 @@ def _compile(
     sub_heads: tuple[int, ...],
     entries: dict[str, AxisIndices],
 ) -> SubModelMap:
-    """Flatten per-axis entries into one source index vector."""
+    """Flatten per-axis entries (param key -> the source indices each axis
+    keeps, None = the whole axis) into one source index vector."""
     source = param_layout(spec, head_blocks)
     parts = []
     for key in param_layout(sub_spec, sub_heads).slots:
@@ -67,7 +64,7 @@ def _compile(
         parts.append(coords.ravel())
     index = np.concatenate(parts)
     index.setflags(write=False)
-    return SubModelMap(sub_spec, sub_heads, MappingProxyType(entries), source, index)
+    return SubModelMap(sub_spec, sub_heads, source, index)
 
 
 def _take(model: BlockNetModel, smap: SubModelMap) -> BlockNetModel:

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -240,9 +240,6 @@ class BlockNetModel:
     @property
     def final_head(self) -> int:
         return self.head_blocks[-1]
-
-    def copy(self) -> "BlockNetModel":
-        return BlockNetModel(self.spec, self.head_blocks, self.vector.copy())
 
 
 def _stack_views(array: np.ndarray, layout: ParamLayout, bias_rows: bool) -> dict[str, np.ndarray]:
@@ -448,7 +445,9 @@ class LossSpec:
         pull of the embedding toward per-class target vectors; classes with
         a False mask entry are skipped.
     soft_targets: cross-entropy against fixed target distributions on the
-        deepest head (distillation to a teacher). One row per batch row.
+        deepest head (distillation to a teacher). One row per row of the
+        features `train_local` trains on; `backward` takes the batch's rows
+        of it as its own argument.
     """
 
     ce_heads: tuple[int, ...] | None = None
@@ -458,21 +457,16 @@ class LossSpec:
     proto_mask: np.ndarray | None = None
     soft_targets: np.ndarray | None = None
 
-    def slice_batch(self, idx: np.ndarray) -> "LossSpec":
-        """Restrict per-sample tensors (soft targets) to a batch."""
-        if self.soft_targets is None:
-            return self
-        return replace(self, soft_targets=self.soft_targets[idx])
-
 
 def _loss_grads(
     stack: ModelStack,
     cache: dict,
     labels: np.ndarray | None,
+    soft_targets: np.ndarray | None,
     loss: LossSpec,
 ) -> tuple[dict[int, np.ndarray], np.ndarray | None]:
     """d(loss)/d(logits) per head and d(loss)/d(embedding); checks the
-    labels and soft targets.
+    labels and the batch's soft targets.
 
     Every term is a mean over each client's own n batch rows, so the
     learning rate does not depend on the batch size and the K clients'
@@ -532,9 +526,9 @@ def _loss_grads(
         demb = loss.proto_weight * 2.0 / n * mask[..., None] * diff
 
     if loss.soft_targets is not None:
-        t = loss.soft_targets
-        if t.shape != (k * n, c):
-            raise ShapeError(f"soft_targets must be {(k * n, c)}, got {t.shape}")
+        t = soft_targets
+        if np.shape(t) != (k * n, c):
+            raise ShapeError(f"soft_targets must be {(k * n, c)}, got {np.shape(t)}")
         j = stack.final_head
         z = cache["logits"][j]
         dlogits[j] += (softmax(z) - t.reshape(z.shape)) / n
@@ -546,20 +540,22 @@ def backward(
     stack: ModelStack,
     batch: np.ndarray,
     labels: np.ndarray | None,
+    soft_targets: np.ndarray | None,
     loss: LossSpec,
 ) -> dict[str, np.ndarray]:
     """Exact gradient of the loss w.r.t. every parameter of K stacked
     models, written into the stack's `grad` buffer; returns `stack.grads`.
 
     `batch` is [K*n, d], the K clients' rows concatenated, with labels [K*n]
-    and soft targets [K*n, c]. Each client's gradient is that of a stack of
-    that client alone. No loss value is computed.
+    and, when `loss` has soft targets, the batch's rows of them [K*n, c].
+    Each client's gradient is that of a stack of that client alone. No loss
+    value is computed.
     """
     p = stack.params
     g = stack.grads
     layout = stack.layout
     cache = _run_forward(stack, batch)
-    dlogits, demb = _loss_grads(stack, cache, labels, loss)
+    dlogits, demb = _loss_grads(stack, cache, labels, soft_targets, loss)
 
     trunk = cache["h"]
     # Gradient w.r.t. the trunk activation after block i; heads join it
@@ -673,9 +669,9 @@ def train_local(
                 idx = window[move.members].ravel()
                 batch = features.take(idx, axis=0)
                 y = None if labels is None else labels.take(idx)
-                step_loss = loss.slice_batch(idx)
+                soft = None if loss.soft_targets is None else loss.soft_targets.take(idx, axis=0)
                 if move.nested is None:
-                    backward(stack, batch, y, step_loss)
+                    backward(stack, batch, y, soft, loss)
                     where = (slice(None), move.index)
                     sgd_update(stack.vector, momentum, stack.grad[where], config, where)
                     continue
@@ -685,7 +681,7 @@ def train_local(
                     shape = (len(move.members), move.index.size)
                     sub = nested_stacks[key] = ModelStack(*move.nested, np.empty(shape), np.empty(shape))
                 np.take(stack.vector[move.members], move.index, axis=1, out=sub.vector)
-                backward(sub, batch, y, step_loss)
+                backward(sub, batch, y, soft, loss)
                 sgd_update(stack.vector, momentum, sub.grad, config, np.ix_(move.members, move.index))
     return stack
 

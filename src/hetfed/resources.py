@@ -90,10 +90,6 @@ class ModelPool:
     def largest(self) -> Variant:
         return self.variants[0]
 
-    @property
-    def smallest(self) -> Variant:
-        return self.variants[-1]
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -226,6 +222,16 @@ def fedepth_segments(
     return segments
 
 
+def payload_bytes(strategy: str, numbers: int) -> float:
+    """Bytes a client moves in one round when it uploads `numbers` float64
+    numbers: a model goes up and one of the same size comes back, twice the
+    upload, except FedProto's prototype table, priced once. The one payload
+    rule: the cost model and the runner's check of each upload use it."""
+    if strategy == "fedproto":
+        return float(numbers * FLOAT_BYTES)
+    return float(2 * numbers * FLOAT_BYTES)
+
+
 def estimate_times(
     stats: VariantStats,
     profile: DeviceProfile,
@@ -257,16 +263,14 @@ def _variant_stats(
     multipliers: dict[str, float] | None,
 ) -> VariantStats:
     params = nn.parameter_count(spec, head_blocks)
-    if strategy == "fedproto":
-        # Prototype table up and back: num_classes * (proto_dim + 1) numbers.
-        payload = spec.num_classes * (spec.proto_dim + 1) * FLOAT_BYTES
-    else:
-        payload = 2 * params * FLOAT_BYTES
+    # FedProto uploads its prototype table, num_classes * (proto_dim + 1)
+    # numbers; every other strategy its model.
+    numbers = spec.num_classes * (spec.proto_dim + 1) if strategy == "fedproto" else params
     return VariantStats(
         params=params,
         flops_per_sample=estimate_flops(spec, head_blocks),
         memory_bytes=estimate_memory(spec, batch_size, strategy, head_blocks, multipliers),
-        comm_payload_bytes=float(payload),
+        comm_payload_bytes=payload_bytes(strategy, numbers),
     )
 
 

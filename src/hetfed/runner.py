@@ -19,7 +19,7 @@ from . import __version__, seeding
 from .config import ConfigError, ExperimentConfig, resolve_config
 from .datasets import Dataset, PartitionConfig, gen_synthetic, load_csv, partition, split_global
 from .metrics import MetricsReport, RoundRecord, advance_clock, build_report, model_accuracy, records_csv
-from .resources import assign_models, build_pool, estimate_times, sample_profiles
+from .resources import assign_models, build_pool, estimate_times, payload_bytes, sample_profiles
 from .strategies import ClientState, FederationContext, make_strategy, sample_clients
 
 SWEEP_AXES = ("num_clients", "alpha", "scenario")
@@ -119,7 +119,6 @@ def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) ->
         for cid in range(cfg.num_clients)
     ]
     ctx = FederationContext(
-        level=cfg.level,
         base_spec=cfg.model,
         pool=pool,
         clients=clients,
@@ -141,20 +140,20 @@ def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) ->
             cfg.sampling_fraction,
             seeding.rng_from(seed_r, seeding.TAG_SAMPLE, round_index),
         )
-        state, artifacts = strategy.run_round(state, sampled, round_index)
+        state, uploads = strategy.run_round(state, sampled, round_index)
 
         client_times: dict[int, tuple[float, float]] = {}
         for cid in sampled:
             client = clients[cid]
             expected = client.variant.stats.comm_payload_bytes
-            observed = artifacts.payload_bytes[cid]
+            observed = payload_bytes(strategy_id, uploads[cid])
             if not math.isclose(observed, expected, rel_tol=1e-9):
                 raise RuntimeError(
                     f"{strategy_id}: round {round_index} client {cid} uploaded "
                     f"{observed:.0f}B but the cost model prices {expected:.0f}B"
                 )
             client_times[cid] = estimate_times(
-                client.variant.stats, client.profile, artifacts.sample_counts[cid], cfg.sgd.local_epochs
+                client.variant.stats, client.profile, client.num_samples, cfg.sgd.local_epochs
             )
         duration, max_train, max_comm = advance_clock(client_times)
         clock += duration
@@ -300,6 +299,7 @@ METRIC_COLUMNS = (
     ("stability_variance", "min"),
     ("effectiveness_delta", "max"),
 )
+NULLABLE_METRICS = ("time_to_accuracy_s", "effectiveness_delta")
 
 
 class SummaryError(ValueError):
@@ -308,8 +308,9 @@ class SummaryError(ValueError):
 
 def load_summaries(paths: list[str]) -> list[dict]:
     """Each run's summary.json (the file or its run directory). One that is
-    not JSON (the message gives the line and column) or has no per-strategy
-    report metrics raises SummaryError naming the file."""
+    not JSON (the message gives the line and column), has no per-strategy
+    report metrics, or has a metric that is not a number (or null where a
+    metric may be missing) raises SummaryError naming the file."""
     summaries = []
     for path in paths:
         if os.path.isdir(path):
@@ -324,6 +325,14 @@ def load_summaries(paths: list[str]) -> list[dict]:
             isinstance(m, dict) and all(name in m for name, _ in METRIC_COLUMNS) for m in strategies.values()
         ):
             raise SummaryError(f"{path}: not a hetfed summary: no per-strategy metrics under 'strategies'")
+        for sid, metrics in strategies.items():
+            for name, _ in METRIC_COLUMNS:
+                value = metrics[name]
+                nullable = name in NULLABLE_METRICS
+                number = isinstance(value, (int, float)) and not isinstance(value, bool)
+                if not number and not (value is None and nullable):
+                    wanted = "a number or null" if nullable else "a number"
+                    raise SummaryError(f"{path}: strategy {sid!r}: {name} must be {wanted}, got {value!r}")
         summaries.append(summary)
     return summaries
 

@@ -1,35 +1,47 @@
 """The federated strategies: three width-level, three depth-level, two
 topology-level algorithms plus the homogeneous FedAvg baselines.
 
-Each strategy implements one server round over the sampled clients and is
-deterministic given (repeat seed, round, sample set).
+Every strategy speaks one protocol of four hooks, deterministic given
+(repeat seed, round, sample set):
+
+- `initial_state()`: the state before round 1;
+- `run_round(state, sampled, round_index) -> (state, uploads)`: one
+  server round over the sampled clients; `uploads` maps each sampled
+  client to the count of numbers it uploaded, which the runner prices with
+  `resources.payload_bytes` and checks against the cost model;
+- `client_eval_model(state, client_id, round_index)`: the model a client
+  is scored on;
+- `evaluate_global(state, features, labels)`: the global accuracy.
+
+Two bases implement it. `_PartialAveragingStrategy` (the width and depth
+strategies, FeDepth and FedAvg) keeps one global model: each lockstep
+group trains the sub-model that the strategy's `_extract` hook cuts from
+it (once per group; `_extract` reads a client only through its variant),
+under the loss its `_client_loss` hook names, and the server scatters the
+results back. `_PrivateModelStrategy` (FedProto, Fed-ET) keeps one private
+model per client, built and trained locally the same way for both; only
+what the server exchanges differs.
 
 The sampled clients of a round train in lockstep groups (`nn.train_local`
-on a stack): clients with the same architecture and the same sample count
-take every step as one stacked walk. Each client keeps its own data, batch
-shuffles and rng draws, so a client's result does not depend on its group;
-scatter and every other cross-client sum run in client-id order.
-
-The width and depth strategies share one round: each group trains the
-sub-model that the strategy's `_extract` hook cuts from the global model
-(once per group; `_extract` reads a client only through its variant), under
-the loss its `_client_loss` hook names, and the server scatters the results
-back. FjORD and FeDepth move only part of their model per step; they hand
-`train_local` a per-step hook that names the coordinates a step moves: a
-FjORD nested-width index vector with its nested model, drawn per client
-(the group re-splits by width each step), or a FeDepth segment slice (one
-group per segmentation). FedProto and Fed-ET train and distill one group
-per architecture.
+on a stack): clients with the same `_group_key` (by default the same
+architecture and the same sample count) take every step as one stacked
+walk. Each client keeps its own data, batch shuffles and rng draws, so a
+client's result does not depend on its group; scatter and every other
+cross-client sum run in client-id order. FjORD and FeDepth move only part
+of their model per step; they hand `train_local` a per-step hook that names
+the coordinates a step moves: a FjORD nested-width index vector with its
+nested model, drawn per client (the group re-splits by width each step),
+or a FeDepth segment slice (one group per segmentation).
 
 Evaluation follows the same rule: a width or depth strategy extracts each
 variant's evaluation sub-model once per (state, eval round) and hands that
 one object to every client of the variant; FedRolex's window moves with
 the round, so its sub-models are extracted afresh each eval round.
 
-Every trained group and every aggregate (the normalized global model,
-FedProto's prototypes) is checked finite; a non-finite value raises
-`DivergenceError` naming the strategy, the round, the owner and the
-parameter.
+Every `train_local` call goes through `Strategy._train`, which checks the
+trained vectors finite, as is every aggregate (the normalized global
+model, FedProto's prototypes); a non-finite value raises `DivergenceError`
+naming the strategy, the round, the owner and the parameter.
 
 Where the published descriptions of the cited methods include extras that
 do not change the resource trade-off being measured (InclusiveFL's momentum
@@ -68,6 +80,7 @@ from .nn import (
     softmax,
     train_local,
 )
+from .metrics import model_accuracy
 from .resources import DeviceProfile, ModelPool, Variant, fedepth_segments
 
 
@@ -103,7 +116,6 @@ class ClientState:
 class FederationContext:
     """Everything a strategy needs to run rounds: data, clients, knobs, seeds."""
 
-    level: str
     base_spec: object                  # BlockNetSpec of the global family
     pool: ModelPool
     clients: list[ClientState]
@@ -135,12 +147,6 @@ class FederationContext:
 
 class DivergenceError(ArithmeticError):
     """Local training produced a non-finite parameter."""
-
-
-@dataclass
-class RoundArtifacts:
-    sample_counts: dict[int, int]
-    payload_bytes: dict[int, float]
 
 
 def lockstep_groups(ordered: list[int], key: Callable[[int], Hashable]) -> list[tuple[Hashable, list[int]]]:
@@ -229,6 +235,9 @@ def consensus_logits(logit_sets: list[np.ndarray]) -> np.ndarray:
 
 
 class Strategy:
+    """The four-hook round protocol (see the module docstring) and the
+    training and divergence checks every strategy shares."""
+
     id: str = ""
 
     def __init__(self, ctx: FederationContext):
@@ -237,10 +246,9 @@ class Strategy:
     def initial_state(self):
         raise NotImplementedError
 
-    def run_round(self, state, sampled: list[int], round_index: int):
-        raise NotImplementedError
-
-    def global_eval_model(self, state) -> BlockNetModel | None:
+    def run_round(self, state, sampled: list[int], round_index: int) -> tuple[object, dict[int, int]]:
+        """The state after one round and, per sampled client, the count of
+        numbers it uploaded."""
         raise NotImplementedError
 
     def client_eval_model(self, state, client_id: int, round_index: int) -> BlockNetModel:
@@ -249,18 +257,27 @@ class Strategy:
         raise NotImplementedError
 
     def evaluate_global(self, state, features: np.ndarray, labels: np.ndarray) -> float:
-        from .metrics import model_accuracy
+        """The global accuracy of `state` on the given rows."""
+        raise NotImplementedError
 
-        model = self.global_eval_model(state)
-        if model is None:
-            raise ValueError(f"{self.id} has no single global model to evaluate")
-        return model_accuracy(model, features, labels)
+    def _ordered(self, sampled: list[int]) -> list[int]:
+        if not sampled:
+            raise ValueError("cannot run a round with an empty sample set")
+        return sorted(sampled)
 
-    def _same_shape(self, client_id: int) -> tuple[str, int]:
+    def _group_key(self, client_id: int) -> Hashable:
         """Lockstep key of local training on own data: the variant (one
-        architecture) and the sample count (one batch-length sequence)."""
+        architecture, and for the partial-averaging strategies one sub-model
+        map) and the sample count (one batch-length sequence)."""
         client = self.ctx.clients[client_id]
         return client.variant.variant_id, client.num_samples
+
+    def _train(self, owners: list[str], round_index: int, *args) -> ModelStack:
+        """`nn.train_local(*args)` with the trained vectors checked finite;
+        `owners` names the owner of each row."""
+        stack = train_local(*args)
+        self._check_finite(stack.vector, owners, round_index, stack.layout.key_at)
+        return stack
 
     def _train_clients(
         self,
@@ -273,15 +290,13 @@ class Strategy:
     ) -> ModelStack:
         """Train one lockstep group of clients on their own data."""
         ctx = self.ctx
-        stack = train_local(
+        return self._train(
+            [f"client {cid}" for cid in client_ids], round_index,
             models, ctx.train_features, ctx.train_labels, config or ctx.sgd, loss,
             [ctx.client_rng(cid, round_index, seeding.LANE_BATCH) for cid in client_ids],
             [ctx.clients[cid].data_indices for cid in client_ids],
             moves,
         )
-        owners = [f"client {cid}" for cid in client_ids]
-        self._check_finite(stack.vector, owners, round_index, stack.layout.key_at)
-        return stack
 
     def _check_finite(
         self, values: np.ndarray, owners: list[str], round_index: int, name: Callable[[int], str]
@@ -295,16 +310,6 @@ class Strategy:
         raise DivergenceError(
             f"{self.id}: round {round_index}: {owners[row]} diverged; parameter {name(col)} is not finite"
         )
-
-    def _artifacts(self, sampled: list[int], uploaded_numbers: dict[int, int]) -> RoundArtifacts:
-        counts = {cid: self.ctx.clients[cid].num_samples for cid in sampled}
-        payloads = {}
-        for cid, numbers in uploaded_numbers.items():
-            if self.id == "fedproto":
-                payloads[cid] = float(numbers * 8)
-            else:
-                payloads[cid] = float(2 * numbers * 8)
-        return RoundArtifacts(sample_counts=counts, payload_bytes=payloads)
 
 
 class _PartialAveragingStrategy(Strategy):
@@ -331,11 +336,6 @@ class _PartialAveragingStrategy(Strategy):
     def _client_loss(self, sub: BlockNetModel) -> LossSpec:
         return LossSpec(ce_heads=(sub.final_head,))
 
-    def _group_key(self, client_id: int) -> Hashable:
-        # `_extract` reads a client only through its variant, so one key
-        # means one sub-model map.
-        return self._same_shape(client_id)
-
     def _train_group(
         self, global_model: BlockNetModel, key: Hashable, client_ids: list[int], round_index: int
     ) -> tuple[ModelStack, SubModelMap]:
@@ -345,27 +345,25 @@ class _PartialAveragingStrategy(Strategy):
         return self._train_clients([sub] * len(client_ids), client_ids, round_index, self._client_loss(sub)), smap
 
     def run_round(self, state: BlockNetModel, sampled: list[int], round_index: int):
-        if not sampled:
-            raise ValueError("cannot run a round with an empty sample set")
-        ordered = sorted(sampled)
+        ordered = self._ordered(sampled)
         results = {}
         for key, cids in lockstep_groups(ordered, self._group_key):
             stack, smap = self._train_group(state, key, cids, round_index)
             for cid, trained in zip(cids, stack.models()):
                 results[cid] = trained.params, smap
         acc = new_accumulator(state)
-        uploaded: dict[int, int] = {}
+        uploads = {}
         for cid in ordered:
             params, smap = results[cid]
             scatter_update(acc, params, smap, self.ctx.client_weight(cid))
-            uploaded[cid] = int(smap.index.size)
+            uploads[cid] = smap.index.size
         new_global = normalize(acc, state)
         # A weighted mean of finite uploads can still overflow.
         self._check_finite(new_global.vector[None], ["the aggregate"], round_index, acc.layout.key_at)
-        return new_global, self._artifacts(ordered, uploaded)
+        return new_global, uploads
 
-    def global_eval_model(self, state) -> BlockNetModel:
-        return state
+    def evaluate_global(self, state, features, labels):
+        return model_accuracy(state, features, labels)
 
     # (state, round, variant id -> eval sub-model) of the last eval round.
     _eval_models: tuple[object, int, dict[str, BlockNetModel]] | None = None
@@ -453,9 +451,6 @@ class DepthFL(_PartialAveragingStrategy):
 
     id = "depthfl"
 
-    def _global_heads(self) -> tuple[int, ...]:
-        return tuple(range(1, self.ctx.pool.largest.spec.num_blocks + 1))
-
     def _extract(self, model, client, round_index):
         return extract_depth(model, client.variant.depth, with_aux_heads=True)
 
@@ -528,6 +523,33 @@ class FeDepth(FedAvg):
 # topology-level strategies
 
 
+class _PrivateModelStrategy(Strategy):
+    """Every client keeps a private model of its own architecture, trained
+    on its own data; the server exchanges something other than the
+    clients' models. A private model has one head, so a loss with
+    `ce_heads=None` (every attached head) is cross-entropy on it."""
+
+    def _initial_models(self) -> dict[int, BlockNetModel]:
+        return {
+            c.client_id: init_model(c.variant.spec, self.ctx.init_rng(c.client_id), c.variant.head_blocks)
+            for c in self.ctx.clients
+        }
+
+    def _train_private(
+        self, models: dict[int, BlockNetModel], ordered: list[int], round_index: int, loss: LossSpec
+    ) -> dict[int, BlockNetModel]:
+        """`models` with the sampled clients' models trained on their own
+        data, one lockstep group per `_group_key`."""
+        models = dict(models)
+        for _, cids in lockstep_groups(ordered, self._group_key):
+            stack = self._train_clients([models[cid] for cid in cids], cids, round_index, loss)
+            models.update(zip(cids, stack.models()))
+        return models
+
+    def client_eval_model(self, state, client_id, round_index):
+        return state.models[client_id]
+
+
 @dataclass
 class FedProtoState:
     models: dict[int, BlockNetModel]
@@ -535,7 +557,7 @@ class FedProtoState:
     proto_mask: np.ndarray      # [num_classes] bool: class has a live prototype
 
 
-class FedProto(Strategy):
+class FedProto(_PrivateModelStrategy):
     """Clients keep private heterogeneous models and exchange only class
     prototypes (mean embeddings with support counts); the server keeps the
     support-weighted mean per class. No model parameters ever move."""
@@ -543,60 +565,40 @@ class FedProto(Strategy):
     id = "fedproto"
 
     def initial_state(self) -> FedProtoState:
-        models = {
-            c.client_id: init_model(c.variant.spec, self.ctx.init_rng(c.client_id), c.variant.head_blocks)
-            for c in self.ctx.clients
-        }
         spec = self.ctx.base_spec
         return FedProtoState(
-            models=models,
+            models=self._initial_models(),
             proto_vectors=np.zeros((spec.num_classes, spec.proto_dim)),
             proto_mask=np.zeros(spec.num_classes, dtype=bool),
         )
 
     def run_round(self, state: FedProtoState, sampled: list[int], round_index: int):
-        if not sampled:
-            raise ValueError("cannot run a round with an empty sample set")
-        ordered = sorted(sampled)
+        ordered = self._ordered(sampled)
+        loss = LossSpec(
+            proto_weight=self.ctx.fed.lambda_proto,
+            proto_targets=state.proto_vectors,
+            proto_mask=state.proto_mask,
+        )
+        models = self._train_private(state.models, ordered, round_index, loss)
         num_classes = self.ctx.base_spec.num_classes
-        models = dict(state.models)
-        for _, cids in lockstep_groups(ordered, self._same_shape):
-            loss = LossSpec(
-                ce_heads=(models[cids[0]].final_head,),
-                proto_weight=self.ctx.fed.lambda_proto,
-                proto_targets=state.proto_vectors,
-                proto_mask=state.proto_mask,
-            )
-            stack = self._train_clients([models[cid] for cid in cids], cids, round_index, loss)
-            models.update(zip(cids, stack.models()))
-        uploads = [
-            compute_prototypes(models[cid], *self.ctx.client_data(cid), num_classes) for cid in ordered
-        ]
-        agg_vec, agg_support = aggregate_prototypes(uploads)
+        protos = {
+            cid: compute_prototypes(models[cid], *self.ctx.client_data(cid), num_classes) for cid in ordered
+        }
+        agg_vec, agg_support = aggregate_prototypes(list(protos.values()))
         dim = agg_vec.shape[1]
         self._check_finite(agg_vec.reshape(1, -1), ["the aggregate"], round_index,
                            lambda col: f"prototype[{col // dim}]")
         fresh = agg_support > 0
         vectors = np.where(fresh[:, None], agg_vec, state.proto_vectors)
         mask = state.proto_mask | fresh
-
-        numbers = num_classes * (self.ctx.base_spec.proto_dim + 1)
-        uploaded = {cid: numbers for cid in ordered}
-        return FedProtoState(models, vectors, mask), self._artifacts(ordered, uploaded)
-
-    def global_eval_model(self, state) -> None:
-        return None
+        uploads = {cid: vec.size + cnt.size for cid, (vec, cnt) in protos.items()}
+        return FedProtoState(models, vectors, mask), uploads
 
     def evaluate_global(self, state, features, labels) -> float:
         # No shared model exists; global accuracy is the mean of every
         # client's own-model accuracy on the global test set.
-        from .metrics import model_accuracy
-
         accs = [model_accuracy(m, features, labels) for _, m in sorted(state.models.items())]
         return float(np.mean(accs))
-
-    def client_eval_model(self, state, client_id, round_index):
-        return state.models[client_id]
 
 
 @dataclass
@@ -605,7 +607,7 @@ class FedETState:
     models: dict[int, BlockNetModel]
 
 
-class FedET(Strategy):
+class FedET(_PrivateModelStrategy):
     """Server-side ensemble transfer: sampled clients train locally and send
     their models up; the server builds confidence-weighted consensus logits
     on an unlabeled public split, distills them into a largest-spec server
@@ -622,56 +624,39 @@ class FedET(Strategy):
     def initial_state(self) -> FedETState:
         server = init_model(self.ctx.pool.largest.spec, self.ctx.server_rng(0),
                             self.ctx.pool.largest.head_blocks)
-        models = {
-            c.client_id: init_model(c.variant.spec, self.ctx.init_rng(c.client_id), c.variant.head_blocks)
-            for c in self.ctx.clients
-        }
-        return FedETState(server, models)
+        return FedETState(server, self._initial_models())
 
     def run_round(self, state: FedETState, sampled: list[int], round_index: int):
-        if not sampled:
-            raise ValueError("cannot run a round with an empty sample set")
-        ordered = sorted(sampled)
+        ordered = self._ordered(sampled)
         public = self.ctx.public_features
-        models = dict(state.models)
-        for _, cids in lockstep_groups(ordered, self._same_shape):
-            loss = LossSpec(ce_heads=(models[cids[0]].final_head,))
-            stack = self._train_clients([models[cid] for cid in cids], cids, round_index, loss)
-            models.update(zip(cids, stack.models()))
+        models = self._train_private(state.models, ordered, round_index, LossSpec())
 
         logit_sets = [forward(models[cid], public).logits[models[cid].final_head] for cid in ordered]
         consensus = consensus_logits(logit_sets)
         server_cfg = replace(self.ctx.sgd, local_epochs=self.ctx.fed.fedet_server_epochs)
-        stack = train_local(
-            [state.server_model], public, None, server_cfg,
-            LossSpec(ce_heads=(), soft_targets=softmax(consensus)),
-            [self.ctx.server_rng(round_index)],
-        )
-        self._check_finite(stack.vector, ["the server model"], round_index, stack.layout.key_at)
-        server = stack.models()[0]
+        server = self._train(
+            ["the server model"], round_index, [state.server_model], public, None, server_cfg,
+            LossSpec(ce_heads=(), soft_targets=softmax(consensus)), [self.ctx.server_rng(round_index)],
+        ).models()[0]
 
         # Every client distills from the same public rows, so one
         # architecture is one lockstep group.
         teacher = softmax(forward(server, public).logits[server.final_head])
         client_cfg = replace(self.ctx.sgd, local_epochs=self.ctx.fed.fedet_client_epochs)
         for _, cids in lockstep_groups(ordered, lambda cid: self.ctx.clients[cid].variant.variant_id):
-            stack = train_local(
+            stack = self._train(
+                [f"client {cid}" for cid in cids], round_index,
                 [models[cid] for cid in cids], public, None, client_cfg,
                 LossSpec(ce_heads=(), soft_targets=teacher),
                 [self.ctx.client_rng(cid, round_index, seeding.LANE_DISTILL) for cid in cids],
             )
-            owners = [f"client {cid}" for cid in cids]
-            self._check_finite(stack.vector, owners, round_index, stack.layout.key_at)
             models.update(zip(cids, stack.models()))
 
-        uploaded = {cid: int(models[cid].vector.size) for cid in ordered}
-        return FedETState(server, models), self._artifacts(ordered, uploaded)
+        uploads = {cid: models[cid].vector.size for cid in ordered}
+        return FedETState(server, models), uploads
 
-    def global_eval_model(self, state) -> BlockNetModel:
-        return state.server_model
-
-    def client_eval_model(self, state, client_id, round_index):
-        return state.models[client_id]
+    def evaluate_global(self, state, features, labels):
+        return model_accuracy(state.server_model, features, labels)
 
 
 STRATEGY_CLASSES: dict[str, type[Strategy]] = {

@@ -13,6 +13,8 @@ of `nn.param_layout`. The helpers at the end exist only for the tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from hetfed import seeding
@@ -196,19 +198,22 @@ def perturb_params(model: BlockNetModel, rng: np.random.Generator, scale: float 
 
 def brute_force_aggregate(
     previous: BlockNetModel,
-    contributions: list[tuple[dict[str, np.ndarray], SubModelMap, float]],
+    contributions: list[tuple[dict[str, np.ndarray], dict, float]],
 ) -> dict[str, np.ndarray]:
-    """Per-coordinate contributor mean computed with plain Python loops."""
+    """Per-coordinate contributor mean computed with plain Python loops.
+
+    Each contribution is (sub-model params, its per-axis entries from
+    `width_entries`/`depth_entries`, weight)."""
     result: dict[str, np.ndarray] = {}
     for key, prev in previous.params.items():
         out = prev.copy()
         for coord in np.ndindex(prev.shape):
             total = 0.0
             weight = 0.0
-            for params, smap, w in contributions:
-                if key not in smap.entries:
+            for params, entries, w in contributions:
+                if key not in entries:
                     continue
-                axes = smap.entries[key]
+                axes = entries[key]
                 sub_coord = []
                 covered = True
                 for axis, idx in enumerate(axes):
@@ -306,14 +311,14 @@ def reference_train_local(
     rng: np.random.Generator,
 ) -> BlockNetModel:
     """`train_local` with one momentum buffer and one update per parameter."""
-    current = model.copy()
+    current = copy_model(model)
     params = current.params
     momentum = zeros_like_params(params)
     n = features.shape[0]
     for _ in range(config.local_epochs):
         for idx in batch_windows(n, config.batch_size, rng):
             y = None if labels is None else labels[idx]
-            grads = gradient(current, features[idx], y, loss.slice_batch(idx))
+            grads = gradient(current, features[idx], y, loss_rows(loss, idx))
             for key, g in grads.items():
                 buf = config.momentum * momentum[key] + g
                 momentum[key] = buf
@@ -350,7 +355,7 @@ def fedepth_reference_client(strategy, global_model: BlockNetModel, client_id: i
     )
     features, labels = ctx.client_data(client_id)
     rng = ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-    working = global_model.copy()
+    working = copy_model(global_model)
     params = working.params
     momentum = zeros_like_params(params)
     loss = LossSpec(ce_heads=(working.final_head,))
@@ -381,7 +386,7 @@ def fjord_reference_client(strategy, global_model: BlockNetModel, client_id: int
     ks = strategy._allowed_channels(client.variant.rate)
     fixed = ctx.fed.fjord_fixed_p
     d_global = ctx.pool.largest.spec.hidden_dim
-    working = sub.copy()
+    working = copy_model(sub)
     params = working.params
     momentum = zeros_like_params(params)
     n = features.shape[0]
@@ -422,9 +427,22 @@ def gradient(
     loss: LossSpec,
 ) -> ParamViews:
     """One model's exact gradient, laid out like `model.params`: `backward`
-    on a stack of that model alone."""
+    on a stack of that model alone. Soft targets in `loss` are the batch's
+    rows."""
     stack = ModelStack(model.spec, model.head_blocks, model.vector[None], np.empty((1, model.vector.size)))
-    return backward(stack, batch, labels, loss)
+    return backward(stack, batch, labels, loss.soft_targets, loss)
+
+
+def loss_rows(loss: LossSpec, rows) -> LossSpec:
+    """`loss` with its soft targets (one per row of the features) cut to
+    `rows`, the batch's own."""
+    if loss.soft_targets is None:
+        return loss
+    return replace(loss, soft_targets=loss.soft_targets[rows])
+
+
+def copy_model(model: BlockNetModel) -> BlockNetModel:
+    return BlockNetModel(model.spec, model.head_blocks, model.vector.copy())
 
 
 def loss_value(

@@ -45,12 +45,14 @@ from hetfed.strategies import FederationConfig, make_strategy, sample_clients
 from oracles import (
     brute_force_aggregate,
     class_histogram,
+    depth_entries,
     finite_difference_grads,
     gradient,
     label_divergence,
     max_relative_error,
     perturb_params,
     upload,
+    width_entries,
 )
 from test_strategies import make_ctx, largest
 
@@ -126,16 +128,18 @@ def test_criterion_2_aggregation_oracle():
         for _ in range(int(rng.integers(1, 6))):
             weight = float(rng.integers(1, 30))
             if rng.random() < 0.5:
-                sub, smap = extract_width(
-                    global_model, float(rng.uniform(0.1, 1.0)),
-                    "rolling" if rng.random() < 0.5 else "static_prefix",
-                    int(rng.integers(0, 6)),
-                )
+                rate = float(rng.uniform(0.1, 1.0))
+                mode = "rolling" if rng.random() < 0.5 else "static_prefix"
+                round_index = int(rng.integers(0, 6))
+                sub, smap = extract_width(global_model, rate, mode, round_index)
+                entries = width_entries(spec, heads, select_channels(spec.hidden_dim, rate, mode, round_index))
             else:
-                sub, smap = extract_depth(global_model, int(rng.integers(1, blocks + 1)), True)
+                depth = int(rng.integers(1, blocks + 1))
+                sub, smap = extract_depth(global_model, depth, True)
+                entries = depth_entries(global_model, depth, True)
             params = upload(sub, {k: rng.normal(size=v.shape) for k, v in sub.params.items()})
             scatter_update(acc, params, smap, weight)
-            contributions.append((params, smap, weight))
+            contributions.append((params, entries, weight))
         merged = normalize(acc, global_model)
         expected = brute_force_aggregate(global_model, contributions)
         for k in merged.params:

@@ -68,9 +68,6 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert re.fullmatch(r"diverged: sheterofl: round \d+: client \d+ diverged; parameter \S+ is not finite\n", err)
 
-    def test_workers_flag_is_accepted(self, config_path, tmp_path):
-        assert main(["run", config_path, "--out", str(tmp_path / "o"), "--workers", "3"]) == EXIT_OK
-
     def test_env_overrides(self, config_path, tmp_path, monkeypatch):
         out = str(tmp_path / "env_out")
         monkeypatch.setenv("HETFED_OUT", out)
@@ -132,3 +129,26 @@ class TestOtherCommands:
         assert main(["report", str(tmp_path)]) == EXIT_IO
         err = capsys.readouterr().err
         assert err == f"i/o error: {path}: not a hetfed summary: no per-strategy metrics under 'strategies'\n"
+
+    METRICS = {"final_global_accuracy": 0.5, "time_to_accuracy_s": None,
+               "stability_variance": 0, "effectiveness_delta": None}
+
+    @pytest.mark.parametrize("key,value,wanted", [
+        ("final_global_accuracy", "x", "a number"),
+        ("final_global_accuracy", None, "a number"),
+        ("stability_variance", True, "a number"),
+        ("time_to_accuracy_s", "12.5", "a number or null"),
+        ("effectiveness_delta", [0.1], "a number or null"),
+    ])
+    def test_report_non_numeric_metric_is_io_error(self, tmp_path, capsys, key, value, wanted):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"strategies": {"fedet": self.METRICS, "sheterofl": {**self.METRICS, key: value}}}))
+        assert main(["report", str(path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"i/o error: {path}: strategy 'sheterofl': {key} must be {wanted}, got {value!r}\n"
+
+    def test_report_takes_integers_and_null_where_a_metric_may_be_missing(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"strategies": {"sheterofl": self.METRICS}}))
+        assert main(["report", str(path)]) == EXIT_OK
+        assert "not-reached" in capsys.readouterr().out

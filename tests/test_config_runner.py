@@ -1,10 +1,11 @@
+import glob
 import json
 import os
 
 import pytest
 
-from hetfed import nn, seeding
-from hetfed.config import ConfigError, parse_config_text, resolve_config
+from hetfed import nn, seeding, strategies
+from hetfed.config import ConfigError, load_config, parse_config_text, resolve_config
 from hetfed.datasets import split_global
 from hetfed.metrics import model_accuracy
 from hetfed.runner import (
@@ -177,6 +178,29 @@ class TestRunner:
         assert lines[0] == "round,sim_time_s,global_acc,stability_var,mean_client_acc"
         assert len(lines) == 1 + cfg.num_rounds  # cadence 1
 
+    def test_upload_the_cost_model_does_not_price_stops_the_run(self, tmp_path, monkeypatch):
+        # A round that reports one number more than the first sampled
+        # client's variant is priced at.
+        first = []
+
+        class Overreporting(strategies.SHeteroFL):
+            def run_round(self, state, sampled, round_index):
+                state, uploads = super().run_round(state, sampled, round_index)
+                first.append(min(uploads))
+                uploads[first[-1]] += 1
+                return state, uploads
+
+        monkeypatch.setitem(strategies.STRATEGY_CLASSES, "sheterofl", Overreporting)
+        cfg = small_config()
+        w100 = next(l for l in pool_csv(cfg).splitlines() if l.startswith("sheterofl,w100,"))
+        priced = float(w100.split(",")[-1])  # every client holds w100 under 1e9 B of memory
+        with pytest.raises(RuntimeError) as err:
+            run_experiment(cfg, str(tmp_path / "run"))
+        assert str(err.value) == (
+            f"sheterofl: round 1 client {first[0]} uploaded {priced + 16:.0f}B "
+            f"but the cost model prices {priced:.0f}B"
+        )
+
 
 class TestSweep:
     def test_singleton_axis_equals_run(self, tmp_path):
@@ -213,6 +237,22 @@ class TestSweep:
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             sweep_experiment(small_config(), "flavor", ["x"], str(tmp_path / "s"))
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg"))) + sorted(
+    glob.glob(os.path.join(ROOT, "bench", "workloads", "*.cfg"))
+)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: os.path.relpath(p, ROOT))
+def test_shipped_config_loads_and_prices_its_pool(path):
+    # Every key a shipped config or bench workload sets must stay accepted.
+    cfg = load_config(path)
+    table = pool_csv(cfg)
+    print(table)
+    listed = {line.split(",")[0] for line in table.splitlines()[1:]}
+    assert set(cfg.strategies) <= listed
 
 
 class TestInspectionTables:

@@ -263,13 +263,17 @@ class TestAgainstBruteForceOracle:
                 if rng.random() < 0.5:
                     rate = float(rng.uniform(0.1, 1.0))
                     mode = "rolling" if rng.random() < 0.5 else "static_prefix"
-                    sub, smap = extract_width(global_model, rate, mode, int(rng.integers(0, 8)))
+                    round_index = int(rng.integers(0, 8))
+                    sub, smap = extract_width(global_model, rate, mode, round_index)
+                    channels = select_channels(global_model.spec.hidden_dim, rate, mode, round_index)
+                    entries = width_entries(global_model.spec, heads, channels)
                 else:
                     depth = int(rng.integers(1, blocks + 1))
                     sub, smap = extract_depth(global_model, depth, with_aux_heads=True)
+                    entries = depth_entries(global_model, depth, with_aux_heads=True)
                 params = upload(sub, {k: rng.normal(size=v.shape) for k, v in sub.params.items()})
                 scatter_update(acc, params, smap, weight)
-                contributions.append((params, smap, weight))
+                contributions.append((params, entries, weight))
             merged = normalize(acc, global_model)
             expected = brute_force_aggregate(global_model, contributions)
             for k in merged.params:

@@ -10,6 +10,7 @@ from oracles import (
     finite_difference_grads,
     gradient,
     log_softmax,
+    loss_rows,
     loss_value,
     max_relative_error,
     model_from_params,
@@ -449,11 +450,11 @@ class TestLockstep:
                          proto_mask=np.array([True, False, True]))),
             (None, LossSpec(ce_heads=(), soft_targets=soft)),
         ):
-            assert nn.backward(stack, x, labels, loss) is stack.grads
+            assert nn.backward(stack, x, labels, loss.soft_targets, loss) is stack.grads
             for c, model in enumerate(models):
                 rows = slice(c * n, (c + 1) * n)
                 client_labels = None if labels is None else labels[rows]
-                alone = gradient(model, x[rows], client_labels, loss.slice_batch(rows))
+                alone = gradient(model, x[rows], client_labels, loss_rows(loss, rows))
                 assert np.array_equal(stack.grad[c], alone.vector)
 
     def test_train_local_stack_matches_each_client_alone(self):
@@ -502,9 +503,9 @@ class TestLockstep:
         for bad in (3, -1):
             y = np.array([0, 1, 2, 0, 1, bad])
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
-                nn.backward(alone, x, y, LossSpec())
+                nn.backward(alone, x, y, None, LossSpec())
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
-                nn.backward(pair, x, y, LossSpec())
+                nn.backward(pair, x, y, None, LossSpec())
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
                 nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)])
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
@@ -519,4 +520,4 @@ class TestLockstep:
         vectors = np.stack([nn.init_model(spec, np.random.default_rng(s)).vector for s in range(3)])
         stack = nn.ModelStack(spec, (1,), vectors, np.empty_like(vectors))
         with pytest.raises(nn.ShapeError):
-            nn.backward(stack, np.zeros((4, 4)), np.zeros(4, dtype=int), LossSpec())
+            nn.backward(stack, np.zeros((4, 4)), np.zeros(4, dtype=int), None, LossSpec())

@@ -9,7 +9,7 @@ from hetfed.datasets import gen_synthetic
 from hetfed.extract import select_channels
 from hetfed.metrics import model_accuracy
 from hetfed.nn import BlockNetSpec, SGDConfig
-from hetfed.resources import DeviceProfile, PoolConfig, build_pool, fedepth_segments, segment_memory
+from hetfed.resources import DeviceProfile, PoolConfig, build_pool, fedepth_segments, payload_bytes, segment_memory
 from hetfed.strategies import (
     ClientState,
     DivergenceError,
@@ -23,6 +23,7 @@ from hetfed.strategies import (
 )
 
 from oracles import (
+    copy_model,
     depth_entries,
     fedepth_reference_client,
     fedepth_segment_keys,
@@ -68,7 +69,6 @@ def make_ctx(
         for cid in range(num_clients)
     ]
     return FederationContext(
-        level=level,
         base_spec=spec,
         pool=pool,
         clients=clients,
@@ -179,10 +179,10 @@ class TestCommonRoundBehaviour:
         strategy = make_strategy(strategy_id, ctx)
         state = strategy.initial_state()
         snapshot = {k: v.copy() for k, v in state.params.items()}
-        new_state, artifacts = strategy.run_round(state, [0, 2], 1)
+        new_state, uploads = strategy.run_round(state, [0, 2], 1)
         for k in snapshot:
             assert np.allclose(new_state.params[k], snapshot[k], atol=1e-12)
-        assert set(artifacts.sample_counts) == {0, 2}
+        assert set(uploads) == {0, 2}
 
     def test_empty_sample_set_rejected(self):
         ctx = make_ctx("sheterofl", "width", largest)
@@ -363,7 +363,7 @@ class TestEvalModels:
         state = strategy.initial_state()
         first = strategy.client_eval_model(state, 1, 2)
         assert strategy.client_eval_model(state, 3, 2) is first
-        copy = state.copy()
+        copy = copy_model(state)
         fresh = strategy.client_eval_model(copy, 3, 2)
         assert fresh is not first and np.array_equal(fresh.vector, first.vector)
         later = strategy.client_eval_model(copy, 3, 3)
@@ -498,9 +498,9 @@ class TestDepthFamily:
         ctx = make_ctx("fedepth", "depth", largest)
         strategy = make_strategy("fedepth", ctx)
         state = strategy.initial_state()
-        new_state, artifacts = strategy.run_round(state, [0], 1)
-        expected = nn.parameter_count(SPEC)
-        assert artifacts.payload_bytes[0] == 2 * expected * 8
+        new_state, uploads = strategy.run_round(state, [0], 1)
+        assert uploads == {0: nn.parameter_count(SPEC)}
+        assert payload_bytes("fedepth", uploads[0]) == 2 * nn.parameter_count(SPEC) * 8
         changed = sum(
             0 if np.array_equal(new_state.params[k], state.params[k]) else 1
             for k in state.params
@@ -585,10 +585,10 @@ class TestTopologyFamily:
         ctx = make_ctx("fedproto", "topology", alternating)
         strategy = make_strategy("fedproto", ctx)
         state = strategy.initial_state()
-        assert strategy.global_eval_model(state) is None
-        new_state, artifacts = strategy.run_round(state, [0, 1], 1)
+        new_state, uploads = strategy.run_round(state, [0, 1], 1)
         numbers = SPEC.num_classes * (SPEC.proto_dim + 1)
-        assert artifacts.payload_bytes[0] == numbers * 8
+        assert uploads == {0: numbers, 1: numbers}
+        assert payload_bytes("fedproto", uploads[0]) == numbers * 8
         # unsampled clients' models never move
         for k in state.models[2].params:
             assert np.array_equal(new_state.models[2].params[k], state.models[2].params[k])
@@ -627,22 +627,22 @@ class TestTopologyFamily:
         ctx = make_ctx("fedet", "topology", alternating)
         strategy = make_strategy("fedet", ctx)
         state = strategy.initial_state()
-        new_state, artifacts = strategy.run_round(state, [0, 1], 1)
+        new_state, uploads = strategy.run_round(state, [0, 1], 1)
         assert any(
             not np.array_equal(new_state.server_model.params[k], state.server_model.params[k])
             for k in state.server_model.params
         )
         for k in state.models[3].params:
             assert np.array_equal(new_state.models[3].params[k], state.models[3].params[k])
-        assert artifacts.payload_bytes[0] == 2 * 8 * sum(
-            v.size for v in new_state.models[0].params.values()
-        )
+        assert uploads[0] == sum(v.size for v in new_state.models[0].params.values())
+        assert payload_bytes("fedet", uploads[0]) == 2 * 8 * uploads[0]
 
     def test_fedet_global_eval_is_server_model(self):
         ctx = make_ctx("fedet", "topology", alternating)
         strategy = make_strategy("fedet", ctx)
         state = strategy.initial_state()
-        assert strategy.global_eval_model(state) is state.server_model
+        x, y = ctx.public_features, ctx.train_labels[:16]
+        assert strategy.evaluate_global(state, x, y) == model_accuracy(state.server_model, x, y)
 
 
 class TestDeterminism:
