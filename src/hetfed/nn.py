@@ -50,6 +50,13 @@ one) in lockstep, each with its own rows, batch shuffles and rng, and a
 per-step hook (`Move`) can restrict a step to part of each vector.
 `backward` computes the gradients only; nothing in the engine reads a loss
 value. One model's gradient and loss value live in `tests/oracles.py`.
+
+`predict` remembers one prediction per model. When the model's vector and
+the features are both read-only, the argmax is stored on the model with
+the features object, and a later call on that same object (by identity)
+returns it without a forward. A writable model is never memoized. The
+memo is safe because every model a strategy keeps in its state is
+read-only, so it cannot change under its stored prediction.
 """
 
 from __future__ import annotations
@@ -208,10 +215,12 @@ class ParamViews(dict):
 class BlockNetModel:
     """A spec, the heads attached to it, and the flat parameter vector
     (wrapped, not copied). Treated as immutable once returned by an engine
-    operation; training code works on private copies.
+    operation; training code works on private copies. A model with a
+    read-only vector cannot change, so `predict` may remember its
+    prediction (`_predicted`).
     """
 
-    __slots__ = ("spec", "head_blocks", "vector", "_params", "_stack")
+    __slots__ = ("spec", "head_blocks", "vector", "_params", "_stack", "_predicted")
 
     def __init__(self, spec: BlockNetSpec, head_blocks: tuple[int, ...], vector: np.ndarray):
         if vector.shape != (param_layout(spec, head_blocks).size,):
@@ -221,6 +230,7 @@ class BlockNetModel:
         self.vector = vector
         self._params = None
         self._stack = None
+        self._predicted = None
 
     @property
     def params(self) -> ParamViews:
@@ -689,7 +699,18 @@ def train_local(
 def predict(model: BlockNetModel, features: np.ndarray) -> np.ndarray:
     """Argmax class of the deepest head; ties break toward the lower index.
 
-    Only the trunk and the deepest head are computed.
+    Only the trunk and the deepest head are computed. When the model's
+    vector and `features` are both read-only, the result is read-only and
+    remembered on the model: a later call with the same `features` object
+    returns it without a forward.
     """
+    frozen = not (model.vector.flags.writeable or features.flags.writeable)
+    memo = model._predicted
+    if frozen and memo is not None and memo[0] is features:
+        return memo[1]
     logits = _run_forward(model.stack, features, (model.final_head,))["logits"][model.final_head]
-    return logits.argmax(axis=1)
+    labels = logits.argmax(axis=1)
+    if frozen:
+        labels.setflags(write=False)
+        model._predicted = (features, labels)
+    return labels

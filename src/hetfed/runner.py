@@ -104,6 +104,9 @@ def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) ->
     # evaluation forward pass: about 2M minor page faults in one 30 s
     # depth_eval bench run, against 14k with it held.
     seed_r, source, train, test, public, parts = _repeat_data(cfg, repeat)
+    # Read-only test features let `nn.predict` score each read-only model
+    # once, however many clients share it; `test` owns its rows.
+    test.features.setflags(write=False)
     scenario = cfg.scenario
     profiles = sample_profiles(
         cfg.profiles, scenario, cfg.num_clients, seeding.mix_seed(seed_r, seeding.TAG_PROFILES)
@@ -309,8 +312,9 @@ class SummaryError(ValueError):
 def load_summaries(paths: list[str]) -> list[dict]:
     """Each run's summary.json (the file or its run directory). One that is
     not JSON (the message gives the line and column), has no per-strategy
-    report metrics, or has a metric that is not a number (or null where a
-    metric may be missing) raises SummaryError naming the file."""
+    report metrics, has a metric that is not a finite number (or null where
+    a metric may be missing), or has a scenario that is not a string raises
+    SummaryError naming the file."""
     summaries = []
     for path in paths:
         if os.path.isdir(path):
@@ -325,6 +329,9 @@ def load_summaries(paths: list[str]) -> list[dict]:
             isinstance(m, dict) and all(name in m for name, _ in METRIC_COLUMNS) for m in strategies.values()
         ):
             raise SummaryError(f"{path}: not a hetfed summary: no per-strategy metrics under 'strategies'")
+        scenario = summary.get("scenario", "")
+        if not isinstance(scenario, str):
+            raise SummaryError(f"{path}: scenario must be a string, got {scenario!r}")
         for sid, metrics in strategies.items():
             for name, _ in METRIC_COLUMNS:
                 value = metrics[name]
@@ -333,6 +340,9 @@ def load_summaries(paths: list[str]) -> list[dict]:
                 if not number and not (value is None and nullable):
                     wanted = "a number or null" if nullable else "a number"
                     raise SummaryError(f"{path}: strategy {sid!r}: {name} must be {wanted}, got {value!r}")
+                # JSON's NaN and Infinity parse to floats that rank arbitrarily.
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise SummaryError(f"{path}: strategy {sid!r}: {name} must be finite, got {value!r}")
         summaries.append(summary)
     return summaries
 

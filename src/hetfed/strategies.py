@@ -43,6 +43,13 @@ trained vectors finite, as is every aggregate (the normalized global
 model, FedProto's prototypes); a non-finite value raises `DivergenceError`
 naming the strategy, the round, the owner and the parameter.
 
+Every model a strategy keeps in its state is immutable: its vector is
+read-only from the moment it is made (`initial_state`, `_train`, the
+aggregate), so an in-place write raises `ValueError`. Training copies the
+vectors it starts from. This is what lets `nn.predict` score each
+distinct model once on the shared test set: a state model cannot change
+under the prediction it remembers.
+
 Where the published descriptions of the cited methods include extras that
 do not change the resource trade-off being measured (InclusiveFL's momentum
 distillation, Fed-ET's diversity regularizer), those extras are omitted;
@@ -149,6 +156,12 @@ class DivergenceError(ArithmeticError):
     """Local training produced a non-finite parameter."""
 
 
+def _frozen(model: BlockNetModel) -> BlockNetModel:
+    """`model` with its vector made read-only, as every state model is."""
+    model.vector.setflags(write=False)
+    return model
+
+
 def lockstep_groups(ordered: list[int], key: Callable[[int], Hashable]) -> list[tuple[Hashable, list[int]]]:
     """The clients (in id order) split into the groups that train in
     lockstep: one (key, ids) group per distinct `key(client_id)`, in order of
@@ -252,8 +265,9 @@ class Strategy:
         raise NotImplementedError
 
     def client_eval_model(self, state, client_id: int, round_index: int) -> BlockNetModel:
-        """The model a client is scored on. It may be shared with other
-        clients, so callers only read it."""
+        """The model a client is scored on, read-only like every state
+        model. Clients that get the same object are scored once on the
+        same read-only test features (`nn.predict` remembers it)."""
         raise NotImplementedError
 
     def evaluate_global(self, state, features: np.ndarray, labels: np.ndarray) -> float:
@@ -273,10 +287,11 @@ class Strategy:
         return client.variant.variant_id, client.num_samples
 
     def _train(self, owners: list[str], round_index: int, *args) -> ModelStack:
-        """`nn.train_local(*args)` with the trained vectors checked finite;
-        `owners` names the owner of each row."""
+        """`nn.train_local(*args)` with the trained vectors checked finite
+        and made read-only; `owners` names the owner of each row."""
         stack = train_local(*args)
         self._check_finite(stack.vector, owners, round_index, stack.layout.key_at)
+        stack.vector.setflags(write=False)
         return stack
 
     def _train_clients(
@@ -317,7 +332,7 @@ class _PartialAveragingStrategy(Strategy):
 
     def initial_state(self) -> BlockNetModel:
         largest = self.ctx.pool.largest
-        return init_model(largest.spec, self.ctx.init_rng(), self._global_heads())
+        return _frozen(init_model(largest.spec, self.ctx.init_rng(), self._global_heads()))
 
     def _global_heads(self) -> tuple[int, ...]:
         return self.ctx.pool.largest.head_blocks
@@ -360,7 +375,7 @@ class _PartialAveragingStrategy(Strategy):
         new_global = normalize(acc, state)
         # A weighted mean of finite uploads can still overflow.
         self._check_finite(new_global.vector[None], ["the aggregate"], round_index, acc.layout.key_at)
-        return new_global, uploads
+        return _frozen(new_global), uploads
 
     def evaluate_global(self, state, features, labels):
         return model_accuracy(state, features, labels)
@@ -380,8 +395,7 @@ class _PartialAveragingStrategy(Strategy):
         models = memo[2]
         model = models.get(client.variant.variant_id)
         if model is None:
-            model = models[client.variant.variant_id] = self._extract(state, client, round_index)[0]
-            model.vector.setflags(write=False)
+            model = models[client.variant.variant_id] = _frozen(self._extract(state, client, round_index)[0])
         return model
 
 
@@ -531,7 +545,7 @@ class _PrivateModelStrategy(Strategy):
 
     def _initial_models(self) -> dict[int, BlockNetModel]:
         return {
-            c.client_id: init_model(c.variant.spec, self.ctx.init_rng(c.client_id), c.variant.head_blocks)
+            c.client_id: _frozen(init_model(c.variant.spec, self.ctx.init_rng(c.client_id), c.variant.head_blocks))
             for c in self.ctx.clients
         }
 
@@ -622,8 +636,8 @@ class FedET(_PrivateModelStrategy):
             raise ValueError("fedet requires a public split; set data.public_fraction > 0")
 
     def initial_state(self) -> FedETState:
-        server = init_model(self.ctx.pool.largest.spec, self.ctx.server_rng(0),
-                            self.ctx.pool.largest.head_blocks)
+        server = _frozen(init_model(self.ctx.pool.largest.spec, self.ctx.server_rng(0),
+                                    self.ctx.pool.largest.head_blocks))
         return FedETState(server, self._initial_models())
 
     def run_round(self, state: FedETState, sampled: list[int], round_index: int):

@@ -139,6 +139,8 @@ class TestOtherCommands:
         ("stability_variance", True, "a number"),
         ("time_to_accuracy_s", "12.5", "a number or null"),
         ("effectiveness_delta", [0.1], "a number or null"),
+        ("final_global_accuracy", float("nan"), "finite"),
+        ("effectiveness_delta", float("inf"), "finite"),
     ])
     def test_report_non_numeric_metric_is_io_error(self, tmp_path, capsys, key, value, wanted):
         path = tmp_path / "summary.json"
@@ -146,6 +148,13 @@ class TestOtherCommands:
         assert main(["report", str(path)]) == EXIT_IO
         err = capsys.readouterr().err
         assert err == f"i/o error: {path}: strategy 'sheterofl': {key} must be {wanted}, got {value!r}\n"
+
+    def test_report_non_string_scenario_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"scenario": ["memory"], "strategies": {"sheterofl": self.METRICS}}))
+        assert main(["report", str(path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"i/o error: {path}: scenario must be a string, got ['memory']\n"
 
     def test_report_takes_integers_and_null_where_a_metric_may_be_missing(self, tmp_path, capsys):
         path = tmp_path / "summary.json"

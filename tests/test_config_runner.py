@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from hetfed import nn, seeding, strategies
+from hetfed import nn, runner, seeding, strategies
 from hetfed.config import ConfigError, load_config, parse_config_text, resolve_config
 from hetfed.datasets import split_global
 from hetfed.metrics import model_accuracy
@@ -200,6 +200,43 @@ class TestRunner:
             f"sheterofl: round 1 client {first[0]} uploaded {priced + 16:.0f}B "
             f"but the cost model prices {priced:.0f}B"
         )
+
+    def test_evaluation_runs_one_forward_per_distinct_model(self, monkeypatch):
+        # model_accuracy still scores every client and the global model once
+        # per eval round, but the clients of a depthfl variant share one
+        # read-only eval model and every fedepth client is scored on the
+        # global model, so only the distinct models run a forward.
+        cfg = small_config(
+            'strategies = ["depthfl", "fedepth"]\nlevel = depth\ninclude_baseline = false\n'
+            "num_clients = 8\nscenario.memory_tiers = [[1e5, 0.5], [5e4, 0.5]]\n"
+        )
+        forwards, scored = [0], []
+        run_forward, accuracy = nn._run_forward, runner.model_accuracy
+
+        def counted_forward(*args, **kwargs):
+            forwards[0] += 1
+            return run_forward(*args, **kwargs)
+
+        def counted_accuracy(model, features, labels):
+            start = forwards[0]
+            result = accuracy(model, features, labels)
+            scored.append((model, forwards[0] - start))
+            return result
+
+        monkeypatch.setattr(nn, "_run_forward", counted_forward)
+        monkeypatch.setattr(runner, "model_accuracy", counted_accuracy)
+        monkeypatch.setattr(strategies, "model_accuracy", counted_accuracy)
+        clients, eval_rounds = 8, 3
+        for sid, distinct_eval_models in (("depthfl", 2), ("fedepth", 1)):
+            scored.clear()
+            run_strategy_repeat(cfg, sid, 0)
+            assert len(scored) == eval_rounds * (clients + 1)
+            for start in range(0, len(scored), clients + 1):
+                *client_models, global_model = [model for model, _ in scored[start:start + clients + 1]]
+                eval_ids = {id(model) for model in client_models}
+                assert len(eval_ids) == distinct_eval_models
+                distinct = eval_ids | {id(global_model)}
+                assert sum(count for _, count in scored[start:start + clients + 1]) == len(distinct)
 
 
 class TestSweep:

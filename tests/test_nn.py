@@ -521,3 +521,57 @@ class TestLockstep:
         stack = nn.ModelStack(spec, (1,), vectors, np.empty_like(vectors))
         with pytest.raises(nn.ShapeError):
             nn.backward(stack, np.zeros((4, 4)), np.zeros(4, dtype=int), None, LossSpec())
+
+
+def read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+class TestPredictMemo:
+    """`predict` scores a read-only model on read-only features once."""
+
+    @staticmethod
+    def counting_forward(monkeypatch):
+        calls = []
+        run_forward = nn._run_forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_forward(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "_run_forward", counted)
+        return calls
+
+    def test_writable_model_is_never_memoized(self, monkeypatch):
+        spec = small_spec(num_classes=3)
+        model = nn.init_model(spec, np.random.default_rng(0))
+        x = read_only(np.random.default_rng(1).normal(size=(40, 4)))
+        calls = self.counting_forward(monkeypatch)
+        before = nn.predict(model, x)
+        assert before.flags.writeable and set(before.tolist()) != {2}
+        model.params[f"head{model.final_head}.fc.b"][...] = [0.0, 0.0, 1e6]
+        after = nn.predict(model, x)
+        assert len(calls) == 2
+        assert np.array_equal(after, np.full(40, 2))
+
+    def test_frozen_model_is_scored_once_per_features_object(self, monkeypatch):
+        spec = small_spec(num_classes=3, num_blocks=2)
+        model = nn.init_model(spec, np.random.default_rng(3), (1, 2))
+        copy = nn.BlockNetModel(spec, model.head_blocks, model.vector.copy())
+        read_only(model.vector)
+        x = read_only(np.random.default_rng(4).normal(size=(40, 4)))
+        calls = self.counting_forward(monkeypatch)
+        first = nn.predict(model, x)
+        assert nn.predict(model, x) is first and len(calls) == 1
+        assert not first.flags.writeable
+        assert np.array_equal(first, nn.predict(copy, x)) and len(calls) == 2
+        # Equal values in another object are not the same features.
+        equal = read_only(x.copy())
+        assert np.array_equal(nn.predict(model, equal), first) and len(calls) == 3
+        # Writable features are never memoized either.
+        writable = x.copy()
+        assert nn.predict(model, writable).flags.writeable
+        writable[:] = 0.0
+        assert np.array_equal(nn.predict(model, writable), nn.predict(copy, writable))
+        assert len(calls) == 6

@@ -293,7 +293,8 @@ class TestDivergence:
         # the sample-count weighted sum of the uploads overflows.
         ctx = make_ctx(strategy_id, level, alternating)
         strategy = make_strategy(strategy_id, ctx)
-        state = strategy.initial_state()
+        # State models are read-only; the round starts from a writable copy.
+        state = copy_model(strategy.initial_state())
         for j in state.head_blocks:
             state.params[f"head{j}.fc.b"][:] = 1e308
         pattern = rf"^{strategy_id}: round 3: the aggregate diverged; parameter head\d\.fc\.b is not finite$"
@@ -387,7 +388,6 @@ class TestEvalModels:
             model.params["stem.w"][...] = 0.0
         assert strategy.client_eval_model(state, 0, 2) is model
         assert np.array_equal(nn.predict(model, x), before)
-        assert state.vector.flags.writeable
 
     @pytest.mark.parametrize("strategy_id,level", [
         ("fedavg_full", "width"), ("fedavg_smallest", "width"), ("fedepth", "depth"),
@@ -397,6 +397,40 @@ class TestEvalModels:
         strategy = make_strategy(strategy_id, ctx)
         state, _ = strategy.run_round(strategy.initial_state(), [0, 1, 2], 1)
         assert all(strategy.client_eval_model(state, cid, 2) is state for cid in range(len(ctx.clients)))
+
+
+class TestStateModels:
+    """Every model a strategy keeps in its state is read-only, so
+    `nn.predict` may remember its test-set prediction."""
+
+    LEVELS = {
+        "sheterofl": "width", "fedrolex": "width", "fjord": "width",
+        "depthfl": "depth", "inclusivefl": "depth", "fedepth": "depth",
+        "fedproto": "topology", "fedet": "topology",
+        "fedavg_full": "width", "fedavg_smallest": "width",
+    }
+
+    @staticmethod
+    def models(state) -> list:
+        if isinstance(state, nn.BlockNetModel):
+            return [state]
+        server = [state.server_model] if hasattr(state, "server_model") else []
+        return server + [m for _, m in sorted(state.models.items())]
+
+    @pytest.mark.parametrize("strategy_id", sorted(strategies.STRATEGY_CLASSES))
+    def test_state_models_are_read_only(self, strategy_id):
+        ctx = make_ctx(strategy_id, self.LEVELS[strategy_id], alternating)
+        strategy = make_strategy(strategy_id, ctx)
+        initial = strategy.initial_state()
+        later, _ = strategy.run_round(initial, [0, 1, 2], 1)
+        for state in (initial, later):
+            eval_models = [strategy.client_eval_model(state, cid, 2) for cid in range(len(ctx.clients))]
+            for model in self.models(state) + eval_models:
+                assert not model.vector.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    model.vector[0] = 1e3
+                with pytest.raises(ValueError, match="read-only"):
+                    model.params["stem.b"][...] = 0.0
 
 
 class TestWidthFamily:
