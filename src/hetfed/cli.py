@@ -17,6 +17,7 @@ from .resources import InfeasibleScenarioError
 from .runner import (
     SWEEP_AXES,
     SummaryError,
+    atomic_write_text,
     format_report,
     load_summaries,
     partition_csv,
@@ -101,8 +102,7 @@ def main(argv: list[str] | None = None) -> int:
             rows = report_rows(load_summaries(args.paths))
             sys.stdout.write(format_report(rows))
             if args.csv:
-                with open(args.csv, "w", encoding="utf-8") as fh:
-                    fh.write(report_csv(rows))
+                atomic_write_text(args.csv, report_csv(rows))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

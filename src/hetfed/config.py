@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -147,7 +148,15 @@ def _coerce(key: str, kind: str, value: object) -> object:
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        # JSON's NaN and Infinity parse to floats; a range check such as
+        # `alpha <= 0` is false for NaN and lets it through.
+        if not math.isfinite(number):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+        return number
     if kind == "float_or_null":
         if value is None:
             return None
@@ -298,7 +307,7 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     for entry in resolved["scenario.memory_tiers"]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ConfigError("scenario.memory_tiers: entries must be [capacity_bytes, fraction]")
-        tiers.append((float(entry[0]), float(entry[1])))
+        tiers.append(tuple(_coerce("scenario.memory_tiers", "float", number) for number in entry))
     try:
         scenario = ScenarioConfig(
             constraints=constraints,

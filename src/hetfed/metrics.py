@@ -13,8 +13,6 @@ import numpy as np
 
 from .nn import BlockNetModel, predict
 
-NOT_REACHED = None
-
 
 @dataclass
 class RoundRecord:
@@ -41,13 +39,33 @@ class MetricsReport:
     stability_variance: float
     effectiveness_delta: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "final_global_accuracy": self.final_global_accuracy,
-            "time_to_accuracy_s": self.time_to_accuracy_s,
-            "stability_variance": self.stability_variance,
-            "effectiveness_delta": self.effectiveness_delta,
-        }
+
+@dataclass(frozen=True)
+class Metric:
+    """One report metric: its key in summary.json and the CSVs, whether a
+    higher value is better, its `hetfed report` column label and width, and
+    whether it may be null (threshold never reached, or no baseline)."""
+
+    name: str
+    higher_is_better: bool
+    label: str
+    width: int
+    nullable: bool
+
+    def rank(self, value: float) -> float:
+        """Sort key that puts the best value first."""
+        return -value if self.higher_is_better else value
+
+
+# The per-strategy metrics of summary.json, the sweep CSV and `hetfed
+# report`, in column order; one per MetricsReport field. A new report
+# column is one row here plus the field that build_report fills.
+METRICS = (
+    Metric("final_global_accuracy", True, "final_acc", 10, False),
+    Metric("time_to_accuracy_s", False, "tta_s", 12, True),
+    Metric("stability_variance", False, "stability", 10, False),
+    Metric("effectiveness_delta", True, "effect", 8, True),
+)
 
 
 def advance_clock(client_times: dict[int, tuple[float, float]]) -> tuple[float, float, float]:
@@ -76,7 +94,7 @@ def time_to_accuracy(records: list[RoundRecord], threshold: float) -> float | No
     for record in records:
         if record.global_accuracy >= threshold:
             return record.sim_time_s
-    return NOT_REACHED
+    return None
 
 
 def stability(per_client_accuracies) -> float:
@@ -114,24 +132,29 @@ def build_report(
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (schema: round,sim_time_s,global_acc,stability_var,mean_client_acc)
+# CSV emission: every CSV hetfed writes goes through csv_cell and csv_text
+
+
+def csv_cell(value: float | None) -> str:
+    """A number cell: empty for a missing value, else the shortest repr of
+    the float that round-trips. Integer columns use str(int) instead."""
+    return "" if value is None else repr(float(value))
+
+
+def csv_text(header: list[str], rows: list[list[str]]) -> str:
+    """Comma-joined lines, each ending in a newline."""
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
 
 
 def records_csv(records: list[RoundRecord], include_clients: bool = False) -> str:
+    """One row per evaluated round; with include_clients, one column per
+    client's accuracy after the fixed ones."""
+    client_ids = sorted(records[0].per_client_accuracy) if include_clients and records else []
     header = ["round", "sim_time_s", "global_acc", "stability_var", "mean_client_acc"]
-    client_ids: list[int] = []
-    if include_clients and records:
-        client_ids = sorted(records[0].per_client_accuracy)
-        header.extend(f"client_{cid}" for cid in client_ids)
-    lines = [",".join(header)]
+    header.extend(f"client_{cid}" for cid in client_ids)
+    rows = []
     for r in records:
-        row = [
-            str(r.round),
-            repr(float(r.sim_time_s)),
-            repr(float(r.global_accuracy)),
-            repr(float(r.stability_variance)),
-            repr(float(r.mean_client_accuracy)),
-        ]
-        row.extend(repr(float(r.per_client_accuracy[cid])) for cid in client_ids)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        numbers = [r.sim_time_s, r.global_accuracy, r.stability_variance, r.mean_client_accuracy]
+        numbers.extend(r.per_client_accuracy[cid] for cid in client_ids)
+        rows.append([str(r.round), *map(csv_cell, numbers)])
+    return csv_text(header, rows)

@@ -11,14 +11,23 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__, seeding
 from .config import ConfigError, ExperimentConfig, resolve_config
 from .datasets import Dataset, PartitionConfig, gen_synthetic, load_csv, partition, split_global
-from .metrics import MetricsReport, RoundRecord, advance_clock, build_report, model_accuracy, records_csv
+from .metrics import (
+    METRICS,
+    RoundRecord,
+    advance_clock,
+    build_report,
+    csv_cell,
+    csv_text,
+    model_accuracy,
+    records_csv,
+)
 from .resources import assign_models, build_pool, estimate_times, payload_bytes, sample_profiles
 from .strategies import ClientState, FederationContext, make_strategy, sample_clients
 
@@ -184,6 +193,7 @@ def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) ->
 
 
 def _mean_or_none(values: list[float | None]) -> float | None:
+    """Mean of the values present; None when every value is missing."""
     present = [v for v in values if v is not None]
     if not present:
         return None
@@ -206,25 +216,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             atomic_write_text(os.path.join(out, name), records_csv(outcome.records, cfg.per_client_csv))
             artifacts.append(name)
 
-    baseline_finals = (
-        [o.final_accuracy for o in outcomes[BASELINE_ID]] if BASELINE_ID in outcomes else None
-    )
+    baseline_finals = [None] * cfg.repeats
+    if BASELINE_ID in outcomes:
+        baseline_finals = [o.final_accuracy for o in outcomes[BASELINE_ID]]
     summary: dict = {"config_hash": cfg.hash(), "scenario": "+".join(cfg.scenario.constraints), "strategies": {}}
     for sid in strategy_ids:
-        reports: list[MetricsReport] = []
-        for outcome in outcomes[sid]:
-            baseline_acc = baseline_finals[outcome.repeat] if baseline_finals is not None else None
-            reports.append(build_report(outcome.records, cfg.tta_threshold, baseline_acc))
-        ttas = [r.time_to_accuracy_s for r in reports]
-        deltas = [r.effectiveness_delta for r in reports]
-        summary["strategies"][sid] = {
-            "final_global_accuracy": float(np.mean([r.final_global_accuracy for r in reports])),
-            "time_to_accuracy_s": _mean_or_none(ttas),
-            "time_to_accuracy_reached": sum(1 for t in ttas if t is not None),
-            "stability_variance": float(np.mean([r.stability_variance for r in reports])),
-            "effectiveness_delta": _mean_or_none(deltas),
-            "repeats": [r.to_dict() for r in reports],
-        }
+        reports = [build_report(o.records, cfg.tta_threshold, baseline_finals[o.repeat]) for o in outcomes[sid]]
+        entry = {m.name: _mean_or_none([getattr(r, m.name) for r in reports]) for m in METRICS}
+        entry["time_to_accuracy_reached"] = sum(1 for r in reports if r.time_to_accuracy_s is not None)
+        entry["repeats"] = [asdict(r) for r in reports]
+        summary["strategies"][sid] = entry
 
     manifest = {
         "version": __version__,
@@ -244,16 +245,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
 
 
 def _axis_override(raw: dict[str, object], axis: str, value: str) -> dict[str, object]:
+    """The raw config with one sweep axis set to `value`; `axis` is one of SWEEP_AXES."""
     out = dict(raw)
-    if axis == "num_clients":
-        out["num_clients"] = int(value)
-    elif axis == "alpha":
-        out["partition.mode"] = "dirichlet"
-        out["partition.alpha"] = float(value)
-    elif axis == "scenario":
-        out["scenario.constraints"] = value.split("+")
-    else:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+    try:
+        if axis == "num_clients":
+            out["num_clients"] = int(value)
+        elif axis == "alpha":
+            out["partition.mode"] = "dirichlet"
+            out["partition.alpha"] = float(value)
+        else:
+            out["scenario.constraints"] = value.split("+")
+    except ValueError:
+        wanted = "an integer" if axis == "num_clients" else "a number"
+        raise ConfigError(f"sweep axis {axis}: expected {wanted}, got {value!r}") from None
     return out
 
 
@@ -263,46 +267,22 @@ def sweep_experiment(cfg: ExperimentConfig, axis: str, values: list[str], out_di
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
+    sub_cfgs = [resolve_config(_axis_override(cfg.raw, axis, value)) for value in values]
     out = out_dir if out_dir is not None else cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    lines = [
-        "axis,value,strategy,final_global_accuracy,time_to_accuracy_s,stability_variance,effectiveness_delta"
-    ]
-    for value in values:
-        sub_cfg = resolve_config(_axis_override(cfg.raw, axis, value))
+    rows = []
+    for value, sub_cfg in zip(values, sub_cfgs):
         sub_dir = os.path.join(out, f"{axis}_{value.replace('+', '-')}")
-        summary = run_experiment(sub_cfg, sub_dir)
-        for sid in sorted(summary["strategies"]):
-            row = summary["strategies"][sid]
-            lines.append(
-                ",".join(
-                    [
-                        axis,
-                        value,
-                        sid,
-                        repr(row["final_global_accuracy"]),
-                        "" if row["time_to_accuracy_s"] is None else repr(row["time_to_accuracy_s"]),
-                        repr(row["stability_variance"]),
-                        "" if row["effectiveness_delta"] is None else repr(row["effectiveness_delta"]),
-                    ]
-                )
-            )
-    text = "\n".join(lines) + "\n"
+        strategies = run_experiment(sub_cfg, sub_dir)["strategies"]
+        for sid in sorted(strategies):
+            rows.append([axis, value, sid, *(csv_cell(strategies[sid][m.name]) for m in METRICS)])
+    text = csv_text(["axis", "value", "strategy", *(m.name for m in METRICS)], rows)
     atomic_write_text(os.path.join(out, "sweep.csv"), text)
     return text
 
 
 # ---------------------------------------------------------------------------
 # reporting over finished runs
-
-
-METRIC_COLUMNS = (
-    ("final_global_accuracy", "max"),
-    ("time_to_accuracy_s", "min"),
-    ("stability_variance", "min"),
-    ("effectiveness_delta", "max"),
-)
-NULLABLE_METRICS = ("time_to_accuracy_s", "effectiveness_delta")
 
 
 class SummaryError(ValueError):
@@ -326,87 +306,61 @@ def load_summaries(paths: list[str]) -> list[dict]:
                 raise SummaryError(f"{path}: not valid JSON: {exc}") from None
         strategies = summary.get("strategies") if isinstance(summary, dict) else None
         if not isinstance(strategies, dict) or not all(
-            isinstance(m, dict) and all(name in m for name, _ in METRIC_COLUMNS) for m in strategies.values()
+            isinstance(entry, dict) and all(m.name in entry for m in METRICS) for entry in strategies.values()
         ):
             raise SummaryError(f"{path}: not a hetfed summary: no per-strategy metrics under 'strategies'")
         scenario = summary.get("scenario", "")
         if not isinstance(scenario, str):
             raise SummaryError(f"{path}: scenario must be a string, got {scenario!r}")
-        for sid, metrics in strategies.items():
-            for name, _ in METRIC_COLUMNS:
-                value = metrics[name]
-                nullable = name in NULLABLE_METRICS
+        for sid, entry in strategies.items():
+            for m in METRICS:
+                value = entry[m.name]
                 number = isinstance(value, (int, float)) and not isinstance(value, bool)
-                if not number and not (value is None and nullable):
-                    wanted = "a number or null" if nullable else "a number"
-                    raise SummaryError(f"{path}: strategy {sid!r}: {name} must be {wanted}, got {value!r}")
+                if not number and not (value is None and m.nullable):
+                    wanted = "a number or null" if m.nullable else "a number"
+                    raise SummaryError(f"{path}: strategy {sid!r}: {m.name} must be {wanted}, got {value!r}")
                 # JSON's NaN and Infinity parse to floats that rank arbitrarily.
                 if isinstance(value, float) and not math.isfinite(value):
-                    raise SummaryError(f"{path}: strategy {sid!r}: {name} must be finite, got {value!r}")
+                    raise SummaryError(f"{path}: strategy {sid!r}: {m.name} must be finite, got {value!r}")
         summaries.append(summary)
     return summaries
 
 
 def report_rows(summaries: list[dict]) -> list[dict]:
-    rows = []
-    for summary in summaries:
-        scenario = summary.get("scenario", "")
-        for sid, metrics in summary["strategies"].items():
-            rows.append(
-                {
-                    "strategy": sid,
-                    "scenario": scenario,
-                    "final_global_accuracy": metrics["final_global_accuracy"],
-                    "time_to_accuracy_s": metrics["time_to_accuracy_s"],
-                    "stability_variance": metrics["stability_variance"],
-                    "effectiveness_delta": metrics["effectiveness_delta"],
-                }
-            )
-    rows.sort(key=lambda r: (-r["final_global_accuracy"], r["strategy"], r["scenario"]))
+    """One row per (run, strategy): its strategy, scenario and metrics,
+    the first metric's best value first."""
+    rows = [
+        {"strategy": sid, "scenario": summary.get("scenario", ""), **{m.name: entry[m.name] for m in METRICS}}
+        for summary in summaries
+        for sid, entry in summary["strategies"].items()
+    ]
+    rows.sort(key=lambda r: (METRICS[0].rank(r[METRICS[0].name]), r["strategy"], r["scenario"]))
     return rows
 
 
 def format_report(rows: list[dict]) -> str:
     def fmt(value) -> str:
-        if value is None:
-            return "not-reached"
-        return f"{value:.4f}"
+        return "not-reached" if value is None else f"{value:.4f}"
 
-    lines = [
-        f"{'strategy':<16} {'scenario':<28} {'final_acc':>10} {'tta_s':>12} {'stability':>10} {'effect':>8}"
-    ]
+    def line(strategy: str, scenario: str, cells: list[str]) -> str:
+        padded = [f"{cell:>{m.width}}" for m, cell in zip(METRICS, cells)]
+        return " ".join([f"{strategy:<16}", f"{scenario:<28}", *padded])
+
+    lines = [line("strategy", "scenario", [m.label for m in METRICS])]
     for r in rows:
-        lines.append(
-            f"{r['strategy']:<16} {r['scenario']:<28} {fmt(r['final_global_accuracy']):>10} "
-            f"{fmt(r['time_to_accuracy_s']):>12} {fmt(r['stability_variance']):>10} "
-            f"{fmt(r['effectiveness_delta']):>8}"
-        )
+        lines.append(line(r["strategy"], r["scenario"], [fmt(r[m.name]) for m in METRICS]))
     lines.append("")
-    for metric, mode in METRIC_COLUMNS:
-        scored = [r for r in rows if r[metric] is not None]
-        if not scored:
-            continue
-        best = min(scored, key=lambda r: r[metric]) if mode == "min" else max(scored, key=lambda r: r[metric])
-        lines.append(f"best {metric}: {best['strategy']} ({fmt(best[metric])})")
+    for m in METRICS:
+        scored = [r for r in rows if r[m.name] is not None]
+        if scored:
+            best = min(scored, key=lambda r: m.rank(r[m.name]))
+            lines.append(f"best {m.name}: {best['strategy']} ({fmt(best[m.name])})")
     return "\n".join(lines) + "\n"
 
 
 def report_csv(rows: list[dict]) -> str:
-    lines = ["strategy,scenario,final_global_accuracy,time_to_accuracy_s,stability_variance,effectiveness_delta"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r["strategy"],
-                    r["scenario"],
-                    repr(float(r["final_global_accuracy"])),
-                    "" if r["time_to_accuracy_s"] is None else repr(float(r["time_to_accuracy_s"])),
-                    repr(float(r["stability_variance"])),
-                    "" if r["effectiveness_delta"] is None else repr(float(r["effectiveness_delta"])),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    cells = [[r["strategy"], r["scenario"], *(csv_cell(r[m.name]) for m in METRICS)] for r in rows]
+    return csv_text(["strategy", "scenario", *(m.name for m in METRICS)], cells)
 
 
 # ---------------------------------------------------------------------------
@@ -414,38 +368,26 @@ def report_csv(rows: list[dict]) -> str:
 
 
 def pool_csv(cfg: ExperimentConfig) -> str:
-    lines = [
-        "strategy,variant_id,kind,rate,depth,hidden_dim,num_blocks,params,flops_per_sample,memory_bytes,comm_payload_bytes"
-    ]
+    header = ["strategy", "variant_id", "kind", "rate", "depth", "hidden_dim", "num_blocks", "params"]
+    header += ["flops_per_sample", "memory_bytes", "comm_payload_bytes"]
+    rows = []
     for sid in _strategy_ids(cfg):
         pool = build_pool(sid, cfg.level, cfg.model, cfg.pool, cfg.sgd.batch_size, cfg.memory_multipliers)
         for v in pool.variants:
-            lines.append(
-                ",".join(
-                    [
-                        sid,
-                        v.variant_id,
-                        v.kind,
-                        "" if v.rate is None else repr(float(v.rate)),
-                        "" if v.depth is None else str(v.depth),
-                        str(v.spec.hidden_dim),
-                        str(v.spec.num_blocks),
-                        str(v.stats.params),
-                        repr(float(v.stats.flops_per_sample)),
-                        repr(float(v.stats.memory_bytes)),
-                        repr(float(v.stats.comm_payload_bytes)),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+            depth = "" if v.depth is None else str(v.depth)
+            sizes = [str(v.spec.hidden_dim), str(v.spec.num_blocks), str(v.stats.params)]
+            costs = [v.stats.flops_per_sample, v.stats.memory_bytes, v.stats.comm_payload_bytes]
+            rows.append([sid, v.variant_id, v.kind, csv_cell(v.rate), depth, *sizes, *map(csv_cell, costs)])
+    return csv_text(header, rows)
 
 
 def partition_csv(cfg: ExperimentConfig) -> str:
     """Per-client class counts for repeat 0, for eyeballing the partition."""
     _, _, train, _, _, parts = _repeat_data(cfg, 0)
     classes = cfg.model.num_classes
-    lines = ["client_id,n_samples," + ",".join(f"class_{c}" for c in range(classes))]
-    for cid, idx in enumerate(parts):
-        counts = np.bincount(train.labels[idx], minlength=classes)
-        lines.append(f"{cid},{idx.size}," + ",".join(str(int(c)) for c in counts))
-    return "\n".join(lines) + "\n"
+    header = ["client_id", "n_samples", *(f"class_{c}" for c in range(classes))]
+    rows = [
+        [str(cid), str(idx.size), *(str(int(c)) for c in np.bincount(train.labels[idx], minlength=classes))]
+        for cid, idx in enumerate(parts)
+    ]
+    return csv_text(header, rows)

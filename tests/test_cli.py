@@ -52,6 +52,16 @@ class TestRunCommand:
         bad.write_text(CONFIG + "mystery_key = 1\n")
         assert main(["run", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line,message", [
+        ("partition.alpha = NaN", "partition.alpha: expected a finite number, got nan"),
+        ("sgd.learning_rate = Infinity", "sgd.learning_rate: expected a finite number, got inf"),
+    ])
+    def test_non_finite_config_value_is_config_error(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG + line + "\n")
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_infeasible_exit_code(self, tmp_path):
         bad = tmp_path / "tight.cfg"
         bad.write_text(CONFIG.replace("[[1e9, 1.0]]", "[[10.0, 1.0]]"))
@@ -99,6 +109,17 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert os.path.exists(os.path.join(out, "sweep.csv"))
         assert "alpha,0.5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("axis,value,message", [
+        ("alpha", "abc", "sweep axis alpha: expected a number, got 'abc'"),
+        ("num_clients", "2.5", "sweep axis num_clients: expected an integer, got '2.5'"),
+        ("alpha", "nan", "partition.alpha: expected a finite number, got nan"),
+    ])
+    def test_sweep_bad_axis_value_is_config_error(self, config_path, tmp_path, capsys, axis, value, message):
+        out = tmp_path / "sweep"
+        assert main(["sweep", config_path, "--axis", axis, "--values", f"2,{value}", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()  # every value is checked before the first run
 
     def test_report_over_runs_sorted_descending(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -159,5 +180,12 @@ class TestOtherCommands:
     def test_report_takes_integers_and_null_where_a_metric_may_be_missing(self, tmp_path, capsys):
         path = tmp_path / "summary.json"
         path.write_text(json.dumps({"strategies": {"sheterofl": self.METRICS}}))
-        assert main(["report", str(path)]) == EXIT_OK
+        csv_out = tmp_path / "report.csv"
+        csv_out.write_text("stale contents that are longer than the report\n" * 9)
+        assert main(["report", str(path), "--csv", str(csv_out)]) == EXIT_OK
         assert "not-reached" in capsys.readouterr().out
+        assert csv_out.read_text() == (
+            "strategy,scenario,final_global_accuracy,time_to_accuracy_s,stability_variance,effectiveness_delta\n"
+            "sheterofl,,0.5,,0.0,\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["report.csv", "summary.json"]

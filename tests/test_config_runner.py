@@ -91,6 +91,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="t_compute"):
             resolve_config(parse_config_text(SMALL.replace('["memory"]', '["computation"]')))
 
+    @pytest.mark.parametrize("extra,message", [
+        ("partition.alpha = NaN", "partition.alpha: expected a finite number, got nan"),
+        ("sgd.learning_rate = Infinity", "sgd.learning_rate: expected a finite number, got inf"),
+        ("scenario.t_compute = -Infinity", "scenario.t_compute: expected a finite number, got -inf"),
+        ("data.noise = 1e999", "data.noise: expected a finite number, got inf"),
+        (f"data.noise = {10**400}", f"data.noise: expected a finite number, got {10**400}"),
+    ])
+    def test_non_finite_number_rejected(self, extra, message):
+        with pytest.raises(ConfigError) as excinfo:
+            small_config(extra)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("tiers,message", [
+        ("[[1e9, NaN]]", "scenario.memory_tiers: expected a finite number, got nan"),
+        ("[[Infinity, 1.0]]", "scenario.memory_tiers: expected a finite number, got inf"),
+        ('[["1e9", 1.0]]', "scenario.memory_tiers: expected a number, got '1e9'"),
+    ])
+    def test_memory_tier_entries_must_be_finite_numbers(self, tiers, message):
+        with pytest.raises(ConfigError) as excinfo:
+            resolve_config(parse_config_text(SMALL.replace("[[1e9, 1.0]]", tiers)))
+        assert str(excinfo.value) == message
+
+    def test_null_compute_deadline_still_allowed(self):
+        assert small_config("scenario.t_compute = null").scenario.t_compute is None
+
     def test_hash_stable_under_key_order(self):
         a = resolve_config(parse_config_text(SMALL))
         reordered = "\n".join(reversed([l for l in SMALL.strip().splitlines()]))
