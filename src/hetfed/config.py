@@ -362,6 +362,9 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
             local_epochs=resolved["sgd.local_epochs"],
             momentum=resolved["sgd.momentum"],
         )
+    except ValueError as exc:
+        raise ConfigError(f"sgd.*: {exc}") from exc
+    try:
         fed = FederationConfig(
             lambda_kd=resolved["algo.lambda_kd"],
             lambda_proto=resolved["algo.lambda_proto"],
@@ -371,7 +374,7 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
             weighting=resolved["aggregation.weighting"],
         )
     except ValueError as exc:
-        raise ConfigError(f"sgd/algo/aggregation: {exc}") from exc
+        raise ConfigError(str(exc)) from exc  # the message names the key
 
     if resolved["eval.cadence"] < 1:
         raise ConfigError("eval.cadence: must be >= 1")

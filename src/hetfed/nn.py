@@ -47,7 +47,7 @@ Training is minibatch momentum-SGD on the flat vectors; `sgd_update` is the
 only place the update is written. A stack is the one operand of `backward`
 and `train_local`: `train_local` trains K clients (one alone is a stack of
 one) in lockstep, each with its own rows, batch shuffles and rng, and a
-per-step hook (`Move`) can restrict a step to part of each vector.
+per-pass plan of `Move`s can restrict each step to part of each vector.
 `backward` computes the gradients only; nothing in the engine reads a loss
 value. One model's gradient and loss value live in `tests/oracles.py`.
 
@@ -625,10 +625,14 @@ class Move(NamedTuple):
 
     index: the coordinates of each row that move: all of them, a slice
         (a FeDepth segment; the step runs the whole model, the rest stays
-        frozen), or a flat index vector (a FjORD nested width).
+        frozen), or a flat index vector (a FjORD nested width: a static
+        width prefix of the stacked model).
     nested: with an index vector, the (spec, heads) of the model those
-        coordinates form; the step runs that model.
+        coordinates form; the step runs that model on the member rows.
     members: the rows that take the step; a subset only with `nested`.
+
+    One step may hold several moves with disjoint members: each is one
+    walk (one `backward` call).
     """
 
     index: slice | np.ndarray = slice(None)
@@ -647,7 +651,7 @@ def train_local(
     loss: LossSpec,
     rngs: Sequence[np.random.Generator],
     rows: Sequence[np.ndarray] | None = None,
-    moves: Callable[[int], Sequence[Move]] | None = None,
+    moves: Callable[[int], Sequence[Sequence[Move]]] | None = None,
 ) -> ModelStack:
     """Run `local_epochs` passes of minibatch momentum-SGD on K models of
     one (spec, heads) in lockstep, one rng each; returns the trained copies
@@ -658,8 +662,13 @@ def train_local(
     each client has a batch of the same length. Each client shuffles its
     rows once per pass with its own rng, exactly as it would alone; all
     shuffles are drawn up front. Soft targets in `loss` are indexed by row
-    of `features`. `moves(pass_index)` names what each step moves (see
-    `Move`); by default every coordinate of every client.
+    of `features`.
+
+    `moves(pass_index)` is called once at the start of each pass and
+    returns the pass's plan: one list of `Move`s per step, in step order
+    (a pass takes ceil(rows / batch_size) steps; a plan of another length
+    raises `ValueError`). By default every step moves every coordinate of
+    every client. Each move is one walk through the module's `backward`.
     """
     first = models[0]
     vectors = np.stack([m.vector for m in models])
@@ -667,15 +676,21 @@ def train_local(
     momentum = np.zeros_like(vectors)
     n = features.shape[0] if rows is None else rows[0].size
     passes = config.local_epochs
+    starts = range(0, n, config.batch_size)
     # order[k, pass] is client k's shuffled rows of `features` for that pass.
     order = np.array([[rng.permutation(n) for _ in range(passes)] for rng in rngs], dtype=np.intp)
     if rows is not None:
         order = np.stack(rows)[np.arange(len(rows))[:, None, None], order]
     nested_stacks: dict = {}
     for pass_index in range(passes):
-        for start in range(0, n, config.batch_size):
+        plan = [_EVERY] * len(starts) if moves is None else moves(pass_index)
+        if len(plan) != len(starts):
+            raise ValueError(
+                f"moves({pass_index}) planned {len(plan)} steps; the pass takes {len(starts)}"
+            )
+        for start, step in zip(starts, plan):
             window = order[:, pass_index, start:start + config.batch_size]
-            for move in _EVERY if moves is None else moves(pass_index):
+            for move in step:
                 idx = window[move.members].ravel()
                 batch = features.take(idx, axis=0)
                 y = None if labels is None else labels.take(idx)

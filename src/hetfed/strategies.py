@@ -28,10 +28,14 @@ architecture and the same sample count) take every step as one stacked
 walk. Each client keeps its own data, batch shuffles and rng draws, so a
 client's result does not depend on its group; scatter and every other
 cross-client sum run in client-id order. FjORD and FeDepth move only part
-of their model per step; they hand `train_local` a per-step hook that names
-the coordinates a step moves: a FjORD nested-width index vector with its
-nested model, drawn per client (the group re-splits by width each step),
-or a FeDepth segment slice (one group per segmentation).
+of their model per step; they hand `train_local` a per-pass plan that names
+the coordinates each step moves. FeDepth's is its segment's slice (one
+group per segmentation). FjORD's stack holds global-model vectors, one
+group per sample count whatever the clients' rates: each client draws a
+width for every step of a pass at once, and at each step the clients that
+drew the same width share one walk of that static prefix of the global
+model. A client's upload is its trained row taken through the prefix of
+its own width, which is also its scatter map.
 
 Evaluation follows the same rule: a width or depth strategy extracts each
 variant's evaluation sub-model once per (state, eval round) and hands that
@@ -103,8 +107,14 @@ class FederationConfig:
     weighting: str = "samples"      # aggregation weighting: samples | uniform
 
     def __post_init__(self) -> None:
+        # Each message names the config key that sets the knob.
         if self.weighting not in ("samples", "uniform"):
-            raise ValueError("aggregation weighting must be 'samples' or 'uniform'")
+            raise ValueError(f"aggregation.weighting: must be 'samples' or 'uniform', got {self.weighting!r}")
+        if self.fjord_fixed_p is not None and not 0.0 < self.fjord_fixed_p <= 1.0:
+            raise ValueError(f"algo.fjord_fixed_p: must lie in (0, 1] or be null, got {self.fjord_fixed_p}")
+        for name in ("fedet_server_epochs", "fedet_client_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"algo.{name}: must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -301,7 +311,7 @@ class Strategy:
         round_index: int,
         loss: LossSpec,
         config: SGDConfig | None = None,
-        moves: Callable[[int], list[Move]] | None = None,
+        moves: Callable[[int], list[list[Move]]] | None = None,
     ) -> ModelStack:
         """Train one lockstep group of clients on their own data."""
         ctx = self.ctx
@@ -353,24 +363,28 @@ class _PartialAveragingStrategy(Strategy):
 
     def _train_group(
         self, global_model: BlockNetModel, key: Hashable, client_ids: list[int], round_index: int
-    ) -> tuple[ModelStack, SubModelMap]:
-        """Extract the group's sub-model once and train every client of the
-        group from it in lockstep."""
+    ) -> list[tuple[BlockNetModel, SubModelMap]]:
+        """Each client's trained sub-model and its map, in id order: the
+        group's sub-model is extracted once and every client of the group
+        trains from it in lockstep."""
         sub, smap = self._extract(global_model, self.ctx.clients[client_ids[0]], round_index)
-        return self._train_clients([sub] * len(client_ids), client_ids, round_index, self._client_loss(sub)), smap
+        stack = self._train_clients([sub] * len(client_ids), client_ids, round_index, self._client_loss(sub))
+        return [(trained, smap) for trained in stack.models()]
+
+    def _steps_per_pass(self, client_id: int) -> int:
+        """The local steps one pass over a client's data takes."""
+        return -(-self.ctx.clients[client_id].num_samples // self.ctx.sgd.batch_size)
 
     def run_round(self, state: BlockNetModel, sampled: list[int], round_index: int):
         ordered = self._ordered(sampled)
         results = {}
         for key, cids in lockstep_groups(ordered, self._group_key):
-            stack, smap = self._train_group(state, key, cids, round_index)
-            for cid, trained in zip(cids, stack.models()):
-                results[cid] = trained.params, smap
+            results.update(zip(cids, self._train_group(state, key, cids, round_index)))
         acc = new_accumulator(state)
         uploads = {}
         for cid in ordered:
-            params, smap = results[cid]
-            scatter_update(acc, params, smap, self.ctx.client_weight(cid))
+            trained, smap = results[cid]
+            scatter_update(acc, trained.params, smap, self.ctx.client_weight(cid))
             uploads[cid] = smap.index.size
         new_global = normalize(acc, state)
         # A weighted mean of finite uploads can still overflow.
@@ -432,30 +446,54 @@ class Fjord(SHeteroFL):
         ks = sorted({width_channels(d, r) for r in rates if r <= client_rate + 1e-12})
         return ks or [width_channels(d, client_rate)]
 
+    def _group_key(self, client_id):
+        # The stack holds global-model vectors, so clients of every rate
+        # share it; only the batch count splits them.
+        return self.ctx.clients[client_id].num_samples
+
     def _train_group(self, global_model, key, client_ids, round_index):
-        client = self.ctx.clients[client_ids[0]]
-        sub, smap = self._extract(global_model, client, round_index)
-        widths = self._allowed_channels(client.variant.rate)
-        fixed = self.ctx.fed.fjord_fixed_p
-        if fixed is not None:
-            widths = [min(width_channels(self.ctx.pool.largest.spec.hidden_dim, fixed), sub.spec.hidden_dim)]
-        rate_rngs = [self.ctx.client_rng(cid, round_index, seeding.LANE_RATE) for cid in client_ids]
-        nested_maps = {}  # width -> map of that nested prefix into `sub`, extracted once
+        ctx = self.ctx
+        d = global_model.spec.hidden_dim
+        rates = [ctx.clients[cid].variant.rate for cid in client_ids]
+        own = [width_channels(d, rate) for rate in rates]
+        prefixes = {}  # width -> its static prefix map into the global model, extracted once
 
-        def moves(pass_index: int) -> list[Move]:
-            # Each client draws its own width (a fixed rate draws nothing);
-            # the clients that drew the same width take this step as one stack.
-            drawn = np.array([widths[0] if fixed is not None else int(rng.choice(widths)) for rng in rate_rngs])
-            step = []
-            for k in np.unique(drawn).tolist():
-                if k not in nested_maps:
-                    nested_maps[k] = extract_channels(sub, np.arange(k))[1]
-                nmap = nested_maps[k]
-                step.append(Move(nmap.index, (nmap.spec, nmap.head_set), np.flatnonzero(drawn == k)))
-            return step
+        def prefix(k: int) -> SubModelMap:
+            if k not in prefixes:
+                prefixes[k] = extract_channels(global_model, np.arange(k))[1]
+            return prefixes[k]
 
-        loss = self._client_loss(sub)
-        return self._train_clients([sub] * len(client_ids), client_ids, round_index, loss, moves=moves), smap
+        steps = self._steps_per_pass(client_ids[0])
+        fixed = ctx.fed.fjord_fixed_p
+        # A fixed rate leaves each client a ladder of one width: the fixed
+        # one, or its own if that is narrower.
+        if fixed is None:
+            ladders = [self._allowed_channels(rate) for rate in rates]
+        else:
+            ladders = [[min(width_channels(d, fixed), k)] for k in own]
+        rngs = [ctx.client_rng(cid, round_index, seeding.LANE_RATE) for cid in client_ids]
+
+        def moves(pass_index: int) -> list[list[Move]]:
+            # drawn[client, step]: a pass's draws at once, the same draws and
+            # generator state as one `choice` per step. The clients that
+            # drew the same width take that step as one walk.
+            drawn = np.array([rng.choice(ladder, size=steps) for rng, ladder in zip(rngs, ladders)])
+            plan = []
+            for column in drawn.T:
+                step = []
+                for k in np.unique(column).tolist():
+                    nested = prefix(k)
+                    step.append(Move(nested.index, (nested.spec, nested.head_set), np.flatnonzero(column == k)))
+                plan.append(step)
+            return plan
+
+        loss = self._client_loss(global_model)
+        stack = self._train_clients([global_model] * len(client_ids), client_ids, round_index, loss, moves=moves)
+        uploads = []
+        for row, k in zip(stack.vector, own):
+            smap = prefix(k)
+            uploads.append((BlockNetModel(smap.spec, smap.head_set, row.take(smap.index)), smap))
+        return uploads
 
 
 class DepthFL(_PartialAveragingStrategy):
@@ -522,15 +560,19 @@ class FeDepth(FedAvg):
     def _train_group(self, global_model, key, client_ids, round_index):
         segments, _ = key
         epochs = self.ctx.sgd.local_epochs
+        steps = self._steps_per_pass(client_ids[0])
         # The segments train one after another, `local_epochs` passes each;
-        # a step moves its segment's slice and the rest stays frozen.
-        steps = [[Move(segment_slice(global_model.spec, global_model.head_blocks, seg))] for seg in segments]
+        # every step of a pass moves its segment's slice and the rest stays
+        # frozen.
+        plans = [[[Move(segment_slice(global_model.spec, global_model.head_blocks, seg))]] * steps
+                 for seg in segments]
         config = replace(self.ctx.sgd, local_epochs=len(segments) * epochs)
         stack = self._train_clients(
             [global_model] * len(client_ids), client_ids, round_index, self._client_loss(global_model),
-            config, lambda pass_index: steps[pass_index // epochs],
+            config, lambda pass_index: plans[pass_index // epochs],
         )
-        return stack, full_map(global_model)
+        smap = full_map(global_model)
+        return [(trained, smap) for trained in stack.models()]
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,21 @@ class TestRunCommand:
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("line,message", [
+        ("algo.fjord_fixed_p = 1.5", "algo.fjord_fixed_p: must lie in (0, 1] or be null, got 1.5"),
+        ("algo.fjord_fixed_p = 0", "algo.fjord_fixed_p: must lie in (0, 1] or be null, got 0.0"),
+        ("algo.fjord_fixed_p = -0.2", "algo.fjord_fixed_p: must lie in (0, 1] or be null, got -0.2"),
+        ("algo.fedet_server_epochs = 0", "algo.fedet_server_epochs: must be >= 1, got 0"),
+        ("algo.fedet_client_epochs = 0", "algo.fedet_client_epochs: must be >= 1, got 0"),
+    ])
+    def test_out_of_range_algo_knob_stops_before_any_output(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.replace('["sheterofl"]', '["fjord"]') + line + "\n")
+        out = tmp_path / "o"
+        assert main(["run", str(bad), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_infeasible_exit_code(self, tmp_path):
         bad = tmp_path / "tight.cfg"
         bad.write_text(CONFIG.replace("[[1e9, 1.0]]", "[[10.0, 1.0]]"))

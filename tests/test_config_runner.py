@@ -43,6 +43,17 @@ scenario.memory_tiers = [[1e9, 1.0]]
 """
 
 
+# A knob a strategy reads only mid-run must fail at load time.
+ALGO_KNOB_ERRORS = [
+    ("algo.fjord_fixed_p = 1.5", "algo.fjord_fixed_p: must lie in (0, 1] or be null, got 1.5"),
+    ("algo.fjord_fixed_p = 0", "algo.fjord_fixed_p: must lie in (0, 1] or be null, got 0.0"),
+    ("algo.fjord_fixed_p = -0.2", "algo.fjord_fixed_p: must lie in (0, 1] or be null, got -0.2"),
+    ("algo.fedet_server_epochs = 0", "algo.fedet_server_epochs: must be >= 1, got 0"),
+    ("algo.fedet_client_epochs = 0", "algo.fedet_client_epochs: must be >= 1, got 0"),
+    ("aggregation.weighting = median", "aggregation.weighting: must be 'samples' or 'uniform', got 'median'"),
+]
+
+
 def small_config(extra: str = ""):
     raw = parse_config_text(SMALL)
     raw.update(parse_config_text(extra))
@@ -111,6 +122,12 @@ class TestConfigParsing:
     def test_memory_tier_entries_must_be_finite_numbers(self, tiers, message):
         with pytest.raises(ConfigError) as excinfo:
             resolve_config(parse_config_text(SMALL.replace("[[1e9, 1.0]]", tiers)))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("extra,message", ALGO_KNOB_ERRORS)
+    def test_algo_knob_out_of_range_names_its_key(self, extra, message):
+        with pytest.raises(ConfigError) as excinfo:
+            small_config(extra)
         assert str(excinfo.value) == message
 
     def test_null_compute_deadline_still_allowed(self):

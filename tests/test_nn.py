@@ -515,6 +515,27 @@ class TestLockstep:
             nn.train_local([model], x[:5], y[:5], cfg, LossSpec(), [np.random.default_rng(1)])
             nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)], rows[:1])
 
+    def test_moves_plan_is_asked_once_per_pass_and_must_cover_it(self):
+        model = nn.init_model(small_spec(), np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(10, 4))
+        y = np.arange(10) % 2
+        cfg = SGDConfig(learning_rate=0.1, batch_size=4, local_epochs=2)  # 3 steps per pass
+        asked = []
+
+        def plan(steps):
+            def moves(pass_index):
+                asked.append(pass_index)
+                return [[nn.Move()]] * steps
+            return moves
+
+        covered = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(2)], moves=plan(3))
+        default = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(2)])
+        assert asked == [0, 1]
+        assert np.array_equal(covered.vector, default.vector)
+        for steps in (2, 4):
+            with pytest.raises(ValueError, match=rf"^moves\(0\) planned {steps} steps; the pass takes 3$"):
+                nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(2)], moves=plan(steps))
+
     def test_batch_rows_must_split_into_the_stack(self):
         spec = small_spec()
         vectors = np.stack([nn.init_model(spec, np.random.default_rng(s)).vector for s in range(3)])

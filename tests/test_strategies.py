@@ -264,11 +264,83 @@ class TestLockstepGroups:
         for a, b in zip(grouped, alone):
             assert np.array_equal(a, b)
 
+    @staticmethod
+    def counting(monkeypatch, module, name: str) -> list:
+        """Record one entry per call of `module.name`."""
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("sizes,stacks", [(None, 1), (UNEVEN, 3)], ids=["equal", "uneven"])
+    def test_fjord_round_is_one_stack_per_sample_count(self, monkeypatch, sizes, stacks):
+        ctx = make_ctx("fjord", "width", alternating, num_clients=8, pool_cfg=self.POOL)
+        ctx.sgd = self.SGD
+        if sizes is not None:
+            starts = np.cumsum((0,) + sizes)
+            for client, start, size in zip(ctx.clients, starts, sizes):
+                client.data_indices = np.arange(start, start + size)
+        strategy = make_strategy("fjord", ctx)
+        state = strategy.initial_state()
+        sampled, t = list(range(8)), 5
+        assert {ctx.clients[cid].variant.rate for cid in sampled} == {1.0, 0.5}
+
+        # The widths each client draws, one `choice` per step.
+        expected_walks = 0
+        for _, cids in strategies.lockstep_groups(sampled, strategy._group_key):
+            steps = -(-ctx.clients[cids[0]].num_samples // self.SGD.batch_size) * self.SGD.local_epochs
+            drawn = []
+            for cid in cids:
+                rng = ctx.client_rng(cid, t, seeding.LANE_RATE)
+                ladder = strategy._allowed_channels(ctx.clients[cid].variant.rate)
+                drawn.append([int(rng.choice(ladder)) for _ in range(steps)])
+            expected_walks += sum(len(set(step)) for step in zip(*drawn))
+
+        trains = self.counting(monkeypatch, strategies, "train_local")
+        walks = self.counting(monkeypatch, nn, "backward")
+        strategy.run_round(state, sampled, t)
+        assert len(trains) == stacks
+        assert len(walks) == expected_walks
+
+        monkeypatch.undo()
+        for key, cids in strategies.lockstep_groups(sampled, strategy._group_key):
+            together = strategy._train_group(state, key, cids, t)
+            assert len(together) == len(cids)
+            for cid, (trained, smap) in zip(cids, together):
+                (alone, alone_map), = strategy._train_group(state, key, [cid], t)
+                reference, reference_map = fjord_reference_client(strategy, state, cid, t)
+                assert np.array_equal(trained.vector, alone.vector)
+                assert np.array_equal(trained.vector, reference.vector)
+                for found in (alone_map, reference_map):
+                    assert (smap.spec, smap.head_set) == (found.spec, found.head_set)
+                    assert np.array_equal(smap.index, found.index)
+
     def test_clients_split_by_key_in_id_order(self):
         keys = {0: "a", 1: "b", 2: "a", 3: "c", 4: "b"}
         assert strategies.lockstep_groups([0, 1, 2, 3, 4], keys.get) == [
             ("a", [0, 2]), ("b", [1, 4]), ("c", [3]),
         ]
+
+
+class TestFjordDraws:
+    """FjORD draws a client's widths for a whole pass with one
+    `choice(ladder, size=steps)`; that must be the draws, and leave the
+    generator in the state, of `steps` single `choice` calls."""
+
+    @pytest.mark.parametrize("ladder", [[8], [4, 8], [2, 5, 8], [1, 3, 6, 8]])
+    def test_one_choice_per_pass_equals_one_per_step(self, ladder):
+        for seed in range(40):
+            for steps in (1, 2, 3, 5, 8, 37):
+                at_once = seeding.rng_from(seed, seeding.TAG_CLIENT, 3, 7, seeding.LANE_RATE)
+                one_by_one = seeding.rng_from(seed, seeding.TAG_CLIENT, 3, 7, seeding.LANE_RATE)
+                drawn = at_once.choice(ladder, size=steps)
+                assert drawn.tolist() == [int(one_by_one.choice(ladder)) for _ in range(steps)], (seed, steps)
+                assert at_once.bit_generator.state == one_by_one.bit_generator.state, (seed, steps)
 
 
 class TestDivergence:
