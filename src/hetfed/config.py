@@ -12,9 +12,9 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .datasets import PARTITION_MODES, SYNTHETIC_KINDS
+from .datasets import PARTITION_MODES, SYNTHETIC_KINDS, split_sizes
 from .nn import BLOCK_KINDS, BlockNetSpec, SGDConfig, validate_base_spec
 from .resources import (
     DEFAULT_MEMORY_MULTIPLIERS,
@@ -140,13 +140,19 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
     return values
 
 
+def _is_number(value: object, types: type | tuple[type, ...]) -> bool:
+    """Whether `value` is an instance of `types` and not a JSON true/false
+    (Python's bool is an int)."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _coerce(key: str, kind: str, value: object) -> object:
     if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_number(value, int):
             raise ConfigError(f"{key}: expected an integer, got {value!r}")
         return value
     if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value, (int, float)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
         try:
             number = float(value)
@@ -246,9 +252,11 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     level = resolved["level"]
     if level not in ("width", "depth", "topology"):
         raise ConfigError(f"level: must be width, depth or topology, got {level!r}")
-    for sid in strategies:
+    for i, sid in enumerate(strategies):
         if sid not in STRATEGY_IDS:
             raise ConfigError(f"strategies: unknown strategy {sid!r}")
+        if sid in strategies[:i]:
+            raise ConfigError(f"strategies: {sid} is listed more than once")
         own = strategy_level(sid)
         if own not in ("any", level):
             raise ConfigError(f"strategies: {sid} belongs to the {own} level, not {level}")
@@ -275,12 +283,12 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
         raise ConfigError("model.block_kind: width heterogeneity needs plain or skip blocks")
 
     rates = resolved["pool.rates"]
-    if any(not isinstance(r, (int, float)) or not 0 < r <= 1 for r in rates):
+    if any(not _is_number(r, (int, float)) or not 0 < r <= 1 for r in rates):
         raise ConfigError("pool.rates: every rate must lie in (0, 1]")
     if level == "width" and 1.0 not in [float(r) for r in rates]:
         raise ConfigError("pool.rates: the ladder must include 1.0")
     depths = resolved["pool.depths"]
-    if any(not isinstance(d, int) or d < 1 for d in depths):
+    if any(not _is_number(d, int) or d < 1 for d in depths):
         raise ConfigError("pool.depths: every depth must be an integer >= 1")
     if level == "depth":
         if max(depths) != spec.num_blocks:
@@ -290,11 +298,15 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
         if (
             not isinstance(entry, list)
             or len(entry) != 3
-            or not isinstance(entry[0], int)
-            or not isinstance(entry[1], int)
+            or not all(_is_number(v, int) for v in entry[:2])
             or entry[2] not in BLOCK_KINDS
         ):
             raise ConfigError("pool.family: entries must be [hidden_dim, num_blocks, kind]")
+        # The spec the topology ladder builds from this entry.
+        try:
+            validate_base_spec(replace(spec, hidden_dim=entry[0], num_blocks=entry[1], block_kind=entry[2]))
+        except ValueError as exc:
+            raise ConfigError(f"pool.family: {json.dumps(entry)}: {exc}") from exc
         family_entries.append((entry[0], entry[1], str(entry[2])))
     pool_cfg = PoolConfig(
         rates=tuple(float(r) for r in rates),
@@ -339,10 +351,16 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
             raise ConfigError(
                 "data.layout: lattice needs model.input_dim >= log2(num_classes * clusters_per_class)"
             )
-    n = resolved["data.n"]
-    train_size = n - int(round(resolved["data.test_fraction"] * n)) - int(
-        round(resolved["data.public_fraction"] * n)
+    if not 0.0 < resolved["data.test_fraction"] < 1.0:
+        raise ConfigError("data.test_fraction: must lie in (0, 1)")
+    if not 0.0 <= resolved["data.public_fraction"] < 1.0:
+        raise ConfigError("data.public_fraction: must lie in [0, 1)")
+    # A csv dataset's row count is known only once it is read (runner).
+    n_test, _, train_size = split_sizes(
+        resolved["data.n"], resolved["data.test_fraction"], resolved["data.public_fraction"]
     )
+    if resolved["data.source"] != "csv" and n_test < 1:
+        raise ConfigError(f"data.n: the test split of {resolved['data.n']} samples is empty")
     if resolved["data.source"] != "csv" and train_size < resolved["num_clients"]:
         raise ConfigError(
             f"data.n: the train pool ({train_size} samples after splits) cannot cover "

@@ -194,6 +194,13 @@ def partition(dataset: Dataset, cfg: PartitionConfig) -> list[np.ndarray]:
     return [np.sort(np.asarray(s, dtype=int)) for s in shares]
 
 
+def split_sizes(n: int, test_fraction: float, public_fraction: float) -> tuple[int, int, int]:
+    """The (test, public, train) row counts `split_global` makes of n rows."""
+    n_test = int(round(test_fraction * n))
+    n_public = int(round(public_fraction * n))
+    return n_test, n_public, n - n_test - n_public
+
+
 def split_global(
     dataset: Dataset,
     test_fraction: float,
@@ -208,12 +215,10 @@ def split_global(
         raise ValueError("test_fraction must lie in (0, 1)")
     if not 0.0 <= public_fraction < 1.0:
         raise ValueError("public_fraction must lie in [0, 1)")
-    n = dataset.n
-    n_test = int(round(test_fraction * n))
-    n_public = int(round(public_fraction * n))
-    if n_test < 1 or n - n_test - n_public < 1:
+    n_test, n_public, n_train = split_sizes(dataset.n, test_fraction, public_fraction)
+    if n_test < 1 or n_train < 1:
         raise ValueError("split fractions leave an empty train or test set")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(seed).permutation(dataset.n)
     test_idx = np.sort(perm[:n_test])
     public_idx = np.sort(perm[n_test : n_test + n_public])
     train_idx = np.sort(perm[n_test + n_public :])

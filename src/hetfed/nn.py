@@ -33,9 +33,10 @@ operand has a leading client axis (stacked `np.matmul`); a stack of one
 runs on plain 2-D operands, which costs less per numpy call. The walk is
 written once for both ranks (`swapaxes(-1, -2)`, `sum(axis=-2, out=...)`
 into views cached once per stack, per-client means over `reshape(k, n)`).
-A stacked batch is the K clients' rows concatenated, [K*n, d], with labels
-[K*n]; at K >= 2 the walk views it as [K, n, d], and it takes every loss
-mean over each client's own n rows. A single model is the stack of one
+A stacked batch is the K clients' rows concatenated, [K*n, d], with one
+target per row: a label, [K*n], or a class distribution, [K*n, c]. At
+K >= 2 the walk views the batch as [K, n, d], and it takes every loss mean
+over each client's own n rows. A single model is the stack of one
 (`BlockNetModel.stack`), so `forward` and `predict` run 2-D.
 Stacked matmul and axis sums give the same bits as the 2-D calls on each
 client, so a client's result does not depend on what it is stacked with.
@@ -444,39 +445,28 @@ def forward(model: BlockNetModel, batch: np.ndarray) -> ForwardResult:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Which scalar loss `backward` differentiates.
+    """The extra terms of the scalar loss `backward` differentiates. Every
+    attached head always takes cross-entropy against the training targets.
 
-    ce_heads: attach indices receiving a cross-entropy term (None = all
-        attached heads, () = none).
     distill_weight: weight on the pairwise self-distillation term
         sum_{i != j} KL(softmax(z_i) || stopgrad(softmax(z_j))) over the
-        resolved head set.
+        attached heads.
     proto_weight / proto_targets / proto_mask: weight on the squared L2
         pull of the embedding toward per-class target vectors; classes with
-        a False mask entry are skipped.
-    soft_targets: cross-entropy against fixed target distributions on the
-        deepest head (distillation to a teacher). One row per row of the
-        features `train_local` trains on; `backward` takes the batch's rows
-        of it as its own argument.
+        a False mask entry are skipped. The pull needs labels as targets.
     """
 
-    ce_heads: tuple[int, ...] | None = None
     distill_weight: float = 0.0
     proto_weight: float = 0.0
     proto_targets: np.ndarray | None = None
     proto_mask: np.ndarray | None = None
-    soft_targets: np.ndarray | None = None
 
 
 def _loss_grads(
-    stack: ModelStack,
-    cache: dict,
-    labels: np.ndarray | None,
-    soft_targets: np.ndarray | None,
-    loss: LossSpec,
+    stack: ModelStack, cache: dict, targets: np.ndarray, loss: LossSpec
 ) -> tuple[dict[int, np.ndarray], np.ndarray | None]:
     """d(loss)/d(logits) per head and d(loss)/d(embedding); checks the
-    labels and the batch's soft targets.
+    targets: int labels [K*n] or class distributions [K*n, c].
 
     Every term is a mean over each client's own n batch rows, so the
     learning rate does not depend on the batch size and the K clients'
@@ -485,34 +475,28 @@ def _loss_grads(
     k = stack.vector.shape[0]
     n = cache["x"].shape[-2]
     c = stack.spec.num_classes
-    ce_heads = stack.head_blocks if loss.ce_heads is None else loss.ce_heads
-    if not set(ce_heads) <= set(stack.head_blocks):
-        raise ValueError(f"loss references heads {ce_heads}, model has {stack.head_blocks}")
-    needs_labels = bool(ce_heads) or loss.proto_weight != 0.0
-    if needs_labels:
-        if labels is None:
-            raise ValueError("this loss requires labels")
-        labels = np.asarray(labels)
-        if labels.shape != (k * n,):
-            raise ShapeError(f"labels must be [{k * n}], got {labels.shape}")
-        if labels.size and (labels.min() < 0 or labels.max() >= c):
-            raise ValueError(f"labels must lie in [0, {c})")
-        rows = np.arange(k * n)
+    hard = targets.ndim == 1
+    if targets.shape != ((k * n,) if hard else (k * n, c)):
+        raise ShapeError(f"targets must be [{k * n}] labels or [{k * n}, {c}] distributions, "
+                         f"got {targets.shape}")
+    if hard and targets.size and (targets.min() < 0 or targets.max() >= c):
+        raise ValueError(f"labels must lie in [0, {c})")
 
-    dlogits: dict[int, np.ndarray] = {j: np.zeros_like(cache["logits"][j]) for j in stack.head_blocks}
+    heads = stack.head_blocks
+    dlogits, logps = {}, {}
+    for j in heads:
+        logps[j], grad = _log_softmax_and_softmax(cache["logits"][j])
+        if hard:
+            grad.reshape(-1, c)[np.arange(k * n), targets] -= 1.0
+        else:
+            grad -= targets.reshape(grad.shape)
+        dlogits[j] = grad / n
 
-    logps: dict[int, np.ndarray] = {}
-    for j in ce_heads:
-        logp, grad = _log_softmax_and_softmax(cache["logits"][j])
-        logps[j] = logp
-        grad.reshape(-1, c)[rows, labels] -= 1.0
-        dlogits[j] += grad / n
-
-    if loss.distill_weight != 0.0 and len(ce_heads) > 1:
+    if loss.distill_weight != 0.0 and len(heads) > 1:
         lam = loss.distill_weight
-        ps = {j: np.exp(logps[j]) for j in ce_heads}
-        for i in ce_heads:
-            for j in ce_heads:
+        ps = {j: np.exp(logps[j]) for j in heads}
+        for i in heads:
+            for j in heads:
                 if i == j:
                     continue
                 # KL(p_i || stopgrad(p_j)); gradient flows into head i only.
@@ -522,50 +506,33 @@ def _loss_grads(
 
     demb: np.ndarray | None = None
     if loss.proto_weight != 0.0:
+        if not hard:
+            raise ValueError("the prototype pull needs labels as targets")
         if loss.proto_targets is None:
             raise ValueError("proto_weight set without proto_targets")
         emb = cache["neck"][stack.final_head]
-        labels = labels.reshape(emb.shape[:-1])
-        targets = loss.proto_targets[labels]
-        mask = (
-            np.ones(labels.shape)
-            if loss.proto_mask is None
-            else loss.proto_mask[labels].astype(float)
-        )
-        diff = emb - targets
+        labels = targets.reshape(emb.shape[:-1])
+        mask = np.ones(labels.shape) if loss.proto_mask is None else loss.proto_mask[labels].astype(float)
+        diff = emb - loss.proto_targets[labels]
         demb = loss.proto_weight * 2.0 / n * mask[..., None] * diff
-
-    if loss.soft_targets is not None:
-        t = soft_targets
-        if np.shape(t) != (k * n, c):
-            raise ShapeError(f"soft_targets must be {(k * n, c)}, got {np.shape(t)}")
-        j = stack.final_head
-        z = cache["logits"][j]
-        dlogits[j] += (softmax(z) - t.reshape(z.shape)) / n
 
     return dlogits, demb
 
 
-def backward(
-    stack: ModelStack,
-    batch: np.ndarray,
-    labels: np.ndarray | None,
-    soft_targets: np.ndarray | None,
-    loss: LossSpec,
-) -> dict[str, np.ndarray]:
+def backward(stack: ModelStack, batch: np.ndarray, targets: np.ndarray, loss: LossSpec) -> dict[str, np.ndarray]:
     """Exact gradient of the loss w.r.t. every parameter of K stacked
     models, written into the stack's `grad` buffer; returns `stack.grads`.
 
-    `batch` is [K*n, d], the K clients' rows concatenated, with labels [K*n]
-    and, when `loss` has soft targets, the batch's rows of them [K*n, c].
-    Each client's gradient is that of a stack of that client alone. No loss
-    value is computed.
+    `batch` is [K*n, d], the K clients' rows concatenated, with their
+    targets: labels [K*n] or class distributions [K*n, c]. Each client's
+    gradient is that of a stack of that client alone. No loss value is
+    computed.
     """
     p = stack.params
     g = stack.grads
     layout = stack.layout
     cache = _run_forward(stack, batch)
-    dlogits, demb = _loss_grads(stack, cache, labels, soft_targets, loss)
+    dlogits, demb = _loss_grads(stack, cache, targets, loss)
 
     trunk = cache["h"]
     # Gradient w.r.t. the trunk activation after block i; heads join it
@@ -646,7 +613,7 @@ _EVERY = (Move(),)
 def train_local(
     models: Sequence[BlockNetModel],
     features: np.ndarray,
-    labels: np.ndarray | None,
+    targets: np.ndarray,
     config: SGDConfig,
     loss: LossSpec,
     rngs: Sequence[np.random.Generator],
@@ -657,12 +624,12 @@ def train_local(
     one (spec, heads) in lockstep, one rng each; returns the trained copies
     as a `ModelStack`.
 
-    Client k trains on rows `rows[k]` of `features` and `labels` (every row
-    when `rows` is None); all K have the same row count, so at every step
-    each client has a batch of the same length. Each client shuffles its
-    rows once per pass with its own rng, exactly as it would alone; all
-    shuffles are drawn up front. Soft targets in `loss` are indexed by row
-    of `features`.
+    `targets` holds one label or one class distribution per row of
+    `features` (see `backward`). Client k trains on rows `rows[k]` of both
+    (every row when `rows` is None); all K have the same row count, so at
+    every step each client has a batch of the same length. Each client
+    shuffles its rows once per pass with its own rng, exactly as it would
+    alone; all shuffles are drawn up front.
 
     `moves(pass_index)` is called once at the start of each pass and
     returns the pass's plan: one list of `Move`s per step, in step order
@@ -693,10 +660,9 @@ def train_local(
             for move in step:
                 idx = window[move.members].ravel()
                 batch = features.take(idx, axis=0)
-                y = None if labels is None else labels.take(idx)
-                soft = None if loss.soft_targets is None else loss.soft_targets.take(idx, axis=0)
+                y = targets.take(idx, axis=0)
                 if move.nested is None:
-                    backward(stack, batch, y, soft, loss)
+                    backward(stack, batch, y, loss)
                     where = (slice(None), move.index)
                     sgd_update(stack.vector, momentum, stack.grad[where], config, where)
                     continue
@@ -706,7 +672,7 @@ def train_local(
                     shape = (len(move.members), move.index.size)
                     sub = nested_stacks[key] = ModelStack(*move.nested, np.empty(shape), np.empty(shape))
                 np.take(stack.vector[move.members], move.index, axis=1, out=sub.vector)
-                backward(sub, batch, y, soft, loss)
+                backward(sub, batch, y, loss)
                 sgd_update(stack.vector, momentum, sub.grad, config, np.ix_(move.members, move.index))
     return stack
 

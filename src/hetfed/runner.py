@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, seeding
 from .config import ConfigError, ExperimentConfig, resolve_config
-from .datasets import Dataset, PartitionConfig, gen_synthetic, load_csv, partition, split_global
+from .datasets import Dataset, PartitionConfig, gen_synthetic, load_csv, partition, split_global, split_sizes
 from .metrics import (
     METRICS,
     RoundRecord,
@@ -62,6 +62,13 @@ def _build_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
             )
         if dataset.labels.max() >= cfg.model.num_classes:
             raise ConfigError("data.path: csv labels exceed model.num_classes")
+        n_test, n_public, n_train = split_sizes(dataset.n, cfg.test_fraction, cfg.public_fraction)
+        if n_test < 1 or n_train < cfg.num_clients:
+            raise ConfigError(
+                f"data.path: csv has {dataset.n} rows, which split into {n_test} test, {n_public} public "
+                f"and {n_train} train rows; at least 1 test row and {cfg.num_clients} train rows "
+                "(one per client) are needed"
+            )
         return dataset
     return gen_synthetic(
         cfg.data_source,

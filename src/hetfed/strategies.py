@@ -312,15 +312,21 @@ class Strategy:
         loss: LossSpec,
         config: SGDConfig | None = None,
         moves: Callable[[int], list[list[Move]]] | None = None,
+        teacher: np.ndarray | None = None,
     ) -> ModelStack:
-        """Train one lockstep group of clients on their own data."""
+        """Train one lockstep group of clients on their own data and labels,
+        or, given a `teacher` distribution per public row, on the whole
+        public split against it."""
         ctx = self.ctx
+        if teacher is None:
+            data = ctx.train_features, ctx.train_labels
+            lane, rows = seeding.LANE_BATCH, [ctx.clients[cid].data_indices for cid in client_ids]
+        else:
+            data, lane, rows = (ctx.public_features, teacher), seeding.LANE_DISTILL, None
         return self._train(
             [f"client {cid}" for cid in client_ids], round_index,
-            models, ctx.train_features, ctx.train_labels, config or ctx.sgd, loss,
-            [ctx.client_rng(cid, round_index, seeding.LANE_BATCH) for cid in client_ids],
-            [ctx.clients[cid].data_indices for cid in client_ids],
-            moves,
+            models, *data, config or ctx.sgd, loss,
+            [ctx.client_rng(cid, round_index, lane) for cid in client_ids], rows, moves,
         )
 
     def _check_finite(
@@ -358,8 +364,8 @@ class _PartialAveragingStrategy(Strategy):
         """
         raise NotImplementedError
 
-    def _client_loss(self, sub: BlockNetModel) -> LossSpec:
-        return LossSpec(ce_heads=(sub.final_head,))
+    def _client_loss(self) -> LossSpec:
+        return LossSpec()
 
     def _train_group(
         self, global_model: BlockNetModel, key: Hashable, client_ids: list[int], round_index: int
@@ -368,7 +374,7 @@ class _PartialAveragingStrategy(Strategy):
         group's sub-model is extracted once and every client of the group
         trains from it in lockstep."""
         sub, smap = self._extract(global_model, self.ctx.clients[client_ids[0]], round_index)
-        stack = self._train_clients([sub] * len(client_ids), client_ids, round_index, self._client_loss(sub))
+        stack = self._train_clients([sub] * len(client_ids), client_ids, round_index, self._client_loss())
         return [(trained, smap) for trained in stack.models()]
 
     def _steps_per_pass(self, client_id: int) -> int:
@@ -487,7 +493,7 @@ class Fjord(SHeteroFL):
                 plan.append(step)
             return plan
 
-        loss = self._client_loss(global_model)
+        loss = self._client_loss()
         stack = self._train_clients([global_model] * len(client_ids), client_ids, round_index, loss, moves=moves)
         uploads = []
         for row, k in zip(stack.vector, own):
@@ -506,8 +512,8 @@ class DepthFL(_PartialAveragingStrategy):
     def _extract(self, model, client, round_index):
         return extract_depth(model, client.variant.depth, with_aux_heads=True)
 
-    def _client_loss(self, sub: BlockNetModel) -> LossSpec:
-        return LossSpec(ce_heads=sub.head_blocks, distill_weight=self.ctx.fed.lambda_kd)
+    def _client_loss(self) -> LossSpec:
+        return LossSpec(distill_weight=self.ctx.fed.lambda_kd)
 
 
 class InclusiveFL(_PartialAveragingStrategy):
@@ -568,7 +574,7 @@ class FeDepth(FedAvg):
                  for seg in segments]
         config = replace(self.ctx.sgd, local_epochs=len(segments) * epochs)
         stack = self._train_clients(
-            [global_model] * len(client_ids), client_ids, round_index, self._client_loss(global_model),
+            [global_model] * len(client_ids), client_ids, round_index, self._client_loss(),
             config, lambda pass_index: plans[pass_index // epochs],
         )
         smap = full_map(global_model)
@@ -582,8 +588,7 @@ class FeDepth(FedAvg):
 class _PrivateModelStrategy(Strategy):
     """Every client keeps a private model of its own architecture, trained
     on its own data; the server exchanges something other than the
-    clients' models. A private model has one head, so a loss with
-    `ce_heads=None` (every attached head) is cross-entropy on it."""
+    clients' models."""
 
     def _initial_models(self) -> dict[int, BlockNetModel]:
         return {
@@ -592,13 +597,18 @@ class _PrivateModelStrategy(Strategy):
         }
 
     def _train_private(
-        self, models: dict[int, BlockNetModel], ordered: list[int], round_index: int, loss: LossSpec
+        self, models: dict[int, BlockNetModel], ordered: list[int], round_index: int, loss: LossSpec,
+        config: SGDConfig | None = None, teacher: np.ndarray | None = None,
     ) -> dict[int, BlockNetModel]:
-        """`models` with the sampled clients' models trained on their own
-        data, one lockstep group per `_group_key`."""
+        """`models` with the sampled clients' models trained as
+        `_train_clients` trains them, one lockstep group per `_group_key`.
+        With a `teacher`, every client trains on the same public rows, so
+        one architecture is one group."""
+        key = self._group_key if teacher is None else (lambda cid: self.ctx.clients[cid].variant.variant_id)
         models = dict(models)
-        for _, cids in lockstep_groups(ordered, self._group_key):
-            stack = self._train_clients([models[cid] for cid in cids], cids, round_index, loss)
+        for _, cids in lockstep_groups(ordered, key):
+            group = [models[cid] for cid in cids]
+            stack = self._train_clients(group, cids, round_index, loss, config, teacher=teacher)
             models.update(zip(cids, stack.models()))
         return models
 
@@ -691,22 +701,13 @@ class FedET(_PrivateModelStrategy):
         consensus = consensus_logits(logit_sets)
         server_cfg = replace(self.ctx.sgd, local_epochs=self.ctx.fed.fedet_server_epochs)
         server = self._train(
-            ["the server model"], round_index, [state.server_model], public, None, server_cfg,
-            LossSpec(ce_heads=(), soft_targets=softmax(consensus)), [self.ctx.server_rng(round_index)],
+            ["the server model"], round_index, [state.server_model], public, softmax(consensus), server_cfg,
+            LossSpec(), [self.ctx.server_rng(round_index)],
         ).models()[0]
 
-        # Every client distills from the same public rows, so one
-        # architecture is one lockstep group.
         teacher = softmax(forward(server, public).logits[server.final_head])
         client_cfg = replace(self.ctx.sgd, local_epochs=self.ctx.fed.fedet_client_epochs)
-        for _, cids in lockstep_groups(ordered, lambda cid: self.ctx.clients[cid].variant.variant_id):
-            stack = self._train(
-                [f"client {cid}" for cid in cids], round_index,
-                [models[cid] for cid in cids], public, None, client_cfg,
-                LossSpec(ce_heads=(), soft_targets=teacher),
-                [self.ctx.client_rng(cid, round_index, seeding.LANE_DISTILL) for cid in cids],
-            )
-            models.update(zip(cids, stack.models()))
+        models = self._train_private(models, ordered, round_index, LossSpec(), client_cfg, teacher)
 
         uploads = {cid: models[cid].vector.size for cid in ordered}
         return FedETState(server, models), uploads

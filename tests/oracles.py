@@ -13,8 +13,6 @@ of `nn.param_layout`. The helpers at the end exist only for the tests.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from hetfed import seeding
@@ -153,7 +151,7 @@ def scalar_forward_logits(model: BlockNetModel, batch: np.ndarray) -> np.ndarray
 def finite_difference_grads(
     model: BlockNetModel,
     batch: np.ndarray,
-    labels: np.ndarray | None,
+    targets: np.ndarray,
     loss: LossSpec,
     step: float = 1e-5,
 ) -> dict[str, np.ndarray]:
@@ -166,9 +164,9 @@ def finite_difference_grads(
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = loss_value(model, batch, labels, loss)
+            up = loss_value(model, batch, targets, loss)
             flat[i] = orig - step
-            down = loss_value(model, batch, labels, loss)
+            down = loss_value(model, batch, targets, loss)
             flat[i] = orig
             gflat[i] = (up - down) / (2.0 * step)
         grads[key] = grad
@@ -305,7 +303,7 @@ def batch_windows(n: int, batch_size: int, rng: np.random.Generator) -> list[np.
 def reference_train_local(
     model: BlockNetModel,
     features: np.ndarray,
-    labels: np.ndarray | None,
+    targets: np.ndarray,
     config: SGDConfig,
     loss: LossSpec,
     rng: np.random.Generator,
@@ -317,8 +315,7 @@ def reference_train_local(
     n = features.shape[0]
     for _ in range(config.local_epochs):
         for idx in batch_windows(n, config.batch_size, rng):
-            y = None if labels is None else labels[idx]
-            grads = gradient(current, features[idx], y, loss_rows(loss, idx))
+            grads = gradient(current, features[idx], targets[idx], loss)
             for key, g in grads.items():
                 buf = config.momentum * momentum[key] + g
                 momentum[key] = buf
@@ -358,7 +355,7 @@ def fedepth_reference_client(strategy, global_model: BlockNetModel, client_id: i
     working = copy_model(global_model)
     params = working.params
     momentum = zeros_like_params(params)
-    loss = LossSpec(ce_heads=(working.final_head,))
+    loss = LossSpec()
     n = features.shape[0]
     for seg in segments:
         keys = fedepth_segment_keys(working, seg)
@@ -397,7 +394,7 @@ def fjord_reference_client(strategy, global_model: BlockNetModel, client_id: int
             else:
                 k = int(rate_rng.choice(ks))
             nested, _ = extract_channels(working, np.arange(k))
-            grads = gradient(nested, features[idx], labels[idx], LossSpec(ce_heads=(nested.final_head,)))
+            grads = gradient(nested, features[idx], labels[idx], LossSpec())
             entries = width_entries(working.spec, working.head_blocks, np.arange(k))
             for key, g in grads.items():
                 region = region_for(params[key].shape, entries[key])
@@ -423,22 +420,13 @@ def reference_round(strategy, state: BlockNetModel, sampled: list[int], round_in
 def gradient(
     model: BlockNetModel,
     batch: np.ndarray,
-    labels: np.ndarray | None,
+    targets: np.ndarray,
     loss: LossSpec,
 ) -> ParamViews:
     """One model's exact gradient, laid out like `model.params`: `backward`
-    on a stack of that model alone. Soft targets in `loss` are the batch's
-    rows."""
+    on a stack of that model alone."""
     stack = ModelStack(model.spec, model.head_blocks, model.vector[None], np.empty((1, model.vector.size)))
-    return backward(stack, batch, labels, loss.soft_targets, loss)
-
-
-def loss_rows(loss: LossSpec, rows) -> LossSpec:
-    """`loss` with its soft targets (one per row of the features) cut to
-    `rows`, the batch's own."""
-    if loss.soft_targets is None:
-        return loss
-    return replace(loss, soft_targets=loss.soft_targets[rows])
+    return backward(stack, batch, targets, loss)
 
 
 def copy_model(model: BlockNetModel) -> BlockNetModel:
@@ -448,34 +436,34 @@ def copy_model(model: BlockNetModel) -> BlockNetModel:
 def loss_value(
     model: BlockNetModel,
     batch: np.ndarray,
-    labels: np.ndarray | None,
+    targets: np.ndarray,
     loss: LossSpec,
 ) -> float:
     """The scalar loss `backward` differentiates, every term a mean over the
-    batch rows: cross-entropy on each `ce_heads` head, pairwise KL between
-    those heads, the masked prototype pull on the deepest neck and
-    cross-entropy against soft targets on the deepest head."""
+    batch rows: cross-entropy against the targets (labels [n] or class
+    distributions [n, c]) on every head, pairwise KL between the heads and
+    the masked prototype pull on the deepest neck."""
     cache = _run_forward(model.stack, batch)
-    ce_heads = model.head_blocks if loss.ce_heads is None else loss.ce_heads
-    logps = {j: log_softmax(cache["logits"][j]) for j in ce_heads}
+    heads = model.head_blocks
+    logps = {j: log_softmax(cache["logits"][j]) for j in heads}
     value = 0.0
-    for j in ce_heads:
-        value -= logps[j][np.arange(labels.size), labels].mean()
-    if loss.distill_weight != 0.0 and len(ce_heads) > 1:
-        ps = {j: np.exp(logps[j]) for j in ce_heads}
-        for i in ce_heads:
-            for j in ce_heads:
+    for j in heads:
+        if targets.ndim == 1:
+            value -= logps[j][np.arange(targets.size), targets].mean()
+        else:
+            value -= (targets * logps[j]).sum(axis=-1).mean()
+    if loss.distill_weight != 0.0 and len(heads) > 1:
+        ps = {j: np.exp(logps[j]) for j in heads}
+        for i in heads:
+            for j in heads:
                 if i != j:
                     value += loss.distill_weight * (ps[i] * (logps[i] - logps[j])).sum(axis=-1).mean()
     if loss.proto_weight != 0.0:
-        diff = cache["neck"][model.final_head] - loss.proto_targets[labels]
+        diff = cache["neck"][model.final_head] - loss.proto_targets[targets]
         sq = (diff * diff).sum(axis=-1)
         if loss.proto_mask is not None:
-            sq = loss.proto_mask[labels] * sq
+            sq = loss.proto_mask[targets] * sq
         value += loss.proto_weight * sq.mean()
-    if loss.soft_targets is not None:
-        logp = log_softmax(cache["logits"][model.final_head])
-        value -= (loss.soft_targets * logp).sum(axis=-1).mean()
     return float(value)
 
 

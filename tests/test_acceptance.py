@@ -92,9 +92,8 @@ def test_criterion_1_gradient_correctness():
                 proto_mask=rng.random(spec.num_classes) > 0.3,
             )
         elif case % 4 == 2:
-            loss = LossSpec(ce_heads=(), soft_targets=rng.dirichlet(
-                np.ones(spec.num_classes), size=batch.shape[0]))
-            labels = None
+            loss = LossSpec()
+            labels = rng.dirichlet(np.ones(spec.num_classes), size=batch.shape[0])
         else:
             loss = LossSpec()
         analytic = gradient(model, batch, labels, loss)

@@ -5,6 +5,9 @@ import re
 import pytest
 
 from hetfed.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
+from hetfed.datasets import gen_synthetic
+
+from oracles import save_csv
 
 CONFIG = """
 strategies = ["sheterofl"]
@@ -76,6 +79,45 @@ class TestRunCommand:
         assert main(["run", str(bad), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "pool"])
+    @pytest.mark.parametrize("line,message", [
+        ('strategies = ["sheterofl", "sheterofl"]', "strategies: sheterofl is listed more than once"),
+        ("pool.rates = [true, 0.5]", "pool.rates: every rate must lie in (0, 1]"),
+        ('pool.family = [[6, 2, "bottleneck"]]',
+         'pool.family: [6, 2, "bottleneck"]: bottleneck blocks need hidden_dim divisible by 4'),
+        ('pool.family = [[2, 2, "plain"]]', 'pool.family: [2, 2, "plain"]: base models need hidden_dim >= 4, got 2'),
+        ('pool.family = [[8, 0, "plain"]]', 'pool.family: [8, 0, "plain"]: num_blocks must be >= 1, got 0'),
+    ])
+    def test_pool_or_strategy_list_a_run_cannot_use_stops_before_any_output(
+        self, tmp_path, capsys, command, line, message
+    ):
+        text = CONFIG
+        if line.startswith("pool.family"):
+            text = text.replace('["sheterofl"]', '["fedproto"]').replace("level = width", "level = topology")
+        if line.startswith("strategies"):
+            text = text.replace('strategies = ["sheterofl"]\n', "")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text + line + "\n")
+        out = tmp_path / "o"
+        args = [command, str(bad)] + (["--out", str(out)] if command == "run" else [])
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_csv_too_small_for_its_clients_is_config_error(self, tmp_path, capsys, command):
+        data = tmp_path / "small.csv"
+        save_csv(gen_synthetic("blobs", 12, 2, 3, 0.5, seed=0), str(data))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.replace("num_clients = 4", "num_clients = 20")
+                       + f'data.source = csv\ndata.path = "{data}"\nmodel.input_dim = 2\n')
+        args = [command, str(bad)] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", (
+            "config error: data.path: csv has 12 rows, which split into 3 test, 0 public and 9 train rows; "
+            "at least 1 test row and 20 train rows (one per client) are needed\n"
+        ))
 
     def test_infeasible_exit_code(self, tmp_path):
         bad = tmp_path / "tight.cfg"

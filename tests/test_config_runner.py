@@ -6,7 +6,7 @@ import pytest
 
 from hetfed import nn, runner, seeding, strategies
 from hetfed.config import ConfigError, load_config, parse_config_text, resolve_config
-from hetfed.datasets import split_global
+from hetfed.datasets import gen_synthetic, split_global
 from hetfed.metrics import model_accuracy
 from hetfed.runner import (
     _build_dataset,
@@ -17,6 +17,8 @@ from hetfed.runner import (
     run_strategy_repeat,
     sweep_experiment,
 )
+
+from oracles import save_csv
 
 def read_json(path: str):
     with open(path, encoding="utf-8") as fh:
@@ -51,6 +53,22 @@ ALGO_KNOB_ERRORS = [
     ("algo.fedet_server_epochs = 0", "algo.fedet_server_epochs: must be >= 1, got 0"),
     ("algo.fedet_client_epochs = 0", "algo.fedet_client_epochs: must be >= 1, got 0"),
     ("aggregation.weighting = median", "aggregation.weighting: must be 'samples' or 'uniform', got 'median'"),
+]
+
+# Values that used to load and then crash a run (or `hetfed pool`) with a
+# traceback, or silently skew it.
+LOAD_ERRORS = [
+    ('strategies = ["sheterofl", "sheterofl"]', "strategies: sheterofl is listed more than once"),
+    ('pool.family = [[6, 2, "bottleneck"]]',
+     'pool.family: [6, 2, "bottleneck"]: bottleneck blocks need hidden_dim divisible by 4'),
+    ('pool.family = [[2, 2, "plain"]]', 'pool.family: [2, 2, "plain"]: base models need hidden_dim >= 4, got 2'),
+    ('pool.family = [[8, 0, "plain"]]', 'pool.family: [8, 0, "plain"]: num_blocks must be >= 1, got 0'),
+    ('pool.family = [[true, 2, "plain"]]', "pool.family: entries must be [hidden_dim, num_blocks, kind]"),
+    ("pool.rates = [true, 0.5]", "pool.rates: every rate must lie in (0, 1]"),
+    ("pool.depths = [2, true]", "pool.depths: every depth must be an integer >= 1"),
+    ("data.test_fraction = 0.0", "data.test_fraction: must lie in (0, 1)"),
+    ("data.public_fraction = -0.1", "data.public_fraction: must lie in [0, 1)"),
+    ("data.test_fraction = 0.001", "data.n: the test split of 80 samples is empty"),
 ]
 
 
@@ -129,6 +147,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as excinfo:
             small_config(extra)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("extra,message", LOAD_ERRORS)
+    def test_value_a_run_cannot_use_is_rejected_at_load(self, extra, message):
+        with pytest.raises(ConfigError) as excinfo:
+            small_config(extra)
+        assert str(excinfo.value) == message
+
+    def test_every_family_entry_builds_a_base_spec(self):
+        cfg = small_config('level = topology\nstrategies = ["fedproto"]\n'
+                           'pool.family = [[4, 1, "plain"], [8, 3, "bottleneck"], [12, 2, "skip"]]')
+        assert cfg.pool.family == ((4, 1, "plain"), (8, 3, "bottleneck"), (12, 2, "skip"))
 
     def test_null_compute_deadline_still_allowed(self):
         assert small_config("scenario.t_compute = null").scenario.t_compute is None
@@ -381,6 +410,24 @@ class TestFairnessAndFlags:
     def test_train_pool_must_cover_clients(self):
         with pytest.raises(ConfigError, match="train pool"):
             small_config("data.n = 5\nnum_clients = 5\n")
+
+    def test_csv_too_small_for_its_splits_or_clients_is_config_error(self, tmp_path):
+        path = tmp_path / "small.csv"
+        save_csv(gen_synthetic("blobs", 12, 2, 3, 0.5, seed=0), str(path))
+        for extra, message in (
+            ("num_clients = 20", "csv has 12 rows, which split into 3 test, 0 public and 9 train rows; "
+                                 "at least 1 test row and 20 train rows (one per client) are needed"),
+            ("data.test_fraction = 0.01\nnum_clients = 2",
+             "csv has 12 rows, which split into 0 test, 0 public and 12 train rows; "
+             "at least 1 test row and 2 train rows (one per client) are needed"),
+        ):
+            cfg = small_config(f'data.source = csv\ndata.path = "{path}"\nmodel.input_dim = 2\n{extra}\n')
+            with pytest.raises(ConfigError) as excinfo:
+                _build_dataset(cfg, seed=0)
+            assert str(excinfo.value) == f"data.path: {message}"
+        # Nine train rows cover nine clients.
+        cfg = small_config(f'data.source = csv\ndata.path = "{path}"\nmodel.input_dim = 2\nnum_clients = 9\n')
+        assert partition_csv(cfg).count("\n") == 10
 
     def test_malformed_csv_is_config_error(self, tmp_path):
         from hetfed.runner import _build_dataset

@@ -10,7 +10,6 @@ from oracles import (
     finite_difference_grads,
     gradient,
     log_softmax,
-    loss_rows,
     loss_value,
     max_relative_error,
     model_from_params,
@@ -141,18 +140,13 @@ class TestLosses:
         with pytest.raises(ValueError):
             gradient(model, x, np.array([-1]), LossSpec())
 
-    def test_unknown_head_rejected(self):
-        model = nn.init_model(small_spec(), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            gradient(model, np.zeros((1, 4)), np.array([0]), LossSpec(ce_heads=(9,)))
-
 
 class TestGradientsAgainstFiniteDifferences:
-    def _check(self, spec, heads, loss, labels=True, seed=0, tol=1e-4):
+    def _check(self, spec, heads, loss, targets=None, seed=0, tol=1e-4):
         rng = np.random.default_rng(seed)
         model = perturb_params(nn.init_model(spec, rng, heads), rng)
         x = rng.normal(size=(4, spec.input_dim))
-        y = rng.integers(0, spec.num_classes, size=4) if labels else None
+        y = rng.integers(0, spec.num_classes, size=4) if targets is None else targets
         analytic = gradient(model, x, y, loss)
         numeric = finite_difference_grads(model, x, y, loss)
         assert max_relative_error(analytic, numeric) < tol
@@ -181,8 +175,7 @@ class TestGradientsAgainstFiniteDifferences:
     def test_soft_target_distillation(self):
         rng = np.random.default_rng(8)
         targets = rng.dirichlet(np.ones(2), size=4)
-        self._check(small_spec(), None, LossSpec(ce_heads=(), soft_targets=targets),
-                    labels=False, seed=5)
+        self._check(small_spec(), None, LossSpec(), targets=targets, seed=5)
 
     def test_self_distillation_against_frozen_teacher_surrogate(self):
         # The engine's pairwise KL stops gradients through the teacher head,
@@ -355,12 +348,10 @@ class TestTraining:
         cfg = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=3, momentum=0.5)
         model = nn.init_model(spec, np.random.default_rng(5), (1, 2, 3))
         soft = nn.softmax(rng.normal(size=(30, 3)))
-        for labels, loss in (
-            (y, LossSpec(distill_weight=0.3)),
-            (None, LossSpec(ce_heads=(), soft_targets=soft)),
-        ):
-            flat = nn.train_local([model], x, labels, cfg, loss, [np.random.default_rng(4)])
-            per_key = reference_train_local(model, x, labels, cfg, loss, np.random.default_rng(4))
+        loss = LossSpec(distill_weight=0.3)
+        for targets in (y, soft):
+            flat = nn.train_local([model], x, targets, cfg, loss, [np.random.default_rng(4)])
+            per_key = reference_train_local(model, x, targets, cfg, loss, np.random.default_rng(4))
             assert np.array_equal(flat.vector[0], per_key.vector)
 
     def test_params_are_read_only_views_of_the_vector(self):
@@ -440,21 +431,20 @@ class TestLockstep:
         models = [nn.init_model(spec, np.random.default_rng(s), heads) for s in range(k)]
         x = rng.normal(size=(k * n, 5))
         y = rng.integers(0, 3, size=k * n)
-        targets = rng.normal(size=(3, 6))
+        protos = rng.normal(size=(3, 6))
         soft = nn.softmax(rng.normal(size=(k * n, 3)))
         vectors = np.stack([m.vector for m in models])
         stack = nn.ModelStack(spec, heads, vectors, np.empty_like(vectors))
-        for labels, loss in (
+        for targets, loss in (
             (y, LossSpec(distill_weight=0.3)),
-            (y, LossSpec(ce_heads=(3,), proto_weight=0.2, proto_targets=targets,
-                         proto_mask=np.array([True, False, True]))),
-            (None, LossSpec(ce_heads=(), soft_targets=soft)),
+            (y, LossSpec(proto_weight=0.2, proto_targets=protos, proto_mask=np.array([True, False, True]))),
+            (soft, LossSpec()),
+            (soft, LossSpec(distill_weight=0.3)),
         ):
-            assert nn.backward(stack, x, labels, loss.soft_targets, loss) is stack.grads
+            assert nn.backward(stack, x, targets, loss) is stack.grads
             for c, model in enumerate(models):
                 rows = slice(c * n, (c + 1) * n)
-                client_labels = None if labels is None else labels[rows]
-                alone = gradient(model, x[rows], client_labels, loss_rows(loss, rows))
+                alone = gradient(model, x[rows], targets[rows], loss)
                 assert np.array_equal(stack.grad[c], alone.vector)
 
     def test_train_local_stack_matches_each_client_alone(self):
@@ -466,13 +456,14 @@ class TestLockstep:
         rows = [np.arange(0, 60, 3), np.arange(1, 60, 3), np.arange(2, 60, 3)]
         models = [nn.init_model(spec, np.random.default_rng(s)) for s in range(3)]
         cfg = SGDConfig(learning_rate=0.05, batch_size=6, local_epochs=2, momentum=0.5)
-        loss = LossSpec(soft_targets=soft)  # cross-entropy plus soft targets by row of x
-        stack = nn.train_local(models, x, y, cfg, loss, [np.random.default_rng(s) for s in (4, 5, 6)], rows)
-        for c, model in enumerate(models):
-            alone = nn.train_local([model], x[rows[c]], y[rows[c]], cfg, LossSpec(soft_targets=soft[rows[c]]),
-                                   [np.random.default_rng(4 + c)])
-            assert np.array_equal(stack.vector[c], alone.vector[0])
-            assert np.array_equal(stack.models()[c].vector, alone.vector[0])
+        for targets in (y, soft):  # one label or one distribution per row of x
+            stack = nn.train_local(models, x, targets, cfg, LossSpec(),
+                                   [np.random.default_rng(s) for s in (4, 5, 6)], rows)
+            for c, model in enumerate(models):
+                alone = nn.train_local([model], x[rows[c]], targets[rows[c]], cfg, LossSpec(),
+                                       [np.random.default_rng(4 + c)])
+                assert np.array_equal(stack.vector[c], alone.vector[0])
+                assert np.array_equal(stack.models()[c].vector, alone.vector[0])
 
     @pytest.mark.parametrize("kind", ["plain", "bottleneck"])
     def test_stack_views_write_into_the_stacked_arrays(self, kind):
@@ -503,9 +494,9 @@ class TestLockstep:
         for bad in (3, -1):
             y = np.array([0, 1, 2, 0, 1, bad])
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
-                nn.backward(alone, x, y, None, LossSpec())
+                nn.backward(alone, x, y, LossSpec())
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
-                nn.backward(pair, x, y, None, LossSpec())
+                nn.backward(pair, x, y, LossSpec())
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
                 nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)])
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
@@ -541,7 +532,42 @@ class TestLockstep:
         vectors = np.stack([nn.init_model(spec, np.random.default_rng(s)).vector for s in range(3)])
         stack = nn.ModelStack(spec, (1,), vectors, np.empty_like(vectors))
         with pytest.raises(nn.ShapeError):
-            nn.backward(stack, np.zeros((4, 4)), np.zeros(4, dtype=int), None, LossSpec())
+            nn.backward(stack, np.zeros((4, 4)), np.zeros(4, dtype=int), LossSpec())
+
+
+class TestTargets:
+    """Labels and class distributions are one operand of `backward`."""
+
+    @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_hot_targets_give_the_label_gradient_bits(self, kind, k):
+        spec = BlockNetSpec(5, 8, 3, kind, 4, 6)
+        rng = np.random.default_rng(31)
+        n = 9
+        for heads in ((3,), (1, 2, 3)):
+            vectors = np.stack([nn.init_model(spec, np.random.default_rng(s), heads).vector for s in range(k)])
+            stack = nn.ModelStack(spec, heads, vectors, np.empty_like(vectors))
+            x = rng.normal(size=(k * n, 5))
+            y = rng.integers(0, 4, size=k * n)
+            for loss in (LossSpec(), LossSpec(distill_weight=0.3)):
+                nn.backward(stack, x, y, loss)
+                from_labels = stack.grad.copy()
+                nn.backward(stack, x, np.eye(4)[y], loss)
+                assert np.array_equal(stack.grad, from_labels), (heads, loss)
+
+    def test_prototype_pull_needs_labels(self):
+        model = nn.init_model(small_spec(), np.random.default_rng(0))
+        loss = LossSpec(proto_weight=0.5, proto_targets=np.zeros((2, 4)))
+        soft = np.full((3, 2), 0.5)
+        with pytest.raises(ValueError, match=r"^the prototype pull needs labels as targets$"):
+            gradient(model, np.zeros((3, 4)), soft, loss)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 3), (3, 2, 1), (2, 2)])
+    def test_targets_must_fit_the_batch(self, shape):
+        model = nn.init_model(small_spec(), np.random.default_rng(0))
+        targets = np.zeros(shape, dtype=int if len(shape) == 1 else float)
+        with pytest.raises(nn.ShapeError, match=r"^targets must be \[3\] labels or \[3, 2\] distributions"):
+            gradient(model, np.zeros((3, 4)), targets, LossSpec())
 
 
 def read_only(array):

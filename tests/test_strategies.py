@@ -31,6 +31,7 @@ from oracles import (
     model_from_params,
     reference_extract,
     reference_round,
+    reference_train_local,
     width_entries,
 )
 
@@ -742,6 +743,43 @@ class TestTopologyFamily:
             assert np.array_equal(new_state.models[3].params[k], state.models[3].params[k])
         assert uploads[0] == sum(v.size for v in new_state.models[0].params.values())
         assert payload_bytes("fedet", uploads[0]) == 2 * 8 * uploads[0]
+
+    def test_fedet_round_matches_a_per_client_loop(self, monkeypatch):
+        # Local training, server distillation and client distillation, each
+        # written out with `reference_train_local`: the round trains in one
+        # group per (architecture, sample count), one server stack and one
+        # distillation group per architecture, and every vector is bit-equal.
+        ctx = make_ctx("fedet", "topology", alternating, num_clients=6,
+                       fed=FederationConfig(fedet_server_epochs=2, fedet_client_epochs=2))
+        ctx.sgd = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=2, momentum=0.5)
+        starts = np.cumsum((0, 20, 20, 15, 20, 15))
+        for client, start, size in zip(ctx.clients, starts, (20, 20, 15, 20, 15, 20)):
+            client.data_indices = np.arange(start, start + size)
+        strategy = make_strategy("fedet", ctx)
+        state = strategy.initial_state()
+        sampled, t = [0, 1, 2, 3, 4], 3
+        trains = TestLockstepGroups.counting(monkeypatch, strategies, "train_local")
+        new_state, _ = strategy.run_round(state, sampled, t)
+        clients = [ctx.clients[cid] for cid in sampled]
+        architectures = {c.variant.variant_id for c in clients}
+        local_groups = {(c.variant.variant_id, c.num_samples) for c in clients}
+        assert len(trains) == len(local_groups) + 1 + len(architectures)
+
+        public = ctx.public_features
+        local = {
+            cid: reference_train_local(state.models[cid], *ctx.client_data(cid), ctx.sgd, nn.LossSpec(),
+                                       ctx.client_rng(cid, t, seeding.LANE_BATCH))
+            for cid in sampled
+        }
+        consensus = consensus_logits([nn.forward(local[cid], public).logits[local[cid].final_head] for cid in sampled])
+        server = reference_train_local(state.server_model, public, nn.softmax(consensus), ctx.sgd, nn.LossSpec(),
+                                       ctx.server_rng(t))
+        assert np.array_equal(new_state.server_model.vector, server.vector)
+        teacher = nn.softmax(nn.forward(server, public).logits[server.final_head])
+        for cid in sampled:
+            distilled = reference_train_local(local[cid], public, teacher, ctx.sgd, nn.LossSpec(),
+                                              ctx.client_rng(cid, t, seeding.LANE_DISTILL))
+            assert np.array_equal(new_state.models[cid].vector, distilled.vector)
 
     def test_fedet_global_eval_is_server_model(self):
         ctx = make_ctx("fedet", "topology", alternating)
