@@ -12,23 +12,30 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .datasets import PARTITION_MODES, SYNTHETIC_KINDS, split_sizes
 from .nn import BLOCK_KINDS, BlockNetSpec, SGDConfig, validate_base_spec
 from .resources import (
     DEFAULT_MEMORY_MULTIPLIERS,
-    STRATEGY_IDS,
+    ModelPool,
     PoolConfig,
     ProfileDistribution,
     ScenarioConfig,
-    strategy_level,
+    build_pool,
+    check_strategy,
+    family_specs,
+    ladder,
 )
 from .strategies import FederationConfig
 
 
 class ConfigError(ValueError):
     """A config file key is unknown, missing, or holds an invalid value."""
+
+
+# The smallest-model baseline that effectiveness is measured against.
+BASELINE_ID = "fedavg_smallest"
 
 
 _REQUIRED = object()
@@ -187,7 +194,6 @@ class ExperimentConfig:
     """Fully-resolved experiment description."""
 
     strategies: list[str]
-    level: str
     num_clients: int
     sampling_fraction: float
     num_rounds: int
@@ -212,10 +218,12 @@ class ExperimentConfig:
     partition_alpha: float
     sgd: SGDConfig
     fed: FederationConfig
-    memory_multipliers: dict[str, float]
     eval_cadence: int
     tta_threshold: float
     per_client_csv: bool
+    # Resolved, not a key: strategy id -> its model pool, in run order (the
+    # configured strategies, then the baseline when it is included).
+    pools: dict[str, ModelPool]
     raw: dict[str, object] = field(default_factory=dict)
 
     def hash(self) -> str:
@@ -229,6 +237,15 @@ def canonical_lines(resolved: dict[str, object]) -> list[str]:
 def config_hash(resolved: dict[str, object]) -> str:
     digest = hashlib.sha256("\n".join(canonical_lines(resolved)).encode("utf-8"))
     return digest.hexdigest()
+
+
+def _pool_rule(check, *args):
+    """`check(*args)`, a pool rule of `resources` whose ValueError message
+    names the key, with that error raised as a ConfigError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def resolve_config(raw: dict[str, object], source: str = "<config>") -> ExperimentConfig:
@@ -253,13 +270,9 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     if level not in ("width", "depth", "topology"):
         raise ConfigError(f"level: must be width, depth or topology, got {level!r}")
     for i, sid in enumerate(strategies):
-        if sid not in STRATEGY_IDS:
-            raise ConfigError(f"strategies: unknown strategy {sid!r}")
+        _pool_rule(check_strategy, sid, level)
         if sid in strategies[:i]:
             raise ConfigError(f"strategies: {sid} is listed more than once")
-        own = strategy_level(sid)
-        if own not in ("any", level):
-            raise ConfigError(f"strategies: {sid} belongs to the {own} level, not {level}")
 
     if not 0.0 < resolved["sampling_fraction"] <= 1.0:
         raise ConfigError("sampling_fraction: must lie in (0, 1]")
@@ -279,20 +292,13 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
         validate_base_spec(spec)
     except ValueError as exc:
         raise ConfigError(f"model.*: {exc}") from exc
-    if level == "width" and spec.block_kind == "bottleneck":
-        raise ConfigError("model.block_kind: width heterogeneity needs plain or skip blocks")
 
     rates = resolved["pool.rates"]
     if any(not _is_number(r, (int, float)) or not 0 < r <= 1 for r in rates):
         raise ConfigError("pool.rates: every rate must lie in (0, 1]")
-    if level == "width" and 1.0 not in [float(r) for r in rates]:
-        raise ConfigError("pool.rates: the ladder must include 1.0")
     depths = resolved["pool.depths"]
     if any(not _is_number(d, int) or d < 1 for d in depths):
         raise ConfigError("pool.depths: every depth must be an integer >= 1")
-    if level == "depth":
-        if max(depths) != spec.num_blocks:
-            raise ConfigError("pool.depths: the ladder must span up to model.num_blocks")
     family_entries: list[tuple[int, int, str]] = []
     for entry in resolved["pool.family"]:
         if (
@@ -302,17 +308,16 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
             or entry[2] not in BLOCK_KINDS
         ):
             raise ConfigError("pool.family: entries must be [hidden_dim, num_blocks, kind]")
-        # The spec the topology ladder builds from this entry.
-        try:
-            validate_base_spec(replace(spec, hidden_dim=entry[0], num_blocks=entry[1], block_kind=entry[2]))
-        except ValueError as exc:
-            raise ConfigError(f"pool.family: {json.dumps(entry)}: {exc}") from exc
         family_entries.append((entry[0], entry[1], str(entry[2])))
     pool_cfg = PoolConfig(
         rates=tuple(float(r) for r in rates),
         depths=tuple(int(d) for d in depths),
         family=tuple(family_entries),
     )
+    # The level's ladder, and every family entry even where the level does
+    # not use the family; the pools themselves need the batch size.
+    _pool_rule(ladder, spec, level, pool_cfg)
+    _pool_rule(family_specs, spec, pool_cfg.family)
 
     constraints = tuple(str(c) for c in resolved["scenario.constraints"])
     tiers = []
@@ -397,15 +402,15 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     if resolved["eval.cadence"] < 1:
         raise ConfigError("eval.cadence: must be >= 1")
 
-    multipliers = {
-        "depthfl": resolved["resource.kappa_depthfl"],
-        "fedrolex": resolved["resource.kappa_fedrolex"],
-        "fedepth": resolved["resource.kappa_fedepth"],
+    multipliers = {sid: resolved[f"resource.kappa_{sid}"] for sid in DEFAULT_MEMORY_MULTIPLIERS}
+    baseline = [BASELINE_ID] if resolved["include_baseline"] and BASELINE_ID not in strategies else []
+    pools = {
+        sid: _pool_rule(build_pool, sid, level, spec, pool_cfg, sgd.batch_size, multipliers)
+        for sid in strategies + baseline
     }
 
     return ExperimentConfig(
         strategies=strategies,
-        level=level,
         num_clients=resolved["num_clients"],
         sampling_fraction=resolved["sampling_fraction"],
         num_rounds=resolved["num_rounds"],
@@ -430,10 +435,10 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
         partition_alpha=resolved["partition.alpha"],
         sgd=sgd,
         fed=fed,
-        memory_multipliers=multipliers,
         eval_cadence=resolved["eval.cadence"],
         tta_threshold=resolved["eval.tta_threshold"],
         per_client_csv=resolved["eval.per_client_csv"],
+        pools=pools,
         raw=resolved,
     )
 

@@ -9,6 +9,7 @@ parameter-count models differ widely across aggregation schemes.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -23,7 +24,9 @@ WIDTH_STRATEGIES = ("fjord", "sheterofl", "fedrolex")
 DEPTH_STRATEGIES = ("fedepth", "inclusivefl", "depthfl")
 TOPOLOGY_STRATEGIES = ("fedproto", "fedet")
 BASELINE_STRATEGIES = ("fedavg_full", "fedavg_smallest")
-STRATEGY_IDS = WIDTH_STRATEGIES + DEPTH_STRATEGIES + TOPOLOGY_STRATEGIES + BASELINE_STRATEGIES
+
+# The config key that sets each level's ladder.
+LADDER_KEYS = {"width": "pool.rates", "depth": "pool.depths", "topology": "pool.family"}
 
 # Footprint ratios vs the static-width baseline, calibrated to measured
 # training footprints of equal-proportion models (1220/593, 780/593,
@@ -80,11 +83,14 @@ class ModelPool:
     variants: list[Variant]
 
     def __post_init__(self) -> None:
-        if not self.variants:
-            raise ValueError("model pool must not be empty")
-        params = [v.stats.params for v in self.variants]
-        if any(later >= earlier for earlier, later in zip(params[:-1], params[1:])):
-            raise ValueError("pool variants must be strictly decreasing in parameter count")
+        for earlier, later in zip(self.variants[:-1], self.variants[1:]):
+            if later.stats.params >= earlier.stats.params:
+                first, second = (f"{v.variant_id} (hidden_dim {v.spec.hidden_dim}, {v.spec.num_blocks} "
+                                 f"{v.spec.block_kind} blocks, {v.stats.params} parameters)" for v in (earlier, later))
+                raise ValueError(
+                    f"{LADDER_KEYS[self.level]}: the {self.strategy} pool's variants must be strictly "
+                    f"decreasing in parameter count, but {first} and {second} collide"
+                )
 
     @property
     def largest(self) -> Variant:
@@ -274,16 +280,16 @@ def _variant_stats(
     )
 
 
-def strategy_level(strategy: str) -> str:
-    if strategy in WIDTH_STRATEGIES:
-        return "width"
-    if strategy in DEPTH_STRATEGIES:
-        return "depth"
-    if strategy in TOPOLOGY_STRATEGIES:
-        return "topology"
-    if strategy in BASELINE_STRATEGIES:
-        return "any"
-    raise ValueError(f"unknown strategy {strategy!r}")
+def check_strategy(strategy: str, level: str) -> None:
+    """Raise unless `strategy` is known and runs at `level`; the FedAvg
+    baselines run at every level."""
+    for own, ids in (("width", WIDTH_STRATEGIES), ("depth", DEPTH_STRATEGIES),
+                     ("topology", TOPOLOGY_STRATEGIES), (level, BASELINE_STRATEGIES)):
+        if strategy in ids:
+            if own != level:
+                raise ValueError(f"strategies: {strategy} belongs to the {own} level, not {level}")
+            return
+    raise ValueError(f"strategies: unknown strategy {strategy!r}")
 
 
 def build_pool(
@@ -294,74 +300,74 @@ def build_pool(
     batch_size: int,
     multipliers: dict[str, float] | None = None,
 ) -> ModelPool:
-    """Candidate variants for one strategy, ordered largest to smallest."""
-    own_level = strategy_level(strategy)
-    if own_level not in ("any", level):
-        raise ValueError(f"strategy {strategy!r} belongs to the {own_level} level, not {level}")
+    """Candidate variants for one strategy, ordered largest to smallest.
+    Every pool rule is checked here or in the calls it makes; each
+    message names the config key at fault."""
+    check_strategy(strategy, level)
+    specs = ladder(base_spec, level, pool_cfg)
 
     def make(spec: BlockNetSpec, heads: tuple[int, ...], vid: str, kind: str,
              rate: float | None = None, depth: int | None = None) -> Variant:
-        return Variant(
-            variant_id=vid,
-            kind=kind,
-            spec=spec,
-            head_blocks=heads,
-            stats=_variant_stats(spec, heads, strategy, batch_size, multipliers),
-            rate=rate,
-            depth=depth,
-        )
+        stats = _variant_stats(spec, heads, strategy, batch_size, multipliers)
+        return Variant(variant_id=vid, kind=kind, spec=spec, head_blocks=heads, stats=stats, rate=rate, depth=depth)
 
-    variants: list[Variant] = []
     if strategy in WIDTH_STRATEGIES:
-        rates = tuple(sorted(set(pool_cfg.rates), reverse=True))
-        if not rates or rates[0] != 1.0:
-            raise ValueError("the width rate ladder must include 1.0")
-        for r, spec in zip(rates, _ladder(base_spec, level, pool_cfg)):
-            variants.append(make(spec, nn.default_heads(spec), f"w{int(round(100 * r))}", "width", rate=r))
+        rates = sorted(set(pool_cfg.rates), reverse=True)
+        variants = [make(spec, nn.default_heads(spec), f"w{int(round(100 * r))}", "width", rate=r)
+                    for r, spec in zip(rates, specs)]
     elif strategy in ("depthfl", "inclusivefl"):
-        depths = tuple(sorted(set(pool_cfg.depths), reverse=True))
-        if not depths or depths[0] != base_spec.num_blocks or depths[-1] < 1:
-            raise ValueError("the depth ladder must span down from num_blocks and stay >= 1")
-        for depth, spec in zip(depths, _ladder(base_spec, level, pool_cfg)):
+        variants = []
+        for spec in specs:
+            depth = spec.num_blocks
             heads = tuple(range(1, depth + 1)) if strategy == "depthfl" else (depth,)
             variants.append(make(spec, heads, f"d{depth}", "depth", depth=depth))
     elif strategy == "fedepth":
         # Every client trains the full model; memory is absorbed by segmentation.
-        variants.append(make(base_spec, nn.default_heads(base_spec), "full", "full",
-                             depth=base_spec.num_blocks))
+        variants = [make(base_spec, nn.default_heads(base_spec), "full", "full", depth=base_spec.num_blocks)]
     elif strategy in TOPOLOGY_STRATEGIES:
-        for q, spec in enumerate(_ladder(base_spec, level, pool_cfg)):
-            nn.validate_base_spec(spec)
-            variants.append(make(spec, nn.default_heads(spec), f"arch{q}", "topology"))
-    else:  # fedavg baselines: a single homogeneous variant from the level's ladder
-        ladder = _ladder(base_spec, level, pool_cfg)
-        if strategy == "fedavg_full":
-            spec = base_spec if level != "topology" else ladder[0]
-            vid = "full"
-        else:
-            # The first of the smallest in ladder order, which for tied
-            # family members is their config order.
-            spec = min(ladder, key=nn.parameter_count)
-            vid = "smallest"
-        variants.append(make(spec, nn.default_heads(spec), vid, "full"))
+        variants = [make(spec, nn.default_heads(spec), f"arch{q}", "topology") for q, spec in enumerate(specs)]
+    else:  # fedavg baselines: one homogeneous variant, the ladder's largest or smallest
+        # The smallest is the first of the smallest in ladder order, which
+        # for tied family members is their config order.
+        spec = specs[0] if strategy == "fedavg_full" else min(specs, key=nn.parameter_count)
+        variants = [make(spec, nn.default_heads(spec), strategy.removeprefix("fedavg_"), "full")]
     return ModelPool(strategy, level, variants)
 
 
-def _ladder(base_spec: BlockNetSpec, level: str, pool_cfg: PoolConfig) -> list[BlockNetSpec]:
+def ladder(base_spec: BlockNetSpec, level: str, pool_cfg: PoolConfig) -> list[BlockNetSpec]:
     """The level's specs, largest first: one per width rate, one per depth,
-    or the topology family by parameter count (ties keep config order)."""
+    or the topology family by parameter count (ties keep config order).
+    Raises, naming the key, when the ladder cannot be built."""
     if level == "width":
+        if base_spec.block_kind == "bottleneck":
+            raise ValueError("model.block_kind: width heterogeneity needs plain or skip blocks")
         rates = sorted(set(pool_cfg.rates), reverse=True)
+        if not rates or rates[0] != 1.0:
+            raise ValueError("pool.rates: the ladder must include 1.0")
         return [replace(base_spec, hidden_dim=max(1, math.ceil(r * base_spec.hidden_dim))) for r in rates]
     if level == "depth":
-        return [replace(base_spec, num_blocks=depth) for depth in sorted(set(pool_cfg.depths), reverse=True)]
+        depths = sorted(set(pool_cfg.depths), reverse=True)
+        if not depths or depths[0] != base_spec.num_blocks:
+            raise ValueError("pool.depths: the ladder must span up to model.num_blocks")
+        return [replace(base_spec, num_blocks=depth) for depth in depths]
     if not pool_cfg.family:
-        raise ValueError("the topology level needs a pool.family of (hidden, blocks, kind) triples")
-    specs = [
-        replace(base_spec, hidden_dim=int(h), num_blocks=int(b), block_kind=str(k))
-        for h, b, k in pool_cfg.family
-    ]
+        raise ValueError("pool.family: the topology level needs at least one [hidden_dim, num_blocks, kind] entry")
+    specs = family_specs(base_spec, pool_cfg.family)
     specs.sort(key=nn.parameter_count, reverse=True)
+    return specs
+
+
+def family_specs(base_spec: BlockNetSpec, family: tuple[tuple[int, int, str], ...]) -> list[BlockNetSpec]:
+    """The base spec of each `pool.family` entry, in config order; an entry
+    that does not build a valid base model raises, naming the entry."""
+    specs = []
+    for hidden, blocks, kind in family:
+        try:
+            spec = replace(base_spec, hidden_dim=hidden, num_blocks=blocks, block_kind=kind)
+            nn.validate_base_spec(spec)
+        except ValueError as exc:
+            raise ValueError(f"pool.family: {json.dumps([hidden, blocks, kind])}: {exc}") from exc
+        specs.append(spec)
     return specs
 
 

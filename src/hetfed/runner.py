@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, seeding
-from .config import ConfigError, ExperimentConfig, resolve_config
+from .config import BASELINE_ID, ConfigError, ExperimentConfig, resolve_config
 from .datasets import Dataset, PartitionConfig, gen_synthetic, load_csv, partition, split_global, split_sizes
 from .metrics import (
     METRICS,
@@ -28,11 +28,10 @@ from .metrics import (
     model_accuracy,
     records_csv,
 )
-from .resources import assign_models, build_pool, estimate_times, payload_bytes, sample_profiles
+from .resources import assign_models, estimate_times, payload_bytes, sample_profiles
 from .strategies import ClientState, FederationContext, make_strategy, sample_clients
 
 SWEEP_AXES = ("num_clients", "alpha", "scenario")
-BASELINE_ID = "fedavg_smallest"
 
 
 @dataclass
@@ -105,14 +104,6 @@ def _repeat_data(
     return seed_r, dataset, train, test, public, parts
 
 
-def _strategy_ids(cfg: ExperimentConfig) -> list[str]:
-    """The configured strategies, plus the smallest-model baseline when
-    effectiveness is wanted."""
-    if cfg.include_baseline and BASELINE_ID not in cfg.strategies:
-        return [*cfg.strategies, BASELINE_ID]
-    return list(cfg.strategies)
-
-
 def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) -> RepeatOutcome:
     """One full federated run of one strategy under one repeat seed."""
     # The source dataset stays referenced for the whole job. Freeing it
@@ -127,9 +118,7 @@ def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) ->
     profiles = sample_profiles(
         cfg.profiles, scenario, cfg.num_clients, seeding.mix_seed(seed_r, seeding.TAG_PROFILES)
     )
-    pool = build_pool(
-        strategy_id, cfg.level, cfg.model, cfg.pool, cfg.sgd.batch_size, cfg.memory_multipliers
-    )
+    pool = cfg.pools[strategy_id]
     nominal_samples = math.ceil(train.n / cfg.num_clients)
     assignments = assign_models(pool, profiles, scenario, nominal_samples, cfg.sgd.local_epochs)
 
@@ -209,16 +198,15 @@ def _mean_or_none(values: list[float | None]) -> float | None:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Run every configured strategy (plus the smallest-model baseline when
-    effectiveness is wanted) across repeats; write CSVs, summary, manifest."""
+    effectiveness is wanted) across repeats; write CSVs, summary, manifest.
+    The output directory is made only once every job has finished, so a
+    run that fails leaves none behind."""
+    outcomes = {sid: [run_strategy_repeat(cfg, sid, r) for r in range(cfg.repeats)] for sid in cfg.pools}
     out = out_dir if out_dir is not None else cfg.output_dir
     os.makedirs(out, exist_ok=True)
-
-    strategy_ids = _strategy_ids(cfg)
-    outcomes: dict[str, list[RepeatOutcome]] = {}
     artifacts: list[str] = []
-    for sid in strategy_ids:
-        outcomes[sid] = [run_strategy_repeat(cfg, sid, r) for r in range(cfg.repeats)]
-        for outcome in outcomes[sid]:
+    for sid, repeats in outcomes.items():
+        for outcome in repeats:
             name = f"rounds_{sid}_r{outcome.repeat}.csv"
             atomic_write_text(os.path.join(out, name), records_csv(outcome.records, cfg.per_client_csv))
             artifacts.append(name)
@@ -227,7 +215,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     if BASELINE_ID in outcomes:
         baseline_finals = [o.final_accuracy for o in outcomes[BASELINE_ID]]
     summary: dict = {"config_hash": cfg.hash(), "scenario": "+".join(cfg.scenario.constraints), "strategies": {}}
-    for sid in strategy_ids:
+    for sid in outcomes:
         reports = [build_report(o.records, cfg.tta_threshold, baseline_finals[o.repeat]) for o in outcomes[sid]]
         entry = {m.name: _mean_or_none([getattr(r, m.name) for r in reports]) for m in METRICS}
         entry["time_to_accuracy_reached"] = sum(1 for r in reports if r.time_to_accuracy_s is not None)
@@ -276,7 +264,6 @@ def sweep_experiment(cfg: ExperimentConfig, axis: str, values: list[str], out_di
         raise ConfigError("sweep needs at least one axis value")
     sub_cfgs = [resolve_config(_axis_override(cfg.raw, axis, value)) for value in values]
     out = out_dir if out_dir is not None else cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     rows = []
     for value, sub_cfg in zip(values, sub_cfgs):
         sub_dir = os.path.join(out, f"{axis}_{value.replace('+', '-')}")
@@ -378,8 +365,7 @@ def pool_csv(cfg: ExperimentConfig) -> str:
     header = ["strategy", "variant_id", "kind", "rate", "depth", "hidden_dim", "num_blocks", "params"]
     header += ["flops_per_sample", "memory_bytes", "comm_payload_bytes"]
     rows = []
-    for sid in _strategy_ids(cfg):
-        pool = build_pool(sid, cfg.level, cfg.model, cfg.pool, cfg.sgd.batch_size, cfg.memory_multipliers)
+    for sid, pool in cfg.pools.items():
         for v in pool.variants:
             depth = "" if v.depth is None else str(v.depth)
             sizes = [str(v.spec.hidden_dim), str(v.spec.num_blocks), str(v.stats.params)]

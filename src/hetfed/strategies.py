@@ -539,9 +539,6 @@ class FedAvg(_PartialAveragingStrategy):
     def _extract(self, model, client, round_index):
         return model, full_map(model)
 
-    def client_eval_model(self, state, client_id, round_index):
-        return state
-
 
 class FedAvgSmallest(FedAvg):
     id = "fedavg_smallest"

@@ -29,6 +29,23 @@ scenario.memory_tiers = [[1e9, 1.0]]
 """
 
 
+# Pools that loaded and then crashed `run` and `pool` with a traceback.
+# The first item says whether the config moves to fedproto at the
+# topology level.
+UNBUILDABLE_POOLS = [
+    (True, "pool.family = []",
+     "pool.family: the topology level needs at least one [hidden_dim, num_blocks, kind] entry"),
+    (False, "model.hidden_dim = 8\npool.rates = [1.0, 0.9]",
+     "pool.rates: the sheterofl pool's variants must be strictly decreasing in parameter count, but "
+     "w100 (hidden_dim 8, 2 plain blocks, 411 parameters) and w90 (hidden_dim 8, 2 plain blocks, 411 parameters) "
+     "collide"),
+    (True, 'pool.family = [[8, 2, "plain"], [8, 2, "plain"]]',
+     "pool.family: the fedproto pool's variants must be strictly decreasing in parameter count, but "
+     "arch0 (hidden_dim 8, 2 plain blocks, 411 parameters) and arch1 (hidden_dim 8, 2 plain blocks, 411 parameters) "
+     "collide"),
+]
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "exp.cfg"
@@ -112,17 +129,40 @@ class TestRunCommand:
         bad = tmp_path / "bad.cfg"
         bad.write_text(CONFIG.replace("num_clients = 4", "num_clients = 20")
                        + f'data.source = csv\ndata.path = "{data}"\nmodel.input_dim = 2\n')
-        args = [command, str(bad)] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+        out = tmp_path / "o"
+        args = [command, str(bad)] + (["--out", str(out)] if command == "run" else [])
         assert main(args) == EXIT_CONFIG
         assert capsys.readouterr() == ("", (
             "config error: data.path: csv has 12 rows, which split into 3 test, 0 public and 9 train rows; "
             "at least 1 test row and 20 train rows (one per client) are needed\n"
         ))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "pool", "partition", "sweep"])
+    @pytest.mark.parametrize("topology,lines,message", UNBUILDABLE_POOLS)
+    def test_pool_that_cannot_be_built_stops_at_load(self, tmp_path, capsys, command, topology, lines, message):
+        text = CONFIG
+        if topology:
+            text = text.replace('["sheterofl"]', '["fedproto"]').replace("level = width", "level = topology")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text + lines + "\n")
+        out = tmp_path / "o"
+        args = {
+            "run": ["run", str(bad), "--out", str(out)],
+            "pool": ["pool", str(bad)],
+            "partition": ["partition", str(bad)],
+            "sweep": ["sweep", str(bad), "--axis", "alpha", "--values", "0.5", "--out", str(out)],
+        }[command]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out.exists()
 
     def test_infeasible_exit_code(self, tmp_path):
         bad = tmp_path / "tight.cfg"
         bad.write_text(CONFIG.replace("[[1e9, 1.0]]", "[[10.0, 1.0]]"))
-        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == EXIT_INFEASIBLE
+        out = tmp_path / "o"
+        assert main(["run", str(bad), "--out", str(out)]) == EXIT_INFEASIBLE
+        assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == EXIT_IO
@@ -131,9 +171,11 @@ class TestRunCommand:
     def test_diverged_training_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "huge_lr.cfg"
         bad.write_text(CONFIG + "sgd.learning_rate = 1e30\n")
-        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == EXIT_DIVERGED
+        out = tmp_path / "o"
+        assert main(["run", str(bad), "--out", str(out)]) == EXIT_DIVERGED
         err = capsys.readouterr().err
         assert re.fullmatch(r"diverged: sheterofl: round \d+: client \d+ diverged; parameter \S+ is not finite\n", err)
+        assert not out.exists()
 
     def test_env_overrides(self, config_path, tmp_path, monkeypatch):
         out = str(tmp_path / "env_out")

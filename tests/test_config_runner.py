@@ -1,10 +1,12 @@
 import glob
 import json
 import os
+import sys
 
 import pytest
 
-from hetfed import nn, runner, seeding, strategies
+from hetfed import nn, resources, runner, seeding, strategies
+from hetfed.cli import EXIT_OK, main
 from hetfed.config import ConfigError, load_config, parse_config_text, resolve_config
 from hetfed.datasets import gen_synthetic, split_global
 from hetfed.metrics import model_accuracy
@@ -172,6 +174,25 @@ class TestConfigParsing:
 
 
 class TestRunner:
+    def test_pools_are_built_once_at_load(self, monkeypatch, tmp_path):
+        # One build per strategy while the config resolves; no job of the
+        # run (two repeats of two strategies) builds one again.
+        built = []
+        original = resources.build_pool
+
+        def counted_build(*args, **kwargs):
+            built.append(args[0])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hetfed") and getattr(module, "build_pool", None) is original:
+                monkeypatch.setattr(module, "build_pool", counted_build)
+        cfg = small_config("repeats = 2\n")
+        assert list(cfg.pools) == built == ["sheterofl", "fedavg_smallest"]
+        summary = run_experiment(cfg, str(tmp_path / "run"))
+        assert sorted(summary["strategies"]) == ["fedavg_smallest", "sheterofl"]
+        assert built == list(cfg.pools)
+
     def test_lr_zero_is_noop_training(self, tmp_path):
         cfg = small_config("sgd.learning_rate = 0.0\nsampling_fraction = 1.0\nnum_rounds = 1\n")
         outcome = run_strategy_repeat(cfg, "sheterofl", 0)
@@ -361,6 +382,8 @@ def test_shipped_config_loads_and_prices_its_pool(path):
     print(table)
     listed = {line.split(",")[0] for line in table.splitlines()[1:]}
     assert set(cfg.strategies) <= listed
+    # Every pool rule is checked at load, so `hetfed pool` must pass too.
+    assert main(["pool", path]) == EXIT_OK
 
 
 class TestInspectionTables:
