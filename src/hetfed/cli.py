@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, ExperimentConfig, load_config, resolve_config
+from .config import ConfigError, ExperimentConfig, parse_config_text, resolve_config
 from .resources import InfeasibleScenarioError
 from .runner import (
     SWEEP_AXES,
@@ -37,19 +37,18 @@ EXIT_DIVERGED = 5
 
 
 def _load_with_env(path: str) -> ExperimentConfig:
-    cfg = load_config(path)
-    raw = dict(cfg.raw)
-    changed = False
+    """The config at `path` with the environment overrides applied before
+    it resolves, so its pools are built once."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = parse_config_text(fh.read(), source=path)
     if "HETFED_SEED" in os.environ:
         try:
             raw["master_seed"] = int(os.environ["HETFED_SEED"])
         except ValueError as exc:
             raise ConfigError(f"HETFED_SEED must be an integer: {exc}") from exc
-        changed = True
     if "HETFED_OUT" in os.environ:
         raw["output_dir"] = os.environ["HETFED_OUT"]
-        changed = True
-    return resolve_config(raw, source=path) if changed else cfg
+    return resolve_config(raw, source=path)
 
 
 def build_parser() -> argparse.ArgumentParser:

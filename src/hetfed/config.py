@@ -12,9 +12,9 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .datasets import PARTITION_MODES, SYNTHETIC_KINDS, split_sizes
+from .datasets import PartitionConfig, check_fractions, check_layout, check_synthetic, split_sizes
 from .nn import BLOCK_KINDS, BlockNetSpec, SGDConfig, validate_base_spec
 from .resources import (
     DEFAULT_MEMORY_MULTIPLIERS,
@@ -214,8 +214,7 @@ class ExperimentConfig:
     data_layout: str
     test_fraction: float
     public_fraction: float
-    partition_mode: str
-    partition_alpha: float
+    partition: PartitionConfig  # seed 0; each repeat sets its own
     sgd: SGDConfig
     fed: FederationConfig
     eval_cadence: int
@@ -239,13 +238,21 @@ def config_hash(resolved: dict[str, object]) -> str:
     return digest.hexdigest()
 
 
-def _pool_rule(check, *args):
-    """`check(*args)`, a pool rule of `resources` whose ValueError message
-    names the key, with that error raised as a ConfigError."""
+def _rule(check, *args, **kwargs):
+    """`check(*args, **kwargs)`, a rule whose ValueError message names the
+    key (a pool, data, partition, scenario, profile, optimizer or algorithm
+    rule), with that error raised as a ConfigError."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _keyed(cls, resolved: dict[str, object], prefix: str, **given):
+    """`cls`, a dataclass whose messages name its keys, built through `_rule`
+    from the `prefix.<field>` key of each field that `given` does not set."""
+    keys = {f.name: resolved[f"{prefix}.{f.name}"] for f in fields(cls) if f.name not in given}
+    return _rule(cls, **keys, **given)
 
 
 def resolve_config(raw: dict[str, object], source: str = "<config>") -> ExperimentConfig:
@@ -270,13 +277,13 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     if level not in ("width", "depth", "topology"):
         raise ConfigError(f"level: must be width, depth or topology, got {level!r}")
     for i, sid in enumerate(strategies):
-        _pool_rule(check_strategy, sid, level)
+        _rule(check_strategy, sid, level)
         if sid in strategies[:i]:
             raise ConfigError(f"strategies: {sid} is listed more than once")
 
     if not 0.0 < resolved["sampling_fraction"] <= 1.0:
         raise ConfigError("sampling_fraction: must lie in (0, 1]")
-    for key in ("num_clients", "num_rounds", "repeats", "workers"):
+    for key in ("num_rounds", "repeats", "workers"):
         if resolved[key] < 1:
             raise ConfigError(f"{key}: must be >= 1")
 
@@ -316,8 +323,8 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     )
     # The level's ladder, and every family entry even where the level does
     # not use the family; the pools themselves need the batch size.
-    _pool_rule(ladder, spec, level, pool_cfg)
-    _pool_rule(family_specs, spec, pool_cfg.family)
+    _rule(ladder, spec, level, pool_cfg)
+    _rule(family_specs, spec, pool_cfg.family)
 
     constraints = tuple(str(c) for c in resolved["scenario.constraints"])
     tiers = []
@@ -325,79 +332,28 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
         if not isinstance(entry, list) or len(entry) != 2:
             raise ConfigError("scenario.memory_tiers: entries must be [capacity_bytes, fraction]")
         tiers.append(tuple(_coerce("scenario.memory_tiers", "float", number) for number in entry))
-    try:
-        scenario = ScenarioConfig(
-            constraints=constraints,
-            t_compute=resolved["scenario.t_compute"],
-            t_comm=resolved["scenario.t_comm"],
-            memory_tiers=tuple(tiers),
-        )
-        profiles = ProfileDistribution(
-            compute_min=resolved["profiles.compute_min"],
-            compute_max=resolved["profiles.compute_max"],
-            bandwidth_min=resolved["profiles.bandwidth_min"],
-            bandwidth_max=resolved["profiles.bandwidth_max"],
-            default_memory=resolved["profiles.default_memory"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scenario/profiles: {exc}") from exc
+    scenario = _keyed(ScenarioConfig, resolved, "scenario", constraints=constraints, memory_tiers=tuple(tiers))
+    profiles = _keyed(ProfileDistribution, resolved, "profiles")
 
-    if resolved["data.source"] not in SYNTHETIC_KINDS + ("csv",):
-        raise ConfigError(f"data.source: must be one of {SYNTHETIC_KINDS + ('csv',)}")
-    if resolved["data.source"] == "csv" and not resolved["data.path"]:
-        raise ConfigError("data.path: required when data.source = csv")
-    if resolved["data.layout"] not in ("random", "lattice"):
-        raise ConfigError("data.layout: must be 'random' or 'lattice'")
-    if resolved["data.source"] == "spiral" and spec.input_dim < 2:
-        raise ConfigError("data.source: spiral needs model.input_dim >= 2")
-    if resolved["data.source"] == "blobs" and resolved["data.layout"] == "lattice":
-        corners = spec.num_classes * resolved["data.clusters_per_class"]
-        if 2 ** spec.input_dim < corners:
-            raise ConfigError(
-                "data.layout: lattice needs model.input_dim >= log2(num_classes * clusters_per_class)"
-            )
-    if not 0.0 < resolved["data.test_fraction"] < 1.0:
-        raise ConfigError("data.test_fraction: must lie in (0, 1)")
-    if not 0.0 <= resolved["data.public_fraction"] < 1.0:
-        raise ConfigError("data.public_fraction: must lie in [0, 1)")
-    # A csv dataset's row count is known only once it is read (runner).
-    n_test, _, train_size = split_sizes(
-        resolved["data.n"], resolved["data.test_fraction"], resolved["data.public_fraction"]
-    )
-    if resolved["data.source"] != "csv" and n_test < 1:
-        raise ConfigError(f"data.n: the test split of {resolved['data.n']} samples is empty")
-    if resolved["data.source"] != "csv" and train_size < resolved["num_clients"]:
-        raise ConfigError(
-            f"data.n: the train pool ({train_size} samples after splits) cannot cover "
-            f"{resolved['num_clients']} clients"
-        )
-    if resolved["partition.mode"] not in PARTITION_MODES:
-        raise ConfigError(f"partition.mode: must be one of {PARTITION_MODES}")
-    if resolved["partition.alpha"] <= 0:
-        raise ConfigError("partition.alpha: must be > 0")
+    # The data rules, without building any data. A csv source ignores the
+    # synthetic keys, and its rows are counted once it is read (runner).
+    source, layout = resolved["data.source"], resolved["data.layout"]
+    fractions = (resolved["data.test_fraction"], resolved["data.public_fraction"])
+    if source == "csv":
+        if not resolved["data.path"]:
+            raise ConfigError("data.path: required when data.source = csv")
+        _rule(check_layout, layout)
+        _rule(check_fractions, *fractions)
+    else:
+        _rule(check_synthetic, source, resolved["data.n"], spec.input_dim, spec.num_classes,
+              resolved["data.noise"], resolved["data.clusters_per_class"], layout)
+        _rule(split_sizes, resolved["data.n"], *fractions, resolved["num_clients"])
+    partition = _rule(PartitionConfig, resolved["partition.mode"], resolved["num_clients"], resolved["partition.alpha"])
     if "fedet" in strategies and resolved["data.public_fraction"] <= 0:
         raise ConfigError("data.public_fraction: fedet needs a public split (> 0)")
 
-    try:
-        sgd = SGDConfig(
-            learning_rate=resolved["sgd.learning_rate"],
-            batch_size=resolved["sgd.batch_size"],
-            local_epochs=resolved["sgd.local_epochs"],
-            momentum=resolved["sgd.momentum"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sgd.*: {exc}") from exc
-    try:
-        fed = FederationConfig(
-            lambda_kd=resolved["algo.lambda_kd"],
-            lambda_proto=resolved["algo.lambda_proto"],
-            fjord_fixed_p=resolved["algo.fjord_fixed_p"],
-            fedet_server_epochs=resolved["algo.fedet_server_epochs"],
-            fedet_client_epochs=resolved["algo.fedet_client_epochs"],
-            weighting=resolved["aggregation.weighting"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc  # the message names the key
+    sgd = _keyed(SGDConfig, resolved, "sgd")
+    fed = _keyed(FederationConfig, resolved, "algo", weighting=resolved["aggregation.weighting"])
 
     if resolved["eval.cadence"] < 1:
         raise ConfigError("eval.cadence: must be >= 1")
@@ -405,7 +361,7 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     multipliers = {sid: resolved[f"resource.kappa_{sid}"] for sid in DEFAULT_MEMORY_MULTIPLIERS}
     baseline = [BASELINE_ID] if resolved["include_baseline"] and BASELINE_ID not in strategies else []
     pools = {
-        sid: _pool_rule(build_pool, sid, level, spec, pool_cfg, sgd.batch_size, multipliers)
+        sid: _rule(build_pool, sid, level, spec, pool_cfg, sgd.batch_size, multipliers)
         for sid in strategies + baseline
     }
 
@@ -431,8 +387,7 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
         data_layout=resolved["data.layout"],
         test_fraction=resolved["data.test_fraction"],
         public_fraction=resolved["data.public_fraction"],
-        partition_mode=resolved["partition.mode"],
-        partition_alpha=resolved["partition.alpha"],
+        partition=partition,
         sgd=sgd,
         fed=fed,
         eval_cadence=resolved["eval.cadence"],

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SYNTHETIC_KINDS = ("blobs", "spiral")
+LAYOUTS = ("random", "lattice")
 PARTITION_MODES = ("iid", "dirichlet")
 
 
@@ -49,12 +50,44 @@ class PartitionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Each message names the config key; alpha is checked in either mode.
         if self.mode not in PARTITION_MODES:
-            raise ValueError(f"partition mode must be one of {PARTITION_MODES}")
+            raise ValueError(f"partition.mode: must be one of {PARTITION_MODES}, got {self.mode!r}")
         if self.num_clients < 1:
-            raise ValueError("num_clients must be >= 1")
-        if self.mode == "dirichlet" and self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+            raise ValueError(f"num_clients: must be >= 1, got {self.num_clients}")
+        if self.alpha <= 0:
+            raise ValueError(f"partition.alpha: must be > 0, got {self.alpha}")
+
+
+def check_layout(layout: str) -> None:
+    """`data.layout` is a known layout, for every source (csv ignores it)."""
+    if layout not in LAYOUTS:
+        raise ValueError(f"data.layout: must be 'random' or 'lattice', got {layout!r}")
+
+
+def check_synthetic(
+    kind: str, n: int, input_dim: int, num_classes: int, noise: float,
+    clusters_per_class: int = 1, layout: str = "random",
+) -> None:
+    """Raise a ValueError naming the config key when `gen_synthetic` cannot
+    make data from these `data.*` and `model.*` values."""
+    if kind not in SYNTHETIC_KINDS:
+        raise ValueError(f"data.source: must be one of {SYNTHETIC_KINDS + ('csv',)}, got {kind!r}")
+    if n < 1:
+        raise ValueError(f"data.n: must be >= 1, got {n}")
+    if input_dim < 1 or num_classes < 1:
+        raise ValueError("model.input_dim and model.num_classes: must be >= 1")
+    if noise < 0:
+        raise ValueError(f"data.noise: must be >= 0, got {noise}")
+    if clusters_per_class < 1:
+        raise ValueError(f"data.clusters_per_class: must be >= 1, got {clusters_per_class}")
+    check_layout(layout)
+    if kind == "spiral" and input_dim < 2:
+        raise ValueError(f"data.source: spiral needs model.input_dim >= 2, got {input_dim}")
+    if kind == "blobs" and layout == "lattice" and 2**input_dim < num_classes * clusters_per_class:
+        raise ValueError(
+            f"data.layout: lattice needs model.input_dim >= log2(num_classes * clusters_per_class), got {input_dim}"
+        )
 
 
 def _lattice_centroids(count: int, input_dim: int) -> np.ndarray:
@@ -65,10 +98,6 @@ def _lattice_centroids(count: int, input_dim: int) -> np.ndarray:
     whose boundaries reward model capacity rather than luck of placement.
     """
     bits = max(1, math.ceil(math.log2(count)))
-    if bits > input_dim:
-        raise ValueError(
-            f"lattice layout needs input_dim >= log2(classes * clusters) = {bits}"
-        )
     corners = np.zeros((count, input_dim))
     for i in range(count):
         gray = i ^ (i >> 1)
@@ -98,16 +127,7 @@ def gen_synthetic(
     dimension so activation scales stay comparable across every
     architecture trained on them.
     """
-    if kind not in SYNTHETIC_KINDS:
-        raise ValueError(f"kind must be one of {SYNTHETIC_KINDS}")
-    if layout not in ("random", "lattice"):
-        raise ValueError("layout must be 'random' or 'lattice'")
-    if n < 1 or input_dim < 1 or num_classes < 1:
-        raise ValueError("n, input_dim and num_classes must be >= 1")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
-    if clusters_per_class < 1:
-        raise ValueError("clusters_per_class must be >= 1")
+    check_synthetic(kind, n, input_dim, num_classes, noise, clusters_per_class, layout)
     rng = np.random.default_rng(seed)
     idx = np.arange(n)
     labels = idx % num_classes
@@ -126,8 +146,6 @@ def gen_synthetic(
         features = centroids[labels * clusters_per_class + cluster]
         features = features + noise * rng.normal(size=(n, input_dim))
     else:
-        if input_dim < 2:
-            raise ValueError("spiral needs input_dim >= 2")
         within = (idx // num_classes).astype(float)
         counts = np.maximum(1, np.bincount(labels, minlength=num_classes))
         s = within / counts[labels]
@@ -186,19 +204,41 @@ def partition(dataset: Dataset, cfg: PartitionConfig) -> list[np.ndarray]:
                 start += counts[j]
         # No client may end up empty; steal single samples from the largest.
         for j in range(m):
+            # m <= n, so while a client is empty the largest holds two or more.
             while not shares[j]:
                 donor = max(range(m), key=lambda q: len(shares[q]))
-                if len(shares[donor]) <= 1:
-                    raise ValueError("not enough samples to give every client one")
                 shares[j].append(shares[donor].pop())
     return [np.sort(np.asarray(s, dtype=int)) for s in shares]
 
 
-def split_sizes(n: int, test_fraction: float, public_fraction: float) -> tuple[int, int, int]:
-    """The (test, public, train) row counts `split_global` makes of n rows."""
+def check_fractions(test_fraction: float, public_fraction: float) -> None:
+    """The split fractions' ranges, which hold whatever the row count."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("data.test_fraction: must lie in (0, 1)")
+    if not 0.0 <= public_fraction < 1.0:
+        raise ValueError("data.public_fraction: must lie in [0, 1)")
+
+
+def split_sizes(
+    n: int, test_fraction: float, public_fraction: float, num_clients: int = 1, rows: str = "data.n: the data"
+) -> tuple[int, int, int]:
+    """The (test, public, train) row counts `split_global` makes of n rows.
+
+    Raises a ValueError unless the fractions lie in range and the splits
+    leave at least 1 test row and one train row per client. `rows` opens
+    the size message: the key that sets n and what holds the rows.
+    """
+    check_fractions(test_fraction, public_fraction)
     n_test = int(round(test_fraction * n))
     n_public = int(round(public_fraction * n))
-    return n_test, n_public, n - n_test - n_public
+    n_train = n - n_test - n_public
+    if n_test < 1 or n_train < num_clients:
+        raise ValueError(
+            f"{rows} has {n} rows, which split into {n_test} test, {n_public} public "
+            f"and {n_train} train rows; at least 1 test row and {num_clients} train rows "
+            "(one per client) are needed"
+        )
+    return n_test, n_public, n_train
 
 
 def split_global(
@@ -211,13 +251,7 @@ def split_global(
 
     The public split's labels are dropped here so no strategy can see them.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie in (0, 1)")
-    if not 0.0 <= public_fraction < 1.0:
-        raise ValueError("public_fraction must lie in [0, 1)")
-    n_test, n_public, n_train = split_sizes(dataset.n, test_fraction, public_fraction)
-    if n_test < 1 or n_train < 1:
-        raise ValueError("split fractions leave an empty train or test set")
+    n_test, n_public, _ = split_sizes(dataset.n, test_fraction, public_fraction)
     perm = np.random.default_rng(seed).permutation(dataset.n)
     test_idx = np.sort(perm[:n_test])
     public_idx = np.sort(perm[n_test : n_test + n_public])

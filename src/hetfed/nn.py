@@ -321,14 +321,14 @@ class SGDConfig:
     momentum: float = 0.0
 
     def __post_init__(self) -> None:
+        # Each message names the config key that sets the value.
         if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.local_epochs < 1:
-            raise ValueError("local_epochs must be >= 1")
+            raise ValueError(f"sgd.learning_rate: must be >= 0, got {self.learning_rate}")
+        for name in ("batch_size", "local_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"sgd.{name}: must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
+            raise ValueError(f"sgd.momentum: must lie in [0, 1), got {self.momentum}")
 
 
 def init_model(

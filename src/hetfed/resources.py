@@ -105,23 +105,24 @@ class ScenarioConfig:
     memory_tiers: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
+        # Each message names the config key that sets the value.
         if not self.constraints:
-            raise ValueError("at least one constraint must be active")
+            raise ValueError("scenario.constraints: at least one constraint must be active")
         for c in self.constraints:
             if c not in CONSTRAINTS:
-                raise ValueError(f"unknown constraint {c!r}; choose from {CONSTRAINTS}")
+                raise ValueError(f"scenario.constraints: unknown constraint {c!r}; choose from {CONSTRAINTS}")
         if "computation" in self.constraints and (self.t_compute is None or self.t_compute <= 0):
-            raise ValueError("t_compute is required (and > 0) when the computation constraint is active")
+            raise ValueError(f"scenario.t_compute: must be > 0 when computation is active, got {self.t_compute}")
         if self.t_comm <= 0:
-            raise ValueError("t_comm must be > 0")
+            raise ValueError(f"scenario.t_comm: must be > 0, got {self.t_comm}")
         if "memory" in self.constraints:
             if not self.memory_tiers:
-                raise ValueError("memory tiers are required when the memory constraint is active")
+                raise ValueError("scenario.memory_tiers: required when the memory constraint is active")
             total = sum(frac for _, frac in self.memory_tiers)
             if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"memory tier fractions must sum to 1, got {total}")
+                raise ValueError(f"scenario.memory_tiers: fractions must sum to 1, got {total}")
             if any(cap <= 0 or frac < 0 for cap, frac in self.memory_tiers):
-                raise ValueError("memory tier capacities must be positive and fractions >= 0")
+                raise ValueError("scenario.memory_tiers: capacities must be positive and fractions >= 0")
 
 
 @dataclass(frozen=True)
@@ -135,14 +136,15 @@ class ProfileDistribution:
     default_memory: float = 1e9   # used when the memory constraint is inactive
 
     def __post_init__(self) -> None:
-        for lo, hi, name in (
-            (self.compute_min, self.compute_max, "compute"),
-            (self.bandwidth_min, self.bandwidth_max, "bandwidth"),
-        ):
-            if lo <= 0 or hi < lo:
-                raise ValueError(f"{name} range must satisfy 0 < min <= max")
+        # Each message names the config key that sets the value.
+        for name in ("compute", "bandwidth"):
+            lo, hi = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
+            if lo <= 0:
+                raise ValueError(f"profiles.{name}_min: must be > 0, got {lo}")
+            if hi < lo:
+                raise ValueError(f"profiles.{name}_max: must be >= profiles.{name}_min ({lo}), got {hi}")
         if self.default_memory <= 0:
-            raise ValueError("default_memory must be > 0")
+            raise ValueError(f"profiles.default_memory: must be > 0, got {self.default_memory}")
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +425,11 @@ def feasible(
     """Whether the variant satisfies every active constraint, plus the violations."""
     train_s, comm_s = estimate_times(variant.stats, profile, samples, epochs)
     violations = []
+    # Significant digits, not decimals: a sub-0.05 s deadline must not print as 0.0s.
     if "computation" in scenario.constraints and train_s > scenario.t_compute:
-        violations.append(f"computation ({train_s:.1f}s > {scenario.t_compute:.1f}s)")
+        violations.append(f"computation ({train_s:.3g}s > {scenario.t_compute:.3g}s)")
     if "communication" in scenario.constraints and comm_s > scenario.t_comm:
-        violations.append(f"communication ({comm_s:.1f}s > {scenario.t_comm:.1f}s)")
+        violations.append(f"communication ({comm_s:.3g}s > {scenario.t_comm:.3g}s)")
     if "memory" in scenario.constraints and variant.stats.memory_bytes > profile.memory_capacity:
         violations.append(
             f"memory ({variant.stats.memory_bytes:.0f}B > {profile.memory_capacity:.0f}B)"

@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import __version__, seeding
 from .config import BASELINE_ID, ConfigError, ExperimentConfig, resolve_config
-from .datasets import Dataset, PartitionConfig, gen_synthetic, load_csv, partition, split_global, split_sizes
+from .datasets import Dataset, gen_synthetic, load_csv, partition, split_global, split_sizes
 from .metrics import (
     METRICS,
     RoundRecord,
@@ -61,13 +61,10 @@ def _build_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
             )
         if dataset.labels.max() >= cfg.model.num_classes:
             raise ConfigError("data.path: csv labels exceed model.num_classes")
-        n_test, n_public, n_train = split_sizes(dataset.n, cfg.test_fraction, cfg.public_fraction)
-        if n_test < 1 or n_train < cfg.num_clients:
-            raise ConfigError(
-                f"data.path: csv has {dataset.n} rows, which split into {n_test} test, {n_public} public "
-                f"and {n_train} train rows; at least 1 test row and {cfg.num_clients} train rows "
-                "(one per client) are needed"
-            )
+        try:
+            split_sizes(dataset.n, cfg.test_fraction, cfg.public_fraction, cfg.num_clients, "data.path: csv")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return dataset
     return gen_synthetic(
         cfg.data_source,
@@ -92,15 +89,7 @@ def _repeat_data(
     train, test, public = split_global(
         dataset, cfg.test_fraction, cfg.public_fraction, seeding.mix_seed(seed_r, seeding.TAG_DATA, 1)
     )
-    parts = partition(
-        train,
-        PartitionConfig(
-            mode=cfg.partition_mode,
-            num_clients=cfg.num_clients,
-            alpha=cfg.partition_alpha,
-            seed=seeding.mix_seed(seed_r, seeding.TAG_PARTITION),
-        ),
-    )
+    parts = partition(train, replace(cfg.partition, seed=seeding.mix_seed(seed_r, seeding.TAG_PARTITION)))
     return seed_r, dataset, train, test, public, parts
 
 
@@ -196,13 +185,21 @@ def _mean_or_none(values: list[float | None]) -> float | None:
     return float(np.mean(present))
 
 
+def _run_jobs(cfg: ExperimentConfig) -> dict[str, list[RepeatOutcome]]:
+    """Every (strategy, repeat) job of the run, in run order; writes nothing."""
+    return {sid: [run_strategy_repeat(cfg, sid, r) for r in range(cfg.repeats)] for sid in cfg.pools}
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Run every configured strategy (plus the smallest-model baseline when
     effectiveness is wanted) across repeats; write CSVs, summary, manifest.
     The output directory is made only once every job has finished, so a
     run that fails leaves none behind."""
-    outcomes = {sid: [run_strategy_repeat(cfg, sid, r) for r in range(cfg.repeats)] for sid in cfg.pools}
-    out = out_dir if out_dir is not None else cfg.output_dir
+    return _write_run(cfg, _run_jobs(cfg), out_dir if out_dir is not None else cfg.output_dir)
+
+
+def _write_run(cfg: ExperimentConfig, outcomes: dict[str, list[RepeatOutcome]], out: str) -> dict:
+    """Write one finished run's rounds CSVs, summary and manifest into `out`."""
     os.makedirs(out, exist_ok=True)
     artifacts: list[str] = []
     for sid, repeats in outcomes.items():
@@ -263,11 +260,14 @@ def sweep_experiment(cfg: ExperimentConfig, axis: str, values: list[str], out_di
     if not values:
         raise ConfigError("sweep needs at least one axis value")
     sub_cfgs = [resolve_config(_axis_override(cfg.raw, axis, value)) for value in values]
+    # Every value's jobs finish before anything is written, so a sweep that
+    # fails leaves no directory behind, as a run does.
+    outcomes = [_run_jobs(sub_cfg) for sub_cfg in sub_cfgs]
     out = out_dir if out_dir is not None else cfg.output_dir
     rows = []
-    for value, sub_cfg in zip(values, sub_cfgs):
+    for value, sub_cfg, sub_outcomes in zip(values, sub_cfgs, outcomes):
         sub_dir = os.path.join(out, f"{axis}_{value.replace('+', '-')}")
-        strategies = run_experiment(sub_cfg, sub_dir)["strategies"]
+        strategies = _write_run(sub_cfg, sub_outcomes, sub_dir)["strategies"]
         for sid in sorted(strategies):
             rows.append([axis, value, sid, *(csv_cell(strategies[sid][m.name]) for m in METRICS)])
     text = csv_text(["axis", "value", "strategy", *(m.name for m in METRICS)], rows)

@@ -1,9 +1,11 @@
 import json
 import os
 import re
+import sys
 
 import pytest
 
+from hetfed import resources
 from hetfed.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
 from hetfed.datasets import gen_synthetic
 
@@ -186,9 +188,27 @@ class TestRunCommand:
             manifest = json.load(fh)
         assert manifest["master_seed"] == 123
 
-    def test_bad_env_seed_is_config_error(self, config_path, monkeypatch):
+    def test_env_overrides_resolve_the_config_once(self, config_path, tmp_path, monkeypatch):
+        built = []
+        original = resources.build_pool
+
+        def counted_build(*args, **kwargs):
+            built.append(args[0])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hetfed") and getattr(module, "build_pool", None) is original:
+                monkeypatch.setattr(module, "build_pool", counted_build)
+        monkeypatch.setenv("HETFED_OUT", str(tmp_path / "env_out"))
+        assert main(["pool", config_path]) == EXIT_OK
+        assert built == ["sheterofl", "fedavg_smallest"]  # one build per pool
+
+    def test_bad_env_seed_is_config_error(self, config_path, monkeypatch, capsys):
         monkeypatch.setenv("HETFED_SEED", "not-a-number")
         assert main(["run", config_path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: HETFED_SEED must be an integer: invalid literal for int() with base 10: 'not-a-number'\n"
+        )
 
 
 class TestOtherCommands:
@@ -208,6 +228,19 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert os.path.exists(os.path.join(out, "sweep.csv"))
         assert "alpha,0.5" in capsys.readouterr().out
+
+    def test_sweep_that_fails_on_a_later_value_leaves_no_directory(self, tmp_path, capsys):
+        # The memory value runs; the communication value cannot place one
+        # client under a 1 ns deadline.
+        path = tmp_path / "tight.cfg"
+        path.write_text(CONFIG + "scenario.t_comm = 1e-9\n")
+        out = tmp_path / "sweep"
+        args = ["sweep", str(path), "--axis", "scenario", "--values", "memory,communication", "--out", str(out)]
+        assert main(args) == EXIT_INFEASIBLE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        seconds = re.fullmatch(r"infeasible scenario: client 0: .* violates communication \((\S+)s > (\S+)s\)\n", err)
+        assert seconds and seconds[1] != seconds[2] and float(seconds[1]) > float(seconds[2]) == 1e-9
 
     @pytest.mark.parametrize("axis,value,message", [
         ("alpha", "abc", "sweep axis alpha: expected a number, got 'abc'"),

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from hetfed import nn, resources, runner, seeding, strategies
-from hetfed.cli import EXIT_OK, main
-from hetfed.config import ConfigError, load_config, parse_config_text, resolve_config
+from hetfed import datasets, nn, resources, runner, seeding, strategies
+from hetfed.cli import EXIT_CONFIG, EXIT_OK, main
+from hetfed.config import SCHEMA, ConfigError, load_config, parse_config_text, resolve_config
 from hetfed.datasets import gen_synthetic, split_global
 from hetfed.metrics import model_accuracy
 from hetfed.runner import (
@@ -70,7 +70,73 @@ LOAD_ERRORS = [
     ("pool.depths = [2, true]", "pool.depths: every depth must be an integer >= 1"),
     ("data.test_fraction = 0.0", "data.test_fraction: must lie in (0, 1)"),
     ("data.public_fraction = -0.1", "data.public_fraction: must lie in [0, 1)"),
-    ("data.test_fraction = 0.001", "data.n: the test split of 80 samples is empty"),
+    ("data.test_fraction = 0.001",
+     "data.n: the data has 80 rows, which split into 0 test, 0 public and 80 train rows; "
+     "at least 1 test row and 4 train rows (one per client) are needed"),
+]
+
+NON_FINITE_ERRORS = [
+    ("partition.alpha = NaN", "partition.alpha: expected a finite number, got nan"),
+    ("sgd.learning_rate = Infinity", "sgd.learning_rate: expected a finite number, got inf"),
+    ("scenario.t_compute = -Infinity", "scenario.t_compute: expected a finite number, got -inf"),
+    ("data.noise = 1e999", "data.noise: expected a finite number, got inf"),
+    (f"data.noise = {10**400}", f"data.noise: expected a finite number, got {10**400}"),
+]
+
+MEMORY_TIER_ERRORS = [
+    ("[[1e9, NaN]]", "scenario.memory_tiers: expected a finite number, got nan"),
+    ("[[Infinity, 1.0]]", "scenario.memory_tiers: expected a finite number, got inf"),
+    ('[["1e9", 1.0]]', "scenario.memory_tiers: expected a number, got '1e9'"),
+]
+
+# One case per data or partition rule. Each is checked when the config
+# loads, without building data, so `run`, `sweep`, `pool` and `partition`
+# all stop before any output. A csv source is held to the rules that do
+# not need its rows; the path below is never opened.
+DATA_RULE_ERRORS = [
+    ("data.source = rings", "data.source: must be one of ('blobs', 'spiral', 'csv'), got 'rings'"),
+    ("data.source = csv", "data.path: required when data.source = csv"),
+    ("data.n = 0", "data.n: must be >= 1, got 0"),
+    ("data.noise = -1", "data.noise: must be >= 0, got -1.0"),
+    ("data.clusters_per_class = 0", "data.clusters_per_class: must be >= 1, got 0"),
+    ("data.layout = grid", "data.layout: must be 'random' or 'lattice', got 'grid'"),
+    ('data.source = csv\ndata.path = "absent.csv"\ndata.layout = grid',
+     "data.layout: must be 'random' or 'lattice', got 'grid'"),
+    ("data.source = spiral\nmodel.input_dim = 1", "data.source: spiral needs model.input_dim >= 2, got 1"),
+    ("data.layout = lattice\ndata.clusters_per_class = 3\nmodel.input_dim = 2",
+     "data.layout: lattice needs model.input_dim >= log2(num_classes * clusters_per_class), got 2"),
+    ("data.test_fraction = 1.0", "data.test_fraction: must lie in (0, 1)"),
+    ("data.public_fraction = 1.0", "data.public_fraction: must lie in [0, 1)"),
+    ('data.source = csv\ndata.path = "absent.csv"\ndata.test_fraction = 0',
+     "data.test_fraction: must lie in (0, 1)"),
+    ("data.test_fraction = 0.005",
+     "data.n: the data has 80 rows, which split into 0 test, 0 public and 80 train rows; "
+     "at least 1 test row and 4 train rows (one per client) are needed"),
+    ("data.n = 10\nnum_clients = 9",
+     "data.n: the data has 10 rows, which split into 2 test, 0 public and 8 train rows; "
+     "at least 1 test row and 9 train rows (one per client) are needed"),
+    ("num_clients = 0", "num_clients: must be >= 1, got 0"),
+    ("partition.mode = pathological", "partition.mode: must be one of ('iid', 'dirichlet'), got 'pathological'"),
+    ("partition.alpha = 0", "partition.alpha: must be > 0, got 0.0"),
+]
+
+# Scenario, profile and optimizer rules live with their dataclasses, whose
+# messages name the exact key.
+KEYED_RULE_ERRORS = [
+    ("scenario.t_comm = 0", "scenario.t_comm: must be > 0, got 0.0"),
+    ('scenario.constraints = ["thermal"]',
+     "scenario.constraints: unknown constraint 'thermal'; choose from ('computation', 'communication', 'memory')"),
+    ('scenario.constraints = ["computation"]',
+     "scenario.t_compute: must be > 0 when computation is active, got None"),
+    ("scenario.memory_tiers = [[1e9, 0.5]]", "scenario.memory_tiers: fractions must sum to 1, got 0.5"),
+    ("profiles.compute_min = 0", "profiles.compute_min: must be > 0, got 0.0"),
+    ("profiles.bandwidth_max = 1e4",
+     "profiles.bandwidth_max: must be >= profiles.bandwidth_min (100000.0), got 10000.0"),
+    ("profiles.default_memory = -1", "profiles.default_memory: must be > 0, got -1.0"),
+    ("sgd.learning_rate = -0.1", "sgd.learning_rate: must be >= 0, got -0.1"),
+    ("sgd.batch_size = 0", "sgd.batch_size: must be >= 1, got 0"),
+    ("sgd.local_epochs = 0", "sgd.local_epochs: must be >= 1, got 0"),
+    ("sgd.momentum = 1", "sgd.momentum: must lie in [0, 1), got 1.0"),
 ]
 
 
@@ -122,23 +188,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="t_compute"):
             resolve_config(parse_config_text(SMALL.replace('["memory"]', '["computation"]')))
 
-    @pytest.mark.parametrize("extra,message", [
-        ("partition.alpha = NaN", "partition.alpha: expected a finite number, got nan"),
-        ("sgd.learning_rate = Infinity", "sgd.learning_rate: expected a finite number, got inf"),
-        ("scenario.t_compute = -Infinity", "scenario.t_compute: expected a finite number, got -inf"),
-        ("data.noise = 1e999", "data.noise: expected a finite number, got inf"),
-        (f"data.noise = {10**400}", f"data.noise: expected a finite number, got {10**400}"),
-    ])
+    @pytest.mark.parametrize("extra,message", NON_FINITE_ERRORS)
     def test_non_finite_number_rejected(self, extra, message):
         with pytest.raises(ConfigError) as excinfo:
             small_config(extra)
         assert str(excinfo.value) == message
 
-    @pytest.mark.parametrize("tiers,message", [
-        ("[[1e9, NaN]]", "scenario.memory_tiers: expected a finite number, got nan"),
-        ("[[Infinity, 1.0]]", "scenario.memory_tiers: expected a finite number, got inf"),
-        ('[["1e9", 1.0]]', "scenario.memory_tiers: expected a number, got '1e9'"),
-    ])
+    @pytest.mark.parametrize("tiers,message", MEMORY_TIER_ERRORS)
     def test_memory_tier_entries_must_be_finite_numbers(self, tiers, message):
         with pytest.raises(ConfigError) as excinfo:
             resolve_config(parse_config_text(SMALL.replace("[[1e9, 1.0]]", tiers)))
@@ -155,6 +211,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as excinfo:
             small_config(extra)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("extra,message", KEYED_RULE_ERRORS)
+    def test_scenario_profile_and_sgd_messages_name_their_key(self, extra, message):
+        with pytest.raises(ConfigError) as excinfo:
+            small_config(extra)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("message", [
+        message
+        for table in (LOAD_ERRORS, ALGO_KNOB_ERRORS, NON_FINITE_ERRORS, MEMORY_TIER_ERRORS,
+                      DATA_RULE_ERRORS, KEYED_RULE_ERRORS)
+        for _, message in table
+    ])
+    def test_every_pinned_message_opens_with_a_key(self, message):
+        key, colon, _ = message.partition(":")
+        assert colon and key in SCHEMA
 
     def test_every_family_entry_builds_a_base_spec(self):
         cfg = small_config('level = topology\nstrategies = ["fedproto"]\n'
@@ -192,6 +264,20 @@ class TestRunner:
         summary = run_experiment(cfg, str(tmp_path / "run"))
         assert sorted(summary["strategies"]) == ["fedavg_smallest", "sheterofl"]
         assert built == list(cfg.pools)
+
+    def test_load_builds_no_data(self, monkeypatch):
+        # The data rules run at load without making, reading, splitting or
+        # partitioning any data: each repeat's job does that, once.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("load built data")
+
+        for name in ("gen_synthetic", "load_csv", "split_global", "partition"):
+            original = getattr(datasets, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("hetfed") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, forbidden)
+        assert small_config().partition == datasets.PartitionConfig("iid", num_clients=4, alpha=0.5)
+        assert small_config('data.source = csv\ndata.path = "absent.csv"').data_source == "csv"
 
     def test_lr_zero_is_noop_training(self, tmp_path):
         cfg = small_config("sgd.learning_rate = 0.0\nsampling_fraction = 1.0\nnum_rounds = 1\n")
@@ -331,6 +417,25 @@ class TestRunner:
                 assert sum(count for _, count in scored[start:start + clients + 1]) == len(distinct)
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "pool", "partition"])
+@pytest.mark.parametrize("extra,message", DATA_RULE_ERRORS)
+def test_data_rule_stops_every_command_at_load(tmp_path, capsys, command, extra, message):
+    keys = set(parse_config_text(extra))
+    kept = [line for line in SMALL.splitlines() if line.partition("=")[0].strip() not in keys]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(kept) + "\n" + extra + "\n")
+    out = tmp_path / "o"
+    args = {
+        "run": ["run", str(path), "--out", str(out)],
+        "sweep": ["sweep", str(path), "--axis", "alpha", "--values", "0.5", "--out", str(out)],
+        "pool": ["pool", str(path)],
+        "partition": ["partition", str(path)],
+    }[command]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out.exists()
+
+
 class TestSweep:
     def test_singleton_axis_equals_run(self, tmp_path):
         cfg = small_config()
@@ -431,7 +536,7 @@ class TestFairnessAndFlags:
                          "model.input_dim = 2\nmodel.num_classes = 3\n")
 
     def test_train_pool_must_cover_clients(self):
-        with pytest.raises(ConfigError, match="train pool"):
+        with pytest.raises(ConfigError, match=r"4 train rows; at least 1 test row and 5 train rows \(one per client\)"):
             small_config("data.n = 5\nnum_clients = 5\n")
 
     def test_csv_too_small_for_its_splits_or_clients_is_config_error(self, tmp_path):

@@ -55,6 +55,18 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic("rings", 10, 2, 2, 0.1, seed=0)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"noise": -1.0}, "data.noise: must be >= 0, got -1.0"),
+        ({"clusters_per_class": 0}, "data.clusters_per_class: must be >= 1, got 0"),
+        ({"layout": "lattice", "clusters_per_class": 3}, "data.layout: lattice needs model.input_dim >= "
+                                                          "log2(num_classes * clusters_per_class), got 2"),
+    ])
+    def test_generator_checks_the_load_rules_first(self, kwargs, message):
+        args = {"kind": "blobs", "n": 10, "input_dim": 2, "num_classes": 2, "noise": 0.1, "seed": 0, **kwargs}
+        with pytest.raises(ValueError) as excinfo:
+            gen_synthetic(**args)
+        assert str(excinfo.value) == message
+
     def test_features_standardized(self):
         ds = gen_synthetic("blobs", 500, 6, 4, 0.7, seed=2)
         assert np.allclose(ds.features.mean(axis=0), 0.0, atol=1e-9)

@@ -97,10 +97,12 @@ def as_run_summary(summary):
 
 
 def test_sweep_csv_text(tmp_path, monkeypatch):
-    def fake_run(cfg, out_dir):
+    # The sweep runs every value's jobs first, then writes each value's run.
+    def fake_write(cfg, outcomes, out_dir):
         return as_run_summary(SUMMARIES[0] if cfg.num_clients == 2 else SUMMARIES[1])
 
-    monkeypatch.setattr(runner, "run_experiment", fake_run)
+    monkeypatch.setattr(runner, "_run_jobs", lambda cfg: {})
+    monkeypatch.setattr(runner, "_write_run", fake_write)
     text = sweep_experiment(config(), "num_clients", ["2", "3"], str(tmp_path))
     assert text == (
         "axis,value,strategy,final_global_accuracy,time_to_accuracy_s,stability_variance,effectiveness_delta\n"
