@@ -248,6 +248,18 @@ def _rule(check, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
+def check_rows(n: int, test_fraction: float, public_fraction: float, num_clients: int,
+               strategies: list[str], rows: str = "data.n: the data") -> None:
+    """The data rules that need the row count: `split_sizes`' (whose
+    message `rows` opens) and fedet's, which distills on the public split
+    and so needs at least one public row. Raises a ConfigError."""
+    n_public = _rule(split_sizes, n, test_fraction, public_fraction, num_clients, rows)[1]
+    if "fedet" in strategies and n_public < 1:
+        raise ConfigError(
+            f"data.public_fraction: fedet needs at least 1 public row, but {public_fraction} of {n} rows is 0"
+        )
+
+
 def _keyed(cls, resolved: dict[str, object], prefix: str, **given):
     """`cls`, a dataclass whose messages name its keys, built through `_rule`
     from the `prefix.<field>` key of each field that `given` does not set."""
@@ -336,7 +348,8 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     profiles = _keyed(ProfileDistribution, resolved, "profiles")
 
     # The data rules, without building any data. A csv source ignores the
-    # synthetic keys, and its rows are counted once it is read (runner).
+    # synthetic keys, and `check_rows` counts its rows once it is read
+    # (runner).
     source, layout = resolved["data.source"], resolved["data.layout"]
     fractions = (resolved["data.test_fraction"], resolved["data.public_fraction"])
     if source == "csv":
@@ -347,10 +360,8 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     else:
         _rule(check_synthetic, source, resolved["data.n"], spec.input_dim, spec.num_classes,
               resolved["data.noise"], resolved["data.clusters_per_class"], layout)
-        _rule(split_sizes, resolved["data.n"], *fractions, resolved["num_clients"])
+        check_rows(resolved["data.n"], *fractions, resolved["num_clients"], strategies)
     partition = _rule(PartitionConfig, resolved["partition.mode"], resolved["num_clients"], resolved["partition.alpha"])
-    if "fedet" in strategies and resolved["data.public_fraction"] <= 0:
-        raise ConfigError("data.public_fraction: fedet needs a public split (> 0)")
 
     sgd = _keyed(SGDConfig, resolved, "sgd")
     fed = _keyed(FederationConfig, resolved, "algo", weighting=resolved["aggregation.weighting"])

@@ -1,7 +1,8 @@
 """Sub-model extraction and exact partial aggregation.
 
 Width extraction slices selected channels out of every hidden dimension;
-depth extraction keeps a block prefix plus the heads that survive. Every
+depth extraction keeps a block prefix plus the heads it is given. Both
+take the sub-model's architecture as given: the pool decides it. Every
 extraction returns a `SubModelMap`: per parameter, the source indices each
 sub-model axis keeps, compiled once into one flat index vector that lists
 the source coordinate of every sub-model coordinate. Extraction is a `take`
@@ -12,7 +13,6 @@ than heuristics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -71,28 +71,20 @@ def _take(model: BlockNetModel, smap: SubModelMap) -> BlockNetModel:
     return BlockNetModel(smap.spec, smap.head_set, model.vector.take(smap.index))
 
 
-def width_channels(d: int, rate: float) -> int:
-    """Channels kept at a width rate: ceil(rate * d), always >= 1."""
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"width rate must lie in (0, 1], got {rate}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return math.ceil(rate * d)
-
-
 def select_channels(
     d: int,
-    rate: float,
+    k: int,
     mode: str = "static_prefix",
     round_index: int = 0,
 ) -> np.ndarray:
-    """Channel indices kept at this rate.
+    """The k of d channel indices a width sub-model keeps.
 
-    static_prefix keeps {0..k-1} (nested across rates); rolling keeps the
+    static_prefix keeps {0..k-1} (nested across widths); rolling keeps the
     stride-1 window {(t+j) mod d} so every index is covered exactly k
     times over any d consecutive rounds.
     """
-    k = width_channels(d, rate)
+    if not 1 <= k <= d:
+        raise ValueError(f"channel count must lie in 1..{d}, got {k}")
     if mode == "static_prefix":
         return np.arange(k)
     if mode == "rolling":
@@ -141,53 +133,44 @@ def extract_channels(model: BlockNetModel, channels: np.ndarray) -> tuple[BlockN
 
 def extract_width(
     model: BlockNetModel,
-    rate: float,
+    k: int,
     mode: str = "static_prefix",
     round_index: int = 0,
 ) -> tuple[BlockNetModel, SubModelMap]:
-    """Width sub-model at the given rate under the given channel selector."""
-    channels = select_channels(model.spec.hidden_dim, rate, mode, round_index)
+    """Width sub-model of k channels under the given channel selector."""
+    channels = select_channels(model.spec.hidden_dim, k, mode, round_index)
     return extract_channels(model, channels)
 
 
 @lru_cache(maxsize=1024)
 def _depth_map(
-    spec: BlockNetSpec, head_blocks: tuple[int, ...], depth_prefix: int, with_aux_heads: bool
+    spec: BlockNetSpec, head_blocks: tuple[int, ...], depth_prefix: int, heads: tuple[int, ...]
 ) -> SubModelMap:
     if not 1 <= depth_prefix <= spec.num_blocks:
         raise ValueError(f"depth_prefix must lie in 1..{spec.num_blocks}, got {depth_prefix}")
-    if with_aux_heads:
-        kept_heads = tuple(j for j in head_blocks if j <= depth_prefix)
-        if not kept_heads:
-            raise ValueError(f"no head attached within the first {depth_prefix} blocks")
-    else:
-        if depth_prefix not in head_blocks:
-            raise ValueError(f"model has no head attached at block {depth_prefix}")
-        kept_heads = (depth_prefix,)
+    for j in heads:
+        if j not in head_blocks or j > depth_prefix:
+            raise ValueError(f"model has no head attached at block {j} within the first {depth_prefix} blocks")
     sub_spec = replace(spec, num_blocks=depth_prefix)
-    shapes = param_layout(sub_spec, kept_heads).slots
+    shapes = param_layout(sub_spec, heads).slots
     entries = {key: (None,) * len(shape) for key, (_, _, shape) in shapes.items()}
-    return _compile(spec, head_blocks, sub_spec, kept_heads, entries)
+    return _compile(spec, head_blocks, sub_spec, heads, entries)
 
 
 def extract_depth(
     model: BlockNetModel,
     depth_prefix: int,
-    with_aux_heads: bool,
+    heads: tuple[int, ...],
 ) -> tuple[BlockNetModel, SubModelMap]:
-    """Block-prefix sub-model.
-
-    with_aux_heads keeps every head attached within the prefix; otherwise
-    the model must carry a head attached exactly at depth_prefix and only
-    that head is kept.
-    """
-    smap = _depth_map(model.spec, model.head_blocks, int(depth_prefix), bool(with_aux_heads))
+    """Block-prefix sub-model that keeps exactly the given heads, each of
+    which the model must carry within the prefix."""
+    smap = _depth_map(model.spec, model.head_blocks, int(depth_prefix), tuple(heads))
     return _take(model, smap), smap
 
 
 def full_map(model: BlockNetModel) -> SubModelMap:
     """Identity map covering every parameter of the model."""
-    return _depth_map(model.spec, model.head_blocks, model.spec.num_blocks, True)
+    return _depth_map(model.spec, model.head_blocks, model.spec.num_blocks, model.head_blocks)
 
 
 # ---------------------------------------------------------------------------

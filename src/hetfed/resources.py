@@ -336,6 +336,15 @@ def build_pool(
     return ModelPool(strategy, level, variants)
 
 
+def width_channels(d: int, rate: float) -> int:
+    """Channels of d kept at a width rate: ceil(rate * d), at least 1 for
+    any rate in (0, 1]. The one rate-to-width rule: the width ladder and
+    FjORD's fixed rate both use it."""
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"width rate must lie in (0, 1], got {rate}")
+    return math.ceil(rate * d)
+
+
 def ladder(base_spec: BlockNetSpec, level: str, pool_cfg: PoolConfig) -> list[BlockNetSpec]:
     """The level's specs, largest first: one per width rate, one per depth,
     or the topology family by parameter count (ties keep config order).
@@ -346,7 +355,7 @@ def ladder(base_spec: BlockNetSpec, level: str, pool_cfg: PoolConfig) -> list[Bl
         rates = sorted(set(pool_cfg.rates), reverse=True)
         if not rates or rates[0] != 1.0:
             raise ValueError("pool.rates: the ladder must include 1.0")
-        return [replace(base_spec, hidden_dim=max(1, math.ceil(r * base_spec.hidden_dim))) for r in rates]
+        return [replace(base_spec, hidden_dim=width_channels(base_spec.hidden_dim, r)) for r in rates]
     if level == "depth":
         depths = sorted(set(pool_cfg.depths), reverse=True)
         if not depths or depths[0] != base_spec.num_blocks:
@@ -421,8 +430,8 @@ def feasible(
     scenario: ScenarioConfig,
     samples: int,
     epochs: int,
-) -> tuple[bool, list[str]]:
-    """Whether the variant satisfies every active constraint, plus the violations."""
+) -> list[str]:
+    """The active constraints the variant violates; empty when it fits."""
     train_s, comm_s = estimate_times(variant.stats, profile, samples, epochs)
     violations = []
     # Significant digits, not decimals: a sub-0.05 s deadline must not print as 0.0s.
@@ -434,7 +443,7 @@ def feasible(
         violations.append(
             f"memory ({variant.stats.memory_bytes:.0f}B > {profile.memory_capacity:.0f}B)"
         )
-    return not violations, violations
+    return violations
 
 
 def assign_models(
@@ -447,18 +456,14 @@ def assign_models(
     """Largest feasible variant per client; combined constraints intersect."""
     assignments: list[Variant] = []
     for profile in profiles:
-        chosen: Variant | None = None
-        last_violations: list[str] = []
         for variant in pool.variants:
-            ok, violations = feasible(variant, profile, scenario, samples_per_client, epochs)
-            if ok:
-                chosen = variant
+            violations = feasible(variant, profile, scenario, samples_per_client, epochs)
+            if not violations:
+                assignments.append(variant)
                 break
-            last_violations = violations
-        if chosen is None:
+        else:
             raise InfeasibleScenarioError(
                 f"client {profile.device_id}: no feasible variant in the {pool.strategy} pool; "
-                f"smallest variant violates {', '.join(last_violations)}"
+                f"smallest variant violates {', '.join(violations)}"
             )
-        assignments.append(chosen)
     return assignments

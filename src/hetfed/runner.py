@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__, seeding
-from .config import BASELINE_ID, ConfigError, ExperimentConfig, resolve_config
-from .datasets import Dataset, gen_synthetic, load_csv, partition, split_global, split_sizes
+from .config import BASELINE_ID, ConfigError, ExperimentConfig, check_rows, resolve_config
+from .datasets import Dataset, gen_synthetic, load_csv, partition, split_global
 from .metrics import (
     METRICS,
     RoundRecord,
@@ -61,10 +61,8 @@ def _build_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
             )
         if dataset.labels.max() >= cfg.model.num_classes:
             raise ConfigError("data.path: csv labels exceed model.num_classes")
-        try:
-            split_sizes(dataset.n, cfg.test_fraction, cfg.public_fraction, cfg.num_clients, "data.path: csv")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        check_rows(dataset.n, cfg.test_fraction, cfg.public_fraction, cfg.num_clients, cfg.strategies,
+                   "data.path: csv")
         return dataset
     return gen_synthetic(
         cfg.data_source,
@@ -121,7 +119,7 @@ def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) ->
         clients=clients,
         train_features=train.features,
         train_labels=train.labels,
-        public_features=public if public.shape[0] else None,
+        public_features=public,
         sgd=cfg.sgd,
         fed=cfg.fed,
         repeat_seed=seed_r,

@@ -77,7 +77,6 @@ from .extract import (
     new_accumulator,
     normalize,
     scatter_update,
-    width_channels,
 )
 from .nn import (
     BlockNetModel,
@@ -92,7 +91,7 @@ from .nn import (
     train_local,
 )
 from .metrics import model_accuracy
-from .resources import DeviceProfile, ModelPool, Variant, fedepth_segments
+from .resources import DeviceProfile, ModelPool, Variant, fedepth_segments, width_channels
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ class FederationContext:
     clients: list[ClientState]
     train_features: np.ndarray
     train_labels: np.ndarray
-    public_features: np.ndarray | None
+    public_features: np.ndarray        # fedet's rows; config.check_rows keeps at least one
     sgd: SGDConfig
     fed: FederationConfig
     repeat_seed: int
@@ -347,11 +346,10 @@ class _PartialAveragingStrategy(Strategy):
     """Common round shape: extract, train locally, scatter, normalize."""
 
     def initial_state(self) -> BlockNetModel:
-        largest = self.ctx.pool.largest
-        return _frozen(init_model(largest.spec, self.ctx.init_rng(), self._global_heads()))
-
-    def _global_heads(self) -> tuple[int, ...]:
-        return self.ctx.pool.largest.head_blocks
+        """The largest variant's model, carrying every head of every variant."""
+        pool = self.ctx.pool
+        heads = tuple(sorted({j for v in pool.variants for j in v.head_blocks}))
+        return _frozen(init_model(pool.largest.spec, self.ctx.init_rng(), heads))
 
     def _extract(
         self, model: BlockNetModel, client: ClientState, round_index: int
@@ -426,7 +424,7 @@ class SHeteroFL(_PartialAveragingStrategy):
     id = "sheterofl"
 
     def _extract(self, model, client, round_index):
-        return extract_width(model, client.variant.rate, "static_prefix", 0)
+        return extract_width(model, client.variant.spec.hidden_dim, "static_prefix", 0)
 
 
 class FedRolex(SHeteroFL):
@@ -436,21 +434,19 @@ class FedRolex(SHeteroFL):
     id = "fedrolex"
 
     def _extract(self, model, client, round_index):
-        return extract_width(model, client.variant.rate, "rolling", round_index)
+        return extract_width(model, client.variant.spec.hidden_dim, "rolling", round_index)
 
 
 class Fjord(SHeteroFL):
-    """Ordered-dropout width training: every local step samples a rate p
-    from the ladder at or below the client's own rate and applies the step
-    to that nested prefix; the upload is the client-rate sub-model."""
+    """Ordered-dropout width training: every local step samples one of the
+    pool's widths at or below the client's own and applies the step to
+    that nested prefix; the upload is the client-width sub-model."""
 
     id = "fjord"
 
-    def _allowed_channels(self, client_rate: float) -> list[int]:
-        d = self.ctx.pool.largest.spec.hidden_dim
-        rates = [v.rate for v in self.ctx.pool.variants if v.rate is not None]
-        ks = sorted({width_channels(d, r) for r in rates if r <= client_rate + 1e-12})
-        return ks or [width_channels(d, client_rate)]
+    def _widths(self, own: int) -> list[int]:
+        """The pool's widths at or below `own`, ascending."""
+        return sorted({v.spec.hidden_dim for v in self.ctx.pool.variants if v.spec.hidden_dim <= own})
 
     def _group_key(self, client_id):
         # The stack holds global-model vectors, so clients of every rate
@@ -459,9 +455,7 @@ class Fjord(SHeteroFL):
 
     def _train_group(self, global_model, key, client_ids, round_index):
         ctx = self.ctx
-        d = global_model.spec.hidden_dim
-        rates = [ctx.clients[cid].variant.rate for cid in client_ids]
-        own = [width_channels(d, rate) for rate in rates]
+        own = [ctx.clients[cid].variant.spec.hidden_dim for cid in client_ids]
         prefixes = {}  # width -> its static prefix map into the global model, extracted once
 
         def prefix(k: int) -> SubModelMap:
@@ -474,9 +468,9 @@ class Fjord(SHeteroFL):
         # A fixed rate leaves each client a ladder of one width: the fixed
         # one, or its own if that is narrower.
         if fixed is None:
-            ladders = [self._allowed_channels(rate) for rate in rates]
+            ladders = [self._widths(k) for k in own]
         else:
-            ladders = [[min(width_channels(d, fixed), k)] for k in own]
+            ladders = [[min(width_channels(global_model.spec.hidden_dim, fixed), k)] for k in own]
         rngs = [ctx.client_rng(cid, round_index, seeding.LANE_RATE) for cid in client_ids]
 
         def moves(pass_index: int) -> list[list[Move]]:
@@ -502,20 +496,6 @@ class Fjord(SHeteroFL):
         return uploads
 
 
-class DepthFL(_PartialAveragingStrategy):
-    """Depth-prefix sub-models with one auxiliary classifier per retained
-    block; the local loss is the sum of per-head cross-entropies plus
-    pairwise self-distillation KL between head distributions."""
-
-    id = "depthfl"
-
-    def _extract(self, model, client, round_index):
-        return extract_depth(model, client.variant.depth, with_aux_heads=True)
-
-    def _client_loss(self) -> LossSpec:
-        return LossSpec(distill_weight=self.ctx.fed.lambda_kd)
-
-
 class InclusiveFL(_PartialAveragingStrategy):
     """Depth-prefix sub-models where each ladder depth owns its own head,
     aggregated among same-depth holders; shared prefix blocks average over
@@ -523,12 +503,20 @@ class InclusiveFL(_PartialAveragingStrategy):
 
     id = "inclusivefl"
 
-    def _global_heads(self) -> tuple[int, ...]:
-        depths = sorted({v.depth for v in self.ctx.pool.variants if v.depth is not None})
-        return tuple(depths)
-
     def _extract(self, model, client, round_index):
-        return extract_depth(model, client.variant.depth, with_aux_heads=False)
+        variant = client.variant
+        return extract_depth(model, variant.spec.num_blocks, variant.head_blocks)
+
+
+class DepthFL(InclusiveFL):
+    """InclusiveFL's sub-models, where the pool gives every retained block a
+    head, under a local loss summing the per-head cross-entropies and the
+    pairwise self-distillation KL between head distributions."""
+
+    id = "depthfl"
+
+    def _client_loss(self) -> LossSpec:
+        return LossSpec(distill_weight=self.ctx.fed.lambda_kd)
 
 
 class FedAvg(_PartialAveragingStrategy):
@@ -678,11 +666,6 @@ class FedET(_PrivateModelStrategy):
     The cited method's diversity regularizer is omitted."""
 
     id = "fedet"
-
-    def __init__(self, ctx: FederationContext):
-        super().__init__(ctx)
-        if ctx.public_features is None or ctx.public_features.shape[0] == 0:
-            raise ValueError("fedet requires a public split; set data.public_fraction > 0")
 
     def initial_state(self) -> FedETState:
         server = _frozen(init_model(self.ctx.pool.largest.spec, self.ctx.server_rng(0),

@@ -13,6 +13,8 @@ of `nn.param_layout`. The helpers at the end exist only for the tests.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from hetfed import seeding
@@ -25,7 +27,6 @@ from hetfed.extract import (
     new_accumulator,
     normalize,
     scatter_update,
-    width_channels,
 )
 from hetfed.nn import (
     BlockNetModel,
@@ -260,16 +261,12 @@ def width_entries(spec: BlockNetSpec, head_blocks: tuple[int, ...], channels: np
     return entries
 
 
-def depth_entries(model: BlockNetModel, depth_prefix: int, with_aux_heads: bool) -> dict:
+def depth_entries(model: BlockNetModel, depth_prefix: int, heads: tuple[int, ...]) -> dict:
     """Whole-array entries for the stem, the block prefix and the kept heads."""
-    if with_aux_heads:
-        kept_heads = [j for j in model.head_blocks if j <= depth_prefix]
-    else:
-        kept_heads = [depth_prefix]
     keys = ["stem.w", "stem.b"]
     for i in range(1, depth_prefix + 1):
         keys.extend(block_keys(model.spec, i))
-    for j in kept_heads:
+    for j in heads:
         keys.extend(head_keys(j))
     return {key: (None,) * model.params[key].ndim for key in keys}
 
@@ -369,6 +366,13 @@ def fedepth_reference_client(strategy, global_model: BlockNetModel, client_id: i
     return params, full_map(global_model)
 
 
+def fjord_widths(pool, rate: float) -> list[int]:
+    """The widths FjORD draws from for a client at `rate`: ceil(r * d) of
+    the global width d for every pool rate r at or below it, ascending."""
+    d = pool.largest.spec.hidden_dim
+    return sorted({math.ceil(v.rate * d) for v in pool.variants if v.rate <= rate})
+
+
 def fjord_reference_client(strategy, global_model: BlockNetModel, client_id: int, round_index: int):
     """FjORD's per-step loop: each step draws a nested prefix at or below
     the client's rate and updates only that region of the client-rate
@@ -376,13 +380,13 @@ def fjord_reference_client(strategy, global_model: BlockNetModel, client_id: int
     ctx = strategy.ctx
     cfg = ctx.sgd
     client = ctx.clients[client_id]
-    sub, smap = extract_width(global_model, client.variant.rate, "static_prefix", 0)
+    d_global = ctx.pool.largest.spec.hidden_dim
+    sub, smap = extract_width(global_model, math.ceil(client.variant.rate * d_global), "static_prefix", 0)
     features, labels = ctx.client_data(client_id)
     batch_rng = ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
     rate_rng = ctx.client_rng(client_id, round_index, seeding.LANE_RATE)
-    ks = strategy._allowed_channels(client.variant.rate)
+    ks = fjord_widths(ctx.pool, client.variant.rate)
     fixed = ctx.fed.fjord_fixed_p
-    d_global = ctx.pool.largest.spec.hidden_dim
     working = copy_model(sub)
     params = working.params
     momentum = zeros_like_params(params)
@@ -390,7 +394,7 @@ def fjord_reference_client(strategy, global_model: BlockNetModel, client_id: int
     for _ in range(cfg.local_epochs):
         for idx in batch_windows(n, cfg.batch_size, batch_rng):
             if fixed is not None:
-                k = min(width_channels(d_global, fixed), sub.spec.hidden_dim)
+                k = min(math.ceil(fixed * d_global), sub.spec.hidden_dim)
             else:
                 k = int(rate_rng.choice(ks))
             nested, _ = extract_channels(working, np.arange(k))

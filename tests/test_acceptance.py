@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Tolerances are stated inline next to each assertion.
 """
 
+import math
 import os
 import time
 
@@ -24,7 +25,6 @@ from hetfed.extract import (
     normalize,
     scatter_update,
     select_channels,
-    width_channels,
 )
 from hetfed.metrics import RoundRecord, effectiveness, stability, time_to_accuracy
 from hetfed.nn import BlockNetSpec, LossSpec
@@ -127,15 +127,15 @@ def test_criterion_2_aggregation_oracle():
         for _ in range(int(rng.integers(1, 6))):
             weight = float(rng.integers(1, 30))
             if rng.random() < 0.5:
-                rate = float(rng.uniform(0.1, 1.0))
+                k = math.ceil(float(rng.uniform(0.1, 1.0)) * spec.hidden_dim)
                 mode = "rolling" if rng.random() < 0.5 else "static_prefix"
                 round_index = int(rng.integers(0, 6))
-                sub, smap = extract_width(global_model, rate, mode, round_index)
-                entries = width_entries(spec, heads, select_channels(spec.hidden_dim, rate, mode, round_index))
+                sub, smap = extract_width(global_model, k, mode, round_index)
+                entries = width_entries(spec, heads, select_channels(spec.hidden_dim, k, mode, round_index))
             else:
                 depth = int(rng.integers(1, blocks + 1))
-                sub, smap = extract_depth(global_model, depth, True)
-                entries = depth_entries(global_model, depth, True)
+                sub, smap = extract_depth(global_model, depth, heads[:depth])
+                entries = depth_entries(global_model, depth, heads[:depth])
             params = upload(sub, {k: rng.normal(size=v.shape) for k, v in sub.params.items()})
             scatter_update(acc, params, smap, weight)
             contributions.append((params, entries, weight))
@@ -179,10 +179,10 @@ def test_criterion_4_rolling_coverage():
     # rounds each channel index is selected exactly ceil(rate*d) times.
     for d in range(1, 33):
         for rate in (0.25, 0.5, 0.75):
-            k = width_channels(d, rate)
+            k = math.ceil(rate * d)
             counts = np.zeros(d, dtype=int)
             for t in range(d):
-                counts[select_channels(d, rate, "rolling", t)] += 1
+                counts[select_channels(d, k, "rolling", t)] += 1
             assert np.all(counts == k), f"d={d} rate={rate}: {counts}"
     report(4, "rolling selector uniform coverage for all d <= 32")
 
@@ -251,7 +251,7 @@ def test_criterion_6_assignment_monotonicity():
             )
             feasible_sets.append({
                 v.variant_id for v in pool.variants
-                if feasible(v, profile, sub_scenario, samples, epochs)[0]
+                if not feasible(v, profile, sub_scenario, samples, epochs)
             })
         allowed = set.intersection(*feasible_sets)
         expected = next((v for v in pool.variants if v.variant_id in allowed), None)

@@ -125,19 +125,24 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "partition"])
-    def test_csv_too_small_for_its_clients_is_config_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("old,new,message", [
+        pytest.param("num_clients = 4", "num_clients = 20",
+                     "data.path: csv has 12 rows, which split into 3 test, 0 public and 9 train rows; "
+                     "at least 1 test row and 20 train rows (one per client) are needed", id="clients"),
+        pytest.param('strategies = ["sheterofl"]\nlevel = width',
+                     'strategies = ["fedet"]\nlevel = topology\npool.family = [[8, 2, "plain"]]',
+                     "data.public_fraction: fedet needs at least 1 public row, but 0.0 of 12 rows is 0",
+                     id="fedet-public-rows"),
+    ])
+    def test_csv_too_small_for_its_clients_is_config_error(self, tmp_path, capsys, command, old, new, message):
         data = tmp_path / "small.csv"
         save_csv(gen_synthetic("blobs", 12, 2, 3, 0.5, seed=0), str(data))
         bad = tmp_path / "bad.cfg"
-        bad.write_text(CONFIG.replace("num_clients = 4", "num_clients = 20")
-                       + f'data.source = csv\ndata.path = "{data}"\nmodel.input_dim = 2\n')
+        bad.write_text(CONFIG.replace(old, new) + f'data.source = csv\ndata.path = "{data}"\nmodel.input_dim = 2\n')
         out = tmp_path / "o"
         args = [command, str(bad)] + (["--out", str(out)] if command == "run" else [])
         assert main(args) == EXIT_CONFIG
-        assert capsys.readouterr() == ("", (
-            "config error: data.path: csv has 12 rows, which split into 3 test, 0 public and 9 train rows; "
-            "at least 1 test row and 20 train rows (one per client) are needed\n"
-        ))
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "pool", "partition", "sweep"])

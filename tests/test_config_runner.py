@@ -115,6 +115,8 @@ DATA_RULE_ERRORS = [
     ("data.n = 10\nnum_clients = 9",
      "data.n: the data has 10 rows, which split into 2 test, 0 public and 8 train rows; "
      "at least 1 test row and 9 train rows (one per client) are needed"),
+    ('strategies = ["fedet"]\nlevel = topology\npool.family = [[8, 2, "plain"]]\ndata.public_fraction = 0.001',
+     "data.public_fraction: fedet needs at least 1 public row, but 0.001 of 80 rows is 0"),
     ("num_clients = 0", "num_clients: must be >= 1, got 0"),
     ("partition.mode = pathological", "partition.mode: must be one of ('iid', 'dirichlet'), got 'pathological'"),
     ("partition.alpha = 0", "partition.alpha: must be > 0, got 0.0"),
@@ -543,16 +545,18 @@ class TestFairnessAndFlags:
         path = tmp_path / "small.csv"
         save_csv(gen_synthetic("blobs", 12, 2, 3, 0.5, seed=0), str(path))
         for extra, message in (
-            ("num_clients = 20", "csv has 12 rows, which split into 3 test, 0 public and 9 train rows; "
+            ("num_clients = 20", "data.path: csv has 12 rows, which split into 3 test, 0 public and 9 train rows; "
                                  "at least 1 test row and 20 train rows (one per client) are needed"),
             ("data.test_fraction = 0.01\nnum_clients = 2",
-             "csv has 12 rows, which split into 0 test, 0 public and 12 train rows; "
+             "data.path: csv has 12 rows, which split into 0 test, 0 public and 12 train rows; "
              "at least 1 test row and 2 train rows (one per client) are needed"),
+            ('strategies = ["fedet"]\nlevel = topology\npool.family = [[8, 2, "plain"]]\ndata.public_fraction = 0.01',
+             "data.public_fraction: fedet needs at least 1 public row, but 0.01 of 12 rows is 0"),
         ):
             cfg = small_config(f'data.source = csv\ndata.path = "{path}"\nmodel.input_dim = 2\n{extra}\n')
             with pytest.raises(ConfigError) as excinfo:
                 _build_dataset(cfg, seed=0)
-            assert str(excinfo.value) == f"data.path: {message}"
+            assert str(excinfo.value) == message
         # Nine train rows cover nine clients.
         cfg = small_config(f'data.source = csv\ndata.path = "{path}"\nmodel.input_dim = 2\nnum_clients = 9\n')
         assert partition_csv(cfg).count("\n") == 10

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from hetfed.extract import (
     normalize,
     scatter_update,
     select_channels,
-    width_channels,
 )
 from hetfed.nn import BlockNetSpec
 
@@ -37,50 +38,43 @@ def make_model(input_dim=4, hidden=4, blocks=2, kind="plain", classes=3, proto=4
 
 class TestChannelSelection:
     def test_full_rate_any_mode(self):
-        assert select_channels(4, 1.0, "static_prefix").tolist() == [0, 1, 2, 3]
-        assert select_channels(4, 1.0, "rolling", 9).tolist() == [0, 1, 2, 3]
+        assert select_channels(4, 4, "static_prefix").tolist() == [0, 1, 2, 3]
+        assert select_channels(4, 4, "rolling", 9).tolist() == [0, 1, 2, 3]
 
     def test_static_prefix_definition(self):
-        assert select_channels(4, 0.5, "static_prefix").tolist() == [0, 1]
+        assert select_channels(4, 2, "static_prefix").tolist() == [0, 1]
 
     def test_rolling_modular_window(self):
         # d=4, k=2, t=3 -> {3, 0} sorted ascending
-        assert select_channels(4, 0.5, "rolling", 3).tolist() == [0, 3]
+        assert select_channels(4, 2, "rolling", 3).tolist() == [0, 3]
 
-    def test_width_channels_ceil(self):
-        assert width_channels(4, 0.5) == 2
-        assert width_channels(5, 0.5) == 3
-        assert width_channels(7, 0.1) == 1
-
-    def test_rate_bounds(self):
-        with pytest.raises(ValueError):
-            width_channels(4, 0.0)
-        with pytest.raises(ValueError):
-            width_channels(4, 1.2)
+    def test_channel_count_bounds(self):
+        for k in (0, 5):
+            with pytest.raises(ValueError, match=f"channel count must lie in 1..4, got {k}"):
+                select_channels(4, k, "static_prefix")
 
     def test_static_nestedness(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             d = int(rng.integers(2, 33))
-            r1, r2 = sorted(rng.uniform(0.05, 1.0, size=2))
-            small = set(select_channels(d, r1, "static_prefix").tolist())
-            large = set(select_channels(d, r2, "static_prefix").tolist())
+            k1, k2 = sorted(rng.integers(1, d + 1, size=2).tolist())
+            small = set(select_channels(d, k1, "static_prefix").tolist())
+            large = set(select_channels(d, k2, "static_prefix").tolist())
             assert small <= large
 
     def test_rolling_uniform_coverage(self):
         for d in range(1, 33):
-            for rate in (0.25, 0.5, 0.75):
-                k = width_channels(d, rate)
+            for k in range(1, d + 1):
                 counts = np.zeros(d, dtype=int)
                 for t in range(d):
-                    counts[select_channels(d, rate, "rolling", t)] += 1
+                    counts[select_channels(d, k, "rolling", t)] += 1
                 assert np.all(counts == k)
 
 
 class TestWidthExtraction:
     def test_full_rate_bitwise_identity(self):
         model = make_model()
-        sub, smap = extract_width(model, 1.0)
+        sub, smap = extract_width(model, 4)
         for k in model.params:
             assert np.array_equal(sub.params[k], model.params[k])
         assert sub.spec == model.spec
@@ -90,20 +84,20 @@ class TestWidthExtraction:
         model = make_model(hidden=4)
         labeled = np.arange(16.0).reshape(4, 4)
         model.params["block1.w"][...] = labeled
-        sub, _ = extract_width(model, 0.5)
+        sub, _ = extract_width(model, 2)
         assert np.array_equal(sub.params["block1.w"], labeled[np.ix_([0, 1], [0, 1])])
 
     def test_parameter_count_commutes_with_extraction(self):
         spec = BlockNetSpec(8, 16, 2, "plain", 4, 16)
         model = nn.init_model(spec, np.random.default_rng(0))
-        sub, _ = extract_width(model, 0.5)
+        sub, _ = extract_width(model, 8)
         reduced = BlockNetSpec(8, 8, 2, "plain", 4, 16)
         assert nn.parameter_count(reduced) == sum(v.size for v in sub.params.values())
         assert_valid_submodel(sub)
 
     def test_neck_rows_restricted_proto_kept(self):
         model = make_model(hidden=4, proto=6)
-        sub, _ = extract_width(model, 0.5)
+        sub, _ = extract_width(model, 2)
         assert sub.params["head2.neck.w"].shape == (2, 6)
         assert sub.params["head2.neck.b"].shape == (6,)
         assert sub.params["head2.fc.w"].shape == (6, 3)
@@ -111,12 +105,12 @@ class TestWidthExtraction:
     def test_bottleneck_rejected(self):
         model = make_model(hidden=8, kind="bottleneck")
         with pytest.raises(ValueError):
-            extract_width(model, 0.5)
+            extract_width(model, 4)
 
     def test_forward_agrees_with_manual_submodel(self):
         # Slicing then forward == forward of a manually assembled submodel.
         model = make_model(hidden=6, blocks=2, seed=3)
-        sub, _ = extract_width(model, 0.5, "rolling", 4)
+        sub, _ = extract_width(model, 3, "rolling", 4)
         x = np.random.default_rng(1).normal(size=(3, 4))
         out = nn.forward(sub, x)
         assert out.logits[2].shape == (3, 3)
@@ -125,30 +119,39 @@ class TestWidthExtraction:
 class TestDepthExtraction:
     def test_identity_at_full_depth(self):
         model = make_model(blocks=3)
-        sub, smap = extract_depth(model, 3, with_aux_heads=False)
+        sub, smap = extract_depth(model, 3, (3,))
         for k in model.params:
             assert np.array_equal(sub.params[k], model.params[k])
         assert smap.spec.num_blocks == 3
 
     def test_prefix_retention(self):
         model = make_model(blocks=4, heads=(1, 2, 3, 4))
-        sub, smap = extract_depth(model, 2, with_aux_heads=True)
+        sub, smap = extract_depth(model, 2, (1, 2))
         assert sub.spec.num_blocks == 2
         assert sub.head_blocks == (1, 2)
         assert smap.spec.num_blocks == 2
         assert "block3.w" not in sub.params
         assert "head3.neck.w" not in sub.params
 
+    def test_keeps_exactly_the_given_heads(self):
+        model = make_model(blocks=4, heads=(1, 2, 3, 4))
+        sub, smap = extract_depth(model, 3, (3,))
+        assert sub.head_blocks == smap.head_set == (3,)
+        assert "head1.fc.w" not in sub.params and "head2.fc.w" not in sub.params
+
     def test_out_of_range_rejected(self):
         model = make_model(blocks=2)
         for bad in (0, 3):
-            with pytest.raises(ValueError):
-                extract_depth(model, bad, with_aux_heads=True)
+            with pytest.raises(ValueError, match="depth_prefix must lie in 1..2"):
+                extract_depth(model, bad, model.head_blocks)
 
     def test_missing_head_at_depth_rejected(self):
-        model = make_model(blocks=3)  # single head at block 3
-        with pytest.raises(ValueError):
-            extract_depth(model, 2, with_aux_heads=False)
+        model = make_model(blocks=3, heads=(1, 3))
+        for heads in ((2,), (3,), (1, 3)):
+            with pytest.raises(ValueError, match=r"no head attached at block \d within the first 2 blocks"):
+                extract_depth(model, 2, heads)
+        with pytest.raises(ValueError, match="at least one head"):
+            extract_depth(model, 2, ())
 
 
 class TestScatterNormalize:
@@ -165,7 +168,7 @@ class TestScatterNormalize:
         # overlap -> 2.0, A-only -> 1.0.
         global_model = make_model(hidden=4)
         a = upload(global_model, {k: np.full_like(v, 1.0) for k, v in global_model.params.items()})
-        sub, smap_b = extract_width(global_model, 0.5)
+        sub, smap_b = extract_width(global_model, 2)
         b = upload(sub, {k: np.full_like(v, 3.0) for k, v in sub.params.items()})
         acc = new_accumulator(global_model)
         scatter_update(acc, a, full_map(global_model), 10.0)
@@ -180,7 +183,7 @@ class TestScatterNormalize:
         # n_A=30 at 1.0, n_B=10 at 3.0 -> overlap (30*1 + 10*3)/40 = 1.5
         global_model = make_model(hidden=4)
         a = upload(global_model, {k: np.full_like(v, 1.0) for k, v in global_model.params.items()})
-        sub, smap_b = extract_width(global_model, 0.5)
+        sub, smap_b = extract_width(global_model, 2)
         b = upload(sub, {k: np.full_like(v, 3.0) for k, v in sub.params.items()})
         acc = new_accumulator(global_model)
         scatter_update(acc, a, full_map(global_model), 30.0)
@@ -190,8 +193,8 @@ class TestScatterNormalize:
 
     def test_depth_aggregation_deep_blocks_from_deep_client_only(self):
         global_model = make_model(blocks=4, heads=(1, 2, 3, 4), seed=2)
-        shallow_sub, shallow_map = extract_depth(global_model, 2, with_aux_heads=True)
-        deep_sub, deep_map = extract_depth(global_model, 4, with_aux_heads=True)
+        shallow_sub, shallow_map = extract_depth(global_model, 2, (1, 2))
+        deep_sub, deep_map = extract_depth(global_model, 4, (1, 2, 3, 4))
         shallow = upload(shallow_sub, {k: np.full_like(v, 5.0) for k, v in shallow_sub.params.items()})
         deep = upload(deep_sub, {k: np.full_like(v, 9.0) for k, v in deep_sub.params.items()})
         acc = new_accumulator(global_model)
@@ -206,7 +209,7 @@ class TestScatterNormalize:
 
     def test_untouched_coordinates_keep_previous_value(self):
         global_model = make_model(hidden=4, seed=5)
-        sub, smap = extract_width(global_model, 0.5)
+        sub, smap = extract_width(global_model, 2)
         acc = new_accumulator(global_model)
         scatter_update(acc, sub.params, smap, 2.0)
         merged = normalize(acc, global_model)
@@ -217,8 +220,8 @@ class TestScatterNormalize:
         # Views laid out for another sub-model (a wider one, or the full
         # model) do not fit the map, and the accumulator stays untouched.
         global_model = make_model(hidden=4)
-        sub, smap = extract_width(global_model, 0.5)
-        wider, _ = extract_width(global_model, 0.75)
+        sub, smap = extract_width(global_model, 2)
+        wider, _ = extract_width(global_model, 3)
         acc = new_accumulator(global_model)
         for foreign in (wider, global_model):
             with pytest.raises(ValueError, match="not laid out like the map's sub-model"):
@@ -230,9 +233,9 @@ class TestScatterNormalize:
         for trial in range(20):
             model = make_model(hidden=int(rng.integers(2, 9)), blocks=int(rng.integers(1, 4)),
                                seed=trial)
-            rate = float(rng.uniform(0.15, 1.0))
+            k = math.ceil(float(rng.uniform(0.15, 1.0)) * model.spec.hidden_dim)
             mode = "rolling" if trial % 2 else "static_prefix"
-            sub, smap = extract_width(model, rate, mode, int(rng.integers(0, 10)))
+            sub, smap = extract_width(model, k, mode, int(rng.integers(0, 10)))
             assert check_roundtrip(model, sub, smap)
 
     def test_homogeneous_case_equals_fedavg_mean(self):
@@ -261,16 +264,16 @@ class TestAgainstBruteForceOracle:
             for _ in range(int(rng.integers(1, 6))):
                 weight = float(rng.integers(1, 20))
                 if rng.random() < 0.5:
-                    rate = float(rng.uniform(0.1, 1.0))
+                    k = math.ceil(float(rng.uniform(0.1, 1.0)) * global_model.spec.hidden_dim)
                     mode = "rolling" if rng.random() < 0.5 else "static_prefix"
                     round_index = int(rng.integers(0, 8))
-                    sub, smap = extract_width(global_model, rate, mode, round_index)
-                    channels = select_channels(global_model.spec.hidden_dim, rate, mode, round_index)
+                    sub, smap = extract_width(global_model, k, mode, round_index)
+                    channels = select_channels(global_model.spec.hidden_dim, k, mode, round_index)
                     entries = width_entries(global_model.spec, heads, channels)
                 else:
                     depth = int(rng.integers(1, blocks + 1))
-                    sub, smap = extract_depth(global_model, depth, with_aux_heads=True)
-                    entries = depth_entries(global_model, depth, with_aux_heads=True)
+                    sub, smap = extract_depth(global_model, depth, heads[:depth])
+                    entries = depth_entries(global_model, depth, heads[:depth])
                 params = upload(sub, {k: rng.normal(size=v.shape) for k, v in sub.params.items()})
                 scatter_update(acc, params, smap, weight)
                 contributions.append((params, entries, weight))
@@ -320,12 +323,12 @@ class TestFlatMapsMatchPerKeyOracle:
         rng = np.random.default_rng(8)
         for hidden in (5, 8):
             model = make_model(hidden=hidden, blocks=2, kind="skip", heads=(1, 2), seed=hidden)
-            for rate in (0.25, 0.5, 0.75):
+            for k in range(2, hidden):
                 for t in range(hidden):
-                    channels = select_channels(hidden, rate, "rolling", t)
+                    channels = select_channels(hidden, k, "rolling", t)
                     sub, smap = extract_channels(model, channels)
                     self.assert_matches(model, sub, smap, width_entries(model.spec, model.head_blocks, channels), rng)
-            wrapped = select_channels(hidden, 0.5, "rolling", hidden - 1)
+            wrapped = select_channels(hidden, 2, "rolling", hidden - 1)
             assert wrapped[0] == 0 and wrapped[-1] == hidden - 1
 
     @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
@@ -334,15 +337,17 @@ class TestFlatMapsMatchPerKeyOracle:
         for heads in ((1, 2, 3, 4), (2, 4), (4,)):
             model = make_model(hidden=8, blocks=4, kind=kind, heads=heads, seed=len(heads))
             for depth in range(1, 5):
-                for aux in (True, False):
-                    if (aux and depth < heads[0]) or (not aux and depth not in heads):
-                        continue
-                    sub, smap = extract_depth(model, depth, with_aux_heads=aux)
-                    self.assert_matches(model, sub, smap, depth_entries(model, depth, aux), rng)
+                # Every head within the prefix (DepthFL), or the one at the
+                # prefix's last block (InclusiveFL), where the model has them.
+                within = tuple(j for j in heads if j <= depth)
+                for kept in {within, (depth,) if depth in heads else ()}:
+                    if kept:
+                        sub, smap = extract_depth(model, depth, kept)
+                        self.assert_matches(model, sub, smap, depth_entries(model, depth, kept), rng)
 
     def test_maps_are_cached_and_read_only(self):
         model = make_model(hidden=6, blocks=2)
-        _, first = extract_width(model, 0.5, "rolling", 5)
+        _, first = extract_width(model, 3, "rolling", 5)
         _, again = extract_channels(make_model(hidden=6, blocks=2, seed=1), [0, 1, 5])
         assert first is again
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from hetfed.resources import (
     fedepth_segments,
     sample_profiles,
     segment_memory,
+    width_channels,
 )
 
 from oracles import training_flops
@@ -233,6 +234,17 @@ class TestPools:
         with pytest.raises(ValueError):
             build_pool("sheterofl", "depth", SPEC, PoolConfig(), 32)
 
+    def test_width_channels_ceil(self):
+        assert width_channels(4, 0.5) == 2
+        assert width_channels(5, 0.5) == 3
+        assert width_channels(7, 0.1) == 1
+
+    def test_rate_bounds(self):
+        with pytest.raises(ValueError):
+            width_channels(4, 0.0)
+        with pytest.raises(ValueError):
+            width_channels(4, 1.2)
+
     def test_width_ladder_must_include_full(self):
         with pytest.raises(ValueError):
             build_pool("sheterofl", "width", SPEC, PoolConfig(rates=(0.5, 0.25)), 32)
@@ -361,8 +373,7 @@ class TestAssignment:
                 )
                 ok = set()
                 for v in pool.variants:
-                    good, _ = resources.feasible(v, profile, sc, samples, epochs)
-                    if good:
+                    if not resources.feasible(v, profile, sc, samples, epochs):
                         ok.add(v.variant_id)
                 feasible_sets.append(ok)
             intersection = set.intersection(*feasible_sets)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from oracles import (
     fedepth_reference_client,
     fedepth_segment_keys,
     fjord_reference_client,
+    fjord_widths,
     model_from_params,
     reference_extract,
     reference_round,
@@ -298,7 +300,7 @@ class TestLockstepGroups:
             drawn = []
             for cid in cids:
                 rng = ctx.client_rng(cid, t, seeding.LANE_RATE)
-                ladder = strategy._allowed_channels(ctx.clients[cid].variant.rate)
+                ladder = fjord_widths(ctx.pool, ctx.clients[cid].variant.rate)
                 drawn.append([int(rng.choice(ladder)) for _ in range(steps)])
             expected_walks += sum(len(set(step)) for step in zip(*drawn))
 
@@ -403,14 +405,16 @@ class TestEvalModels:
         spec = state.spec
         if level == "width":
             mode = "rolling" if strategy_id == "fedrolex" else "static_prefix"
-            channels = select_channels(spec.hidden_dim, variant.rate, mode, round_index)
+            channels = select_channels(spec.hidden_dim, math.ceil(variant.rate * spec.hidden_dim), mode, round_index)
             entries = width_entries(spec, state.head_blocks, channels)
             sub_spec, heads = replace(spec, hidden_dim=channels.size), state.head_blocks
         else:
-            aux = strategy_id == "depthfl"
-            entries = depth_entries(state, variant.depth, aux)
-            sub_spec = replace(spec, num_blocks=variant.depth)
-            heads = tuple(j for j in state.head_blocks if j <= variant.depth) if aux else (variant.depth,)
+            # DepthFL keeps every head within the prefix, InclusiveFL the one
+            # at its last block.
+            depth = variant.depth
+            heads = tuple(range(1, depth + 1)) if strategy_id == "depthfl" else (depth,)
+            entries = depth_entries(state, depth, heads)
+            sub_spec = replace(spec, num_blocks=depth)
         return model_from_params(sub_spec, heads, reference_extract(state, entries))
 
     @pytest.mark.parametrize("strategy_id,level", CASES)
@@ -426,7 +430,10 @@ class TestEvalModels:
         assert len({id(model) for model in models.values()}) == 2
         x, y = ctx.train_features, ctx.train_labels
         for cid, model in models.items():
-            reference = self.reference(strategy_id, level, state, ctx.clients[cid].variant, 2)
+            variant = ctx.clients[cid].variant
+            assert (model.spec, model.head_blocks) == (variant.spec, variant.head_blocks)
+            reference = self.reference(strategy_id, level, state, variant, 2)
+            assert (reference.spec, reference.head_blocks) == (variant.spec, variant.head_blocks)
             assert np.array_equal(model.vector, reference.vector)
             assert model_accuracy(model, x, y) == model_accuracy(reference, x, y)
 
@@ -512,9 +519,8 @@ class TestWidthFamily:
         ctx = make_ctx("fedrolex", "width", alternating)
         strategy = make_strategy("fedrolex", ctx)
         counts = np.zeros(8, dtype=int)
-        from hetfed.extract import select_channels
         for t in range(8):
-            counts[select_channels(8, 0.5, "rolling", t)] += 1
+            counts[select_channels(8, 4, "rolling", t)] += 1
         assert np.all(counts == 4)
 
     def test_degeneracy_full_capacity_matches_fedavg(self):
@@ -549,11 +555,20 @@ class TestWidthFamily:
         fed = FederationConfig()
         ctx = make_ctx("fjord", "width", lambda pool, cid: pool.variants[1], fed=fed)
         strategy = make_strategy("fjord", ctx)
-        ks = strategy._allowed_channels(0.5)
-        assert ks == [4]  # ladder (1.0, .5) restricted to rates <= .5
+        half = ctx.pool.variants[1]
+        # ladder (8, 4) restricted to the rate-.5 client's width 4
+        assert strategy._widths(half.spec.hidden_dim) == fjord_widths(ctx.pool, half.rate) == [4]
         ctx_full = make_ctx("fjord", "width", largest, fed=fed)
         strategy_full = make_strategy("fjord", ctx_full)
-        assert strategy_full._allowed_channels(1.0) == [4, 8]
+        assert strategy_full._widths(ctx_full.pool.largest.spec.hidden_dim) == fjord_widths(ctx_full.pool, 1.0) == [4, 8]
+
+    def test_fjord_pool_rejects_two_rates_of_one_width(self):
+        # Rates .25 and .2 of 16 both give width 4. A ladder holding 4 twice
+        # would draw it with odds 2/3, not 1/2; the pool refuses it at load.
+        spec = BlockNetSpec(input_dim=6, hidden_dim=16, num_blocks=3, block_kind="plain",
+                            num_classes=3, proto_dim=8)
+        with pytest.raises(ValueError, match=r"^pool\.rates: .* w25 \(hidden_dim 4.* w20 \(hidden_dim 4.* collide$"):
+            build_pool("fjord", "width", spec, PoolConfig(rates=(1.0, 0.25, 0.2), depths=(3,)), batch_size=8)
 
     def test_client_eval_model_uses_assigned_rate(self):
         ctx = make_ctx("sheterofl", "width", alternating)
@@ -683,7 +698,7 @@ class TestReferenceLoops:
         ctx = make_ctx("fjord", "width", alternating, fed=FederationConfig(fjord_fixed_p=fixed_p))
         ctx.sgd = self.SGD
         strategy = make_strategy("fjord", ctx)
-        assert strategy._allowed_channels(1.0) == [4, 8]  # per-step draws differ
+        assert strategy._widths(8) == [4, 8]  # per-step draws differ
         self.assert_rounds_match(strategy, fjord_reference_client, ([0, 1, 2, 3], [0, 1, 3]))
 
 
@@ -723,12 +738,6 @@ class TestTopologyFamily:
         state = strategy.initial_state()
         dims = {cid: m.spec.hidden_dim for cid, m in state.models.items()}
         assert dims[0] == 8 and dims[1] == 4  # family alternation
-
-    def test_fedet_requires_public_split(self):
-        ctx = make_ctx("fedet", "topology", alternating)
-        ctx.public_features = None
-        with pytest.raises(ValueError, match="public"):
-            make_strategy("fedet", ctx)
 
     def test_fedet_round_moves_server_and_sampled_clients(self):
         ctx = make_ctx("fedet", "topology", alternating)
