@@ -203,7 +203,6 @@ class ExperimentConfig:
     output_dir: str
     include_baseline: bool
     model: BlockNetSpec
-    pool: PoolConfig
     scenario: ScenarioConfig
     profiles: ProfileDistribution
     data_source: str
@@ -387,7 +386,6 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
         output_dir=resolved["output_dir"],
         include_baseline=resolved["include_baseline"],
         model=spec,
-        pool=pool_cfg,
         scenario=scenario,
         profiles=profiles,
         data_source=resolved["data.source"],

@@ -109,10 +109,6 @@ def validate_base_spec(spec: BlockNetSpec) -> None:
         raise ValueError(f"base models need hidden_dim >= 4, got {spec.hidden_dim}")
 
 
-def default_heads(spec: BlockNetSpec) -> tuple[int, ...]:
-    return (spec.num_blocks,)
-
-
 @dataclass(frozen=True, eq=False)
 class ParamLayout:
     """The network of one (spec, heads): what the engine runs, the flat
@@ -170,10 +166,6 @@ def param_layout(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> ParamLayou
     return ParamLayout(
         MappingProxyType(slots), blocks, spec.block_kind == "skip", MappingProxyType(heads), start
     )
-
-
-def _layout(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None) -> ParamLayout:
-    return param_layout(spec, default_heads(spec) if head_blocks is None else tuple(head_blocks))
 
 
 def segment_slice(spec: BlockNetSpec, head_blocks: tuple[int, ...], blocks: list[int]) -> slice:
@@ -331,42 +323,37 @@ class SGDConfig:
             raise ValueError(f"sgd.momentum: must lie in [0, 1), got {self.momentum}")
 
 
-def init_model(
-    spec: BlockNetSpec,
-    rng: np.random.Generator,
-    head_blocks: tuple[int, ...] | None = None,
-) -> BlockNetModel:
+def init_model(spec: BlockNetSpec, rng: np.random.Generator, head_blocks: tuple[int, ...]) -> BlockNetModel:
     """He-uniform weights (bound sqrt(6/fan_in)), zero biases.
 
     Draws happen in layout order, so one seed
     always yields bit-identical parameters.
     """
-    heads = default_heads(spec) if head_blocks is None else tuple(head_blocks)
-    layout = param_layout(spec, heads)
+    layout = param_layout(spec, head_blocks)
     vector = np.zeros(layout.size)
     for start, stop, shape in layout.slots.values():
         if len(shape) == 2:
             bound = math.sqrt(6.0 / shape[0])
             vector[start:stop] = rng.uniform(-bound, bound, size=stop - start)
-    return BlockNetModel(spec, heads, vector)
+    return BlockNetModel(spec, head_blocks, vector)
 
 
-def parameter_count(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> int:
+def parameter_count(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> int:
     """Parameter count, biases included."""
-    return _layout(spec, head_blocks).size
+    return param_layout(spec, head_blocks).size
 
 
-def mac_count(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> int:
+def mac_count(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> int:
     """Multiply-accumulate count of one forward pass: one per weight-matrix
     entry (no bias adds)."""
-    slots = _layout(spec, head_blocks).slots.values()
+    slots = param_layout(spec, head_blocks).slots.values()
     return sum(stop - start for start, stop, shape in slots if len(shape) == 2)
 
 
-def activation_count(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> int:
+def activation_count(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> int:
     """Scalars of activation state held per sample during a training step:
     the input plus one per bias entry (every linear's output)."""
-    slots = _layout(spec, head_blocks).slots.values()
+    slots = param_layout(spec, head_blocks).slots.values()
     return spec.input_dim + sum(stop - start for start, stop, shape in slots if len(shape) == 1)
 
 
@@ -618,7 +605,7 @@ def train_local(
     loss: LossSpec,
     rngs: Sequence[np.random.Generator],
     rows: Sequence[np.ndarray] | None = None,
-    moves: Callable[[int], Sequence[Sequence[Move]]] | None = None,
+    moves: Callable[[int, int], Sequence[Sequence[Move]]] | None = None,
 ) -> ModelStack:
     """Run `local_epochs` passes of minibatch momentum-SGD on K models of
     one (spec, heads) in lockstep, one rng each; returns the trained copies
@@ -631,11 +618,12 @@ def train_local(
     shuffles its rows once per pass with its own rng, exactly as it would
     alone; all shuffles are drawn up front.
 
-    `moves(pass_index)` is called once at the start of each pass and
-    returns the pass's plan: one list of `Move`s per step, in step order
-    (a pass takes ceil(rows / batch_size) steps; a plan of another length
-    raises `ValueError`). By default every step moves every coordinate of
-    every client. Each move is one walk through the module's `backward`.
+    `moves(pass_index, steps)` is called once at the start of each pass,
+    with the number of steps the pass takes, ceil(rows / batch_size), and
+    returns the pass's plan: one list of `Move`s per step, in step order (a
+    plan of another length raises `ValueError`). By default every step
+    moves every coordinate of every client. Each move is one walk through
+    the module's `backward`.
     """
     first = models[0]
     vectors = np.stack([m.vector for m in models])
@@ -650,7 +638,7 @@ def train_local(
         order = np.stack(rows)[np.arange(len(rows))[:, None, None], order]
     nested_stacks: dict = {}
     for pass_index in range(passes):
-        plan = [_EVERY] * len(starts) if moves is None else moves(pass_index)
+        plan = [_EVERY] * len(starts) if moves is None else moves(pass_index, len(starts))
         if len(plan) != len(starts):
             raise ValueError(
                 f"moves({pass_index}) planned {len(plan)} steps; the pass takes {len(starts)}"

@@ -83,14 +83,24 @@ class ModelPool:
     variants: list[Variant]
 
     def __post_init__(self) -> None:
+        def describe(v: Variant) -> str:
+            return (f"{v.variant_id} (hidden_dim {v.spec.hidden_dim}, {v.spec.num_blocks} "
+                    f"{v.spec.block_kind} blocks, {v.stats.params} parameters)")
+
         for earlier, later in zip(self.variants[:-1], self.variants[1:]):
             if later.stats.params >= earlier.stats.params:
-                first, second = (f"{v.variant_id} (hidden_dim {v.spec.hidden_dim}, {v.spec.num_blocks} "
-                                 f"{v.spec.block_kind} blocks, {v.stats.params} parameters)" for v in (earlier, later))
                 raise ValueError(
                     f"{LADDER_KEYS[self.level]}: the {self.strategy} pool's variants must be strictly "
-                    f"decreasing in parameter count, but {first} and {second} collide"
+                    f"decreasing in parameter count, but {describe(earlier)} and {describe(later)} collide"
                 )
+        # Lockstep groups and evaluation sub-models are keyed by variant id.
+        ids = [v.variant_id for v in self.variants]
+        shared = [describe(v) for v in self.variants if ids.count(v.variant_id) > 1]
+        if shared:
+            raise ValueError(
+                f"{LADDER_KEYS[self.level]}: the {self.strategy} pool's variants must have distinct ids, "
+                f"but {' and '.join(shared)} share one"
+            )
 
     @property
     def largest(self) -> Variant:
@@ -151,7 +161,7 @@ class ProfileDistribution:
 # cost model
 
 
-def estimate_flops(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> float:
+def estimate_flops(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> float:
     """Forward-pass FLOPs per sample: 2 * multiply-accumulates."""
     return 2.0 * nn.mac_count(spec, head_blocks)
 
@@ -159,8 +169,8 @@ def estimate_flops(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = Non
 def estimate_memory(
     spec: BlockNetSpec,
     batch_size: int,
-    strategy: str = "sheterofl",
-    head_blocks: tuple[int, ...] | None = None,
+    strategy: str,
+    head_blocks: tuple[int, ...],
     multipliers: dict[str, float] | None = None,
 ) -> float:
     """Training footprint in bytes.
@@ -182,7 +192,7 @@ def segment_memory(
     spec: BlockNetSpec,
     batch_size: int,
     segment_params: int,
-    head_blocks: tuple[int, ...] | None = None,
+    head_blocks: tuple[int, ...],
 ) -> float:
     """Footprint of training one frozen-rest segment of the full model.
 
@@ -297,7 +307,7 @@ def check_strategy(strategy: str, level: str) -> None:
 def build_pool(
     strategy: str,
     level: str,
-    base_spec: BlockNetSpec,
+    model_spec: BlockNetSpec,
     pool_cfg: PoolConfig,
     batch_size: int,
     multipliers: dict[str, float] | None = None,
@@ -306,7 +316,7 @@ def build_pool(
     Every pool rule is checked here or in the calls it makes; each
     message names the config key at fault."""
     check_strategy(strategy, level)
-    specs = ladder(base_spec, level, pool_cfg)
+    specs = ladder(model_spec, level, pool_cfg)
 
     def make(spec: BlockNetSpec, heads: tuple[int, ...], vid: str, kind: str,
              rate: float | None = None, depth: int | None = None) -> Variant:
@@ -315,25 +325,35 @@ def build_pool(
 
     if strategy in WIDTH_STRATEGIES:
         rates = sorted(set(pool_cfg.rates), reverse=True)
-        variants = [make(spec, nn.default_heads(spec), f"w{int(round(100 * r))}", "width", rate=r)
+        variants = [make(spec, one_head(spec), f"w{int(round(100 * r))}", "width", rate=r)
                     for r, spec in zip(rates, specs)]
     elif strategy in ("depthfl", "inclusivefl"):
         variants = []
         for spec in specs:
             depth = spec.num_blocks
-            heads = tuple(range(1, depth + 1)) if strategy == "depthfl" else (depth,)
+            heads = tuple(range(1, depth + 1)) if strategy == "depthfl" else one_head(spec)
             variants.append(make(spec, heads, f"d{depth}", "depth", depth=depth))
     elif strategy == "fedepth":
         # Every client trains the full model; memory is absorbed by segmentation.
-        variants = [make(base_spec, nn.default_heads(base_spec), "full", "full", depth=base_spec.num_blocks)]
+        variants = [make(model_spec, one_head(model_spec), "full", "full", depth=model_spec.num_blocks)]
     elif strategy in TOPOLOGY_STRATEGIES:
-        variants = [make(spec, nn.default_heads(spec), f"arch{q}", "topology") for q, spec in enumerate(specs)]
+        variants = [make(spec, one_head(spec), f"arch{q}", "topology") for q, spec in enumerate(specs)]
     else:  # fedavg baselines: one homogeneous variant, the ladder's largest or smallest
         # The smallest is the first of the smallest in ladder order, which
         # for tied family members is their config order.
-        spec = specs[0] if strategy == "fedavg_full" else min(specs, key=nn.parameter_count)
-        variants = [make(spec, nn.default_heads(spec), strategy.removeprefix("fedavg_"), "full")]
+        spec = specs[0] if strategy == "fedavg_full" else min(specs, key=_one_head_params)
+        variants = [make(spec, one_head(spec), strategy.removeprefix("fedavg_"), "full")]
     return ModelPool(strategy, level, variants)
+
+
+def one_head(spec: BlockNetSpec) -> tuple[int, ...]:
+    """The pool's head rule: a variant carries one head, after its last
+    block. Only DepthFL's variants differ, with a head after every block."""
+    return (spec.num_blocks,)
+
+
+def _one_head_params(spec: BlockNetSpec) -> int:
+    return nn.parameter_count(spec, one_head(spec))
 
 
 def width_channels(d: int, rate: float) -> int:
@@ -345,36 +365,37 @@ def width_channels(d: int, rate: float) -> int:
     return math.ceil(rate * d)
 
 
-def ladder(base_spec: BlockNetSpec, level: str, pool_cfg: PoolConfig) -> list[BlockNetSpec]:
+def ladder(model_spec: BlockNetSpec, level: str, pool_cfg: PoolConfig) -> list[BlockNetSpec]:
     """The level's specs, largest first: one per width rate, one per depth,
-    or the topology family by parameter count (ties keep config order).
+    or the topology family by parameter count with one head (ties keep
+    config order).
     Raises, naming the key, when the ladder cannot be built."""
     if level == "width":
-        if base_spec.block_kind == "bottleneck":
+        if model_spec.block_kind == "bottleneck":
             raise ValueError("model.block_kind: width heterogeneity needs plain or skip blocks")
         rates = sorted(set(pool_cfg.rates), reverse=True)
         if not rates or rates[0] != 1.0:
             raise ValueError("pool.rates: the ladder must include 1.0")
-        return [replace(base_spec, hidden_dim=width_channels(base_spec.hidden_dim, r)) for r in rates]
+        return [replace(model_spec, hidden_dim=width_channels(model_spec.hidden_dim, r)) for r in rates]
     if level == "depth":
         depths = sorted(set(pool_cfg.depths), reverse=True)
-        if not depths or depths[0] != base_spec.num_blocks:
+        if not depths or depths[0] != model_spec.num_blocks:
             raise ValueError("pool.depths: the ladder must span up to model.num_blocks")
-        return [replace(base_spec, num_blocks=depth) for depth in depths]
+        return [replace(model_spec, num_blocks=depth) for depth in depths]
     if not pool_cfg.family:
         raise ValueError("pool.family: the topology level needs at least one [hidden_dim, num_blocks, kind] entry")
-    specs = family_specs(base_spec, pool_cfg.family)
-    specs.sort(key=nn.parameter_count, reverse=True)
+    specs = family_specs(model_spec, pool_cfg.family)
+    specs.sort(key=_one_head_params, reverse=True)
     return specs
 
 
-def family_specs(base_spec: BlockNetSpec, family: tuple[tuple[int, int, str], ...]) -> list[BlockNetSpec]:
+def family_specs(model_spec: BlockNetSpec, family: tuple[tuple[int, int, str], ...]) -> list[BlockNetSpec]:
     """The base spec of each `pool.family` entry, in config order; an entry
     that does not build a valid base model raises, naming the entry."""
     specs = []
     for hidden, blocks, kind in family:
         try:
-            spec = replace(base_spec, hidden_dim=hidden, num_blocks=blocks, block_kind=kind)
+            spec = replace(model_spec, hidden_dim=hidden, num_blocks=blocks, block_kind=kind)
             nn.validate_base_spec(spec)
         except ValueError as exc:
             raise ValueError(f"pool.family: {json.dumps([hidden, blocks, kind])}: {exc}") from exc

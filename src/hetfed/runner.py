@@ -39,7 +39,6 @@ class RepeatOutcome:
     repeat: int
     seed: int
     records: list[RoundRecord]
-    final_accuracy: float
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -114,7 +113,6 @@ def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) ->
         for cid in range(cfg.num_clients)
     ]
     ctx = FederationContext(
-        base_spec=cfg.model,
         pool=pool,
         clients=clients,
         train_features=train.features,
@@ -172,7 +170,7 @@ def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) ->
                     max_comm_s=max_comm,
                 )
             )
-    return RepeatOutcome(repeat, seed_r, records, records[-1].global_accuracy)
+    return RepeatOutcome(repeat, seed_r, records)
 
 
 def _mean_or_none(values: list[float | None]) -> float | None:
@@ -208,7 +206,7 @@ def _write_run(cfg: ExperimentConfig, outcomes: dict[str, list[RepeatOutcome]], 
 
     baseline_finals = [None] * cfg.repeats
     if BASELINE_ID in outcomes:
-        baseline_finals = [o.final_accuracy for o in outcomes[BASELINE_ID]]
+        baseline_finals = [o.records[-1].global_accuracy for o in outcomes[BASELINE_ID]]
     summary: dict = {"config_hash": cfg.hash(), "scenario": "+".join(cfg.scenario.constraints), "strategies": {}}
     for sid in outcomes:
         reports = [build_report(o.records, cfg.tta_threshold, baseline_finals[o.repeat]) for o in outcomes[sid]]
@@ -221,7 +219,8 @@ def _write_run(cfg: ExperimentConfig, outcomes: dict[str, list[RepeatOutcome]], 
         "version": __version__,
         "config_hash": cfg.hash(),
         "master_seed": cfg.master_seed,
-        "repeat_seeds": [seeding.mix_seed(cfg.master_seed, seeding.TAG_REPEAT, r) for r in range(cfg.repeats)],
+        # Every strategy's repeats share the seeds.
+        "repeat_seeds": [o.seed for o in next(iter(outcomes.values()))],
         "config": {k: v for k, v in sorted(cfg.raw.items())},
         "artifacts": sorted(artifacts) + ["summary.json"],
     }

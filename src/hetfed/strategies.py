@@ -132,7 +132,6 @@ class ClientState:
 class FederationContext:
     """Everything a strategy needs to run rounds: data, clients, knobs, seeds."""
 
-    base_spec: object                  # BlockNetSpec of the global family
     pool: ModelPool
     clients: list[ClientState]
     train_features: np.ndarray
@@ -310,7 +309,7 @@ class Strategy:
         round_index: int,
         loss: LossSpec,
         config: SGDConfig | None = None,
-        moves: Callable[[int], list[list[Move]]] | None = None,
+        moves: Callable[[int, int], list[list[Move]]] | None = None,
         teacher: np.ndarray | None = None,
     ) -> ModelStack:
         """Train one lockstep group of clients on their own data and labels,
@@ -374,10 +373,6 @@ class _PartialAveragingStrategy(Strategy):
         sub, smap = self._extract(global_model, self.ctx.clients[client_ids[0]], round_index)
         stack = self._train_clients([sub] * len(client_ids), client_ids, round_index, self._client_loss())
         return [(trained, smap) for trained in stack.models()]
-
-    def _steps_per_pass(self, client_id: int) -> int:
-        """The local steps one pass over a client's data takes."""
-        return -(-self.ctx.clients[client_id].num_samples // self.ctx.sgd.batch_size)
 
     def run_round(self, state: BlockNetModel, sampled: list[int], round_index: int):
         ordered = self._ordered(sampled)
@@ -463,7 +458,6 @@ class Fjord(SHeteroFL):
                 prefixes[k] = extract_channels(global_model, np.arange(k))[1]
             return prefixes[k]
 
-        steps = self._steps_per_pass(client_ids[0])
         fixed = ctx.fed.fjord_fixed_p
         # A fixed rate leaves each client a ladder of one width: the fixed
         # one, or its own if that is narrower.
@@ -473,7 +467,7 @@ class Fjord(SHeteroFL):
             ladders = [[min(width_channels(global_model.spec.hidden_dim, fixed), k)] for k in own]
         rngs = [ctx.client_rng(cid, round_index, seeding.LANE_RATE) for cid in client_ids]
 
-        def moves(pass_index: int) -> list[list[Move]]:
+        def moves(pass_index: int, steps: int) -> list[list[Move]]:
             # drawn[client, step]: a pass's draws at once, the same draws and
             # generator state as one `choice` per step. The clients that
             # drew the same width take that step as one walk.
@@ -551,16 +545,14 @@ class FeDepth(FedAvg):
     def _train_group(self, global_model, key, client_ids, round_index):
         segments, _ = key
         epochs = self.ctx.sgd.local_epochs
-        steps = self._steps_per_pass(client_ids[0])
         # The segments train one after another, `local_epochs` passes each;
         # every step of a pass moves its segment's slice and the rest stays
         # frozen.
-        plans = [[[Move(segment_slice(global_model.spec, global_model.head_blocks, seg))]] * steps
-                 for seg in segments]
+        parts = [[Move(segment_slice(global_model.spec, global_model.head_blocks, seg))] for seg in segments]
         config = replace(self.ctx.sgd, local_epochs=len(segments) * epochs)
         stack = self._train_clients(
             [global_model] * len(client_ids), client_ids, round_index, self._client_loss(),
-            config, lambda pass_index: plans[pass_index // epochs],
+            config, lambda pass_index, steps: [parts[pass_index // epochs]] * steps,
         )
         smap = full_map(global_model)
         return [(trained, smap) for trained in stack.models()]
@@ -616,7 +608,8 @@ class FedProto(_PrivateModelStrategy):
     id = "fedproto"
 
     def initial_state(self) -> FedProtoState:
-        spec = self.ctx.base_spec
+        # Every variant shares the family's classes and prototype width.
+        spec = self.ctx.pool.largest.spec
         return FedProtoState(
             models=self._initial_models(),
             proto_vectors=np.zeros((spec.num_classes, spec.proto_dim)),
@@ -631,7 +624,7 @@ class FedProto(_PrivateModelStrategy):
             proto_mask=state.proto_mask,
         )
         models = self._train_private(state.models, ordered, round_index, loss)
-        num_classes = self.ctx.base_spec.num_classes
+        num_classes = self.ctx.pool.largest.spec.num_classes
         protos = {
             cid: compute_prototypes(models[cid], *self.ctx.client_data(cid), num_classes) for cid in ordered
         }

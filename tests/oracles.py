@@ -496,7 +496,7 @@ def save_csv(dataset: Dataset, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def training_flops(spec: BlockNetSpec, head_blocks: tuple[int, ...] | None = None) -> float:
+def training_flops(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> float:
     """One training step costs forward + backward ~= 3x the forward pass."""
     return 3.0 * estimate_flops(spec, head_blocks)
 

@@ -79,7 +79,7 @@ def test_criterion_1_gradient_correctness():
             num_classes=int(rng.integers(2, 5)),
             proto_dim=int(rng.integers(2, 6)),
         )
-        heads = None
+        heads = (spec.num_blocks,)
         if kind != "bottleneck" and case % 5 == 0:
             heads = tuple(range(1, spec.num_blocks + 1))
         model = perturb_params(nn.init_model(spec, rng, heads), rng)
@@ -191,10 +191,11 @@ def test_criterion_5_cost_model_calibration():
     # Memory-estimate ratios at equal spec reproduce the measured-footprint
     # ratios 1220/593, 780/593 and 631/593 within 10%.
     spec = BlockNetSpec(8, 16, 4, "plain", 5, 16)
-    base = estimate_memory(spec, 32, "sheterofl")
+    heads = (spec.num_blocks,)
+    base = estimate_memory(spec, 32, "sheterofl", heads)
     targets = {"depthfl": 1220 / 593, "fedrolex": 780 / 593, "fedepth": 631 / 593}
     for strategy, target in targets.items():
-        ratio = estimate_memory(spec, 32, strategy) / base
+        ratio = estimate_memory(spec, 32, strategy, heads) / base
         assert abs(ratio - target) / target < 0.10, f"{strategy}: {ratio} vs {target}"
     report(5, "memory multiplier calibration within 10%")
 

@@ -41,6 +41,10 @@ UNBUILDABLE_POOLS = [
      "pool.rates: the sheterofl pool's variants must be strictly decreasing in parameter count, but "
      "w100 (hidden_dim 8, 2 plain blocks, 411 parameters) and w90 (hidden_dim 8, 2 plain blocks, 411 parameters) "
      "collide"),
+    (False, "model.hidden_dim = 8\npool.rates = [1.0, 0.504, 0.5]",
+     "pool.rates: the sheterofl pool's variants must have distinct ids, but "
+     "w50 (hidden_dim 5, 2 plain blocks, 252 parameters) and w50 (hidden_dim 4, 2 plain blocks, 207 parameters) "
+     "share one"),
     (True, 'pool.family = [[8, 2, "plain"], [8, 2, "plain"]]',
      "pool.family: the fedproto pool's variants must be strictly decreasing in parameter count, but "
      "arch0 (hidden_dim 8, 2 plain blocks, 411 parameters) and arch1 (hidden_dim 8, 2 plain blocks, 411 parameters) "

@@ -233,7 +233,8 @@ class TestConfigParsing:
     def test_every_family_entry_builds_a_base_spec(self):
         cfg = small_config('level = topology\nstrategies = ["fedproto"]\n'
                            'pool.family = [[4, 1, "plain"], [8, 3, "bottleneck"], [12, 2, "skip"]]')
-        assert cfg.pool.family == ((4, 1, "plain"), (8, 3, "bottleneck"), (12, 2, "skip"))
+        specs = [(v.spec.hidden_dim, v.spec.num_blocks, v.spec.block_kind) for v in cfg.pools["fedproto"].variants]
+        assert sorted(specs) == [(4, 1, "plain"), (8, 3, "bottleneck"), (12, 2, "skip")]
 
     def test_null_compute_deadline_still_allowed(self):
         assert small_config("scenario.t_compute = null").scenario.t_compute is None
@@ -289,8 +290,8 @@ class TestRunner:
         dataset = _build_dataset(cfg, seeding.mix_seed(seed_r, seeding.TAG_DATA, 0))
         _, test, _ = split_global(dataset, cfg.test_fraction, cfg.public_fraction,
                                   seeding.mix_seed(seed_r, seeding.TAG_DATA, 1))
-        init = nn.init_model(cfg.model, seeding.rng_from(seed_r, seeding.TAG_INIT))
-        assert outcome.final_accuracy == model_accuracy(init, test.features, test.labels)
+        init = nn.init_model(cfg.model, seeding.rng_from(seed_r, seeding.TAG_INIT), (cfg.model.num_blocks,))
+        assert outcome.records[-1].global_accuracy == model_accuracy(init, test.features, test.labels)
 
     def test_outputs_byte_identical_across_runs(self, tmp_path):
         cfg = small_config()

@@ -33,7 +33,7 @@ from oracles import (
 def make_model(input_dim=4, hidden=4, blocks=2, kind="plain", classes=3, proto=4,
                heads=None, seed=0):
     spec = BlockNetSpec(input_dim, hidden, blocks, kind, classes, proto)
-    return nn.init_model(spec, np.random.default_rng(seed), heads)
+    return nn.init_model(spec, np.random.default_rng(seed), heads or (blocks,))
 
 
 class TestChannelSelection:
@@ -89,10 +89,10 @@ class TestWidthExtraction:
 
     def test_parameter_count_commutes_with_extraction(self):
         spec = BlockNetSpec(8, 16, 2, "plain", 4, 16)
-        model = nn.init_model(spec, np.random.default_rng(0))
+        model = nn.init_model(spec, np.random.default_rng(0), (2,))
         sub, _ = extract_width(model, 8)
         reduced = BlockNetSpec(8, 8, 2, "plain", 4, 16)
-        assert nn.parameter_count(reduced) == sum(v.size for v in sub.params.values())
+        assert nn.parameter_count(reduced, (2,)) == sum(v.size for v in sub.params.values())
         assert_valid_submodel(sub)
 
     def test_neck_rows_restricted_proto_kept(self):

@@ -1,8 +1,8 @@
 """End-to-end output digests.
 
-The configs in `tests/golden/` run all ten strategies through the CLI, one
-compact binding config per level plus both FedAvg baselines, two repeats
-each with per-client accuracy columns. `tests/golden/digests.json` holds
+The configs in `tests/golden/` run all ten strategies through the CLI: one
+compact binding config per level and one for both FedAvg baselines, two
+repeats each, with per-client accuracy columns. `tests/golden/digests.json` holds
 the sha256 of every file each run writes and of the `hetfed pool` and
 `hetfed partition` output, so any change to assignment, sampling, training,
 the clock, evaluation or the writers moves a digest. Like

@@ -73,7 +73,7 @@ class TestForward:
 
     def test_matches_scalar_loop_oracle(self):
         spec = BlockNetSpec(4, 4, 1, "plain", 2, 4)
-        model = nn.init_model(spec, np.random.default_rng(0))
+        model = nn.init_model(spec, np.random.default_rng(0), (spec.num_blocks,))
         x = np.random.default_rng(0).normal(size=(5, 4))
         expected = scalar_forward_logits(model, x)
         got = nn.forward(model, x).logits[1]
@@ -81,14 +81,14 @@ class TestForward:
 
     def test_skip_matches_scalar_loop_oracle(self):
         spec = BlockNetSpec(3, 5, 3, "skip", 4, 6)
-        model = nn.init_model(spec, np.random.default_rng(3))
+        model = nn.init_model(spec, np.random.default_rng(3), (spec.num_blocks,))
         x = np.random.default_rng(4).normal(size=(4, 3))
         expected = scalar_forward_logits(model, x)
         got = nn.forward(model, x).logits[3]
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_shape_mismatch_rejected(self):
-        model = nn.init_model(small_spec(), np.random.default_rng(0))
+        model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
         with pytest.raises(nn.ShapeError):
             nn.forward(model, np.zeros((3, 5)))
 
@@ -124,7 +124,7 @@ class TestLosses:
         # nothing. Sum semantics would double every gradient, so the 1e-14
         # tolerance (BLAS FMA kernels round the two paths differently by
         # ~1 ulp) still separates the two behaviours sharply.
-        model = nn.init_model(small_spec(), np.random.default_rng(0))
+        model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
         x = np.random.default_rng(1).normal(size=(1, 4))
         y = np.array([1])
         g1 = gradient(model, x, y, LossSpec())
@@ -133,7 +133,7 @@ class TestLosses:
             assert np.allclose(g1[k], g2[k], atol=1e-14, rtol=0)
 
     def test_labels_out_of_range(self):
-        model = nn.init_model(small_spec(num_classes=2), np.random.default_rng(0))
+        model = nn.init_model(small_spec(num_classes=2), np.random.default_rng(0), (1,))
         x = np.zeros((1, 4))
         with pytest.raises(ValueError):
             gradient(model, x, np.array([2]), LossSpec())
@@ -152,13 +152,13 @@ class TestGradientsAgainstFiniteDifferences:
         assert max_relative_error(analytic, numeric) < tol
 
     def test_cross_entropy_plain(self):
-        self._check(small_spec(num_blocks=2), None, LossSpec())
+        self._check(small_spec(num_blocks=2), (2,), LossSpec())
 
     def test_cross_entropy_skip(self):
-        self._check(BlockNetSpec(3, 4, 2, "skip", 3, 4), None, LossSpec(), seed=1)
+        self._check(BlockNetSpec(3, 4, 2, "skip", 3, 4), (2,), LossSpec(), seed=1)
 
     def test_cross_entropy_bottleneck(self):
-        self._check(BlockNetSpec(3, 8, 2, "bottleneck", 3, 4), None, LossSpec(), seed=2)
+        self._check(BlockNetSpec(3, 8, 2, "bottleneck", 3, 4), (2,), LossSpec(), seed=2)
 
     def test_multi_head_cross_entropy(self):
         self._check(small_spec(num_blocks=3), (1, 2, 3), LossSpec(), seed=3)
@@ -170,12 +170,12 @@ class TestGradientsAgainstFiniteDifferences:
             proto_targets=rng.normal(size=(2, 4)),
             proto_mask=np.array([True, False]),
         )
-        self._check(small_spec(num_blocks=2), None, loss, seed=4)
+        self._check(small_spec(num_blocks=2), (2,), loss, seed=4)
 
     def test_soft_target_distillation(self):
         rng = np.random.default_rng(8)
         targets = rng.dirichlet(np.ones(2), size=4)
-        self._check(small_spec(), None, LossSpec(), targets=targets, seed=5)
+        self._check(small_spec(), (1,), LossSpec(), targets=targets, seed=5)
 
     def test_self_distillation_against_frozen_teacher_surrogate(self):
         # The engine's pairwise KL stops gradients through the teacher head,
@@ -224,7 +224,7 @@ class TestGradientsAgainstFiniteDifferences:
 
 class TestSGD:
     def test_lr_zero_leaves_model_bitwise_unchanged(self):
-        model = nn.init_model(small_spec(), np.random.default_rng(0))
+        model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
         vector = model.vector.copy()
         grad = np.ones_like(vector)
         nn.sgd_update(vector, np.zeros_like(vector), grad, SGDConfig(learning_rate=0.0), slice(None))
@@ -266,13 +266,13 @@ class TestParameterCount:
     def test_closed_form_hand_example(self):
         # stem 144 + 2 blocks * 272 + neck 272 + head 68 = 1028
         spec = BlockNetSpec(8, 16, 2, "plain", 4, 16)
-        assert nn.parameter_count(spec) == 1028
+        assert nn.parameter_count(spec, (spec.num_blocks,)) == 1028
 
     def test_matches_actual_array_sizes(self):
         for spec, heads in [
-            (BlockNetSpec(8, 16, 2, "plain", 4, 16), None),
+            (BlockNetSpec(8, 16, 2, "plain", 4, 16), (2,)),
             (BlockNetSpec(5, 8, 3, "skip", 3, 6), (1, 2, 3)),
-            (BlockNetSpec(5, 8, 2, "bottleneck", 3, 6), None),
+            (BlockNetSpec(5, 8, 2, "bottleneck", 3, 6), (2,)),
         ]:
             model = nn.init_model(spec, np.random.default_rng(0), heads)
             total = sum(v.size for v in model.params.values())
@@ -284,14 +284,14 @@ class TestParameterCount:
         spec1 = BlockNetSpec(8, 16, 2, "plain", 4, 16)
         spec2 = BlockNetSpec(8, 16, 4, "plain", 4, 16)
         per_block = 16 * 16 + 16
-        assert nn.parameter_count(spec2) - nn.parameter_count(spec1) == 2 * per_block
+        assert nn.parameter_count(spec2, (spec2.num_blocks,)) - nn.parameter_count(spec1, (spec1.num_blocks,)) == 2 * per_block
 
     @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
     @pytest.mark.parametrize("all_heads", [False, True])
     def test_counts_match_closed_forms(self, kind, all_heads):
         d, h, blocks, c, p = 5, 8, 3, 3, 6
         spec = BlockNetSpec(d, h, blocks, kind, c, p)
-        heads = (1, 2, 3) if all_heads else None
+        heads = (1, 2, 3) if all_heads else (3,)
         n_heads = 3 if all_heads else 1
         if kind == "bottleneck":
             mid = h // 4
@@ -304,7 +304,7 @@ class TestParameterCount:
         assert nn.activation_count(spec, heads) == d + h + blocks * block_acts + n_heads * (p + c)
 
     def test_minimal_hidden_boundary(self):
-        nn.parameter_count(small_spec(hidden_dim=4))
+        nn.parameter_count(small_spec(hidden_dim=4), (1,))
         with pytest.raises(ValueError):
             small_spec(hidden_dim=0)
 
@@ -318,7 +318,7 @@ class TestTraining:
         cfg = SGDConfig(learning_rate=0.05, batch_size=4, local_epochs=2)
 
         def run():
-            model = nn.init_model(spec, np.random.default_rng(123))
+            model = nn.init_model(spec, np.random.default_rng(123), (spec.num_blocks,))
             return nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(7)]).models()[0]
 
         a, b = run(), run()
@@ -330,7 +330,7 @@ class TestTraining:
         n = 40
         y = (np.arange(n) % 2).astype(np.int64)
         x = rng.normal(size=(n, 4)) + np.where(y[:, None] == 0, 2.0, -2.0)
-        model = nn.init_model(small_spec(), rng)
+        model = nn.init_model(small_spec(), rng, (1,))
         before = loss_value(model, x, y, LossSpec())
         cfg = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=10)  # 50 steps
         trained = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)]).models()[0]
@@ -355,7 +355,7 @@ class TestTraining:
             assert np.array_equal(flat.vector[0], per_key.vector)
 
     def test_params_are_read_only_views_of_the_vector(self):
-        model = nn.init_model(small_spec(), np.random.default_rng(0))
+        model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
         model.params["stem.b"][...] = 7.0
         start, stop, _ = nn.param_layout(model.spec, model.head_blocks).slots["stem.b"]
         assert np.array_equal(model.vector[start:stop], np.full(stop - start, 7.0))
@@ -363,7 +363,7 @@ class TestTraining:
             model.params["stem.b"] = np.zeros(stop - start)
 
     def test_train_local_does_not_mutate_input_model(self):
-        model = nn.init_model(small_spec(), np.random.default_rng(0))
+        model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
         snapshot = {k: v.copy() for k, v in model.params.items()}
         x = np.random.default_rng(1).normal(size=(8, 4))
         y = np.random.default_rng(2).integers(0, 2, size=8)
@@ -454,7 +454,7 @@ class TestLockstep:
         y = rng.integers(0, 3, size=60)
         soft = nn.softmax(rng.normal(size=(60, 3)))
         rows = [np.arange(0, 60, 3), np.arange(1, 60, 3), np.arange(2, 60, 3)]
-        models = [nn.init_model(spec, np.random.default_rng(s)) for s in range(3)]
+        models = [nn.init_model(spec, np.random.default_rng(s), (spec.num_blocks,)) for s in range(3)]
         cfg = SGDConfig(learning_rate=0.05, batch_size=6, local_epochs=2, momentum=0.5)
         for targets in (y, soft):  # one label or one distribution per row of x
             stack = nn.train_local(models, x, targets, cfg, LossSpec(),
@@ -484,7 +484,7 @@ class TestLockstep:
 
     def test_train_local_and_backward_reject_out_of_range_labels(self):
         spec = small_spec(num_classes=3)
-        model = nn.init_model(spec, np.random.default_rng(0))
+        model = nn.init_model(spec, np.random.default_rng(0), (spec.num_blocks,))
         x = np.zeros((6, 4))
         cfg = SGDConfig(learning_rate=0.1, batch_size=2)
         rows = [np.arange(0, 3), np.arange(3, 6)]
@@ -507,21 +507,22 @@ class TestLockstep:
             nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)], rows[:1])
 
     def test_moves_plan_is_asked_once_per_pass_and_must_cover_it(self):
-        model = nn.init_model(small_spec(), np.random.default_rng(0))
+        model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
         x = np.random.default_rng(1).normal(size=(10, 4))
         y = np.arange(10) % 2
-        cfg = SGDConfig(learning_rate=0.1, batch_size=4, local_epochs=2)  # 3 steps per pass
+        # 4 does not divide the 10 rows: the last of a pass's 3 steps is short.
+        cfg = SGDConfig(learning_rate=0.1, batch_size=4, local_epochs=2)
         asked = []
 
         def plan(steps):
-            def moves(pass_index):
-                asked.append(pass_index)
+            def moves(pass_index, given):
+                asked.append((pass_index, given))
                 return [[nn.Move()]] * steps
             return moves
 
         covered = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(2)], moves=plan(3))
         default = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(2)])
-        assert asked == [0, 1]
+        assert asked == [(0, math.ceil(10 / 4)), (1, math.ceil(10 / 4))]
         assert np.array_equal(covered.vector, default.vector)
         for steps in (2, 4):
             with pytest.raises(ValueError, match=rf"^moves\(0\) planned {steps} steps; the pass takes 3$"):
@@ -529,7 +530,7 @@ class TestLockstep:
 
     def test_batch_rows_must_split_into_the_stack(self):
         spec = small_spec()
-        vectors = np.stack([nn.init_model(spec, np.random.default_rng(s)).vector for s in range(3)])
+        vectors = np.stack([nn.init_model(spec, np.random.default_rng(s), (spec.num_blocks,)).vector for s in range(3)])
         stack = nn.ModelStack(spec, (1,), vectors, np.empty_like(vectors))
         with pytest.raises(nn.ShapeError):
             nn.backward(stack, np.zeros((4, 4)), np.zeros(4, dtype=int), LossSpec())
@@ -556,7 +557,7 @@ class TestTargets:
                 assert np.array_equal(stack.grad, from_labels), (heads, loss)
 
     def test_prototype_pull_needs_labels(self):
-        model = nn.init_model(small_spec(), np.random.default_rng(0))
+        model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
         loss = LossSpec(proto_weight=0.5, proto_targets=np.zeros((2, 4)))
         soft = np.full((3, 2), 0.5)
         with pytest.raises(ValueError, match=r"^the prototype pull needs labels as targets$"):
@@ -564,7 +565,7 @@ class TestTargets:
 
     @pytest.mark.parametrize("shape", [(5,), (3, 3), (3, 2, 1), (2, 2)])
     def test_targets_must_fit_the_batch(self, shape):
-        model = nn.init_model(small_spec(), np.random.default_rng(0))
+        model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
         targets = np.zeros(shape, dtype=int if len(shape) == 1 else float)
         with pytest.raises(nn.ShapeError, match=r"^targets must be \[3\] labels or \[3, 2\] distributions"):
             gradient(model, np.zeros((3, 4)), targets, LossSpec())
@@ -592,7 +593,7 @@ class TestPredictMemo:
 
     def test_writable_model_is_never_memoized(self, monkeypatch):
         spec = small_spec(num_classes=3)
-        model = nn.init_model(spec, np.random.default_rng(0))
+        model = nn.init_model(spec, np.random.default_rng(0), (spec.num_blocks,))
         x = read_only(np.random.default_rng(1).normal(size=(40, 4)))
         calls = self.counting_forward(monkeypatch)
         before = nn.predict(model, x)

@@ -71,15 +71,14 @@ def make_variant(params: int, flops: float, memory: float, payload: float, vid="
 class TestFlops:
     def test_stated_formula(self):
         # 1000 MACs -> forward 2000 FLOPs, training step 6000.
-        spec = SPEC
-        macs = nn.mac_count(spec)
-        assert estimate_flops(spec) == 2 * macs
-        assert training_flops(spec) == 6 * macs
+        macs = nn.mac_count(SPEC, (2,))
+        assert estimate_flops(SPEC, (2,)) == 2 * macs
+        assert training_flops(SPEC, (2,)) == 6 * macs
 
     def test_matches_layer_loop_oracle_within_5_percent(self):
         for spec in (SPEC, BlockNetSpec(5, 8, 3, "skip", 3, 6),
                      BlockNetSpec(5, 8, 2, "bottleneck", 3, 6)):
-            est = estimate_flops(spec)
+            est = estimate_flops(spec, (spec.num_blocks,))
             oracle = 2 * layer_loop_mac_oracle(spec)
             assert abs(est - oracle) / oracle < 0.05
 
@@ -87,28 +86,28 @@ class TestFlops:
         s1 = BlockNetSpec(8, 16, 2, "plain", 4, 16)
         s2 = BlockNetSpec(8, 16, 4, "plain", 4, 16)
         per_block = 2 * 16 * 16
-        assert estimate_flops(s2) - estimate_flops(s1) == 2 * per_block
+        assert estimate_flops(s2, (4,)) - estimate_flops(s1, (2,)) == 2 * per_block
 
 
 class TestMemory:
     def test_calibrated_ratios(self):
-        base = estimate_memory(SPEC, 32, "sheterofl")
-        assert estimate_memory(SPEC, 32, "depthfl") / base == pytest.approx(1220 / 593, abs=0.01)
-        assert estimate_memory(SPEC, 32, "fedrolex") / base == pytest.approx(780 / 593, abs=0.01)
-        assert estimate_memory(SPEC, 32, "fedepth") / base == pytest.approx(631 / 593, abs=0.01)
+        base = estimate_memory(SPEC, 32, "sheterofl", (2,))
+        assert estimate_memory(SPEC, 32, "depthfl", (2,)) / base == pytest.approx(1220 / 593, abs=0.01)
+        assert estimate_memory(SPEC, 32, "fedrolex", (2,)) / base == pytest.approx(780 / 593, abs=0.01)
+        assert estimate_memory(SPEC, 32, "fedepth", (2,)) / base == pytest.approx(631 / 593, abs=0.01)
 
     def test_qualitative_signature_ordering(self):
-        values = {s: estimate_memory(SPEC, 32, s)
+        values = {s: estimate_memory(SPEC, 32, s, (2,))
                   for s in ("depthfl", "fedrolex", "fedepth", "sheterofl")}
         assert values["depthfl"] > values["fedrolex"] > values["fedepth"] > values["sheterofl"]
 
     def test_zero_batch_leaves_parameter_term_only(self):
-        params = nn.parameter_count(SPEC)
-        assert estimate_memory(SPEC, 0, "sheterofl") == 8 * 3 * params
+        params = nn.parameter_count(SPEC, (2,))
+        assert estimate_memory(SPEC, 0, "sheterofl", (2,)) == 8 * 3 * params
 
     def test_segment_memory_below_full_base(self):
-        full = estimate_memory(SPEC, 8, "sheterofl")
-        seg = segment_memory(SPEC, 8, nn.parameter_count(SPEC) // 4)
+        full = estimate_memory(SPEC, 8, "sheterofl", (2,))
+        seg = segment_memory(SPEC, 8, nn.parameter_count(SPEC, (2,)) // 4, (2,))
         assert seg < full
 
 
@@ -119,7 +118,7 @@ class TestSegments:
 
     def test_tight_memory_splits_blocks(self):
         spec = BlockNetSpec(8, 16, 4, "plain", 4, 16)
-        full = segment_memory(spec, 8, nn.parameter_count(spec))
+        full = segment_memory(spec, 8, nn.parameter_count(spec, (4,)), (4,))
         segs = fedepth_segments(spec, (4,), 8, memory_capacity=0.8 * full)
         assert len(segs) >= 2
         assert [b for seg in segs for b in seg] == [1, 2, 3, 4]
@@ -132,10 +131,10 @@ class TestSegments:
 
     def test_every_segment_fits(self):
         spec = BlockNetSpec(8, 16, 4, "plain", 4, 16)
-        cap = 0.7 * segment_memory(spec, 8, nn.parameter_count(spec))
+        cap = 0.7 * segment_memory(spec, 8, nn.parameter_count(spec, (4,)), (4,))
         segs = fedepth_segments(spec, (4,), 8, cap)
         for seg in segs:
-            assert segment_memory(spec, 8, hand_counted_segment_params(spec, (4,), seg)) <= cap
+            assert segment_memory(spec, 8, hand_counted_segment_params(spec, (4,), seg), (4,)) <= cap
 
     @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
     def test_segments_priced_at_the_slice_fedepth_trains(self, kind, monkeypatch):
@@ -144,7 +143,7 @@ class TestSegments:
         # segment of 1..5 blocks gets priced.
         answers, priced_params = [], []
 
-        def footprint(spec, batch_size, segment_params, head_blocks=None):
+        def footprint(spec, batch_size, segment_params, head_blocks):
             priced_params.append(segment_params)
             return 0.0 if answers[len(priced_params) - 1] else 2.0
 

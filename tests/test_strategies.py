@@ -72,7 +72,6 @@ def make_ctx(
         for cid in range(num_clients)
     ]
     return FederationContext(
-        base_spec=spec,
         pool=pool,
         clients=clients,
         train_features=ds.features,
@@ -142,7 +141,7 @@ class TestPrototypeOps:
             aggregate_prototypes([a, b])
 
     def test_compute_prototypes_support_counts(self):
-        model = nn.init_model(SPEC, np.random.default_rng(0))
+        model = nn.init_model(SPEC, np.random.default_rng(0), (SPEC.num_blocks,))
         x = np.random.default_rng(1).normal(size=(6, 6))
         y = np.array([0, 0, 1, 1, 1, 1])
         vec, cnt = compute_prototypes(model, x, y, 3)
@@ -236,7 +235,7 @@ class TestLockstepGroups:
             for client, start, size in zip(ctx.clients, starts, sizes):
                 client.data_indices = np.arange(start, start + size)
         if strategy_id == "fedepth":
-            full = segment_memory(SPEC, self.SGD.batch_size, nn.parameter_count(SPEC), (SPEC.num_blocks,))
+            full = segment_memory(SPEC, self.SGD.batch_size, nn.parameter_count(SPEC, (SPEC.num_blocks,)), (SPEC.num_blocks,))
             for client, fraction in zip(ctx.clients, (0.75, 0.8, 1.0, 0.75) * 2):  # 3, 2, 1, 3 segments
                 client.profile = DeviceProfile(client.client_id, 1e9, 1e6, fraction * full)
         grouping = strategies.lockstep_groups
@@ -380,7 +379,7 @@ class TestDivergence:
     def test_overflowing_prototype_aggregate_raises(self, monkeypatch):
         ctx = make_ctx("fedproto", "topology", alternating)
         strategy = make_strategy("fedproto", ctx)
-        dim = ctx.base_spec.proto_dim
+        dim = ctx.pool.largest.spec.proto_dim
 
         def huge_prototypes(model, features, labels, num_classes):
             return np.full((num_classes, dim), 1e308), np.full(num_classes, 2.0)
@@ -621,8 +620,9 @@ class TestDepthFamily:
         strategy = make_strategy("fedepth", ctx)
         state = strategy.initial_state()
         new_state, uploads = strategy.run_round(state, [0], 1)
-        assert uploads == {0: nn.parameter_count(SPEC)}
-        assert payload_bytes("fedepth", uploads[0]) == 2 * nn.parameter_count(SPEC) * 8
+        params = nn.parameter_count(SPEC, (SPEC.num_blocks,))
+        assert uploads == {0: params}
+        assert payload_bytes("fedepth", uploads[0]) == 2 * params * 8
         changed = sum(
             0 if np.array_equal(new_state.params[k], state.params[k]) else 1
             for k in state.params
@@ -632,7 +632,7 @@ class TestDepthFamily:
     def test_fedepth_respects_segment_memory(self):
         from hetfed.resources import fedepth_segments, segment_memory
         spec = BlockNetSpec(6, 8, 3, "plain", 3, 8)
-        capacity = 0.8 * segment_memory(spec, 8, nn.parameter_count(spec))
+        capacity = 0.8 * segment_memory(spec, 8, nn.parameter_count(spec, (3,)), (3,))
         segs = fedepth_segments(spec, (3,), 8, capacity)
         assert len(segs) >= 2
 
@@ -684,7 +684,7 @@ class TestReferenceLoops:
     def test_fedepth_matches_frozen_rest_loop(self):
         ctx = make_ctx("fedepth", "depth", largest)
         ctx.sgd = self.SGD
-        full = segment_memory(SPEC, self.SGD.batch_size, nn.parameter_count(SPEC), (SPEC.num_blocks,))
+        full = segment_memory(SPEC, self.SGD.batch_size, nn.parameter_count(SPEC, (SPEC.num_blocks,)), (SPEC.num_blocks,))
         segment_counts = []
         for client, fraction in zip(ctx.clients, (0.75, 0.8, 1.0, 0.75)):
             client.profile = DeviceProfile(client.client_id, 1e9, 1e6, fraction * full)
@@ -912,7 +912,7 @@ class TestPinnedTrajectories:
         ctx = make_ctx(strategy_id, level, alternating, pool_cfg=cls.POOL)
         ctx.sgd = cls.SGD
         if strategy_id == "fedepth":
-            full = segment_memory(SPEC, cls.SGD.batch_size, nn.parameter_count(SPEC), (SPEC.num_blocks,))
+            full = segment_memory(SPEC, cls.SGD.batch_size, nn.parameter_count(SPEC, (SPEC.num_blocks,)), (SPEC.num_blocks,))
             for client, fraction in zip(ctx.clients, (0.75, 0.8, 1.0, 0.75)):
                 client.profile = DeviceProfile(client.client_id, 1e9, 1e6, fraction * full)
         strategy = make_strategy(strategy_id, ctx)
