@@ -28,21 +28,27 @@ its own neck copy so every head sees a proto_dim-wide input regardless of
 where it attaches.
 
 The forward, loss and backward walk runs on a `ModelStack`: K models of
-one (spec, heads) as the rows of one (K, size) array. At K >= 2 every
-operand has a leading client axis (stacked `np.matmul`); a stack of one
-runs on plain 2-D operands, which costs less per numpy call. The walk is
-written once for both ranks (`swapaxes(-1, -2)`, `sum(axis=-2, out=...)`
-into views cached once per stack, per-client means over `reshape(k, n)`).
+one (spec, heads) as the rows of one (K, size) array. The stack's rank
+picks the matmul once: at K >= 2 every operand has a leading client axis
+and the walk calls `np.matmul`; a stack of one runs on plain 2-D operands
+and calls `ndarray.dot` (`np.dot` without its dispatch), which costs less
+per call. The walk is written once for both ranks (`swapaxes(-1, -2)`,
+`np.add.reduce(..., -2)` into views cached once per stack with each
+weight's transposed view, per-client means over `reshape(k, n)`).
 A stacked batch is the K clients' rows concatenated, [K*n, d], with one
 target per row: a label, [K*n], or a class distribution, [K*n, c]. At
 K >= 2 the walk views the batch as [K, n, d], and it takes every loss mean
 over each client's own n rows. A single model is the stack of one
 (`BlockNetModel.stack`), so `forward` and `predict` run 2-D.
-Stacked matmul and axis sums give the same bits as the 2-D calls on each
-client, so a client's result does not depend on what it is stacked with.
+Stacked `np.matmul`, 2-D `ndarray.dot` and the axis reductions give the same
+bits on each client, so a client's result does not depend on what it is
+stacked with.
 The forward adds biases and applies each ReLU in place and caches one
-activation per linear, its output after the ReLU; the backward mask
-``a > 0`` equals ``z > 0`` on the pre-activation, NaN included.
+activation per linear, its output after the ReLU. The backward mask is
+``sign(a)`` of that activation: 1.0 where the pre-activation z > 0, else
+0.0, the same bits as a multiply by ``z > 0`` for finite z. At a NaN z
+the mask is NaN, so the NaN reaches the gradient (as it does through the
+logits) and training ends in non-finite parameters.
 
 Training is minibatch momentum-SGD on the flat vectors; `sgd_update` is the
 only place the update is written. A stack is the one operand of `backward`
@@ -271,12 +277,15 @@ class ModelStack:
     ``params`` maps each key to its view over all K rows, shaped for the
     walk: weights (K, in, out) and biases (K, 1, out), which broadcast over a
     client's batch rows. With a (K, size) ``grad`` buffer, ``grads`` maps
-    each key to its view of it: weights (K, in, out), biases (K, out). A
-    stack of one holds the 2-D views of its row instead: weights (in, out),
-    biases (out,). The views are built once per stack.
+    each key to its view of it: weights (K, in, out), biases (K, out), and
+    ``weights_t`` maps each weight key to the transposed view of its
+    ``params`` entry, which the backward multiplies by. A stack of one holds
+    the 2-D views of its row instead: weights (in, out), biases (out,). The
+    views are built once per stack. ``matmul`` is the walk's product for
+    this rank: `ndarray.dot` for a stack of one, `np.matmul` for K >= 2.
     """
 
-    __slots__ = ("spec", "head_blocks", "layout", "vector", "params", "grad", "grads")
+    __slots__ = ("spec", "head_blocks", "layout", "vector", "params", "grad", "grads", "weights_t", "matmul")
 
     def __init__(
         self,
@@ -294,7 +303,14 @@ class ModelStack:
         self.vector = vector
         self.params = _stack_views(vector, layout, bias_rows=True)
         self.grad = grad
-        self.grads = None if grad is None else _stack_views(grad, layout, bias_rows=False)
+        self.grads = self.weights_t = None
+        if grad is not None:
+            self.grads = _stack_views(grad, layout, bias_rows=False)
+            self.weights_t = {
+                key: self.params[key].swapaxes(-1, -2)
+                for key, (_, _, shape) in layout.slots.items() if len(shape) == 2
+            }
+        self.matmul = np.ndarray.dot if vector.shape[0] == 1 else np.matmul
 
     @property
     def final_head(self) -> int:
@@ -362,17 +378,9 @@ def activation_count(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> int:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _log_softmax_and_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log_softmax(z) and softmax(z) from one shift, exp and sum."""
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e.sum(axis=-1, keepdims=True)
-    return shifted - np.log(s), e / s
+    e = np.exp(z - np.maximum.reduce(z, -1, keepdims=True))
+    e /= np.add.reduce(e, -1, keepdims=True)
+    return e
 
 
 @dataclass
@@ -399,7 +407,8 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...] | 
     x = batch if k == 1 else batch.reshape(k, -1, d)
     p = stack.params
     layout = stack.layout
-    h = x @ p["stem.w"]
+    mm = stack.matmul
+    h = mm(x, p["stem.w"])
     h += p["stem.b"]
     trunk = [h]
     acts = []
@@ -407,7 +416,7 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...] | 
         a = h
         block_acts = []
         for w, b in linears:
-            a = a @ p[w]
+            a = mm(a, p[w])
             a += p[b]
             np.maximum(a, 0.0, out=a)
             block_acts.append(a)
@@ -417,9 +426,9 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...] | 
     necks, logits = {}, {}
     for j in stack.head_blocks if heads is None else heads:
         neck_w, neck_b, fc_w, fc_b = layout.heads[j]
-        neck = necks[j] = trunk[j] @ p[neck_w]
+        neck = necks[j] = mm(trunk[j], p[neck_w])
         neck += p[neck_b]
-        z = logits[j] = neck @ p[fc_w]
+        z = logits[j] = mm(neck, p[fc_w])
         z += p[fc_b]
     return {"x": x, "h": trunk, "acts": acts, "neck": necks, "logits": logits}
 
@@ -466,30 +475,44 @@ def _loss_grads(
     if targets.shape != ((k * n,) if hard else (k * n, c)):
         raise ShapeError(f"targets must be [{k * n}] labels or [{k * n}, {c}] distributions, "
                          f"got {targets.shape}")
-    if hard and targets.size and (targets.min() < 0 or targets.max() >= c):
+    if hard and targets.size and (np.minimum.reduce(targets) < 0 or np.maximum.reduce(targets) >= c):
         raise ValueError(f"labels must lie in [0, {c})")
 
     heads = stack.head_blocks
-    dlogits, logps = {}, {}
-    for j in heads:
-        logps[j], grad = _log_softmax_and_softmax(cache["logits"][j])
+    distill = loss.distill_weight != 0.0 and len(heads) > 1
+    logits = cache["logits"]
+    # grads[h] is head h's gradient; logp[h] its log-probabilities.
+    grads = np.empty((len(heads), *logits[heads[0]].shape))
+    logp = np.empty_like(grads) if distill else None
+    if hard:
+        # The flat position of each row's label in one head's gradient.
+        at_label = np.arange(0, k * n * c, c) + targets
+    for h, j in enumerate(heads):
+        z = logits[j]
+        shifted = z - np.maximum.reduce(z, -1, keepdims=True)
+        grad = np.exp(shifted, out=grads[h])
+        total = np.add.reduce(grad, -1, keepdims=True)
+        if distill:
+            np.subtract(shifted, np.log(total), out=logp[h])
+        grad /= total
         if hard:
-            grad.reshape(-1, c)[np.arange(k * n), targets] -= 1.0
+            grad.reshape(-1)[at_label] -= 1.0
         else:
             grad -= targets.reshape(grad.shape)
-        dlogits[j] = grad / n
+    grads /= n
 
-    if loss.distill_weight != 0.0 and len(heads) > 1:
-        lam = loss.distill_weight
-        ps = {j: np.exp(logps[j]) for j in heads}
-        for i in heads:
-            for j in heads:
-                if i == j:
-                    continue
-                # KL(p_i || stopgrad(p_j)); gradient flows into head i only.
-                diff = logps[i] - logps[j]
-                kl = (ps[i] * diff).sum(axis=-1)
-                dlogits[i] += lam / n * ps[i] * (diff - kl[..., None])
+    if distill:
+        # sum_{i != j} KL(p_i || stopgrad(p_j)) over every ordered pair at
+        # once: row i of `others` lists every head but i, ascending, so
+        # [i, s] pairs head i with its s-th other head. The gradient flows
+        # into head i only, added in j order.
+        others = np.nonzero(~np.eye(len(heads), dtype=bool))[1].reshape(len(heads), -1)
+        diff = logp[:, None] - logp[others]
+        ps = np.exp(logp)[:, None]
+        kl = np.add.reduce(ps * diff, -1, keepdims=True)
+        terms = loss.distill_weight / n * ps * (diff - kl)
+        for s in range(len(heads) - 1):
+            grads += terms[:, s]
 
     demb: np.ndarray | None = None
     if loss.proto_weight != 0.0:
@@ -503,7 +526,7 @@ def _loss_grads(
         diff = emb - loss.proto_targets[labels]
         demb = loss.proto_weight * 2.0 / n * mask[..., None] * diff
 
-    return dlogits, demb
+    return dict(zip(heads, grads)), demb
 
 
 def backward(stack: ModelStack, batch: np.ndarray, targets: np.ndarray, loss: LossSpec) -> dict[str, np.ndarray]:
@@ -515,39 +538,49 @@ def backward(stack: ModelStack, batch: np.ndarray, targets: np.ndarray, loss: Lo
     gradient is that of a stack of that client alone. No loss value is
     computed.
     """
-    p = stack.params
-    g = stack.grads
+    mm, wt, g = stack.matmul, stack.weights_t, stack.grads
     layout = stack.layout
+    reduce = np.add.reduce
     cache = _run_forward(stack, batch)
     dlogits, demb = _loss_grads(stack, cache, targets, loss)
 
     trunk = cache["h"]
     # Gradient w.r.t. the trunk activation after block i; heads join it
-    # where they attach.
-    dh = np.zeros_like(trunk[-1])
+    # where they attach. None above the deepest head, whose blocks get
+    # exact zero gradients.
+    dh = None
     for i in range(len(layout.blocks), 0, -1):
         if i in layout.heads:
             neck_w, neck_b, fc_w, fc_b = layout.heads[i]
             dz = dlogits[i]
-            np.matmul(cache["neck"][i].swapaxes(-1, -2), dz, out=g[fc_w])
-            dz.sum(axis=-2, out=g[fc_b])
-            dneck = dz @ p[fc_w].swapaxes(-1, -2)
+            mm(cache["neck"][i].swapaxes(-1, -2), dz, out=g[fc_w])
+            reduce(dz, -2, None, g[fc_b])
+            dneck = mm(dz, wt[fc_w])
             if demb is not None and i == stack.final_head:
-                dneck = dneck + demb
-            np.matmul(trunk[i].swapaxes(-1, -2), dneck, out=g[neck_w])
-            dneck.sum(axis=-2, out=g[neck_b])
-            dh = dh + dneck @ p[neck_w].swapaxes(-1, -2)
+                dneck += demb
+            mm(trunk[i].swapaxes(-1, -2), dneck, out=g[neck_w])
+            reduce(dneck, -2, None, g[neck_b])
+            dtrunk = mm(dneck, wt[neck_w])
+            if dh is None:
+                dh = dtrunk
+            else:
+                dh += dtrunk
+        elif dh is None:
+            for w, b in layout.blocks[i - 1]:
+                g[w].fill(0.0)
+                g[b].fill(0.0)
+            continue
         d = dh
         acts = cache["acts"][i - 1]
         inputs = [trunk[i - 1], *acts[:-1]]
         for (w, b), x, a in zip(reversed(layout.blocks[i - 1]), reversed(inputs), reversed(acts)):
-            dz = d * (a > 0)
-            np.matmul(x.swapaxes(-1, -2), dz, out=g[w])
-            dz.sum(axis=-2, out=g[b])
-            d = dz @ p[w].swapaxes(-1, -2)
+            dz = d * np.sign(a)
+            mm(x.swapaxes(-1, -2), dz, out=g[w])
+            reduce(dz, -2, None, g[b])
+            d = mm(dz, wt[w])
         dh = d + dh if layout.residual else d
-    np.matmul(cache["x"].swapaxes(-1, -2), dh, out=g["stem.w"])
-    dh.sum(axis=-2, out=g["stem.b"])
+    mm(cache["x"].swapaxes(-1, -2), dh, out=g["stem.w"])
+    reduce(dh, -2, None, g["stem.b"])
     return g
 
 
@@ -569,9 +602,16 @@ def sgd_update(
     flat index vector for a sub-model map, or their row-wise forms on
     stacked vectors. Coordinates outside `index` do not move.
     """
-    buf = config.momentum * momentum[index] + grad
-    momentum[index] = buf
-    vector[index] -= config.learning_rate * buf
+    buf = momentum[index]
+    buf *= config.momentum
+    buf += grad
+    params = vector[index]
+    params -= config.learning_rate * buf
+    # A basic (slice) index gives views, which the steps above updated in
+    # place; an index vector gives copies, written back here.
+    if buf.base is not momentum:
+        momentum[index] = buf
+        vector[index] = params
 
 
 class Move(NamedTuple):
@@ -626,7 +666,7 @@ def train_local(
     the module's `backward`.
     """
     first = models[0]
-    vectors = np.stack([m.vector for m in models])
+    vectors = np.array([m.vector for m in models])
     stack = ModelStack(first.spec, first.head_blocks, vectors, np.empty_like(vectors))
     momentum = np.zeros_like(vectors)
     n = features.shape[0] if rows is None else rows[0].size
@@ -635,7 +675,7 @@ def train_local(
     # order[k, pass] is client k's shuffled rows of `features` for that pass.
     order = np.array([[rng.permutation(n) for _ in range(passes)] for rng in rngs], dtype=np.intp)
     if rows is not None:
-        order = np.stack(rows)[np.arange(len(rows))[:, None, None], order]
+        order = np.array(rows)[np.arange(len(rows))[:, None, None], order]
     nested_stacks: dict = {}
     for pass_index in range(passes):
         plan = [_EVERY] * len(starts) if moves is None else moves(pass_index, len(starts))
@@ -661,7 +701,7 @@ def train_local(
                     sub = nested_stacks[key] = ModelStack(*move.nested, np.empty(shape), np.empty(shape))
                 np.take(stack.vector[move.members], move.index, axis=1, out=sub.vector)
                 backward(sub, batch, y, loss)
-                sgd_update(stack.vector, momentum, sub.grad, config, np.ix_(move.members, move.index))
+                sgd_update(stack.vector, momentum, sub.grad, config, (move.members[:, None], move.index))
     return stack
 
 

@@ -462,16 +462,19 @@ class Fjord(SHeteroFL):
         # A fixed rate leaves each client a ladder of one width: the fixed
         # one, or its own if that is narrower.
         if fixed is None:
-            ladders = [self._widths(k) for k in own]
+            ladders = [np.array(self._widths(k)) for k in own]
         else:
-            ladders = [[min(width_channels(global_model.spec.hidden_dim, fixed), k)] for k in own]
+            ladders = [np.array([min(width_channels(global_model.spec.hidden_dim, fixed), k)]) for k in own]
         rngs = [ctx.client_rng(cid, round_index, seeding.LANE_RATE) for cid in client_ids]
 
         def moves(pass_index: int, steps: int) -> list[list[Move]]:
             # drawn[client, step]: a pass's draws at once, the same draws and
-            # generator state as one `choice` per step. The clients that
-            # drew the same width take that step as one walk.
-            drawn = np.array([rng.choice(ladder, size=steps) for rng, ladder in zip(rngs, ladders)])
+            # generator state as one `choice` per step (which draws its
+            # position with `integers`). The clients that drew the same
+            # width take that step as one walk.
+            drawn = np.array([
+                ladder[rng.integers(0, len(ladder), size=steps)] for rng, ladder in zip(rngs, ladders)
+            ])
             plan = []
             for column in drawn.T:
                 step = []

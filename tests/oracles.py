@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's vectorized code paths:
 scalar loops for the forward pass, central finite differences of a loss
-value written only here (`loss_value`) for gradients, per-coordinate
+value written only here (`loss_value`) for gradients, one head and one
+distillation pair at a time for the loss gradient, per-coordinate
 contributor collection for aggregation, the momentum-SGD update written
 out inline per parameter for the strategies that train part of a model per
 step, and per-parameter `np.ix_` regions for extraction, scatter and
@@ -469,6 +470,40 @@ def loss_value(
             sq = loss.proto_mask[targets] * sq
         value += loss.proto_weight * sq.mean()
     return float(value)
+
+
+def reference_logit_grads(
+    logits: dict[int, np.ndarray], targets: np.ndarray, distill_weight: float
+) -> dict[int, np.ndarray]:
+    """d(loss)/d(logits) per head of the loss `backward` differentiates,
+    one head and one distillation pair at a time: cross-entropy against the
+    targets (labels [K*n] or distributions [K*n, c]) on every head, then
+    KL(p_i || stopgrad(p_j)) for each ordered pair, added into head i in j
+    order. `logits[j]` is [n, c], or [K, n, c] for K stacked clients; every
+    term is a mean over each client's n rows."""
+    heads = tuple(logits)
+    n, c = logits[heads[0]].shape[-2:]
+    dlogits, logps = {}, {}
+    for j in heads:
+        shifted = logits[j] - logits[j].max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        total = e.sum(axis=-1, keepdims=True)
+        logps[j], grad = shifted - np.log(total), e / total
+        if targets.ndim == 1:
+            grad.reshape(-1, c)[np.arange(targets.size), targets] -= 1.0
+        else:
+            grad -= targets.reshape(grad.shape)
+        dlogits[j] = grad / n
+    if distill_weight != 0.0 and len(heads) > 1:
+        ps = {j: np.exp(logps[j]) for j in heads}
+        for i in heads:
+            for j in heads:
+                if i == j:
+                    continue
+                diff = logps[i] - logps[j]
+                kl = (ps[i] * diff).sum(axis=-1)
+                dlogits[i] += distill_weight / n * ps[i] * (diff - kl[..., None])
+    return dlogits
 
 
 def check_roundtrip(model: BlockNetModel, sub: BlockNetModel, smap: SubModelMap) -> bool:

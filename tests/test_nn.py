@@ -15,6 +15,7 @@ from oracles import (
     model_from_params,
     param_shapes,
     perturb_params,
+    reference_logit_grads,
     reference_train_local,
     scalar_forward_logits,
     zero_model,
@@ -162,6 +163,19 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_multi_head_cross_entropy(self):
         self._check(small_spec(num_blocks=3), (1, 2, 3), LossSpec(), seed=3)
+
+    @pytest.mark.parametrize("kind", ["plain", "skip"])
+    def test_blocks_above_the_deepest_head_get_exact_zeros(self, kind):
+        # No head reads blocks 3 and 4, so their gradient is exactly zero.
+        spec = BlockNetSpec(3, 4, 4, kind, 3, 4)
+        heads = (1, 2)
+        self._check(spec, heads, LossSpec(), seed=6)
+        rng = np.random.default_rng(6)
+        model = perturb_params(nn.init_model(spec, rng, heads), rng)
+        stack = nn.ModelStack(spec, heads, model.vector[None], np.full((1, model.vector.size), np.nan))
+        grads = nn.backward(stack, rng.normal(size=(4, 3)), rng.integers(0, 3, size=4), LossSpec())
+        for key, grad in grads.items():
+            assert np.all(grad == 0.0) == key.startswith(("block3.", "block4.")), key
 
     def test_prototype_pull(self):
         rng = np.random.default_rng(7)
@@ -386,8 +400,10 @@ class TestLockstep:
         # alone, on the engine's operand layouts: weights and gradients as
         # views of one (K, size) buffer, strided at K >= 2 and contiguous
         # rows at K = 1, transposed with `swapaxes(-1, -2)` and summed with
-        # `sum(axis=-2)` at both ranks. A numpy whose batched kernels sum in
-        # another order fails here first.
+        # `sum(axis=-2)` or `np.add.reduce(..., -2)` at both ranks. A stack
+        # of one multiplies with `ndarray.dot`, writing weight gradients
+        # with `out=` into a gradient view. A numpy whose batched kernels
+        # sum in another order fails here first.
         rng = np.random.default_rng(2025)
         for b in self.ROWS:
             for i in range(1, 20):
@@ -406,6 +422,7 @@ class TestLockstep:
                 dz.sum(axis=-2, out=gb)
                 assert np.array_equal(back, np.matmul(dz, w.transpose(0, 2, 1)))
                 assert np.array_equal(gb, dz.sum(axis=1))
+                assert np.array_equal(gb, np.add.reduce(dz, -2))
                 for c in range(k):
                     # The views of a one-row stack over client c's row.
                     w2 = params[c, 3:3 + i * o].reshape((i, o), copy=False)
@@ -421,6 +438,15 @@ class TestLockstep:
                     assert np.array_equal(gw[c], a[c].T @ dz[c]), (b, i, o, k)
                     assert np.array_equal(gb[c], gb2), (b, i, o, k)
                     assert np.array_equal(gb[c], dz[c].sum(axis=0)), (b, i, o, k)
+                    # The calls a stack of one makes.
+                    gw2[...] = np.nan
+                    gb2[...] = np.nan
+                    np.ndarray.dot(a[c].swapaxes(-1, -2), dz[c], out=gw2)
+                    np.add.reduce(dz[c], -2, None, gb2)
+                    assert np.array_equal(gw[c], gw2), (b, i, o, k)
+                    assert np.array_equal(gb[c], gb2), (b, i, o, k)
+                    assert np.array_equal(out[c], np.ndarray.dot(a[c], w2)), (b, i, o, k)
+                    assert np.array_equal(back[c], np.ndarray.dot(dz[c], w2.swapaxes(-1, -2))), (b, i, o, k)
 
     @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
     def test_stacked_backward_matches_each_client_alone(self, kind):
@@ -569,6 +595,30 @@ class TestTargets:
         targets = np.zeros(shape, dtype=int if len(shape) == 1 else float)
         with pytest.raises(nn.ShapeError, match=r"^targets must be \[3\] labels or \[3, 2\] distributions"):
             gradient(model, np.zeros((3, 4)), targets, LossSpec())
+
+
+class TestLogitGradients:
+    """The loss gradient of every head, with all distillation pairs taken
+    at once, must equal the per-head, per-pair loop byte for byte."""
+
+    @pytest.mark.parametrize("heads", [(4,), (1, 2), (2, 3, 4), (1, 2, 3, 4)])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stacked_pairs_match_the_pairwise_loop(self, heads, k):
+        spec = BlockNetSpec(5, 8, 4, "plain", 4, 6)
+        rng = np.random.default_rng(41)
+        n = 9
+        vectors = np.stack([nn.init_model(spec, np.random.default_rng(s), heads).vector for s in range(k)])
+        stack = nn.ModelStack(spec, heads, vectors, np.empty_like(vectors))
+        cache = nn._run_forward(stack, rng.normal(size=(k * n, 5)))
+        labels = rng.integers(0, 4, size=k * n)
+        soft = nn.softmax(rng.normal(size=(k * n, 4)))
+        for targets in (labels, soft):
+            for weight in (0.3, 0.0):
+                got, _ = nn._loss_grads(stack, cache, targets, LossSpec(distill_weight=weight))
+                want = reference_logit_grads(cache["logits"], targets, weight)
+                assert list(got) == list(want) == list(heads)
+                for j in heads:
+                    assert got[j].tobytes() == want[j].tobytes(), (j, weight, targets.ndim)
 
 
 def read_only(array):

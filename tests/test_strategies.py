@@ -330,19 +330,24 @@ class TestLockstepGroups:
 
 
 class TestFjordDraws:
-    """FjORD draws a client's widths for a whole pass with one
-    `choice(ladder, size=steps)`; that must be the draws, and leave the
-    generator in the state, of `steps` single `choice` calls."""
+    """FjORD draws a client's widths for a whole pass at once, as
+    `ladder[integers(0, len(ladder), size=steps)]`; that must be the draws,
+    and leave the generator in the state, of one `choice(ladder,
+    size=steps)` and of `steps` single `choice` calls."""
 
     @pytest.mark.parametrize("ladder", [[8], [4, 8], [2, 5, 8], [1, 3, 6, 8]])
     def test_one_choice_per_pass_equals_one_per_step(self, ladder):
         for seed in range(40):
             for steps in (1, 2, 3, 5, 8, 37):
                 at_once = seeding.rng_from(seed, seeding.TAG_CLIENT, 3, 7, seeding.LANE_RATE)
+                indexed = seeding.rng_from(seed, seeding.TAG_CLIENT, 3, 7, seeding.LANE_RATE)
                 one_by_one = seeding.rng_from(seed, seeding.TAG_CLIENT, 3, 7, seeding.LANE_RATE)
                 drawn = at_once.choice(ladder, size=steps)
                 assert drawn.tolist() == [int(one_by_one.choice(ladder)) for _ in range(steps)], (seed, steps)
                 assert at_once.bit_generator.state == one_by_one.bit_generator.state, (seed, steps)
+                by_position = np.array(ladder)[indexed.integers(0, len(ladder), size=steps)]
+                assert by_position.tolist() == drawn.tolist(), (seed, steps)
+                assert indexed.bit_generator.state == one_by_one.bit_generator.state, (seed, steps)
 
 
 class TestDivergence:
