@@ -38,8 +38,8 @@ weight's transposed view, per-client means over `reshape(k, n)`).
 A stacked batch is the K clients' rows concatenated, [K*n, d], with one
 target per row: a label, [K*n], or a class distribution, [K*n, c]. At
 K >= 2 the walk views the batch as [K, n, d], and it takes every loss mean
-over each client's own n rows. A single model is the stack of one
-(`BlockNetModel.stack`), so `forward` and `predict` run 2-D.
+over each client's own n rows. A single model runs as a stack of one, so
+`forward` and `predict` run 2-D.
 Stacked `np.matmul`, 2-D `ndarray.dot` and the axis reductions give the same
 bits on each client, so a client's result does not depend on what it is
 stacked with.
@@ -57,6 +57,21 @@ one) in lockstep, each with its own rows, batch shuffles and rng, and a
 per-pass plan of `Move`s can restrict each step to part of each vector.
 `backward` computes the gradients only; nothing in the engine reads a loss
 value. One model's gradient and loss value live in `tests/oracles.py`.
+
+Stacks are reused, not rebuilt per call. The module keeps one workspace
+per (spec, heads) and role: (K, size) vector and grad buffers, plus
+momentum for training, grown to the largest K asked for, and one
+`ModelStack` per K over their first K rows, whose views are built once.
+`train_local` copies its K starting vectors into the training workspace,
+zeroes the momentum, trains those rows in place and returns a copy of
+them, so no returned model aliases a workspace. The other role, the walk
+workspace, is written just before each walk reads it and keeps nothing
+between calls: FjORD's nested walks use it, so a full-width nested move
+never writes the rows being trained, and `forward` and `predict` copy the
+model's vector into its stack of one. At most `_MAX_WORKSPACES` are kept,
+the oldest dropped first. The workspaces are shared by the whole process:
+the engine is not thread-safe, and a `moves` plan must not call
+`train_local`.
 
 `predict` remembers one prediction per model. When the model's vector and
 the features are both read-only, the argmax is stored on the model with
@@ -219,7 +234,7 @@ class BlockNetModel:
     prediction (`_predicted`).
     """
 
-    __slots__ = ("spec", "head_blocks", "vector", "_params", "_stack", "_predicted")
+    __slots__ = ("spec", "head_blocks", "vector", "_params", "_predicted")
 
     def __init__(self, spec: BlockNetSpec, head_blocks: tuple[int, ...], vector: np.ndarray):
         if vector.shape != (param_layout(spec, head_blocks).size,):
@@ -228,7 +243,6 @@ class BlockNetModel:
         self.head_blocks = head_blocks
         self.vector = vector
         self._params = None
-        self._stack = None
         self._predicted = None
 
     @property
@@ -237,14 +251,6 @@ class BlockNetModel:
         if views is None:
             views = self._params = ParamViews(self.vector, param_layout(self.spec, self.head_blocks))
         return views
-
-    @property
-    def stack(self) -> "ModelStack":
-        """This model as a stack of one, the operand of the walk."""
-        stack = self._stack
-        if stack is None:
-            stack = self._stack = ModelStack(self.spec, self.head_blocks, self.vector[None])
-        return stack
 
     @property
     def final_head(self) -> int:
@@ -281,8 +287,10 @@ class ModelStack:
     ``weights_t`` maps each weight key to the transposed view of its
     ``params`` entry, which the backward multiplies by. A stack of one holds
     the 2-D views of its row instead: weights (in, out), biases (out,). The
-    views are built once per stack. ``matmul`` is the walk's product for
-    this rank: `ndarray.dot` for a stack of one, `np.matmul` for K >= 2.
+    views are built once per stack, on their first read, so a stack read
+    only through ``vector``, ``layout`` and `models` builds none. ``matmul``
+    is the walk's product for this rank: `ndarray.dot` for a stack of one,
+    `np.matmul` for K >= 2.
     """
 
     __slots__ = ("spec", "head_blocks", "layout", "vector", "params", "grad", "grads", "weights_t", "matmul")
@@ -301,16 +309,24 @@ class ModelStack:
         self.head_blocks = head_blocks
         self.layout = layout
         self.vector = vector
-        self.params = _stack_views(vector, layout, bias_rows=True)
         self.grad = grad
+        self.matmul = np.ndarray.dot if vector.shape[0] == 1 else np.matmul
+
+    def __getattr__(self, name: str):
+        # Called only for an unset slot: the views, before their first read.
+        # Once set, the walk reads them as plain slots.
+        if name not in ("params", "grads", "weights_t"):
+            raise AttributeError(name)
+        layout = self.layout
+        self.params = _stack_views(self.vector, layout, bias_rows=True)
         self.grads = self.weights_t = None
-        if grad is not None:
-            self.grads = _stack_views(grad, layout, bias_rows=False)
+        if self.grad is not None:
+            self.grads = _stack_views(self.grad, layout, bias_rows=False)
             self.weights_t = {
                 key: self.params[key].swapaxes(-1, -2)
                 for key, (_, _, shape) in layout.slots.items() if len(shape) == 2
             }
-        self.matmul = np.ndarray.dot if vector.shape[0] == 1 else np.matmul
+        return getattr(self, name)
 
     @property
     def final_head(self) -> int:
@@ -319,6 +335,62 @@ class ModelStack:
     def models(self) -> list[BlockNetModel]:
         """One model per row, each wrapping its row of the stacked vectors."""
         return [BlockNetModel(self.spec, self.head_blocks, row) for row in self.vector]
+
+
+# The roles of a workspace (see the module docstring): the rows a
+# `train_local` call trains, and the operand of one walk.
+_TRAIN, _WALK = "train", "walk"
+_MAX_WORKSPACES = 256
+
+
+class _Workspace:
+    """Reused buffers of one (spec, heads) and role: (K, size) vectors, grads
+    and, for training, momentum, grown to the largest K asked for, with one
+    `ModelStack` per K over their first K rows."""
+
+    __slots__ = ("spec", "head_blocks", "vector", "grad", "momentum", "stacks")
+
+    def __init__(self, spec: BlockNetSpec, head_blocks: tuple[int, ...], role: str):
+        empty = np.empty((0, param_layout(spec, head_blocks).size))
+        self.spec = spec
+        self.head_blocks = head_blocks
+        self.vector = self.grad = empty
+        self.momentum = empty if role == _TRAIN else None
+        self.stacks: dict[int, ModelStack] = {}
+
+    def stack(self, k: int) -> ModelStack:
+        """The stack over the first k rows; growing the buffers drops the
+        stacks over the old ones (a caller's stack stays valid)."""
+        stack = self.stacks.get(k)
+        if stack is None:
+            if k > self.vector.shape[0]:
+                shape = (k, self.vector.shape[1])
+                self.vector, self.grad = np.empty(shape), np.empty(shape)
+                if self.momentum is not None:
+                    self.momentum = np.empty(shape)
+                self.stacks.clear()
+            stack = self.stacks[k] = ModelStack(self.spec, self.head_blocks, self.vector[:k], self.grad[:k])
+        return stack
+
+
+_WORKSPACES: dict[tuple[BlockNetSpec, tuple[int, ...], str], _Workspace] = {}
+
+
+def _workspace(spec: BlockNetSpec, head_blocks: tuple[int, ...], role: str) -> _Workspace:
+    key = (spec, head_blocks, role)
+    workspace = _WORKSPACES.get(key)
+    if workspace is None:
+        if len(_WORKSPACES) >= _MAX_WORKSPACES:
+            del _WORKSPACES[next(iter(_WORKSPACES))]
+        workspace = _WORKSPACES[key] = _Workspace(spec, head_blocks, role)
+    return workspace
+
+
+def _stack_of_one(model: BlockNetModel) -> ModelStack:
+    """`model` copied into its layout's walk stack of one."""
+    stack = _workspace(model.spec, model.head_blocks, _WALK).stack(1)
+    stack.vector[0] = model.vector
+    return stack
 
 
 @dataclass(frozen=True)
@@ -435,7 +507,7 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...] | 
 
 def forward(model: BlockNetModel, batch: np.ndarray) -> ForwardResult:
     """Per-head logits plus the deepest head's neck output (the embedding)."""
-    cache = _run_forward(model.stack, batch)
+    cache = _run_forward(_stack_of_one(model), batch)
     return ForwardResult(logits=cache["logits"], embedding=cache["neck"][model.final_head])
 
 
@@ -607,9 +679,10 @@ def sgd_update(
     buf += grad
     params = vector[index]
     params -= config.learning_rate * buf
-    # A basic (slice) index gives views, which the steps above updated in
-    # place; an index vector gives copies, written back here.
-    if buf.base is not momentum:
+    # A basic (slice) index gives views of momentum's memory, which the
+    # steps above updated in place; an index vector gives copies, written
+    # back here. (A view's `base` is the array that owns the memory.)
+    if buf.base is not (momentum if momentum.base is None else momentum.base):
         momentum[index] = buf
         vector[index] = params
 
@@ -649,14 +722,16 @@ def train_local(
 ) -> ModelStack:
     """Run `local_epochs` passes of minibatch momentum-SGD on K models of
     one (spec, heads) in lockstep, one rng each; returns the trained copies
-    as a `ModelStack`.
+    as a `ModelStack` that owns its vectors.
 
     `targets` holds one label or one class distribution per row of
     `features` (see `backward`). Client k trains on rows `rows[k]` of both
     (every row when `rows` is None); all K have the same row count, so at
     every step each client has a batch of the same length. Each client
     shuffles its rows once per pass with its own rng, exactly as it would
-    alone; all shuffles are drawn up front.
+    alone; all shuffles are drawn up front. A count of rngs or row sets
+    other than K, a model of another spec or heads, or row sets of
+    different sizes raise `ValueError`.
 
     `moves(pass_index, steps)` is called once at the start of each pass,
     with the number of steps the pass takes, ceil(rows / batch_size), and
@@ -664,18 +739,32 @@ def train_local(
     plan of another length raises `ValueError`). By default every step
     moves every coordinate of every client. Each move is one walk through
     the module's `backward`.
+
+    The K rows train in place in the layout's training workspace (see the
+    module docstring); the returned stack is a copy of them.
     """
     first = models[0]
-    vectors = np.array([m.vector for m in models])
-    stack = ModelStack(first.spec, first.head_blocks, vectors, np.empty_like(vectors))
-    momentum = np.zeros_like(vectors)
+    k = len(models)
+    for name, given in (("rngs", rngs), ("row sets", rows)):
+        if given is not None and len(given) != k:
+            raise ValueError(f"{len(given)} {name} for {k} models: each model needs one")
+    for i, model in enumerate(models):
+        if model is not first and (model.spec != first.spec or model.head_blocks != first.head_blocks):
+            raise ValueError(f"model {i} is not of model 0's spec and heads: one stack holds one architecture")
+    if rows is not None and len({r.size for r in rows}) > 1:
+        raise ValueError(f"row sets of sizes {[r.size for r in rows]}: lockstep clients need one row count")
+    workspace = _workspace(first.spec, first.head_blocks, _TRAIN)
+    stack = workspace.stack(k)
+    stack.vector[...] = [m.vector for m in models]
+    momentum = workspace.momentum[:k]
+    momentum.fill(0.0)
     n = features.shape[0] if rows is None else rows[0].size
     passes = config.local_epochs
     starts = range(0, n, config.batch_size)
     # order[k, pass] is client k's shuffled rows of `features` for that pass.
     order = np.array([[rng.permutation(n) for _ in range(passes)] for rng in rngs], dtype=np.intp)
     if rows is not None:
-        order = np.array(rows)[np.arange(len(rows))[:, None, None], order]
+        order = np.array(rows)[np.arange(k)[:, None, None], order]
     nested_stacks: dict = {}
     for pass_index in range(passes):
         plan = [_EVERY] * len(starts) if moves is None else moves(pass_index, len(starts))
@@ -697,12 +786,11 @@ def train_local(
                 key = (move.nested, len(move.members))
                 sub = nested_stacks.get(key)
                 if sub is None:
-                    shape = (len(move.members), move.index.size)
-                    sub = nested_stacks[key] = ModelStack(*move.nested, np.empty(shape), np.empty(shape))
+                    sub = nested_stacks[key] = _workspace(*move.nested, _WALK).stack(len(move.members))
                 np.take(stack.vector[move.members], move.index, axis=1, out=sub.vector)
                 backward(sub, batch, y, loss)
                 sgd_update(stack.vector, momentum, sub.grad, config, (move.members[:, None], move.index))
-    return stack
+    return ModelStack(first.spec, first.head_blocks, stack.vector.copy())
 
 
 def predict(model: BlockNetModel, features: np.ndarray) -> np.ndarray:
@@ -717,7 +805,7 @@ def predict(model: BlockNetModel, features: np.ndarray) -> np.ndarray:
     memo = model._predicted
     if frozen and memo is not None and memo[0] is features:
         return memo[1]
-    logits = _run_forward(model.stack, features, (model.final_head,))["logits"][model.final_head]
+    logits = _run_forward(_stack_of_one(model), features, (model.final_head,))["logits"][model.final_head]
     labels = logits.argmax(axis=1)
     if frozen:
         labels.setflags(write=False)

@@ -234,7 +234,10 @@ def compute_prototypes(
 def consensus_logits(logit_sets: list[np.ndarray]) -> np.ndarray:
     """Confidence-weighted mean of client logits per public sample.
 
-    The weight of client k on a sample is its max softmax probability there.
+    The weight of client k on a sample is its max softmax probability there:
+    1 / sum(exp(z - max z)), the same bits as `softmax(z).max(axis=1)`,
+    since the largest shifted entry is exp(0) = 1 and dividing by a positive
+    total keeps the order.
     """
     if not logit_sets:
         raise ValueError("consensus needs at least one client logit set")
@@ -245,7 +248,7 @@ def consensus_logits(logit_sets: list[np.ndarray]) -> np.ndarray:
     num = np.zeros(shape)
     den = np.zeros(shape[0])
     for logits in logit_sets:
-        w = softmax(logits).max(axis=1)
+        w = 1.0 / np.add.reduce(np.exp(logits - np.maximum.reduce(logits, -1, keepdims=True)), -1)
         num += w[:, None] * logits
         den += w
     return num / den[:, None]

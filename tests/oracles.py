@@ -448,7 +448,7 @@ def loss_value(
     batch rows: cross-entropy against the targets (labels [n] or class
     distributions [n, c]) on every head, pairwise KL between the heads and
     the masked prototype pull on the deepest neck."""
-    cache = _run_forward(model.stack, batch)
+    cache = _run_forward(ModelStack(model.spec, model.head_blocks, model.vector[None]), batch)
     heads = model.head_blocks
     logps = {j: log_softmax(cache["logits"][j]) for j in heads}
     value = 0.0

@@ -15,7 +15,7 @@ each moved file in CHANGES.md.
 
 import json
 
-from hetfed import runner, strategies
+from hetfed import nn, runner, strategies
 from hetfed.resources import DEPTH_STRATEGIES, TOPOLOGY_STRATEGIES, WIDTH_STRATEGIES
 from hetfed.strategies import STRATEGY_CLASSES
 
@@ -46,6 +46,8 @@ def test_golden_outputs_are_unchanged(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "assign_models", assign_models)
     monkeypatch.setattr(strategies, "fedepth_segments", fedepth_segments)
+    workspaces = {}
+    monkeypatch.setattr(nn, "_WORKSPACES", workspaces)
 
     digests = golden_digests(str(tmp_path))
     with open(DIGESTS, encoding="utf-8") as fh:
@@ -59,3 +61,13 @@ def test_golden_outputs_are_unchanged(tmp_path, monkeypatch):
     few = {sid: sorted(assigned[sid]) for sid in HETEROGENEOUS if len(assigned[sid]) < 2}
     assert not few, f"strategies with one variant on repeat 0: {few}"
     assert len(segmentations) >= 2, f"fedepth clients share one segmentation: {segmentations}"
+
+    # One buffer set per (spec, heads, role), grown to the largest K seen,
+    # under every stack of that workspace; only training keeps momentum.
+    assert 0 < len(workspaces) < nn._MAX_WORKSPACES
+    assert {role for _, _, role in workspaces} == {nn._TRAIN, nn._WALK}
+    for (_, _, role), ws in workspaces.items():
+        assert ws.vector.shape[0] == max(ws.stacks)
+        assert (ws.momentum is not None and ws.momentum.shape == ws.vector.shape) == (role == nn._TRAIN)
+        for stack in ws.stacks.values():
+            assert stack.vector.base is ws.vector and stack.grad.base is ws.grad

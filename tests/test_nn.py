@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -560,6 +561,104 @@ class TestLockstep:
         stack = nn.ModelStack(spec, (1,), vectors, np.empty_like(vectors))
         with pytest.raises(nn.ShapeError):
             nn.backward(stack, np.zeros((4, 4)), np.zeros(4, dtype=int), LossSpec())
+
+    @staticmethod
+    def pair_setup():
+        spec = small_spec(num_classes=3)
+        models = [nn.init_model(spec, np.random.default_rng(s), (1,)) for s in range(2)]
+        rng = np.random.default_rng(3)
+        return models, rng.normal(size=(8, 4)), rng.integers(0, 3, size=8), SGDConfig(learning_rate=0.1, batch_size=4)
+
+    def test_train_local_needs_one_rng_and_row_set_per_model(self):
+        # One rng for two models would split each step's batch between them.
+        models, x, y, cfg = self.pair_setup()
+        rows = [np.arange(0, 4), np.arange(4, 8)]
+        with pytest.raises(ValueError, match=r"^1 rngs for 2 models: each model needs one$"):
+            nn.train_local(models, x, y, cfg, LossSpec(), [np.random.default_rng(1)])
+        with pytest.raises(ValueError, match=r"^1 row sets for 2 models: each model needs one$"):
+            nn.train_local(models, x, y, cfg, LossSpec(), [np.random.default_rng(s) for s in (1, 2)], rows[:1])
+
+    def test_train_local_needs_one_architecture(self):
+        # A skip model has the plain model's size; it must not train as one.
+        models, x, y, cfg = self.pair_setup()
+        spec = models[0].spec
+        skip = nn.BlockNetModel(replace(spec, block_kind="skip"), (1,), models[1].vector)
+        deeper = replace(spec, num_blocks=2)
+        rngs = [np.random.default_rng(s) for s in (1, 2)]
+        for pair in ([models[0], skip], [nn.init_model(deeper, rngs[0], (1, 2)), nn.init_model(deeper, rngs[1], (2,))]):
+            with pytest.raises(ValueError, match=r"^model 1 is not of model 0's spec and heads"):
+                nn.train_local(pair, x, y, cfg, LossSpec(), rngs)
+
+    def test_train_local_needs_one_row_count(self):
+        models, x, y, cfg = self.pair_setup()
+        with pytest.raises(ValueError, match=r"^row sets of sizes \[4, 3\]: lockstep clients need one row count$"):
+            nn.train_local(models, x, y, cfg, LossSpec(), [np.random.default_rng(s) for s in (1, 2)],
+                           [np.arange(0, 4), np.arange(4, 7)])
+
+
+class TestWorkspaces:
+    """`train_local`, `forward` and `predict` run in reused per-layout
+    buffers; nothing they return may alias them."""
+
+    SPEC = BlockNetSpec(5, 8, 2, "skip", 3, 6)
+    CFG = SGDConfig(learning_rate=0.05, batch_size=6, local_epochs=2, momentum=0.5)
+
+    def data(self):
+        rng = np.random.default_rng(17)
+        return rng.normal(size=(60, 5)), rng.integers(0, 3, size=60)
+
+    def models(self, seeds):
+        return [nn.init_model(self.SPEC, np.random.default_rng(s), (1, 2)) for s in seeds]
+
+    def test_returned_stack_outlives_the_next_call(self):
+        x, y = self.data()
+        rows = [np.arange(0, 30), np.arange(30, 60)]
+        first = nn.train_local(self.models((1, 2)), x, y, self.CFG, LossSpec(),
+                               [np.random.default_rng(s) for s in (3, 4)], rows)
+        kept = first.vector.copy()
+        nn.train_local(self.models((5, 6)), x, y, self.CFG, LossSpec(),
+                       [np.random.default_rng(s) for s in (7, 8)], rows)
+        assert np.array_equal(first.vector, kept)
+
+    def test_growing_capacity_keeps_each_client_bitwise(self):
+        # K = 3, then 1, then 5 on one layout: the buffers grow twice and
+        # momentum starts at zero in every call.
+        x, y = self.data()
+        for k in (3, 1, 5):
+            rows = [np.arange(c, 60, k)[:60 // 5] for c in range(k)]
+            models = self.models(range(10 * k, 11 * k))
+            stack = nn.train_local(models, x, y, self.CFG, LossSpec(distill_weight=0.3),
+                                   [np.random.default_rng(100 + c) for c in range(k)], rows)
+            for c, model in enumerate(models):
+                alone = reference_train_local(model, x[rows[c]], y[rows[c]], self.CFG, LossSpec(distill_weight=0.3),
+                                              np.random.default_rng(100 + c))
+                assert stack.vector[c].tobytes() == alone.vector.tobytes(), (k, c)
+
+    def test_nested_moves_of_the_outer_layout_do_not_alias_it(self):
+        # A full-width FjORD move has the training stack's own (spec, heads):
+        # its walks of one and of two member rows must not write the rows
+        # being trained.
+        x, y = self.data()
+        models = self.models((1, 2, 3))
+        rows = [np.arange(c, 60, 3) for c in range(3)]
+        everything = np.arange(nn.param_layout(self.SPEC, (1, 2)).size)
+        split = [nn.Move(everything, (self.SPEC, (1, 2)), np.array([0])),
+                 nn.Move(everything, (self.SPEC, (1, 2)), np.array([1, 2]))]
+
+        def train(moves):
+            return nn.train_local(models, x, y, self.CFG, LossSpec(),
+                                  [np.random.default_rng(s) for s in (4, 5, 6)], rows, moves)
+
+        nested = train(lambda pass_index, steps: [split] * steps)
+        assert nested.vector.tobytes() == train(None).vector.tobytes()
+
+    def test_forward_and_predict_copy_the_model_in(self):
+        x, _ = self.data()
+        for model in self.models((1, 2, 1)):
+            own = nn.ModelStack(model.spec, model.head_blocks, model.vector[None])
+            want = nn._run_forward(own, x)["logits"][2]
+            assert nn.forward(model, x).logits[2].tobytes() == want.tobytes()
+            assert np.array_equal(nn.predict(model, x), want.argmax(axis=1))
 
 
 class TestTargets:

@@ -169,6 +169,26 @@ class TestConsensus:
         with pytest.raises(ValueError):
             consensus_logits([])
 
+    def test_weights_are_the_max_softmax_bits(self):
+        # The weight is 1 / sum(exp(z - max z)); written with the softmax it
+        # must give the same bits, on random, tied and rounded logits.
+        def reference(logit_sets):
+            num, den = np.zeros(logit_sets[0].shape), np.zeros(logit_sets[0].shape[0])
+            for logits in logit_sets:
+                w = nn.softmax(logits).max(axis=1)
+                num += w[:, None] * logits
+                den += w
+            return num / den[:, None]
+
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            sets = [rng.normal(scale=3.0, size=(200, 5)) for _ in range(3)]
+            if trial % 3 == 1:
+                sets = [np.round(z) for z in sets]  # many ties
+            elif trial % 3 == 2:
+                sets[0][:, 1:] = sets[0][:, :1]     # every entry tied
+            assert consensus_logits(sets).tobytes() == reference(sets).tobytes(), trial
+
 
 class TestCommonRoundBehaviour:
     @pytest.mark.parametrize("strategy_id,level", [
@@ -698,7 +718,9 @@ class TestReferenceLoops:
         strategy = make_strategy("fedepth", ctx)
         self.assert_rounds_match(strategy, fedepth_reference_client, ([0, 1, 2, 3], [0, 1, 3]))
 
-    @pytest.mark.parametrize("fixed_p", [None, 0.5])
+    # At fixed_p = 1.0 every nested move of a full-width client is the
+    # global model's own (spec, heads).
+    @pytest.mark.parametrize("fixed_p", [None, 0.5, 1.0])
     def test_fjord_matches_per_step_region_loop(self, fixed_p):
         ctx = make_ctx("fjord", "width", alternating, fed=FederationConfig(fjord_fixed_p=fixed_p))
         ctx.sgd = self.SGD
