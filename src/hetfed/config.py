@@ -367,6 +367,8 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
 
     if resolved["eval.cadence"] < 1:
         raise ConfigError("eval.cadence: must be >= 1")
+    if not 0.0 < resolved["eval.tta_threshold"] <= 1.0:
+        raise ConfigError(f"eval.tta_threshold: must lie in (0, 1], got {resolved['eval.tta_threshold']}")
 
     multipliers = {sid: resolved[f"resource.kappa_{sid}"] for sid in DEFAULT_MEMORY_MULTIPLIERS}
     baseline = [BASELINE_ID] if resolved["include_baseline"] and BASELINE_ID not in strategies else []

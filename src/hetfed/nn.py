@@ -28,9 +28,10 @@ its own neck copy so every head sees a proto_dim-wide input regardless of
 where it attaches.
 
 The forward, loss and backward walk runs on a `ModelStack`: K models of
-one (spec, heads) as the rows of one (K, size) array. The stack's rank
-picks the matmul once: at K >= 2 every operand has a leading client axis
-and the walk calls `np.matmul`; a stack of one runs on plain 2-D operands
+one (spec, heads) as the rows of one (K, size) array, with a gradient
+buffer of the same shape. The stack's rank picks the matmul once: at
+K >= 2 every operand has a leading client axis and the walk calls
+`np.matmul`; a stack of one runs on plain 2-D operands
 and calls `ndarray.dot` (`np.dot` without its dispatch), which costs less
 per call. The walk is written once for both ranks (`swapaxes(-1, -2)`,
 `np.add.reduce(..., -2)` into views cached once per stack with each
@@ -51,19 +52,21 @@ the mask is NaN, so the NaN reaches the gradient (as it does through the
 logits) and training ends in non-finite parameters.
 
 Training is minibatch momentum-SGD on the flat vectors; `sgd_update` is the
-only place the update is written. A stack is the one operand of `backward`
-and `train_local`: `train_local` trains K clients (one alone is a stack of
-one) in lockstep, each with its own rows, batch shuffles and rng, and a
-per-pass plan of `Move`s can restrict each step to part of each vector.
+only place the update is written. A stack is the one operand of
+`backward`. `train_local` takes K models and returns the K trained models:
+it trains them as one stack (one alone is a stack of one) in lockstep,
+each with its own rows, batch shuffles and rng, and a per-pass plan of
+`Move`s can restrict each step to part of each vector.
 `backward` computes the gradients only; nothing in the engine reads a loss
 value. One model's gradient and loss value live in `tests/oracles.py`.
 
 Stacks are reused, not rebuilt per call. The module keeps one workspace
 per (spec, heads) and role: (K, size) vector and grad buffers, plus
 momentum for training, grown to the largest K asked for, and one
-`ModelStack` per K over their first K rows, whose views are built once.
-`train_local` copies its K starting vectors into the training workspace,
-zeroes the momentum, trains those rows in place and returns a copy of
+`ModelStack` per K over their first K rows; a stack builds its views in
+its constructor, so each is built once. `train_local` copies its K
+starting vectors into the training workspace, zeroes the momentum, trains
+those rows in place and returns one model per row of a single copy of
 them, so no returned model aliases a workspace. The other role, the walk
 workspace, is written just before each walk reads it and keeps nothing
 between calls: FjORD's nested walks use it, so a full-width nested move
@@ -277,31 +280,24 @@ def _stack_views(array: np.ndarray, layout: ParamLayout, bias_rows: bool) -> dic
 
 
 class ModelStack:
-    """K models of one (spec, heads) as the rows of one (K, size) array, so
-    that K clients take each training step as one walk.
+    """K models of one (spec, heads) as the rows of one (K, size) array, with
+    a (K, size) ``grad`` buffer: the operand of the forward and backward
+    walk, so that K clients take each training step as one walk.
 
     ``params`` maps each key to its view over all K rows, shaped for the
     walk: weights (K, in, out) and biases (K, 1, out), which broadcast over a
-    client's batch rows. With a (K, size) ``grad`` buffer, ``grads`` maps
-    each key to its view of it: weights (K, in, out), biases (K, out), and
-    ``weights_t`` maps each weight key to the transposed view of its
-    ``params`` entry, which the backward multiplies by. A stack of one holds
-    the 2-D views of its row instead: weights (in, out), biases (out,). The
-    views are built once per stack, on their first read, so a stack read
-    only through ``vector``, ``layout`` and `models` builds none. ``matmul``
-    is the walk's product for this rank: `ndarray.dot` for a stack of one,
-    `np.matmul` for K >= 2.
+    client's batch rows. ``grads`` maps each key to its view of ``grad``:
+    weights (K, in, out), biases (K, out), and ``weights_t`` maps each weight
+    key to the transposed view of its ``params`` entry, which the backward
+    multiplies by. A stack of one holds the 2-D views of its row instead:
+    weights (in, out), biases (out,). The constructor builds every view.
+    ``matmul`` is the walk's product for this rank: `ndarray.dot` for a
+    stack of one, `np.matmul` for K >= 2.
     """
 
     __slots__ = ("spec", "head_blocks", "layout", "vector", "params", "grad", "grads", "weights_t", "matmul")
 
-    def __init__(
-        self,
-        spec: BlockNetSpec,
-        head_blocks: tuple[int, ...],
-        vector: np.ndarray,
-        grad: np.ndarray | None = None,
-    ):
+    def __init__(self, spec: BlockNetSpec, head_blocks: tuple[int, ...], vector: np.ndarray, grad: np.ndarray):
         layout = param_layout(spec, head_blocks)
         if vector.ndim != 2 or vector.shape[1] != layout.size:
             raise ShapeError(f"stacked vectors of shape {vector.shape} do not fit the spec and heads")
@@ -311,30 +307,15 @@ class ModelStack:
         self.vector = vector
         self.grad = grad
         self.matmul = np.ndarray.dot if vector.shape[0] == 1 else np.matmul
-
-    def __getattr__(self, name: str):
-        # Called only for an unset slot: the views, before their first read.
-        # Once set, the walk reads them as plain slots.
-        if name not in ("params", "grads", "weights_t"):
-            raise AttributeError(name)
-        layout = self.layout
-        self.params = _stack_views(self.vector, layout, bias_rows=True)
-        self.grads = self.weights_t = None
-        if self.grad is not None:
-            self.grads = _stack_views(self.grad, layout, bias_rows=False)
-            self.weights_t = {
-                key: self.params[key].swapaxes(-1, -2)
-                for key, (_, _, shape) in layout.slots.items() if len(shape) == 2
-            }
-        return getattr(self, name)
+        self.params = params = _stack_views(vector, layout, bias_rows=True)
+        self.grads = _stack_views(grad, layout, bias_rows=False)
+        self.weights_t = {
+            key: params[key].swapaxes(-1, -2) for key, (_, _, shape) in layout.slots.items() if len(shape) == 2
+        }
 
     @property
     def final_head(self) -> int:
         return self.head_blocks[-1]
-
-    def models(self) -> list[BlockNetModel]:
-        """One model per row, each wrapping its row of the stacked vectors."""
-        return [BlockNetModel(self.spec, self.head_blocks, row) for row in self.vector]
 
 
 # The roles of a workspace (see the module docstring): the rows a
@@ -719,10 +700,10 @@ def train_local(
     rngs: Sequence[np.random.Generator],
     rows: Sequence[np.ndarray] | None = None,
     moves: Callable[[int, int], Sequence[Sequence[Move]]] | None = None,
-) -> ModelStack:
+) -> list[BlockNetModel]:
     """Run `local_epochs` passes of minibatch momentum-SGD on K models of
-    one (spec, heads) in lockstep, one rng each; returns the trained copies
-    as a `ModelStack` that owns its vectors.
+    one (spec, heads) in lockstep, one rng each; returns the K trained
+    models, in input order.
 
     `targets` holds one label or one class distribution per row of
     `features` (see `backward`). Client k trains on rows `rows[k]` of both
@@ -741,7 +722,7 @@ def train_local(
     the module's `backward`.
 
     The K rows train in place in the layout's training workspace (see the
-    module docstring); the returned stack is a copy of them.
+    module docstring); the returned models are the rows of one copy of them.
     """
     first = models[0]
     k = len(models)
@@ -790,7 +771,7 @@ def train_local(
                 np.take(stack.vector[move.members], move.index, axis=1, out=sub.vector)
                 backward(sub, batch, y, loss)
                 sgd_update(stack.vector, momentum, sub.grad, config, (move.members[:, None], move.index))
-    return ModelStack(first.spec, first.head_blocks, stack.vector.copy())
+    return [BlockNetModel(first.spec, first.head_blocks, row) for row in stack.vector.copy()]
 
 
 def predict(model: BlockNetModel, features: np.ndarray) -> np.ndarray:

@@ -316,6 +316,9 @@ def build_pool(
     Every pool rule is checked here or in the calls it makes; each
     message names the config key at fault."""
     check_strategy(strategy, level)
+    for sid, kappa in (multipliers or {}).items():  # every strategy's, listed or not
+        if kappa <= 0:
+            raise ValueError(f"resource.kappa_{sid}: must be > 0, got {kappa}")
     specs = ladder(model_spec, level, pool_cfg)
 
     def make(spec: BlockNetSpec, heads: tuple[int, ...], vid: str, kind: str,

@@ -42,8 +42,8 @@ variant's evaluation sub-model once per (state, eval round) and hands that
 one object to every client of the variant; FedRolex's window moves with
 the round, so its sub-models are extracted afresh each eval round.
 
-Every `train_local` call goes through `Strategy._train`, which checks the
-trained vectors finite, as is every aggregate (the normalized global
+Every `train_local` call goes through `Strategy._train`, which checks
+each trained model finite, as is every aggregate (the normalized global
 model, FedProto's prototypes); a non-finite value raises `DivergenceError`
 naming the strategy, the round, the owner and the parameter.
 
@@ -81,11 +81,11 @@ from .extract import (
 from .nn import (
     BlockNetModel,
     LossSpec,
-    ModelStack,
     Move,
     SGDConfig,
     forward,
     init_model,
+    param_layout,
     segment_slice,
     softmax,
     train_local,
@@ -297,13 +297,15 @@ class Strategy:
         client = self.ctx.clients[client_id]
         return client.variant.variant_id, client.num_samples
 
-    def _train(self, owners: list[str], round_index: int, *args) -> ModelStack:
-        """`nn.train_local(*args)` with the trained vectors checked finite
-        and made read-only; `owners` names the owner of each row."""
-        stack = train_local(*args)
-        self._check_finite(stack.vector, owners, round_index, stack.layout.key_at)
-        stack.vector.setflags(write=False)
-        return stack
+    def _train(self, owners: list[str], round_index: int, *args) -> list[BlockNetModel]:
+        """`nn.train_local(*args)` with each trained model checked finite
+        and made read-only; `owners` names the owner of each model."""
+        models = train_local(*args)
+        key_at = param_layout(models[0].spec, models[0].head_blocks).key_at
+        for owner, model in zip(owners, models):
+            self._check_finite(model.vector, owner, round_index, key_at)
+            _frozen(model)
+        return models
 
     def _train_clients(
         self,
@@ -314,7 +316,7 @@ class Strategy:
         config: SGDConfig | None = None,
         moves: Callable[[int, int], list[list[Move]]] | None = None,
         teacher: np.ndarray | None = None,
-    ) -> ModelStack:
+    ) -> list[BlockNetModel]:
         """Train one lockstep group of clients on their own data and labels,
         or, given a `teacher` distribution per public row, on the whole
         public split against it."""
@@ -330,17 +332,14 @@ class Strategy:
             [ctx.client_rng(cid, round_index, lane) for cid in client_ids], rows, moves,
         )
 
-    def _check_finite(
-        self, values: np.ndarray, owners: list[str], round_index: int, name: Callable[[int], str]
-    ) -> None:
-        """Raise DivergenceError naming the owner of the first row of the
-        2-D `values` with a non-finite entry, and `name(column)` of that
-        entry."""
+    def _check_finite(self, values: np.ndarray, owner: str, round_index: int, name: Callable[[int], str]) -> None:
+        """Raise DivergenceError naming `owner` and `name(index)` of the
+        first non-finite entry of `values`, by flat index."""
         if np.isfinite(values).all():
             return
-        row, col = np.argwhere(~np.isfinite(values))[0]
+        index = np.flatnonzero(~np.isfinite(values))[0]
         raise DivergenceError(
-            f"{self.id}: round {round_index}: {owners[row]} diverged; parameter {name(col)} is not finite"
+            f"{self.id}: round {round_index}: {owner} diverged; parameter {name(index)} is not finite"
         )
 
 
@@ -374,8 +373,8 @@ class _PartialAveragingStrategy(Strategy):
         group's sub-model is extracted once and every client of the group
         trains from it in lockstep."""
         sub, smap = self._extract(global_model, self.ctx.clients[client_ids[0]], round_index)
-        stack = self._train_clients([sub] * len(client_ids), client_ids, round_index, self._client_loss())
-        return [(trained, smap) for trained in stack.models()]
+        trained = self._train_clients([sub] * len(client_ids), client_ids, round_index, self._client_loss())
+        return [(model, smap) for model in trained]
 
     def run_round(self, state: BlockNetModel, sampled: list[int], round_index: int):
         ordered = self._ordered(sampled)
@@ -390,7 +389,7 @@ class _PartialAveragingStrategy(Strategy):
             uploads[cid] = smap.index.size
         new_global = normalize(acc, state)
         # A weighted mean of finite uploads can still overflow.
-        self._check_finite(new_global.vector[None], ["the aggregate"], round_index, acc.layout.key_at)
+        self._check_finite(new_global.vector, "the aggregate", round_index, acc.layout.key_at)
         return _frozen(new_global), uploads
 
     def evaluate_global(self, state, features, labels):
@@ -488,11 +487,11 @@ class Fjord(SHeteroFL):
             return plan
 
         loss = self._client_loss()
-        stack = self._train_clients([global_model] * len(client_ids), client_ids, round_index, loss, moves=moves)
+        trained = self._train_clients([global_model] * len(client_ids), client_ids, round_index, loss, moves=moves)
         uploads = []
-        for row, k in zip(stack.vector, own):
+        for model, k in zip(trained, own):
             smap = prefix(k)
-            uploads.append((BlockNetModel(smap.spec, smap.head_set, row.take(smap.index)), smap))
+            uploads.append((BlockNetModel(smap.spec, smap.head_set, model.vector.take(smap.index)), smap))
         return uploads
 
 
@@ -556,12 +555,12 @@ class FeDepth(FedAvg):
         # frozen.
         parts = [[Move(segment_slice(global_model.spec, global_model.head_blocks, seg))] for seg in segments]
         config = replace(self.ctx.sgd, local_epochs=len(segments) * epochs)
-        stack = self._train_clients(
+        trained = self._train_clients(
             [global_model] * len(client_ids), client_ids, round_index, self._client_loss(),
             config, lambda pass_index, steps: [parts[pass_index // epochs]] * steps,
         )
         smap = full_map(global_model)
-        return [(trained, smap) for trained in stack.models()]
+        return [(model, smap) for model in trained]
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +590,7 @@ class _PrivateModelStrategy(Strategy):
         models = dict(models)
         for _, cids in lockstep_groups(ordered, key):
             group = [models[cid] for cid in cids]
-            stack = self._train_clients(group, cids, round_index, loss, config, teacher=teacher)
-            models.update(zip(cids, stack.models()))
+            models.update(zip(cids, self._train_clients(group, cids, round_index, loss, config, teacher=teacher)))
         return models
 
     def client_eval_model(self, state, client_id, round_index):
@@ -636,8 +634,7 @@ class FedProto(_PrivateModelStrategy):
         }
         agg_vec, agg_support = aggregate_prototypes(list(protos.values()))
         dim = agg_vec.shape[1]
-        self._check_finite(agg_vec.reshape(1, -1), ["the aggregate"], round_index,
-                           lambda col: f"prototype[{col // dim}]")
+        self._check_finite(agg_vec, "the aggregate", round_index, lambda index: f"prototype[{index // dim}]")
         fresh = agg_support > 0
         vectors = np.where(fresh[:, None], agg_vec, state.proto_vectors)
         mask = state.proto_mask | fresh
@@ -679,10 +676,10 @@ class FedET(_PrivateModelStrategy):
         logit_sets = [forward(models[cid], public).logits[models[cid].final_head] for cid in ordered]
         consensus = consensus_logits(logit_sets)
         server_cfg = replace(self.ctx.sgd, local_epochs=self.ctx.fed.fedet_server_epochs)
-        server = self._train(
+        [server] = self._train(
             ["the server model"], round_index, [state.server_model], public, softmax(consensus), server_cfg,
             LossSpec(), [self.ctx.server_rng(round_index)],
-        ).models()[0]
+        )
 
         teacher = softmax(forward(server, public).logits[server.final_head])
         client_cfg = replace(self.ctx.sgd, local_epochs=self.ctx.fed.fedet_client_epochs)

@@ -36,8 +36,8 @@ from hetfed.nn import (
     ModelStack,
     ParamViews,
     SGDConfig,
-    _run_forward,
     backward,
+    forward,
     param_layout,
 )
 from hetfed.resources import estimate_flops, fedepth_segments
@@ -448,9 +448,9 @@ def loss_value(
     batch rows: cross-entropy against the targets (labels [n] or class
     distributions [n, c]) on every head, pairwise KL between the heads and
     the masked prototype pull on the deepest neck."""
-    cache = _run_forward(ModelStack(model.spec, model.head_blocks, model.vector[None]), batch)
+    result = forward(model, batch)
     heads = model.head_blocks
-    logps = {j: log_softmax(cache["logits"][j]) for j in heads}
+    logps = {j: log_softmax(result.logits[j]) for j in heads}
     value = 0.0
     for j in heads:
         if targets.ndim == 1:
@@ -464,7 +464,7 @@ def loss_value(
                 if i != j:
                     value += loss.distill_weight * (ps[i] * (logps[i] - logps[j])).sum(axis=-1).mean()
     if loss.proto_weight != 0.0:
-        diff = cache["neck"][model.final_head] - loss.proto_targets[targets]
+        diff = result.embedding - loss.proto_targets[targets]
         sq = (diff * diff).sum(axis=-1)
         if loss.proto_mask is not None:
             sq = loss.proto_mask[targets] * sq

@@ -73,6 +73,11 @@ LOAD_ERRORS = [
     ("data.test_fraction = 0.001",
      "data.n: the data has 80 rows, which split into 0 test, 0 public and 80 train rows; "
      "at least 1 test row and 4 train rows (one per client) are needed"),
+    # A multiplier of a strategy the config does not list is checked too.
+    ("resource.kappa_fedrolex = -2.0", "resource.kappa_fedrolex: must be > 0, got -2.0"),
+    ("resource.kappa_depthfl = 0", "resource.kappa_depthfl: must be > 0, got 0.0"),
+    ("eval.tta_threshold = 7.5", "eval.tta_threshold: must lie in (0, 1], got 7.5"),
+    ("eval.tta_threshold = 0", "eval.tta_threshold: must lie in (0, 1], got 0.0"),
 ]
 
 NON_FINITE_ERRORS = [
@@ -420,9 +425,9 @@ class TestRunner:
                 assert sum(count for _, count in scored[start:start + clients + 1]) == len(distinct)
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "pool", "partition"])
-@pytest.mark.parametrize("extra,message", DATA_RULE_ERRORS)
-def test_data_rule_stops_every_command_at_load(tmp_path, capsys, command, extra, message):
+def assert_command_stops_at_load(tmp_path, capsys, command, extra, message):
+    """`command` on SMALL with `extra`'s keys replaced exits 2 with `message`
+    on stderr alone and leaves no output directory."""
     keys = set(parse_config_text(extra))
     kept = [line for line in SMALL.splitlines() if line.partition("=")[0].strip() not in keys]
     path = tmp_path / "bad.cfg"
@@ -437,6 +442,18 @@ def test_data_rule_stops_every_command_at_load(tmp_path, capsys, command, extra,
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "pool", "partition"])
+@pytest.mark.parametrize("extra,message", DATA_RULE_ERRORS)
+def test_data_rule_stops_every_command_at_load(tmp_path, capsys, command, extra, message):
+    assert_command_stops_at_load(tmp_path, capsys, command, extra, message)
+
+
+@pytest.mark.parametrize("command", ["run", "pool"])
+@pytest.mark.parametrize("extra,message", ALGO_KNOB_ERRORS + NON_FINITE_ERRORS + LOAD_ERRORS)
+def test_value_a_run_cannot_use_stops_run_and_pool_at_load(tmp_path, capsys, command, extra, message):
+    assert_command_stops_at_load(tmp_path, capsys, command, extra, message)
 
 
 class TestSweep:

@@ -334,7 +334,7 @@ class TestTraining:
 
         def run():
             model = nn.init_model(spec, np.random.default_rng(123), (spec.num_blocks,))
-            return nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(7)]).models()[0]
+            return nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(7)])[0]
 
         a, b = run(), run()
         for k in a.params:
@@ -348,7 +348,7 @@ class TestTraining:
         model = nn.init_model(small_spec(), rng, (1,))
         before = loss_value(model, x, y, LossSpec())
         cfg = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=10)  # 50 steps
-        trained = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)]).models()[0]
+        [trained] = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)])
         after = loss_value(trained, x, y, LossSpec())
         assert after < before
 
@@ -365,9 +365,9 @@ class TestTraining:
         soft = nn.softmax(rng.normal(size=(30, 3)))
         loss = LossSpec(distill_weight=0.3)
         for targets in (y, soft):
-            flat = nn.train_local([model], x, targets, cfg, loss, [np.random.default_rng(4)])
+            [flat] = nn.train_local([model], x, targets, cfg, loss, [np.random.default_rng(4)])
             per_key = reference_train_local(model, x, targets, cfg, loss, np.random.default_rng(4))
-            assert np.array_equal(flat.vector[0], per_key.vector)
+            assert np.array_equal(flat.vector, per_key.vector)
 
     def test_params_are_read_only_views_of_the_vector(self):
         model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
@@ -484,13 +484,14 @@ class TestLockstep:
         models = [nn.init_model(spec, np.random.default_rng(s), (spec.num_blocks,)) for s in range(3)]
         cfg = SGDConfig(learning_rate=0.05, batch_size=6, local_epochs=2, momentum=0.5)
         for targets in (y, soft):  # one label or one distribution per row of x
-            stack = nn.train_local(models, x, targets, cfg, LossSpec(),
-                                   [np.random.default_rng(s) for s in (4, 5, 6)], rows)
+            trained = nn.train_local(models, x, targets, cfg, LossSpec(),
+                                     [np.random.default_rng(s) for s in (4, 5, 6)], rows)
+            assert len(trained) == len(models)
             for c, model in enumerate(models):
-                alone = nn.train_local([model], x[rows[c]], targets[rows[c]], cfg, LossSpec(),
-                                       [np.random.default_rng(4 + c)])
-                assert np.array_equal(stack.vector[c], alone.vector[0])
-                assert np.array_equal(stack.models()[c].vector, alone.vector[0])
+                [alone] = nn.train_local([model], x[rows[c]], targets[rows[c]], cfg, LossSpec(),
+                                         [np.random.default_rng(4 + c)])
+                assert (trained[c].spec, trained[c].head_blocks) == (spec, model.head_blocks)
+                assert np.array_equal(trained[c].vector, alone.vector)
 
     @pytest.mark.parametrize("kind", ["plain", "bottleneck"])
     def test_stack_views_write_into_the_stacked_arrays(self, kind):
@@ -547,8 +548,8 @@ class TestLockstep:
                 return [[nn.Move()]] * steps
             return moves
 
-        covered = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(2)], moves=plan(3))
-        default = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(2)])
+        [covered] = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(2)], moves=plan(3))
+        [default] = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(2)])
         assert asked == [(0, math.ceil(10 / 4)), (1, math.ceil(10 / 4))]
         assert np.array_equal(covered.vector, default.vector)
         for steps in (2, 4):
@@ -610,15 +611,18 @@ class TestWorkspaces:
     def models(self, seeds):
         return [nn.init_model(self.SPEC, np.random.default_rng(s), (1, 2)) for s in seeds]
 
-    def test_returned_stack_outlives_the_next_call(self):
+    def test_returned_models_outlive_the_next_call(self):
+        # A later call on the same layout and K trains in the same
+        # workspace rows; the models the first call returned must not move.
         x, y = self.data()
         rows = [np.arange(0, 30), np.arange(30, 60)]
         first = nn.train_local(self.models((1, 2)), x, y, self.CFG, LossSpec(),
                                [np.random.default_rng(s) for s in (3, 4)], rows)
-        kept = first.vector.copy()
+        kept = [model.vector.copy() for model in first]
         nn.train_local(self.models((5, 6)), x, y, self.CFG, LossSpec(),
                        [np.random.default_rng(s) for s in (7, 8)], rows)
-        assert np.array_equal(first.vector, kept)
+        for model, vector in zip(first, kept):
+            assert np.array_equal(model.vector, vector)
 
     def test_growing_capacity_keeps_each_client_bitwise(self):
         # K = 3, then 1, then 5 on one layout: the buffers grow twice and
@@ -627,12 +631,12 @@ class TestWorkspaces:
         for k in (3, 1, 5):
             rows = [np.arange(c, 60, k)[:60 // 5] for c in range(k)]
             models = self.models(range(10 * k, 11 * k))
-            stack = nn.train_local(models, x, y, self.CFG, LossSpec(distill_weight=0.3),
-                                   [np.random.default_rng(100 + c) for c in range(k)], rows)
+            trained = nn.train_local(models, x, y, self.CFG, LossSpec(distill_weight=0.3),
+                                     [np.random.default_rng(100 + c) for c in range(k)], rows)
             for c, model in enumerate(models):
                 alone = reference_train_local(model, x[rows[c]], y[rows[c]], self.CFG, LossSpec(distill_weight=0.3),
                                               np.random.default_rng(100 + c))
-                assert stack.vector[c].tobytes() == alone.vector.tobytes(), (k, c)
+                assert trained[c].vector.tobytes() == alone.vector.tobytes(), (k, c)
 
     def test_nested_moves_of_the_outer_layout_do_not_alias_it(self):
         # A full-width FjORD move has the training stack's own (spec, heads):
@@ -650,12 +654,12 @@ class TestWorkspaces:
                                   [np.random.default_rng(s) for s in (4, 5, 6)], rows, moves)
 
         nested = train(lambda pass_index, steps: [split] * steps)
-        assert nested.vector.tobytes() == train(None).vector.tobytes()
+        assert [m.vector.tobytes() for m in nested] == [m.vector.tobytes() for m in train(None)]
 
     def test_forward_and_predict_copy_the_model_in(self):
         x, _ = self.data()
         for model in self.models((1, 2, 1)):
-            own = nn.ModelStack(model.spec, model.head_blocks, model.vector[None])
+            own = nn.ModelStack(model.spec, model.head_blocks, model.vector[None], np.empty((1, model.vector.size)))
             want = nn._run_forward(own, x)["logits"][2]
             assert nn.forward(model, x).logits[2].tobytes() == want.tobytes()
             assert np.array_equal(nn.predict(model, x), want.argmax(axis=1))
