@@ -50,7 +50,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "num_rounds": ("int", 200),
     "repeats": ("int", 3),
     "master_seed": ("int", 0),
-    "workers": ("int", 1),  # validated, no effect yet: reserved for job-level processes
+    "workers": ("int", 1),  # validated and recorded in the manifest; nothing reads it
     "output_dir": ("str", "results"),
     "include_baseline": ("bool", True),
 
@@ -199,7 +199,6 @@ class ExperimentConfig:
     num_rounds: int
     repeats: int
     master_seed: int
-    workers: int
     output_dir: str
     include_baseline: bool
     model: BlockNetSpec
@@ -384,7 +383,6 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
         num_rounds=resolved["num_rounds"],
         repeats=resolved["repeats"],
         master_seed=resolved["master_seed"],
-        workers=resolved["workers"],
         output_dir=resolved["output_dir"],
         include_baseline=resolved["include_baseline"],
         model=spec,

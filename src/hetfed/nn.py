@@ -14,9 +14,9 @@ forward and backward passes walk the layout, and the cost-model counts
 
 A model is a spec, its heads and one contiguous float64 ``vector`` holding
 every parameter. ``model.params`` is a read-only mapping of named views into
-that vector in layout order: writing into a view writes the vector, and
-rebinding a name raises. Weight matrices use the ``x @ w + b`` layout
-(rows = inputs, columns = outputs).
+that vector in layout order, built on each access and cached nowhere:
+writing into a view writes the vector, and rebinding a name raises. Weight
+matrices use the ``x @ w + b`` layout (rows = inputs, columns = outputs).
 
 Parameter keys, in layout order:
     stem.w, stem.b
@@ -232,12 +232,13 @@ class ParamViews(dict):
 class BlockNetModel:
     """A spec, the heads attached to it, and the flat parameter vector
     (wrapped, not copied). Treated as immutable once returned by an engine
-    operation; training code works on private copies. A model with a
-    read-only vector cannot change, so `predict` may remember its
-    prediction (`_predicted`).
+    operation; training code works on private copies. ``params`` builds
+    its named views of the vector on each access; a caller that reads them
+    more than once keeps the mapping. A model with a read-only vector
+    cannot change, so `predict` may remember its prediction (`_predicted`).
     """
 
-    __slots__ = ("spec", "head_blocks", "vector", "_params", "_predicted")
+    __slots__ = ("spec", "head_blocks", "vector", "_predicted")
 
     def __init__(self, spec: BlockNetSpec, head_blocks: tuple[int, ...], vector: np.ndarray):
         if vector.shape != (param_layout(spec, head_blocks).size,):
@@ -245,15 +246,11 @@ class BlockNetModel:
         self.spec = spec
         self.head_blocks = head_blocks
         self.vector = vector
-        self._params = None
         self._predicted = None
 
     @property
     def params(self) -> ParamViews:
-        views = self._params
-        if views is None:
-            views = self._params = ParamViews(self.vector, param_layout(self.spec, self.head_blocks))
-        return views
+        return ParamViews(self.vector, param_layout(self.spec, self.head_blocks))
 
     @property
     def final_head(self) -> int:
@@ -746,7 +743,6 @@ def train_local(
     order = np.array([[rng.permutation(n) for _ in range(passes)] for rng in rngs], dtype=np.intp)
     if rows is not None:
         order = np.array(rows)[np.arange(k)[:, None, None], order]
-    nested_stacks: dict = {}
     for pass_index in range(passes):
         plan = [_EVERY] * len(starts) if moves is None else moves(pass_index, len(starts))
         if len(plan) != len(starts):
@@ -764,10 +760,7 @@ def train_local(
                     where = (slice(None), move.index)
                     sgd_update(stack.vector, momentum, stack.grad[where], config, where)
                     continue
-                key = (move.nested, len(move.members))
-                sub = nested_stacks.get(key)
-                if sub is None:
-                    sub = nested_stacks[key] = _workspace(*move.nested, _WALK).stack(len(move.members))
+                sub = _workspace(*move.nested, _WALK).stack(len(move.members))
                 np.take(stack.vector[move.members], move.index, axis=1, out=sub.vector)
                 backward(sub, batch, y, loss)
                 sgd_update(stack.vector, momentum, sub.grad, config, (move.members[:, None], move.index))

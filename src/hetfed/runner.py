@@ -77,26 +77,21 @@ def _build_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
 
 def _repeat_data(
     cfg: ExperimentConfig, repeat: int
-) -> tuple[int, Dataset, Dataset, Dataset, np.ndarray, list[np.ndarray]]:
-    """Seed, source dataset, train pool, test set, public features and
-    client partition of one repeat; every strategy of the repeat sees the
-    same data."""
+) -> tuple[int, Dataset, Dataset, np.ndarray, list[np.ndarray]]:
+    """Seed, train pool, test set, public features and client partition of
+    one repeat; every strategy of the repeat sees the same data."""
     seed_r = seeding.mix_seed(cfg.master_seed, seeding.TAG_REPEAT, repeat)
     dataset = _build_dataset(cfg, seeding.mix_seed(seed_r, seeding.TAG_DATA, 0))
     train, test, public = split_global(
         dataset, cfg.test_fraction, cfg.public_fraction, seeding.mix_seed(seed_r, seeding.TAG_DATA, 1)
     )
     parts = partition(train, replace(cfg.partition, seed=seeding.mix_seed(seed_r, seeding.TAG_PARTITION)))
-    return seed_r, dataset, train, test, public, parts
+    return seed_r, train, test, public, parts
 
 
 def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) -> RepeatOutcome:
     """One full federated run of one strategy under one repeat seed."""
-    # The source dataset stays referenced for the whole job. Freeing it
-    # here left glibc trimming and regrowing the heap around every
-    # evaluation forward pass: about 2M minor page faults in one 30 s
-    # depth_eval bench run, against 14k with it held.
-    seed_r, source, train, test, public, parts = _repeat_data(cfg, repeat)
+    seed_r, train, test, public, parts = _repeat_data(cfg, repeat)
     # Read-only test features let `nn.predict` score each read-only model
     # once, however many clients share it; `test` owns its rows.
     test.features.setflags(write=False)
@@ -373,7 +368,7 @@ def pool_csv(cfg: ExperimentConfig) -> str:
 
 def partition_csv(cfg: ExperimentConfig) -> str:
     """Per-client class counts for repeat 0, for eyeballing the partition."""
-    _, _, train, _, _, parts = _repeat_data(cfg, 0)
+    _, train, _, _, parts = _repeat_data(cfg, 0)
     classes = cfg.model.num_classes
     header = ["client_id", "n_samples", *(f"class_{c}" for c in range(classes))]
     rows = [

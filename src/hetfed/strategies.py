@@ -91,7 +91,7 @@ from .nn import (
     train_local,
 )
 from .metrics import model_accuracy
-from .resources import DeviceProfile, ModelPool, Variant, fedepth_segments, width_channels
+from .resources import DeviceProfile, InfeasibleScenarioError, ModelPool, Variant, fedepth_segments, width_channels
 
 
 @dataclass(frozen=True)
@@ -488,11 +488,8 @@ class Fjord(SHeteroFL):
 
         loss = self._client_loss()
         trained = self._train_clients([global_model] * len(client_ids), client_ids, round_index, loss, moves=moves)
-        uploads = []
-        for model, k in zip(trained, own):
-            smap = prefix(k)
-            uploads.append((BlockNetModel(smap.spec, smap.head_set, model.vector.take(smap.index)), smap))
-        return uploads
+        # The same cached map as `prefix(k)`: a client uploads its own width.
+        return [extract_channels(model, np.arange(k)) for model, k in zip(trained, own)]
 
 
 class InclusiveFL(_PartialAveragingStrategy):
@@ -539,13 +536,25 @@ class FeDepth(FedAvg):
 
     id = "fedepth"
 
+    def initial_state(self):
+        """Decides every client's segmentation, once per distinct memory
+        capacity, before round 1: a client that no segmentation fits raises
+        `InfeasibleScenarioError` naming it."""
+        largest, batch_size = self.ctx.pool.largest, self.ctx.sgd.batch_size
+        by_capacity: dict[float, tuple[tuple[int, ...], ...]] = {}
+        for client in self.ctx.clients:
+            capacity = client.profile.memory_capacity
+            if capacity not in by_capacity:
+                try:
+                    segments = fedepth_segments(largest.spec, largest.head_blocks, batch_size, capacity)
+                except InfeasibleScenarioError as exc:
+                    raise InfeasibleScenarioError(f"client {client.client_id}: fedepth: {exc}") from None
+                by_capacity[capacity] = tuple(map(tuple, segments))
+        self._segments = [by_capacity[c.profile.memory_capacity] for c in self.ctx.clients]
+        return super().initial_state()
+
     def _group_key(self, client_id):
-        largest = self.ctx.pool.largest
-        segments = fedepth_segments(
-            largest.spec, largest.head_blocks, self.ctx.sgd.batch_size,
-            self.ctx.clients[client_id].profile.memory_capacity,
-        )
-        return tuple(tuple(seg) for seg in segments), self.ctx.clients[client_id].num_samples
+        return self._segments[client_id], self.ctx.clients[client_id].num_samples
 
     def _train_group(self, global_model, key, client_ids, round_index):
         segments, _ = key

@@ -30,6 +30,33 @@ scenario.constraints = ["memory"]
 scenario.memory_tiers = [[1e9, 1.0]]
 """
 
+# FeDepth alone under tiers where half the clients pass assignment but fit
+# no segmentation.
+FEDEPTH_TIGHT = """
+strategies = ["fedepth"]
+level = depth
+include_baseline = false
+num_clients = 8
+sampling_fraction = 0.25
+num_rounds = {rounds}
+repeats = 1
+model.input_dim = 4
+model.hidden_dim = 8
+model.num_blocks = 3
+model.block_kind = skip
+model.num_classes = 3
+model.proto_dim = 4
+pool.depths = [3, 2, 1]
+data.n = 160
+data.noise = 0.4
+partition.mode = dirichlet
+sgd.batch_size = 8
+eval.cadence = 1
+scenario.constraints = ["memory"]
+scenario.memory_tiers = [[14000.0, 0.5], [3100.0, 0.5]]
+resource.kappa_fedepth = 0.3
+"""
+
 
 # Pools that loaded and then crashed `run` and `pool` with a traceback.
 # The first item says whether the config moves to fedproto at the
@@ -123,6 +150,21 @@ class TestRunCommand:
         bad.write_text(CONFIG.replace("[[1e9, 1.0]]", "[[10.0, 1.0]]"))
         out = tmp_path / "o"
         assert main(["run", str(bad), "--out", str(out)]) == EXIT_INFEASIBLE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rounds", [3, 6])
+    def test_fedepth_client_that_no_segmentation_fits_stops_before_round_1(self, tmp_path, capsys, rounds):
+        # Assignment prices the `full` variant at 3,036 B, so the 3,100 B
+        # tier passes it, but one block alone needs more than 4,000 B to
+        # train. Clients 3 and 5 get that tier and are first sampled in
+        # round 4; both round counts stop before round 1.
+        tight = tmp_path / "fedepth.cfg"
+        tight.write_text(FEDEPTH_TIGHT.format(rounds=rounds))
+        out = tmp_path / "o"
+        assert main(["run", str(tight), "--out", str(out)]) == EXIT_INFEASIBLE
+        assert capsys.readouterr() == (
+            "", "infeasible scenario: client 3: fedepth: even a single-block segment exceeds 3100 bytes of memory\n"
+        )
         assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path):

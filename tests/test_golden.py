@@ -32,7 +32,9 @@ def test_golden_outputs_are_unchanged(tmp_path, monkeypatch):
     # Each strategy's first assignment is its repeat 0's.
     assigned: dict[str, set[str]] = {}
     segmentations = set()
-    real_assign, real_segments = runner.assign_models, strategies.fedepth_segments
+    # One (job, memory capacity) entry per segmentation call.
+    jobs, segment_calls = [], []
+    real_assign, real_segments, real_job = runner.assign_models, strategies.fedepth_segments, runner.run_strategy_repeat
 
     def assign_models(pool, *args):
         variants = real_assign(pool, *args)
@@ -40,12 +42,18 @@ def test_golden_outputs_are_unchanged(tmp_path, monkeypatch):
         return variants
 
     def fedepth_segments(*args):
+        segment_calls.append((len(jobs), args[3]))
         segments = real_segments(*args)
         segmentations.add(tuple(map(tuple, segments)))
         return segments
 
+    def run_strategy_repeat(*args):
+        jobs.append(args[1:])
+        return real_job(*args)
+
     monkeypatch.setattr(runner, "assign_models", assign_models)
     monkeypatch.setattr(strategies, "fedepth_segments", fedepth_segments)
+    monkeypatch.setattr(runner, "run_strategy_repeat", run_strategy_repeat)
     workspaces = {}
     monkeypatch.setattr(nn, "_WORKSPACES", workspaces)
 
@@ -61,6 +69,8 @@ def test_golden_outputs_are_unchanged(tmp_path, monkeypatch):
     few = {sid: sorted(assigned[sid]) for sid in HETEROGENEOUS if len(assigned[sid]) < 2}
     assert not few, f"strategies with one variant on repeat 0: {few}"
     assert len(segmentations) >= 2, f"fedepth clients share one segmentation: {segmentations}"
+    # FeDepth decides each distinct capacity's segmentation once per job.
+    assert segment_calls and len(set(segment_calls)) == len(segment_calls), segment_calls
 
     # One buffer set per (spec, heads, role), grown to the largest K seen,
     # under every stack of that workspace; only training keeps momentum.
