@@ -27,7 +27,7 @@ from .runner import (
     run_experiment,
     sweep_experiment,
 )
-from .strategies import DivergenceError
+from .nn import DivergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -95,7 +95,10 @@ def select_channels(
 
 
 @lru_cache(maxsize=1024)
-def _width_map(spec: BlockNetSpec, head_blocks: tuple[int, ...], channels: tuple[int, ...]) -> SubModelMap:
+def channel_map(spec: BlockNetSpec, head_blocks: tuple[int, ...], channels: tuple[int, ...]) -> SubModelMap:
+    """The map of the sub-model that keeps the given hidden channels
+    (ascending ints) of a model of this spec and heads; compiled, and the
+    channels checked, once per (spec, heads, channel set)."""
     if spec.block_kind == "bottleneck":
         raise ValueError("width extraction is defined for plain/skip blocks only")
     kept = np.asarray(channels, dtype=int)
@@ -123,11 +126,9 @@ def extract_channels(model: BlockNetModel, channels: np.ndarray) -> tuple[BlockN
     """Slice the given hidden channels out of every layer.
 
     Defined for plain/skip blocks only; bottleneck factorizations have no
-    layer-wise channel slicing. The map is compiled (and the channels
-    checked) once per (spec, heads, channel set).
+    layer-wise channel slicing. The map is `channel_map`'s.
     """
-    channels = tuple(np.asarray(channels, dtype=int).tolist())
-    smap = _width_map(model.spec, model.head_blocks, channels)
+    smap = channel_map(model.spec, model.head_blocks, tuple(np.asarray(channels, dtype=int).tolist()))
     return _take(model, smap), smap
 
 

@@ -7,6 +7,7 @@ global test set so devices are compared on one yardstick.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +84,36 @@ def advance_clock(client_times: dict[int, tuple[float, float]]) -> tuple[float, 
     return duration, max_train, max_comm
 
 
-def model_accuracy(model: BlockNetModel, features: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of correct argmax predictions (ties to the lowest class)."""
-    correct = predict(model, features) == labels
-    return np.count_nonzero(correct) / correct.size
+# Accuracies of read-only predictions against read-only labels: id of the
+# prediction -> (weak reference to it, weak reference to the labels,
+# accuracy). The memo keeps no array alive; an entry whose prediction or
+# labels died no longer matches, even if a new array reuses the id. An
+# eval round shares a few distinct predictions among its clients, and a
+# full memo is emptied.
+_ACCURACIES: dict[int, tuple[weakref.ref, weakref.ref, float]] = {}
+_MAX_ACCURACIES = 8
+
+
+def model_accuracy(
+    model: BlockNetModel, features: np.ndarray, labels: np.ndarray, head: int | None = None
+) -> float:
+    """Fraction of correct argmax predictions of one head (default: the
+    deepest; ties to the lowest class). A read-only prediction (`predict`
+    remembers one per head of a read-only model) is compared once with
+    the same read-only `labels` object."""
+    predicted = predict(model, features, head)
+    frozen = not (predicted.flags.writeable or labels.flags.writeable)
+    if frozen:
+        memo = _ACCURACIES.get(id(predicted))
+        if memo is not None and memo[0]() is predicted and memo[1]() is labels:
+            return memo[2]
+    correct = predicted == labels
+    accuracy = np.count_nonzero(correct) / correct.size
+    if frozen:
+        if len(_ACCURACIES) >= _MAX_ACCURACIES:
+            _ACCURACIES.clear()
+        _ACCURACIES[id(predicted)] = (weakref.ref(predicted), weakref.ref(labels), accuracy)
+    return accuracy
 
 
 def time_to_accuracy(records: list[RoundRecord], threshold: float) -> float | None:

@@ -41,6 +41,12 @@ target per row: a label, [K*n], or a class distribution, [K*n, c]. At
 K >= 2 the walk views the batch as [K, n, d], and it takes every loss mean
 over each client's own n rows. A single model runs as a stack of one, so
 `forward` and `predict` run 2-D.
+Two walks share the layout. `backward`'s forward (`_run_forward`) keeps
+every activation for backprop. The read-only inference walk (`_walk`)
+behind `forward` and `predict` keeps only the live trunk activation,
+computes the heads it is asked for where they attach and stops at the
+deepest one; it runs the same products in the same order, so its logits
+and embedding have the training forward's bits.
 Stacked `np.matmul`, 2-D `ndarray.dot` and the axis reductions give the same
 bits on each client, so a client's result does not depend on what it is
 stacked with.
@@ -76,12 +82,16 @@ the oldest dropped first. The workspaces are shared by the whole process:
 the engine is not thread-safe, and a `moves` plan must not call
 `train_local`.
 
-`predict` remembers one prediction per model. When the model's vector and
-the features are both read-only, the argmax is stored on the model with
-the features object, and a later call on that same object (by identity)
-returns it without a forward. A writable model is never memoized. The
-memo is safe because every model a strategy keeps in its state is
-read-only, so it cannot change under its stored prediction.
+`predict` scores one head and remembers one walk per model. When the
+model's vector and the features are both read-only, one walk computes
+every head of the model and each head's argmax is stored on the model
+with the features object; a later call on that same object (by
+identity), for any head, returns it without a walk. So the clients
+scored on different heads of one model share one walk. A writable model
+is never memoized, and its walk stops at the asked head. The memo is
+safe because every model a strategy keeps in its state is read-only, so
+it cannot change under its stored predictions. Logits that are not all
+finite raise `DivergenceError` instead of an argmax.
 """
 
 from __future__ import annotations
@@ -100,6 +110,10 @@ BLOCK_KINDS = ("plain", "skip", "bottleneck")
 
 class ShapeError(ValueError):
     """A batch or gradient does not match the model's shapes."""
+
+
+class DivergenceError(ArithmeticError):
+    """Training or scoring produced a non-finite parameter or logit."""
 
 
 @dataclass(frozen=True)
@@ -235,7 +249,8 @@ class BlockNetModel:
     operation; training code works on private copies. ``params`` builds
     its named views of the vector on each access; a caller that reads them
     more than once keeps the mapping. A model with a read-only vector
-    cannot change, so `predict` may remember its prediction (`_predicted`).
+    cannot change, so `predict` may remember its per-head predictions
+    (`_predicted`).
     """
 
     __slots__ = ("spec", "head_blocks", "vector", "_predicted")
@@ -439,22 +454,17 @@ class ForwardResult:
     embedding: np.ndarray          # neck output of the deepest head, [n, proto_dim]
 
 
-def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...] | None = None) -> dict:
+def _run_forward(stack: ModelStack, batch: np.ndarray) -> dict:
     """Forward pass of K stacked models, keeping every intermediate needed
     for backprop.
 
     `batch` is [K*n, d]: the K clients' n rows each, concatenated; at
-    K >= 2 it is viewed as [K, n, d]. Computes the logits of `heads`
-    (default: every attached head). The cache holds the input ("x"), the
+    K >= 2 it is viewed as [K, n, d]. The cache holds the input ("x"), the
     trunk activation after the stem and after each block ("h"), each
-    block's post-ReLU output per linear ("acts"), and per computed head its
+    block's post-ReLU output per linear ("acts"), and per attached head its
     neck output and logits; at K >= 2 all with the leading client axis.
     """
-    k = stack.vector.shape[0]
-    d = stack.spec.input_dim
-    if batch.ndim != 2 or batch.shape[1] != d or batch.shape[0] % k:
-        raise ShapeError(f"batch must be [K*n, {d}] for K = {k} stacked models, got {batch.shape}")
-    x = batch if k == 1 else batch.reshape(k, -1, d)
+    x = _stacked_batch(stack, batch)
     p = stack.params
     layout = stack.layout
     mm = stack.matmul
@@ -474,7 +484,7 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...] | 
         trunk.append(h)
         acts.append(block_acts)
     necks, logits = {}, {}
-    for j in stack.head_blocks if heads is None else heads:
+    for j in stack.head_blocks:
         neck_w, neck_b, fc_w, fc_b = layout.heads[j]
         neck = necks[j] = mm(trunk[j], p[neck_w])
         neck += p[neck_b]
@@ -483,10 +493,51 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...] | 
     return {"x": x, "h": trunk, "acts": acts, "neck": necks, "logits": logits}
 
 
+def _stacked_batch(stack: ModelStack, batch: np.ndarray) -> np.ndarray:
+    """`batch` checked against the stack and viewed as [K, n, d] at K >= 2."""
+    k = stack.vector.shape[0]
+    d = stack.spec.input_dim
+    if batch.ndim != 2 or batch.shape[1] != d or batch.shape[0] % k:
+        raise ShapeError(f"batch must be [K*n, {d}] for K = {k} stacked models, got {batch.shape}")
+    return batch if k == 1 else batch.reshape(k, -1, d)
+
+
+def _walk(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...]) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Read-only inference walk of K stacked models: the logits of `heads`
+    (attached heads, ascending) and the neck output of the deepest one.
+
+    One trunk pass that keeps only the live activation, computes each head
+    where it attaches and stops at the deepest head asked for. It runs the
+    products of `_run_forward` in the same order, so every logit and neck
+    has the same bits.
+    """
+    x = _stacked_batch(stack, batch)
+    p = stack.params
+    layout = stack.layout
+    mm = stack.matmul
+    h = mm(x, p["stem.w"])
+    h += p["stem.b"]
+    logits = {}
+    for i in range(1, heads[-1] + 1):
+        a = h
+        for w, b in layout.blocks[i - 1]:
+            a = mm(a, p[w])
+            a += p[b]
+            np.maximum(a, 0.0, out=a)
+        h = a + h if layout.residual else a
+        if i in heads:
+            neck_w, neck_b, fc_w, fc_b = layout.heads[i]
+            neck = mm(h, p[neck_w])
+            neck += p[neck_b]
+            z = logits[i] = mm(neck, p[fc_w])
+            z += p[fc_b]
+    return logits, neck
+
+
 def forward(model: BlockNetModel, batch: np.ndarray) -> ForwardResult:
     """Per-head logits plus the deepest head's neck output (the embedding)."""
-    cache = _run_forward(_stack_of_one(model), batch)
-    return ForwardResult(logits=cache["logits"], embedding=cache["neck"][model.final_head])
+    logits, embedding = _walk(_stack_of_one(model), batch, model.head_blocks)
+    return ForwardResult(logits=logits, embedding=embedding)
 
 
 @dataclass(frozen=True)
@@ -767,21 +818,40 @@ def train_local(
     return [BlockNetModel(first.spec, first.head_blocks, row) for row in stack.vector.copy()]
 
 
-def predict(model: BlockNetModel, features: np.ndarray) -> np.ndarray:
-    """Argmax class of the deepest head; ties break toward the lower index.
+def predict(model: BlockNetModel, features: np.ndarray, head: int | None = None) -> np.ndarray:
+    """Argmax class of one attached head (default: the deepest); ties break
+    toward the lower index. Logits that are not all finite raise
+    `DivergenceError` naming the head: a NaN row would argmax to class 0.
 
-    Only the trunk and the deepest head are computed. When the model's
-    vector and `features` are both read-only, the result is read-only and
-    remembered on the model: a later call with the same `features` object
-    returns it without a forward.
+    The walk stops at the head. When the model's vector and `features` are
+    both read-only, one walk computes every head of the model, and each
+    head's result, read-only, is remembered on the model: a later call with
+    the same `features` object returns it without a walk.
     """
+    j = model.final_head if head is None else head
+    if j not in model.head_blocks:
+        raise ValueError(f"model has no head at block {j}; its heads are {model.head_blocks}")
     frozen = not (model.vector.flags.writeable or features.flags.writeable)
     memo = model._predicted
     if frozen and memo is not None and memo[0] is features:
-        return memo[1]
-    logits = _run_forward(_stack_of_one(model), features, (model.final_head,))["logits"][model.final_head]
-    labels = logits.argmax(axis=1)
+        labels = memo[1][j]
+    else:
+        logits, _ = _walk(_stack_of_one(model), features, model.head_blocks if frozen else (j,))
+        found = {i: _argmax(z, frozen) for i, z in logits.items()}
+        if frozen:
+            model._predicted = (features, found)
+        labels = found[j]
+    if labels is None:
+        raise DivergenceError(f"logits of head {j} are not finite")
+    return labels
+
+
+def _argmax(logits: np.ndarray, frozen: bool) -> np.ndarray | None:
+    """Each row's argmax class, read-only when `frozen`; None when a logit
+    is not finite."""
+    if not np.isfinite(logits).all():
+        return None
+    labels = logits.argmax(axis=-1)
     if frozen:
         labels.setflags(write=False)
-        model._predicted = (features, labels)
     return labels

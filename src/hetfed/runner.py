@@ -29,7 +29,8 @@ from .metrics import (
     records_csv,
 )
 from .resources import assign_models, estimate_times, payload_bytes, sample_profiles
-from .strategies import ClientState, FederationContext, make_strategy, sample_clients
+from .nn import DivergenceError
+from .strategies import ClientState, FederationContext, Strategy, make_strategy, sample_clients
 
 SWEEP_AXES = ("num_clients", "alpha", "scenario")
 
@@ -92,9 +93,11 @@ def _repeat_data(
 def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) -> RepeatOutcome:
     """One full federated run of one strategy under one repeat seed."""
     seed_r, train, test, public, parts = _repeat_data(cfg, repeat)
-    # Read-only test features let `nn.predict` score each read-only model
-    # once, however many clients share it; `test` owns its rows.
+    # Read-only test rows let `nn.predict` walk each read-only model once,
+    # and `model_accuracy` score each of its heads once, however many
+    # clients share it; `test` owns its rows.
     test.features.setflags(write=False)
+    test.labels.setflags(write=False)
     scenario = cfg.scenario
     profiles = sample_profiles(
         cfg.profiles, scenario, cfg.num_clients, seeding.mix_seed(seed_r, seeding.TAG_PROFILES)
@@ -147,25 +150,37 @@ def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) ->
         clock += duration
 
         if round_index % cfg.eval_cadence == 0 or round_index == cfg.num_rounds:
-            per_client = {
-                c.client_id: model_accuracy(
-                    strategy.client_eval_model(state, c.client_id, round_index),
-                    test.features,
-                    test.labels,
-                )
-                for c in clients
-            }
+            global_accuracy, per_client = _evaluate(strategy, state, round_index, test)
             records.append(
                 RoundRecord(
                     round=round_index,
                     sim_time_s=clock,
-                    global_accuracy=strategy.evaluate_global(state, test.features, test.labels),
+                    global_accuracy=global_accuracy,
                     per_client_accuracy=per_client,
                     max_train_s=max_train,
                     max_comm_s=max_comm,
                 )
             )
     return RepeatOutcome(repeat, seed_r, records)
+
+
+def _evaluate(strategy: Strategy, state, round_index: int, test: Dataset) -> tuple[float, dict[int, float]]:
+    """The global accuracy and every client's accuracy on the test set. A
+    non-finite logit raises `DivergenceError` naming the strategy, the
+    round and the scored model."""
+    targets = {
+        c.client_id: strategy.client_eval_model(state, c.client_id, round_index) for c in strategy.ctx.clients
+    }
+    scored = None  # the client being scored; None for the global model
+    try:
+        per_client = {}
+        for scored, (model, head) in targets.items():
+            per_client[scored] = model_accuracy(model, test.features, test.labels, head)
+        scored = None
+        return strategy.evaluate_global(state, test.features, test.labels), per_client
+    except DivergenceError as exc:
+        owner = "the global model" if scored is None else f"client {scored}"
+        raise DivergenceError(f"{strategy.id}: round {round_index}: scoring {owner}: {exc}") from None
 
 
 def _mean_or_none(values: list[float | None]) -> float | None:

@@ -9,8 +9,8 @@ Every strategy speaks one protocol of four hooks, deterministic given
   server round over the sampled clients; `uploads` maps each sampled
   client to the count of numbers it uploaded, which the runner prices with
   `resources.payload_bytes` and checks against the cost model;
-- `client_eval_model(state, client_id, round_index)`: the model a client
-  is scored on;
+- `client_eval_model(state, client_id, round_index)`: the `EvalTarget` a
+  client is scored on, a read-only model and one of its heads;
 - `evaluate_global(state, features, labels)`: the global accuracy.
 
 Two bases implement it. `_PartialAveragingStrategy` (the width and depth
@@ -37,10 +37,15 @@ drew the same width share one walk of that static prefix of the global
 model. A client's upload is its trained row taken through the prefix of
 its own width, which is also its scatter map.
 
-Evaluation follows the same rule: a width or depth strategy extracts each
-variant's evaluation sub-model once per (state, eval round) and hands that
-one object to every client of the variant; FedRolex's window moves with
-the round, so its sub-models are extracted afresh each eval round.
+Evaluation follows the same rule: every client of a variant gets one
+`EvalTarget` object per (state, eval round). A width strategy extracts
+the variant's sub-model for it; FedRolex's window moves with the round,
+so its sub-models are extracted afresh each eval round. A depth
+strategy's sub-models are block prefixes of the global model, so DepthFL
+and InclusiveFL extract nothing: a client of depth k is scored on the
+global state at head k, and one walk of the state (`nn.predict`) scores
+every variant and the global model. FeDepth, FedAvg and the private-model
+strategies score each client on a state model at its deepest head.
 
 Every `train_local` call goes through `Strategy._train`, which checks
 each trained model finite, as is every aggregate (the normalized global
@@ -50,9 +55,9 @@ naming the strategy, the round, the owner and the parameter.
 Every model a strategy keeps in its state is immutable: its vector is
 read-only from the moment it is made (`initial_state`, `_train`, the
 aggregate), so an in-place write raises `ValueError`. Training copies the
-vectors it starts from. This is what lets `nn.predict` score each
+vectors it starts from. This is what lets `nn.predict` walk each
 distinct model once on the shared test set: a state model cannot change
-under the prediction it remembers.
+under the predictions it remembers.
 
 Where the published descriptions of the cited methods include extras that
 do not change the resource trade-off being measured (InclusiveFL's momentum
@@ -64,12 +69,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import seeding
 from .extract import (
     SubModelMap,
+    channel_map,
     extract_channels,
     extract_depth,
     extract_width,
@@ -80,6 +87,7 @@ from .extract import (
 )
 from .nn import (
     BlockNetModel,
+    DivergenceError,
     LossSpec,
     Move,
     SGDConfig,
@@ -160,8 +168,12 @@ class FederationContext:
         return 1.0
 
 
-class DivergenceError(ArithmeticError):
-    """Local training produced a non-finite parameter."""
+class EvalTarget(NamedTuple):
+    """What a client is scored on: a read-only model and the head whose
+    argmax is the client's prediction."""
+
+    model: BlockNetModel
+    head: int
 
 
 def _frozen(model: BlockNetModel) -> BlockNetModel:
@@ -275,10 +287,11 @@ class Strategy:
         numbers it uploaded."""
         raise NotImplementedError
 
-    def client_eval_model(self, state, client_id: int, round_index: int) -> BlockNetModel:
+    def client_eval_model(self, state, client_id: int, round_index: int) -> EvalTarget:
         """The model a client is scored on, read-only like every state
-        model. Clients that get the same object are scored once on the
-        same read-only test features (`nn.predict` remembers it)."""
+        model, and the head it is scored at. Clients scored on one model
+        share one walk on the read-only test features: `nn.predict`
+        remembers every head's prediction."""
         raise NotImplementedError
 
     def evaluate_global(self, state, features: np.ndarray, labels: np.ndarray) -> float:
@@ -358,8 +371,8 @@ class _PartialAveragingStrategy(Strategy):
         """The sub-model a client trains and is evaluated on, and its map.
 
         Reads `client` only through `client.variant`, and the round only
-        where the sub-model moves with it (FedRolex's window):
-        `client_eval_model` shares one result among a variant's clients.
+        where the sub-model moves with it (FedRolex's window): a
+        variant's clients share one evaluation target.
         """
         raise NotImplementedError
 
@@ -395,23 +408,26 @@ class _PartialAveragingStrategy(Strategy):
     def evaluate_global(self, state, features, labels):
         return model_accuracy(state, features, labels)
 
-    # (state, round, variant id -> eval sub-model) of the last eval round.
-    _eval_models: tuple[object, int, dict[str, BlockNetModel]] | None = None
+    # (state, round, variant id -> target) of the last eval round.
+    _eval_targets: tuple[object, int, dict[str, EvalTarget]] | None = None
 
     def client_eval_model(self, state, client_id, round_index):
-        """The client's evaluation sub-model. `_extract` reads a client only
-        through its variant, so every client of a variant gets the same
-        object, extracted once per (state, eval round); it is shared, and
-        its vector is read-only."""
-        memo = self._eval_models
+        """`_extract` reads a client only through its variant, so every
+        client of a variant gets the same target, made once per (state,
+        eval round) by `_eval_target`."""
+        memo = self._eval_targets
         if memo is None or memo[0] is not state or memo[1] != round_index:
-            memo = self._eval_models = (state, round_index, {})
+            memo = self._eval_targets = (state, round_index, {})
         client = self.ctx.clients[client_id]
-        models = memo[2]
-        model = models.get(client.variant.variant_id)
-        if model is None:
-            model = models[client.variant.variant_id] = _frozen(self._extract(state, client, round_index)[0])
-        return model
+        target = memo[2].get(client.variant.variant_id)
+        if target is None:
+            target = memo[2][client.variant.variant_id] = self._eval_target(state, client, round_index)
+        return target
+
+    def _eval_target(self, state, client, round_index) -> EvalTarget:
+        """The variant's sub-model at its deepest head."""
+        sub = _frozen(self._extract(state, client, round_index)[0])
+        return EvalTarget(sub, sub.final_head)
 
 
 class SHeteroFL(_PartialAveragingStrategy):
@@ -453,13 +469,6 @@ class Fjord(SHeteroFL):
     def _train_group(self, global_model, key, client_ids, round_index):
         ctx = self.ctx
         own = [ctx.clients[cid].variant.spec.hidden_dim for cid in client_ids]
-        prefixes = {}  # width -> its static prefix map into the global model, extracted once
-
-        def prefix(k: int) -> SubModelMap:
-            if k not in prefixes:
-                prefixes[k] = extract_channels(global_model, np.arange(k))[1]
-            return prefixes[k]
-
         fixed = ctx.fed.fjord_fixed_p
         # A fixed rate leaves each client a ladder of one width: the fixed
         # one, or its own if that is narrower.
@@ -481,14 +490,14 @@ class Fjord(SHeteroFL):
             for column in drawn.T:
                 step = []
                 for k in np.unique(column).tolist():
-                    nested = prefix(k)
+                    nested = channel_map(global_model.spec, global_model.head_blocks, tuple(range(k)))
                     step.append(Move(nested.index, (nested.spec, nested.head_set), np.flatnonzero(column == k)))
                 plan.append(step)
             return plan
 
         loss = self._client_loss()
         trained = self._train_clients([global_model] * len(client_ids), client_ids, round_index, loss, moves=moves)
-        # The same cached map as `prefix(k)`: a client uploads its own width.
+        # The same cached map as a step's: a client uploads its own width.
         return [extract_channels(model, np.arange(k)) for model, k in zip(trained, own)]
 
 
@@ -502,6 +511,12 @@ class InclusiveFL(_PartialAveragingStrategy):
     def _extract(self, model, client, round_index):
         variant = client.variant
         return extract_depth(model, variant.spec.num_blocks, variant.head_blocks)
+
+    def _eval_target(self, state, client, round_index):
+        """The global state at the variant's deepest head: the sub-model is
+        a block prefix of the global model, so that head sees the same
+        trunk, and every variant is scored from one walk of the state."""
+        return EvalTarget(state, client.variant.head_blocks[-1])
 
 
 class DepthFL(InclusiveFL):
@@ -603,7 +618,8 @@ class _PrivateModelStrategy(Strategy):
         return models
 
     def client_eval_model(self, state, client_id, round_index):
-        return state.models[client_id]
+        model = state.models[client_id]
+        return EvalTarget(model, model.final_head)
 
 
 @dataclass

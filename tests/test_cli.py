@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from hetfed import resources
+from hetfed import resources, strategies
 from hetfed.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
 from hetfed.datasets import gen_synthetic
+from hetfed.nn import BlockNetModel
 
 from oracles import save_csv
 
@@ -178,6 +179,28 @@ class TestRunCommand:
         assert main(["run", str(bad), "--out", str(out)]) == EXIT_DIVERGED
         err = capsys.readouterr().err
         assert re.fullmatch(r"diverged: sheterofl: round \d+: client \d+ diverged; parameter \S+ is not finite\n", err)
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_non_finite_test_logits_exit_code(self, tmp_path, capsys, monkeypatch):
+        # A finite global model scaled by 1e160 gives NaN logits, which would
+        # argmax to class 0 everywhere; scoring its first client fails
+        # instead, naming the client and the head it is scored at.
+        run_round = strategies.DepthFL.run_round
+
+        def exploding(self, state, sampled, round_index):
+            state, uploads = run_round(self, state, sampled, round_index)
+            return strategies._frozen(BlockNetModel(state.spec, state.head_blocks, state.vector * 1e160)), uploads
+
+        monkeypatch.setattr(strategies.DepthFL, "run_round", exploding)
+        path = tmp_path / "depth.cfg"
+        path.write_text(CONFIG.replace('["sheterofl"]', '["depthfl"]').replace("level = width", "level = depth")
+                        .replace("eval.cadence = 2", "eval.cadence = 1") + "include_baseline = false\n")
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_DIVERGED
+        assert capsys.readouterr().err == (
+            "diverged: depthfl: round 1: scoring client 0: logits of head 2 are not finite\n"
+        )
         assert not out.exists()
 
     def test_env_overrides(self, config_path, tmp_path, monkeypatch):

@@ -387,42 +387,67 @@ class TestRunner:
             f"but the cost model prices {priced:.0f}B"
         )
 
-    def test_evaluation_runs_one_forward_per_distinct_model(self, monkeypatch):
+    def test_evaluation_runs_one_walk_per_eval_round(self, monkeypatch):
         # model_accuracy still scores every client and the global model once
-        # per eval round, but the clients of a depthfl variant share one
-        # read-only eval model and every fedepth client is scored on the
-        # global model, so only the distinct models run a forward.
+        # per eval round, but every depthfl and fedepth client is scored on
+        # the read-only global model at its variant's deepest head, so one
+        # walk of the global model per eval round serves every score.
         cfg = small_config(
             'strategies = ["depthfl", "fedepth"]\nlevel = depth\ninclude_baseline = false\n'
             "num_clients = 8\nscenario.memory_tiers = [[1e5, 0.5], [5e4, 0.5]]\n"
         )
-        forwards, scored = [0], []
-        run_forward, accuracy = nn._run_forward, runner.model_accuracy
+        walks, scored = [0], []
+        walk, accuracy = nn._walk, runner.model_accuracy
 
-        def counted_forward(*args, **kwargs):
-            forwards[0] += 1
-            return run_forward(*args, **kwargs)
+        def counted_walk(*args):
+            walks[0] += 1
+            return walk(*args)
 
-        def counted_accuracy(model, features, labels):
-            start = forwards[0]
-            result = accuracy(model, features, labels)
-            scored.append((model, forwards[0] - start))
+        def counted_accuracy(model, features, labels, head=None):
+            start = walks[0]
+            result = accuracy(model, features, labels, head)
+            scored.append((model, head, walks[0] - start))
             return result
 
-        monkeypatch.setattr(nn, "_run_forward", counted_forward)
+        monkeypatch.setattr(nn, "_walk", counted_walk)
         monkeypatch.setattr(runner, "model_accuracy", counted_accuracy)
         monkeypatch.setattr(strategies, "model_accuracy", counted_accuracy)
         clients, eval_rounds = 8, 3
-        for sid, distinct_eval_models in (("depthfl", 2), ("fedepth", 1)):
+        for sid, heads in (("depthfl", {1, 2}), ("fedepth", {2})):
             scored.clear()
+            walks[0] = 0
             run_strategy_repeat(cfg, sid, 0)
             assert len(scored) == eval_rounds * (clients + 1)
+            assert walks[0] == eval_rounds
             for start in range(0, len(scored), clients + 1):
-                *client_models, global_model = [model for model, _ in scored[start:start + clients + 1]]
-                eval_ids = {id(model) for model in client_models}
-                assert len(eval_ids) == distinct_eval_models
-                distinct = eval_ids | {id(global_model)}
-                assert sum(count for _, count in scored[start:start + clients + 1]) == len(distinct)
+                *client_scores, (global_model, global_head, _) = scored[start:start + clients + 1]
+                assert global_head is None
+                assert all(model is global_model for model, _, _ in client_scores)
+                assert {head for _, head, _ in client_scores} == heads
+                assert sum(count for _, _, count in scored[start:start + clients + 1]) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_non_finite_global_logits_name_the_global_model(self, monkeypatch):
+        # Clients are scored on the finite initial model; the global model
+        # is the trained one scaled by 1e160, finite but with NaN logits.
+        class Exploding(strategies.FedAvg):
+            def initial_state(self):
+                self.initial = super().initial_state()
+                return self.initial
+
+            def run_round(self, state, sampled, round_index):
+                state, uploads = super().run_round(state, sampled, round_index)
+                huge = nn.BlockNetModel(state.spec, state.head_blocks, state.vector * 1e160)
+                return strategies._frozen(huge), uploads
+
+            def _eval_target(self, state, client, round_index):
+                return strategies.EvalTarget(self.initial, self.initial.final_head)
+
+        monkeypatch.setitem(strategies.STRATEGY_CLASSES, "fedavg_full", Exploding)
+        cfg = small_config('strategies = ["fedavg_full"]\ninclude_baseline = false\neval.cadence = 1\n')
+        with pytest.raises(strategies.DivergenceError) as err:
+            run_strategy_repeat(cfg, "fedavg_full", 0)
+        assert str(err.value) == "fedavg_full: round 1: scoring the global model: logits of head 2 are not finite"
 
 
 def assert_command_stops_at_load(tmp_path, capsys, command, extra, message):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hetfed import metrics, nn
 from hetfed.metrics import (
     RoundRecord,
     advance_clock,
@@ -68,6 +69,39 @@ class TestAccuracy:
         x = np.random.default_rng(0).normal(size=(8, 2))
         y = np.array([0, 1, 2, 3] * 2)  # balanced 4-class labels
         assert model_accuracy(model, x, y) == 0.25  # 1/k via lowest-index ties
+
+    def test_frozen_predictions_are_compared_once_per_labels_object(self, monkeypatch):
+        spec = BlockNetSpec(3, 4, 2, "plain", 3, 4)
+        model = nn.init_model(spec, np.random.default_rng(1), (1, 2))
+        model.vector.setflags(write=False)
+        x = np.random.default_rng(2).normal(size=(30, 3))
+        x.setflags(write=False)
+        y = np.random.default_rng(3).integers(0, 3, size=30)
+        y.setflags(write=False)
+        want = {j: np.count_nonzero(nn.predict(model, x, j) == y) / 30 for j in (1, 2)}
+        flipped = (y + 1) % 3
+        want_flipped = np.count_nonzero(nn.predict(model, x) == flipped) / 30
+        compared = []
+        count_nonzero = np.count_nonzero
+
+        def counted(*args, **kwargs):
+            compared.append(1)
+            return count_nonzero(*args, **kwargs)
+
+        monkeypatch.setattr(metrics.np, "count_nonzero", counted)
+        for _ in range(2):
+            assert model_accuracy(model, x, y, 1) == want[1]
+            assert model_accuracy(model, x, y, 2) == want[2] == model_accuracy(model, x, y)
+        assert len(compared) == 2
+        # Equal labels in another object, or writable ones, are compared again.
+        other = y.copy()
+        other.setflags(write=False)
+        assert model_accuracy(model, x, other, 2) == want[2] and len(compared) == 3
+        writable = y.copy()
+        assert model_accuracy(model, x, writable, 2) == want[2] and len(compared) == 4
+        writable[:] = flipped
+        assert model_accuracy(model, x, writable, 2) == want_flipped != want[2]
+        assert len(compared) == 5
 
 
 class TestTimeToAccuracy:

@@ -103,6 +103,64 @@ class TestForward:
         assert set(out.logits) == {1, 2, 3}
 
 
+def head_subsets(heads):
+    """Every non-empty subset of `heads`, each ascending."""
+    return [tuple(h for b, h in enumerate(heads) if mask >> b & 1) for mask in range(1, 2 ** len(heads))]
+
+
+class TestInferenceWalk:
+    """The read-only walk runs the training forward's products in the same
+    order: same logits and deepest neck, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_every_head_subset_matches_the_training_forward(self, kind, k):
+        spec = BlockNetSpec(5, 8, 4, kind, 4, 6)
+        heads = (1, 3, 4)
+        vectors = np.stack([nn.init_model(spec, np.random.default_rng(s), heads).vector for s in range(k)])
+        stack = nn.ModelStack(spec, heads, vectors, np.empty_like(vectors))
+        x = np.random.default_rng(9).normal(size=(k * 7, 5))
+        cache = nn._run_forward(stack, x)
+        assert len(head_subsets(heads)) == 7
+        for asked in head_subsets(heads):
+            logits, neck = nn._walk(stack, x, asked)
+            assert list(logits) == list(asked)
+            for j in asked:
+                assert logits[j].tobytes() == cache["logits"][j].tobytes(), (asked, j)
+            assert neck.tobytes() == cache["neck"][asked[-1]].tobytes(), asked
+
+    def test_walk_stops_at_the_deepest_head_asked_for(self):
+        # Products: the stem, one per block up to the deepest asked head,
+        # and a neck and a classifier per asked head.
+        spec = BlockNetSpec(5, 8, 3, "plain", 4, 6)
+        model = nn.init_model(spec, np.random.default_rng(2), (1, 3))
+        stack = nn.ModelStack(spec, model.head_blocks, model.vector[None].copy(), np.empty((1, model.vector.size)))
+        products = []
+
+        def counted(a, b):
+            products.append(b.shape)
+            return a.dot(b)
+
+        stack.matmul = counted
+        x = np.random.default_rng(3).normal(size=(6, 5))
+        for asked, count in (((1,), 4), ((3,), 6), ((1, 3), 8)):
+            products.clear()
+            nn._walk(stack, x, asked)
+            assert len(products) == count, asked
+
+    def test_forward_runs_the_walk_over_every_head(self):
+        spec = BlockNetSpec(5, 8, 3, "skip", 4, 6)
+        model = nn.init_model(spec, np.random.default_rng(4), (1, 2, 3))
+        own = nn.ModelStack(spec, model.head_blocks, model.vector[None].copy(), np.empty((1, model.vector.size)))
+        x = np.random.default_rng(5).normal(size=(6, 5))
+        cache = nn._run_forward(own, x)
+        out = nn.forward(model, x)
+        assert list(out.logits) == [1, 2, 3]
+        for j in (1, 2, 3):
+            assert out.logits[j].tobytes() == cache["logits"][j].tobytes()
+        assert out.embedding.tobytes() == cache["neck"][3].tobytes()
+
+
 class TestLosses:
     def test_uniform_logits_cross_entropy_is_ln_k(self):
         for k in (2, 3, 7):
@@ -730,25 +788,26 @@ def read_only(array):
 
 
 class TestPredictMemo:
-    """`predict` scores a read-only model on read-only features once."""
+    """`predict` walks a read-only model on read-only features once for
+    all of its heads."""
 
     @staticmethod
-    def counting_forward(monkeypatch):
+    def counting_walk(monkeypatch):
         calls = []
-        run_forward = nn._run_forward
+        walk = nn._walk
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return run_forward(*args, **kwargs)
+        def counted(stack, batch, heads):
+            calls.append(heads)
+            return walk(stack, batch, heads)
 
-        monkeypatch.setattr(nn, "_run_forward", counted)
+        monkeypatch.setattr(nn, "_walk", counted)
         return calls
 
     def test_writable_model_is_never_memoized(self, monkeypatch):
         spec = small_spec(num_classes=3)
         model = nn.init_model(spec, np.random.default_rng(0), (spec.num_blocks,))
         x = read_only(np.random.default_rng(1).normal(size=(40, 4)))
-        calls = self.counting_forward(monkeypatch)
+        calls = self.counting_walk(monkeypatch)
         before = nn.predict(model, x)
         assert before.flags.writeable and set(before.tolist()) != {2}
         model.params[f"head{model.final_head}.fc.b"][...] = [0.0, 0.0, 1e6]
@@ -762,7 +821,7 @@ class TestPredictMemo:
         copy = nn.BlockNetModel(spec, model.head_blocks, model.vector.copy())
         read_only(model.vector)
         x = read_only(np.random.default_rng(4).normal(size=(40, 4)))
-        calls = self.counting_forward(monkeypatch)
+        calls = self.counting_walk(monkeypatch)
         first = nn.predict(model, x)
         assert nn.predict(model, x) is first and len(calls) == 1
         assert not first.flags.writeable
@@ -776,3 +835,46 @@ class TestPredictMemo:
         writable[:] = 0.0
         assert np.array_equal(nn.predict(model, writable), nn.predict(copy, writable))
         assert len(calls) == 6
+
+    def test_one_walk_serves_every_head(self, monkeypatch):
+        # A frozen model walks once for all heads and remembers each head's
+        # argmax; a writable one walks to the asked head only.
+        spec = small_spec(num_classes=3, num_blocks=3, hidden_dim=8)
+        model = nn.init_model(spec, np.random.default_rng(6), (1, 2, 3))
+        copy = nn.BlockNetModel(spec, model.head_blocks, model.vector.copy())
+        read_only(model.vector)
+        x = read_only(np.random.default_rng(7).normal(size=(60, 4)))
+        calls = self.counting_walk(monkeypatch)
+        frozen = {j: nn.predict(model, x, j) for j in (2, 1, 3)}
+        assert calls == [(1, 2, 3)]
+        assert nn.predict(model, x) is frozen[3] and len(calls) == 1
+        for j in (1, 2, 3):
+            assert not frozen[j].flags.writeable
+            alone = nn.predict(copy, x, j)
+            assert alone.flags.writeable and np.array_equal(alone, frozen[j])
+        assert calls[1:] == [(1,), (2,), (3,)]
+        # The heads disagree somewhere, so each head's memo is its own.
+        assert len({frozen[j].tobytes() for j in (1, 2, 3)}) == 3
+
+    def test_unknown_head_is_rejected(self):
+        model = nn.init_model(small_spec(num_blocks=3), np.random.default_rng(0), (1, 3))
+        with pytest.raises(ValueError, match=r"^model has no head at block 2; its heads are \(1, 3\)$"):
+            nn.predict(model, np.zeros((2, 4)), 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_non_finite_logits_raise(self, frozen):
+        # A finite model scaled by 1e160 overflows to NaN logits, whose
+        # argmax would be class 0 on every row.
+        spec = small_spec(num_classes=3, num_blocks=2, hidden_dim=8)
+        model = nn.init_model(spec, np.random.default_rng(8), (1, 2))
+        huge = nn.BlockNetModel(spec, model.head_blocks, model.vector * 1e160)
+        assert np.isfinite(huge.vector).all()
+        x = np.random.default_rng(9).normal(size=(20, 4))
+        if frozen:
+            read_only(huge.vector)
+            read_only(x)
+        for head in (None, 1):
+            for _ in range(2):  # the memo remembers the failure, too
+                with pytest.raises(nn.DivergenceError, match=r"^logits of head [12] are not finite$"):
+                    nn.predict(huge, x, head)

@@ -7,7 +7,7 @@ import pytest
 
 from hetfed import nn, seeding, strategies
 from hetfed.datasets import gen_synthetic
-from hetfed.extract import select_channels
+from hetfed.extract import extract_depth, select_channels
 from hetfed.metrics import model_accuracy
 from hetfed.nn import BlockNetSpec, SGDConfig
 from hetfed.resources import DeviceProfile, PoolConfig, build_pool, fedepth_segments, payload_bytes, segment_memory
@@ -415,9 +415,16 @@ class TestDivergence:
             strategy.run_round(strategy.initial_state(), [0, 1], 3)
 
 
+def scored_logits(target, x):
+    """The logits a client's eval target scores it by."""
+    return nn.forward(target.model, x).logits[target.head]
+
+
 class TestEvalModels:
-    """Every client of a variant is scored on one sub-model per (state, eval
-    round): the one a fresh per-parameter extraction gives."""
+    """Every client of a variant is scored on one target per (state, eval
+    round). A width client's is its sub-model, as a fresh per-parameter
+    extraction gives it; a depth client's is the global state at its
+    variant's deepest head, which scores exactly as that sub-model."""
 
     CASES = [
         ("sheterofl", "width"), ("fedrolex", "width"), ("fjord", "width"),
@@ -441,25 +448,43 @@ class TestEvalModels:
             sub_spec = replace(spec, num_blocks=depth)
         return model_from_params(sub_spec, heads, reference_extract(state, entries))
 
+    @classmethod
+    def assert_scores_like_reference(cls, strategy_id, level, state, target, variant, round_index, x, y):
+        """`target` is the variant's sub-model (width) or the state at the
+        variant's deepest head (depth), and scores like the reference
+        extraction: logits bit for bit, predictions and accuracy exactly."""
+        reference = cls.reference(strategy_id, level, state, variant, round_index)
+        assert (reference.spec, reference.head_blocks) == (variant.spec, variant.head_blocks)
+        if level == "width":
+            assert (target.model.spec, target.model.head_blocks) == (variant.spec, variant.head_blocks)
+            assert np.array_equal(target.model.vector, reference.vector)
+        else:
+            assert target.model is state
+        assert target.head == reference.final_head == variant.head_blocks[-1]
+        assert scored_logits(target, x).tobytes() == nn.forward(reference, x).logits[target.head].tobytes()
+        assert np.array_equal(nn.predict(target.model, x, target.head), nn.predict(reference, x))
+        assert model_accuracy(target.model, x, y, target.head) == model_accuracy(reference, x, y)
+
     @pytest.mark.parametrize("strategy_id,level", CASES)
     def test_clients_of_a_variant_share_one_model(self, strategy_id, level):
         ctx = make_ctx(strategy_id, level, alternating, num_clients=6)
         strategy = make_strategy(strategy_id, ctx)
         state, _ = strategy.run_round(strategy.initial_state(), [0, 1, 2], 1)
-        models = {cid: strategy.client_eval_model(state, cid, 2) for cid in range(6)}
+        targets = {cid: strategy.client_eval_model(state, cid, 2) for cid in range(6)}
         ids = {}
-        for cid, model in models.items():
-            ids.setdefault(ctx.clients[cid].variant.variant_id, set()).add(id(model))
+        for cid, target in targets.items():
+            ids.setdefault(ctx.clients[cid].variant.variant_id, set()).add(id(target))
         assert len(ids) == 2 and all(len(found) == 1 for found in ids.values())
-        assert len({id(model) for model in models.values()}) == 2
+        assert len({id(target) for target in targets.values()}) == 2
+        # A depth strategy scores both variants on the one state model.
+        models = {id(target.model) for target in targets.values()}
+        if level == "depth":
+            assert models == {id(state)}
+        else:
+            assert len(models) == 2
         x, y = ctx.train_features, ctx.train_labels
-        for cid, model in models.items():
-            variant = ctx.clients[cid].variant
-            assert (model.spec, model.head_blocks) == (variant.spec, variant.head_blocks)
-            reference = self.reference(strategy_id, level, state, variant, 2)
-            assert (reference.spec, reference.head_blocks) == (variant.spec, variant.head_blocks)
-            assert np.array_equal(model.vector, reference.vector)
-            assert model_accuracy(model, x, y) == model_accuracy(reference, x, y)
+        for cid, target in targets.items():
+            self.assert_scores_like_reference(strategy_id, level, state, target, ctx.clients[cid].variant, 2, x, y)
 
     @pytest.mark.parametrize("strategy_id,level", CASES)
     def test_new_state_or_round_gives_fresh_models(self, strategy_id, level):
@@ -470,28 +495,56 @@ class TestEvalModels:
         assert strategy.client_eval_model(state, 3, 2) is first
         copy = copy_model(state)
         fresh = strategy.client_eval_model(copy, 3, 2)
-        assert fresh is not first and np.array_equal(fresh.vector, first.vector)
+        assert fresh is not first and fresh.model is not first.model and fresh.head == first.head
+        assert np.array_equal(fresh.model.vector, first.model.vector)
         later = strategy.client_eval_model(copy, 3, 3)
         assert later is not fresh
         # Only FedRolex's window moves with the round.
-        assert np.array_equal(later.vector, fresh.vector) == (strategy_id != "fedrolex")
-        reference = self.reference(strategy_id, level, copy, ctx.clients[3].variant, 3)
-        assert np.array_equal(later.vector, reference.vector)
+        assert np.array_equal(later.model.vector, fresh.model.vector) == (strategy_id != "fedrolex")
+        x, y = ctx.train_features, ctx.train_labels
+        self.assert_scores_like_reference(strategy_id, level, copy, later, ctx.clients[3].variant, 3, x, y)
 
     @pytest.mark.parametrize("strategy_id,level", CASES)
     def test_shared_models_are_read_only(self, strategy_id, level):
         ctx = make_ctx(strategy_id, level, alternating)
         strategy = make_strategy(strategy_id, ctx)
         state = strategy.initial_state()
-        model = strategy.client_eval_model(state, 0, 2)
+        target = strategy.client_eval_model(state, 0, 2)
+        model = target.model
         x = ctx.train_features
-        before = nn.predict(model, x)
+        before = nn.predict(model, x, target.head)
         with pytest.raises(ValueError, match="read-only"):
             model.vector[0] = 1e3
         with pytest.raises(ValueError, match="read-only"):
             model.params["stem.w"][...] = 0.0
-        assert strategy.client_eval_model(state, 0, 2) is model
-        assert np.array_equal(nn.predict(model, x), before)
+        assert strategy.client_eval_model(state, 0, 2) is target
+        assert np.array_equal(nn.predict(model, x, target.head), before)
+
+    @pytest.mark.parametrize("strategy_id", ["depthfl", "inclusivefl"])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_depth_clients_score_as_their_extracted_sub_model(self, strategy_id, frozen):
+        # Three depths, a few trained rounds: every client's accuracy from
+        # its eval target equals that of its `extract_depth` sub-model, on
+        # read-only features (one memoized walk) and on writable ones.
+        pool_cfg = PoolConfig(rates=(1.0,), depths=(3, 2, 1))
+        ctx = make_ctx(strategy_id, "depth", alternating, num_clients=6, pool_cfg=pool_cfg)
+        strategy = make_strategy(strategy_id, ctx)
+        state = strategy.initial_state()
+        for t in (1, 2, 3):
+            state, _ = strategy.run_round(state, [0, 1, 2, 3, 4, 5], t)
+        x = gen_synthetic("blobs", 90, SPEC.input_dim, SPEC.num_classes, 0.4, seed=5)
+        features, labels = x.features, x.labels
+        if frozen:
+            features.setflags(write=False)
+        accuracies = set()
+        for client in ctx.clients:
+            target = strategy.client_eval_model(state, client.client_id, 4)
+            variant = client.variant
+            sub, _ = extract_depth(state, variant.spec.num_blocks, variant.head_blocks)
+            got = model_accuracy(target.model, features, labels, target.head)
+            assert got == model_accuracy(sub, features, labels)
+            accuracies.add((variant.depth, got))
+        assert {depth for depth, _ in accuracies} == {1, 2, 3}
 
     @pytest.mark.parametrize("strategy_id,level", [
         ("fedavg_full", "width"), ("fedavg_smallest", "width"), ("fedepth", "depth"),
@@ -500,12 +553,23 @@ class TestEvalModels:
         ctx = make_ctx(strategy_id, level, alternating)
         strategy = make_strategy(strategy_id, ctx)
         state, _ = strategy.run_round(strategy.initial_state(), [0, 1, 2], 1)
-        assert all(strategy.client_eval_model(state, cid, 2) is state for cid in range(len(ctx.clients)))
+        targets = [strategy.client_eval_model(state, cid, 2) for cid in range(len(ctx.clients))]
+        assert all(target.model is state and target.head == state.final_head for target in targets)
+
+    @pytest.mark.parametrize("strategy_id", ["fedproto", "fedet"])
+    def test_private_model_strategies_score_each_client_on_its_own_model(self, strategy_id):
+        ctx = make_ctx(strategy_id, "topology", alternating)
+        strategy = make_strategy(strategy_id, ctx)
+        state, _ = strategy.run_round(strategy.initial_state(), [0, 1, 2], 1)
+        for cid in range(len(ctx.clients)):
+            target = strategy.client_eval_model(state, cid, 2)
+            assert target.model is state.models[cid] and target.head == target.model.final_head
 
 
 class TestStateModels:
-    """Every model a strategy keeps in its state is read-only, so
-    `nn.predict` may remember its test-set prediction."""
+    """Every model a strategy keeps in its state, and every model a client
+    is scored on, is read-only, so `nn.predict` may remember its test-set
+    predictions."""
 
     LEVELS = {
         "sheterofl": "width", "fedrolex": "width", "fjord": "width",
@@ -528,8 +592,9 @@ class TestStateModels:
         initial = strategy.initial_state()
         later, _ = strategy.run_round(initial, [0, 1, 2], 1)
         for state in (initial, later):
-            eval_models = [strategy.client_eval_model(state, cid, 2) for cid in range(len(ctx.clients))]
-            for model in self.models(state) + eval_models:
+            targets = [strategy.client_eval_model(state, cid, 2) for cid in range(len(ctx.clients))]
+            assert all(target.head in target.model.head_blocks for target in targets)
+            for model in self.models(state) + [target.model for target in targets]:
                 assert not model.vector.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     model.vector[0] = 1e3
@@ -598,8 +663,8 @@ class TestWidthFamily:
         ctx = make_ctx("sheterofl", "width", alternating)
         strategy = make_strategy("sheterofl", ctx)
         state = strategy.initial_state()
-        sub = strategy.client_eval_model(state, 1, 1)
-        assert sub.spec.hidden_dim == 4
+        target = strategy.client_eval_model(state, 1, 1)
+        assert target.model.spec.hidden_dim == 4 and target.head == target.model.final_head
 
 
 class TestDepthFamily:
