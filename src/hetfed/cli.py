@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .config import ConfigError, ExperimentConfig, parse_config_text, resolve_config
 from .resources import InfeasibleScenarioError
 from .runner import (
@@ -83,15 +85,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "sweep"):
             cfg = _load_with_env(args.config)
-            summary = run_experiment(cfg, args.out)
-            rows = report_rows([summary])
-            sys.stdout.write(format_report(rows))
-        elif args.command == "sweep":
-            cfg = _load_with_env(args.config)
-            values = [v.strip() for v in args.values.split(",") if v.strip()]
-            text = sweep_experiment(cfg, args.axis, values, args.out)
+            # A diverging run overflows on its way to a non-finite value,
+            # which the engine's finite checks report as one diagnosis, so
+            # numpy's floating-point warnings would only precede it.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if args.command == "run":
+                    text = format_report(report_rows([run_experiment(cfg, args.out)]))
+                else:
+                    values = [v.strip() for v in args.values.split(",") if v.strip()]
+                    text = sweep_experiment(cfg, args.axis, values, args.out)
             sys.stdout.write(text)
         elif args.command == "pool":
             sys.stdout.write(pool_csv(_load_with_env(args.config)))

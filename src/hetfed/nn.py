@@ -41,12 +41,9 @@ target per row: a label, [K*n], or a class distribution, [K*n, c]. At
 K >= 2 the walk views the batch as [K, n, d], and it takes every loss mean
 over each client's own n rows. A single model runs as a stack of one, so
 `forward` and `predict` run 2-D.
-Two walks share the layout. `backward`'s forward (`_run_forward`) keeps
-every activation for backprop. The read-only inference walk (`_walk`)
-behind `forward` and `predict` keeps only the live trunk activation,
-computes the heads it is asked for where they attach and stops at the
-deepest one; it runs the same products in the same order, so its logits
-and embedding have the training forward's bits.
+One forward walk (`_run_forward`) serves `backward`, `forward` and
+`predict`: it computes the heads it is asked for where they attach,
+stops at the deepest one and keeps the activations `backward` reads.
 Stacked `np.matmul`, 2-D `ndarray.dot` and the axis reductions give the same
 bits on each client, so a client's result does not depend on what it is
 stacked with.
@@ -82,16 +79,17 @@ the oldest dropped first. The workspaces are shared by the whole process:
 the engine is not thread-safe, and a `moves` plan must not call
 `train_local`.
 
-`predict` scores one head and remembers one walk per model. When the
-model's vector and the features are both read-only, one walk computes
-every head of the model and each head's argmax is stored on the model
-with the features object; a later call on that same object (by
-identity), for any head, returns it without a walk. So the clients
-scored on different heads of one model share one walk. A writable model
-is never memoized, and its walk stops at the asked head. The memo is
-safe because every model a strategy keeps in its state is read-only, so
-it cannot change under its stored predictions. Logits that are not all
-finite raise `DivergenceError` instead of an argmax.
+`predict` scores one head and remembers one walk per model; this is the
+engine's one evaluation memo. When the model's vector and the features
+are both read-only, one walk computes every head of the model and each
+head's argmax is stored on the model with the features object; a later
+call on that same object (by identity), for any head, returns it without
+a walk. So the clients scored on different heads of one model share one
+walk. A writable model is never memoized, and its walk stops at the
+asked head. The memo is safe because every model a strategy keeps in its
+state is read-only, so it cannot change under its stored predictions.
+Logits that are not all finite raise `DivergenceError` instead of an
+argmax.
 """
 
 from __future__ import annotations
@@ -454,17 +452,22 @@ class ForwardResult:
     embedding: np.ndarray          # neck output of the deepest head, [n, proto_dim]
 
 
-def _run_forward(stack: ModelStack, batch: np.ndarray) -> dict:
-    """Forward pass of K stacked models, keeping every intermediate needed
-    for backprop.
+def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...]) -> dict:
+    """Forward pass of K stacked models up to the deepest of `heads`
+    (attached heads, ascending), computing only those heads.
 
     `batch` is [K*n, d]: the K clients' n rows each, concatenated; at
     K >= 2 it is viewed as [K, n, d]. The cache holds the input ("x"), the
-    trunk activation after the stem and after each block ("h"), each
-    block's post-ReLU output per linear ("acts"), and per attached head its
-    neck output and logits; at K >= 2 all with the leading client axis.
+    trunk activation after the stem and after each walked block ("h"), each
+    walked block's post-ReLU output per linear ("acts"), and per asked head
+    its neck output ("neck") and logits ("logits"); at K >= 2 all with the
+    leading client axis.
     """
-    x = _stacked_batch(stack, batch)
+    k = stack.vector.shape[0]
+    d = stack.spec.input_dim
+    if batch.ndim != 2 or batch.shape[1] != d or batch.shape[0] % k:
+        raise ShapeError(f"batch must be [K*n, {d}] for K = {k} stacked models, got {batch.shape}")
+    x = batch if k == 1 else batch.reshape(k, -1, d)
     p = stack.params
     layout = stack.layout
     mm = stack.matmul
@@ -472,10 +475,11 @@ def _run_forward(stack: ModelStack, batch: np.ndarray) -> dict:
     h += p["stem.b"]
     trunk = [h]
     acts = []
-    for linears in layout.blocks:
+    necks, logits = {}, {}
+    for i in range(1, heads[-1] + 1):
         a = h
         block_acts = []
-        for w, b in linears:
+        for w, b in layout.blocks[i - 1]:
             a = mm(a, p[w])
             a += p[b]
             np.maximum(a, 0.0, out=a)
@@ -483,61 +487,19 @@ def _run_forward(stack: ModelStack, batch: np.ndarray) -> dict:
         h = a + h if layout.residual else a
         trunk.append(h)
         acts.append(block_acts)
-    necks, logits = {}, {}
-    for j in stack.head_blocks:
-        neck_w, neck_b, fc_w, fc_b = layout.heads[j]
-        neck = necks[j] = mm(trunk[j], p[neck_w])
-        neck += p[neck_b]
-        z = logits[j] = mm(neck, p[fc_w])
-        z += p[fc_b]
-    return {"x": x, "h": trunk, "acts": acts, "neck": necks, "logits": logits}
-
-
-def _stacked_batch(stack: ModelStack, batch: np.ndarray) -> np.ndarray:
-    """`batch` checked against the stack and viewed as [K, n, d] at K >= 2."""
-    k = stack.vector.shape[0]
-    d = stack.spec.input_dim
-    if batch.ndim != 2 or batch.shape[1] != d or batch.shape[0] % k:
-        raise ShapeError(f"batch must be [K*n, {d}] for K = {k} stacked models, got {batch.shape}")
-    return batch if k == 1 else batch.reshape(k, -1, d)
-
-
-def _walk(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...]) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Read-only inference walk of K stacked models: the logits of `heads`
-    (attached heads, ascending) and the neck output of the deepest one.
-
-    One trunk pass that keeps only the live activation, computes each head
-    where it attaches and stops at the deepest head asked for. It runs the
-    products of `_run_forward` in the same order, so every logit and neck
-    has the same bits.
-    """
-    x = _stacked_batch(stack, batch)
-    p = stack.params
-    layout = stack.layout
-    mm = stack.matmul
-    h = mm(x, p["stem.w"])
-    h += p["stem.b"]
-    logits = {}
-    for i in range(1, heads[-1] + 1):
-        a = h
-        for w, b in layout.blocks[i - 1]:
-            a = mm(a, p[w])
-            a += p[b]
-            np.maximum(a, 0.0, out=a)
-        h = a + h if layout.residual else a
         if i in heads:
             neck_w, neck_b, fc_w, fc_b = layout.heads[i]
-            neck = mm(h, p[neck_w])
+            neck = necks[i] = mm(h, p[neck_w])
             neck += p[neck_b]
             z = logits[i] = mm(neck, p[fc_w])
             z += p[fc_b]
-    return logits, neck
+    return {"x": x, "h": trunk, "acts": acts, "neck": necks, "logits": logits}
 
 
 def forward(model: BlockNetModel, batch: np.ndarray) -> ForwardResult:
     """Per-head logits plus the deepest head's neck output (the embedding)."""
-    logits, embedding = _walk(_stack_of_one(model), batch, model.head_blocks)
-    return ForwardResult(logits=logits, embedding=embedding)
+    cache = _run_forward(_stack_of_one(model), batch, model.head_blocks)
+    return ForwardResult(logits=cache["logits"], embedding=cache["neck"][model.final_head])
 
 
 @dataclass(frozen=True)
@@ -642,7 +604,7 @@ def backward(stack: ModelStack, batch: np.ndarray, targets: np.ndarray, loss: Lo
     mm, wt, g = stack.matmul, stack.weights_t, stack.grads
     layout = stack.layout
     reduce = np.add.reduce
-    cache = _run_forward(stack, batch)
+    cache = _run_forward(stack, batch, stack.head_blocks)
     dlogits, demb = _loss_grads(stack, cache, targets, loss)
 
     trunk = cache["h"]
@@ -826,7 +788,9 @@ def predict(model: BlockNetModel, features: np.ndarray, head: int | None = None)
     The walk stops at the head. When the model's vector and `features` are
     both read-only, one walk computes every head of the model, and each
     head's result, read-only, is remembered on the model: a later call with
-    the same `features` object returns it without a walk.
+    the same `features` object, for any head, returns it without a walk.
+    Callers that score a prediction (`metrics.model_accuracy`) compare it
+    afresh on each call; nothing else is remembered.
     """
     j = model.final_head if head is None else head
     if j not in model.head_blocks:
@@ -836,8 +800,8 @@ def predict(model: BlockNetModel, features: np.ndarray, head: int | None = None)
     if frozen and memo is not None and memo[0] is features:
         labels = memo[1][j]
     else:
-        logits, _ = _walk(_stack_of_one(model), features, model.head_blocks if frozen else (j,))
-        found = {i: _argmax(z, frozen) for i, z in logits.items()}
+        cache = _run_forward(_stack_of_one(model), features, model.head_blocks if frozen else (j,))
+        found = {i: _argmax(z, frozen) for i, z in cache["logits"].items()}
         if frozen:
             model._predicted = (features, found)
         labels = found[j]

@@ -93,9 +93,9 @@ def _repeat_data(
 def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) -> RepeatOutcome:
     """One full federated run of one strategy under one repeat seed."""
     seed_r, train, test, public, parts = _repeat_data(cfg, repeat)
-    # Read-only test rows let `nn.predict` walk each read-only model once,
-    # and `model_accuracy` score each of its heads once, however many
-    # clients share it; `test` owns its rows.
+    # Read-only test rows let `nn.predict` walk each read-only model once
+    # for all of its heads, however many clients share it; `test` owns its
+    # rows.
     test.features.setflags(write=False)
     test.labels.setflags(write=False)
     scenario = cfg.scenario

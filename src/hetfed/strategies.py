@@ -55,9 +55,9 @@ naming the strategy, the round, the owner and the parameter.
 Every model a strategy keeps in its state is immutable: its vector is
 read-only from the moment it is made (`initial_state`, `_train`, the
 aggregate), so an in-place write raises `ValueError`. Training copies the
-vectors it starts from. This is what lets `nn.predict` walk each
-distinct model once on the shared test set: a state model cannot change
-under the predictions it remembers.
+vectors it starts from. This is what lets `nn.predict`, the one
+evaluation memo, walk each distinct model once on the shared test set: a
+state model cannot change under the predictions it remembers.
 
 Where the published descriptions of the cited methods include extras that
 do not change the resource trade-off being measured (InclusiveFL's momentum

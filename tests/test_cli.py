@@ -1,10 +1,12 @@
 import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
 
+import hetfed
 from hetfed import resources, strategies
 from hetfed.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
 from hetfed.datasets import gen_synthetic
@@ -171,7 +173,6 @@ class TestRunCommand:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == EXIT_IO
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_diverged_training_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "huge_lr.cfg"
         bad.write_text(CONFIG + "sgd.learning_rate = 1e30\n")
@@ -181,7 +182,25 @@ class TestRunCommand:
         assert re.fullmatch(r"diverged: sheterofl: round \d+: client \d+ diverged; parameter \S+ is not finite\n", err)
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "alpha", "--values", "0.5"]])
+    def test_diverged_run_prints_the_diagnosis_alone(self, tmp_path, command):
+        # A fresh interpreter shows what a user sees: the overflow on the way
+        # to non-finite parameters prints no numpy warning, so stderr is the
+        # one diagnosis line.
+        bad = tmp_path / "huge_lr.cfg"
+        bad.write_text(CONFIG + "sgd.learning_rate = 1e30\n")
+        out = tmp_path / "o"
+        src = os.path.dirname(os.path.dirname(hetfed.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "hetfed.cli", command[0], str(bad), *command[1:], "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=False,
+        )
+        assert done.returncode == EXIT_DIVERGED
+        assert re.fullmatch(r"diverged: sheterofl: round \d+: client \d+ diverged; parameter \S+ is not finite\n",
+                            done.stderr)
+        assert not out.exists()
+
     def test_non_finite_test_logits_exit_code(self, tmp_path, capsys, monkeypatch):
         # A finite global model scaled by 1e160 gives NaN logits, which would
         # argmax to class 0 everywhere; scoring its first client fails

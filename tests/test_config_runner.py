@@ -396,8 +396,10 @@ class TestRunner:
             'strategies = ["depthfl", "fedepth"]\nlevel = depth\ninclude_baseline = false\n'
             "num_clients = 8\nscenario.memory_tiers = [[1e5, 0.5], [5e4, 0.5]]\n"
         )
+        # `backward` runs the same walk, so only the walks made inside
+        # model_accuracy count.
         walks, scored = [0], []
-        walk, accuracy = nn._walk, runner.model_accuracy
+        walk, accuracy = nn._run_forward, runner.model_accuracy
 
         def counted_walk(*args):
             walks[0] += 1
@@ -409,16 +411,15 @@ class TestRunner:
             scored.append((model, head, walks[0] - start))
             return result
 
-        monkeypatch.setattr(nn, "_walk", counted_walk)
+        monkeypatch.setattr(nn, "_run_forward", counted_walk)
         monkeypatch.setattr(runner, "model_accuracy", counted_accuracy)
         monkeypatch.setattr(strategies, "model_accuracy", counted_accuracy)
         clients, eval_rounds = 8, 3
         for sid, heads in (("depthfl", {1, 2}), ("fedepth", {2})):
             scored.clear()
-            walks[0] = 0
             run_strategy_repeat(cfg, sid, 0)
             assert len(scored) == eval_rounds * (clients + 1)
-            assert walks[0] == eval_rounds
+            assert sum(count for _, _, count in scored) == eval_rounds
             for start in range(0, len(scored), clients + 1):
                 *client_scores, (global_model, global_head, _) = scored[start:start + clients + 1]
                 assert global_head is None

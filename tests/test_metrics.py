@@ -70,38 +70,54 @@ class TestAccuracy:
         y = np.array([0, 1, 2, 3] * 2)  # balanced 4-class labels
         assert model_accuracy(model, x, y) == 0.25  # 1/k via lowest-index ties
 
-    def test_frozen_predictions_are_compared_once_per_labels_object(self, monkeypatch):
-        spec = BlockNetSpec(3, 4, 2, "plain", 3, 4)
-        model = nn.init_model(spec, np.random.default_rng(1), (1, 2))
-        model.vector.setflags(write=False)
-        x = np.random.default_rng(2).normal(size=(30, 3))
-        x.setflags(write=False)
-        y = np.random.default_rng(3).integers(0, 3, size=30)
-        y.setflags(write=False)
-        want = {j: np.count_nonzero(nn.predict(model, x, j) == y) / 30 for j in (1, 2)}
-        flipped = (y + 1) % 3
-        want_flipped = np.count_nonzero(nn.predict(model, x) == flipped) / 30
-        compared = []
-        count_nonzero = np.count_nonzero
+    def test_scoring_does_not_depend_on_what_was_scored_before(self, monkeypatch):
+        # Scores of other read-only models on other read-only rows leave
+        # nothing behind: a read-only model scored at every head afterwards
+        # walks once, compares on every call and gets the accuracies that
+        # walking each head of a writable copy gives.
+        spec = BlockNetSpec(3, 4, 3, "plain", 3, 4)
+        heads = (1, 2, 3)
 
-        def counted(*args, **kwargs):
-            compared.append(1)
-            return count_nonzero(*args, **kwargs)
+        def frozen(*arrays):
+            for array in arrays:
+                array.setflags(write=False)
+            return arrays
 
-        monkeypatch.setattr(metrics.np, "count_nonzero", counted)
+        def rows(seed):
+            rng = np.random.default_rng(seed)
+            return frozen(rng.normal(size=(30, 3)), rng.integers(0, 3, size=30))
+
+        x, y = rows(100)
+        model = nn.init_model(spec, np.random.default_rng(100), heads)
+        want = {j: np.count_nonzero(nn.predict(model, x.copy(), j) == y) / 30 for j in heads}
+        frozen(model.vector)
+        kept = []  # half stay alive, half are freed and their ids reused
+        for seed in range(10):
+            other = nn.init_model(spec, np.random.default_rng(seed), heads)
+            frozen(other.vector)
+            other_x, other_y = rows(seed)
+            for j in heads:
+                model_accuracy(other, other_x, other_y, j)
+            if seed % 2:
+                kept.append((other, other_x, other_y))
+        walks, compared = [], []
+        walk, count_nonzero = nn._run_forward, np.count_nonzero
+
+        def counted_walk(stack, batch, asked):
+            walks.append(asked)
+            return walk(stack, batch, asked)
+
+        def counted_compare(correct):
+            compared.append(correct.size)
+            return count_nonzero(correct)
+
+        monkeypatch.setattr(nn, "_run_forward", counted_walk)
+        monkeypatch.setattr(metrics.np, "count_nonzero", counted_compare)
         for _ in range(2):
-            assert model_accuracy(model, x, y, 1) == want[1]
-            assert model_accuracy(model, x, y, 2) == want[2] == model_accuracy(model, x, y)
-        assert len(compared) == 2
-        # Equal labels in another object, or writable ones, are compared again.
-        other = y.copy()
-        other.setflags(write=False)
-        assert model_accuracy(model, x, other, 2) == want[2] and len(compared) == 3
-        writable = y.copy()
-        assert model_accuracy(model, x, writable, 2) == want[2] and len(compared) == 4
-        writable[:] = flipped
-        assert model_accuracy(model, x, writable, 2) == want_flipped != want[2]
-        assert len(compared) == 5
+            assert {j: model_accuracy(model, x, y, j) for j in heads} == want
+        assert model_accuracy(model, x, y) == want[3]
+        assert walks == [heads]
+        assert compared == [30] * 7
 
 
 class TestTimeToAccuracy:

@@ -109,25 +109,28 @@ def head_subsets(heads):
 
 
 class TestInferenceWalk:
-    """The read-only walk runs the training forward's products in the same
-    order: same logits and deepest neck, bit for bit."""
+    """The one forward walk computes only the heads it is asked for and
+    stops at the deepest: each asked head's logits and the deepest asked
+    neck have the all-heads pass's bits."""
 
     @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_every_head_subset_matches_the_training_forward(self, kind, k):
+    def test_every_head_subset_matches_the_all_heads_pass(self, kind, k):
         spec = BlockNetSpec(5, 8, 4, kind, 4, 6)
         heads = (1, 3, 4)
         vectors = np.stack([nn.init_model(spec, np.random.default_rng(s), heads).vector for s in range(k)])
         stack = nn.ModelStack(spec, heads, vectors, np.empty_like(vectors))
         x = np.random.default_rng(9).normal(size=(k * 7, 5))
-        cache = nn._run_forward(stack, x)
+        everything = nn._run_forward(stack, x, heads)
         assert len(head_subsets(heads)) == 7
         for asked in head_subsets(heads):
-            logits, neck = nn._walk(stack, x, asked)
-            assert list(logits) == list(asked)
+            cache = nn._run_forward(stack, x, asked)
+            assert list(cache["logits"]) == list(cache["neck"]) == list(asked)
+            assert len(cache["h"]) == len(cache["acts"]) + 1 == asked[-1] + 1, asked
             for j in asked:
-                assert logits[j].tobytes() == cache["logits"][j].tobytes(), (asked, j)
-            assert neck.tobytes() == cache["neck"][asked[-1]].tobytes(), asked
+                assert cache["logits"][j].tobytes() == everything["logits"][j].tobytes(), (asked, j)
+            deepest = asked[-1]
+            assert cache["neck"][deepest].tobytes() == everything["neck"][deepest].tobytes(), asked
 
     def test_walk_stops_at_the_deepest_head_asked_for(self):
         # Products: the stem, one per block up to the deepest asked head,
@@ -145,7 +148,7 @@ class TestInferenceWalk:
         x = np.random.default_rng(3).normal(size=(6, 5))
         for asked, count in (((1,), 4), ((3,), 6), ((1, 3), 8)):
             products.clear()
-            nn._walk(stack, x, asked)
+            nn._run_forward(stack, x, asked)
             assert len(products) == count, asked
 
     def test_forward_runs_the_walk_over_every_head(self):
@@ -153,7 +156,7 @@ class TestInferenceWalk:
         model = nn.init_model(spec, np.random.default_rng(4), (1, 2, 3))
         own = nn.ModelStack(spec, model.head_blocks, model.vector[None].copy(), np.empty((1, model.vector.size)))
         x = np.random.default_rng(5).normal(size=(6, 5))
-        cache = nn._run_forward(own, x)
+        cache = nn._run_forward(own, x, model.head_blocks)
         out = nn.forward(model, x)
         assert list(out.logits) == [1, 2, 3]
         for j in (1, 2, 3):
@@ -718,7 +721,7 @@ class TestWorkspaces:
         x, _ = self.data()
         for model in self.models((1, 2, 1)):
             own = nn.ModelStack(model.spec, model.head_blocks, model.vector[None], np.empty((1, model.vector.size)))
-            want = nn._run_forward(own, x)["logits"][2]
+            want = nn._run_forward(own, x, model.head_blocks)["logits"][2]
             assert nn.forward(model, x).logits[2].tobytes() == want.tobytes()
             assert np.array_equal(nn.predict(model, x), want.argmax(axis=1))
 
@@ -770,7 +773,7 @@ class TestLogitGradients:
         n = 9
         vectors = np.stack([nn.init_model(spec, np.random.default_rng(s), heads).vector for s in range(k)])
         stack = nn.ModelStack(spec, heads, vectors, np.empty_like(vectors))
-        cache = nn._run_forward(stack, rng.normal(size=(k * n, 5)))
+        cache = nn._run_forward(stack, rng.normal(size=(k * n, 5)), heads)
         labels = rng.integers(0, 4, size=k * n)
         soft = nn.softmax(rng.normal(size=(k * n, 4)))
         for targets in (labels, soft):
@@ -794,13 +797,13 @@ class TestPredictMemo:
     @staticmethod
     def counting_walk(monkeypatch):
         calls = []
-        walk = nn._walk
+        walk = nn._run_forward
 
         def counted(stack, batch, heads):
             calls.append(heads)
             return walk(stack, batch, heads)
 
-        monkeypatch.setattr(nn, "_walk", counted)
+        monkeypatch.setattr(nn, "_run_forward", counted)
         return calls
 
     def test_writable_model_is_never_memoized(self, monkeypatch):
