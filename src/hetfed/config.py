@@ -133,10 +133,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
         line = _strip_comment(raw_line).strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
-        key, _, raw_value = line.partition("=")
+        key, equals, raw_value = line.partition("=")
         key = key.strip()
+        if not equals or not key:
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw_line!r}")
         raw_value = raw_value.strip()
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")

@@ -7,9 +7,10 @@ The cached `param_layout` of a (spec, heads) is the one description of the
 network. A stem linear feeds ``num_blocks`` blocks; a block is a chain of
 linear+ReLU steps (one for plain and skip, two for bottleneck), and a skip
 block adds its input to its output. Each head is a neck linear and a
-classifier linear on the trunk output after the block it hangs off. The
-forward and backward passes walk the layout, and the cost-model counts
-(`parameter_count`, `mac_count`, `activation_count`) and FeDepth's
+classifier linear on the trunk output after the block it hangs off; the
+deepest head hangs off the last block, so every block feeds a head. The
+forward and backward passes walk the whole layout, and the cost-model
+counts (`parameter_count`, `mac_count`, `activation_count`) and FeDepth's
 `segment_slice` read it.
 
 A model is a spec, its heads and one contiguous float64 ``vector`` holding
@@ -42,8 +43,8 @@ K >= 2 the walk views the batch as [K, n, d], and it takes every loss mean
 over each client's own n rows. A single model runs as a stack of one, so
 `forward` and `predict` run 2-D.
 One forward walk (`_run_forward`) serves `backward`, `forward` and
-`predict`: it computes the heads it is asked for where they attach,
-stops at the deepest one and keeps the activations `backward` reads.
+`predict`: it walks every block, computes every head where it attaches
+and keeps the activations `backward` reads.
 Stacked `np.matmul`, 2-D `ndarray.dot` and the axis reductions give the same
 bits on each client, so a client's result does not depend on what it is
 stacked with.
@@ -80,14 +81,14 @@ the engine is not thread-safe, and a `moves` plan must not call
 `train_local`.
 
 `predict` scores one head and remembers one walk per model; this is the
-engine's one evaluation memo. When the model's vector and the features
-are both read-only, one walk computes every head of the model and each
-head's argmax is stored on the model with the features object; a later
-call on that same object (by identity), for any head, returns it without
-a walk. So the clients scored on different heads of one model share one
-walk. A writable model is never memoized, and its walk stops at the
-asked head. The memo is safe because every model a strategy keeps in its
-state is read-only, so it cannot change under its stored predictions.
+engine's one evaluation memo. One walk computes every head of the model.
+When the model's vector and the features are both read-only, each head's
+argmax is stored on the model with the features object; a later call on
+that same object (by identity), for any head, returns it without a walk.
+So the clients scored on different heads of one model share one walk. A
+writable model is never memoized. The memo is safe because every model a
+strategy keeps in its state is read-only, so it cannot change under its
+stored predictions.
 Logits that are not all finite raise `DivergenceError` instead of an
 argmax.
 """
@@ -176,8 +177,8 @@ def param_layout(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> ParamLayou
         raise ValueError("a model needs at least one head")
     if tuple(sorted(set(head_blocks))) != tuple(head_blocks):
         raise ValueError("head_blocks must be strictly increasing and unique")
-    if head_blocks[-1] > spec.num_blocks or head_blocks[0] < 1:
-        raise ValueError("head attach points must lie in 1..num_blocks")
+    if head_blocks[0] < 1 or head_blocks[-1] != spec.num_blocks:
+        raise ValueError(f"heads {head_blocks} must lie in 1..{spec.num_blocks}, the deepest on the last block")
     d, h, p, c = spec.input_dim, spec.hidden_dim, spec.proto_dim, spec.num_classes
     shapes: dict[str, tuple[int, ...]] = {}
 
@@ -452,16 +453,16 @@ class ForwardResult:
     embedding: np.ndarray          # neck output of the deepest head, [n, proto_dim]
 
 
-def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...]) -> dict:
-    """Forward pass of K stacked models up to the deepest of `heads`
-    (attached heads, ascending), computing only those heads.
+def _run_forward(stack: ModelStack, batch: np.ndarray) -> dict:
+    """Forward pass of K stacked models through every block, computing
+    every attached head.
 
     `batch` is [K*n, d]: the K clients' n rows each, concatenated; at
     K >= 2 it is viewed as [K, n, d]. The cache holds the input ("x"), the
-    trunk activation after the stem and after each walked block ("h"), each
-    walked block's post-ReLU output per linear ("acts"), and per asked head
-    its neck output ("neck") and logits ("logits"); at K >= 2 all with the
-    leading client axis.
+    trunk activation after the stem and after each block ("h"), each
+    block's post-ReLU output per linear ("acts"), and per head its neck
+    output ("neck") and logits ("logits"); at K >= 2 all with the leading
+    client axis.
     """
     k = stack.vector.shape[0]
     d = stack.spec.input_dim
@@ -476,10 +477,10 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...]) -
     trunk = [h]
     acts = []
     necks, logits = {}, {}
-    for i in range(1, heads[-1] + 1):
+    for i, block in enumerate(layout.blocks, 1):
         a = h
         block_acts = []
-        for w, b in layout.blocks[i - 1]:
+        for w, b in block:
             a = mm(a, p[w])
             a += p[b]
             np.maximum(a, 0.0, out=a)
@@ -487,7 +488,7 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...]) -
         h = a + h if layout.residual else a
         trunk.append(h)
         acts.append(block_acts)
-        if i in heads:
+        if i in layout.heads:
             neck_w, neck_b, fc_w, fc_b = layout.heads[i]
             neck = necks[i] = mm(h, p[neck_w])
             neck += p[neck_b]
@@ -498,7 +499,7 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, heads: tuple[int, ...]) -
 
 def forward(model: BlockNetModel, batch: np.ndarray) -> ForwardResult:
     """Per-head logits plus the deepest head's neck output (the embedding)."""
-    cache = _run_forward(_stack_of_one(model), batch, model.head_blocks)
+    cache = _run_forward(_stack_of_one(model), batch)
     return ForwardResult(logits=cache["logits"], embedding=cache["neck"][model.final_head])
 
 
@@ -604,13 +605,13 @@ def backward(stack: ModelStack, batch: np.ndarray, targets: np.ndarray, loss: Lo
     mm, wt, g = stack.matmul, stack.weights_t, stack.grads
     layout = stack.layout
     reduce = np.add.reduce
-    cache = _run_forward(stack, batch, stack.head_blocks)
+    cache = _run_forward(stack, batch)
     dlogits, demb = _loss_grads(stack, cache, targets, loss)
 
     trunk = cache["h"]
     # Gradient w.r.t. the trunk activation after block i; heads join it
-    # where they attach. None above the deepest head, whose blocks get
-    # exact zero gradients.
+    # where they attach. The last block carries a head, so the first block
+    # walked sets it.
     dh = None
     for i in range(len(layout.blocks), 0, -1):
         if i in layout.heads:
@@ -628,11 +629,6 @@ def backward(stack: ModelStack, batch: np.ndarray, targets: np.ndarray, loss: Lo
                 dh = dtrunk
             else:
                 dh += dtrunk
-        elif dh is None:
-            for w, b in layout.blocks[i - 1]:
-                g[w].fill(0.0)
-                g[b].fill(0.0)
-            continue
         d = dh
         acts = cache["acts"][i - 1]
         inputs = [trunk[i - 1], *acts[:-1]]
@@ -748,7 +744,7 @@ def train_local(
     stack = workspace.stack(k)
     stack.vector[...] = [m.vector for m in models]
     momentum = workspace.momentum[:k]
-    momentum.fill(0.0)
+    momentum[...] = 0.0
     n = features.shape[0] if rows is None else rows[0].size
     passes = config.local_epochs
     starts = range(0, n, config.batch_size)
@@ -785,10 +781,10 @@ def predict(model: BlockNetModel, features: np.ndarray, head: int | None = None)
     toward the lower index. Logits that are not all finite raise
     `DivergenceError` naming the head: a NaN row would argmax to class 0.
 
-    The walk stops at the head. When the model's vector and `features` are
-    both read-only, one walk computes every head of the model, and each
-    head's result, read-only, is remembered on the model: a later call with
-    the same `features` object, for any head, returns it without a walk.
+    One walk computes every head of the model; every returned array is
+    read-only. When the model's vector and `features` are both read-only,
+    each head's result is remembered on the model: a later call with the
+    same `features` object, for any head, returns it without a walk.
     Callers that score a prediction (`metrics.model_accuracy`) compare it
     afresh on each call; nothing else is remembered.
     """
@@ -800,8 +796,8 @@ def predict(model: BlockNetModel, features: np.ndarray, head: int | None = None)
     if frozen and memo is not None and memo[0] is features:
         labels = memo[1][j]
     else:
-        cache = _run_forward(_stack_of_one(model), features, model.head_blocks if frozen else (j,))
-        found = {i: _argmax(z, frozen) for i, z in cache["logits"].items()}
+        cache = _run_forward(_stack_of_one(model), features)
+        found = {i: _argmax(z) for i, z in cache["logits"].items()}
         if frozen:
             model._predicted = (features, found)
         labels = found[j]
@@ -810,12 +806,11 @@ def predict(model: BlockNetModel, features: np.ndarray, head: int | None = None)
     return labels
 
 
-def _argmax(logits: np.ndarray, frozen: bool) -> np.ndarray | None:
-    """Each row's argmax class, read-only when `frozen`; None when a logit
-    is not finite."""
+def _argmax(logits: np.ndarray) -> np.ndarray | None:
+    """Each row's argmax class, read-only; None when a logit is not
+    finite."""
     if not np.isfinite(logits).all():
         return None
     labels = logits.argmax(axis=-1)
-    if frozen:
-        labels.setflags(write=False)
+    labels.setflags(write=False)
     return labels

@@ -261,12 +261,16 @@ def _axis_override(raw: dict[str, object], axis: str, value: str) -> dict[str, o
 
 
 def sweep_experiment(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str | None = None) -> str:
-    """One run per axis value under shared seeds; returns the merged CSV text."""
+    """One run per axis value, each a distinct config, under shared seeds; returns the merged CSV text."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
     sub_cfgs = [resolve_config(_axis_override(cfg.raw, axis, value)) for value in values]
+    hashes = [sub_cfg.hash() for sub_cfg in sub_cfgs]
+    for i, first in enumerate(hashes.index(digest) for digest in hashes):
+        if first != i:
+            raise ConfigError(f"sweep axis {axis}: values {values[first]!r} and {values[i]!r} give the same config")
     # Every value's jobs finish before anything is written, so a sweep that
     # fails leaves no directory behind, as a run does.
     outcomes = [_run_jobs(sub_cfg) for sub_cfg in sub_cfgs]

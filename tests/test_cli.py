@@ -296,6 +296,18 @@ class TestOtherCommands:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()  # every value is checked before the first run
 
+    @pytest.mark.parametrize("axis,values,message", [
+        ("alpha", "0.5,0.5", "values '0.5' and '0.5'"),
+        ("alpha", "5,0.5,5.0", "values '5' and '5.0'"),
+        ("num_clients", "10,010", "values '10' and '010'"),
+    ])
+    def test_sweep_values_that_give_one_config_are_config_error(self, config_path, tmp_path, capsys, axis,
+                                                                 values, message):
+        out = tmp_path / "sweep"
+        assert main(["sweep", config_path, "--axis", axis, "--values", values, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: sweep axis {axis}: {message} give the same config\n"
+        assert not out.exists()
+
     def test_report_over_runs_sorted_descending(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "run")
         main(["run", config_path, "--out", out])

@@ -166,9 +166,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("a = 1\na = 2")
 
-    def test_missing_equals_rejected(self):
-        with pytest.raises(ConfigError, match="key = value"):
-            parse_config_text("just words")
+    @pytest.mark.parametrize("text,message", [
+        ("just words", r"^b\.cfg:1: expected 'key = value', got 'just words'$"),
+        ("a = 1\n\n= 3\n", r"^b\.cfg:3: expected 'key = value', got '= 3'$"),
+    ], ids=["no_equals", "empty_key"])
+    def test_missing_equals_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text, "b.cfg")
 
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ConfigError, match="unknown config keys: samplingfraction"):
@@ -520,14 +524,18 @@ class TestSweep:
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg"))) + sorted(
-    glob.glob(os.path.join(ROOT, "bench", "workloads", "*.cfg"))
-)
+SHIPPED_CONFIGS = [
+    path
+    for folder in ("configs", os.path.join("tests", "golden"), os.path.join("bench", "workloads"))
+    for path in sorted(glob.glob(os.path.join(ROOT, folder, "*.cfg")))
+]
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: os.path.relpath(p, ROOT))
 def test_shipped_config_loads_and_prices_its_pool(path):
-    # Every key a shipped config or bench workload sets must stay accepted.
+    # Every key a shipped, golden or bench config sets must stay accepted,
+    # and every pool it builds must keep each model's deepest head on its
+    # last block.
     cfg = load_config(path)
     table = pool_csv(cfg)
     print(table)

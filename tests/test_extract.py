@@ -336,14 +336,12 @@ class TestFlatMapsMatchPerKeyOracle:
         rng = np.random.default_rng(9)
         for heads in ((1, 2, 3, 4), (2, 4), (4,)):
             model = make_model(hidden=8, blocks=4, kind=kind, heads=heads, seed=len(heads))
-            for depth in range(1, 5):
+            for depth in heads:
                 # Every head within the prefix (DepthFL), or the one at the
-                # prefix's last block (InclusiveFL), where the model has them.
-                within = tuple(j for j in heads if j <= depth)
-                for kept in {within, (depth,) if depth in heads else ()}:
-                    if kept:
-                        sub, smap = extract_depth(model, depth, kept)
-                        self.assert_matches(model, sub, smap, depth_entries(model, depth, kept), rng)
+                # prefix's last block (InclusiveFL).
+                for kept in {tuple(j for j in heads if j <= depth), (depth,)}:
+                    sub, smap = extract_depth(model, depth, kept)
+                    self.assert_matches(model, sub, smap, depth_entries(model, depth, kept), rng)
 
     def test_maps_are_cached_and_read_only(self):
         model = make_model(hidden=6, blocks=2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hetfed import nn
+from hetfed.extract import extract_depth
 from hetfed.nn import BlockNetSpec, LossSpec, SGDConfig
 
 from oracles import (
@@ -50,6 +51,17 @@ class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             BlockNetSpec(4, 4, 1, "conv")
+
+    def test_deepest_head_must_sit_on_the_last_block(self):
+        spec = small_spec(num_blocks=3)
+        message = r"^heads \(1, 2\) must lie in 1\.\.3, the deepest on the last block$"
+        with pytest.raises(ValueError, match=message):
+            nn.param_layout(spec, (1, 2))
+        with pytest.raises(ValueError, match=message):
+            nn.init_model(spec, np.random.default_rng(0), (1, 2))
+        model = nn.init_model(spec, np.random.default_rng(0), (1, 2, 3))
+        with pytest.raises(ValueError, match=r"^heads \(1,\) must lie in 1\.\.2, the deepest on the last block$"):
+            extract_depth(model, 2, (1,))
 
 
 class TestForward:
@@ -103,65 +115,45 @@ class TestForward:
         assert set(out.logits) == {1, 2, 3}
 
 
-def head_subsets(heads):
-    """Every non-empty subset of `heads`, each ascending."""
-    return [tuple(h for b, h in enumerate(heads) if mask >> b & 1) for mask in range(1, 2 ** len(heads))]
-
-
 class TestInferenceWalk:
-    """The one forward walk computes only the heads it is asked for and
-    stops at the deepest: each asked head's logits and the deepest asked
-    neck have the all-heads pass's bits."""
+    """`backward`, `forward` and `predict` run the one forward walk over
+    the whole model."""
 
-    @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_every_head_subset_matches_the_all_heads_pass(self, kind, k):
-        spec = BlockNetSpec(5, 8, 4, kind, 4, 6)
-        heads = (1, 3, 4)
-        vectors = np.stack([nn.init_model(spec, np.random.default_rng(s), heads).vector for s in range(k)])
-        stack = nn.ModelStack(spec, heads, vectors, np.empty_like(vectors))
-        x = np.random.default_rng(9).normal(size=(k * 7, 5))
-        everything = nn._run_forward(stack, x, heads)
-        assert len(head_subsets(heads)) == 7
-        for asked in head_subsets(heads):
-            cache = nn._run_forward(stack, x, asked)
-            assert list(cache["logits"]) == list(cache["neck"]) == list(asked)
-            assert len(cache["h"]) == len(cache["acts"]) + 1 == asked[-1] + 1, asked
-            for j in asked:
-                assert cache["logits"][j].tobytes() == everything["logits"][j].tobytes(), (asked, j)
-            deepest = asked[-1]
-            assert cache["neck"][deepest].tobytes() == everything["neck"][deepest].tobytes(), asked
-
-    def test_walk_stops_at_the_deepest_head_asked_for(self):
-        # Products: the stem, one per block up to the deepest asked head,
-        # and a neck and a classifier per asked head.
-        spec = BlockNetSpec(5, 8, 3, "plain", 4, 6)
-        model = nn.init_model(spec, np.random.default_rng(2), (1, 3))
-        stack = nn.ModelStack(spec, model.head_blocks, model.vector[None].copy(), np.empty((1, model.vector.size)))
-        products = []
+    def test_forward_and_predict_match_the_backward_walk(self, monkeypatch):
+        spec = BlockNetSpec(5, 8, 3, "skip", 4, 6)
+        model = nn.init_model(spec, np.random.default_rng(4), (1, 3))
+        x = np.random.default_rng(5).normal(size=(6, 5))
+        own = nn.ModelStack(spec, model.head_blocks, model.vector[None].copy(), np.empty((1, model.vector.size)))
+        products, walk = [], nn._run_forward
 
         def counted(a, b):
             products.append(b.shape)
             return a.dot(b)
 
-        stack.matmul = counted
-        x = np.random.default_rng(3).normal(size=(6, 5))
-        for asked, count in (((1,), 4), ((3,), 6), ((1, 3), 8)):
-            products.clear()
-            nn._run_forward(stack, x, asked)
-            assert len(products) == count, asked
+        # Products: the stem, one per block, and a neck and a classifier
+        # per head.
+        own.matmul = counted
+        walk(own, x)
+        assert len(products) == 1 + 3 + 2 * 2
+        own.matmul = np.ndarray.dot
+        caches = []
 
-    def test_forward_runs_the_walk_over_every_head(self):
-        spec = BlockNetSpec(5, 8, 3, "skip", 4, 6)
-        model = nn.init_model(spec, np.random.default_rng(4), (1, 2, 3))
-        own = nn.ModelStack(spec, model.head_blocks, model.vector[None].copy(), np.empty((1, model.vector.size)))
-        x = np.random.default_rng(5).normal(size=(6, 5))
-        cache = nn._run_forward(own, x, model.head_blocks)
+        def recorded(stack, batch):
+            caches.append(walk(stack, batch))
+            return caches[-1]
+
+        monkeypatch.setattr(nn, "_run_forward", recorded)
+        nn.backward(own, x, np.random.default_rng(6).integers(0, 4, size=6), LossSpec())
         out = nn.forward(model, x)
-        assert list(out.logits) == [1, 2, 3]
-        for j in (1, 2, 3):
-            assert out.logits[j].tobytes() == cache["logits"][j].tobytes()
-        assert out.embedding.tobytes() == cache["neck"][3].tobytes()
+        labels = [nn.predict(model, x, j) for j in (1, 3)]
+        want = caches[0]
+        assert out.embedding.tobytes() == want["neck"][3].tobytes()
+        assert [list(cache["logits"]) for cache in caches] == [[1, 3]] * 4
+        for cache in caches[1:]:  # forward's, then predict's at heads 1 and 3
+            for j in (1, 3):
+                assert cache["logits"][j].tobytes() == want["logits"][j].tobytes()
+        for j, got in zip((1, 3), labels):
+            assert np.array_equal(got, want["logits"][j].argmax(axis=1))
 
 
 class TestLosses:
@@ -225,19 +217,6 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_multi_head_cross_entropy(self):
         self._check(small_spec(num_blocks=3), (1, 2, 3), LossSpec(), seed=3)
-
-    @pytest.mark.parametrize("kind", ["plain", "skip"])
-    def test_blocks_above_the_deepest_head_get_exact_zeros(self, kind):
-        # No head reads blocks 3 and 4, so their gradient is exactly zero.
-        spec = BlockNetSpec(3, 4, 4, kind, 3, 4)
-        heads = (1, 2)
-        self._check(spec, heads, LossSpec(), seed=6)
-        rng = np.random.default_rng(6)
-        model = perturb_params(nn.init_model(spec, rng, heads), rng)
-        stack = nn.ModelStack(spec, heads, model.vector[None], np.full((1, model.vector.size), np.nan))
-        grads = nn.backward(stack, rng.normal(size=(4, 3)), rng.integers(0, 3, size=4), LossSpec())
-        for key, grad in grads.items():
-            assert np.all(grad == 0.0) == key.startswith(("block3.", "block4.")), key
 
     def test_prototype_pull(self):
         rng = np.random.default_rng(7)
@@ -721,7 +700,7 @@ class TestWorkspaces:
         x, _ = self.data()
         for model in self.models((1, 2, 1)):
             own = nn.ModelStack(model.spec, model.head_blocks, model.vector[None], np.empty((1, model.vector.size)))
-            want = nn._run_forward(own, x, model.head_blocks)["logits"][2]
+            want = nn._run_forward(own, x)["logits"][2]
             assert nn.forward(model, x).logits[2].tobytes() == want.tobytes()
             assert np.array_equal(nn.predict(model, x), want.argmax(axis=1))
 
@@ -765,7 +744,7 @@ class TestLogitGradients:
     """The loss gradient of every head, with all distillation pairs taken
     at once, must equal the per-head, per-pair loop byte for byte."""
 
-    @pytest.mark.parametrize("heads", [(4,), (1, 2), (2, 3, 4), (1, 2, 3, 4)])
+    @pytest.mark.parametrize("heads", [(4,), (1, 4), (2, 3, 4), (1, 2, 3, 4)])
     @pytest.mark.parametrize("k", [1, 3])
     def test_stacked_pairs_match_the_pairwise_loop(self, heads, k):
         spec = BlockNetSpec(5, 8, 4, "plain", 4, 6)
@@ -773,7 +752,7 @@ class TestLogitGradients:
         n = 9
         vectors = np.stack([nn.init_model(spec, np.random.default_rng(s), heads).vector for s in range(k)])
         stack = nn.ModelStack(spec, heads, vectors, np.empty_like(vectors))
-        cache = nn._run_forward(stack, rng.normal(size=(k * n, 5)), heads)
+        cache = nn._run_forward(stack, rng.normal(size=(k * n, 5)))
         labels = rng.integers(0, 4, size=k * n)
         soft = nn.softmax(rng.normal(size=(k * n, 4)))
         for targets in (labels, soft):
@@ -799,9 +778,9 @@ class TestPredictMemo:
         calls = []
         walk = nn._run_forward
 
-        def counted(stack, batch, heads):
-            calls.append(heads)
-            return walk(stack, batch, heads)
+        def counted(stack, batch):
+            calls.append(stack.head_blocks)
+            return walk(stack, batch)
 
         monkeypatch.setattr(nn, "_run_forward", counted)
         return calls
@@ -812,7 +791,7 @@ class TestPredictMemo:
         x = read_only(np.random.default_rng(1).normal(size=(40, 4)))
         calls = self.counting_walk(monkeypatch)
         before = nn.predict(model, x)
-        assert before.flags.writeable and set(before.tolist()) != {2}
+        assert not before.flags.writeable and set(before.tolist()) != {2}
         model.params[f"head{model.final_head}.fc.b"][...] = [0.0, 0.0, 1e6]
         after = nn.predict(model, x)
         assert len(calls) == 2
@@ -834,14 +813,14 @@ class TestPredictMemo:
         assert np.array_equal(nn.predict(model, equal), first) and len(calls) == 3
         # Writable features are never memoized either.
         writable = x.copy()
-        assert nn.predict(model, writable).flags.writeable
+        assert not nn.predict(model, writable).flags.writeable
         writable[:] = 0.0
         assert np.array_equal(nn.predict(model, writable), nn.predict(copy, writable))
         assert len(calls) == 6
 
     def test_one_walk_serves_every_head(self, monkeypatch):
         # A frozen model walks once for all heads and remembers each head's
-        # argmax; a writable one walks to the asked head only.
+        # argmax; a writable one walks every head on each call.
         spec = small_spec(num_classes=3, num_blocks=3, hidden_dim=8)
         model = nn.init_model(spec, np.random.default_rng(6), (1, 2, 3))
         copy = nn.BlockNetModel(spec, model.head_blocks, model.vector.copy())
@@ -854,8 +833,8 @@ class TestPredictMemo:
         for j in (1, 2, 3):
             assert not frozen[j].flags.writeable
             alone = nn.predict(copy, x, j)
-            assert alone.flags.writeable and np.array_equal(alone, frozen[j])
-        assert calls[1:] == [(1,), (2,), (3,)]
+            assert not alone.flags.writeable and np.array_equal(alone, frozen[j])
+        assert calls[1:] == [(1, 2, 3)] * 3
         # The heads disagree somewhere, so each head's memo is its own.
         assert len({frozen[j].tobytes() for j in (1, 2, 3)}) == 3
 
