@@ -2,8 +2,9 @@
 
 Subcommands: run, sweep, pool, partition, report. Exit codes: 0 success,
 2 config error, 3 infeasible scenario, 4 I/O error or a report input that
-is not a hetfed summary, 5 diverged training. HETFED_SEED and HETFED_OUT
-override the config's master_seed and output_dir.
+is not a hetfed summary, 5 diverged training. HETFED_SEED overrides the
+config's master_seed; HETFED_OUT, unless --out is given, picks the output
+directory of run and sweep without entering the config.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config_text, resolve_config
+from .config import ConfigError, ExperimentConfig, parse_config_text, read_value, resolve_config
 from .resources import InfeasibleScenarioError
 from .runner import (
     SWEEP_AXES,
@@ -39,17 +40,12 @@ EXIT_DIVERGED = 5
 
 
 def _load_with_env(path: str) -> ExperimentConfig:
-    """The config at `path` with the environment overrides applied before
-    it resolves, so its pools are built once."""
+    """The config at `path` with HETFED_SEED, read as a config line's
+    master_seed, applied before it resolves, so its pools are built once."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = parse_config_text(fh.read(), source=path)
     if "HETFED_SEED" in os.environ:
-        try:
-            raw["master_seed"] = int(os.environ["HETFED_SEED"])
-        except ValueError as exc:
-            raise ConfigError(f"HETFED_SEED must be an integer: {exc}") from exc
-    if "HETFED_OUT" in os.environ:
-        raw["output_dir"] = os.environ["HETFED_OUT"]
+        raw["master_seed"] = read_value("master_seed", os.environ["HETFED_SEED"], "HETFED_SEED")
     return resolve_config(raw, source=path)
 
 
@@ -87,15 +83,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in ("run", "sweep"):
             cfg = _load_with_env(args.config)
+            # HETFED_OUT, like --out, picks the directory and is no part of the config.
+            out = args.out if args.out is not None else os.environ.get("HETFED_OUT")
             # A diverging run overflows on its way to a non-finite value,
             # which the engine's finite checks report as one diagnosis, so
             # numpy's floating-point warnings would only precede it.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 if args.command == "run":
-                    text = format_report(report_rows([run_experiment(cfg, args.out)]))
+                    text = format_report(report_rows([run_experiment(cfg, out)]))
                 else:
                     values = [v.strip() for v in args.values.split(",") if v.strip()]
-                    text = sweep_experiment(cfg, args.axis, values, args.out)
+                    text = sweep_experiment(cfg, args.axis, values, out)
             sys.stdout.write(text)
         elif args.command == "pool":
             sys.stdout.write(pool_csv(_load_with_env(args.config)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from .datasets import PartitionConfig, check_fractions, check_layout, check_synthetic, split_sizes
 from .nn import BLOCK_KINDS, BlockNetSpec, SGDConfig, validate_base_spec
 from .resources import (
-    DEFAULT_MEMORY_MULTIPLIERS,
+    DEFAULT_KAPPA,
     ModelPool,
     PoolConfig,
     ProfileDistribution,
@@ -104,9 +104,9 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "algo.fedet_server_epochs": ("int", 1),
     "algo.fedet_client_epochs": ("int", 1),
 
-    "resource.kappa_depthfl": ("float", DEFAULT_MEMORY_MULTIPLIERS["depthfl"]),
-    "resource.kappa_fedrolex": ("float", DEFAULT_MEMORY_MULTIPLIERS["fedrolex"]),
-    "resource.kappa_fedepth": ("float", DEFAULT_MEMORY_MULTIPLIERS["fedepth"]),
+    "resource.kappa_depthfl": ("float", DEFAULT_KAPPA["depthfl"]),
+    "resource.kappa_fedrolex": ("float", DEFAULT_KAPPA["fedrolex"]),
+    "resource.kappa_fedepth": ("float", DEFAULT_KAPPA["fedepth"]),
 
     "eval.cadence": ("int", 10),
     "eval.tta_threshold": ("float", 0.5),
@@ -140,11 +140,27 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
         raw_value = raw_value.strip()
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        try:
-            values[key] = json.loads(raw_value)
-        except json.JSONDecodeError:
-            values[key] = raw_value  # bare string
+        values[key] = parse_value(raw_value)
     return values
+
+
+def parse_value(text: str) -> object:
+    """A config line's value: JSON, else the bare word as a string."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def read_value(key: str, text: str, source: str) -> object:
+    """`text` read as a config line's value for `key` and checked against
+    the key's schema type; a ConfigError opening with `source` otherwise."""
+    value = parse_value(text)
+    try:
+        _coerce(key, SCHEMA[key][0], value)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    return value
 
 
 def _is_number(value: object, types: type | tuple[type, ...]) -> bool:
@@ -369,10 +385,14 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     if not 0.0 < resolved["eval.tta_threshold"] <= 1.0:
         raise ConfigError(f"eval.tta_threshold: must lie in (0, 1], got {resolved['eval.tta_threshold']}")
 
-    multipliers = {sid: resolved[f"resource.kappa_{sid}"] for sid in DEFAULT_MEMORY_MULTIPLIERS}
+    for sid in DEFAULT_KAPPA:  # every strategy's, listed or not
+        kappa = resolved[f"resource.kappa_{sid}"]
+        if kappa <= 0:
+            raise ConfigError(f"resource.kappa_{sid}: must be > 0, got {kappa}")
     baseline = [BASELINE_ID] if resolved["include_baseline"] and BASELINE_ID not in strategies else []
+    # A strategy without a kappa key prices its memory unscaled.
     pools = {
-        sid: _rule(build_pool, sid, level, spec, pool_cfg, sgd.batch_size, multipliers)
+        sid: _rule(build_pool, sid, level, spec, pool_cfg, sgd.batch_size, resolved.get(f"resource.kappa_{sid}", 1.0))
         for sid in strategies + baseline
     }
 

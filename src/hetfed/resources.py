@@ -2,9 +2,17 @@
 
 The cost model prices each candidate model variant (FLOPs, bytes moved,
 training-memory footprint) so that scenarios can hand every client the
-largest variant its device can actually afford. Memory footprints carry
-per-strategy calibration multipliers because measured footprints of equal
-parameter-count models differ widely across aggregation schemes.
+largest variant its device can actually afford.
+
+One rule prices training memory, `training_memory`: every weight of the
+model resident, a gradient and a momentum entry for each trained
+coordinate, and the activation state of one batch, 8 bytes each. A pool
+variant trains its whole model; a FeDepth segment trains its
+`nn.segment_slice`. A pool variant's price is then scaled once by its
+strategy's κ (`resource.kappa_<strategy>`, 1 for strategies without a
+key). The defaults are measured training footprints of equal-proportion
+models against the static-width baseline's 593 MB: DepthFL 1220 MB,
+FedRolex 780 MB and FeDepth 631 MB.
 """
 
 from __future__ import annotations
@@ -28,10 +36,9 @@ BASELINE_STRATEGIES = ("fedavg_full", "fedavg_smallest")
 # The config key that sets each level's ladder.
 LADDER_KEYS = {"width": "pool.rates", "depth": "pool.depths", "topology": "pool.family"}
 
-# Footprint ratios vs the static-width baseline, calibrated to measured
-# training footprints of equal-proportion models (1220/593, 780/593,
-# 631/593 MB). Overridable through config.
-DEFAULT_MEMORY_MULTIPLIERS = {
+# Each strategy's default κ: its measured training footprint over the
+# static-width baseline's (see the module docstring).
+DEFAULT_KAPPA = {
     "depthfl": 1220.0 / 593.0,
     "fedrolex": 780.0 / 593.0,
     "fedepth": 631.0 / 593.0,
@@ -166,42 +173,22 @@ def estimate_flops(spec: BlockNetSpec, head_blocks: tuple[int, ...]) -> float:
     return 2.0 * nn.mac_count(spec, head_blocks)
 
 
-def estimate_memory(
+def training_memory(
     spec: BlockNetSpec,
-    batch_size: int,
-    strategy: str,
     head_blocks: tuple[int, ...],
-    multipliers: dict[str, float] | None = None,
+    batch_size: int,
+    trained: slice = slice(None),
 ) -> float:
-    """Training footprint in bytes.
-
-    base = 8 * (3 * params + batch * activations): weights, gradients and
-    momentum plus the activation state of one batch, scaled by the
-    strategy's calibration multiplier.
-    """
+    """Training footprint in bytes, 8 * (params + 2 * trained params +
+    batch * activations): all weights stay resident, gradients and momentum
+    exist only for the coordinates in `trained` (the whole model by
+    default), plus the activation state of one batch."""
     if batch_size < 0:
         raise ValueError("batch_size must be >= 0")
-    table = DEFAULT_MEMORY_MULTIPLIERS if multipliers is None else multipliers
-    kappa = table.get(strategy, 1.0)
     params = nn.parameter_count(spec, head_blocks)
+    start, stop, _ = trained.indices(params)
     acts = nn.activation_count(spec, head_blocks)
-    return kappa * FLOAT_BYTES * (3.0 * params + float(batch_size) * acts)
-
-
-def segment_memory(
-    spec: BlockNetSpec,
-    batch_size: int,
-    segment_params: int,
-    head_blocks: tuple[int, ...],
-) -> float:
-    """Footprint of training one frozen-rest segment of the full model.
-
-    All weights stay resident, but gradients and momentum exist only for
-    the segment's parameters.
-    """
-    params = nn.parameter_count(spec, head_blocks)
-    acts = nn.activation_count(spec, head_blocks)
-    return FLOAT_BYTES * (params + 2.0 * segment_params + float(batch_size) * acts)
+    return FLOAT_BYTES * (params + 2.0 * (stop - start) + float(batch_size) * acts)
 
 
 def fedepth_segments(
@@ -212,28 +199,24 @@ def fedepth_segments(
 ) -> list[list[int]]:
     """Greedy block segmentation whose every segment footprint fits memory.
 
-    A segment is priced at the parameters it trains, the length of its
+    A segment is priced at the coordinates it trains, its
     `nn.segment_slice`: its blocks, plus the stem with the first segment
     and every head with the last. Raises when even single-block segments
     do not fit.
     """
-
-    def seg_params(blocks: list[int]) -> int:
-        part = nn.segment_slice(spec, head_blocks, blocks)
-        return part.stop - part.start
-
     segments: list[list[int]] = []
     current: list[int] = []
     for b in range(1, spec.num_blocks + 1):
         candidate = current + [b]
-        if current and segment_memory(spec, batch_size, seg_params(candidate), head_blocks) > memory_capacity:
+        if current and training_memory(spec, head_blocks, batch_size,
+                                       nn.segment_slice(spec, head_blocks, candidate)) > memory_capacity:
             segments.append(current)
             current = [b]
         else:
             current = candidate
     segments.append(current)
     for seg in segments:
-        if segment_memory(spec, batch_size, seg_params(seg), head_blocks) > memory_capacity:
+        if training_memory(spec, head_blocks, batch_size, nn.segment_slice(spec, head_blocks, seg)) > memory_capacity:
             raise InfeasibleScenarioError(
                 f"even a single-block segment exceeds {memory_capacity:.0f} bytes of memory"
             )
@@ -278,7 +261,7 @@ def _variant_stats(
     head_blocks: tuple[int, ...],
     strategy: str,
     batch_size: int,
-    multipliers: dict[str, float] | None,
+    kappa: float,
 ) -> VariantStats:
     params = nn.parameter_count(spec, head_blocks)
     # FedProto uploads its prototype table, num_classes * (proto_dim + 1)
@@ -287,7 +270,7 @@ def _variant_stats(
     return VariantStats(
         params=params,
         flops_per_sample=estimate_flops(spec, head_blocks),
-        memory_bytes=estimate_memory(spec, batch_size, strategy, head_blocks, multipliers),
+        memory_bytes=kappa * training_memory(spec, head_blocks, batch_size),
         comm_payload_bytes=payload_bytes(strategy, numbers),
     )
 
@@ -310,20 +293,18 @@ def build_pool(
     model_spec: BlockNetSpec,
     pool_cfg: PoolConfig,
     batch_size: int,
-    multipliers: dict[str, float] | None = None,
+    kappa: float = 1.0,
 ) -> ModelPool:
-    """Candidate variants for one strategy, ordered largest to smallest.
+    """Candidate variants for one strategy, ordered largest to smallest,
+    their training memory scaled by `kappa`.
     Every pool rule is checked here or in the calls it makes; each
     message names the config key at fault."""
     check_strategy(strategy, level)
-    for sid, kappa in (multipliers or {}).items():  # every strategy's, listed or not
-        if kappa <= 0:
-            raise ValueError(f"resource.kappa_{sid}: must be > 0, got {kappa}")
     specs = ladder(model_spec, level, pool_cfg)
 
     def make(spec: BlockNetSpec, heads: tuple[int, ...], vid: str, kind: str,
              rate: float | None = None, depth: int | None = None) -> Variant:
-        stats = _variant_stats(spec, heads, strategy, batch_size, multipliers)
+        stats = _variant_stats(spec, heads, strategy, batch_size, kappa)
         return Variant(variant_id=vid, kind=kind, spec=spec, head_blocks=heads, stats=stats, rate=rate, depth=depth)
 
     if strategy in WIDTH_STRATEGIES:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__, seeding
-from .config import BASELINE_ID, ConfigError, ExperimentConfig, check_rows, resolve_config
+from .config import BASELINE_ID, ConfigError, ExperimentConfig, check_rows, read_value, resolve_config
 from .datasets import Dataset, gen_synthetic, load_csv, partition, split_global
 from .metrics import (
     METRICS,
@@ -246,17 +246,13 @@ def _write_run(cfg: ExperimentConfig, outcomes: dict[str, list[RepeatOutcome]], 
 def _axis_override(raw: dict[str, object], axis: str, value: str) -> dict[str, object]:
     """The raw config with one sweep axis set to `value`; `axis` is one of SWEEP_AXES."""
     out = dict(raw)
-    try:
-        if axis == "num_clients":
-            out["num_clients"] = int(value)
-        elif axis == "alpha":
-            out["partition.mode"] = "dirichlet"
-            out["partition.alpha"] = float(value)
-        else:
-            out["scenario.constraints"] = value.split("+")
-    except ValueError:
-        wanted = "an integer" if axis == "num_clients" else "a number"
-        raise ConfigError(f"sweep axis {axis}: expected {wanted}, got {value!r}") from None
+    if axis == "num_clients":
+        out["num_clients"] = read_value("num_clients", value, f"sweep axis {axis}")
+    elif axis == "alpha":
+        out["partition.mode"] = "dirichlet"
+        out["partition.alpha"] = read_value("partition.alpha", value, f"sweep axis {axis}")
+    else:
+        out["scenario.constraints"] = value.split("+")
     return out
 
 

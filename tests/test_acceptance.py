@@ -29,6 +29,7 @@ from hetfed.extract import (
 from hetfed.metrics import RoundRecord, effectiveness, stability, time_to_accuracy
 from hetfed.nn import BlockNetSpec, LossSpec
 from hetfed.resources import (
+    DEFAULT_KAPPA,
     DeviceProfile,
     InfeasibleScenarioError,
     ModelPool,
@@ -36,8 +37,8 @@ from hetfed.resources import (
     Variant,
     VariantStats,
     assign_models,
-    estimate_memory,
     feasible,
+    training_memory,
 )
 from hetfed.runner import run_experiment
 from hetfed.strategies import FederationConfig, make_strategy, sample_clients
@@ -192,10 +193,10 @@ def test_criterion_5_cost_model_calibration():
     # ratios 1220/593, 780/593 and 631/593 within 10%.
     spec = BlockNetSpec(8, 16, 4, "plain", 5, 16)
     heads = (spec.num_blocks,)
-    base = estimate_memory(spec, 32, "sheterofl", heads)
+    base = training_memory(spec, heads, 32)
     targets = {"depthfl": 1220 / 593, "fedrolex": 780 / 593, "fedepth": 631 / 593}
     for strategy, target in targets.items():
-        ratio = estimate_memory(spec, 32, strategy, heads) / base
+        ratio = DEFAULT_KAPPA[strategy] * training_memory(spec, heads, 32) / base
         assert abs(ratio - target) / target < 0.10, f"{strategy}: {ratio} vs {target}"
     report(5, "memory multiplier calibration within 10%")
 

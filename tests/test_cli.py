@@ -246,12 +246,31 @@ class TestRunCommand:
         assert main(["pool", config_path]) == EXIT_OK
         assert built == ["sheterofl", "fedavg_smallest"]  # one build per pool
 
-    def test_bad_env_seed_is_config_error(self, config_path, monkeypatch, capsys):
-        monkeypatch.setenv("HETFED_SEED", "not-a-number")
+    @pytest.mark.parametrize("value", ["not-a-number", "1_0"])
+    def test_bad_env_seed_is_config_error(self, config_path, monkeypatch, capsys, value):
+        # HETFED_SEED is read by the rule of a config line, which rejects
+        # `master_seed = 1_0`.
+        monkeypatch.setenv("HETFED_SEED", value)
         assert main(["run", config_path]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: HETFED_SEED must be an integer: invalid literal for int() with base 10: 'not-a-number'\n"
+            f"config error: HETFED_SEED: master_seed: expected an integer, got {value!r}\n"
         )
+
+    def test_env_out_picks_the_directory_only(self, config_path, tmp_path, monkeypatch):
+        # Runs into different HETFED_OUT directories, relative or absolute,
+        # write the bytes of a --out run: the variable is no part of the
+        # config, so neither the manifest nor the config hash sees it.
+        monkeypatch.chdir(tmp_path)
+        outs = ["a", "b", str(tmp_path / "c")]
+        for out in outs:
+            monkeypatch.setenv("HETFED_OUT", out)
+            assert main(["run", config_path]) == EXIT_OK
+        monkeypatch.delenv("HETFED_OUT")
+        assert main(["run", config_path, "--out", "d"]) == EXIT_OK
+        for name in ("summary.json", "manifest.json"):
+            written = {(tmp_path / out / name).read_bytes() for out in outs + ["d"]}
+            assert len(written) == 1, name
+        assert not (tmp_path / "results").exists()
 
 
 class TestOtherCommands:
@@ -286,9 +305,13 @@ class TestOtherCommands:
         assert seconds and seconds[1] != seconds[2] and float(seconds[1]) > float(seconds[2]) == 1e-9
 
     @pytest.mark.parametrize("axis,value,message", [
-        ("alpha", "abc", "sweep axis alpha: expected a number, got 'abc'"),
-        ("num_clients", "2.5", "sweep axis num_clients: expected an integer, got '2.5'"),
-        ("alpha", "nan", "partition.alpha: expected a finite number, got nan"),
+        # Each value is read by the rule of a config line.
+        ("alpha", "abc", "sweep axis alpha: partition.alpha: expected a number, got 'abc'"),
+        ("num_clients", "2.5", "sweep axis num_clients: num_clients: expected an integer, got 2.5"),
+        ("alpha", "nan", "sweep axis alpha: partition.alpha: expected a number, got 'nan'"),
+        ("alpha", "NaN", "sweep axis alpha: partition.alpha: expected a finite number, got nan"),
+        ("alpha", "1_0", "sweep axis alpha: partition.alpha: expected a number, got '1_0'"),
+        ("num_clients", "1_0", "sweep axis num_clients: num_clients: expected an integer, got '1_0'"),
     ])
     def test_sweep_bad_axis_value_is_config_error(self, config_path, tmp_path, capsys, axis, value, message):
         out = tmp_path / "sweep"
@@ -299,7 +322,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize("axis,values,message", [
         ("alpha", "0.5,0.5", "values '0.5' and '0.5'"),
         ("alpha", "5,0.5,5.0", "values '5' and '5.0'"),
-        ("num_clients", "10,010", "values '10' and '010'"),
+        ("alpha", "5,5e0", "values '5' and '5e0'"),
     ])
     def test_sweep_values_that_give_one_config_are_config_error(self, config_path, tmp_path, capsys, axis,
                                                                  values, message):

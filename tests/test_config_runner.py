@@ -73,7 +73,7 @@ LOAD_ERRORS = [
     ("data.test_fraction = 0.001",
      "data.n: the data has 80 rows, which split into 0 test, 0 public and 80 train rows; "
      "at least 1 test row and 4 train rows (one per client) are needed"),
-    # A multiplier of a strategy the config does not list is checked too.
+    # A kappa of a strategy the config does not list is checked too.
     ("resource.kappa_fedrolex = -2.0", "resource.kappa_fedrolex: must be > 0, got -2.0"),
     ("resource.kappa_depthfl = 0", "resource.kappa_depthfl: must be > 0, got 0.0"),
     ("eval.tta_threshold = 7.5", "eval.tta_threshold: must lie in (0, 1], got 7.5"),
@@ -543,6 +543,59 @@ def test_shipped_config_loads_and_prices_its_pool(path):
     assert set(cfg.strategies) <= listed
     # Every pool rule is checked at load, so `hetfed pool` must pass too.
     assert main(["pool", path]) == EXIT_OK
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: os.path.relpath(p, ROOT))
+def test_shipped_pools_price_memory_by_the_one_rule(path):
+    # A variant's memory is its strategy's kappa times the training memory
+    # of its whole model, which at kappa = 1 is weights, gradients and
+    # momentum plus one batch of activations.
+    cfg = load_config(path)
+    batch = cfg.sgd.batch_size
+    for sid, pool in cfg.pools.items():
+        kappa = cfg.raw.get(f"resource.kappa_{sid}", 1.0)
+        for v in pool.variants:
+            whole = resources.training_memory(v.spec, v.head_blocks, batch)
+            assert whole == pytest.approx(v.stats.memory_bytes / kappa, rel=1e-15), (sid, v.variant_id)
+            if kappa == 1.0:
+                acts = nn.activation_count(v.spec, v.head_blocks)
+                assert v.stats.memory_bytes == whole == 8 * (3 * v.stats.params + batch * acts), (sid, v.variant_id)
+
+
+# Shipped (configs/) strategies that get one variant on repeat 0, each
+# with its reason; each config names its own in a comment.
+ONE_VARIANT = {
+    ("depth_memory", "inclusivefl"): "the depth-level conflict: tiers that split its d4 leave depthfl's d1 infeasible",
+    ("depth_memory", "fedepth"): "one full variant by design; its clients differ by segmentation",
+    ("quick", "sheterofl"): "a smoke config",
+}
+
+
+class _Assigned(Exception):
+    """Stops a job once its clients are assigned."""
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg"))),
+                         ids=lambda p: os.path.relpath(p, ROOT))
+def test_shipped_memory_scenarios_bind(path, monkeypatch):
+    # Every listed strategy gets at least 2 distinct variants on repeat 0,
+    # as assigned by the run itself, unless it is a named exception.
+    def assign_models(*args):
+        raise _Assigned({v.variant_id for v in resources.assign_models(*args)})
+
+    monkeypatch.setattr(runner, "assign_models", assign_models)
+    cfg = load_config(path)
+    name = os.path.splitext(os.path.basename(path))[0]
+    with open(path, encoding="utf-8") as fh:
+        comments = "".join(line for line in fh if line.startswith("#"))
+    for sid in cfg.strategies:
+        with pytest.raises(_Assigned) as assigned:
+            run_strategy_repeat(cfg, sid, 0)
+        variants = assigned.value.args[0]
+        if (name, sid) in ONE_VARIANT:
+            assert len(variants) == 1 and sid in comments, (sid, variants)
+        else:
+            assert len(variants) >= 2, (sid, variants)
 
 
 class TestInspectionTables:

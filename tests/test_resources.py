@@ -6,6 +6,7 @@ import pytest
 from hetfed import nn, resources
 from hetfed.nn import BlockNetSpec
 from hetfed.resources import (
+    DEFAULT_KAPPA,
     DeviceProfile,
     InfeasibleScenarioError,
     ModelPool,
@@ -17,11 +18,10 @@ from hetfed.resources import (
     assign_models,
     build_pool,
     estimate_flops,
-    estimate_memory,
     estimate_times,
     fedepth_segments,
     sample_profiles,
-    segment_memory,
+    training_memory,
     width_channels,
 )
 
@@ -91,23 +91,32 @@ class TestFlops:
 
 class TestMemory:
     def test_calibrated_ratios(self):
-        base = estimate_memory(SPEC, 32, "sheterofl", (2,))
-        assert estimate_memory(SPEC, 32, "depthfl", (2,)) / base == pytest.approx(1220 / 593, abs=0.01)
-        assert estimate_memory(SPEC, 32, "fedrolex", (2,)) / base == pytest.approx(780 / 593, abs=0.01)
-        assert estimate_memory(SPEC, 32, "fedepth", (2,)) / base == pytest.approx(631 / 593, abs=0.01)
+        base = training_memory(SPEC, (2,), 32)
+        for strategy, target in (("depthfl", 1220 / 593), ("fedrolex", 780 / 593), ("fedepth", 631 / 593)):
+            assert DEFAULT_KAPPA[strategy] * training_memory(SPEC, (2,), 32) / base == pytest.approx(target, abs=0.01)
 
     def test_qualitative_signature_ordering(self):
-        values = {s: estimate_memory(SPEC, 32, s, (2,))
+        values = {s: DEFAULT_KAPPA.get(s, 1.0) * training_memory(SPEC, (2,), 32)
                   for s in ("depthfl", "fedrolex", "fedepth", "sheterofl")}
         assert values["depthfl"] > values["fedrolex"] > values["fedepth"] > values["sheterofl"]
 
     def test_zero_batch_leaves_parameter_term_only(self):
         params = nn.parameter_count(SPEC, (2,))
-        assert estimate_memory(SPEC, 0, "sheterofl", (2,)) == 8 * 3 * params
+        assert training_memory(SPEC, (2,), 0) == 8 * 3 * params
+
+    def test_negative_batch_rejected(self):
+        with pytest.raises(ValueError, match="batch_size must be >= 0"):
+            training_memory(SPEC, (2,), -1)
+
+    def test_whole_model_is_the_default_slice(self):
+        params = nn.parameter_count(SPEC, (2,))
+        acts = nn.activation_count(SPEC, (2,))
+        whole = training_memory(SPEC, (2,), 8)
+        assert whole == training_memory(SPEC, (2,), 8, slice(0, params)) == 8 * (3 * params + 8 * acts)
 
     def test_segment_memory_below_full_base(self):
-        full = estimate_memory(SPEC, 8, "sheterofl", (2,))
-        seg = segment_memory(SPEC, 8, nn.parameter_count(SPEC, (2,)) // 4, (2,))
+        full = training_memory(SPEC, (2,), 8)
+        seg = training_memory(SPEC, (2,), 8, slice(0, nn.parameter_count(SPEC, (2,)) // 4))
         assert seg < full
 
 
@@ -118,7 +127,7 @@ class TestSegments:
 
     def test_tight_memory_splits_blocks(self):
         spec = BlockNetSpec(8, 16, 4, "plain", 4, 16)
-        full = segment_memory(spec, 8, nn.parameter_count(spec, (4,)), (4,))
+        full = training_memory(spec, (4,), 8)
         segs = fedepth_segments(spec, (4,), 8, memory_capacity=0.8 * full)
         assert len(segs) >= 2
         assert [b for seg in segs for b in seg] == [1, 2, 3, 4]
@@ -131,10 +140,23 @@ class TestSegments:
 
     def test_every_segment_fits(self):
         spec = BlockNetSpec(8, 16, 4, "plain", 4, 16)
-        cap = 0.7 * segment_memory(spec, 8, nn.parameter_count(spec, (4,)), (4,))
+        cap = 0.7 * training_memory(spec, (4,), 8)
         segs = fedepth_segments(spec, (4,), 8, cap)
         for seg in segs:
-            assert segment_memory(spec, 8, hand_counted_segment_params(spec, (4,), seg), (4,)) <= cap
+            assert training_memory(spec, (4,), 8, nn.segment_slice(spec, (4,), seg)) <= cap
+
+    @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
+    def test_each_segment_is_priced_over_its_slice(self, kind):
+        # The whole-model price less the gradient and momentum of the
+        # coordinates a segment leaves frozen, counted by hand.
+        spec = BlockNetSpec(8, 16, 4, kind, 4, 16)
+        for heads, fractions in (((4,), (0.75, 0.8, 1.0)), ((1, 2, 3, 4), (0.9, 1.0))):  # 1 to 3 segments
+            whole = training_memory(spec, heads, 8)
+            params = nn.parameter_count(spec, heads)
+            for fraction in fractions:
+                for seg in fedepth_segments(spec, heads, 8, fraction * whole):
+                    frozen = params - hand_counted_segment_params(spec, heads, seg)
+                    assert training_memory(spec, heads, 8, nn.segment_slice(spec, heads, seg)) == whole - 16 * frozen
 
     @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
     def test_segments_priced_at_the_slice_fedepth_trains(self, kind, monkeypatch):
@@ -143,11 +165,11 @@ class TestSegments:
         # segment of 1..5 blocks gets priced.
         answers, priced_params = [], []
 
-        def footprint(spec, batch_size, segment_params, head_blocks):
-            priced_params.append(segment_params)
+        def footprint(spec, head_blocks, batch_size, trained):
+            priced_params.append(trained.stop - trained.start)
             return 0.0 if answers[len(priced_params) - 1] else 2.0
 
-        monkeypatch.setattr(resources, "segment_memory", footprint)
+        monkeypatch.setattr(resources, "training_memory", footprint)
         for num_blocks in range(1, 6):
             spec = BlockNetSpec(6, 8, num_blocks, kind, 3, 8)
             for heads in ((num_blocks,), tuple(range(1, num_blocks + 1))):

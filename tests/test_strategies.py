@@ -10,7 +10,7 @@ from hetfed.datasets import gen_synthetic
 from hetfed.extract import extract_depth, select_channels
 from hetfed.metrics import model_accuracy
 from hetfed.nn import BlockNetSpec, SGDConfig
-from hetfed.resources import DeviceProfile, PoolConfig, build_pool, fedepth_segments, payload_bytes, segment_memory
+from hetfed.resources import DeviceProfile, PoolConfig, build_pool, fedepth_segments, payload_bytes, training_memory
 from hetfed.strategies import (
     ClientState,
     DivergenceError,
@@ -255,7 +255,7 @@ class TestLockstepGroups:
             for client, start, size in zip(ctx.clients, starts, sizes):
                 client.data_indices = np.arange(start, start + size)
         if strategy_id == "fedepth":
-            full = segment_memory(SPEC, self.SGD.batch_size, nn.parameter_count(SPEC, (SPEC.num_blocks,)), (SPEC.num_blocks,))
+            full = training_memory(SPEC, (SPEC.num_blocks,), self.SGD.batch_size)
             for client, fraction in zip(ctx.clients, (0.75, 0.8, 1.0, 0.75) * 2):  # 3, 2, 1, 3 segments
                 client.profile = DeviceProfile(client.client_id, 1e9, 1e6, fraction * full)
         grouping = strategies.lockstep_groups
@@ -720,9 +720,8 @@ class TestDepthFamily:
         assert changed == len(state.params)  # every segment trained
 
     def test_fedepth_respects_segment_memory(self):
-        from hetfed.resources import fedepth_segments, segment_memory
         spec = BlockNetSpec(6, 8, 3, "plain", 3, 8)
-        capacity = 0.8 * segment_memory(spec, 8, nn.parameter_count(spec, (3,)), (3,))
+        capacity = 0.8 * training_memory(spec, (3,), 8)
         segs = fedepth_segments(spec, (3,), 8, capacity)
         assert len(segs) >= 2
 
@@ -774,7 +773,7 @@ class TestReferenceLoops:
     def test_fedepth_matches_frozen_rest_loop(self):
         ctx = make_ctx("fedepth", "depth", largest)
         ctx.sgd = self.SGD
-        full = segment_memory(SPEC, self.SGD.batch_size, nn.parameter_count(SPEC, (SPEC.num_blocks,)), (SPEC.num_blocks,))
+        full = training_memory(SPEC, (SPEC.num_blocks,), self.SGD.batch_size)
         segment_counts = []
         for client, fraction in zip(ctx.clients, (0.75, 0.8, 1.0, 0.75)):
             client.profile = DeviceProfile(client.client_id, 1e9, 1e6, fraction * full)
@@ -1004,7 +1003,7 @@ class TestPinnedTrajectories:
         ctx = make_ctx(strategy_id, level, alternating, pool_cfg=cls.POOL)
         ctx.sgd = cls.SGD
         if strategy_id == "fedepth":
-            full = segment_memory(SPEC, cls.SGD.batch_size, nn.parameter_count(SPEC, (SPEC.num_blocks,)), (SPEC.num_blocks,))
+            full = training_memory(SPEC, (SPEC.num_blocks,), cls.SGD.batch_size)
             for client, fraction in zip(ctx.clients, (0.75, 0.8, 1.0, 0.75)):
                 client.profile = DeviceProfile(client.client_id, 1e9, 1e6, fraction * full)
         strategy = make_strategy(strategy_id, ctx)
