@@ -3,7 +3,8 @@
 One `key = value` pair per line, `#` comments (a `#` inside a
 double-quoted string is part of the string), values parsed as JSON with
 a bare-word fallback for strings. Unknown keys are hard errors so a typo
-can never silently skew a benchmark comparison.
+can never silently skew a benchmark comparison. Most sections' rules live
+in their dataclasses (`datasets.DataConfig` holds every `data.*` rule).
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
-from .datasets import PartitionConfig, check_fractions, check_layout, check_synthetic, split_sizes
+from .datasets import DataConfig, PartitionConfig
 from .nn import BLOCK_KINDS, BlockNetSpec, SGDConfig, validate_base_spec
 from .resources import (
+    CONSTRAINTS,
     DEFAULT_KAPPA,
     ModelPool,
     PoolConfig,
@@ -220,14 +222,7 @@ class ExperimentConfig:
     model: BlockNetSpec
     scenario: ScenarioConfig
     profiles: ProfileDistribution
-    data_source: str
-    data_path: str
-    data_n: int
-    data_noise: float
-    data_clusters: int
-    data_layout: str
-    test_fraction: float
-    public_fraction: float
+    data: DataConfig
     partition: PartitionConfig  # seed 0; each repeat sets its own
     sgd: SGDConfig
     fed: FederationConfig
@@ -260,18 +255,6 @@ def _rule(check, *args, **kwargs):
         return check(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def check_rows(n: int, test_fraction: float, public_fraction: float, num_clients: int,
-               strategies: list[str], rows: str = "data.n: the data") -> None:
-    """The data rules that need the row count: `split_sizes`' (whose
-    message `rows` opens) and fedet's, which distills on the public split
-    and so needs at least one public row. Raises a ConfigError."""
-    n_public = _rule(split_sizes, n, test_fraction, public_fraction, num_clients, rows)[1]
-    if "fedet" in strategies and n_public < 1:
-        raise ConfigError(
-            f"data.public_fraction: fedet needs at least 1 public row, but {public_fraction} of {n} rows is 0"
-        )
 
 
 def _keyed(cls, resolved: dict[str, object], prefix: str, **given):
@@ -352,29 +335,20 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     _rule(ladder, spec, level, pool_cfg)
     _rule(family_specs, spec, pool_cfg.family)
 
-    constraints = tuple(str(c) for c in resolved["scenario.constraints"])
+    listed = tuple(str(c) for c in resolved["scenario.constraints"])
     tiers = []
     for entry in resolved["scenario.memory_tiers"]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ConfigError("scenario.memory_tiers: entries must be [capacity_bytes, fraction]")
         tiers.append(tuple(_coerce("scenario.memory_tiers", "float", number) for number in entry))
-    scenario = _keyed(ScenarioConfig, resolved, "scenario", constraints=constraints, memory_tiers=tuple(tiers))
+    scenario = _keyed(ScenarioConfig, resolved, "scenario", constraints=listed, memory_tiers=tuple(tiers))
+    # Kept in CONSTRAINTS order, so two orders of one set are one config.
+    resolved["scenario.constraints"] = [c for c in CONSTRAINTS if c in listed]
+    scenario = replace(scenario, constraints=tuple(resolved["scenario.constraints"]))
     profiles = _keyed(ProfileDistribution, resolved, "profiles")
 
-    # The data rules, without building any data. A csv source ignores the
-    # synthetic keys, and `check_rows` counts its rows once it is read
-    # (runner).
-    source, layout = resolved["data.source"], resolved["data.layout"]
-    fractions = (resolved["data.test_fraction"], resolved["data.public_fraction"])
-    if source == "csv":
-        if not resolved["data.path"]:
-            raise ConfigError("data.path: required when data.source = csv")
-        _rule(check_layout, layout)
-        _rule(check_fractions, *fractions)
-    else:
-        _rule(check_synthetic, source, resolved["data.n"], spec.input_dim, spec.num_classes,
-              resolved["data.noise"], resolved["data.clusters_per_class"], layout)
-        check_rows(resolved["data.n"], *fractions, resolved["num_clients"], strategies)
+    data = _keyed(DataConfig, resolved, "data", input_dim=spec.input_dim, num_classes=spec.num_classes,
+                  num_clients=resolved["num_clients"], needs_public="fedet" in strategies)
     partition = _rule(PartitionConfig, resolved["partition.mode"], resolved["num_clients"], resolved["partition.alpha"])
 
     sgd = _keyed(SGDConfig, resolved, "sgd")
@@ -408,14 +382,7 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
         model=spec,
         scenario=scenario,
         profiles=profiles,
-        data_source=resolved["data.source"],
-        data_path=resolved["data.path"],
-        data_n=resolved["data.n"],
-        data_noise=resolved["data.noise"],
-        data_clusters=resolved["data.clusters_per_class"],
-        data_layout=resolved["data.layout"],
-        test_fraction=resolved["data.test_fraction"],
-        public_fraction=resolved["data.public_fraction"],
+        data=data,
         partition=partition,
         sgd=sgd,
         fed=fed,

@@ -2,7 +2,8 @@
 
 Desk-scale stand-ins for the usual image/text corpora: Gaussian blob
 mixtures and spirals, partitioned IID or by a per-class Dirichlet draw
-with exact largest-remainder rounding.
+with exact largest-remainder rounding. `DataConfig` holds every `data.*`
+rule and its `build` makes or reads each job's dataset.
 """
 
 from __future__ import annotations
@@ -299,3 +300,59 @@ def load_csv(path: str) -> Dataset:
     if features.shape[0] < 1:
         raise ValueError(f"{path}: no data rows")
     return Dataset(features, labels)
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """The `data.*` keys and the values their rules read. Every rule is checked
+    at load but a csv's row rules, which `build` checks once it reads the file."""
+
+    source: str
+    path: str
+    n: int
+    noise: float
+    clusters_per_class: int
+    layout: str
+    test_fraction: float
+    public_fraction: float
+    # Given, not keys: `model.input_dim`, `model.num_classes`, `num_clients`,
+    # and whether a listed strategy (fedet) distills on the public split.
+    input_dim: int
+    num_classes: int
+    num_clients: int
+    needs_public: bool
+
+    def __post_init__(self) -> None:
+        if self.source == "csv":
+            if not self.path:
+                raise ValueError("data.path: required when data.source = csv")
+            check_layout(self.layout)
+            check_fractions(self.test_fraction, self.public_fraction)
+        else:
+            check_synthetic(self.source, self.n, self.input_dim, self.num_classes, self.noise,
+                            self.clusters_per_class, self.layout)
+            self._check_rows(self.n, "data.n: the data")
+
+    def _check_rows(self, n: int, rows: str) -> None:
+        """`split_sizes`' rules for n rows, whose message `rows` opens, and fedet's public row."""
+        n_public = split_sizes(n, self.test_fraction, self.public_fraction, self.num_clients, rows)[1]
+        if self.needs_public and n_public < 1:
+            raise ValueError(
+                f"data.public_fraction: fedet needs at least 1 public row, but {self.public_fraction} of {n} rows is 0"
+            )
+
+    def build(self, seed: int) -> Dataset:
+        """One job's dataset: generated from `seed`, or the csv, read and checked."""
+        if self.source != "csv":
+            return gen_synthetic(self.source, self.n, self.input_dim, self.num_classes, self.noise, seed,
+                                 self.clusters_per_class, self.layout)
+        try:
+            dataset = load_csv(self.path)
+        except ValueError as exc:
+            raise ValueError(f"data.path: {exc}") from exc
+        if dataset.input_dim != self.input_dim:
+            raise ValueError(f"data.path: csv has {dataset.input_dim} features, model.input_dim is {self.input_dim}")
+        if dataset.labels.max() >= self.num_classes:
+            raise ValueError("data.path: csv labels exceed model.num_classes")
+        self._check_rows(dataset.n, "data.path: csv")
+        return dataset

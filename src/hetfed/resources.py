@@ -125,9 +125,11 @@ class ScenarioConfig:
         # Each message names the config key that sets the value.
         if not self.constraints:
             raise ValueError("scenario.constraints: at least one constraint must be active")
-        for c in self.constraints:
+        for i, c in enumerate(self.constraints):
             if c not in CONSTRAINTS:
                 raise ValueError(f"scenario.constraints: unknown constraint {c!r}; choose from {CONSTRAINTS}")
+            if c in self.constraints[:i]:
+                raise ValueError(f"scenario.constraints: {c} is listed more than once")
         if "computation" in self.constraints and (self.t_compute is None or self.t_compute <= 0):
             raise ValueError(f"scenario.t_compute: must be > 0 when computation is active, got {self.t_compute}")
         if self.t_comm <= 0:

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__, seeding
-from .config import BASELINE_ID, ConfigError, ExperimentConfig, check_rows, read_value, resolve_config
-from .datasets import Dataset, gen_synthetic, load_csv, partition, split_global
+from .config import BASELINE_ID, ConfigError, ExperimentConfig, _rule, read_value, resolve_config
+from .datasets import Dataset, partition, split_global
 from .metrics import (
     METRICS,
     RoundRecord,
@@ -49,42 +49,15 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _build_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
-    if cfg.data_source == "csv":
-        try:
-            dataset = load_csv(cfg.data_path)
-        except ValueError as exc:
-            raise ConfigError(f"data.path: {exc}") from exc
-        if dataset.input_dim != cfg.model.input_dim:
-            raise ConfigError(
-                f"data.path: csv has {dataset.input_dim} features, model.input_dim is {cfg.model.input_dim}"
-            )
-        if dataset.labels.max() >= cfg.model.num_classes:
-            raise ConfigError("data.path: csv labels exceed model.num_classes")
-        check_rows(dataset.n, cfg.test_fraction, cfg.public_fraction, cfg.num_clients, cfg.strategies,
-                   "data.path: csv")
-        return dataset
-    return gen_synthetic(
-        cfg.data_source,
-        cfg.data_n,
-        cfg.model.input_dim,
-        cfg.model.num_classes,
-        cfg.data_noise,
-        seed,
-        cfg.data_clusters,
-        cfg.data_layout,
-    )
-
-
 def _repeat_data(
     cfg: ExperimentConfig, repeat: int
 ) -> tuple[int, Dataset, Dataset, np.ndarray, list[np.ndarray]]:
     """Seed, train pool, test set, public features and client partition of
     one repeat; every strategy of the repeat sees the same data."""
     seed_r = seeding.mix_seed(cfg.master_seed, seeding.TAG_REPEAT, repeat)
-    dataset = _build_dataset(cfg, seeding.mix_seed(seed_r, seeding.TAG_DATA, 0))
+    dataset = _rule(cfg.data.build, seeding.mix_seed(seed_r, seeding.TAG_DATA, 0))
     train, test, public = split_global(
-        dataset, cfg.test_fraction, cfg.public_fraction, seeding.mix_seed(seed_r, seeding.TAG_DATA, 1)
+        dataset, cfg.data.test_fraction, cfg.data.public_fraction, seeding.mix_seed(seed_r, seeding.TAG_DATA, 1)
     )
     parts = partition(train, replace(cfg.partition, seed=seeding.mix_seed(seed_r, seeding.TAG_PARTITION)))
     return seed_r, train, test, public, parts

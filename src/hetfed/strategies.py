@@ -144,7 +144,7 @@ class FederationContext:
     clients: list[ClientState]
     train_features: np.ndarray
     train_labels: np.ndarray
-    public_features: np.ndarray        # fedet's rows; config.check_rows keeps at least one
+    public_features: np.ndarray        # fedet's rows; datasets.DataConfig keeps at least one
     sgd: SGDConfig
     fed: FederationConfig
     repeat_seed: int

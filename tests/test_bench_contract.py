@@ -143,6 +143,15 @@ class TestBenchContract:
         assert all(coords > 0 for coords in stats["extract.scatter_update"].extras)
         assert [job[1] for job in tracer.jobs] == ["sheterofl", "depthfl", "fedepth", "fedet"]
 
+    def test_each_job_builds_its_data_once(self, traced_runs):
+        # bench.py's `datasets.build.calls == n_jobs` check: every job makes
+        # or reads its dataset itself, so a build that is hoisted out of the
+        # job or cached across jobs fails here.
+        tracing, _, tracer, _, _ = traced_runs
+        stats = tracing.aggregate(tracer.spans)
+        builds = stats["datasets.gen_synthetic"].calls + stats["datasets.load_csv"].calls
+        assert builds == len(tracer.jobs) == 4
+
     def test_eval_calls_once_per_client_per_eval_round(self, traced_runs):
         # The bench's coverage check: every job scores every client once
         # per eval round (rounds 1 and 2 at cadence 1), plus one global

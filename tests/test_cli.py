@@ -323,6 +323,9 @@ class TestOtherCommands:
         ("alpha", "0.5,0.5", "values '0.5' and '0.5'"),
         ("alpha", "5,0.5,5.0", "values '5' and '5.0'"),
         ("alpha", "5,5e0", "values '5' and '5e0'"),
+        # Constraints are kept in one order, so a reordered set is the same scenario.
+        ("scenario", "memory+communication,communication+memory",
+         "values 'memory+communication' and 'communication+memory'"),
     ])
     def test_sweep_values_that_give_one_config_are_config_error(self, config_path, tmp_path, capsys, axis,
                                                                  values, message):

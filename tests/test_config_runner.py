@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import json
 import os
@@ -11,7 +12,6 @@ from hetfed.config import SCHEMA, ConfigError, load_config, parse_config_text, r
 from hetfed.datasets import gen_synthetic, split_global
 from hetfed.metrics import model_accuracy
 from hetfed.runner import (
-    _build_dataset,
     atomic_write_text,
     partition_csv,
     pool_csv,
@@ -136,6 +136,7 @@ KEYED_RULE_ERRORS = [
     ('scenario.constraints = ["computation"]',
      "scenario.t_compute: must be > 0 when computation is active, got None"),
     ("scenario.memory_tiers = [[1e9, 0.5]]", "scenario.memory_tiers: fractions must sum to 1, got 0.5"),
+    ('scenario.constraints = ["memory", "memory"]', "scenario.constraints: memory is listed more than once"),
     ("profiles.compute_min = 0", "profiles.compute_min: must be > 0, got 0.0"),
     ("profiles.bandwidth_max = 1e4",
      "profiles.bandwidth_max: must be >= profiles.bandwidth_min (100000.0), got 10000.0"),
@@ -289,15 +290,23 @@ class TestRunner:
                 if module_name.startswith("hetfed") and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, forbidden)
         assert small_config().partition == datasets.PartitionConfig("iid", num_clients=4, alpha=0.5)
-        assert small_config('data.source = csv\ndata.path = "absent.csv"').data_source == "csv"
+        assert small_config('data.source = csv\ndata.path = "absent.csv"').data.source == "csv"
+
+    def test_data_config_fields_are_the_data_keys(self):
+        # Every `data.*` key reaches `DataConfig`, the one home of the data
+        # rules; its other fields are the values `resolve_config` gives it.
+        keys = {key.removeprefix("data.") for key in SCHEMA if key.startswith("data.")}
+        given = {"input_dim", "num_classes", "num_clients", "needs_public"}
+        assert {f.name for f in dataclasses.fields(datasets.DataConfig)} == keys | given
+        assert not keys & given
 
     def test_lr_zero_is_noop_training(self, tmp_path):
         cfg = small_config("sgd.learning_rate = 0.0\nsampling_fraction = 1.0\nnum_rounds = 1\n")
         outcome = run_strategy_repeat(cfg, "sheterofl", 0)
         # rebuild the pipeline's init model and test split independently
         seed_r = seeding.mix_seed(cfg.master_seed, seeding.TAG_REPEAT, 0)
-        dataset = _build_dataset(cfg, seeding.mix_seed(seed_r, seeding.TAG_DATA, 0))
-        _, test, _ = split_global(dataset, cfg.test_fraction, cfg.public_fraction,
+        dataset = cfg.data.build(seeding.mix_seed(seed_r, seeding.TAG_DATA, 0))
+        _, test, _ = split_global(dataset, cfg.data.test_fraction, cfg.data.public_fraction,
                                   seeding.mix_seed(seed_r, seeding.TAG_DATA, 1))
         init = nn.init_model(cfg.model, seeding.rng_from(seed_r, seeding.TAG_INIT), (cfg.model.num_blocks,))
         assert outcome.records[-1].global_accuracy == model_accuracy(init, test.features, test.labels)
@@ -660,16 +669,15 @@ class TestFairnessAndFlags:
         ):
             cfg = small_config(f'data.source = csv\ndata.path = "{path}"\nmodel.input_dim = 2\n{extra}\n')
             with pytest.raises(ConfigError) as excinfo:
-                _build_dataset(cfg, seed=0)
+                partition_csv(cfg)
             assert str(excinfo.value) == message
         # Nine train rows cover nine clients.
         cfg = small_config(f'data.source = csv\ndata.path = "{path}"\nmodel.input_dim = 2\nnum_clients = 9\n')
         assert partition_csv(cfg).count("\n") == 10
 
     def test_malformed_csv_is_config_error(self, tmp_path):
-        from hetfed.runner import _build_dataset
         bad = tmp_path / "bad.csv"
         bad.write_text("f0,f1,label\n1.0,0\n")
         cfg = small_config(f'data.source = csv\ndata.path = "{bad}"\nmodel.input_dim = 2\n')
         with pytest.raises(ConfigError, match="line 2"):
-            _build_dataset(cfg, seed=0)
+            partition_csv(cfg)
