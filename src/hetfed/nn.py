@@ -59,10 +59,19 @@ Training is minibatch momentum-SGD on the flat vectors; `sgd_update` is the
 only place the update is written. A stack is the one operand of
 `backward`. `train_local` takes K models and returns the K trained models:
 it trains them as one stack (one alone is a stack of one) in lockstep,
-each with its own rows, batch shuffles and rng, and a per-pass plan of
-`Move`s can restrict each step to part of each vector.
+each with its own rows, batch shuffles and rng, and a per-pass plan can
+restrict each step to part of each vector.
 `backward` computes the gradients only; nothing in the engine reads a loss
 value. One model's gradient and loss value live in `tests/oracles.py`.
+
+A sub-model of fewer hidden channels trains inside a wider layout when
+zero-padded: zero weights and biases off its channels keep the trunk at 0
+there, the ReLU mask ``sign(0)`` is 0 so their gradient is 0, and each of
+its dot products only gains ``0 * 0`` terms; so rows of different widths
+share one walk. BLAS matrix products of two or more rows and columns keep
+every bit with those terms (`TestZeroPadding` pins it). A one-row batch or
+a one-channel sub-model takes the matrix-vector kernel, whose blocking
+follows the length of the sum, and matches its own walk to rounding only.
 
 Stacks are reused, not rebuilt per call. The module keeps one workspace
 per (spec, heads) and role: (K, size) vector and grad buffers, plus
@@ -73,12 +82,12 @@ starting vectors into the training workspace, zeroes the momentum, trains
 those rows in place and returns one model per row of a single copy of
 them, so no returned model aliases a workspace. The other role, the walk
 workspace, is written just before each walk reads it and keeps nothing
-between calls: FjORD's nested walks use it, so a full-width nested move
-never writes the rows being trained, and `forward` and `predict` copy the
-model's vector into its stack of one. At most `_MAX_WORKSPACES` are kept,
-the oldest dropped first. The workspaces are shared by the whole process:
-the engine is not thread-safe, and a `moves` plan must not call
-`train_local`.
+between calls: a masked step walks a copy of the training rows there,
+zeros outside the mask, so it never writes the rows being trained, and
+`forward` and `predict` copy the model's vector into its stack of one. At
+most `_MAX_WORKSPACES` are kept, the oldest dropped first. The workspaces
+are shared by the whole process: the engine is not thread-safe, and a
+`moves` plan must not call the engine.
 
 `predict` scores one head and remembers one walk per model; this is the
 engine's one evaluation memo. One walk computes every head of the model.
@@ -100,7 +109,6 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -657,9 +665,10 @@ def sgd_update(
     """One momentum-SGD step in place: buf <- m*buf + g, p <- p - lr*buf.
 
     `grad` covers the coordinates `vector[index]`, for any numpy index of
-    `vector`: `slice(None)` for all of it, a slice for a FeDepth segment, a
-    flat index vector for a sub-model map, or their row-wise forms on
-    stacked vectors. Coordinates outside `index` do not move.
+    `vector`: on stacked vectors `(slice(None), run)` for a run of every
+    row (all of it, or a FeDepth segment) or a boolean mask of the
+    vectors' shape (FjORD's drawn widths). Coordinates outside `index` do
+    not move.
     """
     buf = momentum[index]
     buf *= config.momentum
@@ -667,34 +676,11 @@ def sgd_update(
     params = vector[index]
     params -= config.learning_rate * buf
     # A basic (slice) index gives views of momentum's memory, which the
-    # steps above updated in place; an index vector gives copies, written
-    # back here. (A view's `base` is the array that owns the memory.)
+    # steps above updated in place; a mask or index vector gives copies,
+    # written back here. (A view's `base` is the array that owns the memory.)
     if buf.base is not (momentum if momentum.base is None else momentum.base):
         momentum[index] = buf
         vector[index] = params
-
-
-class Move(NamedTuple):
-    """What one lockstep training step moves for some rows of the stack.
-
-    index: the coordinates of each row that move: all of them, a slice
-        (a FeDepth segment; the step runs the whole model, the rest stays
-        frozen), or a flat index vector (a FjORD nested width: a static
-        width prefix of the stacked model).
-    nested: with an index vector, the (spec, heads) of the model those
-        coordinates form; the step runs that model on the member rows.
-    members: the rows that take the step; a subset only with `nested`.
-
-    One step may hold several moves with disjoint members: each is one
-    walk (one `backward` call).
-    """
-
-    index: slice | np.ndarray = slice(None)
-    nested: tuple[BlockNetSpec, tuple[int, ...]] | None = None
-    members: slice | np.ndarray = slice(None)
-
-
-_EVERY = (Move(),)
 
 
 def train_local(
@@ -705,7 +691,7 @@ def train_local(
     loss: LossSpec,
     rngs: Sequence[np.random.Generator],
     rows: Sequence[np.ndarray] | None = None,
-    moves: Callable[[int, int], Sequence[Sequence[Move]]] | None = None,
+    moves: Callable[[int, int], Sequence[slice | np.ndarray]] | None = None,
 ) -> list[BlockNetModel]:
     """Run `local_epochs` passes of minibatch momentum-SGD on K models of
     one (spec, heads) in lockstep, one rng each; returns the K trained
@@ -722,10 +708,12 @@ def train_local(
 
     `moves(pass_index, steps)` is called once at the start of each pass,
     with the number of steps the pass takes, ceil(rows / batch_size), and
-    returns the pass's plan: one list of `Move`s per step, in step order (a
-    plan of another length raises `ValueError`). By default every step
-    moves every coordinate of every client. Each move is one walk through
-    the module's `backward`.
+    returns the pass's plan: one index per step, in step order (a plan of
+    another length raises `ValueError`), each one walk through `backward`.
+    A slice moves that run of every row, and the walk reads the whole rows
+    (a FeDepth segment); a (K, size) boolean mask moves the masked
+    coordinates, and the walk reads the rows zeroed outside it (FjORD's
+    drawn widths). By default every step moves every coordinate.
 
     The K rows train in place in the layout's training workspace (see the
     module docstring); the returned models are the rows of one copy of them.
@@ -753,26 +741,27 @@ def train_local(
     if rows is not None:
         order = np.array(rows)[np.arange(k)[:, None, None], order]
     for pass_index in range(passes):
-        plan = [_EVERY] * len(starts) if moves is None else moves(pass_index, len(starts))
+        plan = [slice(None)] * len(starts) if moves is None else moves(pass_index, len(starts))
         if len(plan) != len(starts):
             raise ValueError(
                 f"moves({pass_index}) planned {len(plan)} steps; the pass takes {len(starts)}"
             )
-        for start, step in zip(starts, plan):
-            window = order[:, pass_index, start:start + config.batch_size]
-            for move in step:
-                idx = window[move.members].ravel()
-                batch = features.take(idx, axis=0)
-                y = targets.take(idx, axis=0)
-                if move.nested is None:
-                    backward(stack, batch, y, loss)
-                    where = (slice(None), move.index)
-                    sgd_update(stack.vector, momentum, stack.grad[where], config, where)
-                    continue
-                sub = _workspace(*move.nested, _WALK).stack(len(move.members))
-                np.take(stack.vector[move.members], move.index, axis=1, out=sub.vector)
-                backward(sub, batch, y, loss)
-                sgd_update(stack.vector, momentum, sub.grad, config, (move.members[:, None], move.index))
+        for start, index in zip(starts, plan):
+            idx = order[:, pass_index, start:start + config.batch_size].ravel()
+            batch = features.take(idx, axis=0)
+            y = targets.take(idx, axis=0)
+            if isinstance(index, slice):
+                backward(stack, batch, y, loss)
+                where = (slice(None), index)
+                sgd_update(stack.vector, momentum, stack.grad[where], config, where)
+                continue
+            # A copy, not a multiply by the mask: 0 * NaN and 0 * -x would
+            # leak NaN and -0 into the walk.
+            walk = _workspace(first.spec, first.head_blocks, _WALK).stack(k)
+            walk.vector[...] = 0.0
+            np.copyto(walk.vector, stack.vector, where=index)
+            backward(walk, batch, y, loss)
+            sgd_update(stack.vector, momentum, walk.grad[index], config, index)
     return [BlockNetModel(first.spec, first.head_blocks, row) for row in stack.vector.copy()]
 
 

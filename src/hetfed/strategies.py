@@ -15,8 +15,8 @@ Every strategy speaks one protocol of four hooks, deterministic given
 
 Two bases implement it. `_PartialAveragingStrategy` (the width and depth
 strategies, FeDepth and FedAvg) keeps one global model: each lockstep
-group trains the sub-model that the strategy's `_extract` hook cuts from
-it (once per group; `_extract` reads a client only through its variant),
+group trains the sub-models that the strategy's `_extract` hook cuts from
+it (once per variant; `_extract` reads a client only through its variant),
 under the loss its `_client_loss` hook names, and the server scatters the
 results back. `_PrivateModelStrategy` (FedProto, Fed-ET) keeps one private
 model per client, built and trained locally the same way for both; only
@@ -27,15 +27,13 @@ on a stack): clients with the same `_group_key` (by default the same
 architecture and the same sample count) take every step as one stacked
 walk. Each client keeps its own data, batch shuffles and rng draws, so a
 client's result does not depend on its group; scatter and every other
-cross-client sum run in client-id order. FjORD and FeDepth move only part
-of their model per step; they hand `train_local` a per-pass plan that names
-the coordinates each step moves. FeDepth's is its segment's slice (one
-group per segmentation). FjORD's stack holds global-model vectors, one
-group per sample count whatever the clients' rates: each client draws a
-width for every step of a pass at once, and at each step the clients that
-drew the same width share one walk of that static prefix of the global
-model. A client's upload is its trained row taken through the prefix of
-its own width, which is also its scatter map.
+cross-client sum run in client-id order. The width strategies train each
+sub-model zero-padded into the global layout (see `nn`), so their key is
+the sample count alone, and a client's upload (and scatter map) is its
+trained row taken through its map. FjORD and FeDepth move part of their
+model per step, by a per-pass plan for `train_local`: FeDepth's segment's
+slice (one group per segmentation), and per FjORD step one mask of each
+client's drawn static prefix (each client draws a pass's widths at once).
 
 Evaluation follows the same rule: every client of a variant gets one
 `EvalTarget` object per (state, eval round). A width strategy extracts
@@ -48,9 +46,9 @@ every variant and the global model. FeDepth, FedAvg and the private-model
 strategies score each client on a state model at its deepest head.
 
 Every `train_local` call goes through `Strategy._train`, which checks
-each trained model finite, as is every aggregate (the normalized global
-model, FedProto's prototypes); a non-finite value raises `DivergenceError`
-naming the strategy, the round, the owner and the parameter.
+each trained model (a width client's upload) finite, as is every aggregate
+(the global model, FedProto's prototypes); a non-finite value raises
+`DivergenceError` naming the strategy, the round, the owner and the parameter.
 
 Every model a strategy keeps in its state is immutable: its vector is
 read-only from the moment it is made (`initial_state`, `_train`, the
@@ -77,7 +75,6 @@ from . import seeding
 from .extract import (
     SubModelMap,
     channel_map,
-    extract_channels,
     extract_depth,
     extract_width,
     full_map,
@@ -89,7 +86,6 @@ from .nn import (
     BlockNetModel,
     DivergenceError,
     LossSpec,
-    Move,
     SGDConfig,
     forward,
     init_model,
@@ -305,18 +301,21 @@ class Strategy:
 
     def _group_key(self, client_id: int) -> Hashable:
         """Lockstep key of local training on own data: the variant (one
-        architecture, and for the partial-averaging strategies one sub-model
-        map) and the sample count (one batch-length sequence)."""
+        architecture, and for the depth strategies one sub-model map) and
+        the sample count (one batch-length sequence)."""
         client = self.ctx.clients[client_id]
         return client.variant.variant_id, client.num_samples
 
-    def _train(self, owners: list[str], round_index: int, *args) -> list[BlockNetModel]:
+    def _train(self, owners: list[str], round_index: int, *args, maps=None) -> list[BlockNetModel]:
         """`nn.train_local(*args)` with each trained model checked finite
-        and made read-only; `owners` names the owner of each model."""
+        and made read-only; `owners` names the owner of each model. With
+        `maps`, each trained row is first cut to the sub-model its owner
+        uploads, so the check reads and names only that sub-model."""
         models = train_local(*args)
-        key_at = param_layout(models[0].spec, models[0].head_blocks).key_at
+        if maps is not None:
+            models = [BlockNetModel(m.spec, m.head_set, row.vector.take(m.index)) for row, m in zip(models, maps)]
         for owner, model in zip(owners, models):
-            self._check_finite(model.vector, owner, round_index, key_at)
+            self._check_finite(model.vector, owner, round_index, param_layout(model.spec, model.head_blocks).key_at)
             _frozen(model)
         return models
 
@@ -327,8 +326,9 @@ class Strategy:
         round_index: int,
         loss: LossSpec,
         config: SGDConfig | None = None,
-        moves: Callable[[int, int], list[list[Move]]] | None = None,
+        moves: Callable[[int, int], list] | None = None,
         teacher: np.ndarray | None = None,
+        maps: tuple[SubModelMap, ...] | None = None,
     ) -> list[BlockNetModel]:
         """Train one lockstep group of clients on their own data and labels,
         or, given a `teacher` distribution per public row, on the whole
@@ -342,7 +342,7 @@ class Strategy:
         return self._train(
             [f"client {cid}" for cid in client_ids], round_index,
             models, *data, config or ctx.sgd, loss,
-            [ctx.client_rng(cid, round_index, lane) for cid in client_ids], rows, moves,
+            [ctx.client_rng(cid, round_index, lane) for cid in client_ids], rows, moves, maps=maps,
         )
 
     def _check_finite(self, values: np.ndarray, owner: str, round_index: int, name: Callable[[int], str]) -> None:
@@ -439,6 +439,26 @@ class SHeteroFL(_PartialAveragingStrategy):
     def _extract(self, model, client, round_index):
         return extract_width(model, client.variant.spec.hidden_dim, "static_prefix", 0)
 
+    def _group_key(self, client_id):
+        # Rows are global-layout vectors: only the batch count splits clients.
+        return self.ctx.clients[client_id].num_samples
+
+    def _train_group(self, global_model, key, client_ids, round_index, moves=None):
+        """Each client's sub-model trains zero-padded into the global layout
+        (see `nn`), every coordinate at every step unless `moves` plans
+        otherwise; the upload is the row taken through the client's map."""
+        padded = {}
+        for client in (self.ctx.clients[cid] for cid in client_ids):
+            if client.variant.variant_id not in padded:
+                sub, smap = self._extract(global_model, client, round_index)
+                row = np.zeros(global_model.vector.size)
+                row[smap.index] = sub.vector
+                padded[client.variant.variant_id] = row, smap
+        rows, maps = zip(*(padded[self.ctx.clients[cid].variant.variant_id] for cid in client_ids))
+        models = [BlockNetModel(global_model.spec, global_model.head_blocks, row) for row in rows]
+        trained = self._train_clients(models, client_ids, round_index, self._client_loss(), moves=moves, maps=maps)
+        return list(zip(trained, maps))
+
 
 class FedRolex(SHeteroFL):
     """Width sub-models under a stride-1 rolling window that advances each
@@ -461,13 +481,9 @@ class Fjord(SHeteroFL):
         """The pool's widths at or below `own`, ascending."""
         return sorted({v.spec.hidden_dim for v in self.ctx.pool.variants if v.spec.hidden_dim <= own})
 
-    def _group_key(self, client_id):
-        # The stack holds global-model vectors, so clients of every rate
-        # share it; only the batch count splits them.
-        return self.ctx.clients[client_id].num_samples
-
     def _train_group(self, global_model, key, client_ids, round_index):
         ctx = self.ctx
+        spec, heads = global_model.spec, global_model.head_blocks
         own = [ctx.clients[cid].variant.spec.hidden_dim for cid in client_ids]
         fixed = ctx.fed.fjord_fixed_p
         # A fixed rate leaves each client a ladder of one width: the fixed
@@ -475,30 +491,23 @@ class Fjord(SHeteroFL):
         if fixed is None:
             ladders = [np.array(self._widths(k)) for k in own]
         else:
-            ladders = [np.array([min(width_channels(global_model.spec.hidden_dim, fixed), k)]) for k in own]
+            ladders = [np.array([min(width_channels(spec.hidden_dim, fixed), k)]) for k in own]
+        # masks[k] covers the static prefix of width k in the global layout.
+        masks = np.zeros((spec.hidden_dim + 1, global_model.vector.size), dtype=bool)
+        for k in set(np.concatenate(ladders).tolist()):
+            masks[k, channel_map(spec, heads, tuple(range(k))).index] = True
         rngs = [ctx.client_rng(cid, round_index, seeding.LANE_RATE) for cid in client_ids]
 
-        def moves(pass_index: int, steps: int) -> list[list[Move]]:
+        def moves(pass_index: int, steps: int) -> np.ndarray:
             # drawn[client, step]: a pass's draws at once, the same draws and
             # generator state as one `choice` per step (which draws its
-            # position with `integers`). The clients that drew the same
-            # width take that step as one walk.
+            # position with `integers`). Step s moves masks[drawn[:, s]].
             drawn = np.array([
                 ladder[rng.integers(0, len(ladder), size=steps)] for rng, ladder in zip(rngs, ladders)
             ])
-            plan = []
-            for column in drawn.T:
-                step = []
-                for k in np.unique(column).tolist():
-                    nested = channel_map(global_model.spec, global_model.head_blocks, tuple(range(k)))
-                    step.append(Move(nested.index, (nested.spec, nested.head_set), np.flatnonzero(column == k)))
-                plan.append(step)
-            return plan
+            return masks[drawn.T]
 
-        loss = self._client_loss()
-        trained = self._train_clients([global_model] * len(client_ids), client_ids, round_index, loss, moves=moves)
-        # The same cached map as a step's: a client uploads its own width.
-        return [extract_channels(model, np.arange(k)) for model, k in zip(trained, own)]
+        return super()._train_group(global_model, key, client_ids, round_index, moves)
 
 
 class InclusiveFL(_PartialAveragingStrategy):
@@ -577,7 +586,7 @@ class FeDepth(FedAvg):
         # The segments train one after another, `local_epochs` passes each;
         # every step of a pass moves its segment's slice and the rest stays
         # frozen.
-        parts = [[Move(segment_slice(global_model.spec, global_model.head_blocks, seg))] for seg in segments]
+        parts = [segment_slice(global_model.spec, global_model.head_blocks, seg) for seg in segments]
         config = replace(self.ctx.sgd, local_epochs=len(segments) * epochs)
         trained = self._train_clients(
             [global_model] * len(client_ids), client_ids, round_index, self._client_loss(),

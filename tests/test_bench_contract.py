@@ -4,7 +4,7 @@
 name, and reads their arguments and results. A refactor that renames a
 wrapped function, changes its arguments or stops calling it would leave
 `bench.py --trace 1` without its per-module figures; these tests run the
-hooks on small runs of one strategy per federated level and catch that.
+hooks on small runs of each federated level and catch that.
 """
 
 import importlib.util
@@ -38,7 +38,8 @@ eval.cadence = 1
 """
 
 RUNS = {
-    "width": 'strategies = ["sheterofl"]\nlevel = width\ndata.n = 120\n',
+    # fjord's masked steps run the engine's walk copy.
+    "width": 'strategies = ["sheterofl", "fjord"]\nlevel = width\ndata.n = 120\n',
     "depth": 'strategies = ["depthfl", "fedepth"]\nlevel = depth\npool.depths = [3, 2, 1]\ndata.n = 120\n',
     # fedet needs a public split; a CSV source reaches `load_csv`.
     "topology": (
@@ -141,7 +142,7 @@ class TestBenchContract:
             assert rows > 0 and flops > 0
         assert all(rows > 0 for rows in stats["metrics.model_accuracy"].extras)
         assert all(coords > 0 for coords in stats["extract.scatter_update"].extras)
-        assert [job[1] for job in tracer.jobs] == ["sheterofl", "depthfl", "fedepth", "fedet"]
+        assert [job[1] for job in tracer.jobs] == ["sheterofl", "fjord", "depthfl", "fedepth", "fedet"]
 
     def test_each_job_builds_its_data_once(self, traced_runs):
         # bench.py's `datasets.build.calls == n_jobs` check: every job makes
@@ -150,7 +151,7 @@ class TestBenchContract:
         tracing, _, tracer, _, _ = traced_runs
         stats = tracing.aggregate(tracer.spans)
         builds = stats["datasets.gen_synthetic"].calls + stats["datasets.load_csv"].calls
-        assert builds == len(tracer.jobs) == 4
+        assert builds == len(tracer.jobs) == 5
 
     def test_eval_calls_once_per_client_per_eval_round(self, traced_runs):
         # The bench's coverage check: every job scores every client once
@@ -165,7 +166,7 @@ class TestBenchContract:
 
     def test_job_clock_sees_every_job(self, traced_runs):
         _, clock, _, _, _ = traced_runs
-        assert [job.strategy for job in clock.jobs] == ["sheterofl", "depthfl", "fedepth", "fedet"]
+        assert [job.strategy for job in clock.jobs] == ["sheterofl", "fjord", "depthfl", "fedepth", "fedet"]
         for job in clock.jobs:
             assert job.first_round is not None and job.setup_s >= 0
             assert job.updates == 2 * 2  # 2 rounds of 2 sampled clients

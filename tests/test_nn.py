@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hetfed import nn
-from hetfed.extract import extract_depth
+from hetfed.extract import channel_map, extract_channels, extract_depth, select_channels
 from hetfed.nn import BlockNetSpec, LossSpec, SGDConfig
 
 from oracles import (
@@ -585,7 +585,7 @@ class TestLockstep:
         def plan(steps):
             def moves(pass_index, given):
                 asked.append((pass_index, given))
-                return [[nn.Move()]] * steps
+                return [slice(None)] * steps
             return moves
 
         [covered] = nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(2)], moves=plan(3))
@@ -678,23 +678,28 @@ class TestWorkspaces:
                                               np.random.default_rng(100 + c))
                 assert trained[c].vector.tobytes() == alone.vector.tobytes(), (k, c)
 
-    def test_nested_moves_of_the_outer_layout_do_not_alias_it(self):
-        # A full-width FjORD move has the training stack's own (spec, heads):
-        # its walks of one and of two member rows must not write the rows
-        # being trained.
+    def test_mask_moves_walk_a_copy_of_the_rows(self):
+        # A masked step walks a copy of the rows in the walk workspace of
+        # the training stack's own (spec, heads): an all-True mask must give
+        # the default training's bits, and a row masked out must not move.
         x, y = self.data()
         models = self.models((1, 2, 3))
         rows = [np.arange(c, 60, 3) for c in range(3)]
-        everything = np.arange(nn.param_layout(self.SPEC, (1, 2)).size)
-        split = [nn.Move(everything, (self.SPEC, (1, 2)), np.array([0])),
-                 nn.Move(everything, (self.SPEC, (1, 2)), np.array([1, 2]))]
+        everything = np.ones((3, nn.param_layout(self.SPEC, (1, 2)).size), dtype=bool)
+        two = everything.copy()
+        two[1] = False
 
         def train(moves):
             return nn.train_local(models, x, y, self.CFG, LossSpec(),
                                   [np.random.default_rng(s) for s in (4, 5, 6)], rows, moves)
 
-        nested = train(lambda pass_index, steps: [split] * steps)
-        assert [m.vector.tobytes() for m in nested] == [m.vector.tobytes() for m in train(None)]
+        default = train(None)
+        masked = train(lambda pass_index, steps: [everything] * steps)
+        assert [m.vector.tobytes() for m in masked] == [m.vector.tobytes() for m in default]
+        masked = train(lambda pass_index, steps: [two] * steps)
+        assert masked[1].vector.tobytes() == models[1].vector.tobytes()
+        for c in (0, 2):
+            assert masked[c].vector.tobytes() == default[c].vector.tobytes()
 
     def test_forward_and_predict_copy_the_model_in(self):
         x, _ = self.data()
@@ -703,6 +708,95 @@ class TestWorkspaces:
             want = nn._run_forward(own, x)["logits"][2]
             assert nn.forward(model, x).logits[2].tobytes() == want.tobytes()
             assert np.array_equal(nn.predict(model, x), want.argmax(axis=1))
+
+
+class TestZeroPadding:
+    """A width sub-model zero-padded into the global layout trains there to
+    the bits of the extracted sub-model trained alone, whatever it is
+    stacked with: the property that lets clients of every width share one
+    walk (see the module docstring). It rests on the BLAS summing a
+    product with extra 0 * 0 terms to the same bits, which its matrix
+    products of two or more rows and columns do; a one-row batch or a
+    one-channel sub-model agrees to rounding only."""
+
+    CFG = SGDConfig(learning_rate=0.05, batch_size=6, local_epochs=2, momentum=0.5)
+    HEADS = (1, 3)
+    # (width, selector, round): static prefixes and sorted rolling windows,
+    # some of which wrap around the last channel.
+    CHANNELS = [(2, "static_prefix", 0), (3, "static_prefix", 0), (5, "rolling", 6),
+                (8, "static_prefix", 0), (4, "rolling", 5), (2, "rolling", 7), (6, "rolling", 1)]
+
+    def setup(self, kind, k, n=20):
+        spec = BlockNetSpec(5, 8, 3, kind, 3, 6)
+        model = nn.init_model(spec, np.random.default_rng(43), self.HEADS)
+        # Biases away from zero, as training leaves them.
+        model.vector[:] += np.random.default_rng(44).normal(scale=0.1, size=model.vector.size)
+        rng = np.random.default_rng(45)
+        x, y = rng.normal(size=(n * k, 5)), rng.integers(0, 3, size=n * k)
+        rows = [np.arange(c, n * k, k) for c in range(k)]
+        return model, x, y, rows
+
+    def check_padded(self, kind, k, n, channel_sets, same):
+        """Train each channel set's sub-model zero-padded, k at a time, and
+        alone; `same(padded, alone)` compares each client's coordinates."""
+        model, x, y, rows = self.setup(kind, k, n)
+        size = model.vector.size
+        for first in range(len(channel_sets)):
+            chosen = [channel_sets[(first + c) % len(channel_sets)] for c in range(k)]
+            channels = [select_channels(8, width, mode, t) for width, mode, t in chosen]
+            maps = [channel_map(model.spec, self.HEADS, tuple(c.tolist())) for c in channels]
+            padded = []
+            for smap in maps:
+                row = np.zeros(size)
+                row[smap.index] = model.vector[smap.index]
+                padded.append(nn.BlockNetModel(model.spec, self.HEADS, row))
+            seeds = [10 * first + c for c in range(k)]
+            trained = nn.train_local(padded, x, y, self.CFG, LossSpec(),
+                                     [np.random.default_rng(s) for s in seeds], rows)
+            for c, smap in enumerate(maps):
+                sub, _ = extract_channels(model, channels[c])
+                [alone] = nn.train_local([sub], x, y, self.CFG, LossSpec(), [np.random.default_rng(seeds[c])],
+                                         [rows[c]])
+                assert same(trained[c].vector.take(smap.index), alone.vector), (first, c)
+                off = np.ones(size, dtype=bool)
+                off[smap.index] = False
+                assert not trained[c].vector[off].any(), (first, c)
+
+    @pytest.mark.parametrize("kind", ["plain", "skip"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_padded_rows_train_to_the_sub_model_bits(self, kind, k):
+        # 20 rows in batches of 6: every step has at least two rows.
+        self.check_padded(kind, k, 20, self.CHANNELS, lambda a, b: a.tobytes() == b.tobytes())
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_row_steps_and_one_channel_agree_to_rounding(self, k):
+        # 19 rows in batches of 6 end each pass on one row; width 1 is one
+        # column. Both go through the matrix-vector kernel. Eight steps grow
+        # float64 rounding (2.2e-16) to about 1e-13 here; a wrong gradient
+        # would miss by far more than the tolerance.
+        close = lambda a, b: np.allclose(a, b, rtol=1e-10, atol=1e-12)
+        self.check_padded("skip", k, 19, self.CHANNELS, close)
+        self.check_padded("skip", k, 20, [(1, "static_prefix", 0), (1, "rolling", 3)], close)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_mask_moves_train_the_masked_sub_model(self, k):
+        # Rows that hold the whole global model, each moved through the mask
+        # of its own prefix: the walk sees zeros outside the mask, the rest
+        # of the row stays as it was.
+        model, x, y, rows = self.setup("skip", k)
+        widths = [(3, 8, 5)[c] for c in range(k)]
+        maps = [channel_map(model.spec, self.HEADS, tuple(range(w))) for w in widths]
+        mask = np.zeros((k, model.vector.size), dtype=bool)
+        for row, smap in zip(mask, maps):
+            row[smap.index] = True
+        trained = nn.train_local([model] * k, x, y, self.CFG, LossSpec(),
+                                 [np.random.default_rng(s) for s in range(k)], rows,
+                                 lambda pass_index, steps: [mask] * steps)
+        for c, (smap, w) in enumerate(zip(maps, widths)):
+            sub, _ = extract_channels(model, np.arange(w))
+            [alone] = nn.train_local([sub], x, y, self.CFG, LossSpec(), [np.random.default_rng(c)], [rows[c]])
+            assert trained[c].vector.take(smap.index).tobytes() == alone.vector.tobytes(), c
+            assert trained[c].vector[~mask[c]].tobytes() == model.vector[~mask[c]].tobytes(), c
 
 
 class TestTargets:

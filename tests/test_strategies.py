@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,15 @@ def make_ctx(
         fed=fed or FederationConfig(),
         repeat_seed=seeding.mix_seed(999, seed),
     )
+
+
+def width_reference_client(strategy, global_model, client_id: int, round_index: int):
+    """A SHeteroFL or FedRolex client alone: its extracted sub-model
+    trained by the per-parameter loop."""
+    ctx = strategy.ctx
+    sub, smap = strategy._extract(global_model, ctx.clients[client_id], round_index)
+    rng = ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
+    return reference_train_local(sub, *ctx.client_data(client_id), ctx.sgd, nn.LossSpec(), rng), smap
 
 
 def largest(pool, cid):
@@ -299,37 +309,42 @@ class TestLockstepGroups:
         monkeypatch.setattr(module, name, counted)
         return calls
 
-    @pytest.mark.parametrize("sizes,stacks", [(None, 1), (UNEVEN, 3)], ids=["equal", "uneven"])
-    def test_fjord_round_is_one_stack_per_sample_count(self, monkeypatch, sizes, stacks):
-        ctx = make_ctx("fjord", "width", alternating, num_clients=8, pool_cfg=self.POOL)
+    def width_round(self, monkeypatch, strategy_id, sizes):
+        """Run round 5 over all 8 clients, of both rates; returns the
+        strategy, the state it started from, the sample and the counts of
+        `train_local` and `backward` calls the round made."""
+        ctx = make_ctx(strategy_id, "width", alternating, num_clients=8, pool_cfg=self.POOL)
         ctx.sgd = self.SGD
         if sizes is not None:
             starts = np.cumsum((0,) + sizes)
             for client, start, size in zip(ctx.clients, starts, sizes):
                 client.data_indices = np.arange(start, start + size)
-        strategy = make_strategy("fjord", ctx)
+        strategy = make_strategy(strategy_id, ctx)
         state = strategy.initial_state()
-        sampled, t = list(range(8)), 5
+        sampled = list(range(8))
         assert {ctx.clients[cid].variant.rate for cid in sampled} == {1.0, 0.5}
-
-        # The widths each client draws, one `choice` per step.
-        expected_walks = 0
-        for _, cids in strategies.lockstep_groups(sampled, strategy._group_key):
-            steps = -(-ctx.clients[cids[0]].num_samples // self.SGD.batch_size) * self.SGD.local_epochs
-            drawn = []
-            for cid in cids:
-                rng = ctx.client_rng(cid, t, seeding.LANE_RATE)
-                ladder = fjord_widths(ctx.pool, ctx.clients[cid].variant.rate)
-                drawn.append([int(rng.choice(ladder)) for _ in range(steps)])
-            expected_walks += sum(len(set(step)) for step in zip(*drawn))
-
         trains = self.counting(monkeypatch, strategies, "train_local")
         walks = self.counting(monkeypatch, nn, "backward")
-        strategy.run_round(state, sampled, t)
-        assert len(trains) == stacks
-        assert len(walks) == expected_walks
-
+        strategy.run_round(state, sampled, 5)
         monkeypatch.undo()
+        return strategy, state, sampled, len(trains), len(walks)
+
+    def steps(self, ctx, sampled) -> int:
+        """The steps of one stack per sample count: one walk each."""
+        counts = {ctx.clients[cid].num_samples for cid in sampled}
+        return sum(-(-n // self.SGD.batch_size) * self.SGD.local_epochs for n in counts)
+
+    @pytest.mark.parametrize("sizes,stacks", [(None, 1), (UNEVEN, 3)], ids=["equal", "uneven"])
+    def test_fjord_round_is_one_stack_per_sample_count(self, monkeypatch, sizes, stacks):
+        # Whatever widths the clients draw, each step is one walk. The 9-row
+        # clients end each pass on one row at widths 4 and 8, prefixes whose
+        # one-row sums padding leaves bit-equal with the BLAS these tests
+        # were written on; other widths agree to rounding only (see `nn`).
+        strategy, state, sampled, trains, walks = self.width_round(monkeypatch, "fjord", sizes)
+        ctx, t = strategy.ctx, 5
+        assert trains == stacks
+        assert walks == self.steps(ctx, sampled)
+
         for key, cids in strategies.lockstep_groups(sampled, strategy._group_key):
             together = strategy._train_group(state, key, cids, t)
             assert len(together) == len(cids)
@@ -341,6 +356,36 @@ class TestLockstepGroups:
                 for found in (alone_map, reference_map):
                     assert (smap.spec, smap.head_set) == (found.spec, found.head_set)
                     assert np.array_equal(smap.index, found.index)
+
+    @pytest.mark.parametrize("sizes,stacks", [(None, 1), (UNEVEN, 3)], ids=["equal", "uneven"])
+    @pytest.mark.parametrize("strategy_id", ["sheterofl", "fedrolex"])
+    def test_width_round_is_one_stack_per_sample_count(self, monkeypatch, strategy_id, sizes, stacks):
+        # Clients of both widths train zero-padded in one stack per sample
+        # count, one walk per step.
+        strategy, state, sampled, trains, walks = self.width_round(monkeypatch, strategy_id, sizes)
+        ctx, t = strategy.ctx, 5
+        assert trains == stacks
+        assert walks == self.steps(ctx, sampled)
+
+        for key, cids in strategies.lockstep_groups(sampled, strategy._group_key):
+            assert len({ctx.clients[cid].variant.rate for cid in cids}) == 2
+            together = strategy._train_group(state, key, cids, t)
+            assert len(together) == len(cids)
+            for cid, (trained, smap) in zip(cids, together):
+                (alone, alone_map), = strategy._train_group(state, key, [cid], t)
+                reference, reference_map = width_reference_client(strategy, state, cid, t)
+                assert np.array_equal(trained.vector, alone.vector)
+                # A pass that ends on one row takes the matrix-vector
+                # kernel there, where the padded walk matches the sliced
+                # sub-model to rounding only (see `nn`).
+                if ctx.clients[cid].num_samples % self.SGD.batch_size == 1:
+                    assert np.allclose(trained.vector, reference.vector, rtol=1e-10, atol=1e-12), cid
+                else:
+                    assert np.array_equal(trained.vector, reference.vector), cid
+                assert (smap.spec, smap.head_set) == (alone_map.spec, alone_map.head_set) == (
+                    reference_map.spec, reference_map.head_set)
+                assert np.array_equal(smap.index, alone_map.index)
+                assert np.array_equal(smap.index, reference_map.index)
 
     def test_clients_split_by_key_in_id_order(self):
         keys = {0: "a", 1: "b", 2: "a", 3: "c", 4: "b"}
@@ -373,7 +418,7 @@ class TestFjordDraws:
 class TestDivergence:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     @pytest.mark.parametrize("strategy_id,level", [
-        ("sheterofl", "width"), ("fjord", "width"), ("fedepth", "depth"),
+        ("sheterofl", "width"), ("fedrolex", "width"), ("fjord", "width"), ("fedepth", "depth"),
         ("fedproto", "topology"), ("fedet", "topology"),
     ])
     def test_huge_learning_rate_raises(self, strategy_id, level):
@@ -382,6 +427,50 @@ class TestDivergence:
         pattern = rf"^{strategy_id}: round 3: client [0-3] diverged; parameter \S+ is not finite$"
         with pytest.raises(DivergenceError, match=pattern):
             strategy.run_round(strategy.initial_state(), [0, 1, 2, 3], 3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("strategy_id", ["sheterofl", "fedrolex", "fjord"])
+    def test_width_client_names_the_parameter_its_sub_model_shows(self, strategy_id):
+        # The message names the first non-finite parameter of the client's
+        # extracted sub-model trained alone, at either rate.
+        ctx = make_ctx(strategy_id, "width", alternating, lr=1e30)
+        strategy = make_strategy(strategy_id, ctx)
+        state = strategy.initial_state()
+        reference_client = fjord_reference_client if strategy_id == "fjord" else width_reference_client
+        for cid in (0, 1):
+            alone, smap = reference_client(strategy, state, cid, 3)
+            name = smap.layout.key_at(np.flatnonzero(~np.isfinite(alone.vector))[0])
+            pattern = rf"^{strategy_id}: round 3: client {cid} diverged; parameter {re.escape(name)} is not finite$"
+            with pytest.raises(DivergenceError, match=pattern):
+                strategy.run_round(state, [cid], 3)
+
+    @pytest.mark.parametrize("strategy_id", ["sheterofl", "fedrolex", "fjord"])
+    def test_width_client_check_reads_only_its_upload(self, monkeypatch, strategy_id):
+        # A padded row can hold 0 * inf = NaN off the client's map; that
+        # coordinate is not uploaded and must not be the one named. Rows
+        # come back with a NaN off the map in stem.w and an inf on it in
+        # block2.w: the message names block2.w.
+        ctx = make_ctx(strategy_id, "width", alternating)
+        strategy = make_strategy(strategy_id, ctx)
+        state = strategy.initial_state()
+        smap = strategy._extract(state, ctx.clients[1], 3)[1]  # rate .5
+        slots = nn.param_layout(state.spec, state.head_blocks).slots
+        on_map = np.zeros(state.vector.size, dtype=bool)
+        on_map[smap.index] = True
+        stem_off = np.flatnonzero(~on_map[:slots["stem.w"][1]])[0]
+        block_on = slots["block2.w"][0] + np.flatnonzero(on_map[slice(*slots["block2.w"][:2])])[0]
+        train_local = strategies.train_local
+
+        def broken(*args, **kwargs):
+            models = train_local(*args, **kwargs)
+            for model in models:
+                model.vector[stem_off], model.vector[block_on] = np.nan, np.inf
+            return models
+
+        monkeypatch.setattr(strategies, "train_local", broken)
+        pattern = rf"^{strategy_id}: round 3: client 1 diverged; parameter block2\.w is not finite$"
+        with pytest.raises(DivergenceError, match=pattern):
+            strategy.run_round(state, [1], 3)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     @pytest.mark.parametrize("strategy_id,level", [
