@@ -15,10 +15,9 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config_text, read_value, resolve_config
+from .config import ConfigError, load_config
 from .resources import InfeasibleScenarioError
 from .runner import (
-    SWEEP_AXES,
     SummaryError,
     atomic_write_text,
     format_report,
@@ -39,16 +38,6 @@ EXIT_IO = 4
 EXIT_DIVERGED = 5
 
 
-def _load_with_env(path: str) -> ExperimentConfig:
-    """The config at `path` with HETFED_SEED, read as a config line's
-    master_seed, applied before it resolves, so its pools are built once."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_config_text(fh.read(), source=path)
-    if "HETFED_SEED" in os.environ:
-        raw["master_seed"] = read_value("master_seed", os.environ["HETFED_SEED"], "HETFED_SEED")
-    return resolve_config(raw, source=path)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetfed",
@@ -62,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="Run the experiment across one axis of values.")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
+    p_sweep.add_argument("--axis", required=True, help="A config key, alpha or scenario.")
     p_sweep.add_argument("--values", required=True, help="Comma-separated axis values.")
     p_sweep.add_argument("--out", default=None)
 
@@ -81,8 +70,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("run", "sweep"):
-            cfg = _load_with_env(args.config)
+        if args.command == "report":
+            rows = report_rows(load_summaries(args.paths))
+            sys.stdout.write(format_report(rows))
+            if args.csv:
+                atomic_write_text(args.csv, report_csv(rows))
+            return EXIT_OK
+        cfg = load_config(args.config, os.environ.get("HETFED_SEED"))
+        if args.command == "pool":
+            text = pool_csv(cfg)
+        elif args.command == "partition":
+            text = partition_csv(cfg)
+        else:
             # HETFED_OUT, like --out, picks the directory and is no part of the config.
             out = args.out if args.out is not None else os.environ.get("HETFED_OUT")
             # A diverging run overflows on its way to a non-finite value,
@@ -94,16 +93,7 @@ def main(argv: list[str] | None = None) -> int:
                 else:
                     values = [v.strip() for v in args.values.split(",") if v.strip()]
                     text = sweep_experiment(cfg, args.axis, values, out)
-            sys.stdout.write(text)
-        elif args.command == "pool":
-            sys.stdout.write(pool_csv(_load_with_env(args.config)))
-        elif args.command == "partition":
-            sys.stdout.write(partition_csv(_load_with_env(args.config)))
-        elif args.command == "report":
-            rows = report_rows(load_summaries(args.paths))
-            sys.stdout.write(format_report(rows))
-            if args.csv:
-                atomic_write_text(args.csv, report_csv(rows))
+        sys.stdout.write(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

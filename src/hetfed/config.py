@@ -128,8 +128,11 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
-    """Raw key -> value mapping from the dotted-key text format."""
+def parse_config_text(
+    text: str, source: str = "<config>", lines: dict[str, int] | None = None
+) -> dict[str, object]:
+    """Raw key -> value mapping from the dotted-key text format; `lines`,
+    when given, receives each key's line number."""
     values: dict[str, object] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw_line).strip()
@@ -143,6 +146,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         values[key] = parse_value(raw_value)
+        if lines is not None:
+            lines[key] = lineno
     return values
 
 
@@ -154,15 +159,28 @@ def parse_value(text: str) -> object:
         return text
 
 
-def read_value(key: str, text: str, source: str) -> object:
-    """`text` read as a config line's value for `key` and checked against
-    the key's schema type; a ConfigError opening with `source` otherwise."""
-    value = parse_value(text)
+def override(raw: dict[str, object], axis: str, text: str, source: str) -> dict[str, object]:
+    """A copy of `raw` with `axis` set to `text`. An axis is a SCHEMA key,
+    whose text is read as a config line's value and checked against the
+    key's type, or an alias: `alpha` sets `partition.alpha` under a
+    Dirichlet partition, and `scenario` sets `scenario.constraints` from a
+    `+`-joined set. An unknown axis or a value of the wrong type raises a
+    ConfigError opening with `source`."""
+    out = dict(raw)
+    if axis == "scenario":
+        out["scenario.constraints"] = text.split("+")
+        return out
+    key = axis
+    if axis == "alpha":
+        out["partition.mode"], key = "dirichlet", "partition.alpha"
+    if key not in SCHEMA:
+        raise ConfigError(f"{source}: not a config key, alpha or scenario")
+    out[key] = parse_value(text)
     try:
-        _coerce(key, SCHEMA[key][0], value)
+        _coerce(key, SCHEMA[key][0], out[key])
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
-    return value
+    return out
 
 
 def _is_number(value: object, types: type | tuple[type, ...]) -> bool:
@@ -394,7 +412,21 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, seed: str | None = None) -> ExperimentConfig:
+    """The config at `path`, with `seed` (the text of HETFED_SEED), when
+    given, set as its master_seed before it resolves, so its pools are built
+    once. An error whose message opens with a key of the file opens with
+    `path:line:`."""
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return resolve_config(parse_config_text(text, source=path), source=path)
+        raw = parse_config_text(fh.read(), path, lines)
+    if seed is not None:
+        raw = override(raw, "master_seed", seed, "HETFED_SEED")
+        lines.pop("master_seed", None)
+    try:
+        return resolve_config(raw, source=path)
+    except ConfigError as exc:
+        key = str(exc).partition(":")[0]
+        if key not in lines:
+            raise
+        raise ConfigError(f"{path}:{lines[key]}: {exc}") from None

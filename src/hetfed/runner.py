@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__, seeding
-from .config import BASELINE_ID, ConfigError, ExperimentConfig, _rule, read_value, resolve_config
+from .config import BASELINE_ID, ConfigError, ExperimentConfig, _rule, override, resolve_config
 from .datasets import Dataset, partition, split_global
 from .metrics import (
     METRICS,
@@ -31,9 +31,6 @@ from .metrics import (
 from .resources import assign_models, estimate_times, payload_bytes, sample_profiles
 from .nn import DivergenceError
 from .strategies import ClientState, FederationContext, Strategy, make_strategy, sample_clients
-
-SWEEP_AXES = ("num_clients", "alpha", "scenario")
-
 
 @dataclass
 class RepeatOutcome:
@@ -216,38 +213,39 @@ def _write_run(cfg: ExperimentConfig, outcomes: dict[str, list[RepeatOutcome]], 
 # sweeps
 
 
-def _axis_override(raw: dict[str, object], axis: str, value: str) -> dict[str, object]:
-    """The raw config with one sweep axis set to `value`; `axis` is one of SWEEP_AXES."""
-    out = dict(raw)
-    if axis == "num_clients":
-        out["num_clients"] = read_value("num_clients", value, f"sweep axis {axis}")
-    elif axis == "alpha":
-        out["partition.mode"] = "dirichlet"
-        out["partition.alpha"] = read_value("partition.alpha", value, f"sweep axis {axis}")
-    else:
-        out["scenario.constraints"] = value.split("+")
-    return out
-
-
 def sweep_experiment(cfg: ExperimentConfig, axis: str, values: list[str], out_dir: str | None = None) -> str:
-    """One run per axis value, each a distinct config, under shared seeds; returns the merged CSV text."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+    """One run per axis value (see `config.override`), each a distinct
+    config, under shared seeds; returns the merged CSV text."""
     if not values:
         raise ConfigError("sweep needs at least one axis value")
-    sub_cfgs = [resolve_config(_axis_override(cfg.raw, axis, value)) for value in values]
+    source = f"sweep axis {axis}"
+    sub_cfgs = []
+    for value in values:
+        raw = override(cfg.raw, axis, value, source)
+        try:
+            sub_cfgs.append(resolve_config(raw))
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
     hashes = [sub_cfg.hash() for sub_cfg in sub_cfgs]
     for i, first in enumerate(hashes.index(digest) for digest in hashes):
         if first != i:
-            raise ConfigError(f"sweep axis {axis}: values {values[first]!r} and {values[i]!r} give the same config")
+            raise ConfigError(f"{source}: values {values[first]!r} and {values[i]!r} give the same config")
+    # Each value's run lands in its own directory directly under the output
+    # directory: a name with a separator would nest or escape it, and two
+    # values with one name would overwrite each other.
+    names = [f"{axis}_{value.replace('+', '-')}" for value in values]
+    for i, (value, name) in enumerate(zip(values, names)):
+        if any(sep and sep in name for sep in (os.sep, os.altsep)):
+            raise ConfigError(f"{source}: value {value!r} is not a single directory name")
+        if names.index(name) != i:
+            raise ConfigError(f"{source}: values {values[names.index(name)]!r} and {value!r} share the directory {name!r}")
     # Every value's jobs finish before anything is written, so a sweep that
     # fails leaves no directory behind, as a run does.
     outcomes = [_run_jobs(sub_cfg) for sub_cfg in sub_cfgs]
     out = out_dir if out_dir is not None else cfg.output_dir
     rows = []
-    for value, sub_cfg, sub_outcomes in zip(values, sub_cfgs, outcomes):
-        sub_dir = os.path.join(out, f"{axis}_{value.replace('+', '-')}")
-        strategies = _write_run(sub_cfg, sub_outcomes, sub_dir)["strategies"]
+    for value, name, sub_cfg, sub_outcomes in zip(values, names, sub_cfgs, outcomes):
+        strategies = _write_run(sub_cfg, sub_outcomes, os.path.join(out, name))["strategies"]
         for sid in sorted(strategies):
             rows.append([axis, value, sid, *(csv_cell(strategies[sid][m.name]) for m in METRICS)])
     text = csv_text(["axis", "value", "strategy", *(m.name for m in METRICS)], rows)

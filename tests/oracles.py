@@ -546,3 +546,14 @@ def label_divergence(client_labels: np.ndarray, global_hist: np.ndarray) -> floa
     hist = class_histogram(client_labels, global_hist.size)
     mask = hist > 0
     return float(np.sum(hist[mask] * np.log(hist[mask] / np.maximum(global_hist[mask], 1e-12))))
+
+
+def at_key_line(path, text: str, message: str) -> str:
+    """`message` as a config load reports it for the file `path` holding
+    `text`: opened by `path:line:` of the line that sets the key the
+    message opens with, or as it is when the file does not set that key."""
+    key = message.partition(":")[0]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.partition("=")[0].strip() == key:
+            return f"{path}:{lineno}: {message}"
+    return message

@@ -12,7 +12,7 @@ from hetfed.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_IO, EXI
 from hetfed.datasets import gen_synthetic
 from hetfed.nn import BlockNetModel
 
-from oracles import save_csv
+from oracles import at_key_line, save_csv
 
 CONFIG = """
 strategies = ["sheterofl"]
@@ -145,7 +145,7 @@ class TestRunCommand:
             "sweep": ["sweep", str(bad), "--axis", "alpha", "--values", "0.5", "--out", str(out)],
         }[command]
         assert main(args) == EXIT_CONFIG
-        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert capsys.readouterr() == ("", f"config error: {at_key_line(bad, bad.read_text(), message)}\n")
         assert not out.exists()
 
     def test_infeasible_exit_code(self, tmp_path):
@@ -312,12 +312,48 @@ class TestOtherCommands:
         ("alpha", "NaN", "sweep axis alpha: partition.alpha: expected a finite number, got nan"),
         ("alpha", "1_0", "sweep axis alpha: partition.alpha: expected a number, got '1_0'"),
         ("num_clients", "1_0", "sweep axis num_clients: num_clients: expected an integer, got '1_0'"),
+        # Any config key is an axis, and a rule error names the axis too.
+        ("sgd.learning_rate", "yes", "sweep axis sgd.learning_rate: sgd.learning_rate: expected a number, got 'yes'"),
+        ("alpha", "-1", "sweep axis alpha: partition.alpha: must be > 0, got -1.0"),
+        ("num_clients", "0", "sweep axis num_clients: num_clients: must be >= 1, got 0"),
+        ("sgd.learning_rate", "-1", "sweep axis sgd.learning_rate: sgd.learning_rate: must be >= 0, got -1.0"),
+        ("flavor", "1", "sweep axis flavor: not a config key, alpha or scenario"),
     ])
     def test_sweep_bad_axis_value_is_config_error(self, config_path, tmp_path, capsys, axis, value, message):
         out = tmp_path / "sweep"
         assert main(["sweep", config_path, "--axis", axis, "--values", f"2,{value}", "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()  # every value is checked before the first run
+
+    @pytest.mark.parametrize("values,message", [
+        ("x,a/b", "value 'a/b' is not a single directory name"),
+        ("x,../x", "value '../x' is not a single directory name"),
+        ("x,a+b,a-b", "values 'a+b' and 'a-b' share the directory 'output_dir_a-b'"),
+    ])
+    def test_sweep_value_without_a_directory_of_its_own_is_config_error(self, config_path, tmp_path, capsys,
+                                                                         values, message):
+        # Each value's run is written to `<axis>_<value>` directly under --out.
+        out = tmp_path / "sweep"
+        args = ["sweep", config_path, "--axis", "output_dir", "--values", values, "--out", str(out)]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: sweep axis output_dir: {message}\n"
+        assert not out.exists() and os.listdir(tmp_path) == [os.path.basename(config_path)]
+
+    def test_sweep_over_a_key_equals_runs_with_it_set(self, tmp_path, capsys):
+        # The deadline binds: the tight value leaves clients on smaller
+        # variants than the loose one.
+        text = CONFIG.replace('["memory"]', '["communication"]')
+        path = tmp_path / "comm.cfg"
+        path.write_text(text)
+        out = tmp_path / "sweep"
+        args = ["sweep", str(path), "--axis", "scenario.t_comm", "--values", "0.02,200", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        for value in ("0.02", "200"):
+            path.write_text(text + f"scenario.t_comm = {value}\n")
+            assert main(["run", str(path), "--out", str(tmp_path / value)]) == EXIT_OK
+            for name in ("summary.json", "manifest.json"):
+                swept = (out / f"scenario.t_comm_{value}" / name).read_bytes()
+                assert swept == (tmp_path / value / name).read_bytes(), (value, name)
 
     @pytest.mark.parametrize("axis,values,message", [
         ("alpha", "0.5,0.5", "values '0.5' and '0.5'"),

@@ -8,7 +8,7 @@ import pytest
 
 from hetfed import datasets, nn, resources, runner, seeding, strategies
 from hetfed.cli import EXIT_CONFIG, EXIT_OK, main
-from hetfed.config import SCHEMA, ConfigError, load_config, parse_config_text, resolve_config
+from hetfed.config import SCHEMA, ConfigError, load_config, override, parse_config_text, resolve_config
 from hetfed.datasets import gen_synthetic, split_global
 from hetfed.metrics import model_accuracy
 from hetfed.runner import (
@@ -20,7 +20,7 @@ from hetfed.runner import (
     sweep_experiment,
 )
 
-from oracles import save_csv
+from oracles import at_key_line, save_csv
 
 def read_json(path: str):
     with open(path, encoding="utf-8") as fh:
@@ -465,7 +465,8 @@ class TestRunner:
 
 
 def assert_command_stops_at_load(tmp_path, capsys, command, extra, message):
-    """`command` on SMALL with `extra`'s keys replaced exits 2 with `message`
+    """`command` on SMALL with `extra`'s keys replaced exits 2 with `message`,
+    opened by the file and the line of its key when the file sets that key,
     on stderr alone and leaves no output directory."""
     keys = set(parse_config_text(extra))
     kept = [line for line in SMALL.splitlines() if line.partition("=")[0].strip() not in keys]
@@ -479,8 +480,20 @@ def assert_command_stops_at_load(tmp_path, capsys, command, extra, message):
         "partition": ["partition", str(path)],
     }[command]
     assert main(args) == EXIT_CONFIG
-    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert capsys.readouterr() == ("", f"config error: {at_key_line(path, path.read_text(), message)}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "pool", "partition"])
+@pytest.mark.parametrize("extra,message", [
+    ("num_clients = 2.5", "bad.cfg:17: num_clients: expected an integer, got 2.5"),
+    ("sgd.momentum = 1.5", "bad.cfg:18: sgd.momentum: must lie in [0, 1), got 1.5"),
+], ids=["type", "rule"])
+def test_value_error_names_the_file_and_line(tmp_path, capsys, command, extra, message):
+    # SMALL opens with a blank line and sets 16 keys; `extra` is the last
+    # line, after the 15 kept keys or after all 16. The message already
+    # opens with the path, which is no key, so the helper keeps it as is.
+    assert_command_stops_at_load(tmp_path, capsys, command, extra, f"{tmp_path}/{message}")
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "pool", "partition"])
@@ -530,6 +543,15 @@ class TestSweep:
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             sweep_experiment(small_config(), "flavor", ["x"], str(tmp_path / "s"))
+
+    @pytest.mark.parametrize("key", [key for key, (kind, _) in SCHEMA.items() if kind != "list"])
+    def test_any_key_set_to_its_own_value_keeps_the_config(self, key):
+        # A string as its bare word, anything else as its JSON text: the two
+        # ways a config line writes a value.
+        cfg = small_config()
+        value = cfg.raw[key]
+        text = value if isinstance(value, str) else json.dumps(value)
+        assert resolve_config(override(cfg.raw, key, text, "test")).hash() == cfg.hash()
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -13,10 +13,13 @@ A deliberate output change reruns `tests/golden/regenerate.py` and names
 each moved file in CHANGES.md.
 """
 
+import glob
 import json
+import os
 
 from hetfed import nn, runner, strategies
-from hetfed.resources import DEPTH_STRATEGIES, TOPOLOGY_STRATEGIES, WIDTH_STRATEGIES
+from hetfed.config import load_config
+from hetfed.resources import DEPTH_STRATEGIES, TOPOLOGY_STRATEGIES, WIDTH_STRATEGIES, width_channels
 from hetfed.strategies import STRATEGY_CLASSES
 
 from golden.regenerate import DIGESTS, golden_digests
@@ -81,3 +84,32 @@ def test_golden_outputs_are_unchanged(tmp_path, monkeypatch):
         assert (ws.momentum is not None and ws.momentum.shape == ws.vector.shape) == (role == nn._TRAIN)
         for stack in ws.stacks.values():
             assert stack.vector.base is ws.vector and stack.grad.base is ws.grad
+
+
+def test_digested_width_jobs_have_no_one_row_step_or_one_channel_variant():
+    # SHeteroFL, FedRolex and FjORD train a client's sub-model zero-padded
+    # into the global layout, which gives the sub-model's own bits except at
+    # a one-row step or a one-channel variant (README, output notes). The
+    # golden and bench digests rely on neither occurring.
+    # Each golden config is checked at its own master_seed; the bench writes
+    # `master_seed = <seed>` after its workload, so a workload is checked at
+    # the seeds whose digests are recorded.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    runs = [(path, None) for path in sorted(glob.glob(os.path.join(root, "tests", "golden", "*.cfg")))]
+    runs += [(path, seed) for path in sorted(glob.glob(os.path.join(root, "bench", "workloads", "*.cfg")))
+             for seed in ("1", "7")]
+    checked, inexact = 0, []
+    for path, seed in runs:
+        cfg = load_config(path, seed)
+        for sid in (sid for sid in cfg.pools if sid in WIDTH_STRATEGIES):
+            widths = {v.spec.hidden_dim for v in cfg.pools[sid].variants}
+            if sid == "fjord" and cfg.fed.fjord_fixed_p is not None:
+                widths.add(width_channels(cfg.model.hidden_dim, cfg.fed.fjord_fixed_p))
+            if 1 in widths:
+                inexact.append((path, seed, sid, "one-channel variant"))
+            for repeat in range(cfg.repeats):
+                parts = runner._repeat_data(cfg, repeat)[4]
+                inexact += [(path, seed, sid, repeat, cid) for cid, rows in enumerate(parts)
+                            if (rows.size - 1) % cfg.sgd.batch_size == 0]
+            checked += 1
+    assert checked >= 6 and not inexact, inexact
