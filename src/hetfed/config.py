@@ -251,6 +251,8 @@ class ExperimentConfig:
     # configured strategies, then the baseline when it is included).
     pools: dict[str, ModelPool]
     raw: dict[str, object] = field(default_factory=dict)
+    # Not a key: `path:line` of each key the config file sets (see `locate`).
+    lines: dict[str, str] = field(default_factory=dict)
 
     def hash(self) -> str:
         return config_hash(self.raw)
@@ -412,21 +414,26 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     )
 
 
+def locate(exc: ConfigError, lines: dict[str, str]) -> ConfigError:
+    """`exc`, opened by `path:line:` of the key its message opens with when
+    the config file sets that key (`lines`, as `ExperimentConfig.lines`)."""
+    key = str(exc).partition(":")[0]
+    return ConfigError(f"{lines[key]}: {exc}") if key in lines else exc
+
+
 def load_config(path: str, seed: str | None = None) -> ExperimentConfig:
     """The config at `path`, with `seed` (the text of HETFED_SEED), when
     given, set as its master_seed before it resolves, so its pools are built
     once. An error whose message opens with a key of the file opens with
-    `path:line:`."""
-    lines: dict[str, int] = {}
+    `path:line:`, here and when a job reads the data (`locate`)."""
+    numbers: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_config_text(fh.read(), path, lines)
+        raw = parse_config_text(fh.read(), path, numbers)
     if seed is not None:
         raw = override(raw, "master_seed", seed, "HETFED_SEED")
-        lines.pop("master_seed", None)
+        numbers.pop("master_seed", None)
+    lines = {key: f"{path}:{number}" for key, number in numbers.items()}
     try:
-        return resolve_config(raw, source=path)
+        return replace(resolve_config(raw, source=path), lines=lines)
     except ConfigError as exc:
-        key = str(exc).partition(":")[0]
-        if key not in lines:
-            raise
-        raise ConfigError(f"{path}:{lines[key]}: {exc}") from None
+        raise locate(exc, lines) from None

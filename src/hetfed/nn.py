@@ -43,8 +43,14 @@ K >= 2 the walk views the batch as [K, n, d], and it takes every loss mean
 over each client's own n rows. A single model runs as a stack of one, so
 `forward` and `predict` run 2-D.
 One forward walk (`_run_forward`) serves `backward`, `forward` and
-`predict`: it walks every block, computes every head where it attaches
-and keeps the activations `backward` reads.
+`predict`: it walks every block and computes every head where it
+attaches, writing the heads' logits as the rows of one array. It keeps
+the activations `backward` reads only for `backward`; a scoring walk
+holds the live trunk activation, the logits and the deepest neck output,
+so scoring many rows does not grow and shrink the heap. The loss runs
+once over all heads' logits: one softmax pass, with the class maximum
+reduced over a class-major copy (the values of the last-axis reduction),
+and DepthFL's pair index built once per head count.
 Stacked `np.matmul`, 2-D `ndarray.dot` and the axis reductions give the same
 bits on each client, so a client's result does not depend on what it is
 stacked with.
@@ -98,8 +104,9 @@ So the clients scored on different heads of one model share one walk. A
 writable model is never memoized. The memo is safe because every model a
 strategy keeps in its state is read-only, so it cannot change under its
 stored predictions.
-Logits that are not all finite raise `DivergenceError` instead of an
-argmax.
+One finiteness check and one argmax cover every head; a head whose
+logits are not all finite raises `DivergenceError` instead of an argmax,
+and the other heads still score.
 """
 
 from __future__ import annotations
@@ -461,16 +468,20 @@ class ForwardResult:
     embedding: np.ndarray          # neck output of the deepest head, [n, proto_dim]
 
 
-def _run_forward(stack: ModelStack, batch: np.ndarray) -> dict:
+def _run_forward(stack: ModelStack, batch: np.ndarray, keep: bool = True) -> dict:
     """Forward pass of K stacked models through every block, computing
     every attached head.
 
     `batch` is [K*n, d]: the K clients' n rows each, concatenated; at
     K >= 2 it is viewed as [K, n, d]. The cache holds the input ("x"), the
-    trunk activation after the stem and after each block ("h"), each
-    block's post-ReLU output per linear ("acts"), and per head its neck
-    output ("neck") and logits ("logits"); at K >= 2 all with the leading
-    client axis.
+    heads' logits as the rows of one (H, [K,] n, c) array ("all_logits"; a
+    model of one head holds its own logits, viewed with a new leading axis),
+    each head's row of it by attach block ("logits"), and the deepest
+    head's neck output ("neck"). With `keep`, for `backward`, it also holds
+    every head's neck output, the trunk activation after the stem and
+    after each block ("h"), and each block's post-ReLU output per linear
+    ("acts"); without it the walk keeps only the live trunk activation.
+    At K >= 2 every other array has the leading client axis.
     """
     k = stack.vector.shape[0]
     d = stack.spec.input_dim
@@ -479,10 +490,13 @@ def _run_forward(stack: ModelStack, batch: np.ndarray) -> dict:
     x = batch if k == 1 else batch.reshape(k, -1, d)
     p = stack.params
     layout = stack.layout
+    heads = layout.heads
+    deepest = len(layout.blocks)
     mm = stack.matmul
+    all_logits = None if len(heads) == 1 else np.empty((len(heads), *x.shape[:-1], stack.spec.num_classes))
     h = mm(x, p["stem.w"])
     h += p["stem.b"]
-    trunk = [h]
+    trunk = [h] if keep else None
     acts = []
     necks, logits = {}, {}
     for i, block in enumerate(layout.blocks, 1):
@@ -493,21 +507,29 @@ def _run_forward(stack: ModelStack, batch: np.ndarray) -> dict:
             a += p[b]
             np.maximum(a, 0.0, out=a)
             block_acts.append(a)
-        h = a + h if layout.residual else a
-        trunk.append(h)
-        acts.append(block_acts)
-        if i in layout.heads:
-            neck_w, neck_b, fc_w, fc_b = layout.heads[i]
-            neck = necks[i] = mm(h, p[neck_w])
+        # `backward` reads `a`, so only an inference walk adds into it.
+        h = np.add(a, h, out=None if keep else a) if layout.residual else a
+        if keep:
+            trunk.append(h)
+            acts.append(block_acts)
+        if i in heads:
+            neck_w, neck_b, fc_w, fc_b = heads[i]
+            neck = mm(h, p[neck_w])
             neck += p[neck_b]
-            z = logits[i] = mm(neck, p[fc_w])
+            out = None if all_logits is None else all_logits[len(logits)]
+            z = logits[i] = mm(neck, p[fc_w], out=out)
             z += p[fc_b]
-    return {"x": x, "h": trunk, "acts": acts, "neck": necks, "logits": logits}
+            if keep or i == deepest:
+                necks[i] = neck
+            del neck  # an inference walk frees each other head's neck here
+    if all_logits is None:
+        all_logits = z[None]
+    return {"x": x, "h": trunk, "acts": acts, "neck": necks, "logits": logits, "all_logits": all_logits}
 
 
 def forward(model: BlockNetModel, batch: np.ndarray) -> ForwardResult:
     """Per-head logits plus the deepest head's neck output (the embedding)."""
-    cache = _run_forward(_stack_of_one(model), batch)
+    cache = _run_forward(_stack_of_one(model), batch, keep=False)
     return ForwardResult(logits=cache["logits"], embedding=cache["neck"][model.final_head])
 
 
@@ -528,6 +550,14 @@ class LossSpec:
     proto_weight: float = 0.0
     proto_targets: np.ndarray | None = None
     proto_mask: np.ndarray | None = None
+
+
+@lru_cache(maxsize=None)
+def _other_heads(count: int) -> np.ndarray:
+    """Row i lists every head index of `count` but i, ascending."""
+    others = np.nonzero(~np.eye(count, dtype=bool))[1].reshape(count, -1)
+    others.setflags(write=False)
+    return others
 
 
 def _loss_grads(
@@ -552,25 +582,23 @@ def _loss_grads(
 
     heads = stack.head_blocks
     distill = loss.distill_weight != 0.0 and len(heads) > 1
-    logits = cache["logits"]
-    # grads[h] is head h's gradient; logp[h] its log-probabilities.
-    grads = np.empty((len(heads), *logits[heads[0]].shape))
-    logp = np.empty_like(grads) if distill else None
+    # Row h of `z` and of `grads` is head h: every head runs in one pass.
+    z = cache["all_logits"]
+    # The class maximum as one reduction over the rows of a class-major
+    # copy: the values of `np.maximum.reduce(z, -1)`, which costs more per
+    # row on a short class axis than the copy does.
+    top = np.maximum.reduce(z.reshape(-1, c).T.copy(), 0).reshape(*z.shape[:-1], 1)
+    shifted = z - top
+    grads = np.exp(shifted)
+    total = np.add.reduce(grads, -1, keepdims=True)
+    # The log-probabilities, written over `shifted`.
+    logp = np.subtract(shifted, np.log(total), out=shifted) if distill else None
+    grads /= total
     if hard:
-        # The flat position of each row's label in one head's gradient.
-        at_label = np.arange(0, k * n * c, c) + targets
-    for h, j in enumerate(heads):
-        z = logits[j]
-        shifted = z - np.maximum.reduce(z, -1, keepdims=True)
-        grad = np.exp(shifted, out=grads[h])
-        total = np.add.reduce(grad, -1, keepdims=True)
-        if distill:
-            np.subtract(shifted, np.log(total), out=logp[h])
-        grad /= total
-        if hard:
-            grad.reshape(-1)[at_label] -= 1.0
-        else:
-            grad -= targets.reshape(grad.shape)
+        # The flat position of each row's label in each head's gradient.
+        grads.reshape(-1)[np.arange(0, grads.size, c).reshape(len(heads), -1) + targets] -= 1.0
+    else:
+        grads -= targets.reshape(grads.shape[1:])
     grads /= n
 
     if distill:
@@ -578,7 +606,7 @@ def _loss_grads(
         # once: row i of `others` lists every head but i, ascending, so
         # [i, s] pairs head i with its s-th other head. The gradient flows
         # into head i only, added in j order.
-        others = np.nonzero(~np.eye(len(heads), dtype=bool))[1].reshape(len(heads), -1)
+        others = _other_heads(len(heads))
         diff = logp[:, None] - logp[others]
         ps = np.exp(logp)[:, None]
         kl = np.add.reduce(ps * diff, -1, keepdims=True)
@@ -785,21 +813,16 @@ def predict(model: BlockNetModel, features: np.ndarray, head: int | None = None)
     if frozen and memo is not None and memo[0] is features:
         labels = memo[1][j]
     else:
-        cache = _run_forward(_stack_of_one(model), features)
-        found = {i: _argmax(z) for i, z in cache["logits"].items()}
+        z = _run_forward(_stack_of_one(model), features, keep=False)["all_logits"]
+        # One check and one argmax over every head; a head with a logit
+        # that is not finite gets None.
+        finite = np.isfinite(z).all(axis=(1, 2))
+        labels = z.argmax(axis=-1)
+        labels.setflags(write=False)
+        found = {i: labels[h] if finite[h] else None for h, i in enumerate(model.head_blocks)}
         if frozen:
             model._predicted = (features, found)
         labels = found[j]
     if labels is None:
         raise DivergenceError(f"logits of head {j} are not finite")
-    return labels
-
-
-def _argmax(logits: np.ndarray) -> np.ndarray | None:
-    """Each row's argmax class, read-only; None when a logit is not
-    finite."""
-    if not np.isfinite(logits).all():
-        return None
-    labels = logits.argmax(axis=-1)
-    labels.setflags(write=False)
     return labels

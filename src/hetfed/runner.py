@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__, seeding
-from .config import BASELINE_ID, ConfigError, ExperimentConfig, _rule, override, resolve_config
+from .config import BASELINE_ID, ConfigError, ExperimentConfig, _rule, locate, override, resolve_config
 from .datasets import Dataset, partition, split_global
 from .metrics import (
     METRICS,
@@ -52,7 +52,10 @@ def _repeat_data(
     """Seed, train pool, test set, public features and client partition of
     one repeat; every strategy of the repeat sees the same data."""
     seed_r = seeding.mix_seed(cfg.master_seed, seeding.TAG_REPEAT, repeat)
-    dataset = _rule(cfg.data.build, seeding.mix_seed(seed_r, seeding.TAG_DATA, 0))
+    try:
+        dataset = _rule(cfg.data.build, seeding.mix_seed(seed_r, seeding.TAG_DATA, 0))
+    except ConfigError as exc:
+        raise locate(exc, cfg.lines) from None
     train, test, public = split_global(
         dataset, cfg.data.test_fraction, cfg.data.public_fraction, seeding.mix_seed(seed_r, seeding.TAG_DATA, 1)
     )
@@ -223,9 +226,11 @@ def sweep_experiment(cfg: ExperimentConfig, axis: str, values: list[str], out_di
     for value in values:
         raw = override(cfg.raw, axis, value, source)
         try:
-            sub_cfgs.append(resolve_config(raw))
+            sub_cfg = resolve_config(raw)
         except ConfigError as exc:
             raise ConfigError(f"{source}: {exc}") from None
+        # The file still sets every key the value leaves as it was.
+        sub_cfgs.append(replace(sub_cfg, lines={k: at for k, at in cfg.lines.items() if raw[k] == cfg.raw[k]}))
     hashes = [sub_cfg.hash() for sub_cfg in sub_cfgs]
     for i, first in enumerate(hashes.index(digest) for digest in hashes):
         if first != i:

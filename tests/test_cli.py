@@ -126,7 +126,33 @@ class TestRunCommand:
         out = tmp_path / "o"
         args = [command, str(bad)] + (["--out", str(out)] if command == "run" else [])
         assert main(args) == EXIT_CONFIG
-        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert capsys.readouterr() == ("", f"config error: {at_key_line(bad, bad.read_text(), message)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "partition", "sweep"])
+    @pytest.mark.parametrize("features,classes,message", [
+        pytest.param(3, 3, "data.path: csv has 3 features, model.input_dim is 2", id="features"),
+        pytest.param(2, 2, "data.path: csv labels exceed model.num_classes", id="labels"),
+    ])
+    def test_csv_that_does_not_fit_the_model_names_its_line(self, tmp_path, capsys, command, features, classes,
+                                                            message):
+        # Found when a job first reads the file (3 classes, `features`
+        # columns), yet located as a load-time error is: by the line that
+        # sets data.path.
+        data = tmp_path / "data.csv"
+        save_csv(gen_synthetic("blobs", 60, features, 3, 0.5, seed=0), str(data))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.replace("model.num_classes = 3", f"model.num_classes = {classes}")
+                       + f'data.source = csv\ndata.path = "{data}"\nmodel.input_dim = 2\n')
+        out = tmp_path / "o"
+        args = {
+            "run": ["run", str(bad), "--out", str(out)],
+            "partition": ["partition", str(bad)],
+            "sweep": ["sweep", str(bad), "--axis", "sgd.batch_size", "--values", "4,8", "--out", str(out)],
+        }[command]
+        assert main(args) == EXIT_CONFIG
+        located = at_key_line(bad, bad.read_text(), message)
+        assert located.startswith(f"{bad}:") and capsys.readouterr() == ("", f"config error: {located}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "pool", "partition", "sweep"])

@@ -414,9 +414,9 @@ class TestRunner:
         walks, scored = [0], []
         walk, accuracy = nn._run_forward, runner.model_accuracy
 
-        def counted_walk(*args):
+        def counted_walk(*args, **kwargs):
             walks[0] += 1
-            return walk(*args)
+            return walk(*args, **kwargs)
 
         def counted_accuracy(model, features, labels, head=None):
             start = walks[0]

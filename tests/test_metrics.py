@@ -103,9 +103,9 @@ class TestAccuracy:
         walks, compared = [], []
         walk, count_nonzero = nn._run_forward, np.count_nonzero
 
-        def counted_walk(stack, batch):
+        def counted_walk(stack, batch, keep=True):
             walks.append(stack.head_blocks)
-            return walk(stack, batch)
+            return walk(stack, batch, keep)
 
         def counted_compare(correct):
             compared.append(correct.size)

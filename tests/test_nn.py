@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -126,9 +127,9 @@ class TestInferenceWalk:
         own = nn.ModelStack(spec, model.head_blocks, model.vector[None].copy(), np.empty((1, model.vector.size)))
         products, walk = [], nn._run_forward
 
-        def counted(a, b):
+        def counted(a, b, out=None):
             products.append(b.shape)
-            return a.dot(b)
+            return a.dot(b, out=out)
 
         # Products: the stem, one per block, and a neck and a classifier
         # per head.
@@ -138,8 +139,8 @@ class TestInferenceWalk:
         own.matmul = np.ndarray.dot
         caches = []
 
-        def recorded(stack, batch):
-            caches.append(walk(stack, batch))
+        def recorded(stack, batch, keep=True):
+            caches.append(walk(stack, batch, keep))
             return caches[-1]
 
         monkeypatch.setattr(nn, "_run_forward", recorded)
@@ -154,6 +155,41 @@ class TestInferenceWalk:
                 assert cache["logits"][j].tobytes() == want["logits"][j].tobytes()
         for j, got in zip((1, 3), labels):
             assert np.array_equal(got, want["logits"][j].argmax(axis=1))
+
+    def test_scoring_keeps_no_backprop_cache(self):
+        # A scoring walk holds the heads' logits array, the deepest neck and
+        # at most two trunk activations at once; `backward` keeps every
+        # activation. A scoring walk that kept them made glibc trim and
+        # regrow the heap on every evaluation. The trunk is wide enough that
+        # numpy's broadcast buffer for a bias add (at most 8,192 values)
+        # fits under the neck, which the bound counts once.
+        spec = BlockNetSpec(8, 64, 4, "skip", 5, 32)
+        heads = (1, 2, 3, 4)
+        layout = nn.param_layout(spec, heads)
+        model = nn.init_model(spec, np.random.default_rng(0), heads)
+        n = 400
+        x = np.random.default_rng(1).normal(size=(n, spec.input_dim))
+        labels = np.random.default_rng(2).integers(0, spec.num_classes, size=n)
+
+        def width(key):
+            return layout.slots[key][2][0]
+
+        logits = len(layout.heads) * n * width("head4.fc.b")
+        bound = 8 * (logits + n * width("head4.neck.b") + 2 * n * width("stem.b"))
+
+        def peak(call):
+            call()  # builds the walk workspace outside the measure
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: nn.predict(model, x, 2)) <= bound
+        assert peak(lambda: nn.forward(model, x)) <= bound
+        stack = nn.ModelStack(spec, heads, model.vector[None].copy(), np.empty((1, layout.size)))
+        assert peak(lambda: nn.backward(stack, x, labels, LossSpec(distill_weight=0.1))) > bound
 
 
 class TestLosses:
@@ -872,9 +908,9 @@ class TestPredictMemo:
         calls = []
         walk = nn._run_forward
 
-        def counted(stack, batch):
+        def counted(stack, batch, keep=True):
             calls.append(stack.head_blocks)
-            return walk(stack, batch)
+            return walk(stack, batch, keep)
 
         monkeypatch.setattr(nn, "_run_forward", counted)
         return calls
@@ -954,3 +990,23 @@ class TestPredictMemo:
             for _ in range(2):  # the memo remembers the failure, too
                 with pytest.raises(nn.DivergenceError, match=r"^logits of head [12] are not finite$"):
                     nn.predict(huge, x, head)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_only_the_overflowing_head_raises(self, frozen):
+        # The heads share one logits array, but each is checked on its own:
+        # head 1 still scores while head 2's logits overflow.
+        spec = small_spec(num_classes=3, num_blocks=2, hidden_dim=8)
+        model = nn.init_model(spec, np.random.default_rng(8), (1, 2))
+        x = np.random.default_rng(9).normal(size=(20, 4))
+        want = nn.predict(model, x, 1)
+        for key in ("head2.neck.w", "head2.fc.w"):
+            model.params[key][...] *= 1e200
+        assert np.isfinite(model.vector).all()
+        if frozen:
+            read_only(model.vector)
+            read_only(x)
+        for _ in range(2):  # the memo remembers both heads
+            assert np.array_equal(nn.predict(model, x, 1), want)
+            with pytest.raises(nn.DivergenceError, match=r"^logits of head 2 are not finite$"):
+                nn.predict(model, x, 2)
