@@ -6,9 +6,9 @@ take the sub-model's architecture as given: the pool decides it. Every
 extraction returns a `SubModelMap`: per parameter, the source indices each
 sub-model axis keeps, compiled once into one flat index vector that lists
 the source coordinate of every sub-model coordinate. Extraction is a `take`
-of the source vector, and scattering client updates (each its trained
-model's views) back into global coordinates is exact bookkeeping rather
-than heuristics.
+of the source vector, and aggregation is exact bookkeeping: a trained
+sub-model scatters into the mapped coordinates (`scatter_update`), a model
+already in the global layout adds as a whole row, and `normalize` averages.
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ Two bases implement it. `_PartialAveragingStrategy` (the width and depth
 strategies, FeDepth and FedAvg) keeps one global model: each lockstep
 group trains the sub-models that the strategy's `_extract` hook cuts from
 it (once per variant; `_extract` reads a client only through its variant),
-under the loss its `_client_loss` hook names, and the server scatters the
-results back. `_PrivateModelStrategy` (FedProto, Fed-ET) keeps one private
+under the loss its `_client_loss` hook names, and the server adds each
+upload (`_add_upload`) and normalizes: a model in the global layout adds
+as a whole row, and only depth-prefix sub-models scatter through their
+maps. `_PrivateModelStrategy` (FedProto, Fed-ET) keeps one private
 model per client, built and trained locally the same way for both; only
 what the server exchanges differs.
 
@@ -26,14 +28,15 @@ The sampled clients of a round train in lockstep groups (`nn.train_local`
 on a stack): clients with the same `_group_key` (by default the same
 architecture and the same sample count) take every step as one stacked
 walk. Each client keeps its own data, batch shuffles and rng draws, so a
-client's result does not depend on its group; scatter and every other
-cross-client sum run in client-id order. The width strategies train each
-sub-model zero-padded into the global layout (see `nn`), so their key is
-the sample count alone, and a client's upload (and scatter map) is its
-trained row taken through its map. FjORD and FeDepth move part of their
-model per step, by a per-pass plan for `train_local`: FeDepth's segment's
-slice (one group per segmentation), and per FjORD step one mask of each
-client's drawn static prefix (each client draws a pass's widths at once).
+client's result does not depend on its group; the aggregate and every
+other cross-client sum run in client-id order. The width strategies train
+each sub-model zero-padded into the global layout (see `nn`), so their key
+is the sample count alone; a client's upload is the coordinates of its
+trained row that its map names, and the row, exactly +0.0 off its map,
+adds whole. FjORD and FeDepth move part of their model per step, by a
+per-pass plan for `train_local`: FeDepth's segment's slice (one group per
+segmentation), and per FjORD step one mask of each client's drawn static
+prefix (each client draws a pass's widths at once).
 
 Evaluation follows the same rule: every client of a variant gets one
 `EvalTarget` object per (state, eval round). A width strategy extracts
@@ -46,9 +49,12 @@ every variant and the global model. FeDepth, FedAvg and the private-model
 strategies score each client on a state model at its deepest head.
 
 Every `train_local` call goes through `Strategy._train`, which checks
-each trained model (a width client's upload) finite, as is every aggregate
-(the global model, FedProto's prototypes); a non-finite value raises
-`DivergenceError` naming the strategy, the round, the owner and the parameter.
+each trained model (of a width client's row, only its upload) finite, as
+is every aggregate (the global model, FedProto's prototypes); a
+non-finite value raises `DivergenceError` naming the strategy, the round,
+the owner and the parameter. One off a row's map reaches the aggregate
+check where another client covers its coordinate; elsewhere `normalize`
+keeps the previous value.
 
 Every model a strategy keeps in its state is immutable: its vector is
 read-only from the moment it is made (`initial_state`, `_train`, the
@@ -73,6 +79,7 @@ import numpy as np
 
 from . import seeding
 from .extract import (
+    Accumulator,
     SubModelMap,
     channel_map,
     extract_depth,
@@ -309,13 +316,15 @@ class Strategy:
     def _train(self, owners: list[str], round_index: int, *args, maps=None) -> list[BlockNetModel]:
         """`nn.train_local(*args)` with each trained model checked finite
         and made read-only; `owners` names the owner of each model. With
-        `maps`, each trained row is first cut to the sub-model its owner
-        uploads, so the check reads and names only that sub-model."""
+        `maps`, the check of each trained row reads only the coordinates
+        its owner's map uploads and names them by the sub-model's layout."""
         models = train_local(*args)
-        if maps is not None:
-            models = [BlockNetModel(m.spec, m.head_set, row.vector.take(m.index)) for row, m in zip(models, maps)]
-        for owner, model in zip(owners, models):
-            self._check_finite(model.vector, owner, round_index, param_layout(model.spec, model.head_blocks).key_at)
+        for i, (owner, model) in enumerate(zip(owners, models)):
+            if maps is None:
+                values, layout = model.vector, param_layout(model.spec, model.head_blocks)
+            else:
+                values, layout = model.vector.take(maps[i].index), maps[i].layout
+            self._check_finite(values, owner, round_index, layout.key_at)
             _frozen(model)
         return models
 
@@ -357,7 +366,8 @@ class Strategy:
 
 
 class _PartialAveragingStrategy(Strategy):
-    """Common round shape: extract, train locally, scatter, normalize."""
+    """Common round shape: extract, train locally, add each upload into
+    one accumulator (`_add_upload`), normalize."""
 
     def initial_state(self) -> BlockNetModel:
         """The largest variant's model, carrying every head of every variant."""
@@ -398,12 +408,19 @@ class _PartialAveragingStrategy(Strategy):
         uploads = {}
         for cid in ordered:
             trained, smap = results[cid]
-            scatter_update(acc, trained.params, smap, self.ctx.client_weight(cid))
+            self._add_upload(acc, trained, smap, self.ctx.client_weight(cid))
             uploads[cid] = smap.index.size
         new_global = normalize(acc, state)
         # A weighted mean of finite uploads can still overflow.
         self._check_finite(new_global.vector, "the aggregate", round_index, acc.layout.key_at)
         return _frozen(new_global), uploads
+
+    def _add_upload(self, acc: Accumulator, trained: BlockNetModel, smap: SubModelMap, weight: float) -> None:
+        """Add a trained model in the global layout to the sums as a whole
+        row, and its weight on its map: off the map the row is exactly +0.0,
+        so this is `scatter_update`'s sum, bit for bit."""
+        acc.sums += weight * trained.vector
+        acc.weights[smap.index] += weight
 
     def evaluate_global(self, state, features, labels):
         return model_accuracy(state, features, labels)
@@ -432,7 +449,8 @@ class _PartialAveragingStrategy(Strategy):
 
 class SHeteroFL(_PartialAveragingStrategy):
     """Static width sub-models: client k always trains the nested prefix at
-    its assigned rate; the server overlap-averages into global coordinates."""
+    its assigned rate, zero-padded into the global layout; the server
+    overlap-averages the trained rows, each weighted on its own map."""
 
     id = "sheterofl"
 
@@ -444,9 +462,10 @@ class SHeteroFL(_PartialAveragingStrategy):
         return self.ctx.clients[client_id].num_samples
 
     def _train_group(self, global_model, key, client_ids, round_index, moves=None):
-        """Each client's sub-model trains zero-padded into the global layout
-        (see `nn`), every coordinate at every step unless `moves` plans
-        otherwise; the upload is the row taken through the client's map."""
+        """Each client's trained row and its map, in id order: the client's
+        sub-model trains zero-padded into the global layout (see `nn`),
+        every coordinate at every step unless `moves` plans otherwise. The
+        row is never cut; its upload is the coordinates its map names."""
         padded = {}
         for client in (self.ctx.clients[cid] for cid in client_ids):
             if client.variant.variant_id not in padded:
@@ -520,6 +539,11 @@ class InclusiveFL(_PartialAveragingStrategy):
     def _extract(self, model, client, round_index):
         variant = client.variant
         return extract_depth(model, variant.spec.num_blocks, variant.head_blocks)
+
+    def _add_upload(self, acc, trained, smap, weight):
+        """A depth-prefix sub-model is not in the global layout: it scatters
+        into the coordinates its map names."""
+        scatter_update(acc, trained.params, smap, weight)
 
     def _eval_target(self, state, client, round_index):
         """The global state at the variant's deepest head: the sub-model is

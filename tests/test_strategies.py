@@ -8,7 +8,7 @@ import pytest
 
 from hetfed import nn, seeding, strategies
 from hetfed.datasets import gen_synthetic
-from hetfed.extract import extract_depth, select_channels
+from hetfed.extract import extract_depth, full_map, select_channels
 from hetfed.metrics import model_accuracy
 from hetfed.nn import BlockNetSpec, SGDConfig
 from hetfed.resources import DeviceProfile, PoolConfig, build_pool, fedepth_segments, payload_bytes, training_memory
@@ -86,11 +86,20 @@ def make_ctx(
 
 def width_reference_client(strategy, global_model, client_id: int, round_index: int):
     """A SHeteroFL or FedRolex client alone: its extracted sub-model
-    trained by the per-parameter loop."""
+    trained by the per-parameter loop, and its map."""
     ctx = strategy.ctx
     sub, smap = strategy._extract(global_model, ctx.clients[client_id], round_index)
     rng = ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-    return reference_train_local(sub, *ctx.client_data(client_id), ctx.sgd, nn.LossSpec(), rng), smap
+    return reference_train_local(sub, *ctx.client_data(client_id), ctx.sgd, nn.LossSpec(), rng).params, smap
+
+
+def whole_model_reference_client(strategy, global_model, client_id: int, round_index: int):
+    """A FedAvg client alone: the whole global model trained by the
+    per-parameter loop, and the identity map."""
+    ctx = strategy.ctx
+    rng = ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
+    trained = reference_train_local(global_model, *ctx.client_data(client_id), ctx.sgd, nn.LossSpec(), rng)
+    return trained.params, full_map(global_model)
 
 
 def largest(pool, cid):
@@ -334,6 +343,15 @@ class TestLockstepGroups:
         counts = {ctx.clients[cid].num_samples for cid in sampled}
         return sum(-(-n // self.SGD.batch_size) * self.SGD.local_epochs for n in counts)
 
+    @staticmethod
+    def assert_zero_off_map(trained, smap) -> None:
+        """Every coordinate of a trained row off its map is exactly +0.0:
+        the round adds the whole row into its sums."""
+        off = np.ones(trained.vector.size, dtype=bool)
+        off[smap.index] = False
+        values = trained.vector[off]
+        assert np.all(values == 0.0) and not np.signbit(values).any()
+
     @pytest.mark.parametrize("sizes,stacks", [(None, 1), (UNEVEN, 3)], ids=["equal", "uneven"])
     def test_fjord_round_is_one_stack_per_sample_count(self, monkeypatch, sizes, stacks):
         # Whatever widths the clients draw, each step is one walk. The 9-row
@@ -351,8 +369,10 @@ class TestLockstepGroups:
             for cid, (trained, smap) in zip(cids, together):
                 (alone, alone_map), = strategy._train_group(state, key, [cid], t)
                 reference, reference_map = fjord_reference_client(strategy, state, cid, t)
-                assert np.array_equal(trained.vector, alone.vector)
-                assert np.array_equal(trained.vector, reference.vector)
+                upload = trained.vector.take(smap.index)
+                assert np.array_equal(upload, alone.vector.take(alone_map.index))
+                assert np.array_equal(upload, reference.vector)
+                self.assert_zero_off_map(trained, smap)
                 for found in (alone_map, reference_map):
                     assert (smap.spec, smap.head_set) == (found.spec, found.head_set)
                     assert np.array_equal(smap.index, found.index)
@@ -374,14 +394,16 @@ class TestLockstepGroups:
             for cid, (trained, smap) in zip(cids, together):
                 (alone, alone_map), = strategy._train_group(state, key, [cid], t)
                 reference, reference_map = width_reference_client(strategy, state, cid, t)
-                assert np.array_equal(trained.vector, alone.vector)
+                upload = trained.vector.take(smap.index)
+                assert np.array_equal(upload, alone.vector.take(alone_map.index))
                 # A pass that ends on one row takes the matrix-vector
                 # kernel there, where the padded walk matches the sliced
                 # sub-model to rounding only (see `nn`).
                 if ctx.clients[cid].num_samples % self.SGD.batch_size == 1:
-                    assert np.allclose(trained.vector, reference.vector, rtol=1e-10, atol=1e-12), cid
+                    assert np.allclose(upload, reference.vector, rtol=1e-10, atol=1e-12), cid
                 else:
-                    assert np.array_equal(trained.vector, reference.vector), cid
+                    assert np.array_equal(upload, reference.vector), cid
+                self.assert_zero_off_map(trained, smap)
                 assert (smap.spec, smap.head_set) == (alone_map.spec, alone_map.head_set) == (
                     reference_map.spec, reference_map.head_set)
                 assert np.array_equal(smap.index, alone_map.index)
@@ -471,6 +493,43 @@ class TestDivergence:
         pattern = rf"^{strategy_id}: round 3: client 1 diverged; parameter block2\.w is not finite$"
         with pytest.raises(DivergenceError, match=pattern):
             strategy.run_round(state, [1], 3)
+
+    @pytest.mark.parametrize("strategy_id", ["sheterofl", "fedrolex", "fjord"])
+    def test_off_map_non_finite_value_is_never_silent(self, monkeypatch, strategy_id):
+        # The client check reads only the map, but the round adds whole
+        # rows: a NaN off client 1's map reaches that coordinate's sum.
+        # Where another sampled client covers the coordinate, the aggregate
+        # there is NaN and the round raises; where none does, the
+        # coordinate keeps its previous value.
+        ctx = make_ctx(strategy_id, "width", alternating)
+        strategy = make_strategy(strategy_id, ctx)
+        state = strategy.initial_state()
+        layout = nn.param_layout(state.spec, state.head_blocks)
+        smap = strategy._extract(state, ctx.clients[1], 3)[1]  # rate .5
+        on_map = np.zeros(state.vector.size, dtype=bool)
+        on_map[smap.index] = True
+        off = np.flatnonzero(~on_map)[0]
+        planted = ctx.clients[1].data_indices
+        train_local = strategies.train_local
+
+        def broken(models, features, targets, config, loss, rngs, rows=None, moves=None):
+            trained = train_local(models, features, targets, config, loss, rngs, rows, moves)
+            for model, own in zip(trained, rows):
+                if np.array_equal(own, planted):
+                    model.vector[off] = np.nan
+            return trained
+
+        monkeypatch.setattr(strategies, "train_local", broken)
+        assert ctx.clients[0].variant.rate == 1.0  # client 0 covers every coordinate
+        name = re.escape(layout.key_at(off))
+        pattern = rf"^{strategy_id}: round 3: the aggregate diverged; parameter {name} is not finite$"
+        with pytest.raises(DivergenceError, match=pattern):
+            strategy.run_round(state, [0, 1], 3)
+        # Client 3 holds client 1's sub-model: nothing sampled covers `off`.
+        assert np.array_equal(strategy._extract(state, ctx.clients[3], 3)[1].index, smap.index)
+        new_state, _ = strategy.run_round(state, [1, 3], 3)
+        assert new_state.vector[off] == state.vector[off]
+        assert np.isfinite(new_state.vector).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     @pytest.mark.parametrize("strategy_id,level", [
@@ -847,7 +906,10 @@ class TestFedepthSegments:
 class TestReferenceLoops:
     """FeDepth and FjORD move part of the model per step through
     `nn.sgd_update`; they must match the update written out inline, bit for
-    bit, with momentum on and more than one local epoch."""
+    bit, with momentum on and more than one local epoch. The strategies
+    that train in the global layout add each upload as a whole row, while
+    `reference_round` scatters each client's sub-model through its map: the
+    two must agree bit for bit."""
 
     SGD = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=2, momentum=0.5)
 
@@ -880,6 +942,20 @@ class TestReferenceLoops:
         strategy = make_strategy("fjord", ctx)
         assert strategy._widths(8) == [4, 8]  # per-step draws differ
         self.assert_rounds_match(strategy, fjord_reference_client, ([0, 1, 2, 3], [0, 1, 3]))
+
+    # 30 rows a client, batch 8: no pass ends on a one-row batch, where the
+    # padded walk matches the sliced sub-model to rounding only (see `nn`).
+    @pytest.mark.parametrize("strategy_id,picker,reference_client", [
+        ("sheterofl", alternating, width_reference_client),
+        ("fedrolex", alternating, width_reference_client),
+        ("fedavg_full", largest, whole_model_reference_client),
+    ], ids=["sheterofl", "fedrolex", "fedavg_full"])
+    def test_row_add_matches_the_scatter_of_each_sub_model(self, strategy_id, picker, reference_client):
+        ctx = make_ctx(strategy_id, "width", picker)
+        ctx.sgd = self.SGD
+        assert {c.num_samples % self.SGD.batch_size for c in ctx.clients} == {6}
+        strategy = make_strategy(strategy_id, ctx)
+        self.assert_rounds_match(strategy, reference_client, ([0, 1, 2, 3], [0, 1, 3]))
 
 
 class TestTopologyFamily:
