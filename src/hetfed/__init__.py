@@ -19,7 +19,7 @@ from .resources import (
     Variant,
     VariantStats,
 )
-from .metrics import MetricsReport, RoundRecord
+from .metrics import RoundRecord
 from .config import ConfigError, ExperimentConfig, load_config
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "ExperimentConfig",
     "InfeasibleScenarioError",
     "LossSpec",
-    "MetricsReport",
     "ModelPool",
     "PartitionConfig",
     "ProfileDistribution",

@@ -4,7 +4,8 @@ One `key = value` pair per line, `#` comments (a `#` inside a
 double-quoted string is part of the string), values parsed as JSON with
 a bare-word fallback for strings. Unknown keys are hard errors so a typo
 can never silently skew a benchmark comparison. Most sections' rules live
-in their dataclasses (`datasets.DataConfig` holds every `data.*` rule).
+in their dataclasses (`datasets.DataConfig` holds every `data.*` rule), and
+so do the kinds and defaults of their keys (see `SCHEMA`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import get_type_hints
 
 from .datasets import DataConfig, PartitionConfig
 from .nn import BLOCK_KINDS, BlockNetSpec, SGDConfig, validate_base_spec
@@ -42,8 +44,29 @@ BASELINE_ID = "fedavg_smallest"
 
 _REQUIRED = object()
 
+# The schema kind of each annotation a section dataclass may use.
+_KINDS = {int: "int", float: "float", str: "str", bool: "bool", float | None: "float_or_null"}
+
+
+def _section(cls, prefix: str, *given: str) -> dict[str, tuple[str, object]]:
+    """The `prefix.<field>` rows of `cls`, a dataclass whose field defaults
+    are the config's: one per field but those `given` by resolve_config, its
+    kind read from the field's annotation."""
+    hints = get_type_hints(cls)
+    rows = {}
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        if hints[f.name] not in _KINDS or f.default is MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: a config key needs a default and a kind in {list(_KINDS)}")
+        rows[f"{prefix}.{f.name}"] = (_KINDS[hints[f.name]], f.default)
+    return rows
+
+
 # key -> (type tag, default). Types: int, float, str, bool, list,
-# float_or_null. Defaults marked _REQUIRED must be present in the file.
+# float_or_null. Defaults marked _REQUIRED must be present in the file. The
+# profiles, data, sgd and algo rows come from their dataclasses' fields, the
+# kappa rows from DEFAULT_KAPPA; the rest are written here.
 SCHEMA: dict[str, tuple[str, object]] = {
     "strategies": ("list", _REQUIRED),
     "level": ("str", _REQUIRED),
@@ -73,42 +96,18 @@ SCHEMA: dict[str, tuple[str, object]] = {
     # Desk-scale capacities in the 16:4:1 shape of real device memory tiers.
     "scenario.memory_tiers": ("list", [[1.6e6, 0.25], [4.0e5, 0.50], [1.0e5, 0.25]]),
 
-    "profiles.compute_min": ("float", 1e8),
-    "profiles.compute_max": ("float", 1e9),
-    "profiles.bandwidth_min": ("float", 1e5),
-    "profiles.bandwidth_max": ("float", 1e6),
-    "profiles.default_memory": ("float", 1e9),
-
-    "data.source": ("str", "blobs"),
-    "data.path": ("str", ""),
-    "data.n": ("int", 2000),
-    "data.noise": ("float", 0.5),
-    "data.clusters_per_class": ("int", 1),
-    "data.layout": ("str", "random"),
-    "data.test_fraction": ("float", 0.2),
-    "data.public_fraction": ("float", 0.1),
+    **_section(ProfileDistribution, "profiles"),
+    **_section(DataConfig, "data", "input_dim", "num_classes", "num_clients", "needs_public"),
 
     "partition.mode": ("str", "iid"),
     "partition.alpha": ("float", 0.5),
 
-    "sgd.learning_rate": ("float", 0.02),
-    "sgd.batch_size": ("int", 32),
-    "sgd.local_epochs": ("int", 1),
-    "sgd.momentum": ("float", 0.0),
+    **_section(SGDConfig, "sgd"),
 
     "aggregation.weighting": ("str", "samples"),
+    **_section(FederationConfig, "algo", "weighting"),
 
-    "algo.lambda_kd": ("float", 0.1),
-    # 1.0 destabilizes the squared-L2 pull at desk scale (embedding outliers
-    # blow past SGD's stability threshold); 0.1 trains reliably.
-    "algo.lambda_proto": ("float", 0.1),
-    "algo.fjord_fixed_p": ("float_or_null", None),
-    "algo.fedet_server_epochs": ("int", 1),
-    "algo.fedet_client_epochs": ("int", 1),
-
-    "resource.kappa_depthfl": ("float", DEFAULT_KAPPA["depthfl"]),
-    "resource.kappa_fedrolex": ("float", DEFAULT_KAPPA["fedrolex"]),
-    "resource.kappa_fedepth": ("float", DEFAULT_KAPPA["fedepth"]),
+    **{f"resource.kappa_{sid}": ("float", kappa) for sid, kappa in DEFAULT_KAPPA.items()},
 
     "eval.cadence": ("int", 10),
     "eval.tta_threshold": ("float", 0.5),
@@ -311,10 +310,10 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
             raise ConfigError(f"strategies: {sid} is listed more than once")
 
     if not 0.0 < resolved["sampling_fraction"] <= 1.0:
-        raise ConfigError("sampling_fraction: must lie in (0, 1]")
+        raise ConfigError(f"sampling_fraction: must lie in (0, 1], got {resolved['sampling_fraction']}")
     for key in ("num_rounds", "repeats", "workers"):
         if resolved[key] < 1:
-            raise ConfigError(f"{key}: must be >= 1")
+            raise ConfigError(f"{key}: must be >= 1, got {resolved[key]}")
 
     try:
         spec = BlockNetSpec(
@@ -375,7 +374,7 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     fed = _keyed(FederationConfig, resolved, "algo", weighting=resolved["aggregation.weighting"])
 
     if resolved["eval.cadence"] < 1:
-        raise ConfigError("eval.cadence: must be >= 1")
+        raise ConfigError(f"eval.cadence: must be >= 1, got {resolved['eval.cadence']}")
     if not 0.0 < resolved["eval.tta_threshold"] <= 1.0:
         raise ConfigError(f"eval.tta_threshold: must lie in (0, 1], got {resolved['eval.tta_threshold']}")
 

@@ -302,19 +302,19 @@ def load_csv(path: str) -> Dataset:
     return Dataset(features, labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DataConfig:
     """The `data.*` keys and the values their rules read. Every rule is checked
     at load but a csv's row rules, which `build` checks once it reads the file."""
 
-    source: str
-    path: str
-    n: int
-    noise: float
-    clusters_per_class: int
-    layout: str
-    test_fraction: float
-    public_fraction: float
+    source: str = "blobs"
+    path: str = ""
+    n: int = 2000
+    noise: float = 0.5
+    clusters_per_class: int = 1
+    layout: str = "random"
+    test_fraction: float = 0.2
+    public_fraction: float = 0.1
     # Given, not keys: `model.input_dim`, `model.num_classes`, `num_clients`,
     # and whether a listed strategy (fedet) distills on the public split.
     input_dim: int

@@ -8,6 +8,7 @@ global test set so devices are compared on one yardstick.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,25 +33,20 @@ class RoundRecord:
         return stability(self.per_client_accuracy.values())
 
 
-@dataclass
-class MetricsReport:
-    final_global_accuracy: float
-    time_to_accuracy_s: float | None
-    stability_variance: float
-    effectiveness_delta: float | None = None
-
-
 @dataclass(frozen=True)
 class Metric:
     """One report metric: its key in summary.json and the CSVs, whether a
-    higher value is better, its `hetfed report` column label and width, and
-    whether it may be null (threshold never reached, or no baseline)."""
+    higher value is better, its `hetfed report` column label and width,
+    whether it may be null (threshold never reached, or no baseline), and
+    its value for one repeat's records, given the time-to-accuracy threshold
+    and the baseline's final accuracy (None without a baseline)."""
 
     name: str
     higher_is_better: bool
     label: str
     width: int
     nullable: bool
+    value: Callable[[list[RoundRecord], float, float | None], float | None]
 
     def rank(self, value: float) -> float:
         """Sort key that puts the best value first."""
@@ -58,13 +54,17 @@ class Metric:
 
 
 # The per-strategy metrics of summary.json, the sweep CSV and `hetfed
-# report`, in column order; one per MetricsReport field. A new report
-# column is one row here plus the field that build_report fills.
+# report`, in column order. A new report column is one row here.
 METRICS = (
-    Metric("final_global_accuracy", True, "final_acc", 10, False),
-    Metric("time_to_accuracy_s", False, "tta_s", 12, True),
-    Metric("stability_variance", False, "stability", 10, False),
-    Metric("effectiveness_delta", True, "effect", 8, True),
+    Metric("final_global_accuracy", True, "final_acc", 10, False,
+           lambda records, tta, baseline: records[-1].global_accuracy),
+    Metric("time_to_accuracy_s", False, "tta_s", 12, True,
+           lambda records, tta, baseline: time_to_accuracy(records, tta)),
+    Metric("stability_variance", False, "stability", 10, False,
+           lambda records, tta, baseline: records[-1].stability_variance),
+    Metric("effectiveness_delta", True, "effect", 8, True,
+           lambda records, tta, baseline: None if baseline is None
+           else effectiveness(records[-1].global_accuracy, baseline)),
 )
 
 
@@ -119,19 +119,11 @@ def build_report(
     records: list[RoundRecord],
     tta_threshold: float,
     baseline_final_accuracy: float | None = None,
-) -> MetricsReport:
+) -> dict[str, float | None]:
+    """One repeat's metric name -> value, in METRICS order."""
     if not records:
         raise ValueError("cannot build a report from zero records")
-    final = records[-1]
-    delta = None
-    if baseline_final_accuracy is not None:
-        delta = effectiveness(final.global_accuracy, baseline_final_accuracy)
-    return MetricsReport(
-        final_global_accuracy=final.global_accuracy,
-        time_to_accuracy_s=time_to_accuracy(records, tta_threshold),
-        stability_variance=final.stability_variance,
-        effectiveness_delta=delta,
-    )
+    return {m.name: m.value(records, tta_threshold, baseline_final_accuracy) for m in METRICS}
 
 
 # ---------------------------------------------------------------------------

@@ -402,7 +402,7 @@ def _stack_of_one(model: BlockNetModel) -> ModelStack:
 
 @dataclass(frozen=True)
 class SGDConfig:
-    learning_rate: float
+    learning_rate: float = 0.02
     batch_size: int = 32
     local_epochs: int = 1
     momentum: float = 0.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,9 +193,9 @@ def _write_run(cfg: ExperimentConfig, outcomes: dict[str, list[RepeatOutcome]], 
     summary: dict = {"config_hash": cfg.hash(), "scenario": "+".join(cfg.scenario.constraints), "strategies": {}}
     for sid in outcomes:
         reports = [build_report(o.records, cfg.tta_threshold, baseline_finals[o.repeat]) for o in outcomes[sid]]
-        entry = {m.name: _mean_or_none([getattr(r, m.name) for r in reports]) for m in METRICS}
-        entry["time_to_accuracy_reached"] = sum(1 for r in reports if r.time_to_accuracy_s is not None)
-        entry["repeats"] = [asdict(r) for r in reports]
+        entry = {m.name: _mean_or_none([r[m.name] for r in reports]) for m in METRICS}
+        entry["time_to_accuracy_reached"] = sum(1 for r in reports if r["time_to_accuracy_s"] is not None)
+        entry["repeats"] = reports
         summary["strategies"][sid] = entry
 
     manifest = {

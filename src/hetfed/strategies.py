@@ -110,7 +110,10 @@ class FederationConfig:
     """Algorithm-level knobs shared by the strategies."""
 
     lambda_kd: float = 0.1          # self-distillation weight (depthfl)
-    lambda_proto: float = 0.1       # prototype pull weight (fedproto)
+    # Prototype pull weight (fedproto). 1.0 destabilizes the squared-L2 pull
+    # at desk scale (embedding outliers blow past SGD's stability
+    # threshold); 0.1 trains reliably.
+    lambda_proto: float = 0.1
     fjord_fixed_p: float | None = None   # pin fjord's per-step rate draw
     fedet_server_epochs: int = 1
     fedet_client_epochs: int = 1

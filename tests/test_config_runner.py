@@ -8,7 +8,7 @@ import pytest
 
 from hetfed import datasets, nn, resources, runner, seeding, strategies
 from hetfed.cli import EXIT_CONFIG, EXIT_OK, main
-from hetfed.config import SCHEMA, ConfigError, load_config, override, parse_config_text, resolve_config
+from hetfed.config import SCHEMA, ConfigError, _section, load_config, override, parse_config_text, resolve_config
 from hetfed.datasets import gen_synthetic, split_global
 from hetfed.metrics import model_accuracy
 from hetfed.runner import (
@@ -60,7 +60,23 @@ ALGO_KNOB_ERRORS = [
 # Values that used to load and then crash a run (or `hetfed pool`) with a
 # traceback, or silently skew it.
 LOAD_ERRORS = [
+    ("level = 5", "level: expected a string, got 5"),
+    ("include_baseline = 1", "include_baseline: expected true/false, got 1"),
+    ("pool.rates = 0.5", "pool.rates: expected a JSON list, got 0.5"),
+    ("strategies = []", "strategies: must list at least one strategy"),
+    ('strategies = ["fedfoo"]', "strategies: unknown strategy 'fedfoo'"),
+    ("level = flat", "level: must be width, depth or topology, got 'flat'"),
     ('strategies = ["sheterofl", "sheterofl"]', "strategies: sheterofl is listed more than once"),
+    ("num_rounds = 0", "num_rounds: must be >= 1, got 0"),
+    ("repeats = 0", "repeats: must be >= 1, got 0"),
+    ("workers = 0", "workers: must be >= 1, got 0"),
+    ("sampling_fraction = 1.5", "sampling_fraction: must lie in (0, 1], got 1.5"),
+    ("eval.cadence = 0", "eval.cadence: must be >= 1, got 0"),
+    # BlockNetSpec's rules span the model keys, so the message names the section.
+    ("model.hidden_dim = 2", "model.*: base models need hidden_dim >= 4, got 2"),
+    ("model.block_kind = bottleneck", "model.block_kind: width heterogeneity needs plain or skip blocks"),
+    ('level = depth\nstrategies = ["depthfl"]\nmodel.num_blocks = 3',
+     "pool.depths: the ladder must span up to model.num_blocks"),
     ('pool.family = [[6, 2, "bottleneck"]]',
      'pool.family: [6, 2, "bottleneck"]: bottleneck blocks need hidden_dim divisible by 4'),
     ('pool.family = [[2, 2, "plain"]]', 'pool.family: [2, 2, "plain"]: base models need hidden_dim >= 4, got 2'),
@@ -92,6 +108,9 @@ MEMORY_TIER_ERRORS = [
     ("[[1e9, NaN]]", "scenario.memory_tiers: expected a finite number, got nan"),
     ("[[Infinity, 1.0]]", "scenario.memory_tiers: expected a finite number, got inf"),
     ('[["1e9", 1.0]]', "scenario.memory_tiers: expected a number, got '1e9'"),
+    ("[[1e9]]", "scenario.memory_tiers: entries must be [capacity_bytes, fraction]"),
+    ("[]", "scenario.memory_tiers: required when the memory constraint is active"),
+    ("[[-5, 1.0]]", "scenario.memory_tiers: capacities must be positive and fractions >= 0"),
 ]
 
 # One case per data or partition rule. Each is checked when the config
@@ -238,7 +257,40 @@ class TestConfigParsing:
     ])
     def test_every_pinned_message_opens_with_a_key(self, message):
         key, colon, _ = message.partition(":")
-        assert colon and key in SCHEMA
+        assert colon and (key in SCHEMA or key == "model.*")
+
+    def test_section_rows_come_from_the_dataclass_fields(self):
+        # The kind comes from the annotation, the default from the field; a
+        # given field has no row, and any other field needs both.
+        @dataclasses.dataclass
+        class Knobs:
+            rate: float = 0.5
+            steps: int = 3
+            name: str = "a"
+            on: bool = False
+            cap: float | None = None
+            given: int = 0
+
+        @dataclasses.dataclass
+        class Listed:
+            sizes: tuple = ()
+
+        @dataclasses.dataclass
+        class Undefaulted:
+            rate: float
+
+        assert _section(Knobs, "k", "given") == {
+            "k.rate": ("float", 0.5),
+            "k.steps": ("int", 3),
+            "k.name": ("str", "a"),
+            "k.on": ("bool", False),
+            "k.cap": ("float_or_null", None),
+        }
+        with pytest.raises(TypeError, match=r"^Listed\.sizes: a config key needs a default and a kind in"):
+            _section(Listed, "l")
+        with pytest.raises(TypeError, match=r"^Undefaulted\.rate: a config key needs a default and a kind in"):
+            _section(Undefaulted, "u")
+        assert _section(Undefaulted, "u", "rate") == {}
 
     def test_every_family_entry_builds_a_base_spec(self):
         cfg = small_config('level = topology\nstrategies = ["fedproto"]\n'
@@ -291,14 +343,6 @@ class TestRunner:
                     monkeypatch.setattr(module, name, forbidden)
         assert small_config().partition == datasets.PartitionConfig("iid", num_clients=4, alpha=0.5)
         assert small_config('data.source = csv\ndata.path = "absent.csv"').data.source == "csv"
-
-    def test_data_config_fields_are_the_data_keys(self):
-        # Every `data.*` key reaches `DataConfig`, the one home of the data
-        # rules; its other fields are the values `resolve_config` gives it.
-        keys = {key.removeprefix("data.") for key in SCHEMA if key.startswith("data.")}
-        given = {"input_dim", "num_classes", "num_clients", "needs_public"}
-        assert {f.name for f in dataclasses.fields(datasets.DataConfig)} == keys | given
-        assert not keys & given
 
     def test_lr_zero_is_noop_training(self, tmp_path):
         cfg = small_config("sgd.learning_rate = 0.0\nsampling_fraction = 1.0\nnum_rounds = 1\n")

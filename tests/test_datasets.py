@@ -133,6 +133,17 @@ class TestPartition:
         parts = partition(ds, PartitionConfig("dirichlet", num_clients=3, alpha=0.5, seed=77))
         assert [p.tolist() for p in parts] == GOLDEN_DIRICHLET
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dirichlet_repair_fills_every_empty_client(self, seed):
+        # alpha = 0.05 over 20 clients leaves 15, 11 and 12 of them empty
+        # before the repair moves single rows to them from the largest.
+        ds = gen_synthetic("blobs", 40, 3, 3, 0.5, seed=0)
+        cfg = PartitionConfig("dirichlet", num_clients=20, alpha=0.05, seed=seed)
+        parts = partition(ds, cfg)
+        assert all(p.size >= 1 for p in parts)
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(40))
+        assert [p.tolist() for p in partition(ds, cfg)] == [p.tolist() for p in parts]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PartitionConfig("pathological", num_clients=2)
@@ -216,3 +227,17 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             load_csv(str(path))
+
+    @pytest.mark.parametrize("text,message", [
+        ("f0,f1,target\n0.5,0.5,0\n", "header must be f0,...,f{d-1},label"),
+        ("f0,f1,label\n0.5,0.5,0\n0.5,abc,1\n",
+         "line 3: bad feature value (could not convert string to float: 'abc')"),
+        ("f0,f1,label\n0.5,0.5,-1\n", "line 2: label must be >= 0"),
+        ("f0,f1,label\n", "no data rows"),
+    ], ids=["no_label_column", "non_numeric_feature", "negative_label", "header_only"])
+    def test_refusal_names_the_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            load_csv(str(path))
+        assert str(excinfo.value) == f"{path}: {message}"

@@ -3,6 +3,7 @@ import pytest
 
 from hetfed import metrics, nn
 from hetfed.metrics import (
+    METRICS,
     RoundRecord,
     advance_clock,
     build_report,
@@ -171,10 +172,13 @@ class TestReportAndCsv:
     def test_report_fields(self):
         records = [record(1, 10.0, 0.4, (0.3, 0.5)), record(2, 20.0, 0.8, (0.8, 0.6))]
         report = build_report(records, tta_threshold=0.7, baseline_final_accuracy=0.7)
-        assert report.final_global_accuracy == 0.8
-        assert report.time_to_accuracy_s == 20.0
-        assert report.stability_variance == pytest.approx(0.01)
-        assert report.effectiveness_delta == pytest.approx(0.1)
+        assert list(report) == [m.name for m in METRICS]
+        assert report["final_global_accuracy"] == 0.8
+        assert report["time_to_accuracy_s"] == 20.0
+        assert report["stability_variance"] == pytest.approx(0.01)
+        assert report["effectiveness_delta"] == pytest.approx(0.1)
+        assert build_report(records, tta_threshold=0.9)["time_to_accuracy_s"] is None
+        assert build_report(records, tta_threshold=0.9)["effectiveness_delta"] is None
 
     def test_csv_schema(self):
         text = records_csv([record(1, 10.0, 0.4), record(2, 20.0, 0.8)])

@@ -5,11 +5,9 @@ so a change to how a metric is named, ordered, padded or printed shows
 here first.
 """
 
-from dataclasses import fields
-
 from hetfed import runner
 from hetfed.config import parse_config_text, resolve_config
-from hetfed.metrics import METRICS, MetricsReport, RoundRecord, records_csv
+from hetfed.metrics import RoundRecord, records_csv
 from hetfed.runner import format_report, pool_csv, report_csv, report_rows, sweep_experiment
 
 CONFIG = """
@@ -58,10 +56,6 @@ SUMMARIES = [
 
 def config():
     return resolve_config(parse_config_text(CONFIG))
-
-
-def test_metric_table_follows_the_report_fields():
-    assert [m.name for m in METRICS] == [f.name for f in fields(MetricsReport)]
 
 
 def test_format_report_text():
