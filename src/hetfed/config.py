@@ -325,8 +325,8 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
             proto_dim=resolved["model.proto_dim"],
         )
         validate_base_spec(spec)
-    except ValueError as exc:
-        raise ConfigError(f"model.*: {exc}") from exc
+    except ValueError as exc:  # each message opens with its field, so this names its key
+        raise ConfigError(f"model.{exc}") from exc
 
     rates = resolved["pool.rates"]
     if any(not _is_number(r, (int, float)) or not 0 < r <= 1 for r in rates):

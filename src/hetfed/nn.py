@@ -144,11 +144,11 @@ class BlockNetSpec:
     def __post_init__(self) -> None:
         for name in ("input_dim", "hidden_dim", "num_blocks", "num_classes", "proto_dim"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.block_kind not in BLOCK_KINDS:
-            raise ValueError(f"block_kind must be one of {BLOCK_KINDS}, got {self.block_kind!r}")
+            raise ValueError(f"block_kind: must be one of {BLOCK_KINDS}, got {self.block_kind!r}")
         if self.block_kind == "bottleneck" and self.hidden_dim % 4 != 0:
-            raise ValueError("bottleneck blocks need hidden_dim divisible by 4")
+            raise ValueError(f"hidden_dim: bottleneck blocks need a multiple of 4, got {self.hidden_dim}")
 
 
 def validate_base_spec(spec: BlockNetSpec) -> None:
@@ -158,7 +158,7 @@ def validate_base_spec(spec: BlockNetSpec) -> None:
     global/base models a federation starts from are held to this floor.
     """
     if spec.hidden_dim < 4:
-        raise ValueError(f"base models need hidden_dim >= 4, got {spec.hidden_dim}")
+        raise ValueError(f"hidden_dim: base models need >= 4, got {spec.hidden_dim}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,15 +4,20 @@ The cost model prices each candidate model variant (FLOPs, bytes moved,
 training-memory footprint) so that scenarios can hand every client the
 largest variant its device can actually afford.
 
-One rule prices training memory, `training_memory`: every weight of the
+One rule prices training memory: κ × `training_memory` of the coordinates
+the strategy trains, where `training_memory` counts every weight of the
 model resident, a gradient and a momentum entry for each trained
 coordinate, and the activation state of one batch, 8 bytes each. A pool
-variant trains its whole model; a FeDepth segment trains its
-`nn.segment_slice`. A pool variant's price is then scaled once by its
-strategy's κ (`resource.kappa_<strategy>`, 1 for strategies without a
-key). The defaults are measured training footprints of equal-proportion
-models against the static-width baseline's 593 MB: DepthFL 1220 MB,
-FedRolex 780 MB and FeDepth 631 MB.
+variant trains its whole model, DepthFL's with a head after every block;
+a FeDepth segment trains its `nn.segment_slice`, so FeDepth's `full`
+variant costs its longest single-block segment, the least memory any
+segmentation of it fits in, and a client is assigned it if and only if
+`fedepth_segments` finds one. κ (`resource.kappa_<strategy>`, 1 for
+strategies without a key) stays only where the layer plan cannot see
+the cost, FedRolex and FeDepth, from measured training footprints of
+equal-proportion models against the static-width baseline's 593 MB:
+FedRolex 780 MB and FeDepth 631 MB. DepthFL's measured 1220 MB is its
+k-head plan's own (2.03× static width at the shipped configs' model).
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ LADDER_KEYS = {"width": "pool.rates", "depth": "pool.depths", "topology": "pool.
 # Each strategy's default κ: its measured training footprint over the
 # static-width baseline's (see the module docstring).
 DEFAULT_KAPPA = {
-    "depthfl": 1220.0 / 593.0,
     "fedrolex": 780.0 / 593.0,
     "fedepth": 631.0 / 593.0,
 }
@@ -88,6 +92,7 @@ class ModelPool:
     strategy: str
     level: str
     variants: list[Variant]
+    kappa: float = 1.0   # scales every memory price, the variants' and FeDepth's segments'
 
     def __post_init__(self) -> None:
         def describe(v: Variant) -> str:
@@ -198,30 +203,29 @@ def fedepth_segments(
     head_blocks: tuple[int, ...],
     batch_size: int,
     memory_capacity: float,
+    kappa: float = 1.0,
 ) -> list[list[int]]:
     """Greedy block segmentation whose every segment footprint fits memory.
 
-    A segment is priced at the coordinates it trains, its
-    `nn.segment_slice`: its blocks, plus the stem with the first segment
-    and every head with the last. Raises when even single-block segments
-    do not fit.
+    A segment is priced at κ × the training memory of the coordinates it
+    trains, its `nn.segment_slice`: its blocks, plus the stem with the
+    first segment and every head with the last. Raises when even
+    single-block segments do not fit.
     """
+    def price(blocks: list[int]) -> float:
+        return kappa * training_memory(spec, head_blocks, batch_size, nn.segment_slice(spec, head_blocks, blocks))
+
     segments: list[list[int]] = []
     current: list[int] = []
     for b in range(1, spec.num_blocks + 1):
-        candidate = current + [b]
-        if current and training_memory(spec, head_blocks, batch_size,
-                                       nn.segment_slice(spec, head_blocks, candidate)) > memory_capacity:
+        if current and price(current + [b]) > memory_capacity:
             segments.append(current)
             current = [b]
         else:
-            current = candidate
+            current = current + [b]
     segments.append(current)
-    for seg in segments:
-        if training_memory(spec, head_blocks, batch_size, nn.segment_slice(spec, head_blocks, seg)) > memory_capacity:
-            raise InfeasibleScenarioError(
-                f"even a single-block segment exceeds {memory_capacity:.0f} bytes of memory"
-            )
+    if any(price(seg) > memory_capacity for seg in segments):
+        raise InfeasibleScenarioError(f"even a single-block segment exceeds {memory_capacity:.0f} bytes of memory")
     return segments
 
 
@@ -258,25 +262,6 @@ class PoolConfig:
     family: tuple[tuple[int, int, str], ...] = ()   # (hidden_dim, num_blocks, kind)
 
 
-def _variant_stats(
-    spec: BlockNetSpec,
-    head_blocks: tuple[int, ...],
-    strategy: str,
-    batch_size: int,
-    kappa: float,
-) -> VariantStats:
-    params = nn.parameter_count(spec, head_blocks)
-    # FedProto uploads its prototype table, num_classes * (proto_dim + 1)
-    # numbers; every other strategy its model.
-    numbers = spec.num_classes * (spec.proto_dim + 1) if strategy == "fedproto" else params
-    return VariantStats(
-        params=params,
-        flops_per_sample=estimate_flops(spec, head_blocks),
-        memory_bytes=kappa * training_memory(spec, head_blocks, batch_size),
-        comm_payload_bytes=payload_bytes(strategy, numbers),
-    )
-
-
 def check_strategy(strategy: str, level: str) -> None:
     """Raise unless `strategy` is known and runs at `level`; the FedAvg
     baselines run at every level."""
@@ -298,15 +283,20 @@ def build_pool(
     kappa: float = 1.0,
 ) -> ModelPool:
     """Candidate variants for one strategy, ordered largest to smallest,
-    their training memory scaled by `kappa`.
+    each priced at `kappa` × the training memory of what it trains.
     Every pool rule is checked here or in the calls it makes; each
     message names the config key at fault."""
     check_strategy(strategy, level)
     specs = ladder(model_spec, level, pool_cfg)
 
-    def make(spec: BlockNetSpec, heads: tuple[int, ...], vid: str, kind: str,
-             rate: float | None = None, depth: int | None = None) -> Variant:
-        stats = _variant_stats(spec, heads, strategy, batch_size, kappa)
+    def make(spec: BlockNetSpec, heads: tuple[int, ...], vid: str, kind: str, rate: float | None = None,
+             depth: int | None = None, trained: slice = slice(None)) -> Variant:
+        params = nn.parameter_count(spec, heads)
+        # FedProto uploads its prototype table, num_classes * (proto_dim + 1)
+        # numbers; every other strategy its model.
+        numbers = spec.num_classes * (spec.proto_dim + 1) if strategy == "fedproto" else params
+        memory = kappa * training_memory(spec, heads, batch_size, trained)
+        stats = VariantStats(params, estimate_flops(spec, heads), memory, payload_bytes(strategy, numbers))
         return Variant(variant_id=vid, kind=kind, spec=spec, head_blocks=heads, stats=stats, rate=rate, depth=depth)
 
     if strategy in WIDTH_STRATEGIES:
@@ -320,8 +310,12 @@ def build_pool(
             heads = tuple(range(1, depth + 1)) if strategy == "depthfl" else one_head(spec)
             variants.append(make(spec, heads, f"d{depth}", "depth", depth=depth))
     elif strategy == "fedepth":
-        # Every client trains the full model; memory is absorbed by segmentation.
-        variants = [make(model_spec, one_head(model_spec), "full", "full", depth=model_spec.num_blocks)]
+        # Every client trains the full model in segments, so the least memory
+        # it fits in is its longest single-block segment's.
+        heads = one_head(model_spec)
+        longest = max((nn.segment_slice(model_spec, heads, [b]) for b in range(1, model_spec.num_blocks + 1)),
+                      key=lambda part: part.stop - part.start)
+        variants = [make(model_spec, heads, "full", "full", depth=model_spec.num_blocks, trained=longest)]
     elif strategy in TOPOLOGY_STRATEGIES:
         variants = [make(spec, one_head(spec), f"arch{q}", "topology") for q, spec in enumerate(specs)]
     else:  # fedavg baselines: one homogeneous variant, the ladder's largest or smallest
@@ -329,7 +323,7 @@ def build_pool(
         # for tied family members is their config order.
         spec = specs[0] if strategy == "fedavg_full" else min(specs, key=_one_head_params)
         variants = [make(spec, one_head(spec), strategy.removeprefix("fedavg_"), "full")]
-    return ModelPool(strategy, level, variants)
+    return ModelPool(strategy, level, variants, kappa)
 
 
 def one_head(spec: BlockNetSpec) -> tuple[int, ...]:

@@ -102,7 +102,7 @@ from .nn import (
     train_local,
 )
 from .metrics import model_accuracy
-from .resources import DeviceProfile, InfeasibleScenarioError, ModelPool, Variant, fedepth_segments, width_channels
+from .resources import DeviceProfile, ModelPool, Variant, fedepth_segments, width_channels
 
 
 @dataclass(frozen=True)
@@ -589,17 +589,13 @@ class FeDepth(FedAvg):
 
     def initial_state(self):
         """Decides every client's segmentation, once per distinct memory
-        capacity, before round 1: a client that no segmentation fits raises
-        `InfeasibleScenarioError` naming it."""
-        largest, batch_size = self.ctx.pool.largest, self.ctx.sgd.batch_size
+        capacity, before round 1, by the rule that priced its variant."""
+        pool, full = self.ctx.pool, self.ctx.pool.largest
         by_capacity: dict[float, tuple[tuple[int, ...], ...]] = {}
         for client in self.ctx.clients:
             capacity = client.profile.memory_capacity
             if capacity not in by_capacity:
-                try:
-                    segments = fedepth_segments(largest.spec, largest.head_blocks, batch_size, capacity)
-                except InfeasibleScenarioError as exc:
-                    raise InfeasibleScenarioError(f"client {client.client_id}: fedepth: {exc}") from None
+                segments = fedepth_segments(full.spec, full.head_blocks, self.ctx.sgd.batch_size, capacity, pool.kappa)
                 by_capacity[capacity] = tuple(map(tuple, segments))
         self._segments = [by_capacity[c.profile.memory_capacity] for c in self.ctx.clients]
         return super().initial_state()

@@ -346,7 +346,7 @@ def fedepth_reference_client(strategy, global_model: BlockNetModel, client_id: i
     cfg = ctx.sgd
     segments = fedepth_segments(
         global_model.spec, global_model.head_blocks, cfg.batch_size,
-        ctx.clients[client_id].profile.memory_capacity,
+        ctx.clients[client_id].profile.memory_capacity, ctx.pool.kappa,
     )
     features, labels = ctx.client_data(client_id)
     rng = ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)

@@ -33,8 +33,8 @@ scenario.constraints = ["memory"]
 scenario.memory_tiers = [[1e9, 1.0]]
 """
 
-# FeDepth alone under tiers where half the clients pass assignment but fit
-# no segmentation.
+# FeDepth alone at kappa 0.3: its `full` variant costs 2,153 B, its whole
+# model in one segment 3,036 B.
 FEDEPTH_TIGHT = """
 strategies = ["fedepth"]
 level = depth
@@ -183,17 +183,21 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("rounds", [3, 6])
     def test_fedepth_client_that_no_segmentation_fits_stops_before_round_1(self, tmp_path, capsys, rounds):
-        # Assignment prices the `full` variant at 3,036 B, so the 3,100 B
-        # tier passes it, but one block alone needs more than 4,000 B to
-        # train. Clients 3 and 5 get that tier and are first sampled in
-        # round 4; both round counts stop before round 1.
-        tight = tmp_path / "fedepth.cfg"
-        tight.write_text(FEDEPTH_TIGHT.format(rounds=rounds))
+        # One rule prices the variant and its segments: the 3,100 B tier
+        # trains one segment, and a 2,100 B tier, below the cheapest
+        # segmentation, stops at assignment. Clients 3 and 5 get that tier
+        # and are first sampled in round 4; both round counts stop before
+        # round 1.
+        fits = tmp_path / "fedepth.cfg"
+        fits.write_text(FEDEPTH_TIGHT.format(rounds=rounds))
+        assert main(["run", str(fits), "--out", str(tmp_path / "fits")]) == EXIT_OK
+        capsys.readouterr()
+        tight = tmp_path / "tight.cfg"
+        tight.write_text(FEDEPTH_TIGHT.format(rounds=rounds).replace("[3100.0, 0.5]", "[2100.0, 0.5]"))
         out = tmp_path / "o"
         assert main(["run", str(tight), "--out", str(out)]) == EXIT_INFEASIBLE
-        assert capsys.readouterr() == (
-            "", "infeasible scenario: client 3: fedepth: even a single-block segment exceeds 3100 bytes of memory\n"
-        )
+        assert capsys.readouterr() == ("", "infeasible scenario: client 3: no feasible variant in the fedepth pool; "
+                                           "smallest variant violates memory (2153B > 2100B)\n")
         assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path):

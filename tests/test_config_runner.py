@@ -72,15 +72,14 @@ LOAD_ERRORS = [
     ("workers = 0", "workers: must be >= 1, got 0"),
     ("sampling_fraction = 1.5", "sampling_fraction: must lie in (0, 1], got 1.5"),
     ("eval.cadence = 0", "eval.cadence: must be >= 1, got 0"),
-    # BlockNetSpec's rules span the model keys, so the message names the section.
-    ("model.hidden_dim = 2", "model.*: base models need hidden_dim >= 4, got 2"),
+    ("model.hidden_dim = 2", "model.hidden_dim: base models need >= 4, got 2"),
     ("model.block_kind = bottleneck", "model.block_kind: width heterogeneity needs plain or skip blocks"),
     ('level = depth\nstrategies = ["depthfl"]\nmodel.num_blocks = 3',
      "pool.depths: the ladder must span up to model.num_blocks"),
     ('pool.family = [[6, 2, "bottleneck"]]',
-     'pool.family: [6, 2, "bottleneck"]: bottleneck blocks need hidden_dim divisible by 4'),
-    ('pool.family = [[2, 2, "plain"]]', 'pool.family: [2, 2, "plain"]: base models need hidden_dim >= 4, got 2'),
-    ('pool.family = [[8, 0, "plain"]]', 'pool.family: [8, 0, "plain"]: num_blocks must be >= 1, got 0'),
+     'pool.family: [6, 2, "bottleneck"]: hidden_dim: bottleneck blocks need a multiple of 4, got 6'),
+    ('pool.family = [[2, 2, "plain"]]', 'pool.family: [2, 2, "plain"]: hidden_dim: base models need >= 4, got 2'),
+    ('pool.family = [[8, 0, "plain"]]', 'pool.family: [8, 0, "plain"]: num_blocks: must be >= 1, got 0'),
     ('pool.family = [[true, 2, "plain"]]', "pool.family: entries must be [hidden_dim, num_blocks, kind]"),
     ("pool.rates = [true, 0.5]", "pool.rates: every rate must lie in (0, 1]"),
     ("pool.depths = [2, true]", "pool.depths: every depth must be an integer >= 1"),
@@ -91,7 +90,7 @@ LOAD_ERRORS = [
      "at least 1 test row and 4 train rows (one per client) are needed"),
     # A kappa of a strategy the config does not list is checked too.
     ("resource.kappa_fedrolex = -2.0", "resource.kappa_fedrolex: must be > 0, got -2.0"),
-    ("resource.kappa_depthfl = 0", "resource.kappa_depthfl: must be > 0, got 0.0"),
+    ("resource.kappa_fedepth = 0", "resource.kappa_fedepth: must be > 0, got 0.0"),
     ("eval.tta_threshold = 7.5", "eval.tta_threshold: must lie in (0, 1], got 7.5"),
     ("eval.tta_threshold = 0", "eval.tta_threshold: must lie in (0, 1], got 0.0"),
 ]
@@ -198,6 +197,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown config keys: samplingfraction"):
             resolve_config(parse_config_text(SMALL + "samplingfraction = 0.2\n"))
 
+    def test_depthfl_kappa_is_an_unknown_key(self, tmp_path, capsys):
+        # DepthFL's layer plan prices all its heads, so no kappa scales it.
+        path = tmp_path / "old.cfg"
+        path.write_text(SMALL + "resource.kappa_depthfl = 1.0\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {path}: unknown config keys: resource.kappa_depthfl\n")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="strategies"):
             resolve_config({"level": "width"})
@@ -257,7 +264,7 @@ class TestConfigParsing:
     ])
     def test_every_pinned_message_opens_with_a_key(self, message):
         key, colon, _ = message.partition(":")
-        assert colon and (key in SCHEMA or key == "model.*")
+        assert colon and key in SCHEMA
 
     def test_section_rows_come_from_the_dataclass_fields(self):
         # The kind comes from the annotation, the default from the field; a
@@ -451,7 +458,7 @@ class TestRunner:
         # walk of the global model per eval round serves every score.
         cfg = small_config(
             'strategies = ["depthfl", "fedepth"]\nlevel = depth\ninclude_baseline = false\n'
-            "num_clients = 8\nscenario.memory_tiers = [[1e5, 0.5], [5e4, 0.5]]\n"
+            "num_clients = 8\nscenario.memory_tiers = [[1e5, 0.5], [3e4, 0.5]]\n"
         )
         # `backward` runs the same walk, so only the walks made inside
         # model_accuracy count.
@@ -483,6 +490,27 @@ class TestRunner:
                 assert all(model is global_model for model, _, _ in client_scores)
                 assert {head for _, head, _ in client_scores} == heads
                 assert sum(count for _, _, count in scored[start:start + clients + 1]) == 1
+
+    def test_fedepth_client_below_its_one_segment_footprint_trains_in_segments(self, monkeypatch):
+        # At the default kappa a tier between FeDepth's price and its whole
+        # model in one segment passes assignment, and every client trains
+        # each round in more than one segment.
+        fedepth = 'strategies = ["fedepth"]\nlevel = depth\ninclude_baseline = false\n'
+        pool = small_config(fedepth).pools["fedepth"]
+        one_segment = pool.kappa * resources.training_memory(pool.largest.spec, pool.largest.head_blocks, 8)
+        assert pool.largest.stats.memory_bytes < one_segment
+        tier = (pool.largest.stats.memory_bytes + one_segment) / 2
+        cfg = small_config(fedepth + f"scenario.memory_tiers = [[{tier!r}, 1.0]]\n")
+        segments, train_clients = [], strategies.FeDepth._train_clients
+
+        def counted(self, models, client_ids, round_index, loss, config, moves):
+            parts = {(part.start, part.stop) for p in range(config.local_epochs) for part in moves(p, 1)}
+            segments.append(len(parts))
+            return train_clients(self, models, client_ids, round_index, loss, config, moves)
+
+        monkeypatch.setattr(strategies.FeDepth, "_train_clients", counted)
+        run_strategy_repeat(cfg, "fedepth", 0)
+        assert segments and min(segments) >= 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_non_finite_global_logits_name_the_global_model(self, monkeypatch):
@@ -622,25 +650,29 @@ def test_shipped_config_loads_and_prices_its_pool(path):
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: os.path.relpath(p, ROOT))
 def test_shipped_pools_price_memory_by_the_one_rule(path):
-    # A variant's memory is its strategy's kappa times the training memory
-    # of its whole model, which at kappa = 1 is weights, gradients and
-    # momentum plus one batch of activations.
+    # A variant's memory is its pool's kappa, its strategy's key or 1, times
+    # the training memory of what it trains: its whole model, weights,
+    # gradients and momentum plus one batch of activations, or for FeDepth
+    # its dearest single-block segment.
     cfg = load_config(path)
     batch = cfg.sgd.batch_size
     for sid, pool in cfg.pools.items():
-        kappa = cfg.raw.get(f"resource.kappa_{sid}", 1.0)
+        assert pool.kappa == cfg.raw.get(f"resource.kappa_{sid}", 1.0)
         for v in pool.variants:
-            whole = resources.training_memory(v.spec, v.head_blocks, batch)
-            assert whole == pytest.approx(v.stats.memory_bytes / kappa, rel=1e-15), (sid, v.variant_id)
-            if kappa == 1.0:
+            trained = resources.training_memory(v.spec, v.head_blocks, batch)
+            if sid == "fedepth":
+                trained = max(resources.training_memory(v.spec, v.head_blocks, batch,
+                                                         nn.segment_slice(v.spec, v.head_blocks, [b]))
+                              for b in range(1, v.spec.num_blocks + 1))
+            else:
                 acts = nn.activation_count(v.spec, v.head_blocks)
-                assert v.stats.memory_bytes == whole == 8 * (3 * v.stats.params + batch * acts), (sid, v.variant_id)
+                assert trained == 8 * (3 * v.stats.params + batch * acts), (sid, v.variant_id)
+            assert v.stats.memory_bytes == pool.kappa * trained, (sid, v.variant_id)
 
 
 # Shipped (configs/) strategies that get one variant on repeat 0, each
 # with its reason; each config names its own in a comment.
 ONE_VARIANT = {
-    ("depth_memory", "inclusivefl"): "the depth-level conflict: tiers that split its d4 leave depthfl's d1 infeasible",
     ("depth_memory", "fedepth"): "one full variant by design; its clients differ by segmentation",
     ("quick", "sheterofl"): "a smoke config",
 }

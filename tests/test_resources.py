@@ -91,14 +91,26 @@ class TestFlops:
 
 class TestMemory:
     def test_calibrated_ratios(self):
+        # Only FedRolex and FeDepth keep a kappa: DepthFL's layer plan
+        # prices its heads.
+        assert sorted(DEFAULT_KAPPA) == ["fedepth", "fedrolex"]
         base = training_memory(SPEC, (2,), 32)
-        for strategy, target in (("depthfl", 1220 / 593), ("fedrolex", 780 / 593), ("fedepth", 631 / 593)):
+        for strategy, target in (("fedrolex", 780 / 593), ("fedepth", 631 / 593)):
             assert DEFAULT_KAPPA[strategy] * training_memory(SPEC, (2,), 32) / base == pytest.approx(target, abs=0.01)
 
     def test_qualitative_signature_ordering(self):
-        values = {s: DEFAULT_KAPPA.get(s, 1.0) * training_memory(SPEC, (2,), 32)
-                  for s in ("depthfl", "fedrolex", "fedepth", "sheterofl")}
-        assert values["depthfl"] > values["fedrolex"] > values["fedepth"] > values["sheterofl"]
+        # What each pool charges at the shipped configs' model keeps the
+        # measured order DepthFL > FedRolex > FeDepth in one segment > static
+        # width, and FeDepth's `full` variant, its longest single-block
+        # segment, costs less than static width.
+        spec = BlockNetSpec(8, 8, 4, "skip", 5, 16)
+        ladders = PoolConfig(rates=(1.0,), depths=(4,))
+        pools = {sid: build_pool(sid, level, spec, ladders, 32, DEFAULT_KAPPA.get(sid, 1.0))
+                 for sid, level in (("depthfl", "depth"), ("fedrolex", "width"),
+                                    ("fedepth", "depth"), ("sheterofl", "width"))}
+        charged = {sid: pool.largest.stats.memory_bytes for sid, pool in pools.items()}
+        one_segment = pools["fedepth"].kappa * training_memory(spec, (4,), 32)
+        assert charged["depthfl"] > charged["fedrolex"] > one_segment > charged["sheterofl"] > charged["fedepth"]
 
     def test_zero_batch_leaves_parameter_term_only(self):
         params = nn.parameter_count(SPEC, (2,))
@@ -190,6 +202,33 @@ class TestSegments:
                     for seg in segments:
                         part = nn.segment_slice(spec, heads, seg)
                         assert part.stop - part.start == hand_counted_segment_params(spec, heads, seg)
+
+    @pytest.mark.parametrize("kappa", [0.3, DEFAULT_KAPPA["fedepth"], 2.0], ids=["0.3", "default", "2.0"])
+    @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
+    def test_assignment_admits_exactly_the_clients_a_segmentation_fits(self, kind, kappa):
+        # One rule prices FeDepth's variant and its segments: from below its
+        # price to above its one-segment footprint, a client is assigned the
+        # `full` variant if and only if a segmentation of it fits.
+        spec = BlockNetSpec(8, 16, 4, kind, 4, 16)
+        pool = build_pool("fedepth", "depth", spec, PoolConfig(depths=(4,)), 8, kappa)
+        full = pool.largest
+        price, one_segment = full.stats.memory_bytes, kappa * training_memory(spec, full.head_blocks, 8)
+        capacities = [*np.linspace(0.9 * price, 1.1 * one_segment, 101), price, np.nextafter(price, 0.0)]
+        outcomes = []
+        for capacity in map(float, capacities):
+            scenario = ScenarioConfig(("memory",), memory_tiers=((capacity, 1.0),))
+            try:
+                assign_models(pool, [DeviceProfile(0, 1e9, 1e6, capacity)], scenario, 10, 1)
+                admitted = True
+            except InfeasibleScenarioError:
+                admitted = False
+            try:
+                segments = len(fedepth_segments(spec, full.head_blocks, 8, capacity, pool.kappa))
+            except InfeasibleScenarioError:
+                segments = 0
+            assert admitted == (segments > 0), capacity
+            outcomes.append(segments)
+        assert {0, 1, 2} <= set(outcomes)
 
 
 class TestTimes:
