@@ -157,7 +157,6 @@ class ProfileDistribution:
     compute_max: float = 1e9
     bandwidth_min: float = 1e5
     bandwidth_max: float = 1e6
-    default_memory: float = 1e9   # used when the memory constraint is inactive
 
     def __post_init__(self) -> None:
         # Each message names the config key that sets the value.
@@ -167,8 +166,6 @@ class ProfileDistribution:
                 raise ValueError(f"profiles.{name}_min: must be > 0, got {lo}")
             if hi < lo:
                 raise ValueError(f"profiles.{name}_max: must be >= profiles.{name}_min ({lo}), got {hi}")
-        if self.default_memory <= 0:
-            raise ValueError(f"profiles.default_memory: must be > 0, got {self.default_memory}")
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +394,8 @@ def sample_profiles(
 
     Compute rates and bandwidths are log-uniform in their ranges; memory
     comes from the scenario's tier table when the memory constraint is
-    active, otherwise every device gets the ample default.
+    active, otherwise it is unbounded (`math.inf`), so no price reads a
+    capacity that assignment did not check.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -411,7 +409,7 @@ def sample_profiles(
         memory = caps[tier_idx]
         labels = [f"tier{int(t)}" for t in tier_idx]
     else:
-        memory = np.full(n, dist.default_memory)
+        memory = np.full(n, math.inf)
         labels = ["unconstrained"] * n
     return [
         DeviceProfile(
@@ -451,14 +449,16 @@ def assign_models(
     pool: ModelPool,
     profiles: list[DeviceProfile],
     scenario: ScenarioConfig,
-    samples_per_client: int,
+    samples: list[int],
     epochs: int,
 ) -> list[Variant]:
-    """Largest feasible variant per client; combined constraints intersect."""
+    """Largest feasible variant per client; combined constraints intersect.
+    Client i is priced at its own `samples[i]` rows, by the
+    `estimate_times` call the clock charges it every round."""
     assignments: list[Variant] = []
-    for profile in profiles:
+    for profile, rows in zip(profiles, samples, strict=True):
         for variant in pool.variants:
-            violations = feasible(variant, profile, scenario, samples_per_client, epochs)
+            violations = feasible(variant, profile, scenario, rows, epochs)
             if not violations:
                 assignments.append(variant)
                 break

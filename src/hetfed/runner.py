@@ -76,8 +76,7 @@ def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) ->
         cfg.profiles, scenario, cfg.num_clients, seeding.mix_seed(seed_r, seeding.TAG_PROFILES)
     )
     pool = cfg.pools[strategy_id]
-    nominal_samples = math.ceil(train.n / cfg.num_clients)
-    assignments = assign_models(pool, profiles, scenario, nominal_samples, cfg.sgd.local_epochs)
+    assignments = assign_models(pool, profiles, scenario, [p.size for p in parts], cfg.sgd.local_epochs)
 
     clients = [
         ClientState(cid, parts[cid], profiles[cid], assignments[cid])

@@ -589,7 +589,9 @@ class FeDepth(FedAvg):
 
     def initial_state(self):
         """Decides every client's segmentation, once per distinct memory
-        capacity, before round 1, by the rule that priced its variant."""
+        capacity, before round 1, by the rule that priced its variant. With
+        the memory constraint inactive the capacity is unbounded, so every
+        client trains one segment of all blocks."""
         pool, full = self.ctx.pool, self.ctx.pool.largest
         by_capacity: dict[float, tuple[tuple[int, ...], ...]] = {}
         for client in self.ctx.clients:

@@ -255,7 +255,7 @@ def test_criterion_6_assignment_monotonicity():
 
         def assigned(p):
             try:
-                return assign_models(pool, [p], scenario, samples, epochs)[0]
+                return assign_models(pool, [p], scenario, [samples], epochs)[0]
             except InfeasibleScenarioError:
                 return None
 

@@ -200,6 +200,22 @@ class TestRunCommand:
                                            "smallest variant violates memory (2153B > 2100B)\n")
         assert not out.exists()
 
+    def test_fedepth_without_memory_trains_one_segment_of_all_blocks(self, tmp_path, monkeypatch):
+        # Memory is unbounded when its constraint is inactive, so FeDepth
+        # segments by the rule assignment checked: one segment per client.
+        segmentations, initial_state = [], strategies.FeDepth.initial_state
+
+        def recorded(self):
+            state = initial_state(self)
+            segmentations.extend(self._segments)
+            return state
+
+        monkeypatch.setattr(strategies.FeDepth, "initial_state", recorded)
+        path = tmp_path / "fedepth.cfg"
+        path.write_text(FEDEPTH_TIGHT.format(rounds=2).replace('["memory"]', '["communication"]'))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert segmentations == [((1, 2, 3),)] * 8
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == EXIT_IO
 
@@ -367,6 +383,13 @@ class TestOtherCommands:
         args = ["sweep", config_path, "--axis", "output_dir", "--values", values, "--out", str(out)]
         assert main(args) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: sweep axis output_dir: {message}\n"
+        assert not out.exists() and os.listdir(tmp_path) == [os.path.basename(config_path)]
+
+    @pytest.mark.parametrize("values", [",", "", " , "])
+    def test_sweep_without_a_value_is_config_error(self, config_path, tmp_path, capsys, values):
+        out = tmp_path / "sweep"
+        assert main(["sweep", config_path, "--axis", "alpha", "--values", values, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: sweep needs at least one axis value\n")
         assert not out.exists() and os.listdir(tmp_path) == [os.path.basename(config_path)]
 
     def test_sweep_over_a_key_equals_runs_with_it_set(self, tmp_path, capsys):

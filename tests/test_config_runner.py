@@ -1,6 +1,7 @@
 import dataclasses
 import glob
 import json
+import math
 import os
 import sys
 
@@ -158,7 +159,8 @@ KEYED_RULE_ERRORS = [
     ("profiles.compute_min = 0", "profiles.compute_min: must be > 0, got 0.0"),
     ("profiles.bandwidth_max = 1e4",
      "profiles.bandwidth_max: must be >= profiles.bandwidth_min (100000.0), got 10000.0"),
-    ("profiles.default_memory = -1", "profiles.default_memory: must be > 0, got -1.0"),
+    ("profiles.compute_max = 1e7",
+     "profiles.compute_max: must be >= profiles.compute_min (100000000.0), got 10000000.0"),
     ("sgd.learning_rate = -0.1", "sgd.learning_rate: must be >= 0, got -0.1"),
     ("sgd.batch_size = 0", "sgd.batch_size: must be >= 1, got 0"),
     ("sgd.local_epochs = 0", "sgd.local_epochs: must be >= 1, got 0"),
@@ -203,6 +205,15 @@ class TestConfigParsing:
         path.write_text(SMALL + "resource.kappa_depthfl = 1.0\n")
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr() == ("", f"config error: {path}: unknown config keys: resource.kappa_depthfl\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_default_memory_is_an_unknown_key(self, tmp_path, capsys):
+        # Memory is unbounded when the memory constraint is inactive, so no
+        # stand-in capacity is configured.
+        path = tmp_path / "old.cfg"
+        path.write_text(SMALL + "profiles.default_memory = 1e9\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {path}: unknown config keys: profiles.default_memory\n")
         assert not (tmp_path / "o").exists()
 
     def test_missing_required_key(self):
@@ -490,6 +501,45 @@ class TestRunner:
                 assert all(model is global_model for model, _, _ in client_scores)
                 assert {head for _, head, _ in client_scores} == heads
                 assert sum(count for _, _, count in scored[start:start + clients + 1]) == 1
+
+    def test_computation_deadline_binds_on_the_clock(self):
+        # `configs/width_memory.cfg`'s Dirichlet shards under computation
+        # alone, every client sampled each round, and a deadline that every
+        # client's smallest variant meets at its own rows: assignment prices
+        # each client by the call the clock charges it, so no recorded round
+        # runs past the deadline.
+        raw = dict(load_config(os.path.join(ROOT, "configs", "width_memory.cfg")).raw)
+        raw.update(parse_config_text('scenario.constraints = ["computation"]\nscenario.t_compute = 1.0\n'
+                                     "sampling_fraction = 1.0\nnum_rounds = 2\neval.cadence = 1\n"))
+        probe = resolve_config(raw)
+        epochs, smallest, largest = probe.sgd.local_epochs, {}, []
+        for repeat in range(probe.repeats):
+            seed_r, *_, parts = runner._repeat_data(probe, repeat)
+            profiles = resources.sample_profiles(probe.profiles, probe.scenario, probe.num_clients,
+                                                 seeding.mix_seed(seed_r, seeding.TAG_PROFILES))
+            for sid in probe.strategies:
+                pool = probe.pools[sid]
+                for profile, part in zip(profiles, parts):
+                    train_s = resources.estimate_times(pool.variants[-1].stats, profile, part.size, epochs)[0]
+                    smallest[sid, repeat, profile.device_id] = train_s
+                    largest.append(resources.estimate_times(pool.largest.stats, profile, part.size, epochs)[0])
+        t_compute = max(smallest.values())
+        assert max(largest) > t_compute  # the deadline binds
+        cfg = resolve_config({**raw, "scenario.t_compute": t_compute})
+        assert sorted(cfg.strategies) == ["fedrolex", "fjord", "sheterofl"]
+        for sid in cfg.strategies:
+            for repeat in range(cfg.repeats):
+                records = run_strategy_repeat(cfg, sid, repeat).records
+                assert len(records) == cfg.num_rounds
+                assert all(r.max_train_s <= t_compute for r in records), (sid, repeat)
+        # Just below the deadline, the client with the dearest smallest
+        # variant at its own rows fits none, and the run names it.
+        sid, repeat, client = max(smallest, key=smallest.get)
+        cfg = resolve_config({**raw, "scenario.t_compute": math.nextafter(t_compute, 0.0)})
+        with pytest.raises(resources.InfeasibleScenarioError,
+                           match=rf"^client {client}: no feasible variant in the {sid} pool; "
+                                 r"smallest variant violates computation \("):
+            run_strategy_repeat(cfg, sid, repeat)
 
     def test_fedepth_client_below_its_one_segment_footprint_trains_in_segments(self, monkeypatch):
         # At the default kappa a tier between FeDepth's price and its whole

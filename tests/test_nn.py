@@ -745,6 +745,40 @@ class TestWorkspaces:
             assert nn.forward(model, x).logits[2].tobytes() == want.tobytes()
             assert np.array_equal(nn.predict(model, x), want.argmax(axis=1))
 
+    def test_dropped_workspaces_keep_results_and_held_stacks(self, monkeypatch):
+        # With room for two workspaces, training and scoring three layouts
+        # drops the oldest again and again; every result keeps the bits of a
+        # run that drops none, and a stack the caller holds stays a working
+        # operand after its workspace is dropped.
+        x, y = self.data()
+        rows = [np.arange(0, 30), np.arange(30, 60)]
+        layouts = [(self.SPEC, (1, 2)), (self.SPEC, (2,)), (replace(self.SPEC, hidden_dim=6), (2,))]
+
+        def run():
+            out = []
+            for spec, heads in layouts:
+                models = [nn.init_model(spec, np.random.default_rng(s), heads) for s in (1, 2)]
+                trained = nn.train_local(models, x, y, self.CFG, LossSpec(),
+                                         [np.random.default_rng(s) for s in (3, 4)], rows)
+                for model in trained:
+                    out += [model.vector.tobytes(), nn.predict(model, x).tobytes(),
+                            nn.forward(model, x).logits[heads[-1]].tobytes()]
+            return out
+
+        monkeypatch.setattr(nn, "_WORKSPACES", {})
+        kept = run()
+        assert len(nn._WORKSPACES) == 2 * len(layouts)
+        monkeypatch.setattr(nn, "_MAX_WORKSPACES", 2)
+        monkeypatch.setattr(nn, "_WORKSPACES", {})
+        [model] = self.models((9,))
+        held = nn._stack_of_one(model)
+        assert run() == kept
+        assert len(nn._WORKSPACES) == 2
+        assert all(held not in workspace.stacks.values() for workspace in nn._WORKSPACES.values())
+        held.vector[0] = model.vector
+        own = nn.ModelStack(model.spec, model.head_blocks, model.vector[None], np.empty((1, model.vector.size)))
+        assert nn._run_forward(held, x)["logits"][2].tobytes() == nn._run_forward(own, x)["logits"][2].tobytes()
+
 
 class TestZeroPadding:
     """A width sub-model zero-padded into the global layout trains there to

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ class TestSegments:
         for capacity in map(float, capacities):
             scenario = ScenarioConfig(("memory",), memory_tiers=((capacity, 1.0),))
             try:
-                assign_models(pool, [DeviceProfile(0, 1e9, 1e6, capacity)], scenario, 10, 1)
+                assign_models(pool, [DeviceProfile(0, 1e9, 1e6, capacity)], scenario, [10], 1)
                 admitted = True
             except InfeasibleScenarioError:
                 admitted = False
@@ -342,7 +343,7 @@ class TestProfiles:
     def test_memory_from_tiers_only_when_active(self):
         scen = ScenarioConfig(constraints=("communication",))
         profiles = sample_profiles(self.DIST, scen, 4, seed=3)
-        assert all(p.memory_capacity == self.DIST.default_memory for p in profiles)
+        assert [p.memory_capacity for p in profiles] == [math.inf] * 4
 
 
 class TestAssignment:
@@ -352,7 +353,7 @@ class TestAssignment:
                               t_compute=1e12, t_comm=1e12,
                               memory_tiers=((1e15, 1.0),))
         profiles = sample_profiles(self.dist(), scen, 5, seed=0)
-        chosen = assign_models(pool, profiles, scen, samples_per_client=100, epochs=1)
+        chosen = assign_models(pool, profiles, scen, [100] * 5, epochs=1)
         assert all(v.variant_id == "w100" for v in chosen)
 
     def test_pick_largest_feasible_by_train_time(self):
@@ -365,8 +366,22 @@ class TestAssignment:
         pool = ModelPool("sheterofl", "width", variants)
         profile = DeviceProfile(0, compute_rate=1.0, bandwidth=1.0, memory_capacity=1.0)
         scen = ScenarioConfig(constraints=("computation",), t_compute=200.0)
-        chosen = assign_models(pool, [profile], scen, samples_per_client=1, epochs=1)
+        chosen = assign_models(pool, [profile], scen, [1], epochs=1)
         assert chosen[0].variant_id == "mid"
+
+    def test_each_client_is_priced_at_its_own_rows(self):
+        # One profile, train times {300, 150, 60}s per row under 200s: the
+        # client with 1 row fits "mid", the one with 3 rows only "small".
+        variants = [
+            make_variant(3000, 100.0, 1.0, 1.0, "big"),
+            make_variant(2000, 50.0, 1.0, 1.0, "mid"),
+            make_variant(1000, 20.0, 1.0, 1.0, "small"),
+        ]
+        pool = ModelPool("sheterofl", "width", variants)
+        profiles = [DeviceProfile(cid, compute_rate=1.0, bandwidth=1.0, memory_capacity=1.0) for cid in (0, 1)]
+        scen = ScenarioConfig(constraints=("computation",), t_compute=200.0)
+        chosen = assign_models(pool, profiles, scen, [1, 3], epochs=1)
+        assert [v.variant_id for v in chosen] == ["mid", "small"]
 
     def test_memory_tiers_route_variants(self):
         pool = build_pool("sheterofl", "width", SPEC, PoolConfig(), 32)
@@ -374,7 +389,7 @@ class TestAssignment:
         tiers = ((mems[0] * 1.01, 0.5), (mems[-1] * 1.01, 0.5))
         scen = ScenarioConfig(constraints=("memory",), memory_tiers=tiers)
         profiles = sample_profiles(self.dist(), scen, 12, seed=5)
-        chosen = assign_models(pool, profiles, scen, 10, 1)
+        chosen = assign_models(pool, profiles, scen, [10] * 12, 1)
         for p, v in zip(profiles, chosen):
             if p.memory_capacity == pytest.approx(mems[0] * 1.01):
                 assert v.variant_id == "w100"
@@ -387,7 +402,7 @@ class TestAssignment:
         profile = DeviceProfile(3, compute_rate=1.0, bandwidth=1.0, memory_capacity=10.0)
         scen = ScenarioConfig(constraints=("memory",), memory_tiers=((10.0, 1.0),))
         with pytest.raises(InfeasibleScenarioError, match="client 3.*memory"):
-            assign_models(pool, [profile], scen, 1, 1)
+            assign_models(pool, [profile], scen, [1], 1)
 
     def test_monotone_in_capacity_and_intersection_semantics(self):
         # Random pools/profiles: growing any capacity never shrinks the
@@ -419,7 +434,7 @@ class TestAssignment:
 
             def assigned(p, s):
                 try:
-                    return assign_models(pool, [p], s, samples, epochs)[0]
+                    return assign_models(pool, [p], s, [samples], epochs)[0]
                 except InfeasibleScenarioError:
                     return None
 
