@@ -84,6 +84,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             # HETFED_OUT, like --out, picks the directory and is no part of the config.
             out = args.out if args.out is not None else os.environ.get("HETFED_OUT")
+            if out == "":
+                raise ConfigError(f"{'--out' if args.out is not None else 'HETFED_OUT'}: must not be empty")
             # A diverging run overflows on its way to a non-finite value,
             # which the engine's finite checks report as one diagnosis, so
             # numpy's floating-point warnings would only precede it.

@@ -3,9 +3,9 @@
 One `key = value` pair per line, `#` comments (a `#` inside a
 double-quoted string is part of the string), values parsed as JSON with
 a bare-word fallback for strings. Unknown keys are hard errors so a typo
-can never silently skew a benchmark comparison. Most sections' rules live
-in their dataclasses (`datasets.DataConfig` holds every `data.*` rule), and
-so do the kinds and defaults of their keys (see `SCHEMA`).
+can never silently skew a benchmark comparison. Each key is a field of the
+dataclass that holds its value (`datasets.DataConfig` holds every `data.*`
+rule), which gives the key its kind, its default and its rules (see `SCHEMA`).
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import json
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import get_type_hints
+from typing import get_origin, get_type_hints
 
 from .datasets import DataConfig, PartitionConfig
-from .nn import BLOCK_KINDS, BlockNetSpec, SGDConfig, validate_base_spec
+from .nn import BlockNetSpec, SGDConfig, validate_base_spec
 from .resources import (
     CONSTRAINTS,
     DEFAULT_KAPPA,
@@ -44,74 +44,84 @@ BASELINE_ID = "fedavg_smallest"
 
 _REQUIRED = object()
 
-# The schema kind of each annotation a section dataclass may use.
+# The schema kind of each annotation a section dataclass may use; any
+# `tuple[...]` is a list.
 _KINDS = {int: "int", float: "float", str: "str", bool: "bool", float | None: "float_or_null"}
 
 
+def _key(f, prefix: str) -> str:
+    """The config key of field `f` of a section: its `key` metadata, else
+    `prefix.<name>` (the bare name when the prefix is empty)."""
+    return f.metadata.get("key") or ".".join(filter(None, (prefix, f.name)))
+
+
 def _section(cls, prefix: str, *given: str) -> dict[str, tuple[str, object]]:
-    """The `prefix.<field>` rows of `cls`, a dataclass whose field defaults
-    are the config's: one per field but those `given` by resolve_config, its
-    kind read from the field's annotation."""
+    """The rows of `cls`, a dataclass whose field defaults are the config's:
+    one per field but those `given` by resolve_config, its kind read from
+    the field's annotation and its default stored as JSON reads it."""
     hints = get_type_hints(cls)
     rows = {}
     for f in fields(cls):
         if f.name in given:
             continue
-        if hints[f.name] not in _KINDS or f.default is MISSING:
+        kind = "list" if get_origin(hints[f.name]) is tuple else _KINDS.get(hints[f.name])
+        if kind is None or f.default is MISSING:
             raise TypeError(f"{cls.__name__}.{f.name}: a config key needs a default and a kind in {list(_KINDS)}")
-        rows[f"{prefix}.{f.name}"] = (_KINDS[hints[f.name]], f.default)
+        rows[_key(f, prefix)] = (kind, json.loads(json.dumps(f.default)))
     return rows
 
 
+@dataclass(kw_only=True)
+class RunConfig:
+    """The run and eval keys, each with its rule."""
+
+    num_clients: int = 20
+    sampling_fraction: float = 0.1
+    num_rounds: int = 200
+    repeats: int = 3
+    master_seed: int = 0
+    output_dir: str = "results"
+    include_baseline: bool = True
+    eval_cadence: int = field(default=10, metadata={"key": "eval.cadence"})
+    tta_threshold: float = field(default=0.5, metadata={"key": "eval.tta_threshold"})
+    per_client_csv: bool = field(default=False, metadata={"key": "eval.per_client_csv"})
+
+    def __post_init__(self) -> None:
+        # Each message names the config key; num_clients is partition's rule.
+        if not 0.0 < self.sampling_fraction <= 1.0:
+            raise ValueError(f"sampling_fraction: must lie in (0, 1], got {self.sampling_fraction}")
+        for key, value in (("num_rounds", self.num_rounds), ("repeats", self.repeats),
+                           ("eval.cadence", self.eval_cadence)):
+            if value < 1:
+                raise ValueError(f"{key}: must be >= 1, got {value}")
+        if not self.output_dir:
+            raise ValueError("output_dir: must not be empty")
+        if not 0.0 < self.tta_threshold <= 1.0:
+            raise ValueError(f"eval.tta_threshold: must lie in (0, 1], got {self.tta_threshold}")
+
+
 # key -> (type tag, default). Types: int, float, str, bool, list,
-# float_or_null. Defaults marked _REQUIRED must be present in the file. The
-# profiles, data, sgd and algo rows come from their dataclasses' fields, the
-# kappa rows from DEFAULT_KAPPA; the rest are written here.
+# float_or_null. Defaults marked _REQUIRED must be present in the file.
+# Every row but `strategies`, `level`, `workers` and the `resource.kappa_*`
+# rows (from DEFAULT_KAPPA) is a field of the dataclass that holds its
+# value: RunConfig, nn.BlockNetSpec, resources.PoolConfig,
+# resources.ScenarioConfig, resources.ProfileDistribution,
+# datasets.DataConfig, datasets.PartitionConfig, nn.SGDConfig and
+# strategies.FederationConfig.
 SCHEMA: dict[str, tuple[str, object]] = {
     "strategies": ("list", _REQUIRED),
     "level": ("str", _REQUIRED),
-    "num_clients": ("int", 20),
-    "sampling_fraction": ("float", 0.1),
-    "num_rounds": ("int", 200),
-    "repeats": ("int", 3),
-    "master_seed": ("int", 0),
     "workers": ("int", 1),  # validated and recorded in the manifest; nothing reads it
-    "output_dir": ("str", "results"),
-    "include_baseline": ("bool", True),
-
-    "model.input_dim": ("int", 8),
-    "model.hidden_dim": ("int", 16),
-    "model.num_blocks": ("int", 4),
-    "model.block_kind": ("str", "plain"),
-    "model.num_classes": ("int", 5),
-    "model.proto_dim": ("int", 16),
-
-    "pool.rates": ("list", [1.0, 0.75, 0.5, 0.25]),
-    "pool.depths": ("list", [4, 3, 2, 1]),
-    "pool.family": ("list", [[16, 4, "bottleneck"], [16, 3, "plain"], [8, 2, "plain"]]),
-
-    "scenario.constraints": ("list", ["memory"]),
-    "scenario.t_compute": ("float_or_null", None),
-    "scenario.t_comm": ("float", 200.0),
-    # Desk-scale capacities in the 16:4:1 shape of real device memory tiers.
-    "scenario.memory_tiers": ("list", [[1.6e6, 0.25], [4.0e5, 0.50], [1.0e5, 0.25]]),
-
+    **_section(RunConfig, ""),
+    **_section(BlockNetSpec, "model"),
+    **_section(PoolConfig, "pool"),
+    **_section(ScenarioConfig, "scenario"),
     **_section(ProfileDistribution, "profiles"),
     **_section(DataConfig, "data", "input_dim", "num_classes", "num_clients", "needs_public"),
-
-    "partition.mode": ("str", "iid"),
-    "partition.alpha": ("float", 0.5),
-
+    **_section(PartitionConfig, "partition", "num_clients", "seed"),
     **_section(SGDConfig, "sgd"),
-
-    "aggregation.weighting": ("str", "samples"),
-    **_section(FederationConfig, "algo", "weighting"),
-
+    **_section(FederationConfig, "algo"),
     **{f"resource.kappa_{sid}": ("float", kappa) for sid, kappa in DEFAULT_KAPPA.items()},
-
-    "eval.cadence": ("int", 10),
-    "eval.tta_threshold": ("float", 0.5),
-    "eval.per_client_csv": ("bool", False),
 }
 
 
@@ -225,17 +235,10 @@ def _coerce(key: str, kind: str, value: object) -> object:
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(RunConfig):
     """Fully-resolved experiment description."""
 
     strategies: list[str]
-    num_clients: int
-    sampling_fraction: float
-    num_rounds: int
-    repeats: int
-    master_seed: int
-    output_dir: str
-    include_baseline: bool
     model: BlockNetSpec
     scenario: ScenarioConfig
     profiles: ProfileDistribution
@@ -243,9 +246,6 @@ class ExperimentConfig:
     partition: PartitionConfig  # seed 0; each repeat sets its own
     sgd: SGDConfig
     fed: FederationConfig
-    eval_cadence: int
-    tta_threshold: float
-    per_client_csv: bool
     # Resolved, not a key: strategy id -> its model pool, in run order (the
     # configured strategies, then the baseline when it is included).
     pools: dict[str, ModelPool]
@@ -268,8 +268,8 @@ def config_hash(resolved: dict[str, object]) -> str:
 
 def _rule(check, *args, **kwargs):
     """`check(*args, **kwargs)`, a rule whose ValueError message names the
-    key (a pool, data, partition, scenario, profile, optimizer or algorithm
-    rule), with that error raised as a ConfigError."""
+    key (a run, pool, data, partition, scenario, profile, optimizer or
+    algorithm rule), with that error raised as a ConfigError."""
     try:
         return check(*args, **kwargs)
     except ValueError as exc:
@@ -278,8 +278,8 @@ def _rule(check, *args, **kwargs):
 
 def _keyed(cls, resolved: dict[str, object], prefix: str, **given):
     """`cls`, a dataclass whose messages name its keys, built through `_rule`
-    from the `prefix.<field>` key of each field that `given` does not set."""
-    keys = {f.name: resolved[f"{prefix}.{f.name}"] for f in fields(cls) if f.name not in given}
+    from the key of each field that `given` does not set."""
+    keys = {f.name: resolved[_key(f, prefix)] for f in fields(cls) if f.name not in given}
     return _rule(cls, **keys, **given)
 
 
@@ -309,46 +309,15 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
         if sid in strategies[:i]:
             raise ConfigError(f"strategies: {sid} is listed more than once")
 
-    if not 0.0 < resolved["sampling_fraction"] <= 1.0:
-        raise ConfigError(f"sampling_fraction: must lie in (0, 1], got {resolved['sampling_fraction']}")
-    for key in ("num_rounds", "repeats", "workers"):
-        if resolved[key] < 1:
-            raise ConfigError(f"{key}: must be >= 1, got {resolved[key]}")
+    if resolved["workers"] < 1:
+        raise ConfigError(f"workers: must be >= 1, got {resolved['workers']}")
 
     try:
-        spec = BlockNetSpec(
-            input_dim=resolved["model.input_dim"],
-            hidden_dim=resolved["model.hidden_dim"],
-            num_blocks=resolved["model.num_blocks"],
-            block_kind=resolved["model.block_kind"],
-            num_classes=resolved["model.num_classes"],
-            proto_dim=resolved["model.proto_dim"],
-        )
+        spec = BlockNetSpec(**{f.name: resolved[_key(f, "model")] for f in fields(BlockNetSpec)})
         validate_base_spec(spec)
     except ValueError as exc:  # each message opens with its field, so this names its key
         raise ConfigError(f"model.{exc}") from exc
-
-    rates = resolved["pool.rates"]
-    if any(not _is_number(r, (int, float)) or not 0 < r <= 1 for r in rates):
-        raise ConfigError("pool.rates: every rate must lie in (0, 1]")
-    depths = resolved["pool.depths"]
-    if any(not _is_number(d, int) or d < 1 for d in depths):
-        raise ConfigError("pool.depths: every depth must be an integer >= 1")
-    family_entries: list[tuple[int, int, str]] = []
-    for entry in resolved["pool.family"]:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or not all(_is_number(v, int) for v in entry[:2])
-            or entry[2] not in BLOCK_KINDS
-        ):
-            raise ConfigError("pool.family: entries must be [hidden_dim, num_blocks, kind]")
-        family_entries.append((entry[0], entry[1], str(entry[2])))
-    pool_cfg = PoolConfig(
-        rates=tuple(float(r) for r in rates),
-        depths=tuple(int(d) for d in depths),
-        family=tuple(family_entries),
-    )
+    pool_cfg = _keyed(PoolConfig, resolved, "pool")
     # The level's ladder, and every family entry even where the level does
     # not use the family; the pools themselves need the batch size.
     _rule(ladder, spec, level, pool_cfg)
@@ -368,15 +337,10 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
 
     data = _keyed(DataConfig, resolved, "data", input_dim=spec.input_dim, num_classes=spec.num_classes,
                   num_clients=resolved["num_clients"], needs_public="fedet" in strategies)
-    partition = _rule(PartitionConfig, resolved["partition.mode"], resolved["num_clients"], resolved["partition.alpha"])
+    partition = _keyed(PartitionConfig, resolved, "partition", num_clients=resolved["num_clients"], seed=0)
 
     sgd = _keyed(SGDConfig, resolved, "sgd")
-    fed = _keyed(FederationConfig, resolved, "algo", weighting=resolved["aggregation.weighting"])
-
-    if resolved["eval.cadence"] < 1:
-        raise ConfigError(f"eval.cadence: must be >= 1, got {resolved['eval.cadence']}")
-    if not 0.0 < resolved["eval.tta_threshold"] <= 1.0:
-        raise ConfigError(f"eval.tta_threshold: must lie in (0, 1], got {resolved['eval.tta_threshold']}")
+    fed = _keyed(FederationConfig, resolved, "algo")
 
     for sid in DEFAULT_KAPPA:  # every strategy's, listed or not
         kappa = resolved[f"resource.kappa_{sid}"]
@@ -389,28 +353,9 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
         for sid in strategies + baseline
     }
 
-    return ExperimentConfig(
-        strategies=strategies,
-        num_clients=resolved["num_clients"],
-        sampling_fraction=resolved["sampling_fraction"],
-        num_rounds=resolved["num_rounds"],
-        repeats=resolved["repeats"],
-        master_seed=resolved["master_seed"],
-        output_dir=resolved["output_dir"],
-        include_baseline=resolved["include_baseline"],
-        model=spec,
-        scenario=scenario,
-        profiles=profiles,
-        data=data,
-        partition=partition,
-        sgd=sgd,
-        fed=fed,
-        eval_cadence=resolved["eval.cadence"],
-        tta_threshold=resolved["eval.tta_threshold"],
-        per_client_csv=resolved["eval.per_client_csv"],
-        pools=pools,
-        raw=resolved,
-    )
+    return _keyed(ExperimentConfig, resolved, "", strategies=strategies, model=spec, scenario=scenario,
+                  profiles=profiles, data=data, partition=partition, sgd=sgd, fed=fed, pools=pools,
+                  raw=resolved, lines={})
 
 
 def locate(exc: ConfigError, lines: dict[str, str]) -> ConfigError:

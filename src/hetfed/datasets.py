@@ -9,7 +9,7 @@ rule and its `build` makes or reads each job's dataset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -45,7 +45,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class PartitionConfig:
-    mode: str
+    mode: str = "iid"
+    _: KW_ONLY
     num_clients: int
     alpha: float = 0.5
     seed: int = 0

@@ -132,14 +132,14 @@ class DivergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class BlockNetSpec:
-    """Architecture of one dense block network."""
+    """Architecture of one dense block network; its defaults are the config's."""
 
-    input_dim: int
-    hidden_dim: int
-    num_blocks: int
+    input_dim: int = 8
+    hidden_dim: int = 16
+    num_blocks: int = 4
     block_kind: str = "plain"
-    num_classes: int = 2
-    proto_dim: int = 8
+    num_classes: int = 5
+    proto_dim: int = 16
 
     def __post_init__(self) -> None:
         for name in ("input_dim", "hidden_dim", "num_blocks", "num_classes", "proto_dim"):

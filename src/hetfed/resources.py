@@ -121,10 +121,11 @@ class ModelPool:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    constraints: tuple[str, ...]
+    constraints: tuple[str, ...] = ("memory",)
     t_compute: float | None = None
     t_comm: float = 200.0
-    memory_tiers: tuple[tuple[float, float], ...] = ()
+    # Desk-scale capacities in the 16:4:1 shape of real device memory tiers.
+    memory_tiers: tuple[tuple[float, float], ...] = ((1.6e6, 0.25), (4.0e5, 0.50), (1.0e5, 0.25))
 
     def __post_init__(self) -> None:
         # Each message names the config key that sets the value.
@@ -256,7 +257,23 @@ def estimate_times(
 class PoolConfig:
     rates: tuple[float, ...] = (1.0, 0.75, 0.5, 0.25)
     depths: tuple[int, ...] = (4, 3, 2, 1)
-    family: tuple[tuple[int, int, str], ...] = ()   # (hidden_dim, num_blocks, kind)
+    # (hidden_dim, num_blocks, kind), for the topology level
+    family: tuple[tuple[int, int, str], ...] = ((16, 4, "bottleneck"), (16, 3, "plain"), (8, 2, "plain"))
+
+    def __post_init__(self) -> None:
+        # Each message names the config key; a config's lists become tuples.
+        # Numbers are JSON's, so a true/false (a bool) is no rate or depth.
+        if any(type(r) not in (int, float) or not 0 < r <= 1 for r in self.rates):
+            raise ValueError("pool.rates: every rate must lie in (0, 1]")
+        if any(type(d) is not int or d < 1 for d in self.depths):
+            raise ValueError("pool.depths: every depth must be an integer >= 1")
+        for entry in self.family:
+            if (not isinstance(entry, (list, tuple)) or len(entry) != 3
+                    or any(type(v) is not int for v in entry[:2]) or entry[2] not in nn.BLOCK_KINDS):
+                raise ValueError("pool.family: entries must be [hidden_dim, num_blocks, kind]")
+        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
+        object.__setattr__(self, "depths", tuple(self.depths))
+        object.__setattr__(self, "family", tuple(tuple(entry) for entry in self.family))
 
 
 def check_strategy(strategy: str, level: str) -> None:

@@ -72,7 +72,7 @@ the omissions are noted on the strategy docstrings.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -117,7 +117,7 @@ class FederationConfig:
     fjord_fixed_p: float | None = None   # pin fjord's per-step rate draw
     fedet_server_epochs: int = 1
     fedet_client_epochs: int = 1
-    weighting: str = "samples"      # aggregation weighting: samples | uniform
+    weighting: str = field(default="samples", metadata={"key": "aggregation.weighting"})  # samples | uniform
 
     def __post_init__(self) -> None:
         # Each message names the config key that sets the knob.

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import hetfed
-from hetfed import resources, strategies
+from hetfed import resources, runner, strategies
 from hetfed.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, main
 from hetfed.datasets import gen_synthetic
 from hetfed.nn import BlockNetModel
@@ -301,6 +301,31 @@ class TestRunCommand:
         assert capsys.readouterr().err == (
             f"config error: HETFED_SEED: master_seed: expected an integer, got {value!r}\n"
         )
+
+    @pytest.mark.parametrize("command", [[], ["--axis", "alpha", "--values", "0.5"]], ids=["run", "sweep"])
+    @pytest.mark.parametrize("extra,flag,env,message", [
+        ('output_dir = ""', [], None, "exp.cfg:18: output_dir: must not be empty"),
+        ("", ["--out", ""], None, "--out: must not be empty"),
+        ("", [], "", "HETFED_OUT: must not be empty"),
+    ], ids=["config", "flag", "env"])
+    def test_empty_output_directory_stops_before_any_job(self, tmp_path, capsys, monkeypatch, command, extra, flag,
+                                                         env, message):
+        # Each would otherwise run every job and then fail to write.
+        path = tmp_path / "exp.cfg"
+        path.write_text(CONFIG + extra + "\n")
+        if env is not None:
+            monkeypatch.setenv("HETFED_OUT", env)
+        monkeypatch.chdir(tmp_path)
+
+        def no_job(*args):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(runner, "run_strategy_repeat", no_job)
+        name = "sweep" if command else "run"
+        assert main([name, str(path), *command, *flag]) == EXIT_CONFIG
+        prefix = f"{tmp_path}/" if message.startswith("exp.cfg") else ""
+        assert capsys.readouterr() == ("", f"config error: {prefix}{message}\n")
+        assert os.listdir(tmp_path) == ["exp.cfg"]
 
     def test_env_out_picks_the_directory_only(self, config_path, tmp_path, monkeypatch):
         # Runs into different HETFED_OUT directories, relative or absolute,

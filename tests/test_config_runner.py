@@ -9,7 +9,17 @@ import pytest
 
 from hetfed import datasets, nn, resources, runner, seeding, strategies
 from hetfed.cli import EXIT_CONFIG, EXIT_OK, main
-from hetfed.config import SCHEMA, ConfigError, _section, load_config, override, parse_config_text, resolve_config
+from hetfed.config import (
+    SCHEMA,
+    ConfigError,
+    RunConfig,
+    _key,
+    _section,
+    load_config,
+    override,
+    parse_config_text,
+    resolve_config,
+)
 from hetfed.datasets import gen_synthetic, split_global
 from hetfed.metrics import model_accuracy
 from hetfed.runner import (
@@ -94,6 +104,8 @@ LOAD_ERRORS = [
     ("resource.kappa_fedepth = 0", "resource.kappa_fedepth: must be > 0, got 0.0"),
     ("eval.tta_threshold = 7.5", "eval.tta_threshold: must lie in (0, 1], got 7.5"),
     ("eval.tta_threshold = 0", "eval.tta_threshold: must lie in (0, 1], got 0.0"),
+    # An empty directory would let every job run and then fail the write.
+    ('output_dir = ""', "output_dir: must not be empty"),
 ]
 
 NON_FINITE_ERRORS = [
@@ -287,6 +299,8 @@ class TestConfigParsing:
             name: str = "a"
             on: bool = False
             cap: float | None = None
+            sizes: tuple[int, ...] = (1, 2)
+            named: int = dataclasses.field(default=7, metadata={"key": "other.named"})
             given: int = 0
 
         @dataclasses.dataclass
@@ -303,12 +317,37 @@ class TestConfigParsing:
             "k.name": ("str", "a"),
             "k.on": ("bool", False),
             "k.cap": ("float_or_null", None),
+            "k.sizes": ("list", [1, 2]),
+            "other.named": ("int", 7),
         }
         with pytest.raises(TypeError, match=r"^Listed\.sizes: a config key needs a default and a kind in"):
             _section(Listed, "l")
         with pytest.raises(TypeError, match=r"^Undefaulted\.rate: a config key needs a default and a kind in"):
             _section(Undefaulted, "u")
         assert _section(Undefaulted, "u", "rate") == {}
+
+    def test_defaults_live_in_the_section_fields(self):
+        # A config of the required keys alone is each section's defaults,
+        # and every key but the four written by hand is one section field.
+        cfg = resolve_config({"strategies": ["sheterofl"], "level": "width"})
+        assert cfg.model == nn.BlockNetSpec()
+        pool = [cfg.raw[f"pool.{f.name}"] for f in dataclasses.fields(resources.PoolConfig)]
+        assert pool == json.loads(json.dumps(dataclasses.astuple(resources.PoolConfig())))
+        assert cfg.scenario == resources.ScenarioConfig()
+        assert cfg.profiles == resources.ProfileDistribution()
+        assert cfg.data == datasets.DataConfig(input_dim=8, num_classes=5, num_clients=20, needs_public=False)
+        assert cfg.sgd == nn.SGDConfig()
+        assert cfg.fed == strategies.FederationConfig()
+        assert cfg.partition == datasets.PartitionConfig(num_clients=20)
+        run = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(RunConfig)}
+        assert run == dataclasses.asdict(RunConfig())
+        sections = [(RunConfig, ""), (nn.BlockNetSpec, "model"), (resources.PoolConfig, "pool"),
+                    (resources.ScenarioConfig, "scenario"), (resources.ProfileDistribution, "profiles"),
+                    (datasets.DataConfig, "data"), (datasets.PartitionConfig, "partition"),
+                    (nn.SGDConfig, "sgd"), (strategies.FederationConfig, "algo")]
+        keys = [_key(f, prefix) for cls, prefix in sections for f in dataclasses.fields(cls)]
+        by_hand = {"strategies", "level", "workers"} | {f"resource.kappa_{sid}" for sid in resources.DEFAULT_KAPPA}
+        assert sorted(key for key in keys if key in SCHEMA) == sorted(set(SCHEMA) - by_hand)
 
     def test_every_family_entry_builds_a_base_spec(self):
         cfg = small_config('level = topology\nstrategies = ["fedproto"]\n'
