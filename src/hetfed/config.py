@@ -19,18 +19,7 @@ from typing import get_origin, get_type_hints
 
 from .datasets import DataConfig, PartitionConfig
 from .nn import BlockNetSpec, SGDConfig, validate_base_spec
-from .resources import (
-    CONSTRAINTS,
-    DEFAULT_KAPPA,
-    ModelPool,
-    PoolConfig,
-    ProfileDistribution,
-    ScenarioConfig,
-    build_pool,
-    check_strategy,
-    family_specs,
-    ladder,
-)
+from .resources import CONSTRAINTS, ModelPool, PoolConfig, ProfileDistribution, ScenarioConfig, build_pool
 from .strategies import FederationConfig
 
 
@@ -58,23 +47,28 @@ def _key(f, prefix: str) -> str:
 def _section(cls, prefix: str, *given: str) -> dict[str, tuple[str, object]]:
     """The rows of `cls`, a dataclass whose field defaults are the config's:
     one per field but those `given` by resolve_config, its kind read from
-    the field's annotation and its default stored as JSON reads it."""
+    the field's annotation and its default stored as JSON reads it, or
+    _REQUIRED for a field without one."""
     hints = get_type_hints(cls)
     rows = {}
     for f in fields(cls):
         if f.name in given:
             continue
         kind = "list" if get_origin(hints[f.name]) is tuple else _KINDS.get(hints[f.name])
-        if kind is None or f.default is MISSING:
-            raise TypeError(f"{cls.__name__}.{f.name}: a config key needs a default and a kind in {list(_KINDS)}")
-        rows[_key(f, prefix)] = (kind, json.loads(json.dumps(f.default)))
+        if kind is None:
+            raise TypeError(f"{cls.__name__}.{f.name}: a config key needs a kind in {list(_KINDS)}")
+        rows[_key(f, prefix)] = (kind, _REQUIRED if f.default is MISSING else json.loads(json.dumps(f.default)))
     return rows
 
 
 @dataclass(kw_only=True)
 class RunConfig:
-    """The run and eval keys, each with its rule."""
+    """The run and eval keys, each with its rule; `level` and each listed
+    strategy are checked by `resources.check_strategy`."""
 
+    strategies: tuple[str, ...]
+    level: str
+    workers: int = 1  # recorded in the manifest; nothing reads it
     num_clients: int = 20
     sampling_fraction: float = 0.1
     num_rounds: int = 200
@@ -88,9 +82,15 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # Each message names the config key; num_clients is partition's rule.
+        self.strategies = tuple(str(s) for s in self.strategies)
+        if not self.strategies:
+            raise ValueError("strategies: must list at least one strategy")
+        for i, sid in enumerate(self.strategies):
+            if sid in self.strategies[:i]:
+                raise ValueError(f"strategies: {sid} is listed more than once")
         if not 0.0 < self.sampling_fraction <= 1.0:
             raise ValueError(f"sampling_fraction: must lie in (0, 1], got {self.sampling_fraction}")
-        for key, value in (("num_rounds", self.num_rounds), ("repeats", self.repeats),
+        for key, value in (("workers", self.workers), ("num_rounds", self.num_rounds), ("repeats", self.repeats),
                            ("eval.cadence", self.eval_cadence)):
             if value < 1:
                 raise ValueError(f"{key}: must be >= 1, got {value}")
@@ -102,16 +102,12 @@ class RunConfig:
 
 # key -> (type tag, default). Types: int, float, str, bool, list,
 # float_or_null. Defaults marked _REQUIRED must be present in the file.
-# Every row but `strategies`, `level`, `workers` and the `resource.kappa_*`
-# rows (from DEFAULT_KAPPA) is a field of the dataclass that holds its
-# value: RunConfig, nn.BlockNetSpec, resources.PoolConfig,
+# Every row is a field of the dataclass that holds its value: RunConfig,
+# nn.BlockNetSpec, resources.PoolConfig (`pool.*` and `resource.kappa_*`),
 # resources.ScenarioConfig, resources.ProfileDistribution,
 # datasets.DataConfig, datasets.PartitionConfig, nn.SGDConfig and
 # strategies.FederationConfig.
 SCHEMA: dict[str, tuple[str, object]] = {
-    "strategies": ("list", _REQUIRED),
-    "level": ("str", _REQUIRED),
-    "workers": ("int", 1),  # validated and recorded in the manifest; nothing reads it
     **_section(RunConfig, ""),
     **_section(BlockNetSpec, "model"),
     **_section(PoolConfig, "pool"),
@@ -121,7 +117,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     **_section(PartitionConfig, "partition", "num_clients", "seed"),
     **_section(SGDConfig, "sgd"),
     **_section(FederationConfig, "algo"),
-    **{f"resource.kappa_{sid}": ("float", kappa) for sid, kappa in DEFAULT_KAPPA.items()},
 }
 
 
@@ -238,7 +233,6 @@ def _coerce(key: str, kind: str, value: object) -> object:
 class ExperimentConfig(RunConfig):
     """Fully-resolved experiment description."""
 
-    strategies: list[str]
     model: BlockNetSpec
     scenario: ScenarioConfig
     profiles: ProfileDistribution
@@ -268,8 +262,8 @@ def config_hash(resolved: dict[str, object]) -> str:
 
 def _rule(check, *args, **kwargs):
     """`check(*args, **kwargs)`, a rule whose ValueError message names the
-    key (a run, pool, data, partition, scenario, profile, optimizer or
-    algorithm rule), with that error raised as a ConfigError."""
+    key (a run, level, pool, data, partition, scenario, profile, optimizer
+    or algorithm rule), with that error raised as a ConfigError."""
     try:
         return check(*args, **kwargs)
     except ValueError as exc:
@@ -298,30 +292,12 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
         else:
             resolved[key] = default
 
-    strategies = [str(s) for s in resolved["strategies"]]
-    if not strategies:
-        raise ConfigError("strategies: must list at least one strategy")
-    level = resolved["level"]
-    if level not in ("width", "depth", "topology"):
-        raise ConfigError(f"level: must be width, depth or topology, got {level!r}")
-    for i, sid in enumerate(strategies):
-        _rule(check_strategy, sid, level)
-        if sid in strategies[:i]:
-            raise ConfigError(f"strategies: {sid} is listed more than once")
-
-    if resolved["workers"] < 1:
-        raise ConfigError(f"workers: must be >= 1, got {resolved['workers']}")
-
     try:
         spec = BlockNetSpec(**{f.name: resolved[_key(f, "model")] for f in fields(BlockNetSpec)})
         validate_base_spec(spec)
     except ValueError as exc:  # each message opens with its field, so this names its key
         raise ConfigError(f"model.{exc}") from exc
     pool_cfg = _keyed(PoolConfig, resolved, "pool")
-    # The level's ladder, and every family entry even where the level does
-    # not use the family; the pools themselves need the batch size.
-    _rule(ladder, spec, level, pool_cfg)
-    _rule(family_specs, spec, pool_cfg.family)
 
     listed = tuple(str(c) for c in resolved["scenario.constraints"])
     tiers = []
@@ -336,26 +312,18 @@ def resolve_config(raw: dict[str, object], source: str = "<config>") -> Experime
     profiles = _keyed(ProfileDistribution, resolved, "profiles")
 
     data = _keyed(DataConfig, resolved, "data", input_dim=spec.input_dim, num_classes=spec.num_classes,
-                  num_clients=resolved["num_clients"], needs_public="fedet" in strategies)
+                  num_clients=resolved["num_clients"], needs_public="fedet" in resolved["strategies"])
     partition = _keyed(PartitionConfig, resolved, "partition", num_clients=resolved["num_clients"], seed=0)
 
     sgd = _keyed(SGDConfig, resolved, "sgd")
     fed = _keyed(FederationConfig, resolved, "algo")
 
-    for sid in DEFAULT_KAPPA:  # every strategy's, listed or not
-        kappa = resolved[f"resource.kappa_{sid}"]
-        if kappa <= 0:
-            raise ConfigError(f"resource.kappa_{sid}: must be > 0, got {kappa}")
-    baseline = [BASELINE_ID] if resolved["include_baseline"] and BASELINE_ID not in strategies else []
-    # A strategy without a kappa key prices its memory unscaled.
-    pools = {
-        sid: _rule(build_pool, sid, level, spec, pool_cfg, sgd.batch_size, resolved.get(f"resource.kappa_{sid}", 1.0))
-        for sid in strategies + baseline
-    }
-
-    return _keyed(ExperimentConfig, resolved, "", strategies=strategies, model=spec, scenario=scenario,
-                  profiles=profiles, data=data, partition=partition, sgd=sgd, fed=fed, pools=pools,
-                  raw=resolved, lines={})
+    cfg = _keyed(ExperimentConfig, resolved, "", model=spec, scenario=scenario, profiles=profiles, data=data,
+                 partition=partition, sgd=sgd, fed=fed, pools={}, raw=resolved, lines={})
+    baseline = (BASELINE_ID,) if cfg.include_baseline and BASELINE_ID not in cfg.strategies else ()
+    cfg.pools = {sid: _rule(build_pool, sid, cfg.level, spec, pool_cfg, sgd.batch_size)
+                 for sid in cfg.strategies + baseline}
+    return cfg
 
 
 def locate(exc: ConfigError, lines: dict[str, str]) -> ConfigError:

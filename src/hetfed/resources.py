@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,13 +40,6 @@ BASELINE_STRATEGIES = ("fedavg_full", "fedavg_smallest")
 
 # The config key that sets each level's ladder.
 LADDER_KEYS = {"width": "pool.rates", "depth": "pool.depths", "topology": "pool.family"}
-
-# Each strategy's default κ: its measured training footprint over the
-# static-width baseline's (see the module docstring).
-DEFAULT_KAPPA = {
-    "fedrolex": 780.0 / 593.0,
-    "fedepth": 631.0 / 593.0,
-}
 
 FLOAT_BYTES = 8
 
@@ -259,10 +252,17 @@ class PoolConfig:
     depths: tuple[int, ...] = (4, 3, 2, 1)
     # (hidden_dim, num_blocks, kind), for the topology level
     family: tuple[tuple[int, int, str], ...] = ((16, 4, "bottleneck"), (16, 3, "plain"), (8, 2, "plain"))
+    # Each strategy's κ (1 for a strategy without one): its measured training
+    # footprint over the static-width baseline's (see the module docstring).
+    kappa_fedrolex: float = field(default=780.0 / 593.0, metadata={"key": "resource.kappa_fedrolex"})
+    kappa_fedepth: float = field(default=631.0 / 593.0, metadata={"key": "resource.kappa_fedepth"})
 
     def __post_init__(self) -> None:
         # Each message names the config key; a config's lists become tuples.
         # Numbers are JSON's, so a true/false (a bool) is no rate or depth.
+        for sid, kappa in (("fedrolex", self.kappa_fedrolex), ("fedepth", self.kappa_fedepth)):
+            if kappa <= 0:
+                raise ValueError(f"resource.kappa_{sid}: must be > 0, got {kappa}")
         if any(type(r) not in (int, float) or not 0 < r <= 1 for r in self.rates):
             raise ValueError("pool.rates: every rate must lie in (0, 1]")
         if any(type(d) is not int or d < 1 for d in self.depths):
@@ -276,9 +276,15 @@ class PoolConfig:
         object.__setattr__(self, "family", tuple(tuple(entry) for entry in self.family))
 
 
+def check_level(level: str) -> None:
+    if level not in LADDER_KEYS:
+        raise ValueError(f"level: must be width, depth or topology, got {level!r}")
+
+
 def check_strategy(strategy: str, level: str) -> None:
-    """Raise unless `strategy` is known and runs at `level`; the FedAvg
-    baselines run at every level."""
+    """Raise unless `level` is known and `strategy` is known and runs at
+    it; the FedAvg baselines run at every level."""
+    check_level(level)
     for own, ids in (("width", WIDTH_STRATEGIES), ("depth", DEPTH_STRATEGIES),
                      ("topology", TOPOLOGY_STRATEGIES), (level, BASELINE_STRATEGIES)):
         if strategy in ids:
@@ -294,14 +300,14 @@ def build_pool(
     model_spec: BlockNetSpec,
     pool_cfg: PoolConfig,
     batch_size: int,
-    kappa: float = 1.0,
 ) -> ModelPool:
     """Candidate variants for one strategy, ordered largest to smallest,
-    each priced at `kappa` × the training memory of what it trains.
-    Every pool rule is checked here or in the calls it makes; each
-    message names the config key at fault."""
+    each priced at its κ in `pool_cfg` (1 without one) × the training
+    memory of what it trains. Every level and pool rule is checked here or
+    in the calls it makes; each message names the config key at fault."""
     check_strategy(strategy, level)
     specs = ladder(model_spec, level, pool_cfg)
+    kappa = getattr(pool_cfg, f"kappa_{strategy}", 1.0)
 
     def make(spec: BlockNetSpec, heads: tuple[int, ...], vid: str, kind: str, rate: float | None = None,
              depth: int | None = None, trained: slice = slice(None)) -> Variant:
@@ -362,8 +368,10 @@ def width_channels(d: int, rate: float) -> int:
 def ladder(model_spec: BlockNetSpec, level: str, pool_cfg: PoolConfig) -> list[BlockNetSpec]:
     """The level's specs, largest first: one per width rate, one per depth,
     or the topology family by parameter count with one head (ties keep
-    config order).
+    config order). Every family entry is checked at every level.
     Raises, naming the key, when the ladder cannot be built."""
+    check_level(level)
+    specs = family_specs(model_spec, pool_cfg.family)
     if level == "width":
         if model_spec.block_kind == "bottleneck":
             raise ValueError("model.block_kind: width heterogeneity needs plain or skip blocks")
@@ -376,9 +384,8 @@ def ladder(model_spec: BlockNetSpec, level: str, pool_cfg: PoolConfig) -> list[B
         if not depths or depths[0] != model_spec.num_blocks:
             raise ValueError("pool.depths: the ladder must span up to model.num_blocks")
         return [replace(model_spec, num_blocks=depth) for depth in depths]
-    if not pool_cfg.family:
+    if not specs:
         raise ValueError("pool.family: the topology level needs at least one [hidden_dim, num_blocks, kind] entry")
-    specs = family_specs(model_spec, pool_cfg.family)
     specs.sort(key=_one_head_params, reverse=True)
     return specs
 

@@ -173,7 +173,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     effectiveness is wanted) across repeats; write CSVs, summary, manifest.
     The output directory is made only once every job has finished, so a
     run that fails leaves none behind."""
-    return _write_run(cfg, _run_jobs(cfg), out_dir if out_dir is not None else cfg.output_dir)
+    out = _output_dir(cfg, out_dir)
+    return _write_run(cfg, _run_jobs(cfg), out)
+
+
+def _output_dir(cfg: ExperimentConfig, out_dir: str | None) -> str:
+    """`out_dir`, else the config's `output_dir`; an empty one is refused
+    before any job runs, which would run every job and then fail the write."""
+    out = out_dir if out_dir is not None else cfg.output_dir
+    if not out:
+        raise ConfigError("out_dir: must not be empty")
+    return out
 
 
 def _write_run(cfg: ExperimentConfig, outcomes: dict[str, list[RepeatOutcome]], out: str) -> dict:
@@ -220,6 +230,7 @@ def sweep_experiment(cfg: ExperimentConfig, axis: str, values: list[str], out_di
     config, under shared seeds; returns the merged CSV text."""
     if not values:
         raise ConfigError("sweep needs at least one axis value")
+    out = _output_dir(cfg, out_dir)
     source = f"sweep axis {axis}"
     sub_cfgs = []
     for value in values:
@@ -246,7 +257,6 @@ def sweep_experiment(cfg: ExperimentConfig, axis: str, values: list[str], out_di
     # Every value's jobs finish before anything is written, so a sweep that
     # fails leaves no directory behind, as a run does.
     outcomes = [_run_jobs(sub_cfg) for sub_cfg in sub_cfgs]
-    out = out_dir if out_dir is not None else cfg.output_dir
     rows = []
     for value, name, sub_cfg, sub_outcomes in zip(values, names, sub_cfgs, outcomes):
         strategies = _write_run(sub_cfg, sub_outcomes, os.path.join(out, name))["strategies"]

@@ -59,9 +59,11 @@ keeps the previous value.
 Every model a strategy keeps in its state is immutable: its vector is
 read-only from the moment it is made (`initial_state`, `_train`, the
 aggregate), so an in-place write raises `ValueError`. Training copies the
-vectors it starts from. This is what lets `nn.predict`, the one
-evaluation memo, walk each distinct model once on the shared test set: a
-state model cannot change under the predictions it remembers.
+vectors it starts from. This is what lets `nn.predict`, the memo of
+predictions, walk each distinct model once on the shared test set: a
+state model cannot change under the predictions it remembers. The other
+evaluation memo, `_PartialAveragingStrategy._eval_targets`, keeps one
+target per variant per eval round.
 
 Where the published descriptions of the cited methods include extras that
 do not change the resource trade-off being measured (InclusiveFL's momentum

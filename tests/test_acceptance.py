@@ -29,7 +29,6 @@ from hetfed.extract import (
 from hetfed.metrics import RoundRecord, effectiveness, stability, time_to_accuracy
 from hetfed.nn import BlockNetSpec, LossSpec
 from hetfed.resources import (
-    DEFAULT_KAPPA,
     DeviceProfile,
     InfeasibleScenarioError,
     ModelPool,
@@ -193,14 +192,14 @@ def test_criterion_4_rolling_coverage():
 def test_criterion_5_cost_model_calibration():
     # What the pools charge at equal spec, the shipped configs' model,
     # reproduces the measured-footprint ratios over static width within
-    # 10%: DepthFL's four-head d4 with no kappa (1220/593), and kappa times
-    # one head for FedRolex (780/593) and FeDepth's whole model in one
-    # segment (631/593).
+    # 10%: DepthFL's four-head d4 with no kappa (1220/593), and the default
+    # kappa times one head for FedRolex (780/593) and FeDepth's whole model
+    # in one segment (631/593).
     spec = BlockNetSpec(8, 8, 4, "skip", 5, 16)
     width, depth = PoolConfig(rates=(1.0,)), PoolConfig(depths=(4,))
 
     def pool(strategy, level, cfg):
-        return build_pool(strategy, level, spec, cfg, 32, DEFAULT_KAPPA.get(strategy, 1.0))
+        return build_pool(strategy, level, spec, cfg, 32)
 
     base = pool("sheterofl", "width", width).largest.stats.memory_bytes
     fedepth = pool("fedepth", "depth", depth)

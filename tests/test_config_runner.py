@@ -10,6 +10,7 @@ import pytest
 from hetfed import datasets, nn, resources, runner, seeding, strategies
 from hetfed.cli import EXIT_CONFIG, EXIT_OK, main
 from hetfed.config import (
+    _REQUIRED,
     SCHEMA,
     ConfigError,
     RunConfig,
@@ -320,18 +321,19 @@ class TestConfigParsing:
             "k.sizes": ("list", [1, 2]),
             "other.named": ("int", 7),
         }
-        with pytest.raises(TypeError, match=r"^Listed\.sizes: a config key needs a default and a kind in"):
+        # A bare `tuple` has no kind; a field without a default is a
+        # required key.
+        with pytest.raises(TypeError, match=r"^Listed\.sizes: a config key needs a kind in"):
             _section(Listed, "l")
-        with pytest.raises(TypeError, match=r"^Undefaulted\.rate: a config key needs a default and a kind in"):
-            _section(Undefaulted, "u")
+        assert _section(Undefaulted, "u") == {"u.rate": ("float", _REQUIRED)}
         assert _section(Undefaulted, "u", "rate") == {}
 
     def test_defaults_live_in_the_section_fields(self):
         # A config of the required keys alone is each section's defaults,
-        # and every key but the four written by hand is one section field.
+        # and every key is exactly one section field.
         cfg = resolve_config({"strategies": ["sheterofl"], "level": "width"})
         assert cfg.model == nn.BlockNetSpec()
-        pool = [cfg.raw[f"pool.{f.name}"] for f in dataclasses.fields(resources.PoolConfig)]
+        pool = [cfg.raw[_key(f, "pool")] for f in dataclasses.fields(resources.PoolConfig)]
         assert pool == json.loads(json.dumps(dataclasses.astuple(resources.PoolConfig())))
         assert cfg.scenario == resources.ScenarioConfig()
         assert cfg.profiles == resources.ProfileDistribution()
@@ -340,14 +342,14 @@ class TestConfigParsing:
         assert cfg.fed == strategies.FederationConfig()
         assert cfg.partition == datasets.PartitionConfig(num_clients=20)
         run = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(RunConfig)}
-        assert run == dataclasses.asdict(RunConfig())
+        assert run == dataclasses.asdict(RunConfig(strategies=["sheterofl"], level="width"))
+        assert cfg.strategies == ("sheterofl",)
         sections = [(RunConfig, ""), (nn.BlockNetSpec, "model"), (resources.PoolConfig, "pool"),
                     (resources.ScenarioConfig, "scenario"), (resources.ProfileDistribution, "profiles"),
                     (datasets.DataConfig, "data"), (datasets.PartitionConfig, "partition"),
                     (nn.SGDConfig, "sgd"), (strategies.FederationConfig, "algo")]
         keys = [_key(f, prefix) for cls, prefix in sections for f in dataclasses.fields(cls)]
-        by_hand = {"strategies", "level", "workers"} | {f"resource.kappa_{sid}" for sid in resources.DEFAULT_KAPPA}
-        assert sorted(key for key in keys if key in SCHEMA) == sorted(set(SCHEMA) - by_hand)
+        assert sorted(key for key in keys if key in SCHEMA) == sorted(SCHEMA)
 
     def test_every_family_entry_builds_a_base_spec(self):
         cfg = small_config('level = topology\nstrategies = ["fedproto"]\n'
@@ -420,6 +422,23 @@ class TestRunner:
         for name in sorted(os.listdir(dir_a)):
             with open(os.path.join(dir_a, name), "rb") as fa, open(os.path.join(dir_b, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+    def test_library_run_with_an_empty_output_directory_stops_before_any_job(self, tmp_path, monkeypatch):
+        # Neither call reaches the config rule or the CLI: a run would run
+        # every job and then fail the write, and a sweep would write into
+        # the current directory.
+        cfg = small_config("num_rounds = 2\n")
+        monkeypatch.chdir(tmp_path)
+
+        def no_job(*args):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(runner, "run_strategy_repeat", no_job)
+        with pytest.raises(ConfigError, match=r"^out_dir: must not be empty$"):
+            run_experiment(cfg, "")
+        with pytest.raises(ConfigError, match=r"^out_dir: must not be empty$"):
+            sweep_experiment(cfg, "num_rounds", ["1", "2"], "")
+        assert os.listdir(tmp_path) == []
 
     def test_parallel_workers_identical_output(self, tmp_path):
         # The workers knob changes the config hash but must not change any

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,6 @@ import pytest
 from hetfed import nn, resources
 from hetfed.nn import BlockNetSpec
 from hetfed.resources import (
-    DEFAULT_KAPPA,
     DeviceProfile,
     InfeasibleScenarioError,
     ModelPool,
@@ -94,10 +94,11 @@ class TestMemory:
     def test_calibrated_ratios(self):
         # Only FedRolex and FeDepth keep a kappa: DepthFL's layer plan
         # prices its heads.
-        assert sorted(DEFAULT_KAPPA) == ["fedepth", "fedrolex"]
+        kappas = {f.name: f.default for f in dataclasses.fields(PoolConfig) if f.name.startswith("kappa_")}
+        assert sorted(kappas) == ["kappa_fedepth", "kappa_fedrolex"]
         base = training_memory(SPEC, (2,), 32)
         for strategy, target in (("fedrolex", 780 / 593), ("fedepth", 631 / 593)):
-            assert DEFAULT_KAPPA[strategy] * training_memory(SPEC, (2,), 32) / base == pytest.approx(target, abs=0.01)
+            assert kappas[f"kappa_{strategy}"] * training_memory(SPEC, (2,), 32) / base == pytest.approx(target, abs=0.01)
 
     def test_qualitative_signature_ordering(self):
         # What each pool charges at the shipped configs' model keeps the
@@ -106,7 +107,7 @@ class TestMemory:
         # segment, costs less than static width.
         spec = BlockNetSpec(8, 8, 4, "skip", 5, 16)
         ladders = PoolConfig(rates=(1.0,), depths=(4,))
-        pools = {sid: build_pool(sid, level, spec, ladders, 32, DEFAULT_KAPPA.get(sid, 1.0))
+        pools = {sid: build_pool(sid, level, spec, ladders, 32)
                  for sid, level in (("depthfl", "depth"), ("fedrolex", "width"),
                                     ("fedepth", "depth"), ("sheterofl", "width"))}
         charged = {sid: pool.largest.stats.memory_bytes for sid, pool in pools.items()}
@@ -204,14 +205,14 @@ class TestSegments:
                         part = nn.segment_slice(spec, heads, seg)
                         assert part.stop - part.start == hand_counted_segment_params(spec, heads, seg)
 
-    @pytest.mark.parametrize("kappa", [0.3, DEFAULT_KAPPA["fedepth"], 2.0], ids=["0.3", "default", "2.0"])
+    @pytest.mark.parametrize("kappa", [0.3, PoolConfig().kappa_fedepth, 2.0], ids=["0.3", "default", "2.0"])
     @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
     def test_assignment_admits_exactly_the_clients_a_segmentation_fits(self, kind, kappa):
         # One rule prices FeDepth's variant and its segments: from below its
         # price to above its one-segment footprint, a client is assigned the
         # `full` variant if and only if a segmentation of it fits.
         spec = BlockNetSpec(8, 16, 4, kind, 4, 16)
-        pool = build_pool("fedepth", "depth", spec, PoolConfig(depths=(4,)), 8, kappa)
+        pool = build_pool("fedepth", "depth", spec, PoolConfig(depths=(4,), kappa_fedepth=kappa), 8)
         full = pool.largest
         price, one_segment = full.stats.memory_bytes, kappa * training_memory(spec, full.head_blocks, 8)
         capacities = [*np.linspace(0.9 * price, 1.1 * one_segment, 101), price, np.nextafter(price, 0.0)]
@@ -294,6 +295,14 @@ class TestPools:
     def test_level_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_pool("sheterofl", "depth", SPEC, PoolConfig(), 32)
+
+    def test_unknown_level_rejected(self):
+        # A baseline runs at every level, but not at one that is none.
+        message = r"^level: must be width, depth or topology, got 'flat'$"
+        with pytest.raises(ValueError, match=message):
+            resources.ladder(BlockNetSpec(), "flat", PoolConfig())
+        with pytest.raises(ValueError, match=message):
+            build_pool("fedavg_full", "flat", BlockNetSpec(), PoolConfig(), 32)
 
     def test_width_channels_ceil(self):
         assert width_channels(4, 0.5) == 2

@@ -59,7 +59,8 @@ def make_ctx(
         rates=(1.0, 0.5), depths=(spec.num_blocks, 1),
         family=((8, 3, "plain"), (4, 2, "plain")),
     )
-    pool = build_pool(strategy_id, level, spec, pool_cfg, batch_size=8)
+    # Memory is priced unscaled (κ = 1) for every strategy.
+    pool = build_pool(strategy_id, level, spec, replace(pool_cfg, kappa_fedrolex=1.0, kappa_fedepth=1.0), batch_size=8)
     ds = gen_synthetic("blobs", n, spec.input_dim, spec.num_classes, 0.4, seed=seed)
     shard = n // num_clients
     profile = lambda cid: DeviceProfile(cid, 1e9, 1e6, 1e12)
