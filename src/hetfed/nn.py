@@ -38,22 +38,27 @@ per call. The walk is written once for both ranks (`swapaxes(-1, -2)`,
 `np.add.reduce(..., -2)` into views cached once per stack with each
 weight's transposed view, per-client means over `reshape(k, n)`).
 A stacked batch is the K clients' rows concatenated, [K*n, d], with one
-target per row: a label, [K*n], or a class distribution, [K*n, c]. At
-K >= 2 the walk views the batch as [K, n, d], and it takes every loss mean
-over each client's own n rows. A single model runs as a stack of one, so
-`forward` and `predict` run 2-D.
+target per row, a class distribution, [K*n, c]: labels reach the engine
+as `one_hot` rows, built once per job, so no step checks or scatters a
+label. At K >= 2 the walk views the batch as [K, n, d], and it takes every
+loss mean over each client's own n rows. A single model runs as a stack
+of one, so `forward` and `predict` run 2-D.
 One forward walk (`_run_forward`) serves `backward`, `forward` and
-`predict`: it walks every block and computes every head where it
-attaches, writing the heads' logits as the rows of one array. It keeps
-the activations `backward` reads only for `backward`; a scoring walk
-holds the live trunk activation, the logits and the deepest neck output,
-so scoring many rows does not grow and shrink the heap. The loss runs
-once over all heads' logits: one softmax pass, with the class maximum
-reduced over a class-major copy (the values of the last-axis reduction),
-and DepthFL's pair index built once per head count.
+`predict`, writing the heads' logits as the rows of one array. The
+training walk keeps the activations `backward` reads. A model of H >= 2
+heads trains them as one operand: `param_layout` places the heads back to
+back with equal shapes, so each head tensor is one (H, ...) view, and
+each neck, classifier, gradient product and bias sum runs once over every
+head; each head's trunk gradient joins the trunk at its block. A scoring
+walk computes each head where it attaches and holds only the live trunk
+activation, the logits and the deepest neck output: a scoring walk that
+kept more made glibc trim and regrow the heap on every evaluation. The
+loss runs once over all heads' logits: one softmax pass, with the class
+maximum reduced over a class-major copy (the values of the last-axis
+reduction), and DepthFL's pair index built once per head count.
 Stacked `np.matmul`, 2-D `ndarray.dot` and the axis reductions give the same
-bits on each client, so a client's result does not depend on what it is
-stacked with.
+bits on each client and head, so a client's result does not depend on what
+it is stacked with.
 The forward adds biases and applies each ReLU in place and caches one
 activation per linear, its output after the ReLU. The backward mask is
 ``sign(a)`` of that activation: 1.0 where the pre-activation z > 0, else
@@ -305,6 +310,25 @@ def _stack_views(array: np.ndarray, layout: ParamLayout, bias_rows: bool) -> dic
     return views
 
 
+def _head_views(array: np.ndarray, layout: ParamLayout, bias_rows: bool) -> tuple[np.ndarray, ...]:
+    """`_stack_views` of the (neck.w, neck.b, fc.w, fc.b) of every head at
+    once, each with a leading head axis (none for one head): the heads lie
+    back to back with equal shapes."""
+    keys = next(iter(layout.heads.values()))
+    start, stop = layout.slots[keys[0]][0], layout.slots[keys[-1]][1]
+    k, count = array.shape[0], len(layout.heads)
+    heads = array[:, start:start + count * (stop - start)].reshape(k, count, -1).swapaxes(0, 1)
+    # Dropping axes of length one and splitting the unit-stride last axis
+    # are always views.
+    heads = heads.reshape(*[size for size in (count, k) if size > 1], -1)
+    views = []
+    for key in keys:
+        first, last, shape = layout.slots[key]
+        view = heads[..., first - start:last - start].reshape(*heads.shape[:-1], *shape)
+        views.append(view[..., None, :] if bias_rows and len(shape) == 1 else view)
+    return tuple(views)
+
+
 class ModelStack:
     """K models of one (spec, heads) as the rows of one (K, size) array, with
     a (K, size) ``grad`` buffer: the operand of the forward and backward
@@ -319,9 +343,15 @@ class ModelStack:
     weights (in, out), biases (out,). The constructor builds every view.
     ``matmul`` is the walk's product for this rank: `ndarray.dot` for a
     stack of one, `np.matmul` for K >= 2.
+
+    The training walk runs the H heads as one operand: ``head_params`` and
+    ``head_grads`` hold one view per head tensor (`_head_views`), and
+    ``head_weights_t`` the transposed neck.w and fc.w; ``head_matmul`` is
+    ``matmul`` for one head and `np.matmul`, head by head, for H >= 2.
     """
 
-    __slots__ = ("spec", "head_blocks", "layout", "vector", "params", "grad", "grads", "weights_t", "matmul")
+    __slots__ = ("spec", "head_blocks", "layout", "vector", "params", "grad", "grads", "weights_t", "matmul",
+                 "head_matmul", "head_params", "head_grads", "head_weights_t")
 
     def __init__(self, spec: BlockNetSpec, head_blocks: tuple[int, ...], vector: np.ndarray, grad: np.ndarray):
         layout = param_layout(spec, head_blocks)
@@ -338,10 +368,10 @@ class ModelStack:
         self.weights_t = {
             key: params[key].swapaxes(-1, -2) for key, (_, _, shape) in layout.slots.items() if len(shape) == 2
         }
-
-    @property
-    def final_head(self) -> int:
-        return self.head_blocks[-1]
+        self.head_matmul = self.matmul if len(head_blocks) == 1 else np.matmul
+        self.head_params = _head_views(vector, layout, bias_rows=True)
+        self.head_grads = _head_views(grad, layout, bias_rows=False)
+        self.head_weights_t = tuple(self.head_params[i].swapaxes(-1, -2) for i in (0, 2))
 
 
 # The roles of a workspace (see the module docstring): the rows a
@@ -478,9 +508,10 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, keep: bool = True) -> dic
     model of one head holds its own logits, viewed with a new leading axis),
     each head's row of it by attach block ("logits"), and the deepest
     head's neck output ("neck"). With `keep`, for `backward`, it also holds
-    every head's neck output, the trunk activation after the stem and
-    after each block ("h"), and each block's post-ReLU output per linear
-    ("acts"); without it the walk keeps only the live trunk activation.
+    the trunk activation after the stem and after each block ("h"), each
+    block's post-ReLU output per linear ("acts"), and the heads' trunk
+    activations and neck outputs shaped as the stack's head views ("head_in",
+    "necks"); without it the walk keeps only the live trunk activation.
     At K >= 2 every other array has the leading client axis.
     """
     k = stack.vector.shape[0]
@@ -491,14 +522,18 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, keep: bool = True) -> dic
     p = stack.params
     layout = stack.layout
     heads = layout.heads
-    deepest = len(layout.blocks)
     mm = stack.matmul
-    all_logits = None if len(heads) == 1 else np.empty((len(heads), *x.shape[:-1], stack.spec.num_classes))
+    rows = (len(heads), *x.shape[:-1])
+    # A training walk of two or more heads writes their trunk activations
+    # into one buffer and runs the heads after the last block, stacked.
+    head_in = np.empty((*rows, stack.spec.hidden_dim)) if keep and len(heads) > 1 else None
+    slots = {} if head_in is None else dict(zip(heads, head_in))
+    all_logits = None if keep or len(heads) == 1 else np.empty((*rows, stack.spec.num_classes))
+    logits = {} if all_logits is None else dict(zip(heads, all_logits))
     h = mm(x, p["stem.w"])
     h += p["stem.b"]
     trunk = [h] if keep else None
     acts = []
-    necks, logits = {}, {}
     for i, block in enumerate(layout.blocks, 1):
         a = h
         block_acts = []
@@ -508,29 +543,45 @@ def _run_forward(stack: ModelStack, batch: np.ndarray, keep: bool = True) -> dic
             np.maximum(a, 0.0, out=a)
             block_acts.append(a)
         # `backward` reads `a`, so only an inference walk adds into it.
-        h = np.add(a, h, out=None if keep else a) if layout.residual else a
+        h = np.add(a, h, out=slots.get(i, None if keep else a)) if layout.residual else a
+        if i in slots and h is not slots[i]:
+            slots[i][...] = h
         if keep:
             trunk.append(h)
             acts.append(block_acts)
-        if i in heads:
+        elif i in heads:
             neck_w, neck_b, fc_w, fc_b = heads[i]
             neck = mm(h, p[neck_w])
             neck += p[neck_b]
-            out = None if all_logits is None else all_logits[len(logits)]
-            z = logits[i] = mm(neck, p[fc_w], out=out)
+            z = logits[i] = mm(neck, p[fc_w], out=logits.get(i))
             z += p[fc_b]
-            if keep or i == deepest:
-                necks[i] = neck
-            del neck  # an inference walk frees each other head's neck here
+            if i < len(layout.blocks):
+                del neck  # a scoring walk frees each other head's neck here
+    if keep:
+        hmm, (neck_w, neck_b, fc_w, fc_b) = stack.head_matmul, stack.head_params
+        head_in = h if head_in is None else head_in
+        neck = hmm(head_in, neck_w)
+        neck += neck_b
+        z = hmm(neck, fc_w)
+        z += fc_b
+        logits = dict(zip(heads, z.reshape(*rows, -1)))
     if all_logits is None:
-        all_logits = z[None]
-    return {"x": x, "h": trunk, "acts": acts, "neck": necks, "logits": logits, "all_logits": all_logits}
+        all_logits = z.reshape(*rows, -1)
+    return {"x": x, "h": trunk, "acts": acts, "neck": neck.reshape(*rows, -1)[-1] if keep else neck,
+            "logits": logits, "all_logits": all_logits, "head_in": head_in, "necks": neck}
 
 
 def forward(model: BlockNetModel, batch: np.ndarray) -> ForwardResult:
     """Per-head logits plus the deepest head's neck output (the embedding)."""
     cache = _run_forward(_stack_of_one(model), batch, keep=False)
-    return ForwardResult(logits=cache["logits"], embedding=cache["neck"][model.final_head])
+    return ForwardResult(logits=cache["logits"], embedding=cache["neck"])
+
+
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """[n] labels in [0, num_classes) as the [n, num_classes] targets `backward` takes."""
+    if labels.size and (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= num_classes):
+        raise ValueError(f"labels must lie in [0, {num_classes})")
+    return np.eye(num_classes)[labels]
 
 
 @dataclass(frozen=True)
@@ -543,7 +594,8 @@ class LossSpec:
         attached heads.
     proto_weight / proto_targets / proto_mask: weight on the squared L2
         pull of the embedding toward per-class target vectors; classes with
-        a False mask entry are skipped. The pull needs labels as targets.
+        a False mask entry are skipped. The pull reads each row's label as
+        the argmax of its target, so the targets are one-hot rows.
     """
 
     distill_weight: float = 0.0
@@ -562,9 +614,9 @@ def _other_heads(count: int) -> np.ndarray:
 
 def _loss_grads(
     stack: ModelStack, cache: dict, targets: np.ndarray, loss: LossSpec
-) -> tuple[dict[int, np.ndarray], np.ndarray | None]:
-    """d(loss)/d(logits) per head and d(loss)/d(embedding); checks the
-    targets: int labels [K*n] or class distributions [K*n, c].
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """d(loss)/d(logits), one (H, [K,] n, c) row per head, and
+    d(loss)/d(embedding); checks the targets: class distributions [K*n, c].
 
     Every term is a mean over each client's own n batch rows, so the
     learning rate does not depend on the batch size and the K clients'
@@ -573,12 +625,8 @@ def _loss_grads(
     k = stack.vector.shape[0]
     n = cache["x"].shape[-2]
     c = stack.spec.num_classes
-    hard = targets.ndim == 1
-    if targets.shape != ((k * n,) if hard else (k * n, c)):
-        raise ShapeError(f"targets must be [{k * n}] labels or [{k * n}, {c}] distributions, "
-                         f"got {targets.shape}")
-    if hard and targets.size and (np.minimum.reduce(targets) < 0 or np.maximum.reduce(targets) >= c):
-        raise ValueError(f"labels must lie in [0, {c})")
+    if targets.shape != (k * n, c):
+        raise ShapeError(f"targets must be [{k * n}, {c}] class distributions, got {targets.shape}")
 
     heads = stack.head_blocks
     distill = loss.distill_weight != 0.0 and len(heads) > 1
@@ -594,11 +642,8 @@ def _loss_grads(
     # The log-probabilities, written over `shifted`.
     logp = np.subtract(shifted, np.log(total), out=shifted) if distill else None
     grads /= total
-    if hard:
-        # The flat position of each row's label in each head's gradient.
-        grads.reshape(-1)[np.arange(0, grads.size, c).reshape(len(heads), -1) + targets] -= 1.0
-    else:
-        grads -= targets.reshape(grads.shape[1:])
+    # A one-hot row subtracts 1.0 at its label and 0.0 elsewhere.
+    grads -= targets.reshape(grads.shape[1:])
     grads /= n
 
     if distill:
@@ -616,17 +661,15 @@ def _loss_grads(
 
     demb: np.ndarray | None = None
     if loss.proto_weight != 0.0:
-        if not hard:
-            raise ValueError("the prototype pull needs labels as targets")
         if loss.proto_targets is None:
             raise ValueError("proto_weight set without proto_targets")
-        emb = cache["neck"][stack.final_head]
-        labels = targets.reshape(emb.shape[:-1])
+        emb = cache["neck"]
+        labels = targets.argmax(-1).reshape(emb.shape[:-1])
         mask = np.ones(labels.shape) if loss.proto_mask is None else loss.proto_mask[labels].astype(float)
         diff = emb - loss.proto_targets[labels]
         demb = loss.proto_weight * 2.0 / n * mask[..., None] * diff
 
-    return dict(zip(heads, grads)), demb
+    return grads, demb
 
 
 def backward(stack: ModelStack, batch: np.ndarray, targets: np.ndarray, loss: LossSpec) -> dict[str, np.ndarray]:
@@ -634,9 +677,8 @@ def backward(stack: ModelStack, batch: np.ndarray, targets: np.ndarray, loss: Lo
     models, written into the stack's `grad` buffer; returns `stack.grads`.
 
     `batch` is [K*n, d], the K clients' rows concatenated, with their
-    targets: labels [K*n] or class distributions [K*n, c]. Each client's
-    gradient is that of a stack of that client alone. No loss value is
-    computed.
+    targets, class distributions [K*n, c]. Each client's gradient is that
+    of a stack of that client alone. No loss value is computed.
     """
     mm, wt, g = stack.matmul, stack.weights_t, stack.grads
     layout = stack.layout
@@ -645,26 +687,26 @@ def backward(stack: ModelStack, batch: np.ndarray, targets: np.ndarray, loss: Lo
     dlogits, demb = _loss_grads(stack, cache, targets, loss)
 
     trunk = cache["h"]
-    # Gradient w.r.t. the trunk activation after block i; heads join it
-    # where they attach. The last block carries a head, so the first block
-    # walked sets it.
+    # Every head at once: one product or bias sum over the head operand each.
+    hmm, (neck_wt, fc_wt) = stack.head_matmul, stack.head_weights_t
+    g_neck_w, g_neck_b, g_fc_w, g_fc_b = stack.head_grads
+    necks = cache["necks"]
+    dz = dlogits.reshape(*necks.shape[:-1], -1)
+    hmm(necks.swapaxes(-1, -2), dz, out=g_fc_w)
+    reduce(dz, -2, None, g_fc_b)
+    dneck = hmm(dz, fc_wt)
+    if demb is not None:
+        dneck.reshape(-1, *demb.shape)[-1] += demb
+    hmm(cache["head_in"].swapaxes(-1, -2), dneck, out=g_neck_w)
+    reduce(dneck, -2, None, g_neck_b)
+    dtrunk = dict(zip(layout.heads, hmm(dneck, neck_wt).reshape(-1, *trunk[-1].shape)))
+    # Gradient w.r.t. the trunk activation after block i; each head's trunk
+    # gradient joins it where the head attaches. The last block carries a
+    # head, so the first block walked sets it.
     dh = None
     for i in range(len(layout.blocks), 0, -1):
-        if i in layout.heads:
-            neck_w, neck_b, fc_w, fc_b = layout.heads[i]
-            dz = dlogits[i]
-            mm(cache["neck"][i].swapaxes(-1, -2), dz, out=g[fc_w])
-            reduce(dz, -2, None, g[fc_b])
-            dneck = mm(dz, wt[fc_w])
-            if demb is not None and i == stack.final_head:
-                dneck += demb
-            mm(trunk[i].swapaxes(-1, -2), dneck, out=g[neck_w])
-            reduce(dneck, -2, None, g[neck_b])
-            dtrunk = mm(dneck, wt[neck_w])
-            if dh is None:
-                dh = dtrunk
-            else:
-                dh += dtrunk
+        if i in dtrunk:
+            dh = dtrunk[i] if dh is None else np.add(dh, dtrunk[i], out=dh)
         d = dh
         acts = cache["acts"][i - 1]
         inputs = [trunk[i - 1], *acts[:-1]]
@@ -725,8 +767,8 @@ def train_local(
     one (spec, heads) in lockstep, one rng each; returns the K trained
     models, in input order.
 
-    `targets` holds one label or one class distribution per row of
-    `features` (see `backward`). Client k trains on rows `rows[k]` of both
+    `targets` holds one class distribution per row of `features` (see
+    `backward`). Client k trains on rows `rows[k]` of both
     (every row when `rows` is None); all K have the same row count, so at
     every step each client has a batch of the same length. Each client
     shuffles its rows once per pass with its own rng, exactly as it would

@@ -29,7 +29,7 @@ from .metrics import (
     records_csv,
 )
 from .resources import assign_models, estimate_times, payload_bytes, sample_profiles
-from .nn import DivergenceError
+from .nn import DivergenceError, one_hot
 from .strategies import ClientState, FederationContext, Strategy, make_strategy, sample_clients
 
 @dataclass
@@ -87,6 +87,7 @@ def run_strategy_repeat(cfg: ExperimentConfig, strategy_id: str, repeat: int) ->
         clients=clients,
         train_features=train.features,
         train_labels=train.labels,
+        train_targets=one_hot(train.labels, cfg.model.num_classes),
         public_features=public,
         sgd=cfg.sgd,
         fed=cfg.fed,

@@ -28,7 +28,9 @@ The sampled clients of a round train in lockstep groups (`nn.train_local`
 on a stack): clients with the same `_group_key` (by default the same
 architecture and the same sample count) take every step as one stacked
 walk. Each client keeps its own data, batch shuffles and rng draws, so a
-client's result does not depend on its group; the aggregate and every
+client's result does not depend on its group; its own-data targets are
+rows of the job's one-hot `FederationContext.train_targets`, built once
+per job, so no step checks or scatters a label; the aggregate and every
 other cross-client sum run in client-id order. The width strategies train
 each sub-model zero-padded into the global layout (see `nn`), so their key
 is the sample count alone; a client's upload is the coordinates of its
@@ -152,6 +154,7 @@ class FederationContext:
     clients: list[ClientState]
     train_features: np.ndarray
     train_labels: np.ndarray
+    train_targets: np.ndarray          # `nn.one_hot(train_labels)`, built once per job
     public_features: np.ndarray        # fedet's rows; datasets.DataConfig keeps at least one
     sgd: SGDConfig
     fed: FederationConfig
@@ -344,12 +347,12 @@ class Strategy:
         teacher: np.ndarray | None = None,
         maps: tuple[SubModelMap, ...] | None = None,
     ) -> list[BlockNetModel]:
-        """Train one lockstep group of clients on their own data and labels,
-        or, given a `teacher` distribution per public row, on the whole
+        """Train one lockstep group of clients on their own rows and one-hot
+        targets, or, given a `teacher` distribution per public row, on the whole
         public split against it."""
         ctx = self.ctx
         if teacher is None:
-            data = ctx.train_features, ctx.train_labels
+            data = ctx.train_features, ctx.train_targets
             lane, rows = seeding.LANE_BATCH, [ctx.clients[cid].data_indices for cid in client_ids]
         else:
             data, lane, rows = (ctx.public_features, teacher), seeding.LANE_DISTILL, None

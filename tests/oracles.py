@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's vectorized code paths:
 scalar loops for the forward pass, central finite differences of a loss
 value written only here (`loss_value`) for gradients, one head and one
-distillation pair at a time for the loss gradient, per-coordinate
+distillation pair at a time for the loss gradient and one head at a time
+for the backward walk (`reference_backward`), per-coordinate
 contributor collection for aggregation, the momentum-SGD update written
 out inline per parameter for the strategies that train part of a model per
 step, and per-parameter `np.ix_` regions for extraction, scatter and
@@ -38,6 +39,7 @@ from hetfed.nn import (
     SGDConfig,
     backward,
     forward,
+    one_hot,
     param_layout,
 )
 from hetfed.resources import estimate_flops, fedepth_segments
@@ -348,7 +350,7 @@ def fedepth_reference_client(strategy, global_model: BlockNetModel, client_id: i
         global_model.spec, global_model.head_blocks, cfg.batch_size,
         ctx.clients[client_id].profile.memory_capacity, ctx.pool.kappa,
     )
-    features, labels = ctx.client_data(client_id)
+    features, targets = client_rows(ctx, client_id)
     rng = ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
     working = copy_model(global_model)
     params = working.params
@@ -359,7 +361,7 @@ def fedepth_reference_client(strategy, global_model: BlockNetModel, client_id: i
         keys = fedepth_segment_keys(working, seg)
         for _ in range(cfg.local_epochs):
             for idx in batch_windows(n, cfg.batch_size, rng):
-                grads = gradient(working, features[idx], labels[idx], loss)
+                grads = gradient(working, features[idx], targets[idx], loss)
                 for key in keys:
                     buf = cfg.momentum * momentum[key] + grads[key]
                     momentum[key] = buf
@@ -383,7 +385,7 @@ def fjord_reference_client(strategy, global_model: BlockNetModel, client_id: int
     client = ctx.clients[client_id]
     d_global = ctx.pool.largest.spec.hidden_dim
     sub, smap = extract_width(global_model, math.ceil(client.variant.rate * d_global), "static_prefix", 0)
-    features, labels = ctx.client_data(client_id)
+    features, targets = client_rows(ctx, client_id)
     batch_rng = ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
     rate_rng = ctx.client_rng(client_id, round_index, seeding.LANE_RATE)
     ks = fjord_widths(ctx.pool, client.variant.rate)
@@ -399,7 +401,7 @@ def fjord_reference_client(strategy, global_model: BlockNetModel, client_id: int
             else:
                 k = int(rate_rng.choice(ks))
             nested, _ = extract_channels(working, np.arange(k))
-            grads = gradient(nested, features[idx], labels[idx], LossSpec())
+            grads = gradient(nested, features[idx], targets[idx], LossSpec())
             entries = width_entries(working.spec, working.head_blocks, np.arange(k))
             for key, g in grads.items():
                 region = region_for(params[key].shape, entries[key])
@@ -407,6 +409,12 @@ def fjord_reference_client(strategy, global_model: BlockNetModel, client_id: int
                 momentum[key][region] = buf
                 params[key][region] = params[key][region] - cfg.learning_rate * buf
     return params, smap
+
+
+def client_rows(ctx, client_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """A client's own rows and their labels as one-hot targets."""
+    features, labels = ctx.client_data(client_id)
+    return features, one_hot(labels, ctx.pool.largest.spec.num_classes)
 
 
 def reference_round(strategy, state: BlockNetModel, sampled: list[int], round_index: int, train_client):
@@ -445,18 +453,15 @@ def loss_value(
     loss: LossSpec,
 ) -> float:
     """The scalar loss `backward` differentiates, every term a mean over the
-    batch rows: cross-entropy against the targets (labels [n] or class
-    distributions [n, c]) on every head, pairwise KL between the heads and
-    the masked prototype pull on the deepest neck."""
+    batch rows: cross-entropy against the class distributions [n, c] on
+    every head, pairwise KL between the heads and the masked prototype pull
+    on the deepest neck, toward the class of each (one-hot) row."""
     result = forward(model, batch)
     heads = model.head_blocks
     logps = {j: log_softmax(result.logits[j]) for j in heads}
     value = 0.0
     for j in heads:
-        if targets.ndim == 1:
-            value -= logps[j][np.arange(targets.size), targets].mean()
-        else:
-            value -= (targets * logps[j]).sum(axis=-1).mean()
+        value -= (targets * logps[j]).sum(axis=-1).mean()
     if loss.distill_weight != 0.0 and len(heads) > 1:
         ps = {j: np.exp(logps[j]) for j in heads}
         for i in heads:
@@ -464,10 +469,11 @@ def loss_value(
                 if i != j:
                     value += loss.distill_weight * (ps[i] * (logps[i] - logps[j])).sum(axis=-1).mean()
     if loss.proto_weight != 0.0:
-        diff = result.embedding - loss.proto_targets[targets]
+        labels = targets.argmax(axis=-1)
+        diff = result.embedding - loss.proto_targets[labels]
         sq = (diff * diff).sum(axis=-1)
         if loss.proto_mask is not None:
-            sq = loss.proto_mask[targets] * sq
+            sq = loss.proto_mask[labels] * sq
         value += loss.proto_weight * sq.mean()
     return float(value)
 
@@ -504,6 +510,66 @@ def reference_logit_grads(
                 kl = (ps[i] * diff).sum(axis=-1)
                 dlogits[i] += distill_weight / n * ps[i] * (diff - kl[..., None])
     return dlogits
+
+
+def reference_backward(
+    model: BlockNetModel, batch: np.ndarray, targets: np.ndarray, loss: LossSpec
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """One model's per-head logits of the training walk and its gradient
+    vector, one head at a time: each head's neck and classifier products
+    where it attaches, then, walking the blocks down, each head's four
+    gradients and its trunk gradient at its block. The targets are labels
+    [n] or class distributions [n, c] (`reference_logit_grads`); the
+    prototype pull reads labels, or the argmax of each distribution. Every
+    product is a 2-D `ndarray.dot` and every bias gradient a sum over the
+    rows, as the engine's stack of one computes them."""
+    spec, heads, p = model.spec, model.head_blocks, model.params
+    n = batch.shape[0]
+    h = batch.dot(p["stem.w"]) + p["stem.b"]
+    trunk, acts, necks, logits = [h], [], {}, {}
+    for i in range(1, spec.num_blocks + 1):
+        keys = block_keys(spec, i)
+        a, block_acts = h, []
+        for w, b in zip(keys[::2], keys[1::2]):
+            a = np.maximum(a.dot(p[w]) + p[b], 0.0)
+            block_acts.append(a)
+        h = a + h if spec.block_kind == "skip" else a
+        trunk.append(h)
+        acts.append(block_acts)
+        if i in heads:
+            neck_w, neck_b, fc_w, fc_b = head_keys(i)
+            necks[i] = h.dot(p[neck_w]) + p[neck_b]
+            logits[i] = necks[i].dot(p[fc_w]) + p[fc_b]
+    dlogits = reference_logit_grads(logits, targets, loss.distill_weight)
+    demb = None
+    if loss.proto_weight != 0.0:
+        labels = targets if targets.ndim == 1 else targets.argmax(axis=-1)
+        mask = np.ones(n) if loss.proto_mask is None else loss.proto_mask[labels].astype(float)
+        diff = necks[model.final_head] - loss.proto_targets[labels]
+        demb = loss.proto_weight * 2.0 / n * mask[:, None] * diff
+    grads: dict[str, np.ndarray] = {}
+    dh = None
+    for i in range(spec.num_blocks, 0, -1):
+        if i in heads:
+            neck_w, neck_b, fc_w, fc_b = head_keys(i)
+            dz = dlogits[i]
+            grads[fc_w], grads[fc_b] = necks[i].T.dot(dz), dz.sum(axis=0)
+            dneck = dz.dot(p[fc_w].T)
+            if demb is not None and i == model.final_head:
+                dneck = dneck + demb
+            grads[neck_w], grads[neck_b] = trunk[i].T.dot(dneck), dneck.sum(axis=0)
+            dtrunk = dneck.dot(p[neck_w].T)
+            dh = dtrunk if dh is None else dh + dtrunk
+        keys = block_keys(spec, i)
+        d = dh
+        steps = zip(keys[::2], keys[1::2], [trunk[i - 1], *acts[i - 1][:-1]], acts[i - 1])
+        for w, b, inputs, a in reversed(list(steps)):
+            dz = d * np.sign(a)
+            grads[w], grads[b] = inputs.T.dot(dz), dz.sum(axis=0)
+            d = dz.dot(p[w].T)
+        dh = d + dh if spec.block_kind == "skip" else d
+    grads["stem.w"], grads["stem.b"] = batch.T.dot(dh), dh.sum(axis=0)
+    return logits, model_from_params(spec, heads, grads).vector
 
 
 def check_roundtrip(model: BlockNetModel, sub: BlockNetModel, smap: SubModelMap) -> bool:

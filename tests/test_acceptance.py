@@ -86,7 +86,7 @@ def test_criterion_1_gradient_correctness():
             heads = tuple(range(1, spec.num_blocks + 1))
         model = perturb_params(nn.init_model(spec, rng, heads), rng)
         batch = rng.normal(size=(int(rng.integers(1, 5)), spec.input_dim))
-        labels = rng.integers(0, spec.num_classes, size=batch.shape[0])
+        labels = nn.one_hot(rng.integers(0, spec.num_classes, size=batch.shape[0]), spec.num_classes)
         if case % 4 == 3:
             loss = LossSpec(
                 proto_weight=float(rng.uniform(0.2, 1.0)),

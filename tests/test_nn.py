@@ -18,6 +18,7 @@ from oracles import (
     model_from_params,
     param_shapes,
     perturb_params,
+    reference_backward,
     reference_logit_grads,
     reference_train_local,
     scalar_forward_logits,
@@ -127,16 +128,18 @@ class TestInferenceWalk:
         own = nn.ModelStack(spec, model.head_blocks, model.vector[None].copy(), np.empty((1, model.vector.size)))
         products, walk = [], nn._run_forward
 
-        def counted(a, b, out=None):
-            products.append(b.shape)
-            return a.dot(b, out=out)
+        def counting(product):
+            def counted(a, b, out=None):
+                products.append(b.shape)
+                return product(a, b, out=out)
+            return counted
 
-        # Products: the stem, one per block, and a neck and a classifier
-        # per head.
-        own.matmul = counted
+        # Products: the stem and one per block, then one stacked neck and
+        # one stacked classifier product for both heads.
+        own.matmul, own.head_matmul = counting(own.matmul), counting(own.head_matmul)
         walk(own, x)
-        assert len(products) == 1 + 3 + 2 * 2
-        own.matmul = np.ndarray.dot
+        assert products == [(5, 8)] + [(8, 8)] * 3 + [(2, 8, 6), (2, 6, 4)]
+        own.matmul, own.head_matmul = np.ndarray.dot, np.matmul
         caches = []
 
         def recorded(stack, batch, keep=True):
@@ -144,11 +147,11 @@ class TestInferenceWalk:
             return caches[-1]
 
         monkeypatch.setattr(nn, "_run_forward", recorded)
-        nn.backward(own, x, np.random.default_rng(6).integers(0, 4, size=6), LossSpec())
+        nn.backward(own, x, nn.one_hot(np.random.default_rng(6).integers(0, 4, size=6), 4), LossSpec())
         out = nn.forward(model, x)
         labels = [nn.predict(model, x, j) for j in (1, 3)]
         want = caches[0]
-        assert out.embedding.tobytes() == want["neck"][3].tobytes()
+        assert out.embedding.tobytes() == want["neck"].tobytes()
         assert [list(cache["logits"]) for cache in caches] == [[1, 3]] * 4
         for cache in caches[1:]:  # forward's, then predict's at heads 1 and 3
             for j in (1, 3):
@@ -169,7 +172,7 @@ class TestInferenceWalk:
         model = nn.init_model(spec, np.random.default_rng(0), heads)
         n = 400
         x = np.random.default_rng(1).normal(size=(n, spec.input_dim))
-        labels = np.random.default_rng(2).integers(0, spec.num_classes, size=n)
+        targets = nn.one_hot(np.random.default_rng(2).integers(0, spec.num_classes, size=n), spec.num_classes)
 
         def width(key):
             return layout.slots[key][2][0]
@@ -189,7 +192,7 @@ class TestInferenceWalk:
         assert peak(lambda: nn.predict(model, x, 2)) <= bound
         assert peak(lambda: nn.forward(model, x)) <= bound
         stack = nn.ModelStack(spec, heads, model.vector[None].copy(), np.empty((1, layout.size)))
-        assert peak(lambda: nn.backward(stack, x, labels, LossSpec(distill_weight=0.1))) > bound
+        assert peak(lambda: nn.backward(stack, x, targets, LossSpec(distill_weight=0.1))) > bound
 
 
 class TestLosses:
@@ -198,7 +201,7 @@ class TestLosses:
             spec = small_spec(num_classes=k)
             model = zero_model(spec, (1,))
             x = np.random.default_rng(0).normal(size=(8, 4))
-            y = np.random.default_rng(1).integers(0, k, size=8)
+            y = nn.one_hot(np.random.default_rng(1).integers(0, k, size=8), k)
             assert loss_value(model, x, y, LossSpec()) == pytest.approx(math.log(k), abs=1e-15)
 
     def test_gradient_exactly_zero_at_stationary_point(self):
@@ -206,7 +209,7 @@ class TestLosses:
         spec = small_spec(num_classes=2)
         model = zero_model(spec, (1,))
         x = np.random.default_rng(0).normal(size=(2, 4))
-        y = np.array([0, 1])
+        y = nn.one_hot(np.array([0, 1]), 2)
         grads = gradient(model, x, y, LossSpec())
         assert max(np.abs(g).max() for g in grads.values()) < 1e-12
 
@@ -217,19 +220,18 @@ class TestLosses:
         # ~1 ulp) still separates the two behaviours sharply.
         model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
         x = np.random.default_rng(1).normal(size=(1, 4))
-        y = np.array([1])
+        y = nn.one_hot(np.array([1]), 2)
         g1 = gradient(model, x, y, LossSpec())
-        g2 = gradient(model, np.vstack([x, x]), np.array([1, 1]), LossSpec())
+        g2 = gradient(model, np.vstack([x, x]), np.vstack([y, y]), LossSpec())
         for k in g1:
             assert np.allclose(g1[k], g2[k], atol=1e-14, rtol=0)
 
     def test_labels_out_of_range(self):
-        model = nn.init_model(small_spec(num_classes=2), np.random.default_rng(0), (1,))
-        x = np.zeros((1, 4))
-        with pytest.raises(ValueError):
-            gradient(model, x, np.array([2]), LossSpec())
-        with pytest.raises(ValueError):
-            gradient(model, x, np.array([-1]), LossSpec())
+        # Labels reach the loss only as `one_hot` rows, which hold the rule.
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match=r"^labels must lie in \[0, 2\)$"):
+                nn.one_hot(np.array([0, bad]), 2)
+        assert nn.one_hot(np.array([1, 0]), 2).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -237,7 +239,7 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(seed)
         model = perturb_params(nn.init_model(spec, rng, heads), rng)
         x = rng.normal(size=(4, spec.input_dim))
-        y = rng.integers(0, spec.num_classes, size=4) if targets is None else targets
+        y = nn.one_hot(rng.integers(0, spec.num_classes, size=4), spec.num_classes) if targets is None else targets
         analytic = gradient(model, x, y, loss)
         numeric = finite_difference_grads(model, x, y, loss)
         assert max_relative_error(analytic, numeric) < tol
@@ -278,7 +280,7 @@ class TestGradientsAgainstFiniteDifferences:
         x = rng.normal(size=(4, 4))
         y = rng.integers(0, 2, size=4)
         lam = 0.3
-        analytic = gradient(model, x, y, LossSpec(distill_weight=lam))
+        analytic = gradient(model, x, nn.one_hot(y, 2), LossSpec(distill_weight=lam))
 
         frozen = {j: log_softmax(l) for j, l in nn.forward(model, x).logits.items()}
 
@@ -405,7 +407,7 @@ class TestTraining:
         spec = small_spec(num_blocks=2)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(20, 4))
-        y = rng.integers(0, 2, size=20)
+        y = nn.one_hot(rng.integers(0, 2, size=20), 2)
         cfg = SGDConfig(learning_rate=0.05, batch_size=4, local_epochs=2)
 
         def run():
@@ -421,6 +423,7 @@ class TestTraining:
         n = 40
         y = (np.arange(n) % 2).astype(np.int64)
         x = rng.normal(size=(n, 4)) + np.where(y[:, None] == 0, 2.0, -2.0)
+        y = nn.one_hot(y, 2)
         model = nn.init_model(small_spec(), rng, (1,))
         before = loss_value(model, x, y, LossSpec())
         cfg = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=10)  # 50 steps
@@ -435,7 +438,7 @@ class TestTraining:
         spec = BlockNetSpec(5, 8, 3, kind, 3, 6)
         rng = np.random.default_rng(21)
         x = rng.normal(size=(30, 5))
-        y = rng.integers(0, 3, size=30)
+        y = nn.one_hot(rng.integers(0, 3, size=30), 3)
         cfg = SGDConfig(learning_rate=0.05, batch_size=8, local_epochs=3, momentum=0.5)
         model = nn.init_model(spec, np.random.default_rng(5), (1, 2, 3))
         soft = nn.softmax(rng.normal(size=(30, 3)))
@@ -457,7 +460,7 @@ class TestTraining:
         model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
         snapshot = {k: v.copy() for k, v in model.params.items()}
         x = np.random.default_rng(1).normal(size=(8, 4))
-        y = np.random.default_rng(2).integers(0, 2, size=8)
+        y = nn.one_hot(np.random.default_rng(2).integers(0, 2, size=8), 2)
         nn.train_local([model], x, y, SGDConfig(learning_rate=0.1, batch_size=4), LossSpec(),
                        [np.random.default_rng(3)])
         for k in snapshot:
@@ -533,7 +536,7 @@ class TestLockstep:
         k, n = 4, 7
         models = [nn.init_model(spec, np.random.default_rng(s), heads) for s in range(k)]
         x = rng.normal(size=(k * n, 5))
-        y = rng.integers(0, 3, size=k * n)
+        y = nn.one_hot(rng.integers(0, 3, size=k * n), 3)
         protos = rng.normal(size=(3, 6))
         soft = nn.softmax(rng.normal(size=(k * n, 3)))
         vectors = np.stack([m.vector for m in models])
@@ -554,12 +557,12 @@ class TestLockstep:
         spec = BlockNetSpec(5, 8, 2, "skip", 3, 6)
         rng = np.random.default_rng(9)
         x = rng.normal(size=(60, 5))
-        y = rng.integers(0, 3, size=60)
+        y = nn.one_hot(rng.integers(0, 3, size=60), 3)
         soft = nn.softmax(rng.normal(size=(60, 3)))
         rows = [np.arange(0, 60, 3), np.arange(1, 60, 3), np.arange(2, 60, 3)]
         models = [nn.init_model(spec, np.random.default_rng(s), (spec.num_blocks,)) for s in range(3)]
         cfg = SGDConfig(learning_rate=0.05, batch_size=6, local_epochs=2, momentum=0.5)
-        for targets in (y, soft):  # one label or one distribution per row of x
+        for targets in (y, soft):  # a one-hot row or a distribution per row of x
             trained = nn.train_local(models, x, targets, cfg, LossSpec(),
                                      [np.random.default_rng(s) for s in (4, 5, 6)], rows)
             assert len(trained) == len(models)
@@ -587,6 +590,9 @@ class TestLockstep:
                 assert np.all(target == 1.0)
 
     def test_train_local_and_backward_reject_out_of_range_labels(self):
+        # Labels reach `backward` and `train_local` only as `one_hot` rows:
+        # `one_hot` rejects a label out of range in any row, and the engine
+        # takes no label vector as targets.
         spec = small_spec(num_classes=3)
         model = nn.init_model(spec, np.random.default_rng(0), (spec.num_blocks,))
         x = np.zeros((6, 4))
@@ -598,22 +604,23 @@ class TestLockstep:
         for bad in (3, -1):
             y = np.array([0, 1, 2, 0, 1, bad])
             with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
+                nn.one_hot(y, 3)
+            with pytest.raises(nn.ShapeError, match=r"^targets must be \[6, 3\] class distributions"):
                 nn.backward(alone, x, y, LossSpec())
-            with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
+            with pytest.raises(nn.ShapeError, match=r"^targets must be \[6, 3\] class distributions"):
                 nn.backward(pair, x, y, LossSpec())
-            with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
+            with pytest.raises(nn.ShapeError, match=r"^targets must be \[2, 3\] class distributions"):
                 nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)])
-            with pytest.raises(ValueError, match=r"^labels must lie in \[0, 3\)$"):
+            with pytest.raises(nn.ShapeError, match=r"^targets must be \[4, 3\] class distributions"):
                 nn.train_local([model, model], x, y, cfg, LossSpec(),
                                [np.random.default_rng(s) for s in (1, 2)], rows)
-            # Rows no client trains on are not read.
-            nn.train_local([model], x[:5], y[:5], cfg, LossSpec(), [np.random.default_rng(1)])
-            nn.train_local([model], x, y, cfg, LossSpec(), [np.random.default_rng(1)], rows[:1])
+        nn.train_local([model, model], x, nn.one_hot(y[:5], 3), cfg, LossSpec(),
+                       [np.random.default_rng(s) for s in (1, 2)], [rows[0], np.arange(2, 5)])
 
     def test_moves_plan_is_asked_once_per_pass_and_must_cover_it(self):
         model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
         x = np.random.default_rng(1).normal(size=(10, 4))
-        y = np.arange(10) % 2
+        y = nn.one_hot(np.arange(10) % 2, 2)
         # 4 does not divide the 10 rows: the last of a pass's 3 steps is short.
         cfg = SGDConfig(learning_rate=0.1, batch_size=4, local_epochs=2)
         asked = []
@@ -637,14 +644,15 @@ class TestLockstep:
         vectors = np.stack([nn.init_model(spec, np.random.default_rng(s), (spec.num_blocks,)).vector for s in range(3)])
         stack = nn.ModelStack(spec, (1,), vectors, np.empty_like(vectors))
         with pytest.raises(nn.ShapeError):
-            nn.backward(stack, np.zeros((4, 4)), np.zeros(4, dtype=int), LossSpec())
+            nn.backward(stack, np.zeros((4, 4)), np.zeros((4, 2)), LossSpec())
 
     @staticmethod
     def pair_setup():
         spec = small_spec(num_classes=3)
         models = [nn.init_model(spec, np.random.default_rng(s), (1,)) for s in range(2)]
         rng = np.random.default_rng(3)
-        return models, rng.normal(size=(8, 4)), rng.integers(0, 3, size=8), SGDConfig(learning_rate=0.1, batch_size=4)
+        x, y = rng.normal(size=(8, 4)), nn.one_hot(rng.integers(0, 3, size=8), 3)
+        return models, x, y, SGDConfig(learning_rate=0.1, batch_size=4)
 
     def test_train_local_needs_one_rng_and_row_set_per_model(self):
         # One rng for two models would split each step's batch between them.
@@ -682,7 +690,7 @@ class TestWorkspaces:
 
     def data(self):
         rng = np.random.default_rng(17)
-        return rng.normal(size=(60, 5)), rng.integers(0, 3, size=60)
+        return rng.normal(size=(60, 5)), nn.one_hot(rng.integers(0, 3, size=60), 3)
 
     def models(self, seeds):
         return [nn.init_model(self.SPEC, np.random.default_rng(s), (1, 2)) for s in seeds]
@@ -802,7 +810,7 @@ class TestZeroPadding:
         # Biases away from zero, as training leaves them.
         model.vector[:] += np.random.default_rng(44).normal(scale=0.1, size=model.vector.size)
         rng = np.random.default_rng(45)
-        x, y = rng.normal(size=(n * k, 5)), rng.integers(0, 3, size=n * k)
+        x, y = rng.normal(size=(n * k, 5)), nn.one_hot(rng.integers(0, 3, size=n * k), 3)
         rows = [np.arange(c, n * k, k) for c in range(k)]
         return model, x, y, rows
 
@@ -870,37 +878,46 @@ class TestZeroPadding:
 
 
 class TestTargets:
-    """Labels and class distributions are one operand of `backward`."""
+    """Labels reach `backward` as `one_hot` class distributions."""
 
     @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
     @pytest.mark.parametrize("k", [1, 3])
     def test_one_hot_targets_give_the_label_gradient_bits(self, kind, k):
+        # The per-head loop subtracts 1.0 at each row's label; the engine
+        # subtracts the one-hot row.
         spec = BlockNetSpec(5, 8, 3, kind, 4, 6)
         rng = np.random.default_rng(31)
         n = 9
         for heads in ((3,), (1, 2, 3)):
-            vectors = np.stack([nn.init_model(spec, np.random.default_rng(s), heads).vector for s in range(k)])
+            models = [nn.init_model(spec, np.random.default_rng(s), heads) for s in range(k)]
+            vectors = np.stack([model.vector for model in models])
             stack = nn.ModelStack(spec, heads, vectors, np.empty_like(vectors))
             x = rng.normal(size=(k * n, 5))
             y = rng.integers(0, 4, size=k * n)
             for loss in (LossSpec(), LossSpec(distill_weight=0.3)):
-                nn.backward(stack, x, y, loss)
-                from_labels = stack.grad.copy()
-                nn.backward(stack, x, np.eye(4)[y], loss)
-                assert np.array_equal(stack.grad, from_labels), (heads, loss)
+                nn.backward(stack, x, nn.one_hot(y, 4), loss)
+                for c, model in enumerate(models):
+                    rows = slice(c * n, (c + 1) * n)
+                    _, from_labels = reference_backward(model, x[rows], y[rows], loss)
+                    assert stack.grad[c].tobytes() == from_labels.tobytes(), (heads, loss, c)
 
     def test_prototype_pull_needs_labels(self):
-        model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
-        loss = LossSpec(proto_weight=0.5, proto_targets=np.zeros((2, 4)))
-        soft = np.full((3, 2), 0.5)
-        with pytest.raises(ValueError, match=r"^the prototype pull needs labels as targets$"):
-            gradient(model, np.zeros((3, 4)), soft, loss)
+        # The pull reads each row's label as the argmax of its one-hot row.
+        model = perturb_params(nn.init_model(small_spec(num_classes=3), np.random.default_rng(0), (1,)),
+                               np.random.default_rng(1))
+        loss = LossSpec(proto_weight=0.5, proto_targets=np.random.default_rng(2).normal(size=(3, 4)),
+                        proto_mask=np.array([True, False, True]))
+        x = np.random.default_rng(3).normal(size=(5, 4))
+        y = np.array([2, 0, 1, 2, 0])
+        _, want = reference_backward(model, x, y, loss)
+        assert gradient(model, x, nn.one_hot(y, 3), loss).vector.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("shape", [(5,), (3, 3), (3, 2, 1), (2, 2)])
+    @pytest.mark.parametrize("shape", [(3,), (5,), (3, 3), (3, 2, 1), (2, 2)])
     def test_targets_must_fit_the_batch(self, shape):
+        # A label vector is no target: labels become `one_hot` rows first.
         model = nn.init_model(small_spec(), np.random.default_rng(0), (1,))
         targets = np.zeros(shape, dtype=int if len(shape) == 1 else float)
-        with pytest.raises(nn.ShapeError, match=r"^targets must be \[3\] labels or \[3, 2\] distributions"):
+        with pytest.raises(nn.ShapeError, match=r"^targets must be \[3, 2\] class distributions, got"):
             gradient(model, np.zeros((3, 4)), targets, LossSpec())
 
 
@@ -919,13 +936,44 @@ class TestLogitGradients:
         cache = nn._run_forward(stack, rng.normal(size=(k * n, 5)))
         labels = rng.integers(0, 4, size=k * n)
         soft = nn.softmax(rng.normal(size=(k * n, 4)))
-        for targets in (labels, soft):
+        # One-hot rows against the loop's label gradient, and distributions.
+        for targets, given in ((nn.one_hot(labels, 4), labels), (soft, soft)):
             for weight in (0.3, 0.0):
                 got, _ = nn._loss_grads(stack, cache, targets, LossSpec(distill_weight=weight))
-                want = reference_logit_grads(cache["logits"], targets, weight)
-                assert list(got) == list(want) == list(heads)
-                for j in heads:
-                    assert got[j].tobytes() == want[j].tobytes(), (j, weight, targets.ndim)
+                want = reference_logit_grads(cache["logits"], given, weight)
+                assert got.shape[0] == len(want) == len(heads)
+                for h, j in enumerate(heads):
+                    assert got[h].tobytes() == want[j].tobytes(), (j, weight, given.ndim)
+
+
+class TestStackedHeads:
+    """A model of two or more heads trains them as one stacked product
+    each; every client keeps the bits of the per-head loop."""
+
+    @pytest.mark.parametrize("kind", ["plain", "skip", "bottleneck"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("heads", [(2, 4), (1, 2, 3, 4)])
+    def test_backward_and_training_walk_match_the_per_head_loop(self, kind, k, heads):
+        spec = BlockNetSpec(5, 8, 4, kind, 4, 6)
+        rng = np.random.default_rng(53)
+        n = 9
+        models = [perturb_params(nn.init_model(spec, np.random.default_rng(s), heads), rng) for s in range(k)]
+        vectors = np.stack([model.vector for model in models])
+        stack = nn.ModelStack(spec, heads, vectors, np.empty_like(vectors))
+        x = rng.normal(size=(k * n, 5))
+        y = rng.integers(0, 4, size=k * n)
+        # Self-distillation and the prototype pull on the deepest head.
+        loss = LossSpec(distill_weight=0.3, proto_weight=0.2, proto_targets=rng.normal(size=(4, 6)),
+                        proto_mask=np.array([True, False, True, True]))
+        logits = nn._run_forward(stack, x)["all_logits"]
+        nn.backward(stack, x, nn.one_hot(y, 4), loss)
+        for c, model in enumerate(models):
+            rows = slice(c * n, (c + 1) * n)
+            want_logits, want = reference_backward(model, x[rows], nn.one_hot(y[rows], 4), loss)
+            own = logits if k == 1 else logits[:, c]
+            for h, j in enumerate(heads):
+                assert own[h].tobytes() == want_logits[j].tobytes(), (c, j)
+            assert stack.grad[c].tobytes() == want.tobytes(), c
 
 
 def read_only(array):

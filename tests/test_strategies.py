@@ -25,6 +25,7 @@ from hetfed.strategies import (
 )
 
 from oracles import (
+    client_rows,
     copy_model,
     depth_entries,
     fedepth_reference_client,
@@ -78,6 +79,7 @@ def make_ctx(
         clients=clients,
         train_features=ds.features,
         train_labels=ds.labels,
+        train_targets=nn.one_hot(ds.labels, spec.num_classes),
         public_features=ds.features[:16].copy(),
         sgd=SGDConfig(learning_rate=lr, batch_size=8, local_epochs=1),
         fed=fed or FederationConfig(),
@@ -91,7 +93,7 @@ def width_reference_client(strategy, global_model, client_id: int, round_index: 
     ctx = strategy.ctx
     sub, smap = strategy._extract(global_model, ctx.clients[client_id], round_index)
     rng = ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-    return reference_train_local(sub, *ctx.client_data(client_id), ctx.sgd, nn.LossSpec(), rng).params, smap
+    return reference_train_local(sub, *client_rows(ctx, client_id), ctx.sgd, nn.LossSpec(), rng).params, smap
 
 
 def whole_model_reference_client(strategy, global_model, client_id: int, round_index: int):
@@ -99,7 +101,7 @@ def whole_model_reference_client(strategy, global_model, client_id: int, round_i
     per-parameter loop, and the identity map."""
     ctx = strategy.ctx
     rng = ctx.client_rng(client_id, round_index, seeding.LANE_BATCH)
-    trained = reference_train_local(global_model, *ctx.client_data(client_id), ctx.sgd, nn.LossSpec(), rng)
+    trained = reference_train_local(global_model, *client_rows(ctx, client_id), ctx.sgd, nn.LossSpec(), rng)
     return trained.params, full_map(global_model)
 
 
@@ -1033,7 +1035,7 @@ class TestTopologyFamily:
 
         public = ctx.public_features
         local = {
-            cid: reference_train_local(state.models[cid], *ctx.client_data(cid), ctx.sgd, nn.LossSpec(),
+            cid: reference_train_local(state.models[cid], *client_rows(ctx, cid), ctx.sgd, nn.LossSpec(),
                                        ctx.client_rng(cid, t, seeding.LANE_BATCH))
             for cid in sampled
         }
